@@ -101,7 +101,7 @@ func TestSubmitAllocsWALBounded(t *testing.T) {
 		t.Skip("race mode: sync.Pool drops Puts by design, allocation counts are not meaningful")
 	}
 	const bound = 16.0
-	for _, e := range allocSystems(t, repro.NewWAL(repro.NewWALMemDevice(), repro.WALGroup(4, time.Millisecond))) {
+	for _, e := range allocSystems(t, repro.NewWAL(repro.NewWALMemSegments(0), repro.WALGroup(4, time.Millisecond))) {
 		t.Run(e.rt.Name(), func(t *testing.T) {
 			ses := e.rt.Start()
 			src := &repro.Transfer{Table: e.tbl, NumRecords: 64}

@@ -290,24 +290,6 @@ func BenchmarkFig12RMW(b *testing.B) {
 
 // --- ablation benches (design choices called out in README.md "Ablations") -----------
 
-// BenchmarkAblationTransport compares the SPSC-ring message plane against
-// buffered Go channels at identical configuration.
-func BenchmarkAblationTransport(b *testing.B) {
-	for _, chans := range []bool{false, true} {
-		name := "spsc"
-		if chans {
-			name = "channels"
-		}
-		b.Run(name, func(b *testing.B) {
-			db, tbl := newBenchDB()
-			eng := NewOrthrus(OrthrusConfig{DB: db, CCThreads: 4, ExecThreads: 8, UseChannels: chans})
-			src := &YCSB{Table: tbl, NumRecords: benchRecords, OpsPerTxn: 10,
-				HotRecords: 64, HotOps: 2}
-			reportRun(b, eng, src)
-		})
-	}
-}
-
 // BenchmarkAblationSharedTable compares private per-CC lock tables against
 // the §3.4 shared latched table.
 func BenchmarkAblationSharedTable(b *testing.B) {

@@ -17,7 +17,7 @@ func durableEngines(t testing.TB, policy repro.SyncPolicy) []struct {
 	eng repro.Engine
 	db  *repro.DB
 	tbl int
-	dev *repro.WALMemDevice
+	dev *repro.WALMemSegments
 	log *repro.WAL
 } {
 	t.Helper()
@@ -26,13 +26,13 @@ func durableEngines(t testing.TB, policy repro.SyncPolicy) []struct {
 		eng repro.Engine
 		db  *repro.DB
 		tbl int
-		dev *repro.WALMemDevice
+		dev *repro.WALMemSegments
 		log *repro.WAL
 	}
 	var out []entry
 	build := func(f func(db *repro.DB, log *repro.WAL) repro.Engine) {
 		db, tbl := newAccountDB(t, n, 1000)
-		dev := repro.NewWALMemDevice()
+		dev := repro.NewWALMemSegments(0)
 		log := repro.NewWAL(dev, policy)
 		out = append(out, entry{f(db, log), db, tbl, dev, log})
 	}
@@ -48,6 +48,37 @@ func durableEngines(t testing.TB, policy repro.SyncPolicy) []struct {
 	build(func(db *repro.DB, log *repro.WAL) repro.Engine {
 		return repro.NewPartitionedStore(repro.PartitionedStoreConfig{DB: db, Partitions: threads, Wal: log})
 	})
+	return out
+}
+
+// unsyncedBytes reports how many written bytes of dev a crash could
+// still lose: bytes written minus the synced prefix of every segment.
+func unsyncedBytes(dev *repro.WALMemSegments) int {
+	n := 0
+	for _, s := range dev.Segments() {
+		n += s.Bytes
+	}
+	for _, s := range dev.CrashSegments() {
+		n -= len(s)
+	}
+	return n
+}
+
+// tornAt returns the crash image that keeps only the first cut bytes of
+// the log: segments wholly below the cut survive, the one holding it is
+// torn there, later ones are lost.
+func tornAt(segs [][]byte, cut int) [][]byte {
+	var out [][]byte
+	for _, s := range segs {
+		if cut <= 0 {
+			break
+		}
+		if cut < len(s) {
+			s = s[:cut]
+		}
+		out = append(out, s)
+		cut -= len(s)
+	}
 	return out
 }
 
@@ -73,25 +104,29 @@ func TestCrashRecoveryCommittedPrefixOnAllEngines(t *testing.T) {
 			if got := sumBalances(e.db, e.tbl, 64); got != 64*1000 {
 				t.Fatalf("live sum = %d, want %d", got, 64*1000)
 			}
-			img := e.dev.Contents()
-			if e.dev.SyncedLen() != len(img) {
-				t.Fatalf("close left %d of %d bytes unsynced", e.dev.SyncedLen(), len(img))
+			if n := unsyncedBytes(e.dev); n != 0 {
+				t.Fatalf("close left %d bytes unsynced", n)
+			}
+			segs := e.dev.CrashSegments()
+			size := 0
+			for _, s := range segs {
+				size += len(s)
 			}
 
 			// Arbitrary torn points, including mid-record cuts.
 			rng := rand.New(rand.NewSource(42))
-			cuts := []int{0, 1, len(img) / 3, len(img) / 2, len(img) - 1, len(img)}
+			cuts := []int{0, 1, size / 3, size / 2, size - 1, size}
 			for i := 0; i < 8; i++ {
-				cuts = append(cuts, rng.Intn(len(img)+1))
+				cuts = append(cuts, rng.Intn(size+1))
 			}
 			for _, cut := range cuts {
 				rebuilt, tbl2 := newAccountDB(t, 64, 1000)
-				st := repro.ReplayWAL(img[:cut], rebuilt)
+				st := repro.ReplayWALSegments(tornAt(segs, cut), 0, 1, rebuilt)
 				if got := sumBalances(rebuilt, tbl2, 64); got != 64*1000 {
 					t.Fatalf("cut %d/%d: conservation broken: sum = %d (replay %+v)",
-						cut, len(img), got, st)
+						cut, size, got, st)
 				}
-				if cut == len(img) {
+				if cut == size {
 					if st.Torn || uint64(st.Applied) != res.Totals.Committed {
 						t.Fatalf("full replay applied %d of %d commits (torn=%v)",
 							st.Applied, res.Totals.Committed, st.Torn)
@@ -114,7 +149,7 @@ func TestCrashRecoveryCommittedPrefixOnAllEngines(t *testing.T) {
 // counter sum counts the applied transactions exactly.
 func TestMidRunCrashKeepsAcknowledgedTransactions(t *testing.T) {
 	db, tbl := newAccountDB(t, 64, 0)
-	dev := repro.NewWALMemDevice()
+	dev := repro.NewWALMemSegments(0)
 	log := repro.NewWAL(dev, repro.WALGroup(16, 100*time.Microsecond))
 	eng := repro.NewOrthrus(repro.OrthrusConfig{DB: db, CCThreads: 2, ExecThreads: 2, Wal: log})
 
@@ -122,7 +157,7 @@ func TestMidRunCrashKeepsAcknowledgedTransactions(t *testing.T) {
 	var acked atomic.Int64
 	const total = 4000
 	var ackedBefore int64
-	var img []byte
+	var img [][]byte
 	for i := 0; i < total; i++ {
 		k := uint64(i % 64)
 		tx := &repro.Txn{Ops: []repro.Op{{Table: tbl, Key: k, Mode: repro.Write}}}
@@ -140,7 +175,7 @@ func TestMidRunCrashKeepsAcknowledgedTransactions(t *testing.T) {
 			// synced by an earlier flush, so it must survive in the
 			// synced prefix captured after reading the counter.
 			ackedBefore = acked.Load()
-			img = dev.SyncedContents()
+			img = dev.CrashSegments()
 		}
 	}
 	ses.Drain()
@@ -153,7 +188,7 @@ func TestMidRunCrashKeepsAcknowledgedTransactions(t *testing.T) {
 	}
 
 	rebuilt, tbl2 := newAccountDB(t, 64, 0)
-	st := repro.ReplayWAL(img, rebuilt)
+	st := repro.ReplayWALSegments(img, 0, 1, rebuilt)
 	if got := sumBalances(rebuilt, tbl2, 64); got < ackedBefore {
 		t.Fatalf("replayed %d transactions, but %d were acknowledged before the crash (replay %+v)",
 			got, ackedBefore, st)
@@ -185,7 +220,7 @@ func TestDurableMixedReadWriteWorkload(t *testing.T) {
 			if err := e.log.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if e.dev.SyncedLen() != e.dev.Len() {
+			if unsyncedBytes(e.dev) != 0 {
 				t.Fatal("close left unsynced bytes")
 			}
 		})
@@ -213,9 +248,9 @@ func TestDrainMakesAcknowledgedWorkDurable(t *testing.T) {
 					}
 					// Engine.Run closes its session, which drains the log
 					// tail; the synced image must already be complete.
-					img := e.dev.SyncedContents()
+					img := e.dev.CrashSegments()
 					rebuilt, tbl2 := newAccountDB(t, 64, 1000)
-					st := repro.ReplayWAL(img, rebuilt)
+					st := repro.ReplayWALSegments(img, 0, 1, rebuilt)
 					if uint64(st.Applied) != res.Totals.Committed {
 						t.Fatalf("synced image holds %d of %d commits", st.Applied, res.Totals.Committed)
 					}

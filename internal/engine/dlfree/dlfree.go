@@ -34,12 +34,6 @@ type Config struct {
 	Threads int
 	// Buckets overrides the lock-table bucket count (default 1<<16).
 	Buckets int
-	// Split marks the "Split Deadlock-free" variant of Figures 6/7. The
-	// concurrency-control behaviour is identical (shared lock table); the
-	// paper's split variant partitions *indexes* for cache locality, a
-	// physical effect outside this reproduction's reach, so the flag only
-	// changes the reported name. See README.md "Scale and fidelity".
-	Split bool
 	// Wal, when enabled, makes commit acknowledgment durable (redo append
 	// at pre-commit, acknowledgment from the group-commit flusher).
 	Wal *wal.Log
@@ -86,9 +80,6 @@ func New(cfg Config) *Engine {
 
 // Name implements engine.Engine.
 func (e *Engine) Name() string {
-	if e.cfg.Split {
-		return fmt.Sprintf("split-dlfree(%dt)", e.cfg.Threads)
-	}
 	return fmt.Sprintf("dlfree(%dt)", e.cfg.Threads)
 }
 

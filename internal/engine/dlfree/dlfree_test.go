@@ -2,7 +2,6 @@ package dlfree
 
 import (
 	"math/rand"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -118,15 +117,5 @@ func TestOLLPEstimateMissReplans(t *testing.T) {
 	}
 	if got := storage.GetU64(db.Table(tbl).Get(0), 0); got != 0 {
 		t.Fatalf("key0 modified: %d", got)
-	}
-}
-
-func TestSplitVariantName(t *testing.T) {
-	db, _ := newDB(8)
-	if n := New(Config{DB: db, Threads: 2, Split: true}).Name(); !strings.Contains(n, "split") {
-		t.Fatalf("Name = %q", n)
-	}
-	if n := New(Config{DB: db, Threads: 2}).Name(); strings.Contains(n, "split") {
-		t.Fatalf("Name = %q", n)
 	}
 }

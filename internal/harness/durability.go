@@ -65,9 +65,9 @@ func durability(c Config) {
 			recoveryMs := -1.0
 			for _, sys := range names {
 				var log *wal.Log
-				var dev *wal.MemDevice
+				var dev *wal.MemSegments
 				if policy.Mode != wal.SyncOff {
-					dev = wal.NewMemDevice()
+					dev = wal.NewMemSegments(0)
 					log = wal.NewLog(dev, policy)
 				}
 				eng, src := build(sys, log)
@@ -84,7 +84,7 @@ func durability(c Config) {
 				}
 				if first && dev != nil && rebuild != nil {
 					t0 := time.Now()
-					wal.Replay(dev.Contents(), rebuild())
+					wal.Replay(dev.CrashSegments(), 0, 1, rebuild())
 					recoveryMs = float64(time.Since(t0).Microseconds()) / 1000
 				}
 			}

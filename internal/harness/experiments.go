@@ -123,61 +123,49 @@ func fig5(c Config) {
 // partitions its lock space identically.
 const fig6Partitions = 16
 
-func fig6(c Config) {
+// multiPartition is the shared body of Figures 6 and 7: one series per
+// distinct configuration along a YCSB partition-footprint axis. The
+// paper's "split" series partition indexes for cache locality, which this
+// reproduction cannot show; they would re-measure orthrus and dlfree.
+func multiPartition(c Config, title, xlabel string, axis []int, shape func(x int) (spread, mpPct int)) {
 	total := c.MaxThreads
-	header(c, fmt.Sprintf("Figure 6: partitions accessed per transaction (%d partitions, %d threads)", fig6Partitions, total))
-	names := []string{"partstore", "split-orthrus", "split-dlfree", "orthrus", "dlfree"}
-	t := newTable(c, "parts_per_txn", names)
-	for _, spread := range []int{1, 2, 4, 6, 8, 10} {
+	header(c, fmt.Sprintf("%s (%d partitions, %d threads; the paper's split variants are not distinguishable from orthrus/dlfree at this scale and are not run)",
+		title, fig6Partitions, total))
+	names := []string{"partstore", "orthrus", "dlfree"}
+	t := newTable(c, xlabel, names)
+	for _, x := range axis {
+		spread, mpPct := shape(x)
 		tps := make([]float64, 0, len(names))
 		for _, sys := range names {
 			db, tbl := newYCSBDB(c)
 			src := &workload.YCSB{Table: tbl, NumRecords: c.Records, OpsPerTxn: 10,
-				Partitions: fig6Partitions, Spread: spread, MultiPartitionPct: 100}
+				Partitions: fig6Partitions, Spread: spread, MultiPartitionPct: mpPct}
 			var eng engine.Engine
 			switch sys {
 			case "partstore":
 				eng = partstore.New(partstore.Config{DB: db, Partitions: fig6Partitions,
 					Threads: fig6Partitions, Partition: txn.HashPartitioner(fig6Partitions)})
-			case "split-orthrus", "orthrus":
+			case "orthrus":
 				eng = orthrus.New(orthrus.Config{DB: db, CCThreads: fig6Partitions,
-					ExecThreads: max(1, total-fig6Partitions), Split: sys == "split-orthrus"})
-			case "split-dlfree", "dlfree":
-				eng = dlfree.New(dlfree.Config{DB: db, Threads: total, Split: sys == "split-dlfree"})
+					ExecThreads: max(1, total-fig6Partitions)})
+			case "dlfree":
+				eng = dlfree.New(dlfree.Config{DB: db, Threads: total})
 			}
 			tps = append(tps, point(c, eng, src).Throughput())
 		}
-		t.row(spread, tps)
+		t.row(x, tps)
 	}
+}
+
+func fig6(c Config) {
+	multiPartition(c, "Figure 6: partitions accessed per transaction", "parts_per_txn",
+		[]int{1, 2, 4, 6, 8, 10}, func(spread int) (int, int) { return spread, 100 })
 }
 
 // fig7: mixed single-/two-partition workloads.
 func fig7(c Config) {
-	total := c.MaxThreads
-	header(c, fmt.Sprintf("Figure 7: %% multi-partition transactions (%d partitions, %d threads)", fig6Partitions, total))
-	names := []string{"partstore", "split-orthrus", "split-dlfree", "orthrus", "dlfree"}
-	t := newTable(c, "mp_pct", names)
-	for _, pct := range []int{0, 20, 40, 60, 80, 100} {
-		tps := make([]float64, 0, len(names))
-		for _, sys := range names {
-			db, tbl := newYCSBDB(c)
-			src := &workload.YCSB{Table: tbl, NumRecords: c.Records, OpsPerTxn: 10,
-				Partitions: fig6Partitions, Spread: 2, MultiPartitionPct: pct}
-			var eng engine.Engine
-			switch sys {
-			case "partstore":
-				eng = partstore.New(partstore.Config{DB: db, Partitions: fig6Partitions,
-					Threads: fig6Partitions, Partition: txn.HashPartitioner(fig6Partitions)})
-			case "split-orthrus", "orthrus":
-				eng = orthrus.New(orthrus.Config{DB: db, CCThreads: fig6Partitions,
-					ExecThreads: max(1, total-fig6Partitions), Split: sys == "split-orthrus"})
-			case "split-dlfree", "dlfree":
-				eng = dlfree.New(dlfree.Config{DB: db, Threads: total, Split: sys == "split-dlfree"})
-			}
-			tps = append(tps, point(c, eng, src).Throughput())
-		}
-		t.row(pct, tps)
-	}
+	multiPartition(c, "Figure 7: % multi-partition transactions", "mp_pct",
+		[]int{0, 20, 40, 60, 80, 100}, func(pct int) (int, int) { return 2, pct })
 }
 
 // --- TPC-C experiments -----------------------------------------------------

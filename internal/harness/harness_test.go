@@ -108,41 +108,56 @@ func TestCCSplit(t *testing.T) {
 	}
 }
 
-// Run with a JSON directory must leave a parseable BENCH_<id>.json whose
-// rows mirror the printed series.
-func TestRunWritesJSONRows(t *testing.T) {
+// jsonRow is one BENCH_<id>.json line of a series-table experiment.
+type jsonRow struct {
+	Experiment string             `json:"experiment"`
+	XLabel     string             `json:"x_label"`
+	Series     map[string]float64 `json:"series"`
+}
+
+// runJSON runs experiment id at tiny scale with JSON recording on and
+// returns the printed output and the parsed BENCH_<id>.json rows.
+func runJSON(t *testing.T, id string) (string, []jsonRow) {
+	t.Helper()
 	dir := t.TempDir()
 	var buf bytes.Buffer
-	c := tinyConfig(&buf)
-	e, ok := Get("fig1")
+	e, ok := Get(id)
 	if !ok {
-		t.Fatal("fig1 missing")
+		t.Fatalf("%s missing", id)
 	}
-	if err := Run(e, c, dir); err != nil {
+	if err := Run(e, tinyConfig(&buf), dir); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(filepath.Join(dir, "BENCH_fig1.json"))
+	raw, err := os.ReadFile(filepath.Join(dir, "BENCH_"+id+".json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
-	if len(lines) == 0 {
-		t.Fatal("no JSON rows")
-	}
-	for _, line := range lines {
-		var row struct {
-			Experiment string                 `json:"experiment"`
-			XLabel     string                 `json:"x_label"`
-			Series     map[string]interface{} `json:"series"`
-		}
+	var rows []jsonRow
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		var row jsonRow
 		if err := json.Unmarshal([]byte(line), &row); err != nil {
 			t.Fatalf("bad JSON row %q: %v", line, err)
 		}
+		rows = append(rows, row)
+	}
+	return buf.String(), rows
+}
+
+// Run with a JSON directory must leave a parseable BENCH_<id>.json whose
+// rows mirror the printed series.
+func TestRunWritesJSONRows(t *testing.T) {
+	_, rows := runJSON(t, "fig1")
+	if len(rows) == 0 {
+		t.Fatal("no JSON rows")
+	}
+	for _, row := range rows {
 		if row.Experiment != "fig1" || row.XLabel != "threads" || len(row.Series) == 0 {
-			t.Fatalf("row content wrong: %q", line)
+			t.Fatalf("row content wrong: %+v", row)
 		}
 	}
 	// JSON off: plain Run leaves no recorder and writes nothing.
+	var buf bytes.Buffer
+	e, _ := Get("fig1")
 	if err := Run(e, tinyConfig(&buf), ""); err != nil {
 		t.Fatal(err)
 	}
@@ -169,5 +184,30 @@ func TestEveryExperimentRuns(t *testing.T) {
 				t.Fatalf("too little output:\n%s", out)
 			}
 		})
+	}
+}
+
+// Figures 6 and 7 run each distinct configuration once: three series,
+// one per engine, and the header says why the paper's split variants
+// are absent.
+func TestMultiPartitionFiguresEmitThreeSeries(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs three engines per point; skipped in -short")
+	}
+	for _, id := range []string{"fig6", "fig7"} {
+		out, rows := runJSON(t, id)
+		if !strings.Contains(out, "split variants are not distinguishable") {
+			t.Errorf("%s header does not explain the missing split series:\n%s", id, out)
+		}
+		for _, row := range rows {
+			if len(row.Series) != 3 {
+				t.Fatalf("%s row has %d series, want 3: %+v", id, len(row.Series), row)
+			}
+			for _, name := range []string{"partstore", "orthrus", "dlfree"} {
+				if _, ok := row.Series[name]; !ok {
+					t.Fatalf("%s row lacks series %q: %+v", id, name, row)
+				}
+			}
+		}
 	}
 }

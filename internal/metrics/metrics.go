@@ -29,6 +29,7 @@ type ThreadStats struct {
 	Aborted   uint64 // deadlock-handler aborts (each is later retried)
 	Misses    uint64 // OLLP estimate misses (subset of restarts)
 	Scanned   uint64 // rows delivered through Ctx.Scan (committed or not)
+	PartLocks uint64 // partition locks taken by committed Partitioned-store transactions
 
 	// MVCC snapshot-read counters (zero unless the database has
 	// versioned tables and the workload marks transactions ReadOnly).
@@ -94,6 +95,7 @@ func (s *Set) Totals() Totals {
 		t.Aborted += th.Aborted
 		t.Misses += th.Misses
 		t.Scanned += th.Scanned
+		t.PartLocks += th.PartLocks
 		t.SnapTxns += th.SnapTxns
 		t.SnapRecords += th.SnapRecords
 		t.SnapHops += th.SnapHops
@@ -114,6 +116,7 @@ type Totals struct {
 	Aborted      uint64
 	Misses       uint64
 	Scanned      uint64
+	PartLocks    uint64
 	SnapTxns     uint64
 	SnapRecords  uint64
 	SnapHops     uint64

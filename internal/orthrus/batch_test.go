@@ -183,7 +183,6 @@ func TestBatchSizeSweepConservation(t *testing.T) {
 	}{
 		{"batch2", Config{CCThreads: 3, ExecThreads: 3, BatchSize: 2}},
 		{"batch64-smallring", Config{CCThreads: 3, ExecThreads: 3, BatchSize: 64, QueueCap: 4}},
-		{"batch8-channels", Config{CCThreads: 3, ExecThreads: 3, BatchSize: 8, UseChannels: true}},
 		{"batch8-naive", Config{CCThreads: 3, ExecThreads: 3, BatchSize: 8, DisableForwarding: true}},
 		{"batch8-shared", Config{CCThreads: 3, ExecThreads: 3, BatchSize: 8, SharedTable: true}},
 	} {

@@ -2,11 +2,13 @@ package orthrus
 
 import (
 	"net"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/storage"
+	wire "repro/internal/transport"
 	"repro/internal/workload"
 )
 
@@ -253,10 +255,6 @@ func TestTransportConfigValidationPanics(t *testing.T) {
 			c.Transport = TransportConfig{Kind: "tcp", Role: "exec", Peer: "127.0.0.1:9"}
 			c.Controller = ControllerConfig{Enable: true}
 		}},
-		{"tcp-with-channels", func(c *Config) {
-			c.Transport = TransportConfig{Kind: "tcp", Role: "exec", Peer: "127.0.0.1:9"}
-			c.UseChannels = true
-		}},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -303,5 +301,67 @@ func TestDistributedHandshakeRejectsMismatch(t *testing.T) {
 		case <-time.After(30 * time.Second):
 			t.Fatal("handshake neither succeeded nor refused")
 		}
+	}
+}
+
+// A well-formed frame whose acquire carries out-of-range or inconsistent
+// plan values must be refused by the reader, before any CC thread can
+// index through it.
+func TestDispatchRejectsMalformedAcquire(t *testing.T) {
+	hops := func(ccs ...uint16) []wire.Hop {
+		hs := make([]wire.Hop, len(ccs))
+		for i, c := range ccs {
+			hs[i].CC = c
+		}
+		return hs
+	}
+	cases := []struct {
+		name string
+		to   uint16
+		msg  wire.Msg
+		ok   bool
+	}{
+		{"valid", 0, wire.Msg{Owner: 1, Hops: hops(0, 2)}, true},
+		{"valid-later-hop", 2, wire.Msg{Owner: 1, HopIdx: 1, Hops: hops(0, 2)}, true},
+		{"cc-out-of-range", 0, wire.Msg{Owner: 1, Hops: hops(0, 3)}, false},
+		{"hops-descending", 2, wire.Msg{Owner: 1, Hops: hops(2, 0)}, false},
+		{"hops-repeated", 1, wire.Msg{Owner: 1, Hops: hops(1, 1)}, false},
+		{"hopidx-past-end", 0, wire.Msg{Owner: 1, HopIdx: 2, Hops: hops(0, 2)}, false},
+		{"no-hops", 0, wire.Msg{Owner: 1}, false},
+		{"owner-out-of-range", 0, wire.Msg{Owner: 2, Hops: hops(0)}, false},
+		{"owner-not-sender", 0, wire.Msg{Owner: 0, Hops: hops(0)}, false},
+		{"hop-not-addressed-cc", 1, wire.Msg{Owner: 1, Hops: hops(0, 2)}, false},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			db, _ := newDB(8)
+			e := New(Config{DB: db, CCThreads: 3, ExecThreads: 2})
+			s := e.newRunState() // in-process rings stand in for the cc node's wire-fed ones
+			tr := &tcpTransport{cfg: e.cfg, role: wire.RoleCC, s: s, reg: map[uint64]*wrapper{}}
+			tc.msg.Kind, tc.msg.TxnID = wire.KindAcquire, 7
+			f := &wire.Frame{Plane: wire.PlaneExecCC, From: 1, To: tc.to, Msgs: []wire.Msg{tc.msg}}
+			defer func() {
+				p := recover()
+				if tc.ok {
+					if p != nil {
+						t.Fatalf("dispatch refused a valid acquire: %v", p)
+					}
+					var got [2]message
+					if n := s.execToCC[1][tc.to].DequeueBatch(got[:]); n != 1 || got[0].kind != msgAcquire || got[0].w != tr.reg[7] {
+						t.Fatalf("valid acquire not republished: ring holds %d (%+v)", n, got[0])
+					}
+					return
+				}
+				msg, _ := p.(string)
+				if !strings.HasPrefix(msg, "orthrus: tcp transport: malformed acquire") {
+					t.Fatalf("dispatch did not reject the acquire at the reader: recovered %v", p)
+				}
+				if len(tr.reg) != 0 {
+					t.Fatal("rejected acquire left a registered wrapper")
+				}
+			}()
+			tr.dispatch(f)
+		})
 	}
 }

@@ -134,20 +134,11 @@ type Config struct {
 	// almost immediately, like BatchSize=1. A positive value pins the
 	// historical static behaviour. See batch.go.
 	BatchSize int
-	// UseChannels swaps the SPSC rings for buffered Go channels — the
-	// transport ablation.
-	UseChannels bool
 	// SharedTable switches to the §3.4 alternative: CC threads operate on
 	// a single latched lock table instead of private partitions. Request
 	// routing is unchanged, so the variant isolates the cost of sharing
 	// the concurrency-control data structure itself.
 	SharedTable bool
-	// Split marks the "SPLIT ORTHRUS" variant of Figures 6/7 (physically
-	// partitioned indexes). As with split deadlock-free, the benefit the
-	// paper measures is cache locality, which this reproduction cannot
-	// exhibit; the flag changes only the reported name. See README.md
-	// "Scale and fidelity".
-	Split bool
 	// DisableForwarding reverts to the naive protocol of §3.3/Figure 2:
 	// the execution thread mediates every CC interaction itself, paying
 	// 2·Ncc messages per acquisition instead of Ncc+1. Exists to ablate
@@ -215,11 +206,7 @@ type MessageStats struct {
 	// atomic store, so with BatchSize=1 each counter equals
 	// TotalMessages() and with batching they fall toward
 	// TotalMessages()/k — the saving the batched message plane exists
-	// for. On the UseChannels ablation the counters keep the same
-	// batch-structure meaning, but a channel "batch" is a convenience
-	// loop that still pays one channel send/receive per message, so
-	// MessagesPerEnqueue does NOT measure an achieved cost amortization
-	// there.
+	// for.
 	EnqueueOps uint64
 	DequeueOps uint64
 
@@ -387,13 +374,8 @@ func (c Config) Validate() {
 	c.Snapshot.Validate()
 	c.Checkpoint.Validate()
 	c.Transport.Validate()
-	if c.Transport.remote() {
-		if c.Controller.Enable {
-			panic("orthrus: the adaptive controller requires the in-process transport (live migration is node-local)")
-		}
-		if c.UseChannels {
-			panic("orthrus: UseChannels is an in-process ring ablation; incompatible with Transport.Kind \"tcp\"")
-		}
+	if c.Transport.remote() && c.Controller.Enable {
+		panic("orthrus: the adaptive controller requires the in-process transport (live migration is node-local)")
 	}
 }
 
@@ -428,14 +410,8 @@ func New(cfg Config) *Engine {
 // Name implements engine.Engine.
 func (e *Engine) Name() string {
 	base := "orthrus"
-	if e.cfg.Split {
-		base = "split-orthrus"
-	}
 	if e.cfg.SharedTable {
 		base += "-shared"
-	}
-	if e.cfg.UseChannels {
-		base += "-chan"
 	}
 	if e.cfg.Controller.Enable {
 		base += "-elastic"

@@ -34,9 +34,7 @@ func TestNameVariants(t *testing.T) {
 		want []string
 	}{
 		{Config{DB: db, CCThreads: 2, ExecThreads: 3}, []string{"orthrus(2cc/3ex)"}},
-		{Config{DB: db, CCThreads: 1, ExecThreads: 1, Split: true}, []string{"split-orthrus"}},
 		{Config{DB: db, CCThreads: 1, ExecThreads: 1, SharedTable: true}, []string{"-shared"}},
-		{Config{DB: db, CCThreads: 1, ExecThreads: 1, UseChannels: true}, []string{"-chan"}},
 	}
 	for _, c := range cases {
 		name := New(c.cfg).Name()
@@ -80,7 +78,6 @@ func TestMultiPartitionRMWAccounted(t *testing.T) {
 	}{
 		{"private-spsc", Config{CCThreads: 4, ExecThreads: 4}},
 		{"shared-table", Config{CCThreads: 4, ExecThreads: 4, SharedTable: true}},
-		{"channels", Config{CCThreads: 4, ExecThreads: 4, UseChannels: true}},
 	} {
 		variant := variant
 		t.Run(variant.name, func(t *testing.T) {

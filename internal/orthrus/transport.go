@@ -3,7 +3,6 @@ package orthrus
 import (
 	"fmt"
 	"net"
-	"runtime"
 
 	"repro/internal/spsc"
 	wire "repro/internal/transport"
@@ -146,9 +145,8 @@ func newTransport(cfg Config) Transport {
 
 // --- in-process backend ---------------------------------------------------
 
-// inprocTransport is the historical message plane: full SPSC ring (or,
-// under the UseChannels ablation, buffered channel) matrices for all
-// three planes, every thread in one process.
+// inprocTransport is the historical message plane: full SPSC ring
+// matrices for all three planes, every thread in one process.
 type inprocTransport struct{}
 
 func (inprocTransport) name() string    { return "inproc" }
@@ -164,17 +162,11 @@ func (inprocTransport) install(s *runState) {
 		// in-flight window.
 		grantCap = cfg.Inflight
 	}
-	newQ := func(capacity int) spsc.Queue[message] {
-		if cfg.UseChannels {
-			return spsc.NewChan[message](capacity)
-		}
-		return spsc.New[message](capacity)
-	}
 	s.execToCC = make([][]spsc.Queue[message], cfg.ExecThreads)
 	for i := range s.execToCC {
 		s.execToCC[i] = make([]spsc.Queue[message], cfg.CCThreads)
 		for j := range s.execToCC[i] {
-			s.execToCC[i][j] = newQ(cfg.QueueCap)
+			s.execToCC[i][j] = spsc.New[message](cfg.QueueCap)
 		}
 	}
 	s.ccToCC = make([][]spsc.Queue[message], cfg.CCThreads)
@@ -183,12 +175,12 @@ func (inprocTransport) install(s *runState) {
 		s.ccToCC[i] = make([]spsc.Queue[message], cfg.CCThreads)
 		for j := range s.ccToCC[i] {
 			if i != j {
-				s.ccToCC[i][j] = newQ(cfg.QueueCap)
+				s.ccToCC[i][j] = spsc.New[message](cfg.QueueCap)
 			}
 		}
 		s.ccToExec[i] = make([]spsc.Queue[message], cfg.ExecThreads)
 		for j := range s.ccToExec[i] {
-			s.ccToExec[i][j] = newQ(grantCap)
+			s.ccToExec[i][j] = spsc.New[message](grantCap)
 		}
 	}
 }
@@ -489,6 +481,7 @@ func (t *tcpTransport) dispatch(f *wire.Frame) {
 			m := &f.Msgs[i]
 			switch m.Kind {
 			case wire.KindAcquire:
+				t.checkAcquire(f, m)
 				t.scratch = append(t.scratch, message{kind: msgAcquire, w: t.materialize(m), id: m.TxnID})
 			case wire.KindRelease:
 				w := t.reg[m.TxnID]
@@ -524,6 +517,27 @@ func (t *tcpTransport) dispatch(f *wire.Frame) {
 		panic("orthrus: tcp transport: frame plane does not match node role")
 	}
 	flushOutbox(q, &t.scratch, &t.ops)
+}
+
+// checkAcquire rejects a well-formed acquire whose plan the CC threads
+// would index-fault on: the codec bounds lengths, not values, and
+// materialize copies owner, hop index and hop plan straight into the
+// wrapper. The frame's queue address is already bounds-checked, and the
+// acquire must agree with it: an exec thread sends only its own
+// transactions, to the CC thread its hop index names, along a plan in
+// ascending CC order (a re-acquire along the plan already registered).
+func (t *tcpTransport) checkAcquire(f *wire.Frame, m *wire.Msg) {
+	ok := m.Owner == f.From && int(m.HopIdx) < len(m.Hops) && m.Hops[m.HopIdx].CC == f.To
+	for i := range m.Hops {
+		ok = ok && int(m.Hops[i].CC) < t.cfg.CCThreads && (i == 0 || m.Hops[i].CC > m.Hops[i-1].CC)
+	}
+	if w := t.reg[m.TxnID]; ok && w != nil {
+		ok = int(m.HopIdx) < len(w.hops) && w.hops[m.HopIdx] == int(f.To)
+	}
+	if !ok {
+		panic(fmt.Sprintf("orthrus: tcp transport: malformed acquire for wire transaction %d on queue %d->%d: owner %d, hop index %d of %d hops",
+			m.TxnID, f.From, f.To, m.Owner, m.HopIdx, len(m.Hops)))
+	}
 }
 
 // materialize builds (or, under DisableForwarding's re-acquires,
@@ -660,42 +674,8 @@ func (q *netQueue) fill(wm *wire.Msg, m *message) {
 	}
 }
 
-//orthrus:hotpath
-func (q *netQueue) TryEnqueue(v message) bool {
-	var vs [1]message
-	vs[0] = v
-	return q.TryEnqueueBatch(vs[:]) == 1
-}
-
-//orthrus:hotpath
-func (q *netQueue) Enqueue(v message) bool {
-	for !q.TryEnqueue(v) {
-		runtime.Gosched()
-	}
-	return true
-}
-
-func (q *netQueue) TryDequeue() (message, bool) {
-	panic("orthrus: netQueue is send-only (the peer's reader feeds local rings)")
-}
-
-func (q *netQueue) Dequeue() (message, bool) {
-	panic("orthrus: netQueue is send-only (the peer's reader feeds local rings)")
-}
-
 func (q *netQueue) DequeueBatch([]message) int {
 	panic("orthrus: netQueue is send-only (the peer's reader feeds local rings)")
-}
-
-func (q *netQueue) Close() {}
-
-// Len reports only what is locally observable (a parked frame's
-// messages); in-flight wire traffic is not countable here.
-func (q *netQueue) Len() int {
-	if q.pending != nil {
-		return len(q.pending.Msgs)
-	}
-	return 0
 }
 
 var _ spsc.Queue[message] = (*netQueue)(nil)

@@ -205,6 +205,7 @@ func (e *Engine) execute(ctx *execCtx, t *txn.Txn, stats *metrics.ThreadStats, c
 	t3 := time.Now()
 
 	stats.Committed++
+	stats.PartLocks += uint64(len(parts))
 	stats.AddWait(waited)
 	stats.AddLock(t1.Sub(t0) - waited + t3.Sub(t2))
 	stats.AddExec(t2.Sub(t1))

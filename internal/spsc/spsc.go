@@ -223,122 +223,15 @@ func (r *Ring[T]) Close() { r.closed.Store(true) }
 // Closed reports whether Close has been called.
 func (r *Ring[T]) Closed() bool { return r.closed.Load() }
 
-// Queue is the transport abstraction shared by the SPSC ring, the
-// channel-based alternative (so the ORTHRUS message plane can be ablated
-// against Go channels, README.md "Ablations"), and the networked
-// message plane's send-only adapter (internal/orthrus's netQueue, which
-// turns each TryEnqueueBatch pass into one wire frame; its dequeue
-// methods panic because the consuming half lives in the peer process).
+// Queue is what the ORTHRUS message plane holds per thread pair — the two
+// batched operations its threads move messages with: the SPSC ring
+// in-process, or the networked plane's send-only adapter
+// (internal/orthrus's netQueue, which turns each TryEnqueueBatch pass into
+// one wire frame; its DequeueBatch panics because the consuming half
+// lives in the peer process).
 type Queue[T any] interface {
-	TryEnqueue(T) bool
-	Enqueue(T) bool
 	TryEnqueueBatch([]T) int
-	TryDequeue() (T, bool)
-	Dequeue() (T, bool)
 	DequeueBatch([]T) int
-	Close()
-	Len() int
 }
 
-// Chan adapts a buffered Go channel to the Queue interface.
-type Chan[T any] struct {
-	ch     chan T
-	closed atomic.Bool
-}
-
-// NewChan returns a channel-backed queue with the given buffer capacity.
-func NewChan[T any](capacity int) *Chan[T] {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Chan[T]{ch: make(chan T, capacity)}
-}
-
-// TryEnqueue attempts a non-blocking send.
-func (c *Chan[T]) TryEnqueue(v T) bool {
-	if c.closed.Load() {
-		return false
-	}
-	select {
-	case c.ch <- v:
-		return true
-	default:
-		return false
-	}
-}
-
-// Enqueue sends v, spinning politely if the buffer is full, and returns
-// false once the queue is closed.
-func (c *Chan[T]) Enqueue(v T) bool {
-	for !c.TryEnqueue(v) {
-		if c.closed.Load() {
-			return false
-		}
-		runtime.Gosched()
-	}
-	return true
-}
-
-// TryEnqueueBatch sends as many elements of vs as the buffer accepts and
-// returns the count. A Go channel has no multi-element publish, so this
-// is a convenience loop — the ablation deliberately pays per-message
-// channel cost where the ring pays one atomic per batch.
-func (c *Chan[T]) TryEnqueueBatch(vs []T) int {
-	for i := range vs {
-		if !c.TryEnqueue(vs[i]) {
-			return i
-		}
-	}
-	return len(vs)
-}
-
-// TryDequeue attempts a non-blocking receive.
-func (c *Chan[T]) TryDequeue() (v T, ok bool) {
-	select {
-	case v = <-c.ch:
-		return v, true
-	default:
-		return v, false
-	}
-}
-
-// Dequeue receives, spinning politely while empty; returns ok=false after
-// the queue is closed and drained.
-func (c *Chan[T]) Dequeue() (v T, ok bool) {
-	for {
-		if v, ok = c.TryDequeue(); ok {
-			return v, true
-		}
-		if c.closed.Load() {
-			if v, ok = c.TryDequeue(); ok {
-				return v, true
-			}
-			return v, false
-		}
-		runtime.Gosched()
-	}
-}
-
-// DequeueBatch receives up to len(buf) buffered elements without blocking
-// and returns the count.
-func (c *Chan[T]) DequeueBatch(buf []T) int {
-	for i := range buf {
-		v, ok := c.TryDequeue()
-		if !ok {
-			return i
-		}
-		buf[i] = v
-	}
-	return len(buf)
-}
-
-// Close marks the queue closed. Elements already buffered remain readable.
-func (c *Chan[T]) Close() { c.closed.Store(true) }
-
-// Len returns the buffered element count.
-func (c *Chan[T]) Len() int { return len(c.ch) }
-
-var (
-	_ Queue[int] = (*Ring[int])(nil)
-	_ Queue[int] = (*Chan[int])(nil)
-)
+var _ Queue[int] = (*Ring[int])(nil)

@@ -294,72 +294,6 @@ func TestRingBatchConcurrentFIFO(t *testing.T) {
 	}
 }
 
-func TestChanBatchOps(t *testing.T) {
-	q := NewChan[int](4)
-	if n := q.TryEnqueueBatch([]int{1, 2, 3, 4, 5}); n != 4 {
-		t.Fatalf("batch enqueue = %d, want 4", n)
-	}
-	buf := make([]int, 3)
-	if n := q.DequeueBatch(buf); n != 3 {
-		t.Fatalf("batch dequeue = %d, want 3", n)
-	}
-	for i, want := range []int{1, 2, 3} {
-		if buf[i] != want {
-			t.Fatalf("dequeue[%d] = %d, want %d", i, buf[i], want)
-		}
-	}
-	if n := q.DequeueBatch(buf); n != 1 || buf[0] != 4 {
-		t.Fatalf("tail dequeue = %d (%v), want 1 ([4 ...])", n, buf)
-	}
-	q.Close()
-	if n := q.TryEnqueueBatch([]int{9}); n != 0 {
-		t.Fatalf("batch enqueue on closed queue = %d, want 0", n)
-	}
-}
-
-func TestChanQueueBasic(t *testing.T) {
-	q := NewChan[string](2)
-	if !q.TryEnqueue("a") || !q.TryEnqueue("b") {
-		t.Fatal("TryEnqueue failed with room available")
-	}
-	if q.TryEnqueue("c") {
-		t.Fatal("TryEnqueue succeeded past capacity")
-	}
-	if q.Len() != 2 {
-		t.Fatalf("Len = %d", q.Len())
-	}
-	v, ok := q.TryDequeue()
-	if !ok || v != "a" {
-		t.Fatalf("TryDequeue = (%q,%v)", v, ok)
-	}
-	q.Close()
-	if v, ok := q.Dequeue(); !ok || v != "b" {
-		t.Fatalf("drain after close = (%q,%v)", v, ok)
-	}
-	if _, ok := q.Dequeue(); ok {
-		t.Fatal("Dequeue on closed empty chan queue returned ok")
-	}
-	if q.TryEnqueue("d") {
-		t.Fatal("TryEnqueue succeeded on closed queue")
-	}
-}
-
-func TestChanConcurrentDelivery(t *testing.T) {
-	const n = 50000
-	q := NewChan[int](16)
-	go func() {
-		for i := 0; i < n; i++ {
-			q.Enqueue(i)
-		}
-	}()
-	for i := 0; i < n; i++ {
-		v, ok := q.Dequeue()
-		if !ok || v != i {
-			t.Fatalf("got (%d,%v) at %d", v, ok, i)
-		}
-	}
-}
-
 // Property: for any interleaved sequence of enqueues and dequeues issued by
 // a single thread, the ring behaves exactly like a bounded FIFO model.
 func TestRingMatchesFIFOModel(t *testing.T) {
@@ -420,22 +354,6 @@ func BenchmarkRingStream(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Enqueue(i)
-	}
-	<-done
-}
-
-func BenchmarkChanPingPong(b *testing.B) {
-	q := NewChan[int](1024)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < b.N; i++ {
-			q.Dequeue()
-		}
-	}()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q.Enqueue(i)
 	}
 	<-done
 }

@@ -45,7 +45,7 @@ func FuzzWALReplay(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		db := storage.NewDB()
 		db.Create(storage.Layout{Name: "t", NumRecords: 8, RecordSize: 8})
-		st := Replay(data, db)
+		st := Replay([][]byte{data}, 0, 1, db)
 		if st.Applied > st.Scanned {
 			t.Fatalf("applied %d of %d scanned", st.Applied, st.Scanned)
 		}
@@ -77,7 +77,7 @@ func FuzzWALReplay(f *testing.F) {
 		}
 		db2 := storage.NewDB()
 		db2.Create(storage.Layout{Name: "t", NumRecords: 8, RecordSize: 8})
-		st2 := ReplaySegments(segs, after, 2, db2)
+		st2 := Replay(segs, after, 2, db2)
 		if st2.Applied > st2.Scanned || st2.Skipped > st2.Scanned {
 			t.Fatalf("segmented stats inconsistent: %+v", st2)
 		}

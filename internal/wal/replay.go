@@ -26,34 +26,25 @@ type ReplayStats struct {
 }
 
 // Replay rebuilds committed state from a log image onto db, which must
-// hold the same initial (pre-run) contents the logged run started from.
+// hold the same initial (pre-run) contents the logged run started from
+// (or, with after > 0, the checkpoint image covering every LSN ≤ after).
+// The image is the log's segments in order — CrashSegments or
+// LoadFileSegments; an unrotated log is simply one segment.
 //
-// The image may be torn anywhere: the scan stops at the first record
-// that is incomplete or fails its checksum. Because the flusher writes
-// appender buffers in steal order, not LSN order, a torn image can also
-// hold an LSN with a missing predecessor; those records were never
-// acknowledged (acknowledgment is in LSN order), so Replay applies only
-// the longest contiguous LSN prefix starting at 1. The result equals the
-// state produced by running exactly that prefix of the commit order —
-// a dependency-closed set, since any transaction a record depends on has
-// a smaller LSN — and it contains every transaction the log's owner
-// acknowledged under the Group policy.
-//
-// Replay assumes the image is a whole log (first LSN is 1); replaying a
-// log continued across engine restarts onto the matching base state
-// works identically because LSNs keep ascending across sessions.
-func Replay(data []byte, db *storage.DB) ReplayStats {
-	return ReplaySegments([][]byte{data}, 0, 1, db)
-}
-
-// ReplaySegments is Replay over a segmented log: it scans every segment
-// (in parallel when workers > 1), merges the records, and applies the
-// contiguous LSN prefix starting at after+1 — skipping records at or
-// below after, which a checkpoint image already covers. Segment
-// rotation happens only at sync boundaries, so each segment is a
-// self-contained stream of whole records; a torn tail in any segment
-// marks the stats Torn, and records above a torn point are excluded the
-// same way the single-image scan excludes them.
+// The image may be torn anywhere: each segment's scan (in parallel when
+// workers > 1) stops at the first record that is incomplete or fails its
+// checksum and marks the stats Torn. Segment rotation happens only at
+// sync boundaries, so each segment is a self-contained stream of whole
+// records. Because the flusher writes appender buffers in steal order,
+// not LSN order, a torn image can also hold an LSN with a missing
+// predecessor; those records were never acknowledged (acknowledgment is
+// in LSN order), so Replay applies only the longest contiguous LSN
+// prefix starting at after+1. The result equals the state produced by
+// running exactly that prefix of the commit order — a dependency-closed
+// set, since any transaction a record depends on has a smaller LSN — and
+// it contains every transaction the log's owner acknowledged under the
+// Group policy. A log continued across engine restarts replays
+// identically because LSNs keep ascending across sessions.
 //
 // Records with LSN ≤ after can appear in surviving segments even after
 // truncation (the flusher writes in steal order, so a late segment can
@@ -70,7 +61,7 @@ func Replay(data []byte, db *storage.DB) ReplayStats {
 // joins the workers before returning. Which records to apply (the
 // contiguous, validated prefix) is decided serially before any write
 // lands, so parallel and serial replay always pick the same prefix.
-func ReplaySegments(segs [][]byte, after uint64, workers int, db *storage.DB) ReplayStats {
+func Replay(segs [][]byte, after uint64, workers int, db *storage.DB) ReplayStats {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -236,7 +227,7 @@ type RecoverStats struct {
 // checkpoint from store (nil store, or a store with no valid
 // checkpoint, means none), restore its pages in parallel, then replay
 // the committed prefix of the log tail above the checkpoint's StartLSN
-// with ReplaySegments. db must hold the same initial (pre-run) contents
+// with Replay. db must hold the same initial (pre-run) contents
 // the logged run started from — checkpoint pages and redo records both
 // overwrite, so restoring onto the base schema is idempotent.
 //
@@ -282,7 +273,7 @@ func Recover(store CheckpointStore, segs [][]byte, db *storage.DB, workers int) 
 			}
 		}
 	}
-	st.Replay = ReplaySegments(segs, st.StartLSN, workers, db)
+	st.Replay = Replay(segs, st.StartLSN, workers, db)
 	return st, nil
 }
 

@@ -10,11 +10,11 @@ import (
 
 // Log segmentation.
 //
-// A single append-only device grows without bound: recovery cost and disk
+// A single append-only file grows without bound: recovery cost and disk
 // footprint scale with uptime, not with the distance from the last
-// checkpoint. A SegmentDevice splits the log across rotated segments so
-// that, once a checkpoint manifest is durable, the log can drop every
-// segment that lies wholly below the checkpoint's start LSN.
+// checkpoint. A Device splits the log across rotated segments so that,
+// once a checkpoint manifest is durable, the log can drop every segment
+// that lies wholly below the checkpoint's start LSN.
 //
 // The flusher drives segmentation with one extra call per flush pass:
 // after Sync it calls Mark with the highest LSN written in that pass.
@@ -24,26 +24,30 @@ import (
 // appender buffers in steal order, not LSN order, a later segment may
 // still contain records with *smaller* LSNs than an earlier segment's
 // MaxLSN; truncation therefore drops a segment only when its own MaxLSN
-// is at or below the cut, and replay (ReplaySegments) skips any surviving
-// record at or below a checkpoint's start LSN rather than assuming the
-// remaining segments start past it.
+// is at or below the cut, and Replay skips any surviving record at or
+// below a checkpoint's start LSN rather than assuming the remaining
+// segments start past it.
 
-// DefaultSegmentBytes is the rotation threshold when a segment device is
+// DefaultSegmentBytes is the rotation threshold when a device is
 // built with a non-positive size.
 const DefaultSegmentBytes = 1 << 20
 
-// SegmentDevice is a Device that rotates the log across segments and can
-// drop segments below a checkpoint LSN. Mark is called by the flusher
-// after each synced flush pass with the highest LSN that pass wrote;
-// Truncate removes every sealed segment whose MaxLSN is at or below
-// belowLSN and reports how many it dropped.
-type SegmentDevice interface {
-	Device
+// Device is the append-only, segmented byte sink a Log writes to. Write
+// appends to the active segment; Sync makes every byte written so far
+// durable; Mark follows each synced flush pass with the highest LSN it
+// wrote and is the only rotation point; Truncate drops every sealed
+// segment whose MaxLSN is at or below belowLSN and reports how many. The
+// in-tree implementations are MemSegments (tests, benchmarks, crash
+// simulation) and FileSegments (a directory of fsync'd files).
+type Device interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Close() error
 	Mark(maxLSN uint64)
 	Truncate(belowLSN uint64) int
 }
 
-// SegmentInfo describes one live segment of a segment device.
+// SegmentInfo describes one live segment of a MemSegments device.
 type SegmentInfo struct {
 	Bytes  int
 	MaxLSN uint64
@@ -59,11 +63,11 @@ type memSegment struct {
 	sealed bool
 }
 
-// MemSegments is an in-memory SegmentDevice with the same crash
-// semantics as MemDevice: bytes written but not synced may be lost, so
-// CrashSegments is the per-segment image a crash is guaranteed to
-// preserve. It backs the checkpoint/recovery tests and the recovery
-// experiment.
+// MemSegments is an in-memory Device that models crash semantics: bytes
+// written but not yet synced may be lost or torn at any byte boundary,
+// so CrashSegments is the per-segment image a crash is guaranteed to
+// preserve. It backs the crash/recovery tests, benchmarks and
+// experiments.
 type MemSegments struct {
 	mu           sync.Mutex
 	segmentBytes int
@@ -71,7 +75,7 @@ type MemSegments struct {
 	truncated    int
 }
 
-// NewMemSegments returns an empty in-memory segment device rotating at
+// NewMemSegments returns an empty in-memory device rotating at
 // segmentBytes (non-positive means DefaultSegmentBytes).
 func NewMemSegments(segmentBytes int) *MemSegments {
 	if segmentBytes <= 0 {
@@ -101,7 +105,7 @@ func (d *MemSegments) Sync() error {
 // Close implements Device.
 func (d *MemSegments) Close() error { return nil }
 
-// Mark implements SegmentDevice: record the pass's highest LSN on the
+// Mark implements Device: record the pass's highest LSN on the
 // active segment and rotate it once it reaches the size threshold. Mark
 // runs after Sync, so a sealed segment is always fully synced.
 func (d *MemSegments) Mark(maxLSN uint64) {
@@ -117,7 +121,7 @@ func (d *MemSegments) Mark(maxLSN uint64) {
 	d.mu.Unlock()
 }
 
-// Truncate implements SegmentDevice.
+// Truncate implements Device.
 func (d *MemSegments) Truncate(belowLSN uint64) int {
 	d.mu.Lock()
 	kept := d.segs[:0]
@@ -137,8 +141,7 @@ func (d *MemSegments) Truncate(belowLSN uint64) int {
 
 // CrashSegments returns the per-segment images a crash is guaranteed to
 // preserve: each surviving segment's synced prefix, in segment order,
-// with empty segments elided. This is the input ReplaySegments and
-// Recover take.
+// with empty segments elided. This is the input Replay and Recover take.
 func (d *MemSegments) CrashSegments() [][]byte {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -176,7 +179,7 @@ type fileSegment struct {
 	maxLSN uint64
 }
 
-// FileSegments is a file-backed SegmentDevice: each segment is one
+// FileSegments is a file-backed Device: each segment is one
 // fsync'd append-only file seg-<seq>.wal under a directory, rotated at
 // the size threshold. Only segments sealed by this process are eligible
 // for Truncate — segments inherited from a previous process have unknown
@@ -273,7 +276,7 @@ func (d *FileSegments) Close() error {
 	return d.f.Close()
 }
 
-// Mark implements SegmentDevice; see MemSegments.Mark.
+// Mark implements Device; see MemSegments.Mark.
 func (d *FileSegments) Mark(maxLSN uint64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -295,7 +298,7 @@ func (d *FileSegments) Mark(maxLSN uint64) {
 	}
 }
 
-// Truncate implements SegmentDevice.
+// Truncate implements Device.
 func (d *FileSegments) Truncate(belowLSN uint64) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -320,6 +323,21 @@ func (d *FileSegments) Truncate(belowLSN uint64) int {
 		}
 	}
 	return dropped
+}
+
+// syncDir fsyncs a directory, making the file creations, renames and
+// removals inside it durable — fsyncing a file persists its contents,
+// not the directory entry that names it.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // listSegmentFiles returns the segment file paths under dir in sequence
@@ -355,6 +373,6 @@ func LoadFileSegments(dir string) ([][]byte, error) {
 }
 
 var (
-	_ SegmentDevice = (*MemSegments)(nil)
-	_ SegmentDevice = (*FileSegments)(nil)
+	_ Device = (*MemSegments)(nil)
+	_ Device = (*FileSegments)(nil)
 )

@@ -72,7 +72,7 @@ func TestMemSegmentsRotateAtSyncBoundaries(t *testing.T) {
 	}
 	// And replay across the segments must rebuild all 64 commits.
 	db := segDB(8)
-	st := ReplaySegments(dev.CrashSegments(), 0, 2, db)
+	st := Replay(dev.CrashSegments(), 0, 2, db)
 	if st.Applied != 64 || st.AppliedLSN != 64 || st.Torn {
 		t.Fatalf("replay: %+v", st)
 	}
@@ -108,7 +108,7 @@ func TestMemSegmentsTruncateOnlyWhollyBelow(t *testing.T) {
 	}
 	// The surviving segments still replay LSNs 5..7 after a checkpoint at 4.
 	db := segDB(8)
-	st := ReplaySegments(dev.CrashSegments(), 4, 1, db)
+	st := Replay(dev.CrashSegments(), 4, 1, db)
 	if st.Applied != 3 || st.AppliedLSN != 7 {
 		t.Fatalf("replay after truncation: %+v", st)
 	}
@@ -118,7 +118,7 @@ func TestMemSegmentsTruncateOnlyWhollyBelow(t *testing.T) {
 // sit in surviving segments (the flusher writes buffers in steal order,
 // so late segments can carry early LSNs), and the frontier must continue
 // exactly from the checkpoint.
-func TestReplaySegmentsSkipsBelowCheckpoint(t *testing.T) {
+func TestReplaySkipsBelowCheckpoint(t *testing.T) {
 	// Segment A: LSNs 2, 5; segment B: 1, 4; segment C: 3, 6.
 	segA := append(rec(2, 2), rec(5, 5)...)
 	segB := append(rec(1, 1), rec(4, 4)...)
@@ -127,7 +127,7 @@ func TestReplaySegmentsSkipsBelowCheckpoint(t *testing.T) {
 
 	for _, workers := range []int{1, 3} {
 		db := segDB(8)
-		st := ReplaySegments(segs, 3, workers, db)
+		st := Replay(segs, 3, workers, db)
 		if st.Scanned != 6 || st.Skipped != 3 || st.Applied != 3 {
 			t.Fatalf("workers=%d: %+v", workers, st)
 		}
@@ -150,10 +150,10 @@ func TestReplaySegmentsSkipsBelowCheckpoint(t *testing.T) {
 
 // A gap above the checkpoint ends the applied prefix: records beyond the
 // gap were never acknowledged.
-func TestReplaySegmentsStopsAtGap(t *testing.T) {
+func TestReplayStopsAtGap(t *testing.T) {
 	segs := [][]byte{append(rec(4, 4), rec(6, 6)...)} // 5 missing
 	db := segDB(8)
-	st := ReplaySegments(segs, 3, 4, db)
+	st := Replay(segs, 3, 4, db)
 	if st.Applied != 1 || st.AppliedLSN != 4 {
 		t.Fatalf("%+v", st)
 	}
@@ -165,7 +165,7 @@ func TestReplaySegmentsStopsAtGap(t *testing.T) {
 // Parallel replay must produce byte-identical state to serial replay on a
 // log with heavy per-key rewrite traffic (per-key order is the invariant
 // the (table,key)-hash partitioning must preserve).
-func TestReplaySegmentsParallelMatchesSerial(t *testing.T) {
+func TestReplayParallelMatchesSerial(t *testing.T) {
 	var segs [][]byte
 	var seg []byte
 	lsn := uint64(0)
@@ -180,8 +180,8 @@ func TestReplaySegmentsParallelMatchesSerial(t *testing.T) {
 	segs = append(segs, seg)
 
 	serial, par := segDB(16), segDB(16)
-	stS := ReplaySegments(segs, 0, 1, serial)
-	stP := ReplaySegments(segs, 0, 8, par)
+	stS := Replay(segs, 0, 1, serial)
+	stP := Replay(segs, 0, 8, par)
 	if stS != stP {
 		t.Fatalf("stats diverge: serial %+v parallel %+v", stS, stP)
 	}
@@ -234,7 +234,7 @@ func TestFileSegmentsRoundTripAndTruncate(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := segDB(8)
-	st := ReplaySegments(segs, 4, 2, db)
+	st := Replay(segs, 4, 2, db)
 	if st.Applied != 2 || st.AppliedLSN != 6 {
 		t.Fatalf("replay from reloaded files: %+v", st)
 	}
@@ -260,7 +260,7 @@ func TestFileSegmentsRoundTripAndTruncate(t *testing.T) {
 		t.Fatal(err)
 	}
 	db2 := segDB(8)
-	st2 := ReplaySegments(segs2, 4, 2, db2)
+	st2 := Replay(segs2, 4, 2, db2)
 	if st2.Applied != 3 || st2.AppliedLSN != 7 {
 		t.Fatalf("replay after reopen: %+v", st2)
 	}

@@ -41,7 +41,7 @@
 //     trade-off between commit latency and syncs per second.
 //
 // Replay rebuilds a storage.DB from a (possibly torn) log image: it
-// scans records until the first corruption, then applies the longest
+// scans each segment until its first corruption, then applies the longest
 // contiguous LSN prefix, which is exactly the committed-prefix guarantee
 // the acknowledgment order establishes.
 package wal
@@ -169,7 +169,6 @@ func (h *ackHeap) Pop() interface{} {
 // engines hold a *Log unconditionally and pay a nil check when off.
 type Log struct {
 	dev    Device
-	segdev SegmentDevice // dev when it supports segmentation, else nil
 	policy SyncPolicy
 
 	// nextLSN is the last assigned LSN; durableLSN the acknowledged
@@ -210,7 +209,6 @@ func NewLog(dev Device, policy SyncPolicy) *Log {
 	if dev == nil {
 		panic("wal: NewLog needs a Device unless the policy is Off")
 	}
-	l.segdev, _ = dev.(SegmentDevice)
 	l.wake = make(chan struct{}, 1)
 	l.stopc = make(chan struct{})
 	l.donec = make(chan struct{})
@@ -297,17 +295,15 @@ func (l *Log) WaitDurable(lsn uint64) {
 }
 
 // Truncate drops log segments whose contents lie wholly at or below
-// belowLSN, returning how many segments were dropped. It is a no-op
-// (returning 0) when the log's device is not segmented — truncation is
-// an optimization, never a correctness requirement, so callers need not
-// care which device backs the log. The caller is responsible for the
-// truncation rule: only truncate below an LSN from which a durably
-// committed checkpoint can rebuild the database.
+// belowLSN, returning how many segments were dropped (0 on a disabled
+// log). The caller is responsible for the truncation rule: only truncate
+// below an LSN from which a durably committed checkpoint can rebuild the
+// database.
 func (l *Log) Truncate(belowLSN uint64) int {
-	if l == nil || l.segdev == nil {
+	if !l.Enabled() {
 		return 0
 	}
-	return l.segdev.Truncate(belowLSN)
+	return l.dev.Truncate(belowLSN)
 }
 
 // Close drains the log, stops the flusher and closes the device. Safe on
@@ -425,9 +421,7 @@ func (l *Log) flushPass() {
 		// Segment bookkeeping sits strictly after the sync: rotation only
 		// ever seals fully-synced bytes, so a sealed segment's MaxLSN
 		// bound and its contents are durable together.
-		if l.segdev != nil {
-			l.segdev.Mark(passMaxLSN)
-		}
+		l.dev.Mark(passMaxLSN)
 	}
 	if wroteRecords > 0 {
 		l.stRecords.Add(wroteRecords)

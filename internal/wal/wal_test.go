@@ -22,6 +22,18 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// devBytes reports the bytes written to dev and the bytes a crash is
+// guaranteed to preserve (the synced prefix of every segment).
+func devBytes(dev *MemSegments) (written, synced int) {
+	for _, s := range dev.Segments() {
+		written += s.Bytes
+	}
+	for _, s := range dev.CrashSegments() {
+		synced += len(s)
+	}
+	return written, synced
+}
+
 func TestRecordRoundTrip(t *testing.T) {
 	writes := []redoWrite{
 		{table: 0, key: 7, val: []byte("hello")},
@@ -64,7 +76,7 @@ func TestRecordTornAtEveryByte(t *testing.T) {
 }
 
 func TestGroupCommitSizeTrigger(t *testing.T) {
-	dev := NewMemDevice()
+	dev := NewMemSegments(0)
 	l := NewLog(dev, Group(4, time.Hour)) // interval never fires
 	defer l.Close()
 	a := l.NewAppender(nil)
@@ -81,13 +93,13 @@ func TestGroupCommitSizeTrigger(t *testing.T) {
 	a.Note(0, 3, rec)
 	a.Commit(func() { acked.Add(1) })
 	waitFor(t, "group of 4 acks", func() bool { return acked.Load() == 4 })
-	if dev.SyncedLen() != dev.Len() || dev.Len() == 0 {
-		t.Fatalf("acks fired without full sync: synced=%d len=%d", dev.SyncedLen(), dev.Len())
+	if written, synced := devBytes(dev); synced != written || written == 0 {
+		t.Fatalf("acks fired without full sync: synced=%d len=%d", synced, written)
 	}
 }
 
 func TestGroupCommitIntervalTrigger(t *testing.T) {
-	dev := NewMemDevice()
+	dev := NewMemSegments(0)
 	l := NewLog(dev, Group(1<<20, time.Millisecond)) // size never fires
 	defer l.Close()
 	a := l.NewAppender(nil)
@@ -104,7 +116,7 @@ func TestGroupCommitIntervalTrigger(t *testing.T) {
 // Acknowledgments fire in LSN order even when appender buffers reach the
 // device out of LSN order.
 func TestAcksInLSNOrder(t *testing.T) {
-	dev := NewMemDevice()
+	dev := NewMemSegments(0)
 	l := NewLog(dev, Group(8, 500*time.Microsecond))
 	defer l.Close()
 	const threads, perThread = 4, 200
@@ -147,7 +159,7 @@ func TestAcksInLSNOrder(t *testing.T) {
 }
 
 func TestAsyncAcksInlineAndDrainWaits(t *testing.T) {
-	dev := NewMemDevice()
+	dev := NewMemSegments(0)
 	l := NewLog(dev, Async())
 	defer l.Close()
 	a := l.NewAppender(nil)
@@ -161,8 +173,8 @@ func TestAsyncAcksInlineAndDrainWaits(t *testing.T) {
 	if l.DurableLSN() != 1 {
 		t.Fatalf("drain returned with durable LSN %d", l.DurableLSN())
 	}
-	if dev.Len() == 0 {
-		t.Fatal("drain returned before the record reached the device")
+	if written, synced := devBytes(dev); synced == 0 || synced != written {
+		t.Fatalf("drain returned before the record was synced to the device: synced=%d len=%d", synced, written)
 	}
 }
 
@@ -171,7 +183,7 @@ func TestAsyncAcksInlineAndDrainWaits(t *testing.T) {
 // ack waits for the log tail it saw at commit, and fires after the
 // writer's.
 func TestReadOnlyAckWaitsForObservedWrites(t *testing.T) {
-	dev := NewMemDevice()
+	dev := NewMemSegments(0)
 	l := NewLog(dev, Group(1<<20, time.Hour)) // flushes only when forced
 	defer l.Close()
 	a := l.NewAppender(nil)
@@ -204,7 +216,7 @@ func TestReadOnlyAckWaitsForObservedWrites(t *testing.T) {
 // Once the log tail is durable, a read-only commit acknowledges inline —
 // the fast path that keeps read-mostly workloads off the flush cadence.
 func TestReadOnlyAckInlineWhenTailDurable(t *testing.T) {
-	l := NewLog(NewMemDevice(), Group(4, time.Millisecond))
+	l := NewLog(NewMemSegments(0), Group(4, time.Millisecond))
 	defer l.Close()
 	a := l.NewAppender(nil)
 	a.Note(0, 1, []byte{1})
@@ -219,7 +231,7 @@ func TestReadOnlyAckInlineWhenTailDurable(t *testing.T) {
 }
 
 func TestReadOnlyCommitSkipsLog(t *testing.T) {
-	l := NewLog(NewMemDevice(), Group(4, time.Millisecond))
+	l := NewLog(NewMemSegments(0), Group(4, time.Millisecond))
 	defer l.Close()
 	a := l.NewAppender(nil)
 	fired := false
@@ -233,7 +245,7 @@ func TestReadOnlyCommitSkipsLog(t *testing.T) {
 }
 
 func TestAbortDiscardsCapture(t *testing.T) {
-	l := NewLog(NewMemDevice(), Group(1, time.Millisecond))
+	l := NewLog(NewMemSegments(0), Group(1, time.Millisecond))
 	defer l.Close()
 	a := l.NewAppender(nil)
 	a.Note(0, 1, []byte{1})
@@ -252,7 +264,7 @@ func TestAbortDiscardsCapture(t *testing.T) {
 }
 
 func TestDuplicateNoteCollapses(t *testing.T) {
-	l := NewLog(NewMemDevice(), Group(1, time.Millisecond))
+	l := NewLog(NewMemSegments(0), Group(1, time.Millisecond))
 	defer l.Close()
 	a := l.NewAppender(nil)
 	rec := []byte{1}
@@ -266,7 +278,7 @@ func TestDuplicateNoteCollapses(t *testing.T) {
 
 func TestFlushStallAccounting(t *testing.T) {
 	var stats metrics.ThreadStats
-	l := NewLog(NewMemDevice(), Group(1<<20, 2*time.Millisecond))
+	l := NewLog(NewMemSegments(0), Group(1<<20, 2*time.Millisecond))
 	defer l.Close()
 	a := l.NewAppender(&stats)
 	var done atomic.Bool
@@ -280,7 +292,7 @@ func TestFlushStallAccounting(t *testing.T) {
 }
 
 func TestStatsCountersAndAmortization(t *testing.T) {
-	dev := NewMemDevice()
+	dev := NewMemSegments(0)
 	l := NewLog(dev, Group(64, time.Hour))
 	a := l.NewAppender(nil)
 	for i := 0; i < 256; i++ {
@@ -295,8 +307,13 @@ func TestStatsCountersAndAmortization(t *testing.T) {
 	if st.Flushes == 0 || st.RecordsPerFlush() < 2 {
 		t.Fatalf("no group amortization: flushes=%d recs/flush=%.1f", st.Flushes, st.RecordsPerFlush())
 	}
-	if st.Syncs == 0 || st.Syncs != dev.Syncs() {
-		t.Fatalf("sync accounting: stats=%d dev=%d", st.Syncs, dev.Syncs())
+	// Every sync follows a flush that wrote bytes, and after the drain
+	// every counted byte is on the device and covered by a sync.
+	if st.Syncs == 0 || st.Syncs > st.Flushes {
+		t.Fatalf("sync accounting: syncs=%d flushes=%d", st.Syncs, st.Flushes)
+	}
+	if written, synced := devBytes(dev); uint64(written) != st.Bytes || synced != written {
+		t.Fatalf("byte accounting: stats=%d written=%d synced=%d", st.Bytes, written, synced)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -342,7 +359,7 @@ func TestReplayAppliesContiguousPrefix(t *testing.T) {
 	img := appendRecord(nil, 2, []redoWrite{{table: int32(tbl), key: 1, val: val(2)}})
 	img = appendRecord(img, 1, []redoWrite{{table: int32(tbl), key: 0, val: val(1)}})
 	img = appendRecord(img, 4, []redoWrite{{table: int32(tbl), key: 2, val: val(4)}})
-	st := Replay(img, db)
+	st := Replay([][]byte{img}, 0, 1, db)
 	if st.Scanned != 3 || st.Applied != 2 || st.AppliedLSN != 2 || st.Torn {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -363,7 +380,7 @@ func TestReplayTornTail(t *testing.T) {
 	img = appendRecord(img, 2, []redoWrite{{table: 0, key: 1, val: []byte{2, 0, 0, 0, 0, 0, 0, 0}}})
 	for cut := 0; cut <= len(img); cut++ {
 		db, _ := replayDB(t, 4)
-		st := Replay(img[:cut], db)
+		st := Replay([][]byte{img[:cut]}, 0, 1, db)
 		wantApplied := 0
 		if cut >= whole {
 			wantApplied = 1
@@ -383,7 +400,7 @@ func TestReplayTornTail(t *testing.T) {
 
 // End-to-end: log through appenders, crash at the synced boundary, replay.
 func TestReplayFromDeviceImage(t *testing.T) {
-	dev := NewMemDevice()
+	dev := NewMemSegments(0)
 	l := NewLog(dev, Group(8, 100*time.Microsecond))
 	live, tbl := replayDB(t, 64)
 	a := l.NewAppender(nil)
@@ -398,7 +415,7 @@ func TestReplayFromDeviceImage(t *testing.T) {
 		t.Fatal(err)
 	}
 	rebuilt, tbl2 := replayDB(t, 64)
-	st := Replay(dev.SyncedContents(), rebuilt)
+	st := Replay(dev.CrashSegments(), 0, 1, rebuilt)
 	if st.Applied != 64 || st.Torn {
 		t.Fatalf("stats = %+v", st)
 	}

@@ -111,12 +111,14 @@ type Analytics = workload.Analytics
 // group commit".
 type WAL = wal.Log
 
-// WALDevice is the append-only byte sink a WAL writes to.
+// WALDevice is the append-only byte sink a WAL writes to, rotated
+// across segments so the log can be truncated below a durable
+// checkpoint; see README.md "Checkpointing and parallel recovery".
 type WALDevice = wal.Device
 
-// WALMemDevice is the in-memory device used by tests, benchmarks and
-// crash simulation (Contents/SyncedContents expose the crash images).
-type WALMemDevice = wal.MemDevice
+// WALMemSegments is the in-memory device used by tests, benchmarks and
+// crash simulation (CrashSegments is the image a crash preserves).
+type WALMemSegments = wal.MemSegments
 
 // SyncPolicy is a WAL's durability discipline; build one with WALOff,
 // WALAsync or WALGroup.
@@ -133,11 +135,19 @@ type WALReplayStats = wal.ReplayStats
 // *WAL (or one opened with WALOff) is inert and costs engines nothing.
 func NewWAL(dev WALDevice, policy SyncPolicy) *WAL { return wal.NewLog(dev, policy) }
 
-// NewWALMemDevice returns an empty in-memory log device.
-func NewWALMemDevice() *WALMemDevice { return wal.NewMemDevice() }
+// NewWALMemSegments returns an empty in-memory log device rotating at
+// segmentBytes (non-positive means the package default, 1 MiB).
+func NewWALMemSegments(segmentBytes int) *WALMemSegments { return wal.NewMemSegments(segmentBytes) }
 
-// OpenWALFileDevice opens (creating if absent) an fsync'd log file.
-func OpenWALFileDevice(path string) (WALDevice, error) { return wal.OpenFileDevice(path) }
+// OpenWALFileSegments opens a directory of fsync'd, rotated segment
+// files as a WAL device.
+func OpenWALFileSegments(dir string, segmentBytes int) (*wal.FileSegments, error) {
+	return wal.OpenFileSegments(dir, segmentBytes)
+}
+
+// LoadWALFileSegments reads the segment images under dir in sequence
+// order — the recovery input matching OpenWALFileSegments.
+func LoadWALFileSegments(dir string) ([][]byte, error) { return wal.LoadFileSegments(dir) }
 
 // WALOff disables durability (the paper's instant acknowledgment).
 func WALOff() SyncPolicy { return wal.Off() }
@@ -150,35 +160,20 @@ func WALAsync() SyncPolicy { return wal.Async() }
 // commits are pending or after interval (zeros mean package defaults).
 func WALGroup(k int, interval time.Duration) SyncPolicy { return wal.Group(k, interval) }
 
-// ReplayWAL rebuilds committed state from a (possibly torn) log image
-// onto db, which must hold the run's initial contents: it applies the
-// longest contiguous LSN prefix — exactly the set of transactions whose
-// acknowledgment could have fired before the crash.
-func ReplayWAL(data []byte, db *DB) WALReplayStats { return wal.Replay(data, db) }
+// ReplayWALSegments rebuilds committed state from a (possibly torn) log
+// image — the log's segments in order — onto db, which must hold the
+// run's initial contents (or, with after > 0, a checkpoint image
+// covering every LSN ≤ after): it applies the longest contiguous LSN
+// prefix above after — exactly the set of transactions whose
+// acknowledgment could have fired before the crash — with workers
+// goroutines applying disjoint (table, key) partitions.
+func ReplayWALSegments(segments [][]byte, after uint64, workers int, db *DB) WALReplayStats {
+	return wal.Replay(segments, after, workers, db)
+}
 
 // --- checkpoints and recovery ----------------------------------------------
 
-// WALSegmentDevice is a WALDevice rotated across segments so the log can
-// be truncated below a durable checkpoint; see README.md "Checkpointing
-// and parallel recovery".
-type WALSegmentDevice = wal.SegmentDevice
-
-// WALMemSegments is the in-memory segment device (tests, experiments).
-type WALMemSegments = wal.MemSegments
-
-// NewWALMemSegments returns an empty in-memory segment device rotating
-// at segmentBytes (non-positive means the package default, 1 MiB).
-func NewWALMemSegments(segmentBytes int) *WALMemSegments { return wal.NewMemSegments(segmentBytes) }
-
-// OpenWALFileSegments opens a directory of fsync'd, rotated segment
-// files as a WAL device.
-func OpenWALFileSegments(dir string, segmentBytes int) (*wal.FileSegments, error) {
-	return wal.OpenFileSegments(dir, segmentBytes)
-}
-
-// LoadWALFileSegments reads the segment images under dir in sequence
-// order — the recovery input matching OpenWALFileSegments.
-func LoadWALFileSegments(dir string) ([][]byte, error) { return wal.LoadFileSegments(dir) }
+// --- checkpoints and recovery ----------------------------------------------
 
 // CheckpointStore persists fuzzy checkpoint images; Load returns the
 // newest checkpoint that validates, falling back past a torn or corrupt
@@ -225,13 +220,6 @@ type RecoverStats = wal.RecoverStats
 // GOMAXPROCS) for both the page restore and the partitioned replay.
 func RecoverWAL(store CheckpointStore, segments [][]byte, db *DB, workers int) (RecoverStats, error) {
 	return wal.Recover(store, segments, db, workers)
-}
-
-// ReplayWALSegments replays the committed prefix of a segmented log
-// above LSN after onto db with workers goroutines — ReplayWAL
-// generalized to rotated segments and partition-parallel application.
-func ReplayWALSegments(segments [][]byte, after uint64, workers int, db *DB) WALReplayStats {
-	return wal.ReplaySegments(segments, after, workers, db)
 }
 
 // --- transactions -----------------------------------------------------------

@@ -292,7 +292,7 @@ func TestOpenLoopLatencyUnderAbortsAndRetries(t *testing.T) {
 func TestOpenLoopLatencyIncludesFlushWait(t *testing.T) {
 	const interval = 4 * time.Millisecond
 	db, tbl := newAccountDB(t, 1024, 1000)
-	log := repro.NewWAL(repro.NewWALMemDevice(), repro.WALGroup(1<<20, interval))
+	log := repro.NewWAL(repro.NewWALMemSegments(0), repro.WALGroup(1<<20, interval))
 	defer log.Close()
 	eng := repro.NewOrthrus(repro.OrthrusConfig{DB: db, CCThreads: 2, ExecThreads: 2, Wal: log})
 	src := &repro.Transfer{Table: tbl, NumRecords: 1024}

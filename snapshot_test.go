@@ -232,7 +232,7 @@ func TestSnapshotStatsOnRun(t *testing.T) {
 func TestSnapshotReadsSeeOnlyAckedWrites(t *testing.T) {
 	db := repro.NewDB()
 	tbl := db.Create(repro.Layout{Name: "t", NumRecords: 8, RecordSize: 16, Versioned: true})
-	log := repro.NewWAL(repro.NewWALMemDevice(), repro.WALGroup(1<<20, time.Hour))
+	log := repro.NewWAL(repro.NewWALMemSegments(0), repro.WALGroup(1<<20, time.Hour))
 	eng := repro.NewTwoPL(repro.TwoPLConfig{DB: db, Handler: repro.WaitDie(), Threads: 2, Wal: log})
 	ses := eng.Start()
 
