@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -95,6 +96,11 @@ type Stats struct {
 	BytesSent, BytesRecv   uint64
 }
 
+// readBufSize is the Recv side's buffered-reader size: one socket read
+// delivers every frame the kernel has queued (up to this many bytes)
+// instead of two reads — length prefix, payload — per frame.
+const readBufSize = 64 << 10
+
 // Peer is one end of a message-plane connection: a writer goroutine
 // draining a frame channel into the socket, and a Recv method the
 // owner's single reader goroutine calls. Frames are pooled — Get one,
@@ -106,8 +112,9 @@ type Peer struct {
 	out  chan *Frame
 	pool sync.Pool
 
-	wbuf []byte // writer-owned encode buffer (length prefix + payload)
-	rbuf []byte // Recv-owned decode buffer
+	wbuf []byte        // writer-owned encode buffer: every frame of one Write, each length-prefixed
+	br   *bufio.Reader // Recv-owned, over the socket-polling reader (see newConnReader)
+	rbuf []byte        // Recv-owned decode buffer
 
 	goodbye chan struct{}
 	gbOnce  sync.Once
@@ -127,7 +134,8 @@ func NewPeer(conn net.Conn, cfg Config) *Peer {
 		cfg:     cfg,
 		out:     make(chan *Frame, cfg.WriterDepth),
 		goodbye: make(chan struct{}),
-		wbuf:    make([]byte, wirePrefixSize, wirePrefixSize+cfg.MaxFrame),
+		wbuf:    make([]byte, 0, wirePrefixSize+cfg.MaxFrame),
+		br:      bufio.NewReaderSize(newConnReader(conn), readBufSize),
 	}
 	p.pool.New = func() interface{} { return new(Frame) }
 	p.wg.Add(1)
@@ -216,15 +224,18 @@ func (p *Peer) Stats() Stats {
 }
 
 // Recv reads and decodes one frame into f, reusing f's capacity and
-// the peer's read buffer. Control frames are handled internally
-// (goodbye closes GoodbyeReceived) and returned to the caller, which
-// skips them. Only the owner's single reader goroutine may call Recv.
+// the peer's read buffers. It blocks until a frame is complete: while
+// the connection is busy the wait polls the socket (see newConnReader),
+// only an idle one parks in the netpoller. Control frames are handled
+// internally (goodbye closes GoodbyeReceived) and returned to the
+// caller, which skips them. Only the owner's single reader goroutine may
+// call Recv.
 //
 // The loop this runs in is I/O by design and must never be reachable
 // from a hot-path root; the per-node reader goroutines that call it
 // are //orthrus:coldpath boundaries.
 func (p *Peer) Recv(f *Frame) error {
-	payload, err := readWire(p.conn, &p.rbuf)
+	payload, err := readWire(p.br, &p.rbuf)
 	if err != nil {
 		return err
 	}
@@ -243,28 +254,55 @@ func (p *Peer) Recv(f *Frame) error {
 	return nil
 }
 
-// writeLoop drains the frame channel into the socket: encode into the
-// writer's one reusable buffer, prepend the length, write, recycle.
-// After a write error it keeps draining (discarding) so senders never
-// block on a dead connection.
+// writeLoop drains the frame channel into the socket: every frame already
+// queued when the writer gets to run is encoded, each behind its own
+// length prefix, into the writer's one reusable buffer and leaves in a
+// single Write — frames queued during the previous syscall share the
+// next one. Channel order is write order, so per-queue FIFO is
+// unchanged. A batch stops growing once it reaches MaxFrame bytes, which
+// bounds the buffer at MaxFrame plus one frame. After a write error it
+// keeps draining (discarding) so senders never block on a dead
+// connection.
 //
 //orthrus:coldpath dedicated per-peer writer: socket writes block by design; hot threads hand frames over p.out and never touch the socket
-//orthrus:recycle the frame was handed to the writer by TrySend/Send, transferring sole ownership; once its bytes are encoded (or the connection is dead) no other goroutine can reach it
 func (p *Peer) writeLoop() {
 	defer p.wg.Done()
 	failed := false
 	for f := range p.out {
-		if !failed {
-			p.wbuf = AppendFrame(p.wbuf[:wirePrefixSize], f)
-			binary.LittleEndian.PutUint32(p.wbuf, uint32(len(p.wbuf)-wirePrefixSize))
-			if _, err := p.conn.Write(p.wbuf); err != nil {
-				failed = true
-			} else {
-				p.bytesSent.Add(uint64(len(p.wbuf)))
+		p.wbuf = p.appendWire(p.wbuf[:0], f)
+	coalesce:
+		for len(p.wbuf) < p.cfg.MaxFrame {
+			select {
+			case f, ok := <-p.out:
+				if !ok {
+					break coalesce // closed and drained: the range ends after this Write
+				}
+				p.wbuf = p.appendWire(p.wbuf, f)
+			default:
+				break coalesce
 			}
 		}
-		p.pool.Put(f)
+		if failed {
+			continue
+		}
+		if _, err := p.conn.Write(p.wbuf); err != nil {
+			failed = true
+		} else {
+			p.bytesSent.Add(uint64(len(p.wbuf)))
+		}
 	}
+}
+
+// appendWire appends f's wire form — length prefix, then payload — to
+// dst and recycles f.
+//
+//orthrus:recycle the frame was handed to the writer by TrySend/Send, transferring sole ownership; once its bytes are encoded no other goroutine can reach it
+func (p *Peer) appendWire(dst []byte, f *Frame) []byte {
+	at := len(dst)
+	dst = AppendFrame(append(dst, 0, 0, 0, 0), f)
+	binary.LittleEndian.PutUint32(dst[at:], uint32(len(dst)-at-wirePrefixSize))
+	p.pool.Put(f)
+	return dst
 }
 
 // readWire reads one length-prefixed frame payload from r into *buf

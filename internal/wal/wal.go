@@ -146,6 +146,9 @@ type ack struct {
 	enq   time.Time
 	fn    func()
 	stats *metrics.ThreadStats
+	// owner is set on read-only waiters only: the appender whose
+	// outstanding-waiter count the flusher drops after firing fn.
+	owner *Appender
 }
 
 // ackHeap is a min-heap of pending acks by LSN.
@@ -188,6 +191,11 @@ type Log struct {
 	mu        sync.Mutex // guards appenders
 	appenders []*Appender
 
+	// durMu/durCond announce flush passes to WaitDurable: the flusher
+	// broadcasts after every pass, once durableLSN is stored.
+	durMu   sync.Mutex
+	durCond *sync.Cond
+
 	// flusher-owned. acks holds write commits keyed by their own LSN;
 	// waiters holds read-only commits keyed by the log tail they observed
 	// (fired once the frontier reaches it — see Appender.Commit).
@@ -203,6 +211,7 @@ type Log struct {
 // flusher. With the Off policy no flusher runs and dev may be nil.
 func NewLog(dev Device, policy SyncPolicy) *Log {
 	l := &Log{dev: dev, policy: policy.withDefaults()}
+	l.durCond = sync.NewCond(&l.durMu)
 	if policy.Mode == SyncOff {
 		return l
 	}
@@ -280,17 +289,31 @@ func (l *Log) Drain() {
 // record the checkpoint image may depend on must be on the device before
 // the manifest authorizes truncating the log below it. No-op when the
 // log is disabled or lsn is already durable.
+//
+// The wait is on the flusher's per-pass broadcast, not a timer. The
+// frontier check and the cond wait share durMu with the broadcast, so a
+// pass that ends between them cannot be missed; a pass that ends short
+// of lsn (an appender was still sealing the record) is simply forced
+// again.
 func (l *Log) WaitDurable(lsn uint64) {
 	if !l.Enabled() {
 		return
 	}
+	l.durMu.Lock()
+	defer l.durMu.Unlock()
 	for l.durableLSN.Load() < lsn {
 		l.force.Store(true)
-		select {
-		case l.wake <- struct{}{}:
-		default:
-		}
-		time.Sleep(20 * time.Microsecond)
+		l.wakeFlusher()
+		l.durCond.Wait()
+	}
+}
+
+// wakeFlusher asks the flusher to re-evaluate its triggers. A token
+// already in the channel serves this caller too.
+func (l *Log) wakeFlusher() {
+	select {
+	case l.wake <- struct{}{}:
+	default:
 	}
 }
 
@@ -457,8 +480,14 @@ func (l *Log) flushPass() {
 		if k.fn != nil {
 			k.fn()
 		}
+		// After fn: the count is what keeps the owner's inline read-only
+		// fast path off the state fn just wrote.
+		k.owner.roWaiters.Add(-1)
 	}
 	l.durableLSN.Store(l.frontier)
+	l.durMu.Lock()
+	l.durCond.Broadcast()
+	l.durMu.Unlock()
 }
 
 // Appender is one execution thread's append buffer. Note/Abort/Commit
@@ -474,6 +503,11 @@ type Appender struct {
 	waiters   []ack  // read-only commits awaiting the frontier
 	spareBuf  []byte // recycled by the flusher after writing
 	spareAcks []ack
+
+	// roWaiters counts this appender's read-only waiters enqueued but not
+	// yet fired: raised by the owning thread, dropped by the flusher after
+	// each fire.
+	roWaiters atomic.Int32
 
 	writes []redoWrite // current transaction's captured after-images
 }
@@ -513,10 +547,16 @@ func (a *Appender) Abort() { a.writes = a.writes[:0] }
 // before they were synced (locks release at pre-commit), so it must not
 // be acknowledged ahead of them: its acknowledgment waits for the log
 // tail it observed — the current last assigned LSN — unless that tail is
-// already durable, in which case it fires inline. The inline path cannot
-// race the flusher on this appender's stats: every earlier commit of
-// this appender has a smaller LSN, whose acknowledgment the flusher
-// fired before it advanced the durable frontier past our observed tail.
+// already durable and no earlier read-only commit of this appender is
+// still waiting, in which case it fires inline. The inline path cannot
+// race the flusher on this appender's stats: every earlier write commit
+// of this appender has an LSN at or below the observed tail, so the
+// flusher fired its acknowledgment before it advanced the durable
+// frontier that far; an earlier read-only commit has no LSN of its own —
+// it can sit unfired in the flusher (enqueued just after the pass that
+// made its tail durable had swept this appender) while the frontier
+// already covers it — so those are counted (roWaiters) and the fast path
+// is taken only at zero.
 //
 // Commit must be called at pre-commit, before the transaction releases
 // its locks: the LSN order is the committed-prefix order only because
@@ -543,20 +583,18 @@ func (a *Appender) CommitWith(install func(lsn uint64), fn func()) {
 			panic("wal: CommitWith install hook on a commit with no captured writes")
 		}
 		tail := l.nextLSN.Load()
-		if l.policy.Mode != SyncGroup || tail <= l.durableLSN.Load() {
+		if l.policy.Mode != SyncGroup || (tail <= l.durableLSN.Load() && a.roWaiters.Load() == 0) {
 			if fn != nil {
 				fn()
 			}
 			return
 		}
+		a.roWaiters.Add(1)
 		a.mu.Lock()
-		a.waiters = append(a.waiters, ack{lsn: tail, enq: time.Now(), fn: fn, stats: a.stats})
+		a.waiters = append(a.waiters, ack{lsn: tail, enq: time.Now(), fn: fn, stats: a.stats, owner: a})
 		a.mu.Unlock()
 		if n := l.pending.Add(1); n == 1 || n >= int64(l.policy.GroupSize) {
-			select {
-			case l.wake <- struct{}{}:
-			default:
-			}
+			l.wakeFlusher()
 		}
 		return
 	}
@@ -578,11 +616,7 @@ func (a *Appender) CommitWith(install func(lsn uint64), fn func()) {
 	if inline && fn != nil {
 		fn()
 	}
-	n := l.pending.Add(1)
-	if n == 1 || n >= int64(l.policy.GroupSize) {
-		select {
-		case l.wake <- struct{}{}:
-		default:
-		}
+	if n := l.pending.Add(1); n == 1 || n >= int64(l.policy.GroupSize) {
+		l.wakeFlusher()
 	}
 }

@@ -425,3 +425,69 @@ func TestReplayFromDeviceImage(t *testing.T) {
 		}
 	}
 }
+
+// gatedDevice holds the flusher inside its first Sync: after the pass has
+// swept the appenders, before it advances the durable frontier.
+type gatedDevice struct {
+	*MemSegments
+	once          sync.Once
+	entered, gate chan struct{}
+}
+
+func (d *gatedDevice) Sync() error {
+	d.once.Do(func() {
+		close(d.entered)
+		<-d.gate
+	})
+	return d.MemSegments.Sync()
+}
+
+// The read-only inline fast path must not overtake an earlier read-only
+// commit of the same appender. That earlier commit can be unfired while
+// the durable frontier already covers the tail it observed: it was
+// enqueued after the pass that made the tail durable had swept its
+// appender, so it waits for the next pass. Firing the later commit inline
+// then runs two completions of one thread concurrently — worker and
+// flusher both wrote the thread's latency histogram, which is what
+// `go test -race` reported on TestDurableMixedReadWriteWorkload. The test
+// builds the interleaving deterministically: the device gate holds pass 1
+// between its sweep and its frontier store, and the hour-long group
+// window holds pass 2 before its waiter fire.
+func TestReadOnlyInlineWaitsForEarlierReadOnlyWaiter(t *testing.T) {
+	dev := &gatedDevice{MemSegments: NewMemSegments(0), entered: make(chan struct{}), gate: make(chan struct{})}
+	l := NewLog(dev, Group(1<<20, time.Hour)) // a pass runs only when forced
+	defer l.Close()
+	a := l.NewAppender(nil)
+
+	a.Note(0, 1, []byte{1})
+	a.Commit(nil) // LSN 1
+	go l.WaitDurable(1)
+	<-dev.entered // pass 1 has swept the appender and is inside Sync
+
+	var first, second atomic.Bool
+	a.Commit(func() { first.Store(true) }) // read-only, tail 1 not durable yet: waits, behind the sweep
+	close(dev.gate)
+	waitFor(t, "pass 1 to make LSN 1 durable", func() bool { return l.DurableLSN() == 1 })
+	if first.Load() {
+		t.Fatal("the first read-only commit fired in the pass that had already swept its appender")
+	}
+
+	a.Commit(func() { second.Store(true) }) // read-only, tail 1 durable — but the first is still unfired
+	if second.Load() {
+		t.Fatal("read-only commit fired inline while an earlier read-only commit of the same appender was unfired")
+	}
+
+	// A forced pass fires both, from the flusher, and the fast path is
+	// available again once nothing is outstanding.
+	a.Note(0, 2, []byte{2})
+	a.Commit(nil)
+	l.Drain()
+	if !first.Load() || !second.Load() {
+		t.Fatalf("waiters not fired by the next pass (first=%v second=%v)", first.Load(), second.Load())
+	}
+	inline := false
+	a.Commit(func() { inline = true })
+	if !inline {
+		t.Fatal("read-only commit on a durable tail with no outstanding waiter did not fire inline")
+	}
+}
