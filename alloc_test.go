@@ -13,8 +13,9 @@ import (
 
 // Hot-path allocation regression tests: a steady-state transfer
 // transaction must perform zero heap allocations from Submit to the
-// completion acknowledgment on every engine (WAL off), and a small
-// bounded number with group-commit durability on. These tests pin the
+// completion acknowledgment on every engine — WAL off or self-clocked
+// group commit — and a small bounded number under a timed fill window
+// (the window's timer). These tests pin the
 // PR's pooling work — any new per-transaction allocation (a closure, a
 // fresh plan slice, an unpooled wrapper) fails them immediately.
 
@@ -91,27 +92,44 @@ func TestSubmitAllocsZero(t *testing.T) {
 	}
 }
 
-// TestSubmitAllocsWALBounded: group-commit durability may allocate (the
-// flusher's timer machinery, device growth), but the per-transaction
-// count must stay small and constant — a leak of one object per commit
-// through the WAL path would show up here long before it shows up in a
-// heap profile.
+// walAllocPolicies are the group-commit policies the allocation pins run
+// under, each with the per-transaction bound its path meets. Self-clocked
+// group commit arms no timer and files acks by value in the flusher's
+// reorder window, so a durable Submit→ack allocates nothing, like the
+// log-less path (AllocsPerRun truncates, so device growth and a
+// checkpoint's handful of cold-path objects amortize to zero). A windowed
+// group additionally allocates one time.Timer per flush pass — with one
+// transaction in flight, one per commit: 3–5 objects measured.
+var walAllocPolicies = []struct {
+	name   string
+	policy repro.SyncPolicy
+	bound  float64
+}{
+	{"self-clocked", repro.WALGroup(0, 0), 0},
+	{"window", repro.WALGroup(4, time.Millisecond), 16},
+}
+
+// TestSubmitAllocsWALBounded: group-commit durability may allocate, but
+// the per-transaction count must stay small and constant — a leak of one
+// object per commit through the WAL path would show up here long before
+// it shows up in a heap profile.
 func TestSubmitAllocsWALBounded(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race mode: sync.Pool drops Puts by design, allocation counts are not meaningful")
 	}
-	const bound = 16.0
-	for _, e := range allocSystems(t, repro.NewWAL(repro.NewWALMemSegments(0), repro.WALGroup(4, time.Millisecond))) {
-		t.Run(e.rt.Name(), func(t *testing.T) {
-			ses := e.rt.Start()
-			src := &repro.Transfer{Table: e.tbl, NumRecords: 64}
-			allocs := measureSubmitAllocs(ses, src)
-			ses.Drain()
-			ses.Close()
-			if allocs > bound {
-				t.Errorf("%s: %.1f allocs per durable Submit→ack, want <= %.0f", e.rt.Name(), allocs, bound)
-			}
-		})
+	for _, p := range walAllocPolicies {
+		for _, e := range allocSystems(t, repro.NewWAL(repro.NewWALMemSegments(0), p.policy)) {
+			t.Run(p.name+"/"+e.rt.Name(), func(t *testing.T) {
+				ses := e.rt.Start()
+				src := &repro.Transfer{Table: e.tbl, NumRecords: 64}
+				allocs := measureSubmitAllocs(ses, src)
+				ses.Drain()
+				ses.Close()
+				if allocs > p.bound {
+					t.Errorf("%s: %.1f allocs per durable Submit→ack, want <= %.0f", e.rt.Name(), allocs, p.bound)
+				}
+			})
+		}
 	}
 }
 
@@ -120,53 +138,55 @@ func TestSubmitAllocsWALBounded(t *testing.T) {
 // segments every few milliseconds while the measurement runs — must not
 // add allocations to the Submit→ack hot path beyond the WAL bound. The
 // checkpointer's own cold-path allocations (page copies into the store,
-// manifest encoding) amortize across the measured ops and stay far under
-// the bound; anything per-transaction would blow straight through it.
+// manifest encoding: ~8 objects per cycle on this table) amortize across
+// the 200 measured ops to under one, which AllocsPerRun reports as zero;
+// anything per-transaction would blow straight through either bound.
 func TestSubmitAllocsWithCheckpointerBounded(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race mode: sync.Pool drops Puts by design, allocation counts are not meaningful")
 	}
-	const bound = 16.0
 	const n, threads = 64, 2
 	type entry struct {
 		rt  repro.System
 		db  *repro.DB
 		tbl int
 	}
-	var systems []entry
-	build := func(f func(db *repro.DB, wal *repro.WAL, ck repro.CheckpointConfig) repro.System) {
-		db, tbl := newAccountDB(t, n, 1000)
-		wal := repro.NewWAL(repro.NewWALMemSegments(64<<10), repro.WALGroup(4, time.Millisecond))
-		ck := repro.CheckpointConfig{Store: repro.NewMemCheckpointStore(), Interval: 5 * time.Millisecond}
-		systems = append(systems, entry{f(db, wal, ck), db, tbl})
-	}
-	build(func(db *repro.DB, wal *repro.WAL, ck repro.CheckpointConfig) repro.System {
-		return repro.NewOrthrus(repro.OrthrusConfig{DB: db, CCThreads: 2, ExecThreads: 2, Wal: wal, Checkpoint: ck})
-	})
-	build(func(db *repro.DB, wal *repro.WAL, ck repro.CheckpointConfig) repro.System {
-		return repro.NewTwoPL(repro.TwoPLConfig{DB: db, Handler: repro.WaitDie(), Threads: threads, Wal: wal, Checkpoint: ck})
-	})
-	build(func(db *repro.DB, wal *repro.WAL, ck repro.CheckpointConfig) repro.System {
-		return repro.NewDeadlockFree(repro.DeadlockFreeConfig{DB: db, Threads: threads, Wal: wal, Checkpoint: ck})
-	})
-	build(func(db *repro.DB, wal *repro.WAL, ck repro.CheckpointConfig) repro.System {
-		return repro.NewPartitionedStore(repro.PartitionedStoreConfig{DB: db, Partitions: threads, Wal: wal, Checkpoint: ck})
-	})
-	for _, e := range systems {
-		t.Run(e.rt.Name(), func(t *testing.T) {
-			ses := e.rt.Start()
-			src := &repro.Transfer{Table: e.tbl, NumRecords: 64}
-			allocs := measureSubmitAllocs(ses, src)
-			stats := ses.(repro.CheckpointedSession).CheckpointStats()
-			ses.Drain()
-			ses.Close()
-			if stats.Checkpoints == 0 {
-				t.Fatalf("%s: checkpointer never ran during the measurement", e.rt.Name())
-			}
-			if allocs > bound {
-				t.Errorf("%s: %.1f allocs per Submit→ack with live checkpointer, want <= %.0f", e.rt.Name(), allocs, bound)
-			}
+	for _, p := range walAllocPolicies {
+		var systems []entry
+		build := func(f func(db *repro.DB, wal *repro.WAL, ck repro.CheckpointConfig) repro.System) {
+			db, tbl := newAccountDB(t, n, 1000)
+			wal := repro.NewWAL(repro.NewWALMemSegments(64<<10), p.policy)
+			ck := repro.CheckpointConfig{Store: repro.NewMemCheckpointStore(), Interval: 5 * time.Millisecond}
+			systems = append(systems, entry{f(db, wal, ck), db, tbl})
+		}
+		build(func(db *repro.DB, wal *repro.WAL, ck repro.CheckpointConfig) repro.System {
+			return repro.NewOrthrus(repro.OrthrusConfig{DB: db, CCThreads: 2, ExecThreads: 2, Wal: wal, Checkpoint: ck})
 		})
+		build(func(db *repro.DB, wal *repro.WAL, ck repro.CheckpointConfig) repro.System {
+			return repro.NewTwoPL(repro.TwoPLConfig{DB: db, Handler: repro.WaitDie(), Threads: threads, Wal: wal, Checkpoint: ck})
+		})
+		build(func(db *repro.DB, wal *repro.WAL, ck repro.CheckpointConfig) repro.System {
+			return repro.NewDeadlockFree(repro.DeadlockFreeConfig{DB: db, Threads: threads, Wal: wal, Checkpoint: ck})
+		})
+		build(func(db *repro.DB, wal *repro.WAL, ck repro.CheckpointConfig) repro.System {
+			return repro.NewPartitionedStore(repro.PartitionedStoreConfig{DB: db, Partitions: threads, Wal: wal, Checkpoint: ck})
+		})
+		for _, e := range systems {
+			t.Run(p.name+"/"+e.rt.Name(), func(t *testing.T) {
+				ses := e.rt.Start()
+				src := &repro.Transfer{Table: e.tbl, NumRecords: 64}
+				allocs := measureSubmitAllocs(ses, src)
+				stats := ses.(repro.CheckpointedSession).CheckpointStats()
+				ses.Drain()
+				ses.Close()
+				if stats.Checkpoints == 0 {
+					t.Fatalf("%s: checkpointer never ran during the measurement", e.rt.Name())
+				}
+				if allocs > p.bound {
+					t.Errorf("%s: %.1f allocs per Submit→ack with live checkpointer, want <= %.0f", e.rt.Name(), allocs, p.bound)
+				}
+			})
+		}
 	}
 }
 

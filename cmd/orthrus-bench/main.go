@@ -15,9 +15,10 @@
 // experiment reports message-plane ring operations and throughput per
 // BatchSize, the adaptive experiment compares static vs elastic CC
 // routing across a mid-run hot-set shift, the durability experiment
-// sweeps WAL sync policy and group-commit size against the no-WAL
-// baseline, the scan experiment sweeps a YCSB-E scan mix (scan
-// fraction × max scan length, pinnable with -scan-pct/-scan-maxlen)
+// sweeps WAL sync policy (self-clocked group commit against timed fill
+// windows) against the no-WAL baseline, the scan experiment sweeps a
+// YCSB-E scan mix (scan fraction × max scan length, pinnable with
+// -scan-pct/-scan-maxlen)
 // across all four engines, and the htap experiment compares MVCC
 // snapshot scans against locking scans under a contended transfer mix
 // (analytics fraction pinnable with -readonly-pct). With -json <dir>, each experiment's series is also written

@@ -17,22 +17,24 @@ import (
 )
 
 // durabilityPolicies is the sync-policy axis: the no-WAL baseline, async
-// (background flush, instant acknowledgment), and group commit across
-// group sizes at the default interval.
+// (background flush, instant acknowledgment), self-clocked group commit
+// (no fill window: a pass's group is what arrived during the previous
+// pass), and two timed fill windows — the trade between commit latency
+// and records per sync that an explicit Interval buys.
 func durabilityPolicies() []wal.SyncPolicy {
 	return []wal.SyncPolicy{
 		wal.Off(),
 		wal.Async(),
-		wal.Group(8, 0),
-		wal.Group(64, 0),
-		wal.Group(256, 0),
+		wal.Group(0, 0),
+		wal.Group(64, 200*time.Microsecond),
+		wal.Group(256, time.Millisecond),
 	}
 }
 
 // durability: the commit-pipeline extension (not a paper figure). The
 // paper acknowledges commits the instant execution finishes (§3 scopes
 // durability out); this experiment measures what acknowledgment-after-
-// flush costs across sync policies and group sizes, on the transfer
+// flush costs across sync policies and fill windows, on the transfer
 // workload (every engine) and the TPC-C mix (the §4.4 lineup). With the
 // policy off the two-stage pipeline must be free — those rows are the
 // regression guard for the refactor. The flush lines report the achieved

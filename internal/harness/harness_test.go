@@ -211,3 +211,19 @@ func TestMultiPartitionFiguresEmitThreeSeries(t *testing.T) {
 		}
 	}
 }
+
+// The durability experiment's policy axis contrasts self-clocked group
+// commit with timed fill windows; these labels are the x values of its
+// JSON rows, so the trajectory files stay comparable across PRs.
+func TestDurabilityPolicyAxisLabels(t *testing.T) {
+	want := []string{"off", "async", "group", "group(64,200µs)", "group(256,1ms)"}
+	got := durabilityPolicies()
+	if len(got) != len(want) {
+		t.Fatalf("%d policies, want %d", len(got), len(want))
+	}
+	for i, p := range got {
+		if p.String() != want[i] {
+			t.Errorf("policy %d prints %q, want %q", i, p, want[i])
+		}
+	}
+}

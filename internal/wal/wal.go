@@ -36,9 +36,15 @@
 //     work (PostgreSQL synchronous_commit=off semantics); Drain still
 //     waits for the tail, so a clean shutdown loses nothing.
 //   - Group(k, interval): acknowledgment fires after the record is
-//     synced. The flusher syncs when k commits are pending or after
-//     interval, whichever comes first — the classic group-commit
-//     trade-off between commit latency and syncs per second.
+//     synced. With interval zero the flusher is self-clocked: a pass
+//     starts the moment the previous one ends and anything is pending,
+//     so the commits that arrive while pass N writes, syncs and
+//     acknowledges are pass N+1's group — group size follows the
+//     device's sync cost, no timer is armed, and k is unused. With a
+//     positive interval the flusher instead holds each group open until
+//     k commits are pending or interval has passed, whichever comes
+//     first — fewer, larger syncs for a slow device or a sync-count
+//     budget, at up to interval of added commit latency.
 //
 // Replay rebuilds a storage.DB from a (possibly torn) log image: it
 // scans each segment until its first corruption, then applies the longest
@@ -47,7 +53,6 @@
 package wal
 
 import (
-	"container/heap"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -66,20 +71,24 @@ const (
 	SyncGroup
 )
 
-// Defaults for Group policy knobs left zero.
-const (
-	DefaultGroupSize = 64
-	DefaultInterval  = 200 * time.Microsecond
-)
+// DefaultGroupSize is the GroupSize a policy left at zero gets.
+const DefaultGroupSize = 64
+
+// asyncInterval paces Async's background flushes when Interval is left
+// zero: nobody waits on them, so a window costs no latency and saves
+// syncs.
+const asyncInterval = 200 * time.Microsecond
 
 // SyncPolicy is a log's durability discipline.
 type SyncPolicy struct {
 	Mode SyncMode
-	// GroupSize is the pending-commit count that triggers an immediate
-	// flush (default 64). Also used by Async to pace background flushes.
+	// GroupSize is the pending-commit count that ends a fill window early
+	// (default 64). Unused by a self-clocked Group (Interval zero).
 	GroupSize int
-	// Interval bounds how long a pending commit waits for its group to
-	// fill before the flusher syncs anyway (default 200µs).
+	// Interval is the fill window: how long the flusher holds a group
+	// open for more commits before it syncs anyway. Zero under Group
+	// means no window at all (self-clocked, see the package comment);
+	// zero under Async means 200µs.
 	Interval time.Duration
 }
 
@@ -89,8 +98,9 @@ func Off() SyncPolicy { return SyncPolicy{Mode: SyncOff} }
 // Async returns the background-flush policy.
 func Async() SyncPolicy { return SyncPolicy{Mode: SyncAsync} }
 
-// Group returns the group-commit policy; zero k or interval means the
-// package default.
+// Group returns the group-commit policy: self-clocked when interval is
+// zero, otherwise a fill window of interval that k pending commits end
+// early (zero k means DefaultGroupSize).
 func Group(k int, interval time.Duration) SyncPolicy {
 	return SyncPolicy{Mode: SyncGroup, GroupSize: k, Interval: interval}
 }
@@ -99,13 +109,17 @@ func (p SyncPolicy) withDefaults() SyncPolicy {
 	if p.GroupSize <= 0 {
 		p.GroupSize = DefaultGroupSize
 	}
-	if p.Interval <= 0 {
-		p.Interval = DefaultInterval
+	if p.Interval < 0 {
+		p.Interval = 0
+	}
+	if p.Interval == 0 && p.Mode == SyncAsync {
+		p.Interval = asyncInterval
 	}
 	return p
 }
 
-// String implements fmt.Stringer ("off", "async", "group(64,200µs)").
+// String implements fmt.Stringer: "off", "async", "group" for the
+// self-clocked policy, "group(64,200µs)" for a windowed one.
 func (p SyncPolicy) String() string {
 	switch p.Mode {
 	case SyncOff:
@@ -114,6 +128,9 @@ func (p SyncPolicy) String() string {
 		return "async"
 	default:
 		p = p.withDefaults()
+		if p.Interval == 0 {
+			return "group"
+		}
 		return fmt.Sprintf("group(%d,%v)", p.GroupSize, p.Interval)
 	}
 }
@@ -139,32 +156,30 @@ func (s Stats) RecordsPerFlush() float64 {
 	return float64(s.Records) / float64(s.Flushes)
 }
 
-// ack is one pending acknowledgment: fired by the flusher, in LSN order,
-// once the record's durability requirement is met.
+// ack is one pending acknowledgment: fired by the flusher once the
+// record's durability requirement is met. On a write commit lsn is the
+// record's own LSN; on a read-only waiter it is the log tail the commit
+// observed.
 type ack struct {
 	lsn   uint64
 	enq   time.Time
 	fn    func()
 	stats *metrics.ThreadStats
-	// owner is set on read-only waiters only: the appender whose
-	// outstanding-waiter count the flusher drops after firing fn.
-	owner *Appender
 }
 
-// ackHeap is a min-heap of pending acks by LSN.
-type ackHeap []ack
-
-func (h ackHeap) Len() int            { return len(h) }
-func (h ackHeap) Less(i, j int) bool  { return h[i].lsn < h[j].lsn }
-func (h ackHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *ackHeap) Push(x interface{}) { *h = append(*h, x.(ack)) }
-func (h *ackHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+// fire runs the acknowledgment, charging the flush stall to its thread.
+func (k *ack) fire(now time.Time) {
+	if k.stats != nil {
+		k.stats.AddLog(now.Sub(k.enq))
+	}
+	if k.fn != nil {
+		k.fn()
+	}
 }
+
+// ackWindowSize is the initial size of the write-ack reorder window; it
+// doubles whenever a stolen LSN lies further ahead of the frontier.
+const ackWindowSize = 64
 
 // Log is a redo log: a set of per-thread Appenders feeding one flusher
 // goroutine that owns the Device. A nil *Log (or one opened with the Off
@@ -182,7 +197,7 @@ type Log struct {
 	// pending counts commits enqueued but not yet stolen by the flusher —
 	// the group-trigger gauge.
 	pending atomic.Int64
-	force   atomic.Bool // Drain: skip the interval wait
+	force   atomic.Bool // WaitDurable: run a pass now, window or not
 	wake    chan struct{}
 	stopc   chan struct{}
 	donec   chan struct{}
@@ -196,11 +211,15 @@ type Log struct {
 	durMu   sync.Mutex
 	durCond *sync.Cond
 
-	// flusher-owned. acks holds write commits keyed by their own LSN;
-	// waiters holds read-only commits keyed by the log tail they observed
-	// (fired once the frontier reaches it — see Appender.Commit).
-	acks     ackHeap
-	waiters  ackHeap
+	// flusher-owned. win is the write-ack reorder window: a power-of-two
+	// ring in which slot lsn&(len(win)-1) holds the stolen ack of lsn, for
+	// frontier < lsn ≤ frontier+len(win); an empty slot has lsn zero. LSNs
+	// are dense — assigning one and queueing its ack share one appender
+	// critical section — so a slot between the frontier and the highest
+	// stolen LSN stays empty only while its record is being sealed, and
+	// the window needs no more slots than there are unacknowledged
+	// commits.
+	win      []ack
 	frontier uint64
 
 	stRecords, stBytes, stFlushes, stSyncs atomic.Uint64
@@ -210,7 +229,7 @@ type Log struct {
 // NewLog opens a log over dev with the given policy and starts its
 // flusher. With the Off policy no flusher runs and dev may be nil.
 func NewLog(dev Device, policy SyncPolicy) *Log {
-	l := &Log{dev: dev, policy: policy.withDefaults()}
+	l := &Log{dev: dev, policy: policy.withDefaults(), win: make([]ack, ackWindowSize)}
 	l.durCond = sync.NewCond(&l.durMu)
 	if policy.Mode == SyncOff {
 		return l
@@ -317,6 +336,17 @@ func (l *Log) wakeFlusher() {
 	}
 }
 
+// enqueued counts one more commit waiting for the flusher and wakes it
+// on the transitions it can be waiting for: the first pending commit
+// (it may be idle) and, inside a fill window, the count that ends the
+// window early.
+func (l *Log) enqueued() {
+	n := l.pending.Add(1)
+	if n == 1 || (l.policy.Interval > 0 && n >= int64(l.policy.GroupSize)) {
+		l.wakeFlusher()
+	}
+}
+
 // Truncate drops log segments whose contents lie wholly at or below
 // belowLSN, returning how many segments were dropped (0 on a disabled
 // log). The caller is responsible for the truncation rule: only truncate
@@ -345,10 +375,14 @@ func (l *Log) Close() error {
 }
 
 // flusher is the group-commit daemon: it sleeps until work is pending,
-// gives the group its interval to fill (unless the group-size trigger or
-// a Drain fires first), then sweeps, writes, syncs and acknowledges.
-// Wake tokens mean only "re-evaluate" — a stale token must not cut a
-// group's fill window short, so every wake re-checks the actual trigger.
+// then sweeps, writes, syncs and acknowledges. Self-clocked (Group with
+// Interval zero) that is all: a pass runs whenever anything is pending,
+// so the commits that arrived during one pass are the next pass's group
+// and no timer is ever armed. With a fill window it first gives the
+// group its interval to fill, unless the group-size trigger or a
+// WaitDurable fires first. Wake tokens mean only "re-evaluate" — a stale
+// token must not cut a group's fill window short, so every wake
+// re-checks the actual trigger.
 func (l *Log) flusher() {
 	defer close(l.donec)
 	for {
@@ -360,7 +394,7 @@ func (l *Log) flusher() {
 			case <-l.wake:
 			}
 		}
-		if !l.force.Swap(false) && l.pending.Load() < int64(l.policy.GroupSize) {
+		if !l.force.Swap(false) && l.policy.Interval > 0 && l.pending.Load() < int64(l.policy.GroupSize) {
 			deadline := time.NewTimer(l.policy.Interval)
 		fill:
 			for {
@@ -383,11 +417,39 @@ func (l *Log) flusher() {
 	}
 }
 
+// stash files a stolen write ack in the reorder window, doubling the
+// window until the ack's LSN fits above the frontier.
+func (l *Log) stash(k ack) {
+	for k.lsn-l.frontier > uint64(len(l.win)) {
+		grown := make([]ack, 2*len(l.win))
+		for _, old := range l.win {
+			if old.lsn != 0 {
+				grown[old.lsn&uint64(len(grown)-1)] = old
+			}
+		}
+		l.win = grown
+	}
+	l.win[k.lsn&uint64(len(l.win)-1)] = k
+}
+
 // flushPass steals every appender's buffer and pending acks, writes the
-// stolen bytes, syncs (group mode), and fires acknowledgments up to the
-// contiguous-LSN frontier. Records whose LSN has a not-yet-stolen
-// predecessor stay queued; the predecessor arrives in a later pass and
-// the frontier catches up — acknowledgment order is LSN order, always.
+// stolen bytes, syncs, and fires acknowledgments up to the
+// contiguous-LSN frontier.
+//
+// Ordering contract. Write acks fire in LSN order, always: a stolen ack
+// waits in the reorder window until every lower LSN has been stolen,
+// written and synced too (a predecessor still being sealed by its
+// appender arrives in a later pass and the frontier catches up), so an
+// acknowledgment never outruns the durability of any earlier LSN. A
+// read-only waiter fires once the frontier has reached the tail it
+// observed, after this pass's write acks, so a reader is never
+// acknowledged ahead of a writer it may depend on. Waiters of one
+// appender fire in commit order from that appender's FIFO — the tails
+// one thread observes are monotone, so the FIFO's head is always its
+// least — and waiters of different appenders are unordered, as nothing
+// relates them. The frontier is published (durableLSN) only after both
+// loops, which is what lets Appender.CommitWith's inline read-only path
+// trust it.
 func (l *Log) flushPass() {
 	l.mu.Lock()
 	apps := l.appenders
@@ -403,13 +465,10 @@ func (l *Log) flushPass() {
 			a.mu.Unlock()
 			continue
 		}
-		a.buf, a.acks = a.spareBuf, a.spareAcks
-		a.spareBuf, a.spareAcks = nil, nil
-		a.waiters = nil
+		a.buf, a.acks, a.waiters = a.spareBuf, a.spareAcks, a.spareWaiters
+		a.spareBuf, a.spareAcks, a.spareWaiters = nil, nil, nil
 		a.mu.Unlock()
-		for _, k := range waiters {
-			heap.Push(&l.waiters, k)
-		}
+		a.fifo = append(a.fifo, waiters...)
 		stolen += len(waiters)
 
 		if len(buf) > 0 {
@@ -424,12 +483,12 @@ func (l *Log) flushPass() {
 			if k.lsn > passMaxLSN {
 				passMaxLSN = k.lsn
 			}
-			heap.Push(&l.acks, k)
+			l.stash(k)
 		}
-		// Recycle the stolen slices so steady state reuses two buffers
+		// Recycle the stolen slices so steady state reuses two of each
 		// per appender instead of allocating per flush.
 		a.mu.Lock()
-		a.spareBuf, a.spareAcks = buf[:0], acks[:0]
+		a.spareBuf, a.spareAcks, a.spareWaiters = buf[:0], acks[:0], waiters[:0]
 		a.mu.Unlock()
 	}
 
@@ -459,30 +518,29 @@ func (l *Log) flushPass() {
 	}
 
 	now := time.Now()
-	for l.acks.Len() > 0 && l.acks[0].lsn == l.frontier+1 {
-		k := heap.Pop(&l.acks).(ack)
+	for {
+		k := &l.win[(l.frontier+1)&uint64(len(l.win)-1)]
+		if k.lsn != l.frontier+1 {
+			break
+		}
 		l.frontier++
-		if k.stats != nil {
-			k.stats.AddLog(now.Sub(k.enq))
-		}
-		if k.fn != nil {
-			k.fn()
-		}
+		k.fire(now)
+		*k = ack{}
 	}
-	// Read-only waiters fire once the log tail they observed is durable —
-	// after the write acks above, so a reader is never acknowledged ahead
-	// of a writer it depends on.
-	for l.waiters.Len() > 0 && l.waiters[0].lsn <= l.frontier {
-		k := heap.Pop(&l.waiters).(ack)
-		if k.stats != nil {
-			k.stats.AddLog(now.Sub(k.enq))
+	for _, a := range apps {
+		n := 0
+		for n < len(a.fifo) && a.fifo[n].lsn <= l.frontier {
+			a.fifo[n].fire(now)
+			// After fn: the count is what keeps the appender's inline
+			// read-only fast path off the state fn just wrote.
+			a.roWaiters.Add(-1)
+			n++
 		}
-		if k.fn != nil {
-			k.fn()
+		if n > 0 {
+			rest := copy(a.fifo, a.fifo[n:])
+			clear(a.fifo[rest:])
+			a.fifo = a.fifo[:rest]
 		}
-		// After fn: the count is what keeps the owner's inline read-only
-		// fast path off the state fn just wrote.
-		k.owner.roWaiters.Add(-1)
 	}
 	l.durableLSN.Store(l.frontier)
 	l.durMu.Lock()
@@ -497,13 +555,18 @@ type Appender struct {
 	log   *Log
 	stats *metrics.ThreadStats
 
-	mu        sync.Mutex
-	buf       []byte // encoded records awaiting the flusher
-	acks      []ack
-	waiters   []ack  // read-only commits awaiting the frontier
-	spareBuf  []byte // recycled by the flusher after writing
-	spareAcks []ack
+	mu           sync.Mutex
+	buf          []byte // encoded records awaiting the flusher
+	acks         []ack
+	waiters      []ack  // read-only commits awaiting the frontier
+	spareBuf     []byte // recycled by the flusher after writing
+	spareAcks    []ack
+	spareWaiters []ack
 
+	// fifo is flusher-owned: this appender's stolen read-only waiters,
+	// oldest first, fired from the head as the frontier reaches the tail
+	// each observed.
+	fifo []ack
 	// roWaiters counts this appender's read-only waiters enqueued but not
 	// yet fired: raised by the owning thread, dropped by the flusher after
 	// each fire.
@@ -540,7 +603,9 @@ func (a *Appender) Abort() { a.writes = a.writes[:0] }
 // Commit seals the current transaction: it assigns the next LSN, encodes
 // the captured after-images into the append buffer, and schedules fn to
 // run once the record is durable (group mode) — in LSN order relative to
-// every other commit. Under Async, fn runs inline before Commit returns.
+// every other commit: the flusher holds a stolen ack in its reorder
+// window until every lower LSN is durable (see flushPass). Under Async,
+// fn runs inline before Commit returns.
 //
 // A transaction with no captured writes (read-only) consumes no LSN, but
 // under Group it may still have observed another transaction's writes
@@ -548,15 +613,20 @@ func (a *Appender) Abort() { a.writes = a.writes[:0] }
 // be acknowledged ahead of them: its acknowledgment waits for the log
 // tail it observed — the current last assigned LSN — unless that tail is
 // already durable and no earlier read-only commit of this appender is
-// still waiting, in which case it fires inline. The inline path cannot
-// race the flusher on this appender's stats: every earlier write commit
-// of this appender has an LSN at or below the observed tail, so the
-// flusher fired its acknowledgment before it advanced the durable
-// frontier that far; an earlier read-only commit has no LSN of its own —
-// it can sit unfired in the flusher (enqueued just after the pass that
-// made its tail durable had swept this appender) while the frontier
-// already covers it — so those are counted (roWaiters) and the fast path
-// is taken only at zero.
+// still waiting, in which case it fires inline. A waiting one queues on
+// this appender's FIFO in the flusher, behind this thread's earlier
+// waiters and never behind another thread's: the tails one thread
+// observes only grow, so the FIFO fires in commit order.
+//
+// The inline path cannot race the flusher on this appender's stats:
+// every earlier write commit of this appender has an LSN at or below the
+// observed tail, so the flusher fired its acknowledgment before it
+// published a durable frontier that far; an earlier read-only commit has
+// no LSN of its own — it can sit unfired (still in the appender, or in
+// the FIFO, because it was enqueued just after the pass that made its
+// tail durable had swept this appender) while the frontier already
+// covers it — so those are counted (roWaiters) and the fast path is
+// taken only at zero.
 //
 // Commit must be called at pre-commit, before the transaction releases
 // its locks: the LSN order is the committed-prefix order only because
@@ -572,8 +642,12 @@ func (a *Appender) Commit(fn func()) { a.CommitWith(nil, fn) }
 // can collect it — so the durable frontier (the snapshot point for
 // read-only transactions) cannot reach this LSN before its versions are
 // installed. install must not block and must not call back into the log.
-// A commit with no captured writes has no LSN to stamp, so a non-nil
-// install there panics — versioned writers always capture after-images.
+// The same critical section assigns the LSN and queues its ack, so the
+// LSNs the flusher has stolen are dense but for records still being
+// sealed — which is what bounds its reorder window by the commits in
+// flight. A commit with no captured writes has no LSN to stamp, so a
+// non-nil install there panics — versioned writers always capture
+// after-images.
 //
 //orthrus:hotpath
 func (a *Appender) CommitWith(install func(lsn uint64), fn func()) {
@@ -591,11 +665,9 @@ func (a *Appender) CommitWith(install func(lsn uint64), fn func()) {
 		}
 		a.roWaiters.Add(1)
 		a.mu.Lock()
-		a.waiters = append(a.waiters, ack{lsn: tail, enq: time.Now(), fn: fn, stats: a.stats, owner: a})
+		a.waiters = append(a.waiters, ack{lsn: tail, enq: time.Now(), fn: fn, stats: a.stats})
 		a.mu.Unlock()
-		if n := l.pending.Add(1); n == 1 || n >= int64(l.policy.GroupSize) {
-			l.wakeFlusher()
-		}
+		l.enqueued()
 		return
 	}
 	now := time.Now()
@@ -616,7 +688,5 @@ func (a *Appender) CommitWith(install func(lsn uint64), fn func()) {
 	if inline && fn != nil {
 		fn()
 	}
-	if n := l.pending.Add(1); n == 1 || n >= int64(l.policy.GroupSize) {
-		l.wakeFlusher()
-	}
+	l.enqueued()
 }

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -489,5 +490,212 @@ func TestReadOnlyInlineWaitsForEarlierReadOnlyWaiter(t *testing.T) {
 	a.Commit(func() { inline = true })
 	if !inline {
 		t.Fatal("read-only commit on a durable tail with no outstanding waiter did not fire inline")
+	}
+}
+
+// --- self-clocked group commit -------------------------------------------
+
+// lsnRecorder collects the LSN order in which acks fire. The acks run on
+// the flusher, which has just advanced its frontier to the fired LSN.
+type lsnRecorder struct {
+	mu    sync.Mutex
+	l     *Log
+	order []uint64
+}
+
+func (r *lsnRecorder) ack() {
+	r.mu.Lock()
+	r.order = append(r.order, r.l.frontier)
+	r.mu.Unlock()
+}
+
+func (r *lsnRecorder) count() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.order)
+}
+
+// wantDense fails unless exactly the LSNs 1..last fired, ascending.
+func (r *lsnRecorder) wantDense(t *testing.T, last uint64) {
+	t.Helper()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if uint64(len(r.order)) != last {
+		t.Fatalf("%d acks fired, want LSNs 1..%d", len(r.order), last)
+	}
+	for i, lsn := range r.order {
+		if lsn != uint64(i)+1 {
+			t.Fatalf("ack %d fired at LSN %d, want %d (order %v)", i, lsn, i+1, r.order)
+		}
+	}
+}
+
+// With no fill window, the group is whatever arrived while the previous
+// pass was busy: N commits that land while pass 1 sits in the device
+// sync are all carried by pass 2, in one flush, acknowledged in LSN order.
+func TestSelfClockedGroupFormsDuringSync(t *testing.T) {
+	dev := &gatedDevice{MemSegments: NewMemSegments(0), entered: make(chan struct{}), gate: make(chan struct{})}
+	l := NewLog(dev, Group(0, 0))
+	defer l.Close()
+	rec := &lsnRecorder{l: l}
+	apps := []*Appender{l.NewAppender(nil), l.NewAppender(nil), l.NewAppender(nil)}
+
+	apps[0].Note(0, 0, []byte{0})
+	apps[0].Commit(rec.ack) // LSN 1: nothing else pending, so pass 1 carries it alone
+	<-dev.entered           // pass 1 is inside Sync
+
+	const n = 100 // more than the initial reorder window
+	for i := 1; i <= n; i++ {
+		a := apps[i%len(apps)]
+		a.Note(0, uint64(i), []byte{byte(i)})
+		a.Commit(rec.ack)
+	}
+	if got := rec.count(); got != 0 {
+		t.Fatalf("%d acks fired while pass 1 was still syncing", got)
+	}
+	close(dev.gate)
+	waitFor(t, "every ack", func() bool { return rec.count() == n+1 })
+	rec.wantDense(t, n+1)
+	if st := l.Stats(); st.Flushes != 2 || st.MaxFlushRecords != n || st.Records != n+1 {
+		t.Fatalf("stats = %+v, want 2 flushes, the second carrying all %d commits", st, n)
+	}
+}
+
+// sealLate plays an appender preempted mid-seal: reserve hands out the
+// next LSN the way CommitWith does, seal queues its record and ack later.
+// (CommitWith does both inside one critical section, which is what makes
+// LSNs dense; the flusher meets the gap whenever its sweep passes an
+// appender just before that section and another appender just after.)
+func sealLate(a *Appender, lsn uint64, fn func()) {
+	a.mu.Lock()
+	a.buf = appendRecord(a.buf, lsn, []redoWrite{{table: 0, key: lsn, val: []byte{1}}})
+	a.acks = append(a.acks, ack{lsn: lsn, enq: time.Now(), fn: fn})
+	a.mu.Unlock()
+	a.log.enqueued()
+}
+
+// A stolen ack whose predecessor is not on the device yet waits in the
+// reorder window — however many passes and however many later LSNs go by,
+// including more than the window's initial size — and everything fires in
+// LSN order once the predecessor arrives.
+func TestReorderWindowHoldsAcksBehindAGapAndGrows(t *testing.T) {
+	l := NewLog(NewMemSegments(0), Group(0, 0))
+	rec := &lsnRecorder{l: l}
+	a, b := l.NewAppender(nil), l.NewAppender(nil)
+
+	a.Note(0, 0, []byte{0})
+	a.Commit(rec.ack) // LSN 1
+	waitFor(t, "LSN 1 durable", func() bool { return l.DurableLSN() == 1 })
+
+	held := l.nextLSN.Add(1) // LSN 2: a's, assigned but not sealed
+	b.Note(0, 1, []byte{1})
+	b.Commit(rec.ack) // LSN 3
+	waitFor(t, "LSN 3 on the device", func() bool { return l.Stats().Records == 2 })
+	if l.DurableLSN() != 1 || rec.count() != 1 {
+		t.Fatalf("LSN 3 acknowledged ahead of unsealed LSN 2: durable=%d acks=%d", l.DurableLSN(), rec.count())
+	}
+
+	const burst = 3 * ackWindowSize
+	for i := 0; i < burst; i++ {
+		b.Note(0, uint64(i), []byte{byte(i)})
+		b.Commit(rec.ack)
+		if i == burst/2 {
+			// Split the burst over at least two passes.
+			waitFor(t, "first half of the burst on the device", func() bool { return l.Stats().Records == uint64(i)+3 })
+		}
+	}
+	waitFor(t, "the burst on the device", func() bool { return l.Stats().Records == burst+2 })
+	if l.DurableLSN() != 1 || rec.count() != 1 {
+		t.Fatalf("acks fired past the gap at LSN %d: durable=%d acks=%d", held, l.DurableLSN(), rec.count())
+	}
+
+	sealLate(a, held, rec.ack)
+	l.Drain()
+	rec.wantDense(t, burst+3)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The flusher has exited; its window is safe to inspect.
+	if len(l.win) < burst || len(l.win)&(len(l.win)-1) != 0 {
+		t.Fatalf("window size %d after a %d-LSN gap, want a power of two ≥ %d", len(l.win), burst+1, burst)
+	}
+	for i, k := range l.win {
+		if k.lsn != 0 || k.fn != nil {
+			t.Fatalf("window slot %d still holds LSN %d after the drain", i, k.lsn)
+		}
+	}
+}
+
+// A self-clocked flusher has no timer to fall back on: whenever every
+// client is waiting for an ack, the one wake token a commit sends is all
+// that gets it moving again. Several clients each commit, wait for the
+// ack, and commit again, so the flusher goes idle and is woken tens of
+// thousands of times; every commit must be acknowledged, and the watchdog
+// fails, not hangs, the test if one is not.
+func TestSerialClientsLoseNoWakeup(t *testing.T) {
+	rounds := 50000
+	if testing.Short() {
+		rounds = 10000
+	}
+	const clients = 4
+	l := NewLog(NewMemSegments(0), Group(0, 0))
+	var completed atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			a := l.NewAppender(nil)
+			// Waiting by yielding keeps the OS threads awake, so a round
+			// costs a goroutine switch, not a futex wake.
+			var acked atomic.Bool
+			ack := func() { acked.Store(true) }
+			for i := 0; i < rounds; i++ {
+				a.Note(0, uint64(c), []byte{byte(i)})
+				a.Commit(ack)
+				for !acked.Swap(false) {
+					runtime.Gosched()
+				}
+				completed.Add(1)
+			}
+		}(c)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	watchdog := time.NewTimer(2 * time.Minute)
+	select {
+	case <-done:
+		watchdog.Stop()
+	case <-watchdog.C:
+		stuck := completed.Load()
+		l.Close() // the drain forces a pass, releasing the clients
+		t.Fatalf("a commit was never acknowledged: %d of %d rounds done (pending=%d)",
+			stuck, clients*rounds, l.pending.Load())
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := l.Stats(); st.Records != uint64(clients*rounds) || l.DurableLSN() != uint64(clients*rounds) {
+		t.Fatalf("records=%d durable=%d, want %d", st.Records, l.DurableLSN(), clients*rounds)
+	}
+}
+
+// A self-clocked group never waits for company: the size trigger is
+// unused and no window exists, so a lone commit is its own flush.
+func TestSelfClockedLoneCommitFlushesAtOnce(t *testing.T) {
+	l := NewLog(NewMemSegments(0), Group(1<<20, 0))
+	defer l.Close()
+	if p := l.Policy(); p.Interval != 0 || p.String() != "group" {
+		t.Fatalf("policy %v has a %v fill window; a zero interval must stay zero (it is what arms the timer)", p, p.Interval)
+	}
+	a := l.NewAppender(nil)
+	acked := make(chan struct{})
+	for i := uint64(1); i <= 5; i++ {
+		a.Note(0, i, []byte{byte(i)})
+		a.Commit(func() { acked <- struct{}{} })
+		<-acked
+		if st := l.Stats(); st.Flushes != i || st.Records != i {
+			t.Fatalf("after lone commit %d: flushes=%d records=%d", i, st.Flushes, st.Records)
+		}
 	}
 }

@@ -156,8 +156,12 @@ func WALOff() SyncPolicy { return wal.Off() }
 // pre-commit (synchronous_commit=off semantics).
 func WALAsync() SyncPolicy { return wal.Async() }
 
-// WALGroup acknowledges after the redo record is synced, syncing when k
-// commits are pending or after interval (zeros mean package defaults).
+// WALGroup acknowledges after the redo record is synced. With interval
+// zero — WALGroup(0, 0), the default — group commit is self-clocked: no
+// fill window, each flush pass carries what arrived during the previous
+// one, and k is unused. A positive interval holds every group open until
+// k commits are pending (zero k means 64) or interval has passed: fewer,
+// larger syncs for up to interval of added commit latency.
 func WALGroup(k int, interval time.Duration) SyncPolicy { return wal.Group(k, interval) }
 
 // ReplayWALSegments rebuilds committed state from a (possibly torn) log
