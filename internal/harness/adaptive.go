@@ -112,6 +112,7 @@ func adaptive(c Config) {
 		stop.Store(true)
 		wg.Wait()
 		ses.Close()
+		c.noteWorkers(eng)
 		return series, eng.ControllerStats()
 	}
 

@@ -423,6 +423,7 @@ func adaptiveBatching(c Config, cc, exec int) {
 
 			eng2, src2 := newEng(cfg.bs)
 			open := engine.RunOpenLoop(eng2, src2, rate, c.Duration)
+			c.noteWorkers(eng2)
 			p50s = append(p50s, float64(open.Latency.Percentile(50).Microseconds()))
 			p99s = append(p99s, float64(open.Latency.Percentile(99).Microseconds()))
 			lowBatches = eng2.Messages().ExecBatch
@@ -486,6 +487,7 @@ func openloop(c Config) {
 		rate := capacity * float64(pct) / 100
 		eng, src := newEng()
 		res := engine.RunOpenLoop(eng, src, rate, c.Duration)
+		c.noteWorkers(eng)
 		fmt.Fprintf(c.Out, "%-14d %12.0f %12.0f %12d %12d %12d\n",
 			pct, rate, res.AchievedRate(),
 			res.Latency.Percentile(50).Microseconds(),

@@ -16,10 +16,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"time"
 
 	"repro/internal/engine"
 	"repro/internal/metrics"
+	"repro/internal/orthrus"
 	"repro/internal/storage"
 	"repro/internal/workload"
 )
@@ -183,10 +185,17 @@ func Run(e Experiment, c Config, jsonDir string) error {
 
 // jsonRecorder appends one JSON object per series row. A nil recorder is
 // a valid no-op sink, so emit sites need no guards.
+//
+// Every row says how it was run: "gomaxprocs", and "workers" — ORTHRUS
+// engine name → goroutines that served its logical threads
+// (orthrus.MessageStats.Workers) for the sessions closed since the
+// previous row. A thread-ratio sweep regenerated on a box with fewer
+// procs than threads thereby states that, and how far, it was folded.
 type jsonRecorder struct {
-	id  string
-	enc *json.Encoder
-	err error // first encode failure, surfaced by Run
+	id      string
+	enc     *json.Encoder
+	err     error // first encode failure, surfaced by Run
+	workers map[string]int
 }
 
 func (r *jsonRecorder) emit(row map[string]interface{}) {
@@ -194,6 +203,11 @@ func (r *jsonRecorder) emit(row map[string]interface{}) {
 		return
 	}
 	row["experiment"] = r.id
+	row["gomaxprocs"] = runtime.GOMAXPROCS(0)
+	if len(r.workers) > 0 {
+		row["workers"] = r.workers
+		r.workers = nil
+	}
 	if err := r.enc.Encode(row); err != nil && r.err == nil {
 		r.err = err
 	}
@@ -226,7 +240,21 @@ func threadAxis(c Config, paper []int) []int {
 // point runs one engine on one workload for the configured duration and
 // returns the result.
 func point(c Config, eng engine.Engine, src workload.Source) metrics.Result {
-	return eng.Run(src, c.Duration)
+	res := eng.Run(src, c.Duration)
+	c.noteWorkers(eng)
+	return res
+}
+
+// noteWorkers records, for the JSON row eng's just-closed session will be
+// reported in, how many goroutines served an ORTHRUS engine's logical
+// threads. No-op for the other engines and when JSON recording is off.
+func (c Config) noteWorkers(eng engine.Engine) {
+	if o, ok := eng.(*orthrus.Engine); ok && c.json != nil {
+		if c.json.workers == nil {
+			c.json.workers = make(map[string]int)
+		}
+		c.json.workers[o.Name()] = o.Messages().Workers
+	}
 }
 
 // table streams a formatted series table, mirroring every row to the

@@ -3,8 +3,10 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -113,6 +115,8 @@ type jsonRow struct {
 	Experiment string             `json:"experiment"`
 	XLabel     string             `json:"x_label"`
 	Series     map[string]float64 `json:"series"`
+	GOMAXPROCS int                `json:"gomaxprocs"`
+	Workers    map[string]int     `json:"workers"`
 }
 
 // runJSON runs experiment id at tiny scale with JSON recording on and
@@ -207,6 +211,35 @@ func TestMultiPartitionFiguresEmitThreeSeries(t *testing.T) {
 				if _, ok := row.Series[name]; !ok {
 					t.Fatalf("%s row lacks series %q: %+v", id, name, row)
 				}
+			}
+		}
+	}
+}
+
+// A result says how it was run: every JSON row carries GOMAXPROCS, and a
+// row that ran ORTHRUS engines names each with the number of goroutines
+// that served its logical threads — min(threads, GOMAXPROCS) — so a
+// Figure 5 ratio sweep regenerated on a small box states its folding.
+func TestJSONRowsStateProcsAndWorkers(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	_, rows := runJSON(t, "fig5")
+	if len(rows) == 0 {
+		t.Fatal("no JSON rows")
+	}
+	for _, row := range rows {
+		if row.GOMAXPROCS != procs {
+			t.Fatalf("row says gomaxprocs=%d, running under %d: %+v", row.GOMAXPROCS, procs, row)
+		}
+		if len(row.Workers) != len(row.Series) {
+			t.Fatalf("row has %d series but names %d engines' workers: %+v", len(row.Series), len(row.Workers), row)
+		}
+		for name, workers := range row.Workers {
+			var cc, ex int
+			if _, err := fmt.Sscanf(name, "orthrus(%dcc/%dex)", &cc, &ex); err != nil {
+				t.Fatalf("workers keyed by %q, want an ORTHRUS engine name: %v", name, err)
+			}
+			if want := min(cc+ex, procs); workers != want {
+				t.Fatalf("%s: workers=%d, want min(%d threads, %d procs) = %d", name, workers, cc+ex, procs, want)
 			}
 		}
 	}

@@ -5,12 +5,12 @@ package orthrus
 // A static batch size is the wrong constant at both ends of the load
 // range: under saturation a large batch amortizes ring traffic (k
 // messages per atomic publish), but at low load the same batch holds a
-// lone transaction's acquire in the outbox until the end-of-iteration
+// lone transaction's acquire in the outbox until the end-of-step
 // flushAll pushes it out, inflating latency for no amortization gain.
 // Instead of asking the operator to pick, each execution thread runs a
 // small AIMD controller driven by the one signal that actually predicts
-// whether batching pays: how many messages the thread publishes per loop
-// pass.
+// whether batching pays: how many messages the thread publishes per step
+// (pass).
 //
 //   - If a majority of active passes in a decision window fill the
 //     current batch before the end-of-pass flush, the batch is the
@@ -37,7 +37,7 @@ package orthrus
 // DefaultBatchSize, so a saturated run behaves like the historical
 // static default from the first pass and adapts from there.
 //
-// CC threads keep a fixed batch (ccBatchSize): their drain loops consume
+// CC threads keep a fixed batch (ccBatchSize): their drain passes consume
 // whatever is available and their outboxes are flushed every pass, so
 // batch size barely affects their latency contribution; the adaptive
 // signal (per-pass publish volume) is only meaningful on the exec side,
@@ -67,7 +67,7 @@ func newBatchController() *batchController {
 	return &batchController{batch: DefaultBatchSize}
 }
 
-// observe records one loop pass — pushed is the number of messages the
+// observe records one step — pushed is the number of messages the
 // pass published, progress whether it did any work at all — and returns
 // the batch size to use next. Idle passes are not samples. At each
 // window boundary: a filled-batch majority grows the batch by one, a

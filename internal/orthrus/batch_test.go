@@ -173,36 +173,43 @@ func TestBatchControllerConvergence(t *testing.T) {
 }
 
 // Correctness sweep across batch sizes, including batches larger than the
-// ring capacity (partial publishes) and the channel-transport and
-// exec-mediated ablations.
+// ring capacity (partial publishes: batch64-smallring leaves most of every
+// outbox behind on every step, and hung a fold that still waited for room)
+// and the exec-mediated and shared-table ablations — each on every worker
+// layout: six logical threads on one worker, on two, and one each.
 func TestBatchSizeSweepConservation(t *testing.T) {
 	const records = 8
-	for _, tc := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"batch2", Config{CCThreads: 3, ExecThreads: 3, BatchSize: 2}},
-		{"batch64-smallring", Config{CCThreads: 3, ExecThreads: 3, BatchSize: 64, QueueCap: 4}},
-		{"batch8-naive", Config{CCThreads: 3, ExecThreads: 3, BatchSize: 8, DisableForwarding: true}},
-		{"batch8-shared", Config{CCThreads: 3, ExecThreads: 3, BatchSize: 8, SharedTable: true}},
-	} {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			db, tbl := newDB(records)
-			for k := uint64(0); k < records; k++ {
-				storage.PutU64(db.Table(tbl).Get(k), 0, 1000)
-			}
-			cfg := tc.cfg
-			cfg.DB = db
-			eng := New(cfg)
-			src := &workload.Transfer{Table: tbl, NumRecords: records}
-			res := eng.Run(src, 120*time.Millisecond)
-			if res.Totals.Committed == 0 {
-				t.Fatal("no commits")
-			}
-			if got := sumTable(db, tbl, records); got != records*1000 {
-				t.Fatalf("sum = %d, want %d", got, records*1000)
-			}
-		})
-	}
+	underProcs(t, func(t *testing.T, procs int) {
+		for _, tc := range []struct {
+			name string
+			cfg  Config
+		}{
+			{"batch2", Config{CCThreads: 3, ExecThreads: 3, BatchSize: 2}},
+			{"batch64-smallring", Config{CCThreads: 3, ExecThreads: 3, BatchSize: 64, QueueCap: 4}},
+			{"batch8-naive", Config{CCThreads: 3, ExecThreads: 3, BatchSize: 8, DisableForwarding: true}},
+			{"batch8-shared", Config{CCThreads: 3, ExecThreads: 3, BatchSize: 8, SharedTable: true}},
+		} {
+			tc := tc
+			t.Run(tc.name, func(t *testing.T) {
+				db, tbl := newDB(records)
+				for k := uint64(0); k < records; k++ {
+					storage.PutU64(db.Table(tbl).Get(k), 0, 1000)
+				}
+				cfg := tc.cfg
+				cfg.DB = db
+				eng := New(cfg)
+				src := &workload.Transfer{Table: tbl, NumRecords: records}
+				res := eng.Run(src, 120*time.Millisecond)
+				if res.Totals.Committed == 0 {
+					t.Fatal("no commits")
+				}
+				if got := sumTable(db, tbl, records); got != records*1000 {
+					t.Fatalf("sum = %d, want %d", got, records*1000)
+				}
+				if got, want := eng.Messages().Workers, min(6, procs); got != want {
+					t.Fatalf("Workers = %d, want min(6 threads, %d procs) = %d", got, procs, want)
+				}
+			})
+		}
+	})
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/engine"
 	"repro/internal/spsc"
 	"repro/internal/txn"
 )
@@ -248,8 +247,9 @@ func (v sharedView) release(r *localReq, out []*localReq) []*localReq {
 // CC thread
 // ---------------------------------------------------------------------
 
-// ccThread runs the tight request-processing loop of §3.3: drain input
-// rings round-robin, inserting lock requests, forwarding transactions up
+// ccThread is a logical CC thread: the tight request-processing loop of
+// §3.3, one non-blocking pass at a time (step) — drain input rings
+// round-robin, inserting lock requests, forwarding transactions up
 // the chain, granting completed ones, and releasing on commit.
 //
 // Lock state is held as one privateTable per owned logical partition
@@ -327,45 +327,47 @@ func (c *ccThread) table(pid int32) ccTable {
 	return sh
 }
 
-// loop is the CC thread's drain loop — the latency-critical half of the
-// paper's separation: it must never block or touch I/O, only drain
-// rings, mutate its private lock shards, and publish grants.
+// step is one pass of the CC thread — the latency-critical half of the
+// paper's separation: it must never block, touch I/O, or wait on another
+// logical thread (worker.go); only drain rings, mutate its private lock
+// shards, and publish forwards and grants.
 //
 //orthrus:hotpath
-func (c *ccThread) loop() {
-	defer c.ops.flush(c.s)
-	var idle engine.IdleWaiter
-	for {
-		progress := c.drainAll()
-		// The control plane is rare-path: poll it between drain passes so
-		// shard handoffs interleave with — never interrupt — message
-		// handling.
-		select {
-		case m := <-c.ctrl:
-			c.handleCtrl(m)
-			progress = true
-		default:
-		}
-		if progress {
-			idle.Reset()
-			continue
-		}
-		if c.s.ccStop.Load() {
-			// No new messages can arrive once execution threads exited;
-			// one final pass drains straggling releases.
-			c.drainAll()
-			return
-		}
-		// Yield-then-sleep: an idle serving session must not pin a core
-		// per CC thread.
-		idle.Wait()
+func (c *ccThread) step() (progress, exit bool) {
+	// Read the stop flag before draining: Close sets it after every
+	// execution thread has retired (with empty outboxes) and the wire has
+	// delivered its last frame, so a drain that starts after observing it
+	// sees every message this thread will ever receive from them.
+	stop := c.s.ccStop.Load()
+	progress = c.drainAll()
+	// The control plane is rare-path: poll it between drain passes so
+	// shard handoffs interleave with — never interrupt — message
+	// handling.
+	select {
+	case m := <-c.ctrl:
+		c.handleCtrl(m)
+		progress = true
+	default:
 	}
+	if stop && !progress && c.outboxesEmpty() {
+		// Nothing arrived after the stop and nothing is left to publish.
+		// Nothing more can come from a peer CC thread either: Close
+		// drained every submission before the stop, so only releases
+		// were still in flight, and a release with no waiter behind it
+		// generates no message.
+		c.ops.flush(c.s)
+		return false, true
+	}
+	return progress, false
 }
 
-// drainAll processes every currently available message, publishes the
-// output it generated, flushes observability counters, and reports
-// progress. Outboxes are always empty when drainAll returns, so the
-// thread never idles or exits on buffered output.
+// drainAll processes every currently available message, publishes what
+// fits of the output (this pass's and any a full ring left over from
+// earlier ones), flushes observability counters, and reports whether it
+// consumed or published anything. Output a full ring refused stays in the
+// outboxes for the next step (flushOutbox), so the thread may go idle with
+// buffered output — its worker keeps stepping it — but never retires with
+// any (step checks outboxesEmpty).
 func (c *ccThread) drainAll() bool {
 	progress := false
 	for e := range c.s.execToCC {
@@ -382,9 +384,11 @@ func (c *ccThread) drainAll() bool {
 			progress = true
 		}
 	}
-	c.flushAll()
 	if progress {
 		c.flushStats()
+	}
+	if c.flushAll() {
+		progress = true
 	}
 	return progress
 }
@@ -589,14 +593,12 @@ func (c *ccThread) pushForward(to int, m message) {
 	}
 }
 
-// flushForward publishes buffered forwards, spinning while the target
-// ring is full. Blocking here is safe: forwards flow strictly from lower
-// to higher CC ids, so the wait chain is acyclic and the highest CC
-// thread always makes progress — the same liveness argument the
-// unbatched plane relied on, since batching changes when messages are
-// published but not which rings can block.
-func (c *ccThread) flushForward(to int) {
-	flushOutbox(c.s.ccToCC[c.id][to], &c.fwdOut[to], &c.ops)
+// flushForward publishes what fits of the buffered forwards for CC
+// thread `to` (see flushOutbox). Forwards flow strictly from lower to
+// higher CC ids and nobody waits on anybody, so a full ring costs the
+// chain one step of delay and can never close a cycle.
+func (c *ccThread) flushForward(to int) bool {
+	return flushOutbox(c.s.ccToCC[c.id][to], &c.fwdOut[to], &c.ops)
 }
 
 // pushGrant buffers a grant for exec thread `to`, publishing the outbox
@@ -608,27 +610,47 @@ func (c *ccThread) pushGrant(to int, m message) {
 	}
 }
 
-// flushGrant publishes buffered grants. Grant rings are sized for the
-// owner's full in-flight window and a transaction has at most one grant
-// outstanding anywhere, so buffered grants plus ring occupancy never
-// exceed capacity: the flush cannot block the liveness chain.
-func (c *ccThread) flushGrant(to int) {
-	flushOutbox(c.s.ccToExec[c.id][to], &c.grantOut[to], &c.ops)
+// flushGrant publishes what fits of the buffered grants for exec thread
+// `to` (see flushOutbox). They are sized to fit always — grant rings, and
+// the tcp writer's channel, hold the owner's full in-flight window, and a
+// transaction has at most one grant outstanding anywhere — but nothing
+// depends on it: a refused grant waits here for the next step.
+func (c *ccThread) flushGrant(to int) bool {
+	return flushOutbox(c.s.ccToExec[c.id][to], &c.grantOut[to], &c.ops)
 }
 
-// flushAll publishes every outbox. Handling happens only inside drain
-// passes, so a single sweep reaches empty.
-func (c *ccThread) flushAll() {
+// flushAll offers every non-empty outbox to its ring and reports whether
+// anything was published. Handling happens only inside drain passes, so
+// nothing is pushed mid-sweep.
+func (c *ccThread) flushAll() bool {
+	published := false
+	for to := range c.fwdOut {
+		if len(c.fwdOut[to]) > 0 && c.flushForward(to) {
+			published = true
+		}
+	}
+	for to := range c.grantOut {
+		if len(c.grantOut[to]) > 0 && c.flushGrant(to) {
+			published = true
+		}
+	}
+	return published
+}
+
+// outboxesEmpty reports that every forward and grant this thread
+// generated is in a ring.
+func (c *ccThread) outboxesEmpty() bool {
 	for to := range c.fwdOut {
 		if len(c.fwdOut[to]) > 0 {
-			c.flushForward(to)
+			return false
 		}
 	}
 	for to := range c.grantOut {
 		if len(c.grantOut[to]) > 0 {
-			c.flushGrant(to)
+			return false
 		}
 	}
+	return true
 }
 
 func (c *ccThread) getReq() *localReq {

@@ -96,6 +96,10 @@ func TestDistributedDisableForwarding(t *testing.T) {
 // frame counters must be symmetric, and the wire batching must be
 // consistent with the exec threads' batch sizes.
 func TestPerCCStatsConservationTCP(t *testing.T) {
+	underProcs(t, testPerCCStatsConservationTCP)
+}
+
+func testPerCCStatsConservationTCP(t *testing.T, procs int) {
 	const records = 1 << 12
 	ccDB, _ := newDB(records)
 	execDB, tbl := newDB(records)
@@ -124,6 +128,11 @@ func TestPerCCStatsConservationTCP(t *testing.T) {
 	<-ccDone
 
 	ccM, exM := ccEng.Messages(), execEng.Messages()
+
+	// Each node folds only the role it hosts.
+	if want := min(3, procs); ccM.Workers != want || exM.Workers != want {
+		t.Fatalf("Workers = cc %d / exec %d, want %d on both nodes", ccM.Workers, exM.Workers, want)
+	}
 
 	// Send-side counters live on the exec node (acquires, releases);
 	// handled-side counters live on the cc node (per-CC breakdown,

@@ -118,6 +118,10 @@ func incrementTxn(tbl int, records uint64, k int, rng *rand.Rand) *txn.Txn {
 // deadlock (the test terminates). Run under -race this also checks the
 // quiesce/drain/handoff handshake for data races.
 func TestMigrationEpochFlipConservation(t *testing.T) {
+	underProcs(t, testMigrationEpochFlipConservation)
+}
+
+func testMigrationEpochFlipConservation(t *testing.T, procs int) {
 	const (
 		records    = 256
 		parts      = 12
@@ -200,6 +204,9 @@ func TestMigrationEpochFlipConservation(t *testing.T) {
 	if e := ses.s.rt.Load().epoch; e < 2 {
 		t.Fatalf("final epoch %d, want >= 2", e)
 	}
+	if got, want := eng.Messages().Workers, min(ccThreads+3, procs); got != want {
+		t.Fatalf("Workers = %d, want %d", got, want)
+	}
 }
 
 // The adaptive controller must detect a skewed partition load and move
@@ -243,6 +250,10 @@ func TestControllerRebalancesSkew(t *testing.T) {
 // Per-CC-thread message breakdowns must sum to the send-side totals, and
 // final partition ownership must cover the whole logical space.
 func TestPerCCStatsConservation(t *testing.T) {
+	underProcs(t, testPerCCStatsConservation)
+}
+
+func testPerCCStatsConservation(t *testing.T, procs int) {
 	const records = 1 << 12
 	db, tbl := newDB(records)
 	eng := New(Config{DB: db, CCThreads: 3, ExecThreads: 3})
@@ -282,6 +293,9 @@ func TestPerCCStatsConservation(t *testing.T) {
 	}
 	if !hiWaterSeen {
 		t.Fatal("no CC thread recorded a queue high-water mark")
+	}
+	if want := min(6, procs); m.Workers != want {
+		t.Fatalf("Workers = %d, want %d", m.Workers, want)
 	}
 }
 

@@ -46,14 +46,31 @@
 // grants, so queueing delay extends lock hold times but never idles a
 // core.
 //
+// # Logical threads and workers
+//
+// "Thread" above means a logical thread: a ccThread or an execThread is
+// private state plus a non-blocking step method, and the goroutines that
+// call step are workers — min(hosted logical threads, GOMAXPROCS) of
+// them, each sweeping a fixed, disjoint share of the threads (worker.go).
+// With GOMAXPROCS ≥ CCThreads+ExecThreads every worker hosts one thread:
+// the paper's one-thread-per-core layout. On fewer procs threads are
+// folded, exec i beside CC i, rather than left for the Go scheduler to
+// time-slice. Either way a logical thread has one host, so lock shards
+// stay single-owner and latch-free (§3.1) and rings single-producer
+// single-consumer; and every interaction between threads is still a ring
+// message, so the §3.3 message counts (MessageStats) are those of the
+// unfolded layout. What folding forbids is waiting: no step may block on
+// another logical thread's progress, since that thread may be hosted by
+// the same worker (see flushOutbox).
+//
 // # Lifecycle
 //
-// The engine implements engine.Runtime: Start launches the CC and
-// execution threads (and, when enabled, the adaptive controller) and
-// returns a Session whose Submit feeds transactions from any caller — a
-// benchmark driver or a server front-end — into the execution threads'
-// asynchronous windows. Engine.Run is just the shared closed-loop driver
-// over that session.
+// The engine implements engine.Runtime: Start launches the workers that
+// run the CC and execution threads (and, when enabled, the adaptive
+// controller) and returns a Session whose Submit feeds transactions from
+// any caller — a benchmark driver or a server front-end — into the
+// execution threads' asynchronous windows. Engine.Run is just the shared
+// closed-loop driver over that session.
 package orthrus
 
 import (
@@ -117,7 +134,7 @@ type Config struct {
 	// Inflight is each execution thread's asynchronous window (default 8).
 	Inflight int
 	// BatchSize coalesces message-plane traffic: execution threads buffer
-	// the acquires and releases they generate within one loop iteration
+	// the acquires and releases they generate within one step
 	// per destination CC thread and publish each group with a single ring
 	// operation, CC threads do the same for forwards and grants, and both
 	// sides drain their input rings in batches — so the per-message cost
@@ -223,6 +240,13 @@ type MessageStats struct {
 	// Net counts the session's wire traffic — zero on the in-process
 	// plane, per-node frame/message/byte counters on the tcp transport.
 	Net NetStats
+
+	// Workers is how many goroutines served this node's logical threads:
+	// min(hosted CC + execution threads, GOMAXPROCS) at Start. Equal to the
+	// thread count it is the paper's one-thread-per-core layout; smaller,
+	// the threads were folded (worker.go) and a result measured this way
+	// should say so. Read-only: it reports, it does not configure.
+	Workers int
 }
 
 // AcquisitionMessages returns the messages spent acquiring locks
@@ -633,9 +657,13 @@ type session struct {
 	snaps    *engine.Snapshots // MVCC snapshot tracker; nil without versioned tables
 	execStop atomic.Bool
 	closed   atomic.Bool
-	execWg   sync.WaitGroup
-	ccWg     sync.WaitGroup
-	start    time.Time
+	// execWg and ccWg count *logical* threads: a worker releases one as
+	// each thread it hosts retires (worker.go). workers is how many
+	// goroutines Start launched to step them.
+	execWg  sync.WaitGroup
+	ccWg    sync.WaitGroup
+	workers int
+	start   time.Time
 
 	ctrl *controller // non-nil when Config.Controller.Enable
 	// migrateMu serializes migrations: the controller and any direct
@@ -643,14 +671,12 @@ type session struct {
 	migrateMu sync.Mutex
 }
 
-// Start implements engine.Runtime. A second Start while a previous
-// session is still open panics (engine.InUseGuard): two live sessions
-// would race on the engine's message statistics. Sequential
-// Start→Close→Start reuse is supported — every Run does it.
-func (e *Engine) Start() engine.Session {
+// newSession claims the engine and builds a session's state — message
+// plane, metrics, submission queue — without starting anything.
+func (e *Engine) newSession() *session {
 	snaps := engine.NewSnapshots(e.cfg.DB, e.cfg.Wal, &e.clock, e.cfg.ExecThreads, e.cfg.Snapshot)
 	e.inUse.Acquire(e.Name())
-	ses := &session{
+	return &session{
 		e:      e,
 		s:      e.newRunState(),
 		set:    metrics.NewSet(e.cfg.ExecThreads),
@@ -658,25 +684,29 @@ func (e *Engine) Start() engine.Session {
 		snaps:  snaps,
 		start:  time.Now(),
 	}
-	// On the tcp transport only this node's role runs threads; the
-	// peer process hosts the other role's.
-	if ses.s.tr.hostsCC() {
-		for c := 0; c < e.cfg.CCThreads; c++ {
-			ses.ccWg.Add(1)
-			go func(c int) {
-				defer ses.ccWg.Done()
-				newCCThread(ses.s, c).loop()
-			}(c)
-		}
-	}
+}
+
+// Start implements engine.Runtime. A second Start while a previous
+// session is still open panics (engine.InUseGuard): two live sessions
+// would race on the engine's message statistics. Sequential
+// Start→Close→Start reuse is supported — every Run does it.
+func (e *Engine) Start() engine.Session {
+	ses := e.newSession()
+	// Logical threads onto workers (worker.go). On the tcp transport only
+	// this node's role is hosted; the peer process hosts the other's.
+	nExec, nCC := 0, 0
 	if ses.s.tr.hostsExec() {
-		for x := 0; x < e.cfg.ExecThreads; x++ {
-			ses.execWg.Add(1)
-			go func(x int) {
-				defer ses.execWg.Done()
-				newExecThread(ses, x, ses.set.Thread(x)).loop()
-			}(x)
-		}
+		nExec = e.cfg.ExecThreads
+	}
+	if ses.s.tr.hostsCC() {
+		nCC = e.cfg.CCThreads
+	}
+	workers := layout(nExec, nCC, runtime.GOMAXPROCS(0))
+	ses.workers = len(workers)
+	ses.execWg.Add(nExec)
+	ses.ccWg.Add(nCC)
+	for _, slots := range workers {
+		go ses.work(slots)
 	}
 	if e.cfg.Controller.Enable {
 		ses.ctrl = newController(ses, e.cfg.Controller)
@@ -743,6 +773,7 @@ func (ses *session) Close() metrics.Result {
 		PerCC:      ses.perCCStats(),
 		ExecBatch:  append([]int(nil), ses.s.execBatch...),
 		Net:        netStats,
+		Workers:    ses.workers,
 	}
 	if ses.ctrl != nil {
 		ses.e.ctrl = ses.ctrl.stats
@@ -800,9 +831,18 @@ type execThread struct {
 
 	window   int
 	inflight int
-	// logicTime accumulates pure transaction-logic time within the
-	// current loop iteration, so the iteration remainder can be
-	// classified as locking overhead.
+
+	// Time accounting. exec is transaction logic; lock is the rest of
+	// every step that found work (planning, messaging); wait is the rest
+	// of the thread's life — empty steps, backoff, and whatever its worker
+	// spent on co-hosted threads — settled once, when the thread retires,
+	// as born→retire minus the other two. A step reads the clock (now)
+	// only once it has found work: stepStart is that first reading, zero
+	// while the step is still empty, and logicTime the logic time within
+	// the step. now is time.Now outside tests.
+	now       func() time.Time
+	born      time.Time
+	stepStart time.Time
 	logicTime time.Duration
 
 	// Two-level routing state: lastEpoch is the newest routing epoch this
@@ -817,15 +857,16 @@ type execThread struct {
 	parked    []parkedTxn
 
 	// Batched message plane: acquires and releases generated within one
-	// loop iteration are coalesced per destination CC thread in out and
-	// published with one ring operation per batch. scratch is the batched
+	// step are coalesced per destination CC thread in out and published
+	// with one ring operation per batch; what a full ring refuses stays in
+	// out, in order, for the next step. scratch is the batched
 	// grant-drain buffer; it is safe to reuse across handleGrant calls
 	// because flushing never consumes messages (see flushOutbox), so
 	// drainGrants can never re-enter while iterating it. bc, when
-	// non-nil (Config.BatchSize=0), retunes batch each loop pass.
+	// non-nil (Config.BatchSize=0), retunes batch each step.
 	batch   int
 	bc      *batchController
-	pushed  int // messages pushed in the current loop pass (bc's volume signal)
+	pushed  int // messages pushed in the current step (bc's volume signal)
 	out     [][]message
 	scratch []message
 	ops     opCounter
@@ -859,6 +900,8 @@ func newExecThread(ses *session, id int, stats *metrics.ThreadStats) *execThread
 		ids:       engine.NewIDSource(id),
 		ctx:       engine.PlannedCtx{DB: cfg.DB, Stats: stats, Versions: engine.VersionedView(cfg.DB)},
 		window:    cfg.Inflight,
+		now:       time.Now,
+		born:      time.Now(),
 		lastEpoch: ses.s.rt.Load().epoch,
 		batch:     batch,
 		bc:        bc,
@@ -878,102 +921,106 @@ func newExecThread(ses *session, id int, stats *metrics.ThreadStats) *execThread
 	return x
 }
 
-// loop is the execution thread's main loop: admit submissions, run
-// transaction logic, pipeline redo into the WAL's append buffers, and
-// exchange messages with the CC plane — all without blocking or I/O
-// (the group-commit flusher does the writing).
+// step is one pass of the execution thread: replay what a migration
+// parked, handle grants (run transaction logic, pipeline redo into the
+// WAL's append buffers, release), top up the asynchronous window from the
+// submission queue, and publish what the pass generated — without
+// blocking, without I/O (the group-commit flusher does the writing) and
+// without waiting on any other logical thread, which may be hosted by the
+// same worker (worker.go). A step that finds nothing to do reads no
+// clock.
 //
 //orthrus:hotpath
-func (x *execThread) loop() {
-	defer x.ops.flush(x.s)
-	var idle engine.IdleWaiter
-	for {
-		progress := false
-		t0 := time.Now()
-		x.logicTime = 0
-
-		// A new routing epoch unblocks transactions parked by a
-		// migration's quiesce window: replay them under the new table.
-		if rt := x.s.rt.Load(); rt.epoch != x.lastEpoch {
-			x.lastEpoch = rt.epoch
-			if len(x.parked) > 0 {
-				held := x.parked
-				x.parked = nil
-				for _, p := range held {
-					x.submit(p.t, p.done, p.start)
-				}
-				progress = true
+func (x *execThread) step() (progress, exit bool) {
+	// A new routing epoch unblocks transactions parked by a migration's
+	// quiesce window: replay them under the new table.
+	if rt := x.s.rt.Load(); rt.epoch != x.lastEpoch {
+		x.lastEpoch = rt.epoch
+		if len(x.parked) > 0 {
+			x.working()
+			held := x.parked
+			x.parked = nil
+			for _, p := range held {
+				x.submit(p.t, p.done, p.start)
 			}
 		}
+	}
 
-		// Drain grants from every CC thread.
-		if x.drainGrants() {
-			progress = true
-		}
+	// Drain grants from every CC thread.
+	x.drainGrants()
 
-		// Top up the asynchronous window from the submission queue.
-		// Parked transactions occupy window slots: they are committed
-		// work this thread owes, just not yet admissible.
-		for x.inflight+len(x.parked) < x.window {
-			var sub engine.Submission
-			select {
-			case sub = <-x.ses.submit:
-			default:
-			}
-			if sub.Txn == nil {
-				break
-			}
-			sub.Txn.ID = x.ids.Next()
-			x.submit(sub.Txn, sub.Done, time.Now())
-			progress = true
+	// Top up the asynchronous window from the submission queue. Parked
+	// transactions occupy window slots: they are committed work this
+	// thread owes, just not yet admissible.
+	for x.inflight+len(x.parked) < x.window {
+		var sub engine.Submission
+		select {
+		case sub = <-x.ses.submit:
+		default:
 		}
+		if sub.Txn == nil {
+			break
+		}
+		start := x.now()
+		if x.stepStart.IsZero() {
+			x.stepStart = start
+		}
+		sub.Txn.ID = x.ids.Next()
+		x.submit(sub.Txn, sub.Done, start)
+	}
+	worked := !x.stepStart.IsZero()
 
-		// Publish everything this iteration coalesced before deciding to
-		// idle or exit: a buffered acquire must not wait on traffic that
-		// may never come, and a buffered release may be the one unblocking
-		// another thread's transaction.
-		x.flushAll()
+	// Publish everything this step coalesced — and whatever a full ring
+	// left over from earlier ones — before reporting idle or retiring: a
+	// buffered acquire must not wait on traffic that may never come, and
+	// a buffered release may be the one unblocking another thread's
+	// transaction.
+	published := x.flushAll()
 
-		// Retune the adaptive batch from this pass's publish volume: if
-		// active passes keep filling the batch before this flush, grow to
-		// amortize more ring traffic; if they publish half a batch or
-		// less, the batch is pure delay — shrink toward the unbatched
-		// plane so a lone acquire publishes — and acknowledges — sooner.
-		if x.bc != nil {
-			x.batch = x.bc.observe(x.pushed, progress)
-			x.pushed = 0
-		}
+	// Retune the adaptive batch from this step's publish volume: if
+	// active steps keep filling the batch before this flush, grow to
+	// amortize more ring traffic; if they publish half a batch or less,
+	// the batch is pure delay — shrink toward the unbatched plane so a
+	// lone acquire publishes — and acknowledges — sooner.
+	if x.bc != nil {
+		x.batch = x.bc.observe(x.pushed, worked)
+		x.pushed = 0
+	}
 
-		if x.inflight == 0 && len(x.parked) == 0 && x.ses.execStop.Load() && len(x.ses.submit) == 0 {
-			// Close drains all submissions before setting execStop, so
-			// nothing can arrive after this check; flushAll above has
-			// published any straggling releases. Parked transactions
-			// cannot be stranded: Close stops the controller first, and
-			// every migration ends by publishing an epoch with no held
-			// partitions.
-			x.s.execBatch[x.id] = x.batch
-			return
-		}
-		if progress {
-			idle.Reset()
-			// Everything in this iteration that was not transaction logic
-			// is messaging/planning overhead: the locking bucket.
-			x.stats.AddLock(time.Since(t0) - x.logicTime)
-		} else {
-			// Idle: window full (or queue empty) and no grants ready.
-			// Yield-then-sleep so an idle serving session does not burn a
-			// core; the wait is measured so the descheduled period lands
-			// in the wait bucket.
-			idle.Wait()
-			x.stats.AddWait(time.Since(t0))
-		}
+	if worked {
+		// Everything in this step that was not transaction logic is
+		// messaging/planning overhead: the locking bucket.
+		x.stats.AddLock(x.now().Sub(x.stepStart) - x.logicTime)
+		x.stepStart, x.logicTime = time.Time{}, 0
+		return true, false
+	}
+	if x.inflight == 0 && len(x.parked) == 0 && x.ses.execStop.Load() && len(x.ses.submit) == 0 && x.outboxesEmpty() {
+		// Close drains all submissions before setting execStop, so
+		// nothing can arrive after this check, and every release this
+		// thread owed is in a ring (the outboxes are empty), where the
+		// CC threads' last passes will find it. Parked transactions
+		// cannot be stranded: Close stops the controller first, and every
+		// migration ends by publishing an epoch with no held partitions.
+		// The thread's books close here, with the logical thread — its
+		// worker may go on stepping others.
+		x.ops.flush(x.s)
+		x.s.execBatch[x.id] = x.batch
+		x.stats.AddWait(x.now().Sub(x.born) - time.Duration(x.stats.ExecNanos+x.stats.LockNanos))
+		return false, true
+	}
+	return published, false
+}
+
+// working marks the current step productive, reading the clock if this is
+// the first work the step has found.
+func (x *execThread) working() {
+	if x.stepStart.IsZero() {
+		x.stepStart = x.now()
 	}
 }
 
-// drainGrants batch-consumes every CC→exec grant ring and reports whether
-// any grant was handled.
-func (x *execThread) drainGrants() bool {
-	progress := false
+// drainGrants batch-consumes every CC→exec grant ring.
+func (x *execThread) drainGrants() {
 	for c := 0; c < x.s.cfg.CCThreads; c++ {
 		q := x.s.ccToExec[c][x.id]
 		for {
@@ -981,6 +1028,7 @@ func (x *execThread) drainGrants() bool {
 			if n == 0 {
 				break
 			}
+			x.working()
 			x.ops.deq++
 			for i := 0; i < n; i++ {
 				w := x.scratch[i].w
@@ -993,13 +1041,11 @@ func (x *execThread) drainGrants() bool {
 				}
 				x.handleGrant(w)
 			}
-			progress = true
 			if n < len(x.scratch) {
 				break
 			}
 		}
 	}
-	return progress
 }
 
 // submit plans the transaction's CC chain under the current routing
@@ -1021,12 +1067,13 @@ func (x *execThread) submit(t *txn.Txn, done func(bool), start time.Time) {
 		// the CC plane never learns the transaction existed. The reads
 		// are already durable (the snapshot is the acked frontier), so
 		// the acknowledgment skips the WAL too.
-		s0 := time.Now()
+		s0 := x.now()
 		x.ses.snaps.Exec(x.id, t, &x.sctx, x.stats)
-		d := time.Since(s0)
+		s1 := x.now()
+		d := s1.Sub(s0)
 		x.stats.AddExec(d)
 		x.logicTime += d
-		x.stats.Latency.Record(time.Since(start))
+		x.stats.Latency.Record(s1.Sub(start))
 		if done != nil {
 			done(true)
 		}
@@ -1183,41 +1230,64 @@ func (x *execThread) push(c int, m message) {
 	}
 }
 
-// flushAll publishes every outbox. Flushing never handles messages, so
-// no new pushes can occur mid-sweep and a single pass reaches empty.
-func (x *execThread) flushAll() {
+// flushAll offers every non-empty outbox to its ring and reports whether
+// anything was published. Flushing never handles messages, so no new
+// pushes can occur mid-sweep.
+func (x *execThread) flushAll() bool {
+	published := false
 	for c := range x.out {
-		if len(x.out[c]) > 0 {
-			x.flushDest(c)
+		if len(x.out[c]) > 0 && x.flushDest(c) {
+			published = true
 		}
 	}
+	return published
 }
 
-// flushDest publishes the outbox for CC thread c, spinning while the
-// target ring is full. Blocking here is live: a CC thread always returns
-// to draining its input rings, because its own sends cannot block
-// indefinitely — grants always fit (see flushGrant) and forwards flow
-// acyclically toward the highest CC thread, which only sends grants
-// (see flushForward).
-func (x *execThread) flushDest(c int) {
-	flushOutbox(x.s.execToCC[x.id][c], &x.out[c], &x.ops)
+// flushDest publishes what fits of the outbox for CC thread c (see
+// flushOutbox). The remainder needs no back-pressure to stay small: it
+// holds at most a window of acquires plus the releases of transactions
+// granted since c last stepped, and every step of c empties this ring.
+func (x *execThread) flushDest(c int) bool {
+	return flushOutbox(x.s.execToCC[x.id][c], &x.out[c], &x.ops)
 }
 
-// flushOutbox publishes *buf to q in batches, spinning politely while
-// the ring is full, counting one ring operation per successful publish.
+// outboxesEmpty reports that every message this thread generated is in a
+// ring.
+func (x *execThread) outboxesEmpty() bool {
+	for c := range x.out {
+		if len(x.out[c]) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// flushOutbox publishes the head of *buf to q in batches, counting one
+// ring operation per publish, and reports whether it published anything.
+// It never waits: when the ring is full the unpublished tail stays in
+// *buf — outboxes are persistent and FIFO, and every push appends behind
+// it — and the owner's next step offers it again. Nobody blocks and every
+// step retries; that is the whole liveness argument. A sender cannot wait
+// for room because the ring's consumer may be the next logical thread in
+// the same worker's sweep (worker.go), and it need not: a consumer's step
+// drains its input rings unconditionally, whatever the state of its own
+// outboxes, so a full ring has room again after its consumer's next step.
+//
 // It consumes nothing and calls no handlers, so it is safe to invoke
 // from inside any drain loop — the caller's scratch buffers and outboxes
 // cannot be mutated underneath it.
-func flushOutbox(q spsc.Queue[message], buf *[]message, ops *opCounter) {
+func flushOutbox(q spsc.Queue[message], buf *[]message, ops *opCounter) bool {
+	published := false
 	for len(*buf) > 0 {
 		n := q.TryEnqueueBatch(*buf)
-		if n > 0 {
-			ops.enq++
-			*buf = append((*buf)[:0], (*buf)[n:]...)
-			continue
+		if n == 0 {
+			break
 		}
-		runtime.Gosched()
+		ops.enq++
+		published = true
+		*buf = append((*buf)[:0], (*buf)[n:]...)
 	}
+	return published
 }
 
 // handleGrant processes a CC-thread notification. With forwarding enabled
@@ -1244,10 +1314,10 @@ func (x *execThread) finish(w *wrapper) {
 		// handleGrant without reaching here, keeping the id live.)
 		delete(x.pend, w.id)
 	}
-	start := time.Now()
+	start := x.now()
 	x.ctx.Begin(t)
 	err := t.Logic(&x.ctx)
-	d := time.Since(start)
+	d := x.now().Sub(start)
 	x.stats.AddExec(d)
 	x.logicTime += d
 
@@ -1275,7 +1345,7 @@ func (x *execThread) finish(w *wrapper) {
 			x.inflight--
 		}
 		if x.wal == nil {
-			x.stats.Latency.Record(time.Since(w.start))
+			x.stats.Latency.Record(x.now().Sub(w.start))
 			if w.done != nil {
 				w.done(true)
 			}

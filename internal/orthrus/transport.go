@@ -3,6 +3,7 @@ package orthrus
 import (
 	"fmt"
 	"net"
+	"runtime"
 
 	"repro/internal/spsc"
 	wire "repro/internal/transport"
@@ -157,9 +158,8 @@ func (inprocTransport) install(s *runState) {
 	cfg := s.cfg
 	grantCap := cfg.QueueCap
 	if grantCap < cfg.Inflight {
-		// A CC thread must never block sending grants (liveness of the
-		// message plane relies on it), so grant rings hold the whole
-		// in-flight window.
+		// Grant rings hold the whole in-flight window, so a grant never
+		// waits a step in its CC thread's outbox for room.
 		grantCap = cfg.Inflight
 	}
 	s.execToCC = make([][]spsc.Queue[message], cfg.ExecThreads)
@@ -315,9 +315,9 @@ func (t *tcpTransport) install(s *runState) {
 	}
 
 	// The cc node's writer carries only grants; a depth covering the
-	// whole grant window (≤ ExecThreads×Inflight outstanding) means CC
-	// threads never spin on a full writer channel, preserving the
-	// always-return-to-draining liveness argument over the wire.
+	// whole grant window (≤ ExecThreads×Inflight outstanding) means a
+	// full writer channel never makes a grant wait a step in its CC
+	// thread's outbox.
 	if t.role == wire.RoleCC {
 		if min := cfg.ExecThreads*cfg.Inflight + 1; nc.WriterDepth < min {
 			nc.WriterDepth = min
@@ -466,9 +466,10 @@ func (t *tcpTransport) readLoop() {
 }
 
 // dispatch republishes one decoded data frame into its local ring,
-// preserving intra-frame order. Publishing may spin when the ring is
-// full — the reader is the wire's backpressure point, exactly as a
-// sending thread is on the in-process plane.
+// preserving intra-frame order. The reader is the wire's backpressure
+// point and the one sender on the plane that may wait for room: it is
+// its own goroutine, never co-hosted with the ring's consumer, and it
+// has nothing else to do until the frame is delivered.
 func (t *tcpTransport) dispatch(f *wire.Frame) {
 	var q spsc.Queue[message]
 	switch {
@@ -516,7 +517,13 @@ func (t *tcpTransport) dispatch(f *wire.Frame) {
 	default:
 		panic("orthrus: tcp transport: frame plane does not match node role")
 	}
-	flushOutbox(q, &t.scratch, &t.ops)
+	for {
+		flushOutbox(q, &t.scratch, &t.ops)
+		if len(t.scratch) == 0 {
+			return
+		}
+		runtime.Gosched()
+	}
 }
 
 // checkAcquire rejects a well-formed acquire whose plan the CC threads
@@ -613,7 +620,8 @@ type netQueue struct {
 // soft cap) and hands it to the writer, returning how many messages it
 // consumed. Returns 0 without consuming anything when the writer
 // channel is full and a pending frame is already parked — flushOutbox
-// then spins politely, the same backpressure a full ring applies.
+// then leaves the messages in the sender's outbox for its next step,
+// the same backpressure a full ring applies.
 //
 //orthrus:hotpath
 func (q *netQueue) TryEnqueueBatch(vs []message) int {
