@@ -101,6 +101,9 @@ func (q *mpmc) tryDequeue() (Submission, bool) {
 // truly idle session does not burn a core (at the price of up to one
 // sleepFor of pickup delay on the first arrival after a long lull).
 type IdleWaiter struct {
+	// Spin overrides spinFor when positive.
+	Spin time.Duration
+
 	idleSince time.Time
 }
 
@@ -118,7 +121,11 @@ func (w *IdleWaiter) Wait() {
 		runtime.Gosched()
 		return
 	}
-	if time.Since(w.idleSince) < spinFor {
+	spin := spinFor
+	if w.Spin > 0 {
+		spin = w.Spin
+	}
+	if time.Since(w.idleSince) < spin {
 		runtime.Gosched()
 		return
 	}

@@ -35,16 +35,16 @@ func distributed(c Config) {
 		mode = "single-process loopback"
 	}
 	fmt.Fprintf(c.Out, "%d cc + %d exec threads, transfer workload, %s\n", cc, ex, mode)
-	fmt.Fprintf(c.Out, "%-10s %12s %10s %10s %12s %12s %10s\n",
-		"plane", "tps", "p99_us", "frames", "msgs/frame", "wire_bytes", "conserved")
+	fmt.Fprintf(c.Out, "%-10s %12s %10s %10s %12s %12s %10s %10s %10s %8s %10s\n",
+		"plane", "tps", "p99_us", "frames", "msgs/frame", "wire_bytes", "reads", "empty", "writes", "short", "conserved")
 
 	row := func(name string, res metrics.Result, m orthrus.MessageStats, conserved bool) {
 		n := m.Net
 		frames := n.FramesSent + n.FramesReceived
 		bytes := n.BytesSent + n.BytesReceived
-		fmt.Fprintf(c.Out, "%-10s %12.0f %10d %10d %12.1f %12d %10v\n",
+		fmt.Fprintf(c.Out, "%-10s %12.0f %10d %10d %12.1f %12d %10d %10d %10d %8d %10v\n",
 			name, res.Throughput(), res.Totals.Latency.Percentile(99).Microseconds(),
-			frames, n.MessagesPerFrame(), bytes, conserved)
+			frames, n.MessagesPerFrame(), bytes, n.Reads, n.EmptyReads, n.Writes, n.ShortWrites, conserved)
 		c.JSONRow(map[string]interface{}{
 			"plane":          name,
 			"cc_threads":     cc,
@@ -59,6 +59,10 @@ func distributed(c Config) {
 			"bytes_sent":     n.BytesSent,
 			"bytes_recv":     n.BytesReceived,
 			"msgs_per_frame": n.MessagesPerFrame(),
+			"reads":          n.Reads,
+			"empty_reads":    n.EmptyReads,
+			"writes":         n.Writes,
+			"short_writes":   n.ShortWrites,
 			"conserved":      conserved,
 		})
 	}

@@ -612,9 +612,10 @@ func (c *ccThread) pushGrant(to int, m message) {
 
 // flushGrant publishes what fits of the buffered grants for exec thread
 // `to` (see flushOutbox). They are sized to fit always — grant rings, and
-// the tcp writer's channel, hold the owner's full in-flight window, and a
-// transaction has at most one grant outstanding anywhere — but nothing
-// depends on it: a refused grant waits here for the next step.
+// the tcp plane's hand-offs to its net stepper, hold the owner's full
+// in-flight window, and a transaction has at most one grant outstanding
+// anywhere — but nothing depends on it: a refused grant waits here for
+// the next step.
 func (c *ccThread) flushGrant(to int) bool {
 	return flushOutbox(c.s.ccToExec[c.id][to], &c.grantOut[to], &c.ops)
 }

@@ -2,13 +2,17 @@ package orthrus
 
 import (
 	"net"
+	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/storage"
 	wire "repro/internal/transport"
+	"repro/internal/txn"
 	"repro/internal/workload"
 )
 
@@ -39,12 +43,24 @@ func runTCPPair(t *testing.T, ccCfg, execCfg Config, src workload.Source, d time
 	case <-time.After(30 * time.Second):
 		t.Fatal("cc node did not shut down after the exec node finished")
 	}
+	// Each node folds the role it hosts and its net stepper.
+	procs := runtime.GOMAXPROCS(0)
+	if got, want := ccEng.Messages().Workers, min(ccCfg.CCThreads+1, procs); got != want {
+		t.Fatalf("cc node ran %d workers, want min(%d cc + net, %d procs) = %d", got, ccCfg.CCThreads, procs, want)
+	}
+	if got, want := execEng.Messages().Workers, min(execCfg.ExecThreads+1, procs); got != want {
+		t.Fatalf("exec node ran %d workers, want min(%d exec + net, %d procs) = %d", got, execCfg.ExecThreads, procs, want)
+	}
 	return res
 }
 
 // The fundamental distributed correctness test: the transfer workload
 // over the wire must conserve the total balance and terminate cleanly.
 func TestDistributedTransferConservation(t *testing.T) {
+	underProcs(t, func(t *testing.T, _ int) { testDistributedTransferConservation(t) })
+}
+
+func testDistributedTransferConservation(t *testing.T) {
 	const records = 8
 	ccDB, _ := newDB(records)
 	execDB, tbl := newDB(records)
@@ -70,6 +86,10 @@ func TestDistributedTransferConservation(t *testing.T) {
 // every hop; all of that extra traffic crosses the wire and must still
 // be exactly correct.
 func TestDistributedDisableForwarding(t *testing.T) {
+	underProcs(t, func(t *testing.T, _ int) { testDistributedDisableForwarding(t) })
+}
+
+func testDistributedDisableForwarding(t *testing.T) {
 	const records = 64
 	ccDB, _ := newDB(records)
 	execDB, tbl := newDB(records)
@@ -129,8 +149,8 @@ func testPerCCStatsConservationTCP(t *testing.T, procs int) {
 
 	ccM, exM := ccEng.Messages(), execEng.Messages()
 
-	// Each node folds only the role it hosts.
-	if want := min(3, procs); ccM.Workers != want || exM.Workers != want {
+	// Each node folds only the role it hosts, and its net stepper.
+	if want := min(3+1, procs); ccM.Workers != want || exM.Workers != want {
 		t.Fatalf("Workers = cc %d / exec %d, want %d on both nodes", ccM.Workers, exM.Workers, want)
 	}
 
@@ -159,7 +179,7 @@ func testPerCCStatsConservationTCP(t *testing.T, procs int) {
 
 	// Wire conservation: sent == received per peer pair, both planes.
 	cn, en := ccM.Net, exM.Net
-	if !cn.Remote() || !en.Remote() {
+	if cn.FramesSent == 0 || en.FramesSent == 0 {
 		t.Fatalf("sessions did not report wire traffic: cc %+v exec %+v", cn, en)
 	}
 	if en.MessagesSent != cn.MessagesReceived || cn.MessagesSent != en.MessagesReceived {
@@ -248,10 +268,6 @@ func TestTransportConfigValidationPanics(t *testing.T) {
 			c.Transport = TransportConfig{Kind: "tcp", Role: "exec", Peer: "127.0.0.1:9"}
 			c.Transport.Net.MaxFrame = 16
 		}},
-		{"tcp-negative-writerdepth", func(c *Config) {
-			c.Transport = TransportConfig{Kind: "tcp", Role: "exec", Peer: "127.0.0.1:9"}
-			c.Transport.Net.WriterDepth = -1
-		}},
 		{"tcp-negative-dial-timeout", func(c *Config) {
 			c.Transport = TransportConfig{Kind: "tcp", Role: "exec", Peer: "127.0.0.1:9"}
 			c.Transport.Net.DialTimeout = -time.Second
@@ -314,8 +330,8 @@ func TestDistributedHandshakeRejectsMismatch(t *testing.T) {
 }
 
 // A well-formed frame whose acquire carries out-of-range or inconsistent
-// plan values must be refused by the reader, before any CC thread can
-// index through it.
+// plan values must be refused by the net stepper, before any CC thread
+// can index through it.
 func TestDispatchRejectsMalformedAcquire(t *testing.T) {
 	hops := func(ccs ...uint16) []wire.Hop {
 		hs := make([]wire.Hop, len(ccs))
@@ -346,8 +362,12 @@ func TestDispatchRejectsMalformedAcquire(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			db, _ := newDB(8)
 			e := New(Config{DB: db, CCThreads: 3, ExecThreads: 2})
-			s := e.newRunState() // in-process rings stand in for the cc node's wire-fed ones
-			tr := &tcpTransport{cfg: e.cfg, role: wire.RoleCC, s: s, reg: map[uint64]*wrapper{}}
+			// A cc node's net stepper with no socket behind it: dispatch
+			// touches only the inboxes and the registry.
+			s := &runState{cfg: e.cfg}
+			s.wraps.New = func() interface{} { return &wrapper{} }
+			tr := newNetStepper(s, wire.RoleCC, nil)
+			tr.in = make([]inbox, 2*3)
 			tc.msg.Kind, tc.msg.TxnID = wire.KindAcquire, 7
 			f := &wire.Frame{Plane: wire.PlaneExecCC, From: 1, To: tc.to, Msgs: []wire.Msg{tc.msg}}
 			defer func() {
@@ -356,15 +376,14 @@ func TestDispatchRejectsMalformedAcquire(t *testing.T) {
 					if p != nil {
 						t.Fatalf("dispatch refused a valid acquire: %v", p)
 					}
-					var got [2]message
-					if n := s.execToCC[1][tc.to].DequeueBatch(got[:]); n != 1 || got[0].kind != msgAcquire || got[0].w != tr.reg[7] {
-						t.Fatalf("valid acquire not republished: ring holds %d (%+v)", n, got[0])
+					if got := tr.in[1*3+int(tc.to)].buf; len(got) != 1 || got[0].kind != msgAcquire || got[0].w != tr.reg[7] {
+						t.Fatalf("valid acquire not queued for its ring: %+v", got)
 					}
 					return
 				}
 				msg, _ := p.(string)
 				if !strings.HasPrefix(msg, "orthrus: tcp transport: malformed acquire") {
-					t.Fatalf("dispatch did not reject the acquire at the reader: recovered %v", p)
+					t.Fatalf("dispatch did not reject the acquire: recovered %v", p)
 				}
 				if len(tr.reg) != 0 {
 					t.Fatal("rejected acquire left a registered wrapper")
@@ -372,5 +391,210 @@ func TestDispatchRejectsMalformedAcquire(t *testing.T) {
 			}()
 			tr.dispatch(f)
 		})
+	}
+}
+
+// stallListener accepts loopback connections stripped of their descriptor
+// — the Peer over one polls through deadlines, the path of a platform
+// without raw socket I/O — whose Write can be told to take nothing, as a
+// socket with a full buffer does.
+type stallListener struct {
+	net.Listener
+	conn *stallConn
+}
+
+type stallConn struct {
+	net.Conn
+	stall bool
+}
+
+func (l *stallListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	l.conn = &stallConn{Conn: c}
+	return l.conn, err
+}
+
+func (c *stallConn) Write(b []byte) (int, error) {
+	if c.stall {
+		return 0, os.ErrDeadlineExceeded
+	}
+	return c.Conn.Write(b)
+}
+
+// One transaction crosses the wire and comes back as plain method calls
+// on one goroutine — exec step, net step, (loopback), net step, CC step
+// and back — then both nodes retire in Close's order. No goroutine is
+// started along the way: the socket is a stepper like the threads. The
+// exec node polls its descriptor; the cc node's connection has none and
+// polls through deadlines. A net stepper whose socket takes nothing
+// reports no progress and does not retire with bytes buffered.
+func TestNetStepsByHand(t *testing.T) {
+	tcp, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := &stallListener{Listener: tcp}
+	defer ln.Close()
+	ccDB, _ := newDB(8)
+	execDB, tbl := newDB(8)
+	ccStarted := make(chan *session)
+	go func() { // the handshake needs both ends at once
+		ccStarted <- newTestSession(Config{DB: ccDB, CCThreads: 1, ExecThreads: 1,
+			Transport: TransportConfig{Kind: "tcp", Role: "cc", Listener: ln}})
+	}()
+	ex := newTestSession(Config{DB: execDB, CCThreads: 1, ExecThreads: 1,
+		Transport: TransportConfig{Kind: "tcp", Role: "exec", Peer: tcp.Addr().String()}})
+	cc := <-ccStarted
+	x, c := newExecThread(ex, 0, ex.set.Thread(0)), newCCThread(cc.s, 0)
+	xn, cn := ex.s.tr.wire(), cc.s.tr.wire()
+	goroutines := runtime.NumGoroutine()
+
+	// must steps th once and insists on progress; arrive steps a net
+	// stepper until the bytes its peer just wrote have crossed loopback.
+	must := func(what string, th stepper) {
+		t.Helper()
+		if progress, exit := th.step(); !progress || exit {
+			t.Fatalf("%s: progress=%v exit=%v, want progress and no exit", what, progress, exit)
+		}
+	}
+	arrive := func(what string, th stepper) {
+		t.Helper()
+		for i := 0; i < 1e6; i++ {
+			if progress, _ := th.step(); progress {
+				return
+			}
+		}
+		t.Fatalf("%s: nothing arrived in a million steps", what)
+	}
+	for _, th := range []stepper{x, xn, cn, c} {
+		if progress, exit := th.step(); progress || exit {
+			t.Fatalf("idle step of %T: progress=%v exit=%v", th, progress, exit)
+		}
+	}
+
+	acked := false
+	ex.inflight.Add(1)
+	ex.submit <- engine.Submission{
+		Txn: &txn.Txn{
+			Ops: []txn.Op{{Table: tbl, Key: 3, Mode: txn.Write}},
+			Logic: func(ctx txn.Ctx) error {
+				rec, err := ctx.Write(tbl, 3)
+				if err != nil {
+					return err
+				}
+				storage.PutU64(rec, 0, 42)
+				return nil
+			},
+		},
+		Done: func(ok bool) { acked = ok },
+	}
+	must("exec step with a queued submission", x) // plan, frame the acquire
+	must("exec node's net step with a frame queued", xn)
+	arrive("the acquire, at the cc node", cn)
+	must("CC step with an acquire in its ring", c) // lock, frame the grant
+	must("cc node's net step with a grant queued", cn)
+	arrive("the grant, at the exec node", xn)
+	if acked {
+		t.Fatal("acknowledged before the grant was handled")
+	}
+	must("exec step with a grant in its ring", x) // execute, commit, frame the release
+	if !acked || storage.GetU64(execDB.Table(tbl).Get(3), 0) != 42 {
+		t.Fatalf("after the grant: acked=%v record=%d, want true and 42", acked, storage.GetU64(execDB.Table(tbl).Get(3), 0))
+	}
+	must("exec node's net step with a release queued", xn)
+	arrive("the release, at the cc node", cn)
+	must("CC step with a release in its ring", c)
+
+	// Retirement, in Close's order on both nodes.
+	ex.execStop.Store(true)
+	if _, exit := x.step(); !exit {
+		t.Fatal("exec thread did not retire")
+	}
+	ex.s.tr.execDone()
+	if _, exit := xn.step(); exit { // says goodbye
+		t.Fatal("exec node's net stepper retired before hearing the cc node's goodbye")
+	}
+	arrive("the exec node's goodbye, at the cc node", cn)
+	select {
+	case <-cn.heard: // what ccGate waits for
+	default:
+		t.Fatal("cc node decoded the goodbye with empty inboxes and did not say so")
+	}
+	cc.s.ccStop.Store(true)
+	if _, exit := c.step(); !exit {
+		t.Fatal("CC thread did not retire")
+	}
+	cn.closing.Store(true) // what shutdown does once the CC threads are gone
+	ln.conn.stall = true
+	for i := 0; i < 3; i++ {
+		if progress, exit := cn.step(); exit || (i > 0 && progress) || cn.peer.Buffered() == 0 {
+			t.Fatalf("stalled step %d: progress=%v exit=%v buffered=%d, want its goodbye kept and no retirement",
+				i, progress, exit, cn.peer.Buffered())
+		}
+	}
+	ln.conn.stall = false
+	if _, exit := cn.step(); !exit || cn.peer.Buffered() != 0 {
+		t.Fatalf("cc node's net stepper did not retire once its goodbye was written (buffered=%d)", cn.peer.Buffered())
+	}
+	for i := 0; ; i++ {
+		if _, exit := xn.step(); exit {
+			break
+		}
+		if i == 1e6 {
+			t.Fatal("exec node's net stepper did not retire after the cc node's goodbye")
+		}
+	}
+	if n := runtime.NumGoroutine(); n > goroutines { // fewer: the handshake helper above may exit late
+		t.Fatalf("%d goroutines after stepping by hand, %d before", n, goroutines)
+	}
+	xs, cs := xn.peer.Stats(), cn.peer.Stats()
+	if xs.FramesSent != 3 || xs.MessagesSent != 2 || cs.FramesSent != 2 || cs.MessagesSent != 1 ||
+		xs.FramesSent != cs.FramesReceived || cs.FramesSent != xs.FramesReceived || xs.BytesSent != cs.BytesReceived || cs.BytesSent != xs.BytesReceived {
+		t.Fatalf("wire counters: exec %+v, cc %+v; want acquire+release+goodbye out, grant+goodbye back, all received", xs, cs)
+	}
+	if cs.ShortWrites != 3 || xs.ShortWrites != 0 || xs.EmptyReads == 0 {
+		t.Fatalf("socket counters: exec %+v, cc %+v; want the 3 stalled writes and the exec node's empty polls counted", xs, cs)
+	}
+	xn.peer.Close()
+	cn.peer.Close()
+}
+
+// A live tcp session is its workers and nothing else: no goroutine per
+// socket direction on either node.
+func TestTCPSessionStartsOnlyWorkers(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ccDB, _ := newDB(8)
+	execDB, _ := newDB(8)
+	ccEng := New(Config{DB: ccDB, CCThreads: 2, ExecThreads: 2,
+		Transport: TransportConfig{Kind: "tcp", Role: "cc", Listener: ln}})
+	execEng := New(Config{DB: execDB, CCThreads: 2, ExecThreads: 2,
+		Transport: TransportConfig{Kind: "tcp", Role: "exec", Peer: ln.Addr().String()}})
+	before := runtime.NumGoroutine()
+	started, closeCC, ccDone := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() { // the cc node's owner: one goroutine, alive until its Close returns
+		defer close(ccDone)
+		ses := ccEng.Start()
+		close(started)
+		<-closeCC
+		ses.Close()
+	}()
+	ses := execEng.Start()
+	<-started
+	live := runtime.NumGoroutine() - before - 1
+	stacks := make([]byte, 1<<20)
+	stacks = stacks[:runtime.Stack(stacks, true)]
+	close(closeCC)
+	ses.Close()
+	<-ccDone
+	if want := ccEng.Messages().Workers + execEng.Messages().Workers; live != want {
+		t.Fatalf("two live tcp nodes run %d goroutines, want their %d workers:\n%s", live, want, stacks)
+	}
+	for _, loop := range []string{"readLoop", "writeLoop"} {
+		if strings.Contains(string(stacks), loop) {
+			t.Fatalf("a live tcp session runs a %s:\n%s", loop, stacks)
+		}
 	}
 }

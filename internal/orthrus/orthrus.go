@@ -52,6 +52,8 @@
 // private state plus a non-blocking step method, and the goroutines that
 // call step are workers — min(hosted logical threads, GOMAXPROCS) of
 // them, each sweeping a fixed, disjoint share of the threads (worker.go).
+// On the tcp transport a node hosts one role's threads and its socket,
+// which is one more such thread (netStepper, transport.go).
 // With GOMAXPROCS ≥ CCThreads+ExecThreads every worker hosts one thread:
 // the paper's one-thread-per-core layout. On fewer procs threads are
 // folded, exec i beside CC i, rather than left for the Go scheduler to
@@ -242,10 +244,11 @@ type MessageStats struct {
 	Net NetStats
 
 	// Workers is how many goroutines served this node's logical threads:
-	// min(hosted CC + execution threads, GOMAXPROCS) at Start. Equal to the
-	// thread count it is the paper's one-thread-per-core layout; smaller,
-	// the threads were folded (worker.go) and a result measured this way
-	// should say so. Read-only: it reports, it does not configure.
+	// min(hosted CC + execution threads, plus the net stepper on the tcp
+	// transport, GOMAXPROCS) at Start. Equal to the thread count it is the
+	// paper's one-thread-per-core layout; smaller, the threads were folded
+	// (worker.go) and a result measured this way should say so. Read-only:
+	// it reports, it does not configure.
 	Workers int
 }
 
@@ -330,10 +333,9 @@ type wrapper struct {
 	releasesLeft atomic.Int32
 	refs         atomic.Int32
 
-	// wireReleases is the CC node's reader-private countdown of release
-	// messages still expected for this wrapper's wire id (touched only
-	// by the transport's single reader goroutine; see
-	// tcpTransport.materialize).
+	// wireReleases is the CC node's countdown of release messages still
+	// expected for this wrapper's wire id, private to its net stepper
+	// (see netStepper.materialize).
 	wireReleases int
 }
 
@@ -568,8 +570,8 @@ func (e *Engine) newRunState() *runState {
 	}
 	s.execBatch = make([]int, cfg.ExecThreads)
 	// The backend builds the queue planes last: the tcp transport's
-	// handshake ships the routing table stored above, and its reader
-	// goroutine touches the pools and gauges once installed.
+	// handshake ships the routing table stored above, and its net
+	// stepper touches the pools and gauges once stepped.
 	s.tr = newTransport(cfg)
 	s.tr.install(s)
 	return s
@@ -693,7 +695,8 @@ func (e *Engine) newSession() *session {
 func (e *Engine) Start() engine.Session {
 	ses := e.newSession()
 	// Logical threads onto workers (worker.go). On the tcp transport only
-	// this node's role is hosted; the peer process hosts the other's.
+	// this node's role is hosted, beside its net stepper; the peer
+	// process hosts the other's.
 	nExec, nCC := 0, 0
 	if ses.s.tr.hostsExec() {
 		nExec = e.cfg.ExecThreads
@@ -701,7 +704,7 @@ func (e *Engine) Start() engine.Session {
 	if ses.s.tr.hostsCC() {
 		nCC = e.cfg.CCThreads
 	}
-	workers := layout(nExec, nCC, runtime.GOMAXPROCS(0))
+	workers := layout(nExec, nCC, ses.s.tr.wire() != nil, runtime.GOMAXPROCS(0))
 	ses.workers = len(workers)
 	ses.execWg.Add(nExec)
 	ses.ccWg.Add(nCC)

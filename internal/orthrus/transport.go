@@ -3,7 +3,9 @@ package orthrus
 import (
 	"fmt"
 	"net"
-	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/spsc"
 	wire "repro/internal/transport"
@@ -34,8 +36,8 @@ type TransportConfig struct {
 	Listener net.Listener
 	// Peer is the exec node's target: the cc node's address.
 	Peer string
-	// Net are the wire-level knobs (frame cap, writer depth, dial and
-	// accept timeouts).
+	// Net are the wire-level knobs (frame cap, dial and accept
+	// timeouts).
 	Net wire.Config
 }
 
@@ -85,27 +87,8 @@ func (c TransportConfig) Validate() {
 }
 
 // NetStats counts the session's wire traffic (zero on the in-process
-// plane). Frames and bytes include the two control frames of the
-// shutdown barrier; Messages counts data messages only, so MessagesSent
-// here equals MessagesReceived on the peer node.
-type NetStats struct {
-	FramesSent, FramesReceived     uint64
-	MessagesSent, MessagesReceived uint64
-	BytesSent, BytesReceived       uint64
-}
-
-// Remote reports whether any wire traffic occurred (i.e. the session
-// ran on the tcp transport).
-func (n NetStats) Remote() bool { return n.FramesSent+n.FramesReceived > 0 }
-
-// MessagesPerFrame reports the achieved wire batching factor on the
-// send side.
-func (n NetStats) MessagesPerFrame() float64 {
-	if n.FramesSent == 0 {
-		return 0
-	}
-	return float64(n.MessagesSent) / float64(n.FramesSent)
-}
+// plane), as its net stepper's Peer counted it.
+type NetStats = wire.Stats
 
 // Transport is the pluggable message-plane backend behind the three
 // queue planes (exec→CC acquires/releases, CC→CC forwards, CC→exec
@@ -118,7 +101,7 @@ func (n NetStats) MessagesPerFrame() float64 {
 //	shutdown()  after the CC threads exit (plane torn down)
 //
 // The in-process backend implements all three as no-ops; the tcp
-// backend maps them onto the goodbye barrier exchange.
+// backend maps them onto its net stepper's goodbye barrier.
 type Transport interface {
 	name() string
 	// hostsCC / hostsExec report which thread roles run in this
@@ -126,6 +109,9 @@ type Transport interface {
 	hostsCC() bool
 	hostsExec() bool
 	install(s *runState)
+	// wire is the node's socket as one more logical thread for a worker
+	// to host (worker.go); nil on the in-process plane.
+	wire() *netStepper
 	execDone()
 	ccGate()
 	shutdown() NetStats
@@ -156,35 +142,32 @@ func (inprocTransport) hostsExec() bool { return true }
 
 func (inprocTransport) install(s *runState) {
 	cfg := s.cfg
-	grantCap := cfg.QueueCap
-	if grantCap < cfg.Inflight {
-		// Grant rings hold the whole in-flight window, so a grant never
-		// waits a step in its CC thread's outbox for room.
-		grantCap = cfg.Inflight
-	}
-	s.execToCC = make([][]spsc.Queue[message], cfg.ExecThreads)
-	for i := range s.execToCC {
-		s.execToCC[i] = make([]spsc.Queue[message], cfg.CCThreads)
-		for j := range s.execToCC[i] {
-			s.execToCC[i][j] = spsc.New[message](cfg.QueueCap)
-		}
-	}
-	s.ccToCC = make([][]spsc.Queue[message], cfg.CCThreads)
-	s.ccToExec = make([][]spsc.Queue[message], cfg.CCThreads)
-	for i := range s.ccToCC {
-		s.ccToCC[i] = make([]spsc.Queue[message], cfg.CCThreads)
-		for j := range s.ccToCC[i] {
-			if i != j {
-				s.ccToCC[i][j] = spsc.New[message](cfg.QueueCap)
-			}
-		}
-		s.ccToExec[i] = make([]spsc.Queue[message], cfg.ExecThreads)
-		for j := range s.ccToExec[i] {
-			s.ccToExec[i][j] = spsc.New[message](grantCap)
-		}
-	}
+	s.execToCC = rings(cfg.ExecThreads, cfg.CCThreads, cfg.QueueCap, false)
+	s.ccToCC = rings(cfg.CCThreads, cfg.CCThreads, cfg.QueueCap, true)
+	s.ccToExec = rings(cfg.CCThreads, cfg.ExecThreads, grantCap(cfg), false)
 }
 
+// rings builds a from×to matrix of rings, without the diagonal when a
+// thread never sends to itself.
+func rings(from, to, capacity int, skipSelf bool) [][]spsc.Queue[message] {
+	m := make([][]spsc.Queue[message], from)
+	for i := range m {
+		m[i] = make([]spsc.Queue[message], to)
+		for j := range m[i] {
+			if !skipSelf || i != j {
+				m[i][j] = spsc.New[message](capacity)
+			}
+		}
+	}
+	return m
+}
+
+// grantCap sizes whatever carries grants to hold the whole in-flight
+// window, so a grant never waits a step in its CC thread's outbox for
+// room.
+func grantCap(cfg Config) int { return max(cfg.QueueCap, cfg.Inflight) }
+
+func (inprocTransport) wire() *netStepper  { return nil }
 func (inprocTransport) execDone()          {}
 func (inprocTransport) ccGate()            {}
 func (inprocTransport) shutdown() NetStats { return NetStats{} }
@@ -198,44 +181,23 @@ func (inprocTransport) shutdown() NetStats { return NetStats{} }
 // node-local: the ascending-CC-id forwarding chains that carry the
 // paper's deadlock-freedom argument never leave the CC node, and the
 // wire adds no new cycle to the acyclic forwarding graph (see README).
-//
-// Outbound, each remote queue slot is a netQueue: the sending thread
-// coalesces one flushOutbox pass into one frame and hands it to the
-// peer's writer goroutine. Inbound, a single reader goroutine decodes
-// frames and republishes them into ordinary local rings, preserving the
-// single-producer discipline (the reader is the sole producer for every
-// wire-fed ring) and per-queue FIFO order end to end.
+// The socket itself is one more logical thread, the netStepper.
 type tcpTransport struct {
 	cfg  Config
 	role uint8
-	s    *runState
 
 	peer  *wire.Peer
-	conn  net.Conn
 	ln    net.Listener
 	ownLn bool
-
-	// queues lists every outbound netQueue so shutdown can drain
-	// frames left pending by a full writer channel (safe: called only
-	// after the owning threads have exited).
-	queues []*netQueue
-
-	// Reader-goroutine private state (no locks: single reader). reg
-	// maps live wire transaction ids to this CC node's materialized
-	// wrappers; each entry dies with its last release (wireReleases).
-	reg     map[uint64]*wrapper
-	scratch []message
-	ops     opCounter
-
-	readerDone chan struct{}
+	net   *netStepper
 }
 
-func (t *tcpTransport) name() string    { return "tcp/" + t.cfg.Transport.Role }
-func (t *tcpTransport) hostsCC() bool   { return t.role == wire.RoleCC }
-func (t *tcpTransport) hostsExec() bool { return t.role == wire.RoleExec }
+func (t *tcpTransport) name() string      { return "tcp/" + t.cfg.Transport.Role }
+func (t *tcpTransport) hostsCC() bool     { return t.role == wire.RoleCC }
+func (t *tcpTransport) hostsExec() bool   { return t.role == wire.RoleExec }
+func (t *tcpTransport) wire() *netStepper { return t.net }
 
 func (t *tcpTransport) install(s *runState) {
-	t.s = s
 	cfg := s.cfg
 	tc := cfg.Transport
 	nc := tc.Net.WithDefaults()
@@ -264,7 +226,6 @@ func (t *tcpTransport) install(s *runState) {
 			panic(fmt.Sprintf("orthrus: tcp transport: %v", err))
 		}
 	}
-	t.conn = conn
 
 	// Handshake: both processes derived their topology and routing
 	// table independently from their own Config; refuse to run unless
@@ -303,226 +264,254 @@ func (t *tcpTransport) install(s *runState) {
 			local.CCThreads, local.ExecThreads, local.LogicalPartitions,
 			peerHello.CCThreads, peerHello.ExecThreads, peerHello.LogicalPartitions))
 	}
-	if peerHello.Epoch != local.Epoch || len(peerHello.Routing) != len(local.Routing) {
+	if peerHello.Epoch != local.Epoch || !slices.Equal(peerHello.Routing, local.Routing) {
 		conn.Close()
-		panic("orthrus: tcp transport: routing epoch mismatch between nodes")
-	}
-	for i := range local.Routing {
-		if peerHello.Routing[i] != local.Routing[i] {
-			conn.Close()
-			panic(fmt.Sprintf("orthrus: tcp transport: routing tables differ at partition %d", i))
-		}
+		panic(fmt.Sprintf("orthrus: tcp transport: routing tables differ between nodes (epoch %d here, %d there)", local.Epoch, peerHello.Epoch))
 	}
 
-	// The cc node's writer carries only grants; a depth covering the
-	// whole grant window (≤ ExecThreads×Inflight outstanding) means a
-	// full writer channel never makes a grant wait a step in its CC
-	// thread's outbox.
-	if t.role == wire.RoleCC {
-		if min := cfg.ExecThreads*cfg.Inflight + 1; nc.WriterDepth < min {
-			nc.WriterDepth = min
-		}
-	}
 	t.peer = wire.NewPeer(conn, nc)
+	t.net = newNetStepper(s, t.role, t.peer)
 
-	// Queue planes: real rings where this node consumes, netQueues
-	// where the consumer is remote. The reader goroutine is the single
-	// producer for every wire-fed ring.
-	s.execToCC = make([][]spsc.Queue[message], cfg.ExecThreads)
-	s.ccToCC = make([][]spsc.Queue[message], cfg.CCThreads)
-	s.ccToExec = make([][]spsc.Queue[message], cfg.CCThreads)
-	for x := range s.execToCC {
-		s.execToCC[x] = make([]spsc.Queue[message], cfg.CCThreads)
-		for c := range s.execToCC[x] {
-			if t.role == wire.RoleCC {
-				s.execToCC[x][c] = spsc.New[message](cfg.QueueCap)
-			} else {
-				s.execToCC[x][c] = t.newNetQueue(wire.PlaneExecCC, x, c)
-			}
-		}
-	}
-	grantCap := cfg.QueueCap
-	if grantCap < cfg.Inflight {
-		grantCap = cfg.Inflight
-	}
-	for c := range s.ccToCC {
-		s.ccToCC[c] = make([]spsc.Queue[message], cfg.CCThreads)
-		if t.role == wire.RoleCC {
-			// Forwards stay node-local.
-			for j := range s.ccToCC[c] {
-				if c != j {
-					s.ccToCC[c][j] = spsc.New[message](cfg.QueueCap)
-				}
-			}
-		}
-		s.ccToExec[c] = make([]spsc.Queue[message], cfg.ExecThreads)
-		for x := range s.ccToExec[c] {
-			if t.role == wire.RoleCC {
-				s.ccToExec[c][x] = t.newNetQueue(wire.PlaneCCExec, c, x)
-			} else {
-				s.ccToExec[c][x] = spsc.New[message](grantCap)
-			}
-		}
-	}
-
-	if t.role == wire.RoleCC {
-		t.reg = make(map[uint64]*wrapper, cfg.ExecThreads*cfg.Inflight*2)
-	}
-	t.readerDone = make(chan struct{})
-	go t.readLoop()
-}
-
-func (t *tcpTransport) newNetQueue(plane uint8, from, to int) *netQueue {
-	q := &netQueue{t: t, plane: plane, from: uint16(from), to: uint16(to)}
-	t.queues = append(t.queues, q)
-	return q
-}
-
-// drainPending force-sends frames stranded by a full writer channel.
-// Only called from the shutdown sequence, after the threads that own
-// the netQueues have exited (WaitGroup-ordered), so the pending fields
-// are safe to touch.
-func (t *tcpTransport) drainPending() {
-	for _, q := range t.queues {
-		if q.pending != nil {
-			t.peer.Send(q.pending)
-			q.pending = nil
-		}
+	// Queue planes: real rings where this node consumes — the net stepper
+	// is the single producer of every wire-fed one — and netQueues where
+	// the consumer is remote, each as deep as the ring it stands in for.
+	// Forwards stay node-local.
+	cc := t.role == wire.RoleCC
+	s.execToCC = t.net.plane(wire.PlaneExecCC, cfg.ExecThreads, cfg.CCThreads, cc, cfg.QueueCap)
+	s.ccToExec = t.net.plane(wire.PlaneCCExec, cfg.CCThreads, cfg.ExecThreads, !cc, grantCap(cfg))
+	if cc {
+		s.ccToCC = rings(cfg.CCThreads, cfg.CCThreads, cfg.QueueCap, true)
 	}
 }
 
-// execDone: the exec node's threads have exited, so every message this
-// node will ever send has been pushed; flush stragglers and send the
-// goodbye barrier (FIFO after all data frames).
+// execDone: the exec node's threads have retired, so every frame this
+// node will ever send is in a netQueue; the net stepper says goodbye once
+// it has drained them.
 func (t *tcpTransport) execDone() {
-	if t.role != wire.RoleExec {
-		return
+	if t.role == wire.RoleExec {
+		t.net.closing.Store(true)
 	}
-	t.drainPending()
-	t.peer.SendGoodbye()
 }
 
-// ccGate holds the cc node's shutdown until the exec node's goodbye:
-// at that point the peer's complete send history has been decoded and
-// republished into the local rings (the reader dispatches frames in
-// order, before marking the goodbye), so the CC threads' final drain
-// pass observes every release.
+// ccGate holds the cc node's shutdown until the exec node's goodbye is
+// decoded and every message before it republished into the local rings,
+// so the CC threads' final drain pass observes every release.
 func (t *tcpTransport) ccGate() {
 	if t.role == wire.RoleCC {
-		<-t.peer.GoodbyeReceived()
+		<-t.net.heard
 	}
 }
 
+// shutdown waits for the net stepper to retire — its goodbye written
+// behind this node's last frame (on the cc node the CC threads have
+// retired by now), the peer's goodbye heard, nothing buffered either way
+// — and tears the connection down.
 func (t *tcpTransport) shutdown() NetStats {
-	if t.role == wire.RoleCC {
-		// CC threads have exited; flush their straggling grants, then
-		// announce completion to release the exec node's shutdown.
-		t.drainPending()
-		t.peer.SendGoodbye()
-	}
-	t.peer.CloseSend()
-	<-t.peer.GoodbyeReceived()
+	t.net.closing.Store(true)
+	t.net.retired.Wait()
 	t.peer.Close()
-	<-t.readerDone
 	if t.ownLn {
 		t.ln.Close()
 	}
-	st := t.peer.Stats()
-	return NetStats{
-		FramesSent:       st.FramesSent,
-		FramesReceived:   st.FramesRecv,
-		MessagesSent:     st.MsgsSent,
-		MessagesReceived: st.MsgsRecv,
-		BytesSent:        st.BytesSent,
-		BytesReceived:    st.BytesRecv,
-	}
+	return t.peer.Stats()
 }
 
-// readLoop is the node's single inbound goroutine: decode one frame at
-// a time and republish it into the local ring the frame addresses. It
-// exits when the connection closes after the goodbye exchange; a
-// connection failure before the peer's goodbye is a hard fault (a node
-// died mid-run) and panics loudly rather than hanging the session.
+// netStepper is the node's socket as a logical thread: a worker steps it
+// like an execThread or a ccThread (worker.go), and like theirs its step
+// never waits. Inbound, one non-blocking read, decoded in place and
+// republished into the local rings the frames address; what a full ring
+// refuses stays in that ring's outbox (inbox.buf) for the next step, like
+// every other sender's. Outbound, whatever the node's netQueues hold is
+// encoded and offered to the socket in one non-blocking write; what the
+// socket does not take stays in the Peer's buffer.
 //
-//orthrus:coldpath dedicated peer reader: socket reads block by design; hot threads only ever touch the local rings this goroutine feeds
-func (t *tcpTransport) readLoop() {
-	defer close(t.readerDone)
-	defer t.ops.flush(t.s)
-	var f wire.Frame
-	for {
-		if err := t.peer.Recv(&f); err != nil {
-			select {
-			case <-t.peer.GoodbyeReceived():
-				return // orderly shutdown: nothing can follow the goodbye
-			default:
+// Liveness. A step reads whatever the state of its write side, so two
+// nodes with full socket buffers still empty each other's. And what it
+// reads finds room without anyone waiting: the cc node's wire-fed rings
+// are drained unconditionally by every CC step; the exec node's, like the
+// cc→net hand-offs, hold a whole in-flight window of grants, and a
+// transaction has at most one grant outstanding anywhere. So a full
+// socket buffer only ever parks bytes in the Peer's buffer (bounded:
+// gather stops past MaxFrame), frames in the netQueues behind it, and
+// messages in their senders' outboxes behind those.
+//
+// Shutdown is stepper state. Close's sequence sets closing once every
+// local thread feeding the netQueues has retired; the stepper drains them
+// and appends its goodbye. It closes heard once the peer's goodbye is
+// decoded and every inbox is empty, and retires — goodbye written, the
+// peer's heard, nothing buffered — whereupon its worker releases retired.
+type netStepper struct {
+	s    *runState
+	role uint8
+	peer *wire.Peer
+
+	in    []inbox     // wire-fed local rings, indexed [from*consumers+to]
+	out   []*netQueue // outbound hand-offs
+	frame wire.Frame  // the decode target, reused
+	ops   opCounter
+
+	// reg maps live wire transaction ids to this CC node's materialized
+	// wrappers; each entry dies with its last release (wireReleases).
+	reg map[uint64]*wrapper
+
+	closing  atomic.Bool
+	saidBye  bool
+	heardBye bool
+	heard    chan struct{}
+	retired  sync.WaitGroup
+}
+
+// inbox is one wire-fed local ring and the messages it has not yet taken.
+type inbox struct {
+	q   *spsc.Ring[message]
+	buf []message
+}
+
+func newNetStepper(s *runState, role uint8, peer *wire.Peer) *netStepper {
+	n := &netStepper{s: s, role: role, peer: peer, heard: make(chan struct{})}
+	if role == wire.RoleCC {
+		n.reg = make(map[uint64]*wrapper, s.cfg.ExecThreads*s.cfg.Inflight*2)
+	}
+	n.retired.Add(1)
+	return n
+}
+
+// plane builds one wire-crossing from×to queue matrix: rings the stepper
+// feeds where this node consumes (in [from][to] order, the order dispatch
+// indexes n.in by), netQueues it drains where it produces.
+func (n *netStepper) plane(plane uint8, from, to int, consumes bool, capacity int) [][]spsc.Queue[message] {
+	m := make([][]spsc.Queue[message], from)
+	for i := range m {
+		m[i] = make([]spsc.Queue[message], to)
+		for j := range m[i] {
+			if consumes {
+				q := spsc.New[message](capacity)
+				n.in = append(n.in, inbox{q: q})
+				m[i][j] = q
+				continue
 			}
-			panic(fmt.Sprintf("orthrus: tcp transport: connection lost before peer goodbye: %v", err))
+			q := &netQueue{peer: n.peer, ring: spsc.New[*wire.Frame](capacity), plane: plane, from: uint16(i), to: uint16(j)}
+			n.out = append(n.out, q)
+			m[i][j] = q
 		}
-		if f.Plane == wire.PlaneControl {
-			continue
+	}
+	return m
+}
+
+// step is one pass over the socket: read and dispatch, republish, gather
+// and write. A connection lost before the peer's goodbye is a hard fault
+// (a node died mid-run) and panics loudly rather than hanging the
+// session.
+//
+//orthrus:hotpath
+func (n *netStepper) step() (progress, exit bool) {
+	if !n.peer.GoodbyeSeen() { // nothing can follow the goodbye
+		got, err := n.peer.Fill()
+		for more := got > 0; more && err == nil; {
+			if more, err = n.peer.Next(&n.frame); more && n.frame.Plane != wire.PlaneControl {
+				n.dispatch(&n.frame)
+			}
 		}
-		t.dispatch(&f)
+		lost(err)
+		progress = got > 0
+	}
+	delivered := true // everything read so far is in its local ring
+	for i := range n.in {
+		if in := &n.in[i]; len(in.buf) > 0 {
+			progress = flushOutbox(in.q, &in.buf, &n.ops) || progress
+			delivered = delivered && len(in.buf) == 0
+		}
+	}
+	if delivered && !n.heardBye && n.peer.GoodbyeSeen() {
+		n.heardBye = true
+		close(n.heard)
+	}
+
+	// Read the flag before the gather: once set every producer has
+	// retired, so a gather that then leaves the netQueues empty has seen
+	// all they will ever hold.
+	closing := n.closing.Load()
+	moved, drained := n.gather()
+	if closing && drained && !n.saidBye {
+		n.peer.AppendGoodbye()
+		n.saidBye = true
+	}
+	wrote, err := n.peer.Flush()
+	lost(err)
+	if n.saidBye && n.heardBye && n.peer.Buffered() == 0 {
+		n.ops.flush(n.s)
+		return true, true
+	}
+	return progress || moved || wrote, false
+}
+
+func lost(err error) {
+	if err != nil {
+		panic(fmt.Sprintf("orthrus: tcp transport: connection lost before peer goodbye: %v", err))
 	}
 }
 
-// dispatch republishes one decoded data frame into its local ring,
-// preserving intra-frame order. The reader is the wire's backpressure
-// point and the one sender on the plane that may wait for room: it is
-// its own goroutine, never co-hosted with the ring's consumer, and it
-// has nothing else to do until the frame is delivered.
-func (t *tcpTransport) dispatch(f *wire.Frame) {
-	var q spsc.Queue[message]
-	switch {
-	case t.role == wire.RoleCC && f.Plane == wire.PlaneExecCC:
-		if int(f.From) >= t.cfg.ExecThreads || int(f.To) >= t.cfg.CCThreads {
-			panic(fmt.Sprintf("orthrus: tcp transport: frame addresses unknown queue %d->%d", f.From, f.To))
-		}
-		q = t.s.execToCC[f.From][f.To]
-		for i := range f.Msgs {
-			m := &f.Msgs[i]
-			switch m.Kind {
-			case wire.KindAcquire:
-				t.checkAcquire(f, m)
-				t.scratch = append(t.scratch, message{kind: msgAcquire, w: t.materialize(m), id: m.TxnID})
-			case wire.KindRelease:
-				w := t.reg[m.TxnID]
-				if w == nil {
-					panic("orthrus: tcp transport: release for unknown wire transaction")
-				}
-				w.wireReleases--
-				if w.wireReleases == 0 {
-					// Last release: the id dies here. The wrapper itself
-					// is recycled by the CC threads' refcount as usual.
-					delete(t.reg, m.TxnID)
-				}
-				t.scratch = append(t.scratch, message{kind: msgRelease, w: w, id: m.TxnID})
-			default:
-				panic("orthrus: tcp transport: unexpected message kind on the exec->cc plane")
+// gather encodes the frames the netQueues hold behind whatever the socket
+// has not yet taken, stopping once that passes MaxFrame, and reports
+// whether it moved any and whether it left the queues empty.
+func (n *netStepper) gather() (moved, drained bool) {
+	for _, q := range n.out {
+		for {
+			if n.peer.Buffered() >= n.peer.MaxFrame() {
+				return moved, false
 			}
-		}
-	case t.role == wire.RoleExec && f.Plane == wire.PlaneCCExec:
-		if int(f.From) >= t.cfg.CCThreads || int(f.To) >= t.cfg.ExecThreads {
-			panic(fmt.Sprintf("orthrus: tcp transport: frame addresses unknown queue %d->%d", f.From, f.To))
-		}
-		q = t.s.ccToExec[f.From][f.To]
-		for i := range f.Msgs {
-			m := &f.Msgs[i]
-			if m.Kind != wire.KindGrant {
-				panic("orthrus: tcp transport: unexpected message kind on the cc->exec plane")
+			f, ok := q.ring.TryDequeue()
+			if !ok {
+				break
 			}
-			// The wrapper lives on the owning exec thread; it resolves
-			// the id through its pending map (drainGrants).
-			t.scratch = append(t.scratch, message{kind: msgAcquire, w: nil, id: m.TxnID})
+			n.peer.Append(f)
+			moved = true
 		}
-	default:
+	}
+	return moved, true
+}
+
+// dispatch queues one decoded data frame's messages for the local ring it
+// addresses, behind anything that ring has not yet taken. A cc node takes
+// exec→cc frames (acquires, releases), an exec node cc→exec ones (grants).
+func (n *netStepper) dispatch(f *wire.Frame) {
+	cc := n.role == wire.RoleCC
+	froms, tos := n.s.cfg.ExecThreads, n.s.cfg.CCThreads
+	if !cc {
+		froms, tos = tos, froms
+	}
+	if cc != (f.Plane == wire.PlaneExecCC) {
 		panic("orthrus: tcp transport: frame plane does not match node role")
 	}
-	for {
-		flushOutbox(q, &t.scratch, &t.ops)
-		if len(t.scratch) == 0 {
-			return
+	if int(f.From) >= froms || int(f.To) >= tos {
+		panic(fmt.Sprintf("orthrus: tcp transport: frame addresses unknown queue %d->%d", f.From, f.To))
+	}
+	in := &n.in[int(f.From)*tos+int(f.To)]
+	for i := range f.Msgs {
+		m := &f.Msgs[i]
+		switch {
+		case !cc && m.Kind == wire.KindGrant:
+			// The wrapper lives on the owning exec thread; it resolves
+			// the id through its pending map (drainGrants).
+			in.buf = append(in.buf, message{kind: msgAcquire, w: nil, id: m.TxnID})
+		case cc && m.Kind == wire.KindAcquire:
+			n.checkAcquire(f, m)
+			in.buf = append(in.buf, message{kind: msgAcquire, w: n.materialize(m), id: m.TxnID})
+		case cc && m.Kind == wire.KindRelease:
+			w := n.reg[m.TxnID]
+			if w == nil {
+				panic("orthrus: tcp transport: release for unknown wire transaction")
+			}
+			w.wireReleases--
+			if w.wireReleases == 0 {
+				// Last release: the id dies here. The wrapper itself
+				// is recycled by the CC threads' refcount as usual.
+				delete(n.reg, m.TxnID)
+			}
+			in.buf = append(in.buf, message{kind: msgRelease, w: w, id: m.TxnID})
+		default:
+			panic(fmt.Sprintf("orthrus: tcp transport: unexpected message kind %d on plane %d", m.Kind, f.Plane))
 		}
-		runtime.Gosched()
 	}
 }
 
@@ -533,12 +522,12 @@ func (t *tcpTransport) dispatch(f *wire.Frame) {
 // acquire must agree with it: an exec thread sends only its own
 // transactions, to the CC thread its hop index names, along a plan in
 // ascending CC order (a re-acquire along the plan already registered).
-func (t *tcpTransport) checkAcquire(f *wire.Frame, m *wire.Msg) {
+func (n *netStepper) checkAcquire(f *wire.Frame, m *wire.Msg) {
 	ok := m.Owner == f.From && int(m.HopIdx) < len(m.Hops) && m.Hops[m.HopIdx].CC == f.To
 	for i := range m.Hops {
-		ok = ok && int(m.Hops[i].CC) < t.cfg.CCThreads && (i == 0 || m.Hops[i].CC > m.Hops[i-1].CC)
+		ok = ok && int(m.Hops[i].CC) < n.s.cfg.CCThreads && (i == 0 || m.Hops[i].CC > m.Hops[i-1].CC)
 	}
-	if w := t.reg[m.TxnID]; ok && w != nil {
+	if w := n.reg[m.TxnID]; ok && w != nil {
 		ok = int(m.HopIdx) < len(w.hops) && w.hops[m.HopIdx] == int(f.To)
 	}
 	if !ok {
@@ -554,12 +543,12 @@ func (t *tcpTransport) checkAcquire(f *wire.Frame, m *wire.Msg) {
 // are unique per submission attempt (OLLP replans draw a fresh id), so
 // an existing entry always means a DisableForwarding hop advance, never
 // a stale generation.
-func (t *tcpTransport) materialize(m *wire.Msg) *wrapper {
-	if w := t.reg[m.TxnID]; w != nil {
+func (n *netStepper) materialize(m *wire.Msg) *wrapper {
+	if w := n.reg[m.TxnID]; w != nil {
 		w.hopIdx = int(m.HopIdx)
 		return w
 	}
-	s := t.s
+	s := n.s
 	w := s.wraps.Get().(*wrapper)
 	w.t, w.done = nil, nil
 	w.id = m.TxnID
@@ -594,50 +583,41 @@ func (t *tcpTransport) materialize(m *wire.Msg) *wrapper {
 	w.refs.Store(int32(nh))
 	// Balance releaseTxn's unconditional epoch retirement.
 	s.epochs.add(w.epoch, 1)
-	t.reg[m.TxnID] = w
+	n.reg[m.TxnID] = w
 	return w
 }
 
 // netQueue adapts one remote (plane, from, to) queue slot to the
 // spsc.Queue interface: the producing thread's flushOutbox pass becomes
-// one wire frame handed to the peer's writer goroutine. Send-only — the
-// consuming side of a wire queue is a real ring fed by the reader.
+// one wire frame, handed to the net stepper over a ring of its own — the
+// producing thread is its one producer, the stepper its one consumer.
+// Send-only: the consuming side of a wire queue is a real ring on the
+// peer node.
 //
 // Message payloads are copied into the frame at enqueue time, so a
 // wrapper recycled immediately after (releases carry only the wire id)
-// can never be read by the writer. A frame the writer channel cannot
-// accept parks in pending — the messages it holds are already consumed
-// from the caller's outbox, and per-queue FIFO is preserved because the
-// next TryEnqueueBatch refuses to ship anything until pending leaves.
+// can never be read by the stepper.
 type netQueue struct {
-	t        *tcpTransport
+	peer     *wire.Peer // the frame pool and the MaxFrame cap
+	ring     *spsc.Ring[*wire.Frame]
 	plane    uint8
 	from, to uint16
-	pending  *wire.Frame
 }
 
 // TryEnqueueBatch coalesces vs into one frame (bounded by the MaxFrame
-// soft cap) and hands it to the writer, returning how many messages it
-// consumed. Returns 0 without consuming anything when the writer
-// channel is full and a pending frame is already parked — flushOutbox
-// then leaves the messages in the sender's outbox for its next step,
-// the same backpressure a full ring applies.
+// soft cap) and hands it to the net stepper, returning how many messages
+// it consumed: 0, consuming nothing, when the hand-off is full —
+// flushOutbox then leaves the messages in the sender's outbox for its
+// next step, the same backpressure a full ring applies.
 //
 //orthrus:hotpath
 func (q *netQueue) TryEnqueueBatch(vs []message) int {
-	p := q.t.peer
-	if q.pending != nil {
-		if !p.TrySend(q.pending) {
-			return 0
-		}
-		q.pending = nil
-	}
-	if len(vs) == 0 {
+	if len(vs) == 0 || q.ring.Len() == q.ring.Cap() {
 		return 0
 	}
-	f := p.Get()
+	f := q.peer.Get()
 	f.Plane, f.From, f.To = q.plane, q.from, q.to
-	max := p.MaxFrame()
+	max := q.peer.MaxFrame()
 	size := wire.FrameHeaderSize
 	n := 0
 	for i := range vs {
@@ -651,15 +631,13 @@ func (q *netQueue) TryEnqueueBatch(vs []message) int {
 		size += sz
 		n++
 	}
-	if !p.TrySend(f) {
-		q.pending = f
-	}
+	q.ring.TryEnqueue(f) // has room: only this thread adds to the ring
 	return n
 }
 
 // fill copies one in-process message into its wire form. Acquires
 // snapshot the wrapper's plan here, on the owning thread, so the frame
-// is self-contained no matter when the writer serializes it.
+// is self-contained no matter when the net stepper encodes it.
 //
 //orthrus:hotpath
 func (q *netQueue) fill(wm *wire.Msg, m *message) {
@@ -683,7 +661,7 @@ func (q *netQueue) fill(wm *wire.Msg, m *message) {
 }
 
 func (q *netQueue) DequeueBatch([]message) int {
-	panic("orthrus: netQueue is send-only (the peer's reader feeds local rings)")
+	panic("orthrus: netQueue is send-only (the peer node's net stepper feeds its local rings)")
 }
 
 var _ spsc.Queue[message] = (*netQueue)(nil)

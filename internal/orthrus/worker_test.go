@@ -34,29 +34,35 @@ func underProcs(t *testing.T, body func(t *testing.T, procs int)) {
 	}
 }
 
-// Every logical thread is hosted exactly once, on min(threads, procs)
-// workers, and exec i shares a worker with CC i whenever threads are
-// folded at all.
+// Every logical thread — a tcp node's net stepper included — is hosted
+// exactly once, on min(threads, procs) workers, and exec i shares a worker
+// with CC i whenever threads are folded at all.
 func TestLayoutTable(t *testing.T) {
 	for _, shape := range []struct {
 		name       string
 		nExec, nCC int
+		net        bool
 	}{
-		{"2cc/2ex", 2, 2},
-		{"3cc/1ex", 1, 3},
-		{"1cc/5ex", 5, 1},
-		{"tcp cc node, 3cc", 0, 3},
-		{"tcp exec node, 3ex", 3, 0},
+		{"2cc/2ex", 2, 2, false},
+		{"3cc/1ex", 1, 3, false},
+		{"1cc/5ex", 5, 1, false},
+		{"tcp cc node, 3cc", 0, 3, true},
+		{"tcp exec node, 3ex", 3, 0, true},
+		{"tcp exec node, 1ex", 1, 0, true},
 	} {
 		for _, procs := range []int{1, 2, 8} {
 			name := fmt.Sprintf("%s on %d procs", shape.name, procs)
 			threads := shape.nExec + shape.nCC
-			workers := layout(shape.nExec, shape.nCC, procs)
+			if shape.net {
+				threads++
+			}
+			workers := layout(shape.nExec, shape.nCC, shape.net, procs)
 			if want := min(threads, procs); len(workers) != want {
 				t.Errorf("%s: %d workers, want min(%d threads, %d procs) = %d", name, len(workers), threads, procs, want)
 			}
 			execOn := make(map[int]int)
 			ccOn := make(map[int]int)
+			netOn := make(map[int]int)
 			hosted := 0
 			for w, slots := range workers {
 				if len(slots) == 0 {
@@ -64,7 +70,10 @@ func TestLayoutTable(t *testing.T) {
 				}
 				for _, sl := range slots {
 					on, n := execOn, shape.nExec
-					if sl.cc {
+					switch {
+					case sl.net && shape.net:
+						on, n = netOn, 1
+					case sl.cc:
 						on, n = ccOn, shape.nCC
 					}
 					if _, dup := on[sl.id]; dup || sl.id < 0 || sl.id >= n {

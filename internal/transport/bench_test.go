@@ -88,18 +88,14 @@ func BenchmarkTransportRoundTrip(b *testing.B) {
 					m.Kind = KindGrant
 					m.TxnID = f.Msgs[i].TxnID
 				}
-				for !pb.TrySend(r) {
-					runtime.Gosched()
-				}
+				pb.Send(r)
 			}
 		}()
 		var rf Frame
 		roundTrip := func() {
 			f := pa.Get()
 			fillAcquireBatch(f, batch)
-			for !pa.TrySend(f) {
-				runtime.Gosched()
-			}
+			pa.Send(f)
 			if err := pa.Recv(&rf); err != nil {
 				b.Fatalf("recv: %v", err)
 			}

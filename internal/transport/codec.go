@@ -7,12 +7,15 @@
 // order, and frames on one connection are delivered in send order.
 //
 // The codec is deliberately dumb — fixed-width little-endian fields, no
-// varints, no compression — because the hot path never touches it: exec
-// and CC threads only build []Msg batches (capacity-reusing, allocation
-// free) and hand whole frames to a per-peer writer goroutine, which is
-// the single place bytes are produced. Decoding happens on the peer's
-// single reader goroutine into one reusable Frame. See README
-// "Distributed message plane".
+// varints, no compression — because exec and CC threads never touch it:
+// they only build []Msg batches (capacity-reusing, allocation free) and
+// hand whole frames to the Peer's owner, the single place bytes are
+// produced and decoded. A Peer never waits and starts no goroutine: its
+// core is one non-blocking read into a reusable buffer, frames decoded in
+// place, and one non-blocking write of everything appended since the
+// last. The engine's net stepper drives that core once per step; Send and
+// Recv are a blocking driver over the same buffers for everyone else. See
+// README "Distributed message plane".
 package transport
 
 import (
@@ -171,8 +174,8 @@ func (m *Msg) EncodedSize() int {
 }
 
 // AppendFrame appends f's encoded payload (no length prefix) to dst and
-// returns the extended slice. Only the writer goroutine and tests call
-// it; the hot path stops at building Frame.Msgs.
+// returns the extended slice. Only Peer.Append and tests call it; exec and
+// CC threads stop at building Frame.Msgs.
 func AppendFrame(dst []byte, f *Frame) []byte {
 	dst = append(dst, f.Plane)
 	dst = binary.LittleEndian.AppendUint16(dst, f.From)

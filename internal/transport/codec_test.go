@@ -124,7 +124,6 @@ func TestConfigValidatePanics(t *testing.T) {
 		{"negative-maxframe", Config{MaxFrame: -1}},
 		{"tiny-maxframe", Config{MaxFrame: minMaxFrame - 1}},
 		{"huge-maxframe", Config{MaxFrame: maxWirePayload + 1}},
-		{"negative-writerdepth", Config{WriterDepth: -4}},
 		{"negative-dial-timeout", Config{DialTimeout: -time.Second}},
 		{"negative-accept-timeout", Config{AcceptTimeout: -time.Second}},
 	}
@@ -143,7 +142,7 @@ func TestConfigValidatePanics(t *testing.T) {
 	Config{}.Validate()
 	d := Config{}.WithDefaults()
 	d.Validate()
-	if d.MaxFrame != DefaultMaxFrame || d.WriterDepth != DefaultWriterDepth ||
+	if d.MaxFrame != DefaultMaxFrame ||
 		d.DialTimeout != DefaultDialTimeout || d.AcceptTimeout != DefaultAcceptTimeout {
 		t.Fatalf("WithDefaults left a zero field: %+v", d)
 	}

@@ -5,8 +5,8 @@ import (
 	"encoding/binary"
 	"io"
 	"net"
+	"os"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -62,9 +62,13 @@ func fillAcquireBatch(f *Frame, n int) {
 
 // TestPeerSendRecvAndGoodbye walks a full peer lifecycle: data frames
 // arrive intact and in order, the goodbye barrier fires, counters are
-// exactly symmetric, and shutdown completes without leaking goroutines.
+// exactly symmetric, and the blocking driver starts no goroutine.
 func TestPeerSendRecvAndGoodbye(t *testing.T) {
+	before := runtime.NumGoroutine()
 	a, b := newPeerPair(t, Config{})
+	if n := runtime.NumGoroutine(); n != before {
+		t.Fatalf("two peers started %d goroutines, want 0", n-before)
+	}
 	const frames, batch = 17, 8
 	want := AppendFrame(nil, func() *Frame { f := &Frame{}; fillAcquireBatch(f, batch); return f }())
 
@@ -74,9 +78,7 @@ func TestPeerSendRecvAndGoodbye(t *testing.T) {
 		for i := 0; i < frames; i++ {
 			f := a.Get()
 			fillAcquireBatch(f, batch)
-			for !a.TrySend(f) {
-				runtime.Gosched()
-			}
+			a.Send(f)
 		}
 		a.SendGoodbye()
 		a.CloseSend()
@@ -89,10 +91,8 @@ func TestPeerSendRecvAndGoodbye(t *testing.T) {
 			t.Fatalf("recv after %d frames: %v", got, err)
 		}
 		if f.Plane == PlaneControl {
-			select {
-			case <-b.GoodbyeReceived():
-			default:
-				t.Fatal("goodbye frame decoded but GoodbyeReceived not closed")
+			if !b.GoodbyeSeen() {
+				t.Fatal("goodbye frame decoded but GoodbyeSeen not set")
 			}
 			break
 		}
@@ -105,15 +105,13 @@ func TestPeerSendRecvAndGoodbye(t *testing.T) {
 		t.Fatalf("received %d data frames, want %d", got, frames)
 	}
 
-	// The writer counts bytes after its Write returns, and the polling
-	// reader can have decoded them by then: read the sender's counters
-	// only once its writer has exited.
+	// Stats is read when the side that writes it is quiet.
 	<-sent
 	as, bs := a.Stats(), b.Stats()
-	if as.FramesSent != frames+1 || as.MsgsSent != frames*batch {
+	if as.FramesSent != frames+1 || as.MessagesSent != frames*batch {
 		t.Fatalf("sender stats %+v", as)
 	}
-	if bs.FramesRecv != as.FramesSent || bs.MsgsRecv != as.MsgsSent || bs.BytesRecv != as.BytesSent {
+	if bs.FramesReceived != as.FramesSent || bs.MessagesReceived != as.MessagesSent || bs.BytesReceived != as.BytesSent {
 		t.Fatalf("counter conservation violated: sent %+v recv %+v", as, bs)
 	}
 	if as.BytesSent == 0 {
@@ -182,9 +180,7 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	roundTrip := func() {
 		f := a.Get()
 		fillAcquireBatch(f, 8)
-		for !a.TrySend(f) {
-			runtime.Gosched()
-		}
+		a.Send(f)
 		for {
 			if err := b.Recv(&rf); err != nil {
 				t.Fatalf("recv: %v", err)
@@ -207,30 +203,29 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 }
 
 // scriptConn is a net.Conn the test scripts from both ends, and — not
-// being a syscall.Conn — one that takes Peer's plain-reader fallback:
-// Write logs each call's bytes (the first call blocks until gate closes,
-// so the test can queue frames behind a writer that is mid-syscall), and
-// Read serves stream in the chunk sizes given, then whatever is left.
+// being a syscall.Conn — one that takes Peer's deadline-polled path, where
+// os.ErrDeadlineExceeded is the socket's EAGAIN. Write takes at most the
+// next entry of accept bytes (0: none) and everything once the script runs
+// out, logging what each call took; Read serves stream in the chunk sizes
+// given (0: nothing yet), then whatever is left, then io.EOF.
 type scriptConn struct {
-	mu      sync.Mutex
-	writes  [][]byte
-	entered chan struct{} // closed when the first Write is entered
-	gate    chan struct{} // the first Write returns once this closes
+	accept []int
+	writes [][]byte
 
 	stream []byte
 	chunks []int
 }
 
 func (c *scriptConn) Write(b []byte) (int, error) {
-	c.mu.Lock()
-	first := len(c.writes) == 0
-	c.writes = append(c.writes, append([]byte(nil), b...))
-	c.mu.Unlock()
-	if first && c.gate != nil {
-		close(c.entered)
-		<-c.gate
+	n := len(b)
+	if len(c.accept) > 0 {
+		n, c.accept = min(n, c.accept[0]), c.accept[1:]
 	}
-	return len(b), nil
+	c.writes = append(c.writes, append([]byte(nil), b[:n]...))
+	if n < len(b) {
+		return n, os.ErrDeadlineExceeded
+	}
+	return n, nil
 }
 
 func (c *scriptConn) Read(b []byte) (int, error) {
@@ -240,6 +235,9 @@ func (c *scriptConn) Read(b []byte) (int, error) {
 	n := len(c.stream)
 	if len(c.chunks) > 0 {
 		n, c.chunks = min(n, c.chunks[0]), c.chunks[1:]
+	}
+	if n == 0 {
+		return 0, os.ErrDeadlineExceeded
 	}
 	n = copy(b, c.stream[:n])
 	c.stream = c.stream[n:]
@@ -253,13 +251,16 @@ func (c *scriptConn) SetDeadline(time.Time) error      { return nil }
 func (c *scriptConn) SetReadDeadline(time.Time) error  { return nil }
 func (c *scriptConn) SetWriteDeadline(time.Time) error { return nil }
 
-// TestWriterCoalescesReaderReframes pins both halves of the batched
-// socket path. Writer: frames queued while a Write is in flight leave in
-// the next single Write, each behind its own length prefix, in send
-// order, and a batch stops growing once it passes MaxFrame. Reader: that
-// byte stream, delivered through the buffered reader in reads that split
-// length prefixes and payloads at arbitrary points, decodes frame for
-// frame identical — including a frame larger than the read buffer.
+// TestWriterCoalescesReaderReframes pins both halves of the non-blocking
+// core, and that the blocking driver is the same core. Writer: every
+// frame appended since the last Flush leaves in one Write, each behind its
+// own length prefix, in Append order; a socket that takes nothing (EAGAIN)
+// reports no progress and one that takes k bytes keeps the tail — even a
+// tail that starts inside a length prefix — and frames appended meanwhile
+// go behind it. Reader: that byte stream, arriving in reads that split
+// length prefixes and payloads at arbitrary points with empty reads in
+// between, decodes frame for frame identical — including a frame larger
+// than the read buffer — through Fill/Next and through Recv alike.
 func TestWriterCoalescesReaderReframes(t *testing.T) {
 	build := []func(f *Frame){
 		func(f *Frame) { fillAcquireBatch(f, 1) },
@@ -296,64 +297,90 @@ func TestWriterCoalescesReaderReframes(t *testing.T) {
 		t.Fatalf("oversized frame is only %d bytes", over)
 	}
 
-	// Writer side: frame 0 goes out alone and holds the writer inside
-	// Write; frames 1..6 queue up behind it.
-	wc := &scriptConn{entered: make(chan struct{}), gate: make(chan struct{})}
+	// Writer side. Frames 0..5 are appended before the first Flush; the
+	// oversized one takes the buffer past MaxFrame, where an owner stops
+	// appending. The socket then takes nothing, then 3 bytes (inside
+	// frame 0's length prefix), then — frame 6 having gone behind the
+	// tail — 100 more, then the rest.
+	wc := &scriptConn{accept: []int{0, 3, 100}}
 	sender := NewPeer(wc, Config{})
-	send := func(i int) {
+	appendFrame := func(i int) {
 		f := sender.Get()
 		build[i](f)
-		if !sender.TrySend(f) {
-			t.Fatalf("TrySend refused frame %d on an empty writer queue", i)
+		sender.Append(f)
+	}
+	for i := 0; i <= 5; i++ {
+		if sender.Buffered() >= sender.MaxFrame() {
+			t.Fatalf("buffer passed MaxFrame before the oversized frame %d", i)
+		}
+		appendFrame(i)
+	}
+	if sender.Buffered() < sender.MaxFrame() {
+		t.Fatal("the oversized frame did not take the buffer past MaxFrame")
+	}
+	flush := func(wantProgress bool, wantLeft int) {
+		t.Helper()
+		progress, err := sender.Flush()
+		if err != nil || progress != wantProgress || sender.Buffered() != wantLeft {
+			t.Fatalf("Flush: progress=%v err=%v buffered=%d, want progress=%v buffered=%d",
+				progress, err, sender.Buffered(), wantProgress, wantLeft)
 		}
 	}
-	send(0)
-	<-wc.entered
-	for i := 1; i < len(build); i++ {
-		send(i)
-	}
-	close(wc.gate)
-	sender.CloseSend()
-
-	// Write 1: frame 0. Write 2: frames 1..5 — the batch stops once the
-	// oversized frame takes it past MaxFrame. Write 3: frame 6.
-	wantWrites := []int{wirePrefixSize + len(want[0]), 0, wirePrefixSize + len(want[6])}
-	wantWrites[1] = len(stream) - wantWrites[0] - wantWrites[2]
-	if len(wc.writes) != len(wantWrites) {
-		t.Fatalf("%d frames left in %d Writes, want %d", len(build), len(wc.writes), len(wantWrites))
-	}
+	queued := len(stream) - wirePrefixSize - len(want[6])
+	flush(false, queued)
+	flush(true, queued-3)
+	appendFrame(6)
+	flush(true, len(stream)-103)
+	flush(true, 0)
+	flush(false, 0) // nothing buffered: no Write at all
 	var wrote []byte
-	for i, w := range wc.writes {
-		if len(w) != wantWrites[i] {
-			t.Fatalf("Write %d carried %d bytes, want %d", i, len(w), wantWrites[i])
-		}
+	for _, w := range wc.writes {
 		wrote = append(wrote, w...)
 	}
 	if !bytes.Equal(wrote, stream) {
-		t.Fatal("coalesced writes are not the frames' length-prefixed encodings in send order")
+		t.Fatal("the writes are not the frames' length-prefixed encodings in Append order")
 	}
-	if st := sender.Stats(); st.FramesSent != uint64(len(build)) || st.BytesSent != uint64(len(stream)) {
-		t.Fatalf("sender stats %+v, want %d frames / %d bytes", st, len(build), len(stream))
+	st := sender.Stats()
+	if st.FramesSent != uint64(len(build)) || st.BytesSent != uint64(len(stream)) || st.Writes != 4 || st.ShortWrites != 3 {
+		t.Fatalf("sender stats %+v, want %d frames / %d bytes in 4 writes, 3 of them short", st, len(build), len(stream))
 	}
 
 	// Reader side: the first reads split frame 0's length prefix, then
 	// its payload; later ones land mid-frame wherever they fall.
-	rc := &scriptConn{stream: stream, chunks: []int{3, 1, 5, 64, 1000, 3, 70000, 11}}
-	receiver := NewPeer(rc, Config{})
-	defer receiver.CloseSend()
-	var f Frame
-	for i := range want {
-		if err := receiver.Recv(&f); err != nil {
-			t.Fatalf("recv frame %d: %v", i, err)
+	chunks := []int{3, 0, 1, 5, 0, 0, 64, 1000, 3, 70000, 0, 11}
+	check := func(name string, recv func(p *Peer, f *Frame) error) {
+		p := NewPeer(&scriptConn{stream: stream, chunks: append([]int(nil), chunks...)}, Config{})
+		var f Frame
+		for i := range want {
+			if err := recv(p, &f); err != nil {
+				t.Fatalf("%s: frame %d: %v", name, i, err)
+			}
+			if got := AppendFrame(nil, &f); !bytes.Equal(got, want[i]) {
+				t.Fatalf("%s: frame %d differs (%d bytes, want %d)", name, i, len(got), len(want[i]))
+			}
 		}
-		if got := AppendFrame(nil, &f); !bytes.Equal(got, want[i]) {
-			t.Fatalf("frame %d differs after the buffered reader (%d bytes, want %d)", i, len(got), len(want[i]))
+		if err := recv(p, &f); err != io.EOF {
+			t.Fatalf("%s: after the last frame: %v, want io.EOF", name, err)
+		}
+		st := p.Stats()
+		if st.FramesReceived != uint64(len(want)) || st.BytesReceived != uint64(len(stream)) || st.EmptyReads < 4 {
+			t.Fatalf("%s: stats %+v, want %d frames / %d bytes and the 4 scripted empty reads", name, st, len(want), len(stream))
 		}
 	}
-	if err := receiver.Recv(&f); err != io.EOF {
-		t.Fatalf("recv after the last frame: %v, want io.EOF", err)
-	}
-	if st := receiver.Stats(); st.FramesRecv != uint64(len(want)) || st.BytesRecv != uint64(len(stream)) {
-		t.Fatalf("receiver stats %+v, want %d frames / %d bytes", st, len(want), len(stream))
-	}
+	check("Fill/Next", func(p *Peer, f *Frame) error {
+		for {
+			if ok, err := p.Next(f); ok || err != nil {
+				return err
+			}
+			before := p.Stats().BytesReceived
+			n, err := p.Fill()
+			if err != nil {
+				return err
+			}
+			if uint64(n) != p.Stats().BytesReceived-before {
+				t.Fatalf("Fill returned %d, counted %d", n, p.Stats().BytesReceived-before)
+			}
+		}
+	})
+	check("Recv", (*Peer).Recv)
 }

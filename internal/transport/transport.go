@@ -1,14 +1,13 @@
 package transport
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -16,13 +15,10 @@ import (
 type Config struct {
 	// MaxFrame caps the encoded payload bytes one frame coalesces
 	// (soft: a single message larger than the cap still ships alone,
-	// in its own oversized frame). 0 means DefaultMaxFrame.
+	// in its own oversized frame), and the bytes a Peer buffers before
+	// it stops taking frames until the socket has. 0 means
+	// DefaultMaxFrame.
 	MaxFrame int
-	// WriterDepth is the per-peer writer queue depth in frames. The
-	// CC node raises it to cover the grant window (see the liveness
-	// argument in README "Distributed message plane"). 0 means
-	// DefaultWriterDepth.
-	WriterDepth int
 	// DialTimeout bounds connection establishment (the dialer retries
 	// until it expires, absorbing the peer's startup race) and the
 	// handshake exchange. 0 means DefaultDialTimeout.
@@ -34,8 +30,7 @@ type Config struct {
 
 // Defaults for Config's zero fields.
 const (
-	DefaultMaxFrame    = 64 << 10
-	DefaultWriterDepth = 1024
+	DefaultMaxFrame = 64 << 10
 	// minMaxFrame keeps a configured cap large enough for any
 	// header-only message; below it nothing could ever ship.
 	minMaxFrame = 64
@@ -59,9 +54,6 @@ func (c Config) Validate() {
 	if c.MaxFrame > maxWirePayload {
 		panic(fmt.Sprintf("transport: MaxFrame %d exceeds the wire cap %d", c.MaxFrame, maxWirePayload))
 	}
-	if c.WriterDepth < 0 {
-		panic(fmt.Sprintf("transport: WriterDepth %d is negative", c.WriterDepth))
-	}
 	if c.DialTimeout < 0 {
 		panic(fmt.Sprintf("transport: DialTimeout %v is negative", c.DialTimeout))
 	}
@@ -75,9 +67,6 @@ func (c Config) WithDefaults() Config {
 	if c.MaxFrame == 0 {
 		c.MaxFrame = DefaultMaxFrame
 	}
-	if c.WriterDepth == 0 {
-		c.WriterDepth = DefaultWriterDepth
-	}
 	if c.DialTimeout == 0 {
 		c.DialTimeout = DefaultDialTimeout
 	}
@@ -87,59 +76,79 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// Stats counts one peer's wire traffic. Frames and bytes include
-// control frames; Msgs counts data messages only, so MsgsSent on one
-// node equals MsgsRecv on its peer when both have shut down cleanly.
+// Stats counts one peer's wire traffic. Frames and bytes include the
+// control frames of the shutdown barrier; Messages counts data messages
+// only, so MessagesSent on one node equals MessagesReceived on its peer
+// when both have shut down cleanly. Reads and Writes count socket calls:
+// EmptyReads found nothing (EAGAIN), ShortWrites left a tail buffered.
 type Stats struct {
-	FramesSent, FramesRecv uint64
-	MsgsSent, MsgsRecv     uint64
-	BytesSent, BytesRecv   uint64
+	FramesSent, FramesReceived     uint64
+	MessagesSent, MessagesReceived uint64
+	BytesSent, BytesReceived       uint64
+
+	Reads, EmptyReads   uint64
+	Writes, ShortWrites uint64
 }
 
-// readBufSize is the Recv side's buffered-reader size: one socket read
-// delivers every frame the kernel has queued (up to this many bytes)
-// instead of two reads — length prefix, payload — per frame.
+// MessagesPerFrame reports the achieved wire batching factor on the
+// send side.
+func (n Stats) MessagesPerFrame() float64 {
+	if n.FramesSent == 0 {
+		return 0
+	}
+	return float64(n.MessagesSent) / float64(n.FramesSent)
+}
+
+// readBufSize is the receive buffer's starting size: one socket read
+// delivers every frame the kernel has queued, up to this many bytes.
 const readBufSize = 64 << 10
 
-// Peer is one end of a message-plane connection: a writer goroutine
-// draining a frame channel into the socket, and a Recv method the
-// owner's single reader goroutine calls. Frames are pooled — Get one,
-// fill it, TrySend/Send it; ownership passes to the writer, which
-// recycles it after the bytes are out.
+// plainPoll bounds one Fill or Flush on a connection with no descriptor
+// to poll (net.Pipe, any platform without rawio_unix.go): a deadline this
+// far ahead turns the blocking call into a bounded poll.
+const plainPoll = 50 * time.Microsecond
+
+// Peer is one end of a message-plane connection. Its core never waits:
+// Fill is one non-blocking read into a reusable buffer and Next decodes
+// the buffered frames in place; Append encodes a frame behind whatever is
+// still unwritten and Flush is one non-blocking write of all of it,
+// keeping the tail the socket did not take. The owner decides when to
+// call them — the engine's net stepper does, once per step. Send and Recv
+// are the blocking driver over that same core, for callers that want a
+// frame out or in before they go on.
+//
+// Frames are pooled: Get one, fill it, Append or Send it; it is recycled
+// once encoded. The send side (Append, Flush, Send) and the receive side
+// (Fill, Next, Recv) share no state, so one goroutine may own each;
+// Stats is read when both are quiet.
 type Peer struct {
 	conn net.Conn
+	raw  *rawIO // the descriptor's non-blocking I/O; nil when conn exposes none
 	cfg  Config
-	out  chan *Frame
 	pool sync.Pool
 
-	wbuf []byte        // writer-owned encode buffer: every frame of one Write, each length-prefixed
-	br   *bufio.Reader // Recv-owned, over the socket-polling reader (see newConnReader)
-	rbuf []byte        // Recv-owned decode buffer
+	wbuf []byte // encoded frames, each length-prefixed; wbuf[wpos:] is unwritten
+	wpos int
 
-	goodbye chan struct{}
-	gbOnce  sync.Once
-	wg      sync.WaitGroup
+	rbuf       []byte // rbuf[rpos:rend] is read and not yet decoded
+	rpos, rend int
+	goodbye    bool
 
-	framesSent, msgsSent, bytesSent atomic.Uint64
-	framesRecv, msgsRecv, bytesRecv atomic.Uint64
+	st Stats
 }
 
-// NewPeer wraps an established, handshaken connection and starts its
-// writer goroutine.
+// NewPeer wraps an established, handshaken connection.
 func NewPeer(conn net.Conn, cfg Config) *Peer {
 	cfg.Validate()
 	cfg = cfg.WithDefaults()
 	p := &Peer{
-		conn:    conn,
-		cfg:     cfg,
-		out:     make(chan *Frame, cfg.WriterDepth),
-		goodbye: make(chan struct{}),
-		wbuf:    make([]byte, 0, wirePrefixSize+cfg.MaxFrame),
-		br:      bufio.NewReaderSize(newConnReader(conn), readBufSize),
+		conn: conn,
+		raw:  newRawIO(conn),
+		cfg:  cfg,
+		wbuf: make([]byte, 0, wirePrefixSize+cfg.MaxFrame),
+		rbuf: make([]byte, readBufSize),
 	}
 	p.pool.New = func() interface{} { return new(Frame) }
-	p.wg.Add(1)
-	go p.writeLoop()
 	return p
 }
 
@@ -155,181 +164,206 @@ func (p *Peer) Get() *Frame {
 	return f
 }
 
-// TrySend hands a filled frame to the writer without blocking. On
-// success ownership passes to the writer (which recycles the frame);
-// on false the caller still owns it and retries later — the message
-// plane's backpressure point.
+// Append encodes f — length prefix, then payload — behind the bytes
+// still unwritten and recycles it. Frames leave in Append order.
 //
-//orthrus:hotpath
-func (p *Peer) TrySend(f *Frame) bool {
-	// Count before the handoff: the instant the frame is on the channel
-	// the writer owns it and may recycle it.
-	n := uint64(len(f.Msgs))
-	select {
-	case p.out <- f:
-		p.framesSent.Add(1)
-		p.msgsSent.Add(n)
-		return true
-	default:
-		return false
+//orthrus:recycle the caller hands over sole ownership of a frame it got from Get; once its bytes are encoded nothing else can reach it
+func (p *Peer) Append(f *Frame) {
+	if p.wpos > 0 { // a short write left a tail: move it to the front
+		p.wbuf = p.wbuf[:copy(p.wbuf, p.wbuf[p.wpos:])]
+		p.wpos = 0
 	}
-}
-
-// Send hands a filled frame to the writer, blocking until the queue
-// has room. Shutdown-path only (pending-frame drain, goodbye); hot
-// threads use TrySend.
-func (p *Peer) Send(f *Frame) {
-	n := uint64(len(f.Msgs))
-	p.out <- f
-	p.framesSent.Add(1)
-	p.msgsSent.Add(n)
-}
-
-// SendGoodbye enqueues the shutdown barrier frame. Every data frame
-// handed to the writer before this call is written before it (the
-// writer preserves channel order).
-func (p *Peer) SendGoodbye() {
-	f := p.Get()
-	f.Plane = PlaneControl
-	f.To = CtrlGoodbye
-	p.Send(f)
-}
-
-// CloseSend closes the writer queue and waits for the writer to flush
-// every queued frame to the socket.
-func (p *Peer) CloseSend() {
-	close(p.out)
-	p.wg.Wait()
-}
-
-// GoodbyeReceived is closed once Recv has decoded the peer's goodbye
-// frame: the peer's complete send history is then in this process
-// (socket-buffered or already dispatched).
-func (p *Peer) GoodbyeReceived() <-chan struct{} { return p.goodbye }
-
-// Close closes the underlying connection (unblocking a Recv in
-// progress). Call after CloseSend and the goodbye exchange.
-func (p *Peer) Close() error { return p.conn.Close() }
-
-// Stats snapshots the peer's wire counters.
-func (p *Peer) Stats() Stats {
-	return Stats{
-		FramesSent: p.framesSent.Load(),
-		FramesRecv: p.framesRecv.Load(),
-		MsgsSent:   p.msgsSent.Load(),
-		MsgsRecv:   p.msgsRecv.Load(),
-		BytesSent:  p.bytesSent.Load(),
-		BytesRecv:  p.bytesRecv.Load(),
-	}
-}
-
-// Recv reads and decodes one frame into f, reusing f's capacity and
-// the peer's read buffers. It blocks until a frame is complete: while
-// the connection is busy the wait polls the socket (see newConnReader),
-// only an idle one parks in the netpoller. Control frames are handled
-// internally (goodbye closes GoodbyeReceived) and returned to the
-// caller, which skips them. Only the owner's single reader goroutine may
-// call Recv.
-//
-// The loop this runs in is I/O by design and must never be reachable
-// from a hot-path root; the per-node reader goroutines that call it
-// are //orthrus:coldpath boundaries.
-func (p *Peer) Recv(f *Frame) error {
-	payload, err := readWire(p.br, &p.rbuf)
-	if err != nil {
-		return err
-	}
-	if err := DecodeFrame(f, payload); err != nil {
-		return err
-	}
-	p.framesRecv.Add(1)
-	p.bytesRecv.Add(uint64(wirePrefixSize + len(payload)))
-	if f.Plane == PlaneControl {
-		if f.To == CtrlGoodbye {
-			p.gbOnce.Do(func() { close(p.goodbye) })
-		}
-		return nil
-	}
-	p.msgsRecv.Add(uint64(len(f.Msgs)))
-	return nil
-}
-
-// writeLoop drains the frame channel into the socket: every frame already
-// queued when the writer gets to run is encoded, each behind its own
-// length prefix, into the writer's one reusable buffer and leaves in a
-// single Write — frames queued during the previous syscall share the
-// next one. Channel order is write order, so per-queue FIFO is
-// unchanged. A batch stops growing once it reaches MaxFrame bytes, which
-// bounds the buffer at MaxFrame plus one frame. After a write error it
-// keeps draining (discarding) so senders never block on a dead
-// connection.
-//
-//orthrus:coldpath dedicated per-peer writer: socket writes block by design; hot threads hand frames over p.out and never touch the socket
-func (p *Peer) writeLoop() {
-	defer p.wg.Done()
-	failed := false
-	for f := range p.out {
-		p.wbuf = p.appendWire(p.wbuf[:0], f)
-	coalesce:
-		for len(p.wbuf) < p.cfg.MaxFrame {
-			select {
-			case f, ok := <-p.out:
-				if !ok {
-					break coalesce // closed and drained: the range ends after this Write
-				}
-				p.wbuf = p.appendWire(p.wbuf, f)
-			default:
-				break coalesce
-			}
-		}
-		if failed {
-			continue
-		}
-		if _, err := p.conn.Write(p.wbuf); err != nil {
-			failed = true
-		} else {
-			p.bytesSent.Add(uint64(len(p.wbuf)))
-		}
-	}
-}
-
-// appendWire appends f's wire form — length prefix, then payload — to
-// dst and recycles f.
-//
-//orthrus:recycle the frame was handed to the writer by TrySend/Send, transferring sole ownership; once its bytes are encoded no other goroutine can reach it
-func (p *Peer) appendWire(dst []byte, f *Frame) []byte {
-	at := len(dst)
-	dst = AppendFrame(append(dst, 0, 0, 0, 0), f)
-	binary.LittleEndian.PutUint32(dst[at:], uint32(len(dst)-at-wirePrefixSize))
+	at := len(p.wbuf)
+	p.wbuf = append(p.wbuf, 0, 0, 0, 0)
+	p.wbuf = AppendFrame(p.wbuf, f)
+	binary.LittleEndian.PutUint32(p.wbuf[at:], uint32(len(p.wbuf)-at-wirePrefixSize))
+	p.st.FramesSent++
+	p.st.MessagesSent += uint64(len(f.Msgs))
 	p.pool.Put(f)
-	return dst
 }
 
-// readWire reads one length-prefixed frame payload from r into *buf
-// (grown only when capacity is insufficient, so steady state reads
-// allocate nothing) and returns the payload slice.
-func readWire(r io.Reader, buf *[]byte) ([]byte, error) {
-	b := *buf
-	if cap(b) < wirePrefixSize {
-		b = make([]byte, 0, wirePrefixSize+DefaultMaxFrame)
+// AppendGoodbye appends the shutdown barrier frame: it leaves after
+// every frame appended before it.
+func (p *Peer) AppendGoodbye() {
+	f := p.Get()
+	f.Plane, f.To = PlaneControl, CtrlGoodbye
+	p.Append(f)
+}
+
+// Buffered is how many encoded bytes the socket has not yet taken. An
+// owner stops appending once it passes MaxFrame, which bounds the buffer
+// at MaxFrame plus one frame.
+func (p *Peer) Buffered() int { return len(p.wbuf) - p.wpos }
+
+// Flush offers every unwritten byte to the socket in one write and
+// reports whether it took any. What it did not take (EAGAIN, a short
+// write) stays buffered, in order, for the next Flush.
+func (p *Peer) Flush() (bool, error) { return p.flush(false) }
+
+func (p *Peer) flush(wait bool) (bool, error) {
+	if p.wpos == len(p.wbuf) {
+		return false, nil
 	}
-	b = b[:wirePrefixSize]
-	if _, err := io.ReadFull(r, b); err != nil {
-		return nil, err
+	var n int
+	var err error
+	if p.raw != nil {
+		n, err = p.raw.write(p.wbuf[p.wpos:], wait)
+	} else {
+		if !wait {
+			p.conn.SetWriteDeadline(time.Now().Add(plainPoll))
+		}
+		if n, err = p.conn.Write(p.wbuf[p.wpos:]); errors.Is(err, os.ErrDeadlineExceeded) {
+			err = nil
+		}
+	}
+	p.st.Writes++
+	p.st.BytesSent += uint64(n)
+	if p.wpos += n; p.wpos == len(p.wbuf) {
+		p.wbuf, p.wpos = p.wbuf[:0], 0
+	} else {
+		p.st.ShortWrites++
+	}
+	return n > 0, err
+}
+
+// Fill reads once into the buffer's free space and returns how many
+// bytes arrived: zero when the socket had none (EAGAIN), io.EOF once the
+// peer has closed. Call Next until it reports no frame before the next
+// Fill.
+func (p *Peer) Fill() (int, error) { return p.fill(false) }
+
+func (p *Peer) fill(wait bool) (int, error) {
+	if p.rpos > 0 { // every whole frame is decoded: a partial one moves to the front
+		p.rend = copy(p.rbuf, p.rbuf[p.rpos:p.rend])
+		p.rpos = 0
+	}
+	var n int
+	var err error
+	if p.raw != nil {
+		n, err = p.raw.read(p.rbuf[p.rend:], wait)
+	} else {
+		if !wait {
+			p.conn.SetReadDeadline(time.Now().Add(plainPoll))
+		}
+		if n, err = p.conn.Read(p.rbuf[p.rend:]); errors.Is(err, os.ErrDeadlineExceeded) {
+			err = nil
+		}
+	}
+	p.st.Reads++
+	if n == 0 {
+		p.st.EmptyReads++
+	}
+	p.rend += n
+	p.st.BytesReceived += uint64(n)
+	return n, err
+}
+
+// Next decodes the next buffered frame into f, in place — f's capacity
+// and the read buffer are reused — and reports whether there was a whole
+// one. Control frames are returned like any other (a goodbye also sets
+// GoodbyeSeen); the caller skips them.
+func (p *Peer) Next(f *Frame) (bool, error) {
+	b := p.rbuf[p.rpos:p.rend]
+	if len(b) < wirePrefixSize {
+		return false, nil
 	}
 	n := binary.LittleEndian.Uint32(b)
 	if n > maxWirePayload {
-		return nil, fmt.Errorf("transport: frame length %d exceeds wire cap %d", n, maxWirePayload)
+		return false, fmt.Errorf("transport: frame length %d exceeds wire cap %d", n, maxWirePayload)
 	}
-	if cap(b) < int(n) {
-		b = make([]byte, n)
+	size := wirePrefixSize + int(n)
+	if len(b) < size {
+		if size > len(p.rbuf) {
+			p.growRead(size)
+		}
+		return false, nil
 	}
-	b = b[:n]
-	if _, err := io.ReadFull(r, b); err != nil {
+	if err := DecodeFrame(f, b[wirePrefixSize:size]); err != nil {
+		return false, err
+	}
+	p.rpos += size
+	p.st.FramesReceived++
+	if f.Plane == PlaneControl {
+		p.goodbye = p.goodbye || f.To == CtrlGoodbye
+	} else {
+		p.st.MessagesReceived += uint64(len(f.Msgs))
+	}
+	return true, nil
+}
+
+// growRead makes the read buffer hold one frame of size bytes.
+//
+//orthrus:coldpath runs once per frame that outgrows every earlier one; the buffer then stays that large
+func (p *Peer) growRead(size int) {
+	b := make([]byte, size)
+	p.rend = copy(b, p.rbuf[p.rpos:p.rend])
+	p.rbuf, p.rpos = b, 0
+}
+
+// GoodbyeSeen reports that Next has decoded the peer's goodbye frame:
+// the peer's complete send history has then been returned by Next.
+func (p *Peer) GoodbyeSeen() bool { return p.goodbye }
+
+// Close closes the underlying connection.
+func (p *Peer) Close() error { return p.conn.Close() }
+
+// Stats returns the peer's wire counters.
+func (p *Peer) Stats() Stats { return p.st }
+
+// --- blocking driver --------------------------------------------------------
+
+// Send appends f and waits until the socket has taken every buffered
+// byte. After a write error it discards, so a sender never blocks on a
+// dead connection.
+func (p *Peer) Send(f *Frame) {
+	p.Append(f)
+	p.drain()
+}
+
+// SendGoodbye sends the shutdown barrier frame.
+func (p *Peer) SendGoodbye() {
+	p.AppendGoodbye()
+	p.drain()
+}
+
+func (p *Peer) drain() {
+	for p.Buffered() > 0 {
+		if _, err := p.flush(true); err != nil {
+			p.wbuf, p.wpos = p.wbuf[:0], 0
+		}
+	}
+}
+
+// CloseSend ends the send side. Send returns with its bytes written, so
+// there is nothing left to wait for.
+func (p *Peer) CloseSend() {}
+
+// Recv blocks until one whole frame is decoded into f (see Next).
+func (p *Peer) Recv(f *Frame) error {
+	for {
+		if ok, err := p.Next(f); ok || err != nil {
+			return err
+		}
+		if _, err := p.fill(true); err != nil {
+			return err
+		}
+	}
+}
+
+// readWire reads one length-prefixed payload from r (the handshake's
+// framing; data frames go through Peer).
+func readWire(r io.Reader) ([]byte, error) {
+	var prefix [wirePrefixSize]byte
+	if _, err := io.ReadFull(r, prefix[:]); err != nil {
 		return nil, err
 	}
-	*buf = b
-	return b, nil
+	n := binary.LittleEndian.Uint32(prefix[:])
+	if n > maxWirePayload {
+		return nil, fmt.Errorf("transport: frame length %d exceeds wire cap %d", n, maxWirePayload)
+	}
+	b := make([]byte, n)
+	_, err := io.ReadFull(r, b)
+	return b, err
 }
 
 // --- handshake ------------------------------------------------------------
@@ -425,8 +459,7 @@ func Exchange(conn net.Conn, local *Hello, timeout time.Duration) (Hello, error)
 	if _, err := conn.Write(msg); err != nil {
 		return Hello{}, err
 	}
-	var buf []byte
-	peerBytes, err := readWire(conn, &buf)
+	peerBytes, err := readWire(conn)
 	if err != nil {
 		return Hello{}, err
 	}
