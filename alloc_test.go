@@ -175,11 +175,21 @@ func TestSubmitAllocsWithCheckpointerBounded(t *testing.T) {
 			t.Run(p.name+"/"+e.rt.Name(), func(t *testing.T) {
 				ses := e.rt.Start()
 				src := &repro.Transfer{Table: e.tbl, NumRecords: 64}
-				allocs := measureSubmitAllocs(ses, src)
-				stats := ses.(repro.CheckpointedSession).CheckpointStats()
+				// Measure until a measurement spans a checkpoint: how many
+				// 5 ms intervals 700 round trips cover is the machine's
+				// business (under GOMAXPROCS=1 the fastest engines finish
+				// inside one), so wait for the event, not the clock.
+				ck := ses.(repro.CheckpointedSession)
+				var allocs float64
+				ran := false
+				for attempt := 0; attempt < 100 && !ran; attempt++ {
+					before := ck.CheckpointStats().Checkpoints
+					allocs = measureSubmitAllocs(ses, src)
+					ran = ck.CheckpointStats().Checkpoints > before
+				}
 				ses.Drain()
 				ses.Close()
-				if stats.Checkpoints == 0 {
+				if !ran {
 					t.Fatalf("%s: checkpointer never ran during the measurement", e.rt.Name())
 				}
 				if allocs > p.bound {

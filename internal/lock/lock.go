@@ -5,7 +5,11 @@
 //
 //   - a hash table of lock-request queues keyed by record;
 //   - per-bucket latches ("per-bucket latches instead of a single latch to
-//     protect the entire table");
+//     protect the entire table"). A bucket's records sit in a
+//     locktab.Table — the very index an ORTHRUS CC thread keeps per
+//     partition, single-owner there by partitioning and here by the latch
+//     — so a comparison between the engines prices the latch and the
+//     shared cache lines, not two differently tuned hash tables;
 //   - no intention locks — only fine-grained record locks in shared (S) or
 //     exclusive (X) mode;
 //   - request structures recycled through per-thread freelists so the hot
@@ -28,6 +32,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/locktab"
 	"repro/internal/txn"
 )
 
@@ -50,7 +55,10 @@ type Request struct {
 	state atomic.Int32
 	ready chan struct{} // capacity 1; a token is sent on grant
 
-	prev, next *Request // intrusive queue links, guarded by bucket latch
+	// Queue membership, guarded by the bucket latch: the entry the request
+	// is queued on (nil when it is not queued) and its intrusive links.
+	e          *entry
+	prev, next *Request
 }
 
 // Granted reports whether the request has been granted.
@@ -106,24 +114,22 @@ type PreAcquirer interface {
 	PreAcquire(req *Request) bool
 }
 
-// lockKey identifies a record across tables.
-type lockKey struct {
-	table int
-	key   uint64
-}
-
-// entry is one record's request queue.
-type entry struct {
+// queue is one record's request queue.
+type queue struct {
 	head, tail *Request
 	waiters    int // requests not yet granted
+	writers    int // write requests, granted or not
 }
 
+type entry = locktab.Entry[queue]
+
+// bucket is one latch and the records that hash to it: the same
+// single-owner locktab.Table an ORTHRUS CC thread keeps per partition,
+// here owned by whoever holds mu.
 type bucket struct {
-	mu      sync.Mutex
-	entries map[lockKey]*entry
-	// entryPool recycles entry structs for this bucket.
-	entryPool []*entry
-	_         [24]byte // pad to reduce adjacent-bucket false sharing
+	mu  sync.Mutex
+	tab locktab.Table[queue]
+	_   [8]byte // pads the bucket to one cache line
 }
 
 // Table is the shared lock table.
@@ -140,11 +146,7 @@ func NewTable(buckets int, h Handler) *Table {
 	for n < buckets {
 		n <<= 1
 	}
-	t := &Table{buckets: make([]bucket, n), mask: uint64(n - 1), handler: h}
-	for i := range t.buckets {
-		t.buckets[i].entries = make(map[lockKey]*entry)
-	}
-	return t
+	return &Table{buckets: make([]bucket, n), mask: uint64(n - 1), handler: h}
 }
 
 // Handler returns the table's deadlock policy.
@@ -153,10 +155,9 @@ func (t *Table) Handler() Handler { return t.handler }
 // Buckets returns the bucket count.
 func (t *Table) Buckets() int { return len(t.buckets) }
 
-func (t *Table) bucketFor(k lockKey) *bucket {
-	h := k.key*0x9E3779B97F4A7C15 + uint64(k.table)*0xBF58476D1CE4E5B9
-	h ^= h >> 32
-	return &t.buckets[h&t.mask]
+// bucketOf returns the bucket req's record hashes to.
+func (t *Table) bucketOf(req *Request) *bucket {
+	return &t.buckets[locktab.Key{Table: req.Table, Key: req.Key}.Hash()&t.mask]
 }
 
 // Acquire requests the (table,key) lock in mode for req's transaction.
@@ -175,34 +176,29 @@ func (t *Table) Acquire(req *Request, table int, key uint64, mode txn.Mode) (wai
 		return 0, txn.ErrAborted
 	}
 
-	k := lockKey{table, key}
-	b := t.bucketFor(k)
+	k := locktab.Key{Table: table, Key: key}
+	h := k.Hash()
+	b := &t.buckets[h&t.mask]
 	b.mu.Lock()
-	e := b.entries[k]
-	if e == nil {
-		e = b.getEntry()
-		b.entries[k] = e
-	}
+	e := b.tab.Get(k, h)
 
-	conflict := e.conflictsAhead(req.Mode, nil)
+	conflict := e.Q.conflictsAhead(req.Mode, nil)
 	if conflict == nil {
 		req.state.Store(stateGranted)
-		e.push(req)
+		push(e, req)
 		b.mu.Unlock()
 		return 0, nil
 	}
 
 	if t.handler.OnConflict(req, conflict) == Die {
-		if e.head == nil {
-			b.putEntry(k, e)
-		}
+		b.vacate(e)
 		b.mu.Unlock()
 		t.handler.OnAborted(req)
 		return 0, txn.ErrAborted
 	}
 
-	e.push(req)
-	e.waiters++
+	push(e, req)
+	e.Q.waiters++
 	b.mu.Unlock()
 
 	start := time.Now()
@@ -224,15 +220,12 @@ func (t *Table) Acquire(req *Request, table int, key uint64, mode txn.Mode) (wai
 // Release drops req's lock and grants newly compatible requests.
 // req must have been granted.
 func (t *Table) Release(req *Request) {
-	k := lockKey{req.Table, req.Key}
-	b := t.bucketFor(k)
+	b := t.bucketOf(req)
 	b.mu.Lock()
-	e := b.entries[k]
-	e.remove(req)
-	e.grantPrefix()
-	if e.head == nil {
-		b.putEntry(k, e)
-	}
+	e := req.e
+	remove(e, req)
+	e.Q.grantPrefix()
+	b.vacate(e)
 	b.mu.Unlock()
 }
 
@@ -240,22 +233,19 @@ func (t *Table) Release(req *Request) {
 // granted before the latch was taken (the caller then owns a granted lock
 // and a pending token).
 func (t *Table) cancel(req *Request) bool {
-	k := lockKey{req.Table, req.Key}
-	b := t.bucketFor(k)
+	b := t.bucketOf(req)
 	b.mu.Lock()
 	if req.Granted() {
 		b.mu.Unlock()
 		req.DrainToken()
 		return false
 	}
-	e := b.entries[k]
-	e.remove(req)
-	e.waiters--
+	e := req.e
+	remove(e, req)
+	e.Q.waiters--
 	// Removing a waiter can unblock requests queued behind it.
-	e.grantPrefix()
-	if e.head == nil {
-		b.putEntry(k, e)
-	}
+	e.Q.grantPrefix()
+	b.vacate(e)
 	b.mu.Unlock()
 	return true
 }
@@ -266,22 +256,21 @@ func (t *Table) Blockers(req *Request, out []int) (blockers []int, waiting bool)
 	if req.Granted() {
 		return out[:0], false
 	}
-	k := lockKey{req.Table, req.Key}
-	b := t.bucketFor(k)
+	b := t.bucketOf(req)
 	b.mu.Lock()
 	if req.Granted() {
 		b.mu.Unlock()
 		return out[:0], false
 	}
 	out = out[:0]
-	e := b.entries[k]
+	e := req.e
 	if e == nil {
-		// The request is not enqueued under this key (caller raced with
-		// its own Acquire); report "still waiting, no known blockers".
+		// The request is not enqueued (caller raced with its own
+		// Acquire); report "still waiting, no known blockers".
 		b.mu.Unlock()
 		return out, true
 	}
-	for cur := e.head; cur != nil && cur != req; cur = cur.next {
+	for cur := e.Q.head; cur != nil && cur != req; cur = cur.next {
 		if cur.Mode.Conflicts(req.Mode) {
 			out = append(out, cur.Thread)
 		}
@@ -292,29 +281,24 @@ func (t *Table) Blockers(req *Request, out []int) (blockers []int, waiting bool)
 
 // --- entry operations (bucket latch held) -------------------------------
 
-func (b *bucket) getEntry() *entry {
-	if n := len(b.entryPool); n > 0 {
-		e := b.entryPool[n-1]
-		b.entryPool = b.entryPool[:n-1]
-		return e
-	}
-	return &entry{}
-}
-
-func (b *bucket) putEntry(k lockKey, e *entry) {
-	delete(b.entries, k)
-	e.head, e.tail, e.waiters = nil, nil, 0
-	if len(b.entryPool) < 32 {
-		b.entryPool = append(b.entryPool, e)
+// vacate drops e's record from the bucket once its queue has emptied.
+func (b *bucket) vacate(e *entry) {
+	if e.Q.head == nil {
+		b.tab.Delete(e)
 	}
 }
 
 // conflictsAhead returns the requests that conflict with a new request of
 // the given mode under strict FIFO (nil when none, meaning immediate
 // grant). Appends into scratch to avoid allocation when provided.
-func (e *entry) conflictsAhead(mode txn.Mode, scratch []*Request) []*Request {
+func (q *queue) conflictsAhead(mode txn.Mode, scratch []*Request) []*Request {
+	// A write conflicts with anything and a read with any write, so the
+	// common verdict — nothing ahead conflicts — needs no walk.
+	if q.head == nil || mode == txn.Read && q.writers == 0 {
+		return nil
+	}
 	out := scratch[:0]
-	for cur := e.head; cur != nil; cur = cur.next {
+	for cur := q.head; cur != nil; cur = cur.next {
 		// Any waiting request ahead blocks a conflicting newcomer; strict
 		// FIFO additionally blocks a newcomer behind any waiter it
 		// conflicts with even if current holders are compatible.
@@ -322,43 +306,50 @@ func (e *entry) conflictsAhead(mode txn.Mode, scratch []*Request) []*Request {
 			out = append(out, cur)
 		}
 	}
-	if len(out) == 0 {
-		return nil
-	}
 	return out
 }
 
-func (e *entry) push(r *Request) {
-	r.prev, r.next = e.tail, nil
-	if e.tail != nil {
-		e.tail.next = r
+// push and remove take the entry, not the queue: the request keeps it, so
+// Release and cancel look nothing up.
+func push(e *entry, r *Request) {
+	q := &e.Q
+	r.e, r.prev, r.next = e, q.tail, nil
+	if q.tail != nil {
+		q.tail.next = r
 	} else {
-		e.head = r
+		q.head = r
 	}
-	e.tail = r
+	q.tail = r
+	if r.Mode == txn.Write {
+		q.writers++
+	}
 }
 
-func (e *entry) remove(r *Request) {
+func remove(e *entry, r *Request) {
+	q := &e.Q
 	if r.prev != nil {
 		r.prev.next = r.next
 	} else {
-		e.head = r.next
+		q.head = r.next
 	}
 	if r.next != nil {
 		r.next.prev = r.prev
 	} else {
-		e.tail = r.prev
+		q.tail = r.prev
 	}
-	r.prev, r.next = nil, nil
+	r.e, r.prev, r.next = nil, nil, nil
+	if r.Mode == txn.Write {
+		q.writers--
+	}
 }
 
 // grantPrefix grants the longest compatible prefix of waiting requests.
-func (e *entry) grantPrefix() {
-	if e.waiters == 0 {
+func (q *queue) grantPrefix() {
+	if q.waiters == 0 {
 		return
 	}
 	var grantedWrite, grantedRead bool
-	for cur := e.head; cur != nil; cur = cur.next {
+	for cur := q.head; cur != nil; cur = cur.next {
 		if cur.Granted() {
 			if cur.Mode == txn.Write {
 				grantedWrite = true
@@ -379,7 +370,7 @@ func (e *entry) grantPrefix() {
 			grantedRead = true
 		}
 		cur.state.Store(stateGranted)
-		e.waiters--
+		q.waiters--
 		cur.ready <- struct{}{}
 	}
 }

@@ -277,7 +277,7 @@ func TestEntryPoolCleansUp(t *testing.T) {
 		f.Put(r)
 	}
 	for i := range tbl.buckets {
-		if n := len(tbl.buckets[i].entries); n != 0 {
+		if n := tbl.buckets[i].tab.Len(); n != 0 {
 			t.Fatalf("bucket %d retains %d entries", i, n)
 		}
 	}
@@ -347,7 +347,7 @@ func TestAcquireReleaseProperty(t *testing.T) {
 			delete(held, key)
 		}
 		for i := range tbl.buckets {
-			if len(tbl.buckets[i].entries) != 0 {
+			if tbl.buckets[i].tab.Len() != 0 {
 				return false
 			}
 		}

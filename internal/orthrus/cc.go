@@ -4,80 +4,103 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/locktab"
 	"repro/internal/spsc"
 	"repro/internal/txn"
 )
 
 // localReq is one record-lock request inside a CC thread's table. It is
-// created, queued, granted and released by the single CC thread that owns
-// the record's logical partition, so it carries no synchronization
+// filled in, queued, granted and released by the single CC thread that
+// owns the record's logical partition, so it carries no synchronization
 // whatsoever — the core of the paper's argument that partitioned
 // functionality makes concurrency-control metadata contention-free (§3.1).
+// It lives by value in its wrapper (wrapper.reqs), one slot per declared
+// op, and remembers the entry it queued on, so releasing it is a list
+// unlink rather than a second lookup.
 type localReq struct {
 	w       *wrapper
 	mode    txn.Mode
 	granted bool
 	key     lockKey
 	pid     int32 // logical partition, selects the owning shard
+	e       *lentry
 
 	prev, next *localReq
 }
 
-type lockKey struct {
-	table int
-	key   uint64
-}
+type lockKey = locktab.Key
 
-// lentry is one record's FIFO request queue.
-type lentry struct {
+// lqueue is one record's FIFO request queue.
+type lqueue struct {
 	head, tail *localReq
-	waiters    int
+	waiters    int // requests not yet granted
+	writers    int // write requests, granted or not
 }
 
-func (e *lentry) push(r *localReq) {
-	r.prev, r.next = e.tail, nil
-	if e.tail != nil {
-		e.tail.next = r
+type lentry = locktab.Entry[lqueue]
+
+func (q *lqueue) push(r *localReq) {
+	r.prev, r.next = q.tail, nil
+	if q.tail != nil {
+		q.tail.next = r
 	} else {
-		e.head = r
+		q.head = r
 	}
-	e.tail = r
+	q.tail = r
+	if r.mode == txn.Write {
+		q.writers++
+	}
 }
 
-func (e *lentry) remove(r *localReq) {
+func (q *lqueue) remove(r *localReq) {
 	if r.prev != nil {
 		r.prev.next = r.next
 	} else {
-		e.head = r.next
+		q.head = r.next
 	}
 	if r.next != nil {
 		r.next.prev = r.prev
 	} else {
-		e.tail = r.prev
+		q.tail = r.prev
 	}
 	r.prev, r.next = nil, nil
+	if r.mode == txn.Write {
+		q.writers--
+	}
 }
 
-// compatible reports whether a new request of the given mode can be
-// granted immediately (strict FIFO: any conflicting request ahead —
-// granted or waiting — blocks it).
-func (e *lentry) compatible(mode txn.Mode) bool {
-	for cur := e.head; cur != nil; cur = cur.next {
-		if cur.mode.Conflicts(mode) {
-			return false
-		}
+// enqueue appends r and reports whether it is granted immediately. Strict
+// FIFO: any conflicting request ahead — granted or waiting — blocks it,
+// so a write is compatible only with an empty queue and a read only with
+// a writer-free one.
+func (q *lqueue) enqueue(r *localReq) bool {
+	if r.mode == txn.Write {
+		r.granted = q.head == nil
+	} else {
+		r.granted = q.writers == 0
 	}
-	return true
+	q.push(r)
+	if !r.granted {
+		q.waiters++
+	}
+	return r.granted
+}
+
+// dequeue unlinks a granted r, appends the requests this grants to out,
+// and reports whether the queue is now empty.
+func (q *lqueue) dequeue(r *localReq, out []*localReq) ([]*localReq, bool) {
+	q.remove(r)
+	return q.grantPrefix(out), q.head == nil
 }
 
 // grantPrefix grants the longest compatible prefix of waiting requests,
 // appending newly granted requests to out.
-func (e *lentry) grantPrefix(out []*localReq) []*localReq {
-	if e.waiters == 0 {
+func (q *lqueue) grantPrefix(out []*localReq) []*localReq {
+	if q.waiters == 0 {
 		return out
 	}
 	var grantedWrite, grantedRead bool
-	for cur := e.head; cur != nil; cur = cur.next {
+	for cur := q.head; cur != nil; cur = cur.next {
 		if cur.granted {
 			if cur.mode == txn.Write {
 				grantedWrite = true
@@ -98,14 +121,14 @@ func (e *lentry) grantPrefix(out []*localReq) []*localReq {
 			grantedRead = true
 		}
 		cur.granted = true
-		e.waiters--
+		q.waiters--
 		out = append(out, cur)
 	}
 	return out
 }
 
-// ccTable abstracts the lock-table layout: private per-partition maps (the
-// ORTHRUS design) or one latched shared table (the §3.4 alternative).
+// ccTable abstracts the lock-table layout: private per-partition tables
+// (the ORTHRUS design) or one latched shared table (the §3.4 alternative).
 // Either way every key is operated on by exactly one CC thread at a time,
 // so the grant bookkeeping stays single-owner.
 type ccTable interface {
@@ -116,77 +139,49 @@ type ccTable interface {
 	release(r *localReq, out []*localReq) []*localReq
 }
 
-// privateTable is a latch-free map owned — via its logical partition — by
-// exactly one CC thread at a time. It is the unit of migration: the whole
-// structure (entries and entry pool) is handed to the new owner over the
-// control plane, preserving its allocated capacity.
+// privateTable is one logical partition's lock table: a latch-free
+// locktab.Table owned — via the partition — by exactly one CC thread at a
+// time, which is the single owner that package asks for. It is the unit
+// of migration: the whole structure (slot array, entries and their free
+// list) is handed to the new owner over the control plane, preserving its
+// allocated capacity.
 type privateTable struct {
-	entries map[lockKey]*lentry
-	pool    []*lentry
+	locktab.Table[lqueue]
 }
 
 func newPrivateTable() *privateTable {
 	//orthrus:allow(noalloc) once per logical partition's first lock request; the table then lives (and migrates) forever
-	return &privateTable{entries: make(map[lockKey]*lentry, 256)}
+	return &privateTable{}
 }
 
 func (t *privateTable) insert(r *localReq) bool {
-	e := t.entries[r.key]
-	if e == nil {
-		e = t.getEntry()
-		t.entries[r.key] = e
-	}
-	if e.compatible(r.mode) {
-		r.granted = true
-		e.push(r)
-		return true
-	}
-	r.granted = false
-	e.push(r)
-	e.waiters++
-	return false
+	r.e = t.Get(r.key, r.key.Hash())
+	return r.e.Q.enqueue(r)
 }
 
 func (t *privateTable) release(r *localReq, out []*localReq) []*localReq {
-	e := t.entries[r.key]
-	e.remove(r)
-	out = e.grantPrefix(out)
-	if e.head == nil {
-		delete(t.entries, r.key)
-		t.putEntry(e)
+	out, empty := r.e.Q.dequeue(r, out)
+	if empty {
+		t.Delete(r.e)
 	}
 	return out
-}
-
-func (t *privateTable) getEntry() *lentry {
-	if n := len(t.pool); n > 0 {
-		e := t.pool[n-1]
-		t.pool = t.pool[:n-1]
-		return e
-	}
-	return &lentry{}
-}
-
-func (t *privateTable) putEntry(e *lentry) {
-	e.head, e.tail, e.waiters = nil, nil, 0
-	if len(t.pool) < 64 {
-		t.pool = append(t.pool, e)
-	}
 }
 
 // sharedTable is the §3.4 alternative: one bucketed, latched table that
 // all CC threads operate on. Routing still sends each key to a single CC
 // thread, so correctness is unchanged; what the variant adds back is
-// synchronization and data movement on the table structure itself.
+// synchronization and data movement on the table structure itself — each
+// bucket is the same locktab.Table a private shard is, owned by whoever
+// holds the bucket's latch.
 type sharedTable struct {
 	buckets []sharedBucket
 	mask    uint64
 }
 
 type sharedBucket struct {
-	mu      sync.Mutex
-	entries map[lockKey]*lentry
-	_       [40]byte
+	mu  sync.Mutex
+	tab locktab.Table[lqueue]
+	_   [8]byte // pads the bucket to one cache line
 }
 
 func newSharedTable(buckets int) *sharedTable {
@@ -194,51 +189,28 @@ func newSharedTable(buckets int) *sharedTable {
 	for n < buckets {
 		n <<= 1
 	}
-	t := &sharedTable{buckets: make([]sharedBucket, n), mask: uint64(n - 1)}
-	for i := range t.buckets {
-		t.buckets[i].entries = make(map[lockKey]*lentry)
-	}
-	return t
-}
-
-func (t *sharedTable) bucket(k lockKey) *sharedBucket {
-	h := k.key*0x9E3779B97F4A7C15 + uint64(k.table)*0xBF58476D1CE4E5B9
-	h ^= h >> 32
-	return &t.buckets[h&t.mask]
+	return &sharedTable{buckets: make([]sharedBucket, n), mask: uint64(n - 1)}
 }
 
 // view adapts the shared table to the ccTable interface.
 type sharedView struct{ t *sharedTable }
 
 func (v sharedView) insert(r *localReq) bool {
-	b := v.t.bucket(r.key)
+	h := r.key.Hash()
+	b := &v.t.buckets[h&v.t.mask]
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	e := b.entries[r.key]
-	if e == nil {
-		e = &lentry{}
-		b.entries[r.key] = e
-	}
-	if e.compatible(r.mode) {
-		r.granted = true
-		e.push(r)
-		return true
-	}
-	r.granted = false
-	e.push(r)
-	e.waiters++
-	return false
+	r.e = b.tab.Get(r.key, h)
+	return r.e.Q.enqueue(r)
 }
 
 func (v sharedView) release(r *localReq, out []*localReq) []*localReq {
-	b := v.t.bucket(r.key)
+	b := &v.t.buckets[r.key.Hash()&v.t.mask]
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	e := b.entries[r.key]
-	e.remove(r)
-	out = e.grantPrefix(out)
-	if e.head == nil {
-		delete(b.entries, r.key)
+	out, empty := r.e.Q.dequeue(r, out)
+	if empty {
+		b.tab.Delete(r.e)
 	}
 	return out
 }
@@ -280,7 +252,7 @@ type ccThread struct {
 	inbuf    []message   // batched drain buffer
 	fwdOut   [][]message // per-CC forward outbox (only ids > c.id used)
 	grantOut [][]message // per-exec grant outbox
-	ops      opCounter
+	ops      opCounter   // forwards and grants sent, ring ops; flushed at retirement
 
 	// Per-pass accumulation of observability counters, flushed to the
 	// runState's per-thread atomics at the end of each drain pass so the
@@ -291,7 +263,6 @@ type ccThread struct {
 	pidAcc                   []uint64 // per-pid op tally this pass
 	pidTouched               []int    // pids with nonzero pidAcc
 
-	reqPool []*localReq
 	granted []*localReq // scratch for release-time grants
 }
 
@@ -471,19 +442,18 @@ func (c *ccThread) flushStats() {
 // until releases drain the conflicts.
 func (c *ccThread) acquire(w *wrapper) {
 	hop := w.hopIdx
-	ops := w.opsByCC[hop]
+	ops, reqs := w.opsByCC[hop], w.reqs[hop]
 	pending := 0
-	for _, op := range ops {
+	for i := range ops {
+		op, r := &ops[i], &reqs[i]
 		pid := c.s.pidOf(op.Table, op.Key)
-		r := c.getReq()
 		r.w = w
 		r.mode = op.Mode
-		r.key = lockKey{op.Table, op.Key}
+		r.key = lockKey{Table: op.Table, Key: op.Key}
 		r.pid = int32(pid)
 		if !c.tallyAndInsert(pid, r) {
 			pending++
 		}
-		w.reqs[hop] = append(w.reqs[hop], r)
 	}
 	w.pending = pending
 	if pending == 0 {
@@ -519,11 +489,11 @@ func (c *ccThread) advance(w *wrapper) {
 	if !c.s.cfg.DisableForwarding && w.hopIdx+1 < len(w.hops) {
 		w.hopIdx++
 		next := w.hops[w.hopIdx]
-		c.s.nForwards.Add(1)
+		c.ops.forwards++
 		c.pushForward(next, message{kind: msgAcquire, w: w, id: w.id})
 		return
 	}
-	c.s.nGrants.Add(1)
+	c.ops.grants++
 	c.nGrant++
 	c.pushGrant(w.owner, message{kind: msgAcquire, w: w, id: w.id})
 }
@@ -537,13 +507,11 @@ func (c *ccThread) advance(w *wrapper) {
 func (c *ccThread) releaseTxn(w *wrapper) {
 	hop := w.hopOf(c.id)
 	c.granted = c.granted[:0]
-	for _, r := range w.reqs[hop] {
+	reqs := w.reqs[hop]
+	for i := range reqs {
+		r := &reqs[i]
 		c.granted = c.table(r.pid).release(r, c.granted)
-		c.putReq(r)
 	}
-	// Truncate, keeping capacity: this hop slot is reused when the pooled
-	// wrapper plans its next chain.
-	w.reqs[hop] = w.reqs[hop][:0]
 	for _, g := range c.granted {
 		g.w.pending--
 		if g.w.pending == 0 {
@@ -566,8 +534,8 @@ func (c *ccThread) handleCtrl(m ccCtrl) {
 		out := make([]*privateTable, len(m.pids))
 		for i, pid := range m.pids {
 			sh := c.shards[pid]
-			if sh != nil && len(sh.entries) != 0 {
-				panic(fmt.Sprintf("orthrus: detaching partition %d with %d live lock entries (migration before drain)", pid, len(sh.entries)))
+			if sh != nil && sh.Len() != 0 {
+				panic(fmt.Sprintf("orthrus: detaching partition %d with %d live lock entries (migration before drain)", pid, sh.Len()))
 			}
 			out[i] = sh
 			c.shards[pid] = nil
@@ -652,23 +620,4 @@ func (c *ccThread) outboxesEmpty() bool {
 		}
 	}
 	return true
-}
-
-func (c *ccThread) getReq() *localReq {
-	if n := len(c.reqPool); n > 0 {
-		r := c.reqPool[n-1]
-		c.reqPool = c.reqPool[:n-1]
-		return r
-	}
-	//orthrus:allow(noalloc) pool backstop: only until the per-thread free list reaches its high-water mark
-	return &localReq{}
-}
-
-func (c *ccThread) putReq(r *localReq) {
-	r.w = nil
-	r.granted = false
-	r.prev, r.next = nil, nil
-	if len(c.reqPool) < 4096 {
-		c.reqPool = append(c.reqPool, r)
-	}
 }

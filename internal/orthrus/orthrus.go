@@ -9,14 +9,16 @@
 // to one of P fixed logical partitions (P ≫ CC threads), and an
 // epoch-versioned routing table maps each logical partition to its
 // current owning CC thread (routing.go). Each CC thread keeps one private
-// lock table per owned partition — plain maps with no latches, because
-// no other thread ever reads or writes them — and ownership of a
-// partition can be handed to another CC thread at runtime (live
-// migration, controller.go), which is what lets concurrency-control
-// capacity be re-provisioned to follow a shifting workload: the paper's
-// Figure 5 observation that the right CC:exec ratio is workload-dependent,
-// made adjustable while the engine serves. A fixed set of execution
-// threads run transaction logic and never touch lock state.
+// lock table per owned partition — an open-addressing index with no
+// latches (internal/locktab), because no other thread ever reads or
+// writes it: a lock is one probe of a cache-resident array and a release
+// looks nothing up (cc.go). Ownership of a partition can be handed to
+// another CC thread at runtime (live migration, controller.go), which is
+// what lets concurrency-control capacity be re-provisioned to follow a
+// shifting workload: the paper's Figure 5 observation that the right
+// CC:exec ratio is workload-dependent, made adjustable while the engine
+// serves. A fixed set of execution threads run transaction logic and
+// never touch lock state.
 //
 // The two groups share no data structures; they communicate through
 // single-producer single-consumer rings (internal/spsc), one per ordered
@@ -78,6 +80,7 @@ package orthrus
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -297,7 +300,8 @@ type message struct {
 //     thread before submission, read-only afterwards.
 //   - hopIdx, pending: touched only by the CC thread currently processing
 //     the wrapper (exactly one at any time — the chain is sequential).
-//   - reqs[i]: written and read only by CC thread hops[i].
+//   - reqs[i]: sized by the planner (addHop), then written and read only
+//     by CC thread hops[i].
 //   - releasesLeft: atomically decremented by each CC thread processing
 //     one of the wrapper's release messages; the thread that takes it to
 //     zero retires the wrapper's routing epoch (see epochGauge).
@@ -323,10 +327,10 @@ type wrapper struct {
 	// state). The in-process plane carries it but never reads it.
 	id uint64
 
-	epoch   uint64     // routing epoch the chain was planned under
-	hops    []int      // CC ids, ascending
-	opsByCC [][]txn.Op // parallel to hops
-	reqs    [][]*localReq
+	epoch   uint64       // routing epoch the chain was planned under
+	hops    []int        // CC ids, ascending
+	opsByCC [][]txn.Op   // parallel to hops
+	reqs    [][]localReq // parallel to opsByCC: one request slot per op
 
 	hopIdx       int
 	pending      int
@@ -340,12 +344,37 @@ type wrapper struct {
 }
 
 // resetPlan truncates the planning slices, keeping every backing array
-// (including the inner opsByCC/reqs buffers, which plan and cc.acquire
-// re-extend within capacity) for the wrapper's next plan or life.
+// (including the inner opsByCC/reqs buffers, which addHop re-extends
+// within capacity) for the wrapper's next plan or life.
 func (w *wrapper) resetPlan() {
 	w.hops = w.hops[:0]
 	w.opsByCC = w.opsByCC[:0]
 	w.reqs = w.reqs[:0]
+}
+
+// addHop appends CC thread cc to the chain and returns the hop's index,
+// its op buffer emptied for the caller to fill with the hop's nOps ops.
+// The hop's request slots are sized here, before the chain is published:
+// a CC thread links them into lock queues by address, so they must not
+// move once the first is inserted. Inner buffers a previous life (or plan
+// attempt) left are reused; a wrapper allocates only while it has never
+// been this wide.
+func (w *wrapper) addHop(cc, nOps int) int {
+	n := len(w.hops)
+	w.hops = append(w.hops, cc)
+	if n < cap(w.opsByCC) {
+		w.opsByCC = w.opsByCC[:n+1]
+	} else {
+		w.opsByCC = append(w.opsByCC, nil)
+	}
+	if n < cap(w.reqs) {
+		w.reqs = w.reqs[:n+1]
+	} else {
+		w.reqs = append(w.reqs, nil)
+	}
+	w.opsByCC[n] = w.opsByCC[n][:0]
+	w.reqs[n] = slices.Grow(w.reqs[n][:0], nOps)[:nOps]
+	return n
 }
 
 // hopOf returns the index of CC thread c in the wrapper's chain.
@@ -509,16 +538,11 @@ type runState struct {
 	// size, written when the thread exits and read after execWg.Wait().
 	execBatch []int
 
-	// message-plane counters (MessageStats after the run)
-	nAcquires atomic.Uint64
-	nForwards atomic.Uint64
-	nGrants   atomic.Uint64
-	nReleases atomic.Uint64
-	// ring-operation counters, accumulated per thread and flushed once at
-	// thread exit (an atomic add per ring op would cost what batching
-	// saves).
-	nEnqOps atomic.Uint64
-	nDeqOps atomic.Uint64
+	// ops is the session's message-plane tally (MessageStats after the
+	// run): every logical thread counts in its own opCounter and adds it
+	// here once, when it retires.
+	opsMu sync.Mutex
+	ops   opCounter
 }
 
 // pidOf resolves the static routing level: record → logical partition.
@@ -530,16 +554,25 @@ func (s *runState) pidOf(table int, key uint64) int {
 	return s.cfg.Partition(table, key) % s.cfg.LogicalPartitions
 }
 
-// opCounter is a thread-local tally of ring operations, flushed to the
-// runState atomics when the owning thread exits.
+// opCounter is a thread-local tally of the messages a logical thread sent
+// and the ring operations it performed, added to the runState's when the
+// thread retires: a shared counter bumped per message (five per commit,
+// from every thread) would cost what the batched message plane saves.
 type opCounter struct {
-	enq, deq uint64
+	acquires, forwards, grants, releases uint64 // messages sent
+	enq, deq                             uint64 // ring operations
 }
 
 func (o *opCounter) flush(s *runState) {
-	s.nEnqOps.Add(o.enq)
-	s.nDeqOps.Add(o.deq)
-	o.enq, o.deq = 0, 0
+	s.opsMu.Lock()
+	s.ops.acquires += o.acquires
+	s.ops.forwards += o.forwards
+	s.ops.grants += o.grants
+	s.ops.releases += o.releases
+	s.ops.enq += o.enq
+	s.ops.deq += o.deq
+	s.opsMu.Unlock()
+	*o = opCounter{}
 }
 
 func (e *Engine) newRunState() *runState {
@@ -766,13 +799,14 @@ func (ses *session) Close() metrics.Result {
 	ses.ccWg.Wait()
 	netStats := ses.s.tr.shutdown()
 
+	ops := ses.s.ops // every thread has retired and flushed
 	ses.e.msgs = MessageStats{
-		Acquires:   ses.s.nAcquires.Load(),
-		Forwards:   ses.s.nForwards.Load(),
-		Grants:     ses.s.nGrants.Load(),
-		Releases:   ses.s.nReleases.Load(),
-		EnqueueOps: ses.s.nEnqOps.Load(),
-		DequeueOps: ses.s.nDeqOps.Load(),
+		Acquires:   ops.acquires,
+		Forwards:   ops.forwards,
+		Grants:     ops.grants,
+		Releases:   ops.releases,
+		EnqueueOps: ops.enq,
+		DequeueOps: ops.deq,
 		PerCC:      ses.perCCStats(),
 		ExecBatch:  append([]int(nil), ses.s.execBatch...),
 		Net:        netStats,
@@ -1152,7 +1186,7 @@ func (x *execThread) submit(t *txn.Txn, done func(bool), start time.Time) {
 	}
 
 	x.inflight++
-	x.s.nAcquires.Add(1)
+	x.ops.acquires++
 	x.push(w.hops[0], message{kind: msgAcquire, w: w, id: w.id})
 }
 
@@ -1190,28 +1224,11 @@ func (x *execThread) plan(w *wrapper, rt *routingTable) bool {
 		if countSlice[c] == 0 {
 			continue
 		}
-		// Re-extend opsByCC within capacity where a previous life (or
-		// plan attempt) left an inner buffer to reuse; append only when
-		// the wrapper has never been this wide.
-		n := len(w.hops)
-		w.hops = append(w.hops, c)
-		if n < cap(w.opsByCC) {
-			w.opsByCC = w.opsByCC[:n+1]
-		} else {
-			w.opsByCC = append(w.opsByCC, nil)
-		}
-		buf := w.opsByCC[n][:0]
+		n := w.addHop(c, countSlice[c])
 		for i, op := range t.Ops {
 			if int(rt.owner[pids[i]]) == c {
-				buf = append(buf, op)
+				w.opsByCC[n] = append(w.opsByCC[n], op)
 			}
-		}
-		w.opsByCC[n] = buf
-		if n < cap(w.reqs) {
-			w.reqs = w.reqs[:n+1]
-			w.reqs[n] = w.reqs[n][:0]
-		} else {
-			w.reqs = append(w.reqs, nil)
 		}
 		countSlice[c] = 0
 	}
@@ -1300,7 +1317,7 @@ func flushOutbox(q spsc.Queue[message], buf *[]message, ops *opCounter) bool {
 func (x *execThread) handleGrant(w *wrapper) {
 	if x.s.cfg.DisableForwarding && w.hopIdx+1 < len(w.hops) {
 		w.hopIdx++
-		x.s.nAcquires.Add(1)
+		x.ops.acquires++
 		x.push(w.hops[w.hopIdx], message{kind: msgAcquire, w: w, id: w.id})
 		return
 	}
@@ -1405,7 +1422,7 @@ func (x *execThread) deferCommit(w *wrapper) func() {
 // a migration cannot proceed while any of them is still in a ring.
 func (x *execThread) release(w *wrapper) {
 	for _, c := range w.hops {
-		x.s.nReleases.Add(1)
+		x.ops.releases++
 		x.push(c, message{kind: msgRelease, w: w, id: w.id})
 	}
 }

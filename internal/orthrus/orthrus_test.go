@@ -255,7 +255,7 @@ func TestPrivateTableFIFO(t *testing.T) {
 	tbl := newPrivateTable()
 	w := &wrapper{}
 	mk := func(mode txn.Mode, key uint64) *localReq {
-		return &localReq{w: w, mode: mode, key: lockKey{0, key}}
+		return &localReq{w: w, mode: mode, key: lockKey{Key: key}}
 	}
 
 	r1 := mk(txn.Read, 1)
@@ -290,7 +290,7 @@ func TestPrivateTableFIFO(t *testing.T) {
 	if len(out) != 0 {
 		t.Fatal("grant from empty queue")
 	}
-	if len(tbl.entries) != 0 {
+	if tbl.Len() != 0 {
 		t.Fatal("entry leaked")
 	}
 }
@@ -299,8 +299,8 @@ func TestSharedTableMirrorsPrivateSemantics(t *testing.T) {
 	st := newSharedTable(16)
 	v := sharedView{st}
 	w := &wrapper{}
-	a := &localReq{w: w, mode: txn.Write, key: lockKey{0, 5}}
-	b := &localReq{w: w, mode: txn.Write, key: lockKey{0, 5}}
+	a := &localReq{w: w, mode: txn.Write, key: lockKey{Key: 5}}
+	b := &localReq{w: w, mode: txn.Write, key: lockKey{Key: 5}}
 	if !v.insert(a) {
 		t.Fatal("first writer refused")
 	}

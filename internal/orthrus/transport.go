@@ -559,20 +559,8 @@ func (n *netStepper) materialize(m *wire.Msg) *wrapper {
 	w.resetPlan()
 	for i := range m.Hops {
 		h := &m.Hops[i]
-		n := len(w.hops)
-		w.hops = append(w.hops, int(h.CC))
-		if n < cap(w.opsByCC) {
-			w.opsByCC = w.opsByCC[:n+1]
-		} else {
-			w.opsByCC = append(w.opsByCC, nil)
-		}
-		w.opsByCC[n] = append(w.opsByCC[n][:0], h.Ops...)
-		if n < cap(w.reqs) {
-			w.reqs = w.reqs[:n+1]
-			w.reqs[n] = w.reqs[n][:0]
-		} else {
-			w.reqs = append(w.reqs, nil)
-		}
+		hop := w.addHop(int(h.CC), len(h.Ops))
+		w.opsByCC[hop] = append(w.opsByCC[hop], h.Ops...)
 	}
 	nh := len(w.hops)
 	w.wireReleases = nh

@@ -231,7 +231,7 @@ func TestFullRingLeavesOutboxForNextStep(t *testing.T) {
 		x.step()
 		c.step()
 	}
-	if m := ses.s.nAcquires.Load(); m != txns {
+	if m := x.ops.acquires; m != txns {
 		t.Fatalf("%d acquires sent, want %d", m, txns)
 	}
 }
