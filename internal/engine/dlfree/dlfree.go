@@ -98,7 +98,7 @@ func (e *Engine) Start() engine.Session {
 				thread: thread,
 				snaps:  snaps,
 				ids:    engine.NewIDSource(thread),
-				ctx:    engine.PlannedCtx{DB: e.cfg.DB, Stats: stats, Versions: engine.VersionedView(e.cfg.DB)},
+				ctx:    engine.PlannedCtx{DB: e.cfg.DB, Stats: stats, VSet: snaps.VersionSet()},
 				held:   make([]*lock.Request, 0, 32),
 			}
 			if e.cfg.Wal.Enabled() {
@@ -185,7 +185,7 @@ func (w *dlfreeWorker) execute(t *txn.Txn, comp *engine.Completion) {
 				// loop iterates worker-owned held, never t.Ops.
 				ack = comp.Defer()
 			}
-			engine.CommitVersions(w.ctx.Wal, &e.clock, &w.ctx.VSet, stats, ack)
+			engine.CommitVersions(w.ctx.Wal, &w.ctx.VSet, stats, ack)
 		} else {
 			w.ctx.Abort()
 		}

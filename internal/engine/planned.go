@@ -32,11 +32,10 @@ type PlannedCtx struct {
 	Undo  UndoLog
 	Wal   *wal.Appender        // redo capture; nil when durability is off
 	Stats *metrics.ThreadStats // scan-row accounting; may be nil (tests)
-	// Versions is VersionedView(DB): writes to versioned tables are
-	// noted in VSet so the engine can install their after-images at
-	// pre-commit (CommitVersions). Nil when the database has none.
-	Versions []*storage.VersionedTable
-	VSet     VersionSet
+	// VSet is Snapshots.VersionSet(): writes to versioned tables are noted
+	// in it so the engine can install their after-images at pre-commit
+	// (CommitVersions). The zero value suits a database that has none.
+	VSet VersionSet
 }
 
 // Begin attaches the context to a transaction attempt.
@@ -71,7 +70,7 @@ func (c *PlannedCtx) Write(table int, key uint64) ([]byte, error) {
 	if c.Wal != nil {
 		c.Wal.Note(table, key, rec)
 	}
-	c.VSet.Note(c.Versions, table, key)
+	c.VSet.Note(table, key)
 	return rec, nil
 }
 
@@ -82,7 +81,7 @@ func (c *PlannedCtx) Write(table int, key uint64) ([]byte, error) {
 // references the table's own copy of the value, so the caller may reuse
 // its buffer immediately.
 func (c *PlannedCtx) Insert(table int, key uint64, value []byte) error {
-	if c.Versions != nil && table < len(c.Versions) && c.Versions[table] != nil {
+	if c.VSet.Versioned(table) != nil {
 		panic("engine: in-transaction Insert on a versioned table (versioned layouts are fixed-size and load-populated)")
 	}
 	if c.DB.Table(table).ScanProtected() && !c.T.Declared(table, txn.StripeKey(key), txn.Write) {

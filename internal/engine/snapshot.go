@@ -89,9 +89,9 @@ func (c *CommitClock) Last() uint64 { return c.next.Load() }
 // use.
 type SnapshotConfig struct {
 	// PruneEvery recomputes the version-chain watermark (the oldest
-	// active snapshot) once per this many snapshot begins and pushes it
-	// to every versioned table. 0 means the default (64); negative
-	// panics.
+	// active snapshot) and pushes it to every versioned table once per
+	// this many snapshot begins and once per this many versioned commits,
+	// counted per worker. 0 means the default (64); negative panics.
 	PruneEvery int
 }
 
@@ -104,11 +104,13 @@ func (c SnapshotConfig) Validate() {
 	}
 }
 
-// snapSlot is one worker's active-snapshot announcement, padded so
+// snapSlot is one worker's active-snapshot announcement and its count of
+// begins since it last recomputed the watermark (owner-only), padded so
 // concurrent Begin/End on different workers never false-share.
 type snapSlot struct {
-	v atomic.Uint64
-	_ [56]byte
+	v      atomic.Uint64
+	begins uint64
+	_      [48]byte
 }
 
 // snapIdle marks a worker with no snapshot in flight.
@@ -118,32 +120,43 @@ const snapIdle = ^uint64(0)
 // LSNs, tracks which are active (one per worker), and periodically
 // computes the watermark — the oldest LSN any active or future snapshot
 // can need — pushing it to every versioned table as the prune floor.
+// Both sides recompute it, each worker on every PruneEvery-th snapshot
+// begin and every PruneEvery-th versioned commit, so chains stay short
+// whether or not anybody reads.
 //
-// Registration is announce-then-verify: Begin stores the candidate
-// snapshot in the worker's slot and then checks the tracker's barrier.
-// The pruner publishes its candidate watermark to the barrier between
-// two walks of the slots and takes the min of both walks; under the
-// total order of the atomics, a registering reader is either seen by the
-// second walk (so the watermark stays ≤ its snapshot) or sees the
-// barrier and retries with a fresher frontier. Either way no prune ever
-// cuts history a registered snapshot still needs, which is exactly the
-// invariant storage.VersionedTable.ReadVersion panics on.
+// Premises: the frontier never falls, pruners are serialized (pruneMu),
+// and the barrier and the watermark (storage.VersionedTable.SetWatermark
+// ignores a lower one) only ever rise, with watermark ≤ barrier ≤ the
+// frontier the pruner read. Registration is
+// announce-then-verify: Begin stores the candidate snapshot f in the
+// worker's slot and proceeds only if it then reads barrier ≤ f; otherwise
+// it retries with a fresher frontier, which is ≥ the barrier it lost to.
+// The pruner walks the slots for a candidate, gives up if that would
+// lower the barrier, publishes it, and walks the slots again, taking the
+// minimum as the watermark. Under the total order of the atomics a
+// reader's verify either precedes the barrier store — then its slot store
+// precedes the second walk, so this watermark and every later one while
+// it stays registered are ≤ f, and every earlier one is ≤ the barrier it
+// read ≤ f — or follows it and reads a barrier > f, because the barrier
+// never falls back to admit it. Either way no prune ever cuts history a
+// registered snapshot still needs, which is exactly the invariant
+// storage.VersionedTable.ReadVersion panics on and the one that lets
+// InstallVersion recycle what it cuts.
 type Snapshots struct {
 	frontier func() uint64 // snapshot source: durable WAL frontier or CommitClock frontier
 	tail     func() uint64 // newest assigned LSN/stamp, for staleness accounting
+	clock    *CommitClock  // stamps versioned commits when no WAL is attached
 	tables   []*storage.VersionedTable
 	byID     []*storage.VersionedTable // table id → versioned table, nil when unversioned
 	slots    []snapSlot
 	barrier  atomic.Uint64
-	begins   atomic.Uint64
 	every    uint64
 	pruneMu  sync.Mutex
 }
 
-// VersionedView returns db's versioned tables indexed by table id (nil
+// versionedView returns db's versioned tables indexed by table id (nil
 // entries for unversioned tables), or nil when the database has none.
-// Engines capture it at Start to note writes for version installation.
-func VersionedView(db *storage.DB) []*storage.VersionedTable {
+func versionedView(db *storage.DB) []*storage.VersionedTable {
 	view := make([]*storage.VersionedTable, db.NumTables())
 	any := false
 	for i := range view {
@@ -161,10 +174,11 @@ func VersionedView(db *storage.DB) []*storage.VersionedTable {
 // NewSnapshots builds the tracker for a session with the given worker
 // count. It validates cfg even when it returns nil — which it does when
 // db has no versioned tables (the engine then has no snapshot path and
-// ReadOnly transactions fall back to its locking path).
+// ReadOnly transactions fall back to its locking path). clock outlives
+// the session: its stamps are in the version chains.
 func NewSnapshots(db *storage.DB, log *wal.Log, clock *CommitClock, workers int, cfg SnapshotConfig) *Snapshots {
 	cfg.Validate()
-	byID := VersionedView(db)
+	byID := versionedView(db)
 	if byID == nil {
 		return nil
 	}
@@ -172,7 +186,7 @@ func NewSnapshots(db *storage.DB, log *wal.Log, clock *CommitClock, workers int,
 	if every == 0 {
 		every = defaultPruneEvery
 	}
-	s := &Snapshots{byID: byID, slots: make([]snapSlot, workers), every: every}
+	s := &Snapshots{byID: byID, slots: make([]snapSlot, workers), every: every, clock: clock}
 	for _, vt := range byID {
 		if vt != nil {
 			s.tables = append(s.tables, vt)
@@ -192,18 +206,18 @@ func NewSnapshots(db *storage.DB, log *wal.Log, clock *CommitClock, workers int,
 // Begin registers a snapshot for worker and returns its LSN. At most one
 // snapshot per worker may be active; End must follow.
 func (s *Snapshots) Begin(worker int) uint64 {
-	slot := &s.slots[worker].v
+	slot := &s.slots[worker]
 	var f uint64
 	for {
 		f = s.frontier()
-		slot.Store(f)
+		slot.v.Store(f)
 		if s.barrier.Load() <= f {
 			break
 		}
 		// A concurrent prune may already have cut below f; retry with a
-		// fresher frontier (monotonic, so this terminates).
+		// fresher frontier (it is ≥ the barrier, so this terminates).
 	}
-	if s.begins.Add(1)%s.every == 0 {
+	if slot.begins++; slot.begins%s.every == 0 {
 		s.prune()
 	}
 	return f
@@ -212,6 +226,16 @@ func (s *Snapshots) Begin(worker int) uint64 {
 // End releases worker's active snapshot.
 func (s *Snapshots) End(worker int) { s.slots[worker].v.Store(snapIdle) }
 
+// oldest returns the minimum of f and every announced snapshot.
+func (s *Snapshots) oldest(f uint64) uint64 {
+	for i := range s.slots {
+		if v := s.slots[i].v.Load(); v < f {
+			f = v
+		}
+	}
+	return f
+}
+
 // prune recomputes the watermark and pushes it to every versioned table.
 // Serialized by pruneMu; concurrent callers skip rather than queue.
 func (s *Snapshots) prune() {
@@ -219,22 +243,19 @@ func (s *Snapshots) prune() {
 		return
 	}
 	defer s.pruneMu.Unlock()
-	min1 := s.frontier()
-	for i := range s.slots {
-		if v := s.slots[i].v.Load(); v < min1 {
-			min1 = v
-		}
+	cand := s.oldest(s.frontier())
+	if cand <= s.barrier.Load() {
+		// Nothing to gain, and the barrier never falls: a slot below it
+		// is a registered reader the watermark already respects, or one
+		// about to fail its verify.
+		return
 	}
 	// Announce the candidate, then re-walk: a reader registering between
-	// the walks either shows up in the second walk (min2 ≤ its snapshot)
-	// or observes the barrier and retries in Begin.
-	s.barrier.Store(min1)
-	w := min1
-	for i := range s.slots {
-		if v := s.slots[i].v.Load(); v < w {
-			w = v
-		}
-	}
+	// the walks either shows up in the second walk (w ≤ its snapshot) or
+	// observes the barrier and retries in Begin. A slot below the last
+	// watermark is of the second kind, and SetWatermark ignores it.
+	s.barrier.Store(cand)
+	w := s.oldest(cand)
 	for _, vt := range s.tables {
 		vt.SetWatermark(w)
 	}
@@ -315,11 +336,16 @@ func (c *SnapshotCtx) Scan(table int, lo, hi uint64, fn func(key uint64, rec []b
 	return err
 }
 
-// VersionSet records which versioned records a transaction wrote, so the
-// engine can install their after-images at pre-commit. Deduplicated the
-// same way wal.Appender.Note is: linear scan over the (short) set.
+// VersionSet is one worker's versioned-commit state: which versioned
+// records the current transaction wrote, so the engine can install their
+// after-images at pre-commit (deduplicated the same way wal.Appender.Note
+// is: linear scan over the short set), the free list its installs recycle
+// version nodes through, and its count of versioned commits.
 type VersionSet struct {
-	writes []versionWrite
+	snaps   *Snapshots // nil when the database has no versioned table: the set stays empty
+	writes  []versionWrite
+	free    storage.VersionFree
+	commits uint64
 }
 
 type versionWrite struct {
@@ -327,13 +353,25 @@ type versionWrite struct {
 	key uint64
 }
 
-// Note records a write to vt's key. view is the engine's VersionedView
-// slice (nil-safe); unversioned tables are ignored.
-func (v *VersionSet) Note(view []*storage.VersionedTable, table int, key uint64) {
-	if view == nil || table >= len(view) || view[table] == nil {
+// VersionSet returns a worker's versioned-commit state for the session s
+// tracks. A nil tracker (no versioned tables) yields a set that notes
+// nothing.
+func (s *Snapshots) VersionSet() VersionSet { return VersionSet{snaps: s} }
+
+// Versioned returns table's versioned table, or nil when it has none.
+func (v *VersionSet) Versioned(table int) *storage.VersionedTable {
+	if v.snaps == nil || table >= len(v.snaps.byID) {
+		return nil
+	}
+	return v.snaps.byID[table]
+}
+
+// Note records a write to table's key; unversioned tables are ignored.
+func (v *VersionSet) Note(table int, key uint64) {
+	vt := v.Versioned(table)
+	if vt == nil {
 		return
 	}
-	vt := view[table]
 	for _, w := range v.writes {
 		if w.vt == vt && w.key == key {
 			return
@@ -349,7 +387,7 @@ func (v *VersionSet) Len() int { return len(v.writes) }
 // image for lsn. Caller holds the transaction's locks.
 func (v *VersionSet) Install(lsn uint64) {
 	for _, w := range v.writes {
-		w.vt.InstallVersion(w.key, lsn)
+		w.vt.InstallVersion(w.key, lsn, &v.free)
 	}
 }
 
@@ -361,26 +399,32 @@ func (v *VersionSet) Reset() { v.writes = v.writes[:0] }
 // then hands the commit to the WAL (ack runs when durable). With an
 // appender, the stamp is the WAL LSN and installation happens inside
 // CommitWith (see the package comment for why that orders against the
-// durable frontier); without one, the stamp comes from clock, whose
-// frontier advances only after installation completes. With neither
-// versions nor a WAL it is a no-op. ack is ignored when a is nil.
-func CommitVersions(a *wal.Appender, clock *CommitClock, vs *VersionSet, stats *metrics.ThreadStats, ack func()) {
+// durable frontier); without one, the stamp comes from the session's
+// CommitClock, whose frontier advances only after installation
+// completes. With neither versions nor a WAL it is a no-op. ack is
+// ignored when a is nil.
+//
+// Every PruneEvery-th versioned commit of a worker recomputes the
+// watermark, so a session nobody reads from still prunes its chains.
+func CommitVersions(a *wal.Appender, vs *VersionSet, stats *metrics.ThreadStats, ack func()) {
 	n := vs.Len()
-	if a != nil {
-		if n > 0 {
-			a.CommitWith(vs.Install, ack)
-			vs.Reset()
-		} else {
+	if n == 0 {
+		if a != nil {
 			a.Commit(ack)
 		}
-		stats.Installed += uint64(n)
 		return
 	}
-	if n > 0 {
-		lsn := clock.Reserve()
+	s := vs.snaps
+	if a != nil {
+		a.CommitWith(vs.Install, ack)
+	} else {
+		lsn := s.clock.Reserve()
 		vs.Install(lsn)
-		clock.Publish(lsn)
-		vs.Reset()
-		stats.Installed += uint64(n)
+		s.clock.Publish(lsn)
+	}
+	vs.Reset()
+	stats.Installed += uint64(n)
+	if vs.commits++; vs.commits%s.every == 0 {
+		s.prune()
 	}
 }

@@ -102,8 +102,7 @@ func (e *Engine) Start() engine.Session {
 	ses := engine.NewWorkerSession(e.Name(), e.cfg.Threads, e.Clients(), &e.inUse, e.cfg.Wal,
 		func(thread int, stats *metrics.ThreadStats) func(*txn.Txn, *engine.Completion) {
 			ids := engine.NewIDSource(thread)
-			ctx := &execCtx{eng: e, thread: thread, stats: stats,
-				vts: engine.VersionedView(e.cfg.DB)}
+			ctx := &execCtx{eng: e, thread: thread, stats: stats, vset: snaps.VersionSet()}
 			if e.cfg.Wal.Enabled() {
 				ctx.wal = e.cfg.Wal.NewAppender(stats)
 			}
@@ -186,7 +185,6 @@ type execCtx struct {
 	t      *txn.Txn
 	held   []*lock.Request
 	undo   engine.UndoLog
-	vts    []*storage.VersionedTable // VersionedView(DB); nil without versioned tables
 	vset   engine.VersionSet
 	fl     lock.Freelist
 	waited time.Duration // lock-wait time this attempt
@@ -254,7 +252,7 @@ func (c *execCtx) Write(table int, key uint64) ([]byte, error) {
 	if c.wal != nil {
 		c.wal.Note(table, key, rec)
 	}
-	c.vset.Note(c.vts, table, key)
+	c.vset.Note(table, key)
 	return rec, nil
 }
 
@@ -263,7 +261,7 @@ func (c *execCtx) Write(table int, key uint64) ([]byte, error) {
 // locking: the insert conflicts with any concurrent scan whose range
 // covers the key, and the stripe is held to commit like every other lock.
 func (c *execCtx) Insert(table int, key uint64, value []byte) error {
-	if c.vts != nil && table < len(c.vts) && c.vts[table] != nil {
+	if c.vset.Versioned(table) != nil {
 		panic("twopl: in-transaction Insert on a versioned table (versioned layouts are fixed-size and load-populated)")
 	}
 	if c.eng.cfg.DB.Table(table).ScanProtected() {
@@ -342,7 +340,7 @@ func (c *execCtx) commit(comp *engine.Completion) {
 		// iterates worker-owned c.held, never t's slices.
 		ack = comp.Defer()
 	}
-	engine.CommitVersions(c.wal, &c.eng.clock, &c.vset, c.stats, ack)
+	engine.CommitVersions(c.wal, &c.vset, c.stats, ack)
 	c.releaseAll()
 }
 

@@ -935,7 +935,7 @@ func newExecThread(ses *session, id int, stats *metrics.ThreadStats) *execThread
 		id:        id,
 		stats:     stats,
 		ids:       engine.NewIDSource(id),
-		ctx:       engine.PlannedCtx{DB: cfg.DB, Stats: stats, Versions: engine.VersionedView(cfg.DB)},
+		ctx:       engine.PlannedCtx{DB: cfg.DB, Stats: stats, VSet: ses.snaps.VersionSet()},
 		window:    cfg.Inflight,
 		now:       time.Now,
 		born:      time.Now(),
@@ -1103,14 +1103,15 @@ func (x *execThread) submit(t *txn.Txn, done func(bool), start time.Time) {
 		// the commit frontier. No planning, no chain, no CC messages —
 		// the CC plane never learns the transaction existed. The reads
 		// are already durable (the snapshot is the acked frontier), so
-		// the acknowledgment skips the WAL too.
-		s0 := x.now()
+		// the acknowledgment skips the WAL too. A read-only transaction
+		// gets here only from the admission loop, which read the clock
+		// for start on the line before: that reading is when it begins.
 		x.ses.snaps.Exec(x.id, t, &x.sctx, x.stats)
 		s1 := x.now()
-		d := s1.Sub(s0)
+		d := s1.Sub(start)
 		x.stats.AddExec(d)
 		x.logicTime += d
-		x.stats.Latency.Record(s1.Sub(start))
+		x.stats.Latency.Record(d)
 		if done != nil {
 			done(true)
 		}
@@ -1358,7 +1359,7 @@ func (x *execThread) finish(w *wrapper) {
 			w.refs.Add(1)
 			ack = x.deferCommit(w)
 		}
-		engine.CommitVersions(x.wal, &x.ses.e.clock, &x.ctx.VSet, x.stats, ack)
+		engine.CommitVersions(x.wal, &x.ctx.VSet, x.stats, ack)
 		x.release(w)
 		x.stats.Committed++
 		if locked {

@@ -131,8 +131,7 @@ func (e *Engine) Start() engine.Session {
 	ses := engine.NewWorkerSession(e.Name(), e.cfg.Threads, e.Clients(), &e.inUse, e.cfg.Wal,
 		func(thread int, stats *metrics.ThreadStats) func(*txn.Txn, *engine.Completion) {
 			ids := engine.NewIDSource(thread)
-			ctx := &execCtx{db: e.cfg.DB, stats: stats, pf: e.cfg.Partition,
-				vts: engine.VersionedView(e.cfg.DB)}
+			ctx := &execCtx{db: e.cfg.DB, stats: stats, pf: e.cfg.Partition, vset: snaps.VersionSet()}
 			if e.cfg.Wal.Enabled() {
 				ctx.wal = e.cfg.Wal.NewAppender(stats)
 			}
@@ -196,7 +195,7 @@ func (e *Engine) execute(ctx *execCtx, t *txn.Txn, stats *metrics.ThreadStats, c
 	if ctx.wal != nil {
 		ack = comp.Defer()
 	}
-	engine.CommitVersions(ctx.wal, &e.clock, &ctx.vset, stats, ack)
+	engine.CommitVersions(ctx.wal, &ctx.vset, stats, ack)
 	t2 := time.Now()
 
 	for i := len(parts) - 1; i >= 0; i-- {
@@ -224,9 +223,8 @@ type execCtx struct {
 	wal     *wal.Appender
 	stats   *metrics.ThreadStats
 	pf      txn.PartitionFunc
-	parts   []int                     // partitions locked for the current transaction, ascending (worker-owned copy)
-	lockBuf []int                     // backing array for parts, reused across transactions
-	vts     []*storage.VersionedTable // VersionedView(DB); nil without versioned tables
+	parts   []int // partitions locked for the current transaction, ascending (worker-owned copy)
+	lockBuf []int // backing array for parts, reused across transactions
 	vset    engine.VersionSet
 }
 
@@ -243,14 +241,14 @@ func (c *execCtx) Write(table int, key uint64) ([]byte, error) {
 		if c.wal != nil {
 			c.wal.Note(table, key, rec)
 		}
-		c.vset.Note(c.vts, table, key)
+		c.vset.Note(table, key)
 	}
 	return rec, nil
 }
 
 // Insert implements txn.Ctx.
 func (c *execCtx) Insert(table int, key uint64, value []byte) error {
-	if c.vts != nil && table < len(c.vts) && c.vts[table] != nil {
+	if c.vset.Versioned(table) != nil {
 		panic("partstore: in-transaction Insert on a versioned table (versioned layouts are fixed-size and load-populated)")
 	}
 	if err := c.db.Table(table).Insert(key, value); err != nil {

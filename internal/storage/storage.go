@@ -58,10 +58,6 @@ type Layout struct {
 	// growable table's key population changes under shard latches the
 	// version protocol does not cover — so Versioned+Growable panics.
 	Versioned bool
-	// VersionDepth is the number of versions retained per record beyond
-	// what the snapshot watermark demands (0 → DefaultVersionDepth;
-	// negative panics). Ignored unless Versioned.
-	VersionDepth int
 }
 
 // Table is the access interface shared by both layouts.
@@ -361,7 +357,7 @@ func (db *DB) Create(l Layout) int {
 	case l.Versioned && l.Growable:
 		panic(fmt.Sprintf("storage: table %s is Versioned+Growable; version chains require a fixed layout", l.Name))
 	case l.Versioned:
-		t = NewVersionedTable(l.Name, l.NumRecords, l.RecordSize, l.VersionDepth)
+		t = NewVersionedTable(l.Name, l.NumRecords, l.RecordSize)
 	case l.Growable && l.Ordered:
 		t = NewOrderedGrowTable(l.Name, l.RecordSize, l.NumRecords)
 	case l.Growable:

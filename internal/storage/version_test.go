@@ -5,13 +5,13 @@ import (
 	"testing"
 )
 
-func newVT(t *testing.T, depth int) *VersionedTable {
+func newVT(t *testing.T) *VersionedTable {
 	t.Helper()
-	return NewVersionedTable("vt", 16, 16, depth)
+	return NewVersionedTable("vt", 16, 16)
 }
 
 func TestVersionedTableZeroBaseAndInsert(t *testing.T) {
-	vt := newVT(t, 0)
+	vt := newVT(t)
 	// Before any load, every key resolves at snapshot 0 to a zero image.
 	rec, hops := vt.ReadVersion(3, 0)
 	if hops != 1 || GetU64(rec, 0) != 0 {
@@ -37,7 +37,7 @@ func TestVersionedTableZeroBaseAndInsert(t *testing.T) {
 }
 
 func TestVersionedTableInstallAndResolve(t *testing.T) {
-	vt := newVT(t, 0)
+	vt := newVT(t)
 	// Commit values 1, 2, 3 at LSNs 10, 20, 30.
 	for i, lsn := range []uint64{10, 20, 30} {
 		PutU64(vt.Get(5), 0, uint64(i+1))
@@ -57,34 +57,40 @@ func TestVersionedTableInstallAndResolve(t *testing.T) {
 	}
 }
 
-func TestVersionedTablePruneKeepsDepthAndWatermark(t *testing.T) {
-	vt := newVT(t, 2)
+func TestVersionedTablePruneKeepsWatermark(t *testing.T) {
+	vt := newVT(t)
 	for lsn := uint64(1); lsn <= 10; lsn++ {
 		PutU64(vt.Get(0), 0, lsn)
 		vt.InstallVersion(0, lsn)
 	}
 	// Watermark 0: every prune must keep a node with lsn ≤ 0 — the zero
-	// base — so history back to snapshot 0 stays resolvable.
+	// base — so history back to snapshot 0 stays resolvable, and nothing
+	// newer than the watermark is ever cut.
 	rec, _ := vt.ReadVersion(0, 0)
 	if GetU64(rec, 0) != 0 {
 		t.Fatalf("snapshot 0 lost: %d", GetU64(rec, 0))
 	}
+	if got := vt.ChainLen(0); got != 11 {
+		t.Fatalf("chain length under watermark 0 = %d, want 11 (10 versions + base)", got)
+	}
 
-	// Raise the watermark to 9 and install LSN 11: the prune keeps the
-	// depth=2 newest nodes (11, 10) plus the newest node ≤ watermark (9),
-	// which is what a reader at the oldest active snapshot resolves to.
+	// Raise the watermark to 9 and install LSN 11: the prune keeps what is
+	// newer than the watermark (11, 10) plus the newest node ≤ watermark
+	// (9), which is what a reader at the oldest active snapshot resolves
+	// to, and cuts the nine nodes behind it.
 	vt.SetWatermark(9)
 	if vt.Watermark() != 9 {
 		t.Fatalf("Watermark = %d", vt.Watermark())
 	}
+	// The watermark never falls: history cut under 9 cannot come back.
+	vt.SetWatermark(3)
+	if vt.Watermark() != 9 {
+		t.Fatalf("Watermark fell to %d", vt.Watermark())
+	}
 	PutU64(vt.Get(0), 0, 11)
 	vt.InstallVersion(0, 11)
-	chain := 0
-	for cur := vt.chains[0].Load(); cur != nil; cur = cur.next.Load() {
-		chain++
-	}
-	if chain != 3 {
-		t.Fatalf("chain length after prune = %d, want 3 (11, 10, 9)", chain)
+	if got := vt.ChainLen(0); got != 3 {
+		t.Fatalf("chain length after prune = %d, want 3 (11, 10, 9)", got)
 	}
 	// Snapshots at or above the watermark resolve exactly.
 	for _, snap := range []uint64{9, 10, 11} {
@@ -93,10 +99,17 @@ func TestVersionedTablePruneKeepsDepthAndWatermark(t *testing.T) {
 			t.Fatalf("snap %d resolved to %d", snap, got)
 		}
 	}
+	// A watermark at or past the newest version leaves one node.
+	vt.SetWatermark(12)
+	PutU64(vt.Get(0), 0, 12)
+	vt.InstallVersion(0, 12)
+	if got := vt.ChainLen(0); got != 1 {
+		t.Fatalf("chain length at watermark 12 = %d, want 1", got)
+	}
 }
 
 func TestVersionedTableReadBelowWatermarkPanics(t *testing.T) {
-	vt := newVT(t, 1)
+	vt := newVT(t)
 	for lsn := uint64(10); lsn <= 12; lsn++ {
 		PutU64(vt.Get(0), 0, lsn)
 		vt.SetWatermark(lsn)
@@ -115,7 +128,7 @@ func TestVersionedTableReadBelowWatermarkPanics(t *testing.T) {
 }
 
 func TestVersionedTableScanVersions(t *testing.T) {
-	vt := NewVersionedTable("vt", 8, 16, 0)
+	vt := NewVersionedTable("vt", 8, 16)
 	for k := uint64(0); k < 8; k++ {
 		PutU64(vt.Get(k), 0, k+100)
 		vt.InstallVersion(k, 7)
@@ -166,17 +179,9 @@ func TestVersionedLayoutValidation(t *testing.T) {
 	mustPanic("Versioned+Growable", func() {
 		NewDB().Create(Layout{Name: "x", NumRecords: 8, RecordSize: 16, Versioned: true, Growable: true})
 	})
-	mustPanic("negative VersionDepth", func() {
-		NewVersionedTable("x", 8, 16, -1)
-	})
-	// Zero depth means default — not a panic.
-	vt := NewVersionedTable("x", 8, 16, 0)
-	if vt.depth != DefaultVersionDepth {
-		t.Fatalf("depth = %d", vt.depth)
-	}
 	// Layout plumbing: Create with Versioned yields a *VersionedTable.
 	db := NewDB()
-	id := db.Create(Layout{Name: "v", NumRecords: 8, RecordSize: 16, Versioned: true, VersionDepth: 3})
+	id := db.Create(Layout{Name: "v", NumRecords: 8, RecordSize: 16, Versioned: true})
 	if _, ok := db.Table(id).(*VersionedTable); !ok {
 		t.Fatalf("Create(Versioned) = %T", db.Table(id))
 	}

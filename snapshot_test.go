@@ -19,8 +19,9 @@ const (
 	snapHot  = 32  // transfer hot prefix (forces write-write conflicts)
 )
 
-// snapEngines builds the four systems over one database.
-func snapEngines() []struct {
+// snapEngines builds the four systems over one database, each with the
+// given snapshot tracker configuration.
+func snapEngines(snap repro.SnapshotConfig) []struct {
 	name  string
 	build func(db *repro.DB) repro.Runtime
 } {
@@ -29,16 +30,16 @@ func snapEngines() []struct {
 		build func(db *repro.DB) repro.Runtime
 	}{
 		{"2pl-waitdie", func(db *repro.DB) repro.Runtime {
-			return repro.NewTwoPL(repro.TwoPLConfig{DB: db, Handler: repro.WaitDie(), Threads: 4})
+			return repro.NewTwoPL(repro.TwoPLConfig{DB: db, Handler: repro.WaitDie(), Threads: 4, Snapshot: snap})
 		}},
 		{"dlfree", func(db *repro.DB) repro.Runtime {
-			return repro.NewDeadlockFree(repro.DeadlockFreeConfig{DB: db, Threads: 4})
+			return repro.NewDeadlockFree(repro.DeadlockFreeConfig{DB: db, Threads: 4, Snapshot: snap})
 		}},
 		{"partstore", func(db *repro.DB) repro.Runtime {
-			return repro.NewPartitionedStore(repro.PartitionedStoreConfig{DB: db, Partitions: 4})
+			return repro.NewPartitionedStore(repro.PartitionedStoreConfig{DB: db, Partitions: 4, Snapshot: snap})
 		}},
 		{"orthrus", func(db *repro.DB) repro.Runtime {
-			return repro.NewOrthrus(repro.OrthrusConfig{DB: db, CCThreads: 2, ExecThreads: 2})
+			return repro.NewOrthrus(repro.OrthrusConfig{DB: db, CCThreads: 2, ExecThreads: 2, Snapshot: snap})
 		}},
 	}
 }
@@ -110,20 +111,21 @@ func snapInsertTxn(tbl int, k uint64) *repro.Txn {
 
 func TestSnapshotConservationAllEngines(t *testing.T) {
 	const (
-		writers      = 3
-		perWriter    = 60
-		readers      = 2
-		perReader    = 30
-		inserts      = 40
-		versionDepth = 4 // small, so pruning actually runs under load
+		writers   = 3
+		perWriter = 60
+		readers   = 2
+		perReader = 30
+		inserts   = 40
 	)
-	for _, tc := range snapEngines() {
+	// The watermark is recomputed at every begin and every commit, so
+	// pruning actually runs under this short load.
+	for _, tc := range snapEngines(repro.SnapshotConfig{PruneEvery: 1}) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			db := repro.NewDB()
 			acct := db.Create(repro.Layout{
 				Name: "accounts", NumRecords: snapSpan, RecordSize: 16,
-				Versioned: true, VersionDepth: versionDepth,
+				Versioned: true,
 			})
 			grow := db.Create(repro.Layout{
 				Name: "audit", NumRecords: 64, RecordSize: 16,
@@ -192,7 +194,7 @@ func TestSnapshotConservationAllEngines(t *testing.T) {
 // versioned table must route the read-only fraction through snapshots
 // (SnapTxns) on every engine, and snapshot transactions never abort.
 func TestSnapshotStatsOnRun(t *testing.T) {
-	for _, tc := range snapEngines() {
+	for _, tc := range snapEngines(repro.SnapshotConfig{}) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			db := repro.NewDB()
@@ -295,6 +297,195 @@ func TestSnapshotReadsSeeOnlyAckedWrites(t *testing.T) {
 	ses.Close()
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A versioned table nobody reads from still prunes: the commit path
+// recomputes the watermark, so a write-only session hammering a few keys
+// keeps every chain — and so every install's walk — short. Before the
+// commit side advanced it, each of these chains held one node per write.
+func TestWriteOnlySessionBoundsChains(t *testing.T) {
+	const (
+		hot     = 16
+		writers = 4
+		txns    = 12000 // two writes each: 1500 versions per key if nothing pruned
+		every   = 4
+		// Versions newer than the watermark at a key's last install: each
+		// of the four workers may be every commits past its last
+		// recomputation, two writes per commit, plus the commits in flight;
+		// all of them on one key is the worst case.
+		bound = 4*every*2 + 16
+	)
+	for _, tc := range snapEngines(repro.SnapshotConfig{PruneEvery: every}) {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			db := repro.NewDB()
+			tbl := db.Create(repro.Layout{Name: "hot", NumRecords: hot, RecordSize: 16, Versioned: true})
+			ses := tc.build(db).Start()
+			var wg sync.WaitGroup
+			for w := 0; w < writers; w++ {
+				w := w
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := w; i < txns; i += writers {
+						a, b := uint64(i)%hot, (uint64(i)*5+3)%hot
+						if a == b {
+							b = (b + 1) % hot
+						}
+						tx := &repro.Txn{Ops: []repro.Op{
+							{Table: tbl, Key: a, Mode: repro.Write},
+							{Table: tbl, Key: b, Mode: repro.Write},
+						}}
+						tx.Logic = func(ctx repro.Ctx) error {
+							for _, k := range []uint64{a, b} {
+								rec, err := ctx.Write(tbl, k)
+								if err != nil {
+									return err
+								}
+								repro.AddU64(rec, 0, 1)
+							}
+							return nil
+						}
+						ses.Submit(tx, nil)
+					}
+				}()
+			}
+			wg.Wait()
+			ses.Drain()
+			res := ses.Close()
+			if res.Totals.SnapTxns != 0 {
+				t.Fatalf("%d snapshot transactions in a write-only session", res.Totals.SnapTxns)
+			}
+			if res.Totals.Installed != 2*txns {
+				t.Fatalf("installed %d versions, want %d", res.Totals.Installed, 2*txns)
+			}
+			chains := db.Table(tbl).(interface{ ChainLen(key uint64) int })
+			for k := uint64(0); k < hot; k++ {
+				if got := chains.ChainLen(k); got > bound {
+					t.Errorf("key %d: chain holds %d versions after a write-only run, want ≤ %d", k, got, bound)
+				}
+			}
+		})
+	}
+}
+
+// Recycled version nodes never reach a reader: writers rewrite four hot
+// records so that every word of a record carries the same value, with the
+// watermark recomputed at every begin and every commit, while snapshot
+// readers check every word of every record they resolve, and check the
+// same memory again as their transaction ends. A node reused while a
+// registered snapshot could still resolve to it shows up as a torn or
+// changed image here, and as a data race under -race.
+func TestSnapshotImagesNeverTorn(t *testing.T) {
+	const (
+		hot     = 4
+		words   = 8
+		writers = 3
+		readers = 2
+	)
+	perWriter, perReader := 1500, 1500
+	if testing.Short() {
+		perWriter, perReader = 400, 400
+	}
+	uniform := func(rec []byte) (uint64, bool) {
+		v := repro.GetU64(rec, 0)
+		for w := 1; w < words; w++ {
+			if repro.GetU64(rec, w*8) != v {
+				return v, false
+			}
+		}
+		return v, true
+	}
+	for _, tc := range snapEngines(repro.SnapshotConfig{PruneEvery: 1}) {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			db := repro.NewDB()
+			tbl := db.Create(repro.Layout{Name: "hot", NumRecords: hot, RecordSize: words * 8, Versioned: true})
+			ses := tc.build(db).Start()
+			var torn, changed atomic.Int64
+			var wg sync.WaitGroup
+			for w := 0; w < writers; w++ {
+				w := w
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < perWriter; i++ {
+						k := uint64(w+i) % hot
+						tx := &repro.Txn{Ops: []repro.Op{{Table: tbl, Key: k, Mode: repro.Write}}}
+						tx.Logic = func(ctx repro.Ctx) error {
+							rec, err := ctx.Write(tbl, k)
+							if err != nil {
+								return err
+							}
+							v := repro.GetU64(rec, 0) + 1
+							for w := 0; w < words; w++ {
+								repro.PutU64(rec, w*8, v)
+							}
+							return nil
+						}
+						ses.Submit(tx, nil)
+					}
+				}()
+			}
+			for r := 0; r < readers; r++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < perReader; i++ {
+						tx := &repro.Txn{ReadOnly: true}
+						for k := uint64(0); k < hot; k++ {
+							tx.Ops = append(tx.Ops, repro.Op{Table: tbl, Key: k, Mode: repro.Read})
+						}
+						tx.Logic = func(ctx repro.Ctx) error {
+							var recs [hot][]byte
+							var seen [hot]uint64
+							for k := range recs {
+								rec, err := ctx.Read(tbl, uint64(k))
+								if err != nil {
+									return err
+								}
+								v, ok := uniform(rec)
+								if !ok {
+									torn.Add(1)
+								}
+								recs[k], seen[k] = rec, v
+							}
+							for k, rec := range recs {
+								if v, ok := uniform(rec); !ok || v != seen[k] {
+									changed.Add(1)
+								}
+							}
+							return nil
+						}
+						ses.Submit(tx, nil)
+					}
+				}()
+			}
+			wg.Wait()
+			ses.Drain()
+			res := ses.Close()
+			if n := torn.Load(); n != 0 {
+				t.Errorf("%d snapshot reads resolved to a torn image", n)
+			}
+			if n := changed.Load(); n != 0 {
+				t.Errorf("%d images changed while their snapshot was registered", n)
+			}
+			if res.Totals.SnapTxns != uint64(readers*perReader) {
+				t.Errorf("%d snapshot transactions, want %d", res.Totals.SnapTxns, readers*perReader)
+			}
+			var sum uint64
+			for k := uint64(0); k < hot; k++ {
+				v, ok := uniform(db.Table(tbl).Get(k))
+				if !ok {
+					t.Errorf("key %d: final row is not uniform", k)
+				}
+				sum += v
+			}
+			if want := uint64(writers * perWriter); sum != want {
+				t.Errorf("final counters sum to %d, want %d committed writes", sum, want)
+			}
+		})
 	}
 }
 
