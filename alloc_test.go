@@ -96,10 +96,12 @@ func TestSubmitAllocsZero(t *testing.T) {
 // under, each with the per-transaction bound its path meets. Self-clocked
 // group commit arms no timer and files acks by value in the flusher's
 // reorder window, so a durable Submit→ack allocates nothing, like the
-// log-less path (AllocsPerRun truncates, so device growth and a
-// checkpoint's handful of cold-path objects amortize to zero). A windowed
-// group additionally allocates one time.Timer per flush pass — with one
-// transaction in flight, one per commit: 3–5 objects measured.
+// log-less path (the device writes into pre-sized, recycled segments and
+// allocates only to raise its high-water of live ones; AllocsPerRun
+// truncates, so a checkpoint's handful of cold-path objects amortize to
+// zero). A windowed group additionally allocates one time.Timer per flush
+// pass — with one transaction in flight, one per commit: 3–5 objects
+// measured.
 var walAllocPolicies = []struct {
 	name   string
 	policy repro.SyncPolicy

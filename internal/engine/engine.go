@@ -100,7 +100,9 @@ func Timestamp(thread int) uint64 {
 }
 
 // UndoLog captures before-images of records mutated in place so an aborted
-// transaction's writes can be rolled back. One log lives per worker
+// transaction's writes can be rolled back. Its users record only what a
+// rollback can read: 2PL always (wait-die aborts), PlannedCtx only for
+// re-plannable attempts. One log lives per worker
 // thread and is reused across transactions; image bytes come from an
 // arena whose write offset rewinds on Reset — after commit or rollback no
 // image is referenced, so the same bytes serve every transaction and

@@ -146,28 +146,131 @@ func TestPlannedCtxEnforcesDeclaredSet(t *testing.T) {
 	}
 }
 
-func TestPlannedCtxAbortRollsBack(t *testing.T) {
-	db, tbl := newPlannedTestDB(t)
-	tx := &txn.Txn{Ops: []txn.Op{{Table: tbl, Key: 3, Mode: txn.Write}}}
-	tx.SortOps()
-	ctx := &PlannedCtx{DB: db}
-	ctx.Begin(tx)
-	rec, err := ctx.Write(tbl, 3)
-	if err != nil {
-		t.Fatal(err)
+// fourWordTx declares Write on keys 1..3 of a fresh table of four-word
+// records pre-filled with key<<8|word, and returns a Logic that stamps
+// every word of every record and then — when miss is set — touches the
+// undeclared key 9, the OLLP estimate miss *after* the writes.
+func fourWordTx(t *testing.T) (*storage.DB, int, *txn.Txn, *bool) {
+	t.Helper()
+	db := storage.NewDB()
+	tbl := db.Create(storage.Layout{Name: "t", NumRecords: 16, RecordSize: 32})
+	for k := uint64(0); k < 16; k++ {
+		for w := 0; w < 4; w++ {
+			storage.PutU64(db.Table(tbl).Get(k), 8*w, k<<8|uint64(w))
+		}
 	}
-	storage.PutU64(rec, 0, 42)
+	miss := new(bool)
+	tx := &txn.Txn{Ops: []txn.Op{
+		{Table: tbl, Key: 1, Mode: txn.Write},
+		{Table: tbl, Key: 2, Mode: txn.Write},
+		{Table: tbl, Key: 3, Mode: txn.Write},
+	}}
+	tx.SortOps()
+	tx.Logic = func(c txn.Ctx) error {
+		for k := uint64(1); k <= 3; k++ {
+			rec, err := c.Write(tbl, k)
+			if err != nil {
+				return err
+			}
+			for w := 0; w < 4; w++ {
+				storage.PutU64(rec, 8*w, 0xC0DE0000|k<<8|uint64(w))
+			}
+		}
+		if *miss {
+			_, err := c.Read(tbl, 9)
+			return err
+		}
+		return nil
+	}
+	return db, tbl, tx, miss
+}
+
+// tableWords snapshots every word of the four-word test table.
+func tableWords(db *storage.DB, tbl int) [16][4]uint64 {
+	var out [16][4]uint64
+	for k := range out {
+		for w := range out[k] {
+			out[k][w] = storage.GetU64(db.Table(tbl).Get(uint64(k)), 8*w)
+		}
+	}
+	return out
+}
+
+// A re-plannable attempt (Replan set) that misses after its writes is
+// rolled back word for word, and the retry commits.
+func TestPlannedCtxAbortRollsBack(t *testing.T) {
+	db, tbl, tx, miss := fourWordTx(t)
+	tx.Replan = func(*txn.Txn) { *miss = false }
+	before := tableWords(db, tbl)
+	ctx := &PlannedCtx{DB: db}
+
+	*miss = true
+	ctx.Begin(tx)
+	if err := tx.Logic(ctx); !errors.Is(err, txn.ErrEstimateMiss) {
+		t.Fatalf("first attempt: err = %v, want an estimate miss", err)
+	}
+	if ctx.Undo.Len() != 3 {
+		t.Fatalf("re-plannable attempt kept %d before-images, want 3", ctx.Undo.Len())
+	}
+	if tableWords(db, tbl) == before {
+		t.Fatal("the attempt wrote nothing: the rollback below would prove nothing")
+	}
 	ctx.Abort()
-	if storage.GetU64(db.Table(tbl).Get(3), 0) != 0 {
-		t.Fatal("abort did not roll back")
+	if got := tableWords(db, tbl); got != before {
+		t.Fatalf("abort did not restore every word:\n got %x\nwant %x", got, before)
 	}
 
+	tx.Replan(tx)
 	ctx.Begin(tx)
-	rec, _ = ctx.Write(tbl, 3)
-	storage.PutU64(rec, 0, 7)
+	if err := tx.Logic(ctx); err != nil {
+		t.Fatal(err)
+	}
 	ctx.Commit()
-	if storage.GetU64(db.Table(tbl).Get(3), 0) != 7 {
-		t.Fatal("commit lost the write")
+	if ctx.Undo.Len() != 0 {
+		t.Fatalf("commit left %d before-images", ctx.Undo.Len())
+	}
+	if got := storage.GetU64(db.Table(tbl).Get(2), 8); got != 0xC0DE0000|2<<8|1 {
+		t.Fatalf("commit lost the write: word = %x", got)
+	}
+}
+
+// An exact-set attempt (Replan nil) cannot roll back, so it keeps no
+// before-images — and commits exactly the bytes a re-plannable one does.
+func TestPlannedCtxKeepsNoImagesWithoutReplan(t *testing.T) {
+	var committed [2][16][4]uint64
+	for i, replan := range []func(*txn.Txn){nil, func(*txn.Txn) {}} {
+		db, tbl, tx, _ := fourWordTx(t)
+		tx.Replan = replan
+		ctx := &PlannedCtx{DB: db}
+		ctx.Begin(tx)
+		if err := tx.Logic(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if want := 3 * i; ctx.Undo.Len() != want {
+			t.Fatalf("Replan set=%v: %d before-images mid-attempt, want %d", replan != nil, ctx.Undo.Len(), want)
+		}
+		ctx.Commit()
+		committed[i] = tableWords(db, tbl)
+	}
+	if committed[0] != committed[1] {
+		t.Fatal("an attempt without before-images committed different bytes")
+	}
+	// The rule is per attempt, not per context: a worker's next
+	// transaction may be re-plannable.
+	db, tbl, tx, miss := fourWordTx(t)
+	ctx := &PlannedCtx{DB: db}
+	ctx.Begin(tx)
+	tx.Logic(ctx)
+	ctx.Commit()
+	tx.Replan = func(*txn.Txn) {}
+	*miss = true
+	clear(db.Table(tbl).Get(2)) // so the second attempt's stamps differ from what is there
+	before := tableWords(db, tbl)
+	ctx.Begin(tx)
+	tx.Logic(ctx)
+	ctx.Abort()
+	if tableWords(db, tbl) != before {
+		t.Fatal("a re-plannable attempt after an exact-set one was not rolled back")
 	}
 }
 

@@ -9,10 +9,13 @@ import (
 
 // PlannedCtx is the txn.Ctx used by the planned-access engines (ORTHRUS
 // and Deadlock-free locking): every lock was acquired before Logic runs,
-// so accessors only validate the access against the declared set and
-// record undo images. An access outside the declared set returns
-// txn.ErrEstimateMiss — the OLLP signal that the reconnaissance estimate
-// was wrong and the transaction must be re-planned (paper §3.2).
+// so accessors only validate the access against the declared set. An
+// access outside the declared set returns txn.ErrEstimateMiss — the OLLP
+// signal that the reconnaissance estimate was wrong and the transaction
+// must be re-planned (paper §3.2). That re-plan is the only rollback a
+// planned engine performs, so before-images are kept only for attempts
+// that can take it (T.Replan != nil); an exact-set transaction's logic
+// error panics in the engine and nothing would ever read its images.
 //
 // Range scans follow the same discipline: Scan validates that the range
 // was declared (so its covering stripe locks are held) and that every
@@ -36,11 +39,13 @@ type PlannedCtx struct {
 	// in it so the engine can install their after-images at pre-commit
 	// (CommitVersions). The zero value suits a database that has none.
 	VSet VersionSet
+	undo bool // this attempt can roll back: T.Replan != nil, set by Begin
 }
 
 // Begin attaches the context to a transaction attempt.
 func (c *PlannedCtx) Begin(t *txn.Txn) {
 	c.T = t
+	c.undo = t.Replan != nil
 	c.Undo.Reset()
 	c.VSet.Reset()
 	if c.Wal != nil {
@@ -66,7 +71,9 @@ func (c *PlannedCtx) Write(table int, key uint64) ([]byte, error) {
 	if rec == nil {
 		return nil, nil
 	}
-	c.Undo.Record(rec)
+	if c.undo {
+		c.Undo.Record(rec)
+	}
 	if c.Wal != nil {
 		c.Wal.Note(table, key, rec)
 	}
@@ -128,8 +135,8 @@ func (c *PlannedCtx) Scan(table int, lo, hi uint64, fn func(key uint64, rec []by
 // locks.
 func (c *PlannedCtx) Commit() { c.Undo.Reset() }
 
-// Abort rolls back in-place writes and discards the redo capture along
-// with the noted version installs.
+// Abort rolls back a re-plannable attempt's in-place writes (no other
+// keeps images) and discards the redo capture and noted version installs.
 func (c *PlannedCtx) Abort() {
 	c.Undo.Rollback()
 	c.VSet.Reset()

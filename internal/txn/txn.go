@@ -188,7 +188,10 @@ type Txn struct {
 	// Replan re-runs OLLP reconnaissance after an estimate miss,
 	// rebuilding Ops (and Logic, if it captured planned keys). Engines
 	// call it when an access returns ErrEstimateMiss. Nil for
-	// transactions whose access sets are exact by construction.
+	// transactions whose access sets are exact by construction — a
+	// contract the planned engines rely on: with Replan nil an estimate
+	// miss (or any other Logic error) panics, so they keep no
+	// before-images for the attempt and cannot roll it back.
 	Replan func(*Txn)
 	// ReadOnly declares the transaction write-free. Engines whose
 	// database has versioned tables serve it from an immutable MVCC

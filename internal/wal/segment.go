@@ -68,10 +68,20 @@ type memSegment struct {
 // so CrashSegments is the per-segment image a crash is guaranteed to
 // preserve. It backs the crash/recovery tests, benchmarks and
 // experiments.
+//
+// The device copies each byte once. A segment gets its whole buffer when
+// it becomes active — segmentBytes plus segmentBytes/16 of headroom for
+// the flush pass that crosses the threshold (rotation waits for that
+// pass's Mark) — so Write is one memmove; a pass larger than the headroom
+// grows the buffer through append. Truncate parks dropped segments on
+// free and Mark's rotation pops them: steady state allocates nothing, and
+// since a segment is allocated only when free is empty the device never
+// owns more than its high-water of live segments.
 type MemSegments struct {
 	mu           sync.Mutex
 	segmentBytes int
 	segs         []*memSegment // segs[len-1] is the active segment
+	free         []*memSegment // truncated segments, reset, for Mark to reuse
 	truncated    int
 }
 
@@ -81,7 +91,20 @@ func NewMemSegments(segmentBytes int) *MemSegments {
 	if segmentBytes <= 0 {
 		segmentBytes = DefaultSegmentBytes
 	}
-	return &MemSegments{segmentBytes: segmentBytes, segs: []*memSegment{{}}}
+	d := &MemSegments{segmentBytes: segmentBytes}
+	d.segs = []*memSegment{d.fresh()}
+	return d
+}
+
+// fresh returns an empty segment for rotation: a recycled one if
+// Truncate has parked any, else a new full-size buffer.
+func (d *MemSegments) fresh() *memSegment {
+	if n := len(d.free); n > 0 {
+		s := d.free[n-1]
+		d.free = d.free[:n-1]
+		return s
+	}
+	return &memSegment{buf: make([]byte, 0, d.segmentBytes+d.segmentBytes/16)}
 }
 
 // Write implements Device: append to the active segment.
@@ -116,12 +139,13 @@ func (d *MemSegments) Mark(maxLSN uint64) {
 	}
 	if len(s.buf) >= d.segmentBytes && s.synced == len(s.buf) {
 		s.sealed = true
-		d.segs = append(d.segs, &memSegment{})
+		d.segs = append(d.segs, d.fresh())
 	}
 	d.mu.Unlock()
 }
 
-// Truncate implements Device.
+// Truncate implements Device. Dropped segments are reset and parked for
+// reuse; nothing else references their buffers (CrashSegments copies).
 func (d *MemSegments) Truncate(belowLSN uint64) int {
 	d.mu.Lock()
 	kept := d.segs[:0]
@@ -129,10 +153,13 @@ func (d *MemSegments) Truncate(belowLSN uint64) int {
 	for _, s := range d.segs {
 		if s.sealed && s.maxLSN <= belowLSN {
 			dropped++
+			*s = memSegment{buf: s.buf[:0]}
+			d.free = append(d.free, s)
 			continue
 		}
 		kept = append(kept, s)
 	}
+	clear(d.segs[len(kept):]) // the filtered-out tail must not pin segments
 	d.segs = kept
 	d.truncated += dropped
 	d.mu.Unlock()
@@ -314,6 +341,7 @@ func (d *FileSegments) Truncate(belowLSN uint64) int {
 		}
 		kept = append(kept, s)
 	}
+	clear(d.sealed[len(kept):])
 	d.sealed = kept
 	// Sync the directory so the unlinks are durable: a crash must not
 	// resurrect segments the truncation rule already dropped.
