@@ -325,12 +325,9 @@ func BenchmarkAblationInflight(b *testing.B) {
 // BenchmarkAblationBatchSize compares the batched message plane against
 // the unbatched baseline (BatchSize=1) on the high-contention YCSB mix:
 // the same messages cross the rings, in ~1/k as many atomic operations.
-// The adaptive row is the AIMD per-exec-thread controller (BatchSize=0,
-// the default); it must hold the static default's throughput here while
-// shrinking its batch — and hence its queueing delay — under light load.
 func BenchmarkAblationBatchSize(b *testing.B) {
-	run := func(name string, bs int) {
-		b.Run(name, func(b *testing.B) {
+	for _, bs := range []int{1, 4, 8, 32} {
+		b.Run(benchName("batch", bs), func(b *testing.B) {
 			db, tbl := newBenchDB()
 			eng := NewOrthrus(OrthrusConfig{DB: db, CCThreads: 4, ExecThreads: 8, BatchSize: bs})
 			src := &YCSB{Table: tbl, NumRecords: benchRecords, OpsPerTxn: 10,
@@ -338,10 +335,6 @@ func BenchmarkAblationBatchSize(b *testing.B) {
 			reportRun(b, eng, src)
 		})
 	}
-	for _, bs := range []int{1, 4, 8, 32} {
-		run(benchName("batch", bs), bs)
-	}
-	run("batch=adaptive", 0)
 }
 
 // BenchmarkAblationBatchSizeTransfer is the same comparison on the

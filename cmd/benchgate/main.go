@@ -24,8 +24,9 @@
 //     speed. (A ratio gate would wave through 0 → 3 allocs, the exact
 //     regression this PR exists to prevent.)
 //
-// Benchmarks present in only one file are reported but do not fail the
-// gate (new benchmarks land before their baseline is regenerated).
+// Benchmarks present in only one file are reported as notes but do not
+// fail the gate (new benchmarks land before their baseline is
+// regenerated), and the closing line counts only those compared.
 //
 // Regenerate the baseline on the CI runner class (see .github/workflows/
 // ci.yml for the exact bench pattern):
@@ -90,20 +91,29 @@ func parse(r io.Reader) (map[string]result, error) {
 	return out, sc.Err()
 }
 
-// gate compares current against baseline and returns failure messages.
-func gate(baseline, current map[string]result, geomeanLimit, relativeLimit float64) []string {
+// gate compares current against baseline. It returns how many benchmarks
+// it compared, a note for each benchmark present in only one file (never
+// a failure), and failure messages.
+func gate(baseline, current map[string]result, geomeanLimit, relativeLimit float64) (compared int, notes, failures []string) {
 	var names []string
 	for name := range baseline {
 		if _, ok := current[name]; ok {
 			names = append(names, name)
+		} else {
+			notes = append(notes, name+" is in the baseline but was not run (stale baseline row?)")
+		}
+	}
+	for name := range current {
+		if _, ok := baseline[name]; !ok {
+			notes = append(notes, name+" has no baseline yet (regenerate bench-baseline.txt)")
 		}
 	}
 	sort.Strings(names)
+	sort.Strings(notes)
 	if len(names) == 0 {
-		return []string{"no benchmarks in common between baseline and current run"}
+		return 0, notes, []string{"no benchmarks in common between baseline and current run"}
 	}
 
-	var failures []string
 	ratios := make(map[string]float64, len(names))
 	var sorted []float64
 	logSum := 0.0
@@ -138,7 +148,7 @@ func gate(baseline, current map[string]result, geomeanLimit, relativeLimit float
 				name, r, (r/median-1)*100, median))
 		}
 	}
-	return failures
+	return len(names), notes, failures
 }
 
 func main() {
@@ -175,18 +185,15 @@ func main() {
 		os.Exit(2)
 	}
 
-	for name := range current {
-		if _, ok := baseline[name]; !ok {
-			fmt.Printf("benchgate: note: %s has no baseline yet (regenerate bench-baseline.txt)\n", name)
-		}
+	compared, notes, failures := gate(baseline, current, *geomeanLimit, *relativeLimit)
+	for _, n := range notes {
+		fmt.Printf("benchgate: note: %s\n", n)
 	}
-
-	failures := gate(baseline, current, *geomeanLimit, *relativeLimit)
 	if len(failures) > 0 {
 		for _, f := range failures {
 			fmt.Fprintf(os.Stderr, "benchgate: FAIL: %s\n", f)
 		}
 		os.Exit(1)
 	}
-	fmt.Printf("benchgate: ok (%d benchmarks compared)\n", len(current))
+	fmt.Printf("benchgate: ok (%d benchmarks compared)\n", compared)
 }

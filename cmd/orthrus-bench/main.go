@@ -12,8 +12,8 @@
 // plots; see README.md "Regenerating the paper's figures" for the expected shapes and
 // paper-vs-measured comparison. Beyond the figures, the openloop
 // experiment reports commit latency under offered load, the batching
-// experiment reports message-plane ring operations and throughput per
-// BatchSize, the adaptive experiment compares static vs elastic CC
+// experiment sweeps BatchSize (1 = unbatched) for ring operations and
+// throughput, the adaptive experiment compares static vs elastic CC
 // routing across a mid-run hot-set shift, the durability experiment
 // sweeps WAL sync policy (self-clocked group commit against timed fill
 // windows) against the no-WAL baseline, the scan experiment sweeps a

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/deadlock"
 	"repro/internal/engine"
@@ -371,88 +370,6 @@ func batching(c Config) {
 		}
 		fmt.Fprintln(c.Out)
 	}
-	adaptiveBatching(c, cc, exec)
-}
-
-// adaptiveBatching compares the AIMD per-exec-thread batch controller
-// (BatchSize=0, the default) against the static extremes on the axis the
-// static sweep cannot show: a fixed batch must choose between saturated
-// throughput (large batch) and light-load latency (batch=1), while the
-// controller tracks each thread's per-pass publish volume — growing while
-// passes keep filling the batch, halving toward the unbatched plane when
-// active passes publish half a batch or less. Each row reports closed-loop
-// throughput on the contended hot-set mix, then commit-latency percentiles
-// with 10% of measured capacity offered open-loop; the achieved per-thread
-// batches of both runs show the controller converging to different
-// operating points under the two loads, which is the whole case for it.
-func adaptiveBatching(c Config, cc, exec int) {
-	configs := []struct {
-		name string
-		bs   int
-	}{
-		{"static-1", 1},
-		{"static-8", orthrus.DefaultBatchSize},
-		{"adaptive", 0},
-	}
-	newEng := func(bs int) (*orthrus.Engine, workload.Source) {
-		db, tbl := newYCSBDB(c)
-		src := &workload.YCSB{Table: tbl, NumRecords: c.Records, OpsPerTxn: 10,
-			HotRecords: 64, HotOps: 2}
-		return orthrus.New(orthrus.Config{DB: db, CCThreads: cc, ExecThreads: exec, BatchSize: bs}), src
-	}
-
-	// Calibrate the low-load point off the static default's capacity so
-	// all three configurations face the same offered rate.
-	eng, src := newEng(orthrus.DefaultBatchSize)
-	capacity := eng.Run(src, c.Duration).Throughput()
-	rate := capacity * 10 / 100
-
-	fmt.Fprintf(c.Out, "\nadaptive batching (ycsb-10rmw, %d CC / %d exec threads, low load = 10%% of %.0f tps):\n", cc, exec, capacity)
-	fmt.Fprintf(c.Out, "%-12s %14s %16s %16s %16s %16s\n",
-		"batching", "contended_tps", "ctd_batches", "lowload_p50_us", "lowload_p99_us", "lowload_batches")
-	// Both points take the median of three runs: a single sub-second run
-	// on a loaded host is decided by scheduler noise, not by batching.
-	const reps = 3
-	for _, cfg := range configs {
-		var tps, p50s, p99s []float64
-		var ctdBatches, lowBatches []int
-		for r := 0; r < reps; r++ {
-			eng, src := newEng(cfg.bs)
-			tps = append(tps, point(c, eng, src).Throughput())
-			ctdBatches = eng.Messages().ExecBatch
-
-			eng2, src2 := newEng(cfg.bs)
-			open := engine.RunOpenLoop(eng2, src2, rate, c.Duration)
-			c.noteWorkers(eng2)
-			p50s = append(p50s, float64(open.Latency.Percentile(50).Microseconds()))
-			p99s = append(p99s, float64(open.Latency.Percentile(99).Microseconds()))
-			lowBatches = eng2.Messages().ExecBatch
-		}
-		contended, p50, p99 := median(tps), median(p50s), median(p99s)
-
-		fmt.Fprintf(c.Out, "%-12s %14.0f %16v %16.0f %16.0f %16v\n",
-			cfg.name, contended, ctdBatches, p50, p99, lowBatches)
-		c.JSONRow(map[string]interface{}{
-			"workload": "ycsb-10rmw", "x_label": "batching", "x": cfg.name,
-			"series": map[string]interface{}{
-				"contended_tps":  contended,
-				"lowload_rate":   rate,
-				"lowload_p50_us": p50,
-				"lowload_p99_us": p99,
-			},
-		})
-	}
-}
-
-// median returns the middle element of xs (mean of the middle two for an
-// even count). It mutates xs's order.
-func median(xs []float64) float64 {
-	sort.Float64s(xs)
-	n := len(xs)
-	if n%2 == 1 {
-		return xs[n/2]
-	}
-	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
 // openloop: the serving-latency experiment enabled by the Runtime/Session

@@ -2,10 +2,12 @@ package orthrus
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/spsc"
 	"repro/internal/storage"
 	"repro/internal/workload"
 )
@@ -111,64 +113,47 @@ func TestBatchingReducesRingOps(t *testing.T) {
 	}
 }
 
-// Convergence of the AIMD controller as a pure state machine: sustained
-// high publish volume grows additively to the cap; trickle volume decays
-// multiplicatively toward 1; the hysteresis band (between half a batch
-// and a full batch) holds; and idle passes — however many the OS
-// scheduler interleaves — contribute no samples and so cannot move the
-// batch at all.
-func TestBatchControllerConvergence(t *testing.T) {
-	// window feeds one full decision window of active passes, each
-	// publishing `pushed` messages.
-	window := func(b *batchController, pushed int) {
-		for i := 0; i < batchWindow; i++ {
-			b.observe(pushed, true)
+// BatchSize 0 means DefaultBatchSize on every thread, and nothing adapts
+// it: each exec thread publishes an outbox at the default batch and not
+// before, every drain buffer holds the default batch, and after a
+// contended run the session reports the default for every exec thread.
+func TestDefaultBatchSizeEverywhere(t *testing.T) {
+	const ncc, nexec = 3, 2
+	db, _ := newDB(8)
+	ses := newTestSession(Config{DB: db, CCThreads: ncc, ExecThreads: nexec})
+	if got := ses.s.cfg.BatchSize; got != DefaultBatchSize {
+		t.Fatalf("BatchSize 0 became %d, want DefaultBatchSize %d", got, DefaultBatchSize)
+	}
+	for id := 0; id < nexec; id++ {
+		x := newExecThread(ses, id, ses.set.Thread(id))
+		if len(x.scratch) != DefaultBatchSize {
+			t.Fatalf("exec %d drains %d grants at a time, want %d", id, len(x.scratch), DefaultBatchSize)
+		}
+		ring := ses.s.execToCC[id][0].(*spsc.Ring[message])
+		for i := 0; i < DefaultBatchSize; i++ {
+			if ring.Len() != 0 {
+				t.Fatalf("exec %d published after %d of %d pushes", id, i, DefaultBatchSize)
+			}
+			x.push(0, message{kind: msgRelease})
+		}
+		if got := ring.Len(); got != DefaultBatchSize {
+			t.Fatalf("exec %d published %d at the batch, want %d", id, got, DefaultBatchSize)
+		}
+	}
+	for id := 0; id < ncc; id++ {
+		if c := newCCThread(ses.s, id); len(c.inbuf) != DefaultBatchSize {
+			t.Fatalf("CC %d drains %d messages at a time, want %d", id, len(c.inbuf), DefaultBatchSize)
 		}
 	}
 
-	b := newBatchController()
-	if b.batch != DefaultBatchSize {
-		t.Fatalf("start batch = %d, want the static default %d", b.batch, DefaultBatchSize)
+	db, tbl := newDB(1 << 10)
+	eng := New(Config{DB: db, CCThreads: ncc, ExecThreads: nexec})
+	src := &workload.YCSB{Table: tbl, NumRecords: 1 << 10, OpsPerTxn: 10, HotRecords: 64, HotOps: 2}
+	if res := eng.Run(src, 100*time.Millisecond); res.Totals.Committed == 0 {
+		t.Fatal("no commits")
 	}
-	// Saturation: every active pass fills whatever the batch grows to.
-	for i := 0; i < 4*maxAdaptiveBatch; i++ {
-		window(b, maxAdaptiveBatch)
-	}
-	if b.batch != maxAdaptiveBatch {
-		t.Fatalf("saturated batch = %d, want cap %d", b.batch, maxAdaptiveBatch)
-	}
-	// Light load: a lone message per active pass halves per window to 1.
-	for i := 0; i < 10; i++ {
-		window(b, 1)
-	}
-	if b.batch <= 0 || b.batch > 2 {
-		t.Fatalf("trickle batch = %d, want 1 (or the 1<->2 boundary oscillation)", b.batch)
-	}
-	// Hysteresis: volume above half a batch but below a full one holds.
-	b = newBatchController()
-	for i := 0; i < 50; i++ {
-		window(b, DefaultBatchSize-1)
-	}
-	if b.batch != DefaultBatchSize {
-		t.Fatalf("hysteresis-band batch = %d, want unchanged %d", b.batch, DefaultBatchSize)
-	}
-	// Idle passes are not samples: no run of them moves the batch.
-	for i := 0; i < 10_000; i++ {
-		if got := b.observe(0, false); got != DefaultBatchSize {
-			t.Fatalf("idle pass moved batch to %d", got)
-		}
-	}
-	// Volume converges just above the natural per-pass traffic: from the
-	// default 8, sustained volume 4 halves (2*4 <= 8) to 4, fills once
-	// (4 >= 4) to 5, then parks in the hold band — one above the volume,
-	// so a steady flow never quite fills the batch and every message
-	// still publishes by the end-of-pass flush.
-	b = newBatchController()
-	for i := 0; i < 50; i++ {
-		window(b, 4)
-	}
-	if b.batch != 5 {
-		t.Fatalf("batch = %d after sustained volume 4, want 5", b.batch)
+	if got := eng.Messages().ExecBatch; !slices.Equal(got, []int{DefaultBatchSize, DefaultBatchSize}) {
+		t.Fatalf("ExecBatch = %v, want DefaultBatchSize on each of %d exec threads", got, nexec)
 	}
 }
 

@@ -235,10 +235,10 @@ func (v sharedView) release(r *localReq, out []*localReq) []*localReq {
 // The message plane is batched (Config.BatchSize): each input ring is
 // drained into inbuf and acknowledged with one ring operation per batch,
 // and the forwards and grants generated while handling a drain pass are
-// coalesced per destination (fwdOut/grantOut) and published with one
-// ring operation per batch. Order within each ring is untouched — a
-// batch is published and consumed in send order — so the FIFO grant
-// order CC threads rely on is preserved.
+// coalesced per destination (out) and published with one ring operation
+// per batch. Order within each ring is untouched — a batch is published
+// and consumed in send order — so the FIFO grant order CC threads rely on
+// is preserved.
 type ccThread struct {
 	s  *runState
 	id int
@@ -248,11 +248,11 @@ type ccThread struct {
 	shared ccTable // non-nil in SharedTable mode, used for every pid
 	ctrl   chan ccCtrl
 
-	batch    int
-	inbuf    []message   // batched drain buffer
-	fwdOut   [][]message // per-CC forward outbox (only ids > c.id used)
-	grantOut [][]message // per-exec grant outbox
-	ops      opCounter   // forwards and grants sent, ring ops; flushed at retirement
+	inbuf []message // batched drain buffer
+	// out holds the forwards to CC threads id+1, id+2, …, then the grants
+	// to exec threads 0, 1, … (see advance).
+	out outboxes
+	ops opCounter // forwards and grants sent, ring ops; flushed at retirement
 
 	// Per-pass accumulation of observability counters, flushed to the
 	// runState's per-thread atomics at the end of each drain pass so the
@@ -267,17 +267,21 @@ type ccThread struct {
 }
 
 func newCCThread(s *runState, id int) *ccThread {
-	batch := ccBatchSize(s.cfg)
 	c := &ccThread{
-		s:        s,
-		id:       id,
-		shards:   make([]*privateTable, s.cfg.LogicalPartitions),
-		ctrl:     s.ccCtrl[id],
-		batch:    batch,
-		inbuf:    make([]message, batch),
-		fwdOut:   make([][]message, s.cfg.CCThreads),
-		grantOut: make([][]message, s.cfg.ExecThreads),
-		pidAcc:   make([]uint64, s.cfg.LogicalPartitions),
+		s:      s,
+		id:     id,
+		shards: make([]*privateTable, s.cfg.LogicalPartitions),
+		ctrl:   s.ccCtrl[id],
+		inbuf:  make([]message, s.cfg.BatchSize),
+		// Forwards flow strictly from lower to higher CC ids and nobody
+		// waits on anybody, so a full forward ring costs the chain one
+		// step of delay and can never close a cycle. Grant rings, and the
+		// tcp plane's hand-offs to its net stepper, hold the owner's whole
+		// in-flight window and a transaction has at most one grant
+		// outstanding anywhere, so grants always fit — but nothing depends
+		// on it: a refused grant waits in its outbox for the next step.
+		out:    append(newOutboxes(s.ccToCC[id][id+1:]), newOutboxes(s.ccToExec[id])...),
+		pidAcc: make([]uint64, s.cfg.LogicalPartitions),
 	}
 	if s.shared != nil {
 		c.shared = sharedView{s.shared}
@@ -320,7 +324,7 @@ func (c *ccThread) step() (progress, exit bool) {
 		progress = true
 	default:
 	}
-	if stop && !progress && c.outboxesEmpty() {
+	if stop && !progress && c.out.empty() {
 		// Nothing arrived after the stop and nothing is left to publish.
 		// Nothing more can come from a peer CC thread either: Close
 		// drained every submission before the stop, so only releases
@@ -336,9 +340,9 @@ func (c *ccThread) step() (progress, exit bool) {
 // fits of the output (this pass's and any a full ring left over from
 // earlier ones), flushes observability counters, and reports whether it
 // consumed or published anything. Output a full ring refused stays in the
-// outboxes for the next step (flushOutbox), so the thread may go idle with
-// buffered output — its worker keeps stepping it — but never retires with
-// any (step checks outboxesEmpty).
+// outboxes for the next step (outbox.flush), so the thread may go idle
+// with buffered output — its worker keeps stepping it — but never retires
+// with any (step checks out.empty).
 func (c *ccThread) drainAll() bool {
 	progress := false
 	for e := range c.s.execToCC {
@@ -358,7 +362,7 @@ func (c *ccThread) drainAll() bool {
 	if progress {
 		c.flushStats()
 	}
-	if c.flushAll() {
+	if c.out.flushAll(&c.ops) {
 		progress = true
 	}
 	return progress
@@ -486,16 +490,16 @@ func (c *ccThread) tallyAndInsert(pid int, r *localReq) bool {
 // (the Ncc+1-message path), or — at the end of the chain, or always in
 // the DisableForwarding ablation — notifies the owning execution thread.
 func (c *ccThread) advance(w *wrapper) {
+	box := c.s.cfg.CCThreads - c.id - 1 + w.owner // the owner's grant outbox
 	if !c.s.cfg.DisableForwarding && w.hopIdx+1 < len(w.hops) {
 		w.hopIdx++
-		next := w.hops[w.hopIdx]
+		box = w.hops[w.hopIdx] - c.id - 1 // the next hop's forward outbox
 		c.ops.forwards++
-		c.pushForward(next, message{kind: msgAcquire, w: w, id: w.id})
-		return
+	} else {
+		c.ops.grants++
+		c.nGrant++
 	}
-	c.ops.grants++
-	c.nGrant++
-	c.pushGrant(w.owner, message{kind: msgAcquire, w: w, id: w.id})
+	c.out[box].push(message{kind: msgAcquire, w: w, id: w.id}, c.s.cfg.BatchSize, &c.ops)
 }
 
 // releaseTxn drops this CC thread's locks for w; newly granted requests
@@ -550,74 +554,4 @@ func (c *ccThread) handleCtrl(m ccCtrl) {
 		}
 		m.reply <- nil
 	}
-}
-
-// pushForward buffers a forwarded acquire for CC thread `to`, publishing
-// the outbox once it reaches the batch size.
-func (c *ccThread) pushForward(to int, m message) {
-	c.fwdOut[to] = append(c.fwdOut[to], m)
-	if len(c.fwdOut[to]) >= c.batch {
-		c.flushForward(to)
-	}
-}
-
-// flushForward publishes what fits of the buffered forwards for CC
-// thread `to` (see flushOutbox). Forwards flow strictly from lower to
-// higher CC ids and nobody waits on anybody, so a full ring costs the
-// chain one step of delay and can never close a cycle.
-func (c *ccThread) flushForward(to int) bool {
-	return flushOutbox(c.s.ccToCC[c.id][to], &c.fwdOut[to], &c.ops)
-}
-
-// pushGrant buffers a grant for exec thread `to`, publishing the outbox
-// once it reaches the batch size.
-func (c *ccThread) pushGrant(to int, m message) {
-	c.grantOut[to] = append(c.grantOut[to], m)
-	if len(c.grantOut[to]) >= c.batch {
-		c.flushGrant(to)
-	}
-}
-
-// flushGrant publishes what fits of the buffered grants for exec thread
-// `to` (see flushOutbox). They are sized to fit always — grant rings, and
-// the tcp plane's hand-offs to its net stepper, hold the owner's full
-// in-flight window, and a transaction has at most one grant outstanding
-// anywhere — but nothing depends on it: a refused grant waits here for
-// the next step.
-func (c *ccThread) flushGrant(to int) bool {
-	return flushOutbox(c.s.ccToExec[c.id][to], &c.grantOut[to], &c.ops)
-}
-
-// flushAll offers every non-empty outbox to its ring and reports whether
-// anything was published. Handling happens only inside drain passes, so
-// nothing is pushed mid-sweep.
-func (c *ccThread) flushAll() bool {
-	published := false
-	for to := range c.fwdOut {
-		if len(c.fwdOut[to]) > 0 && c.flushForward(to) {
-			published = true
-		}
-	}
-	for to := range c.grantOut {
-		if len(c.grantOut[to]) > 0 && c.flushGrant(to) {
-			published = true
-		}
-	}
-	return published
-}
-
-// outboxesEmpty reports that every forward and grant this thread
-// generated is in a ring.
-func (c *ccThread) outboxesEmpty() bool {
-	for to := range c.fwdOut {
-		if len(c.fwdOut[to]) > 0 {
-			return false
-		}
-	}
-	for to := range c.grantOut {
-		if len(c.grantOut[to]) > 0 {
-			return false
-		}
-	}
-	return true
 }

@@ -218,7 +218,7 @@ func testPerCCStatsConservationTCP(t *testing.T, procs int) {
 
 	// Batching coherence: the exec node's wire batching factor cannot
 	// exceed what its outbox coalescing could have produced — each frame
-	// carries at most one flushOutbox pass, whose size is bounded by the
+	// carries at most one outbox flush, whose size is bounded by the
 	// whole in-flight window's worth of messages per pass.
 	if len(exM.ExecBatch) != 3 {
 		t.Fatalf("ExecBatch has %d entries, want 3", len(exM.ExecBatch))
@@ -363,11 +363,11 @@ func TestDispatchRejectsMalformedAcquire(t *testing.T) {
 			db, _ := newDB(8)
 			e := New(Config{DB: db, CCThreads: 3, ExecThreads: 2})
 			// A cc node's net stepper with no socket behind it: dispatch
-			// touches only the inboxes and the registry.
+			// touches only the outboxes to its rings and the registry.
 			s := &runState{cfg: e.cfg}
 			s.wraps.New = func() interface{} { return &wrapper{} }
 			tr := newNetStepper(s, wire.RoleCC, nil)
-			tr.in = make([]inbox, 2*3)
+			tr.in = make(outboxes, 2*3)
 			tc.msg.Kind, tc.msg.TxnID = wire.KindAcquire, 7
 			f := &wire.Frame{Plane: wire.PlaneExecCC, From: 1, To: tc.to, Msgs: []wire.Msg{tc.msg}}
 			defer func() {
@@ -518,7 +518,7 @@ func TestNetStepsByHand(t *testing.T) {
 	select {
 	case <-cn.heard: // what ccGate waits for
 	default:
-		t.Fatal("cc node decoded the goodbye with empty inboxes and did not say so")
+		t.Fatal("cc node decoded the goodbye with empty outboxes and did not say so")
 	}
 	cc.s.ccStop.Store(true)
 	if _, exit := c.step(); !exit {

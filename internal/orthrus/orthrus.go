@@ -65,7 +65,7 @@
 // message, so the §3.3 message counts (MessageStats) are those of the
 // unfolded layout. What folding forbids is waiting: no step may block on
 // another logical thread's progress, since that thread may be hosted by
-// the same worker (see flushOutbox).
+// the same worker (see outbox.flush).
 //
 // # Lifecycle
 //
@@ -98,9 +98,11 @@ import (
 const (
 	DefaultQueueCap = 256
 	DefaultInflight = 8
-	// DefaultBatchSize is the CC threads' static message-plane batching
-	// factor and the adaptive exec-side controller's starting point
-	// (see batch.go); exec threads only pin it when BatchSize is set.
+	// DefaultBatchSize is the message-plane batch exec and CC threads use
+	// when Config.BatchSize is 0. No batch holds a message past the end of
+	// its step, and past this size the achieved batch barely grows: one
+	// step rarely produces more for one destination (the batching
+	// experiment).
 	DefaultBatchSize = 8
 	// DefaultPartitionFactor sizes the logical partition space relative to
 	// the CC thread count: LogicalPartitions defaults to this many
@@ -144,17 +146,11 @@ type Config struct {
 	// operation, CC threads do the same for forwards and grants, and both
 	// sides drain their input rings in batches — so the per-message cost
 	// of an atomic release-store plus a consumer load drops to ~1/k of
-	// one. 1 reverts to per-message transfer (the unbatched ablation).
-	// FIFO order per ring is unaffected — batches are published and
-	// consumed in send order.
-	//
-	// 0 (the default) makes each execution thread's batch adaptive: an
-	// AIMD controller grows it while the thread's per-pass publish volume
-	// keeps filling it and halves it when active passes publish half a
-	// batch or less, so saturated runs amortize ring traffic like a large
-	// static batch while lightly loaded runs publish (and so acknowledge)
-	// almost immediately, like BatchSize=1. A positive value pins the
-	// historical static behaviour. See batch.go.
+	// one. 0 means DefaultBatchSize; 1 reverts to per-message transfer
+	// (the unbatched ablation). A batch holds a message for at most one
+	// step: every step ends by publishing what its outboxes hold. FIFO
+	// order per ring is unaffected — batches are published and consumed
+	// in send order.
 	BatchSize int
 	// SharedTable switches to the §3.4 alternative: CC threads operate on
 	// a single latched lock table instead of private partitions. Request
@@ -237,9 +233,8 @@ type MessageStats struct {
 	// above).
 	PerCC []CCStats
 
-	// ExecBatch is each execution thread's batch size when the session
-	// closed: the configured static value, or wherever the adaptive
-	// controller (Config.BatchSize=0) had converged.
+	// ExecBatch is each execution thread's publish batch: the configured
+	// Config.BatchSize (DefaultBatchSize when left 0) in every entry.
 	ExecBatch []int
 
 	// Net counts the session's wire traffic — zero on the in-process
@@ -420,7 +415,7 @@ func (c Config) Validate() {
 		panic(fmt.Sprintf("orthrus: Inflight must not be negative (got %d; 0 means default)", c.Inflight))
 	}
 	if c.BatchSize < 0 {
-		panic(fmt.Sprintf("orthrus: BatchSize must not be negative (got %d; 0 means adaptive)", c.BatchSize))
+		panic(fmt.Sprintf("orthrus: BatchSize must not be negative (got %d; 0 means default)", c.BatchSize))
 	}
 	if c.LogicalPartitions < 0 {
 		panic(fmt.Sprintf("orthrus: LogicalPartitions must not be negative (got %d; 0 means default)", c.LogicalPartitions))
@@ -443,8 +438,9 @@ func New(cfg Config) *Engine {
 	if cfg.Inflight == 0 {
 		cfg.Inflight = DefaultInflight
 	}
-	// BatchSize 0 stays 0: it selects the adaptive per-exec-thread
-	// controller (see batch.go); CC threads fall back to DefaultBatchSize.
+	if cfg.BatchSize == 0 {
+		cfg.BatchSize = DefaultBatchSize
+	}
 	if cfg.LogicalPartitions == 0 {
 		cfg.LogicalPartitions = DefaultPartitionFactor * cfg.CCThreads
 	}
@@ -534,10 +530,6 @@ type runState struct {
 	wraps sync.Pool
 	acks  sync.Pool
 
-	// execBatch[x] is exec thread x's final (possibly adaptive) batch
-	// size, written when the thread exits and read after execWg.Wait().
-	execBatch []int
-
 	// ops is the session's message-plane tally (MessageStats after the
 	// run): every logical thread counts in its own opCounter and adds it
 	// here once, when it retires.
@@ -601,10 +593,10 @@ func (e *Engine) newRunState() *runState {
 		a.fire = a.run
 		return a
 	}
-	s.execBatch = make([]int, cfg.ExecThreads)
-	// The backend builds the queue planes last: the tcp transport's
-	// handshake ships the routing table stored above, and its net
-	// stepper touches the pools and gauges once stepped.
+	// The backend builds the queue planes last — but before any thread
+	// exists, since each thread binds its outboxes to them when built:
+	// the tcp transport's handshake ships the routing table stored above,
+	// and its net stepper touches the pools and gauges once stepped.
 	s.tr = newTransport(cfg)
 	s.tr.install(s)
 	return s
@@ -808,7 +800,7 @@ func (ses *session) Close() metrics.Result {
 		EnqueueOps: ops.enq,
 		DequeueOps: ops.deq,
 		PerCC:      ses.perCCStats(),
-		ExecBatch:  append([]int(nil), ses.s.execBatch...),
+		ExecBatch:  slices.Repeat([]int{ses.s.cfg.BatchSize}, ses.s.cfg.ExecThreads),
 		Net:        netStats,
 		Workers:    ses.workers,
 	}
@@ -893,18 +885,12 @@ type execThread struct {
 	countBuf  []int
 	parked    []parkedTxn
 
-	// Batched message plane: acquires and releases generated within one
-	// step are coalesced per destination CC thread in out and published
-	// with one ring operation per batch; what a full ring refuses stays in
-	// out, in order, for the next step. scratch is the batched
-	// grant-drain buffer; it is safe to reuse across handleGrant calls
-	// because flushing never consumes messages (see flushOutbox), so
-	// drainGrants can never re-enter while iterating it. bc, when
-	// non-nil (Config.BatchSize=0), retunes batch each step.
-	batch   int
-	bc      *batchController
-	pushed  int // messages pushed in the current step (bc's volume signal)
-	out     [][]message
+	// Batched message plane: out[c] coalesces the acquires and releases
+	// for CC thread c. scratch is the batched grant-drain buffer; it is
+	// safe to reuse across handleGrant calls because flushing never
+	// consumes messages (see outbox.flush), so drainGrants can never
+	// re-enter while iterating it.
+	out     outboxes
 	scratch []message
 	ops     opCounter
 
@@ -923,12 +909,6 @@ type execThread struct {
 
 func newExecThread(ses *session, id int, stats *metrics.ThreadStats) *execThread {
 	cfg := ses.s.cfg
-	batch, maxBatch := cfg.BatchSize, cfg.BatchSize
-	var bc *batchController
-	if cfg.BatchSize == 0 {
-		bc = newBatchController()
-		batch, maxBatch = bc.batch, maxAdaptiveBatch
-	}
 	x := &execThread{
 		s:         ses.s,
 		ses:       ses,
@@ -940,10 +920,12 @@ func newExecThread(ses *session, id int, stats *metrics.ThreadStats) *execThread
 		now:       time.Now,
 		born:      time.Now(),
 		lastEpoch: ses.s.rt.Load().epoch,
-		batch:     batch,
-		bc:        bc,
-		out:       make([][]message, cfg.CCThreads),
-		scratch:   make([]message, maxBatch),
+		// What a full ring leaves in out[c] needs no back-pressure to stay
+		// small: at most a window of acquires plus the releases of
+		// transactions granted since c last stepped, and every step of c
+		// empties the ring.
+		out:     newOutboxes(ses.s.execToCC[id]),
+		scratch: make([]message, cfg.BatchSize),
 	}
 	if cfg.CCThreads > 64 {
 		x.countBuf = make([]int, cfg.CCThreads)
@@ -1012,17 +994,7 @@ func (x *execThread) step() (progress, exit bool) {
 	// buffered acquire must not wait on traffic that may never come, and
 	// a buffered release may be the one unblocking another thread's
 	// transaction.
-	published := x.flushAll()
-
-	// Retune the adaptive batch from this step's publish volume: if
-	// active steps keep filling the batch before this flush, grow to
-	// amortize more ring traffic; if they publish half a batch or less,
-	// the batch is pure delay — shrink toward the unbatched plane so a
-	// lone acquire publishes — and acknowledges — sooner.
-	if x.bc != nil {
-		x.batch = x.bc.observe(x.pushed, worked)
-		x.pushed = 0
-	}
+	published := x.out.flushAll(&x.ops)
 
 	if worked {
 		// Everything in this step that was not transaction logic is
@@ -1031,7 +1003,7 @@ func (x *execThread) step() (progress, exit bool) {
 		x.stepStart, x.logicTime = time.Time{}, 0
 		return true, false
 	}
-	if x.inflight == 0 && len(x.parked) == 0 && x.ses.execStop.Load() && len(x.ses.submit) == 0 && x.outboxesEmpty() {
+	if x.inflight == 0 && len(x.parked) == 0 && x.ses.execStop.Load() && len(x.ses.submit) == 0 && x.out.empty() {
 		// Close drains all submissions before setting execStop, so
 		// nothing can arrive after this check, and every release this
 		// thread owed is in a ring (the outboxes are empty), where the
@@ -1041,7 +1013,6 @@ func (x *execThread) step() (progress, exit bool) {
 		// The thread's books close here, with the logical thread — its
 		// worker may go on stepping others.
 		x.ops.flush(x.s)
-		x.s.execBatch[x.id] = x.batch
 		x.stats.AddWait(x.now().Sub(x.born) - time.Duration(x.stats.ExecNanos+x.stats.LockNanos))
 		return false, true
 	}
@@ -1240,75 +1211,9 @@ func (x *execThread) plan(w *wrapper, rt *routingTable) bool {
 	return true
 }
 
-// push buffers m for CC thread c, publishing the destination's outbox
-// once it reaches the batch size. With BatchSize=1 every message is
-// published immediately — exactly the unbatched message plane.
+// push queues m for CC thread c.
 func (x *execThread) push(c int, m message) {
-	x.out[c] = append(x.out[c], m)
-	x.pushed++
-	if len(x.out[c]) >= x.batch {
-		x.flushDest(c)
-	}
-}
-
-// flushAll offers every non-empty outbox to its ring and reports whether
-// anything was published. Flushing never handles messages, so no new
-// pushes can occur mid-sweep.
-func (x *execThread) flushAll() bool {
-	published := false
-	for c := range x.out {
-		if len(x.out[c]) > 0 && x.flushDest(c) {
-			published = true
-		}
-	}
-	return published
-}
-
-// flushDest publishes what fits of the outbox for CC thread c (see
-// flushOutbox). The remainder needs no back-pressure to stay small: it
-// holds at most a window of acquires plus the releases of transactions
-// granted since c last stepped, and every step of c empties this ring.
-func (x *execThread) flushDest(c int) bool {
-	return flushOutbox(x.s.execToCC[x.id][c], &x.out[c], &x.ops)
-}
-
-// outboxesEmpty reports that every message this thread generated is in a
-// ring.
-func (x *execThread) outboxesEmpty() bool {
-	for c := range x.out {
-		if len(x.out[c]) > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// flushOutbox publishes the head of *buf to q in batches, counting one
-// ring operation per publish, and reports whether it published anything.
-// It never waits: when the ring is full the unpublished tail stays in
-// *buf — outboxes are persistent and FIFO, and every push appends behind
-// it — and the owner's next step offers it again. Nobody blocks and every
-// step retries; that is the whole liveness argument. A sender cannot wait
-// for room because the ring's consumer may be the next logical thread in
-// the same worker's sweep (worker.go), and it need not: a consumer's step
-// drains its input rings unconditionally, whatever the state of its own
-// outboxes, so a full ring has room again after its consumer's next step.
-//
-// It consumes nothing and calls no handlers, so it is safe to invoke
-// from inside any drain loop — the caller's scratch buffers and outboxes
-// cannot be mutated underneath it.
-func flushOutbox(q spsc.Queue[message], buf *[]message, ops *opCounter) bool {
-	published := false
-	for len(*buf) > 0 {
-		n := q.TryEnqueueBatch(*buf)
-		if n == 0 {
-			break
-		}
-		ops.enq++
-		published = true
-		*buf = append((*buf)[:0], (*buf)[n:]...)
-	}
-	return published
+	x.out[c].push(m, x.s.cfg.BatchSize, &x.ops)
 }
 
 // handleGrant processes a CC-thread notification. With forwarding enabled

@@ -320,8 +320,8 @@ func (t *tcpTransport) shutdown() NetStats {
 // like an execThread or a ccThread (worker.go), and like theirs its step
 // never waits. Inbound, one non-blocking read, decoded in place and
 // republished into the local rings the frames address; what a full ring
-// refuses stays in that ring's outbox (inbox.buf) for the next step, like
-// every other sender's. Outbound, whatever the node's netQueues hold is
+// refuses stays in that ring's outbox (in) for the next step, like every
+// other sender's. Outbound, whatever the node's netQueues hold is
 // encoded and offered to the socket in one non-blocking write; what the
 // socket does not take stays in the Peer's buffer.
 //
@@ -338,14 +338,14 @@ func (t *tcpTransport) shutdown() NetStats {
 // Shutdown is stepper state. Close's sequence sets closing once every
 // local thread feeding the netQueues has retired; the stepper drains them
 // and appends its goodbye. It closes heard once the peer's goodbye is
-// decoded and every inbox is empty, and retires — goodbye written, the
+// decoded and its outboxes (in) are empty, and retires — goodbye written, the
 // peer's heard, nothing buffered — whereupon its worker releases retired.
 type netStepper struct {
 	s    *runState
 	role uint8
 	peer *wire.Peer
 
-	in    []inbox     // wire-fed local rings, indexed [from*consumers+to]
+	in    outboxes    // to the wire-fed local rings, indexed [from*consumers+to]
 	out   []*netQueue // outbound hand-offs
 	frame wire.Frame  // the decode target, reused
 	ops   opCounter
@@ -359,12 +359,6 @@ type netStepper struct {
 	heardBye bool
 	heard    chan struct{}
 	retired  sync.WaitGroup
-}
-
-// inbox is one wire-fed local ring and the messages it has not yet taken.
-type inbox struct {
-	q   *spsc.Ring[message]
-	buf []message
 }
 
 func newNetStepper(s *runState, role uint8, peer *wire.Peer) *netStepper {
@@ -386,7 +380,7 @@ func (n *netStepper) plane(plane uint8, from, to int, consumes bool, capacity in
 		for j := range m[i] {
 			if consumes {
 				q := spsc.New[message](capacity)
-				n.in = append(n.in, inbox{q: q})
+				n.in = append(n.in, outbox{q: q})
 				m[i][j] = q
 				continue
 			}
@@ -415,14 +409,8 @@ func (n *netStepper) step() (progress, exit bool) {
 		lost(err)
 		progress = got > 0
 	}
-	delivered := true // everything read so far is in its local ring
-	for i := range n.in {
-		if in := &n.in[i]; len(in.buf) > 0 {
-			progress = flushOutbox(in.q, &in.buf, &n.ops) || progress
-			delivered = delivered && len(in.buf) == 0
-		}
-	}
-	if delivered && !n.heardBye && n.peer.GoodbyeSeen() {
+	progress = n.in.flushAll(&n.ops) || progress
+	if !n.heardBye && n.peer.GoodbyeSeen() && n.in.empty() { // all read is delivered
 		n.heardBye = true
 		close(n.heard)
 	}
@@ -576,7 +564,7 @@ func (n *netStepper) materialize(m *wire.Msg) *wrapper {
 }
 
 // netQueue adapts one remote (plane, from, to) queue slot to the
-// spsc.Queue interface: the producing thread's flushOutbox pass becomes
+// spsc.Queue interface: the producing thread's outbox flush becomes
 // one wire frame, handed to the net stepper over a ring of its own — the
 // producing thread is its one producer, the stepper its one consumer.
 // Send-only: the consuming side of a wire queue is a real ring on the
@@ -595,7 +583,7 @@ type netQueue struct {
 // TryEnqueueBatch coalesces vs into one frame (bounded by the MaxFrame
 // soft cap) and hands it to the net stepper, returning how many messages
 // it consumed: 0, consuming nothing, when the hand-off is full —
-// flushOutbox then leaves the messages in the sender's outbox for its
+// outbox.flush then leaves the messages in the sender's outbox for its
 // next step, the same backpressure a full ring applies.
 //
 //orthrus:hotpath

@@ -40,7 +40,7 @@ import (
 //   - No step may wait for another logical thread — the other thread may
 //     be next in this worker's sweep. A full ring therefore leaves the
 //     unpublished tail in the sender's outbox for its next step (see
-//     flushOutbox).
+//     outbox.flush).
 type stepper interface {
 	// step makes one non-blocking pass over the logical thread's inputs.
 	// progress reports that the pass consumed or published something;

@@ -213,7 +213,7 @@ func TestFullRingLeavesOutboxForNextStep(t *testing.T) {
 		}
 	}
 	x.step()
-	if got := len(x.out[0]); got != txns-4 {
+	if got := len(x.out[0].buf); got != txns-4 {
 		t.Fatalf("outbox holds %d acquires after one step against a 4-slot ring, want %d", got, txns-4)
 	}
 	if progress, _ := x.step(); progress {

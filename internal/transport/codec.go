@@ -1,8 +1,8 @@
 // Package transport carries the ORTHRUS message plane over a network
 // connection. The in-process plane moves `message` values through SPSC
 // rings; this package moves the same traffic between OS processes as
-// length-prefixed binary frames, one frame per flushOutbox coalescing
-// pass, so the batching discipline (and the FIFO order each ring
+// length-prefixed binary frames, one frame per outbox flush, so the
+// batching discipline (and the FIFO order each ring
 // guarantees) survives the wire: a frame's messages are delivered in
 // order, and frames on one connection are delivered in send order.
 //
@@ -84,7 +84,7 @@ type Msg struct {
 }
 
 // Frame is one wire frame: a batch of messages for a single
-// (plane, from, to) queue, i.e. one flushOutbox pass.
+// (plane, from, to) queue, i.e. one outbox flush.
 type Frame struct {
 	Plane    uint8
 	From, To uint16
