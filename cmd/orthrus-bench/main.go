@@ -5,18 +5,16 @@
 //	orthrus-bench -list
 //	orthrus-bench -experiment fig4b
 //	orthrus-bench -experiment all -duration 1s -records 1000000 -threads 80
-//	orthrus-bench -experiment batching
-//	orthrus-bench -experiment adaptive -json bench-out
+//	orthrus-bench -experiment batching -json bench-out
 //
 // Each experiment prints the same series the corresponding paper figure
 // plots; see README.md "Regenerating the paper's figures" for the expected shapes and
 // paper-vs-measured comparison. Beyond the figures, the openloop
 // experiment reports commit latency under offered load, the batching
 // experiment sweeps BatchSize (1 = unbatched) for ring operations and
-// throughput, the adaptive experiment compares static vs elastic CC
-// routing across a mid-run hot-set shift, the durability experiment
-// sweeps WAL sync policy (self-clocked group commit against timed fill
-// windows) against the no-WAL baseline, the scan experiment sweeps a
+// throughput, the durability experiment sweeps WAL sync policy
+// (self-clocked group commit against timed fill windows) against the
+// no-WAL baseline, the scan experiment sweeps a
 // YCSB-E scan mix (scan fraction × max scan length, pinnable with
 // -scan-pct/-scan-maxlen)
 // across all four engines, and the htap experiment compares MVCC

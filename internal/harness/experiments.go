@@ -359,14 +359,13 @@ func batching(c Config) {
 			})
 			lastPerCC = m.PerCC
 		}
-		// Per-CC-thread load breakdown of the last (most batched) run:
-		// the same counters the adaptive controller steers by.
+		// Per-CC-thread load breakdown of the last (most batched) run.
 		fmt.Fprintf(c.Out, "per-CC breakdown (batch=32): ")
 		for i, cs := range lastPerCC {
 			if i > 0 {
 				fmt.Fprintf(c.Out, "  ")
 			}
-			fmt.Fprintf(c.Out, "cc%d handled=%d hiwater=%d parts=%d", i, cs.Handled(), cs.QueueHighWater, cs.Partitions)
+			fmt.Fprintf(c.Out, "cc%d handled=%d hiwater=%d", i, cs.Handled(), cs.QueueHighWater)
 		}
 		fmt.Fprintln(c.Out)
 	}

@@ -137,7 +137,6 @@ func Registry() []Experiment {
 		{"fig12b", "Figure 12(b)", "YCSB 10RMW scalability, high contention", fig12b},
 		{"openloop", "Open loop", "commit-latency percentiles vs fixed Poisson arrival rate", openloop},
 		{"batching", "Extension", "message-plane ring operations and throughput vs BatchSize", batching},
-		{"adaptive", "Extension", "elastic vs static CC routing across a mid-run hot-set shift", adaptive},
 		{"durability", "Extension", "throughput/latency vs WAL sync policy: self-clocked group commit vs timed fill windows", durability},
 		{"scan", "Extension", "phantom-safe range-scan throughput/p99 vs scan fraction and length", scanExp},
 		{"htap", "Extension", "MVCC snapshot scans vs locking scans under a contended write mix", htapExp},

@@ -27,7 +27,7 @@ func tinyConfig(buf *bytes.Buffer) Config {
 func TestRegistryCoversEveryFigure(t *testing.T) {
 	want := []string{"fig1", "fig4a", "fig4b", "fig5", "fig6", "fig7",
 		"fig8", "fig9", "fig10", "fig11a", "fig11b", "fig12a", "fig12b",
-		"openloop", "batching", "adaptive", "durability", "scan", "htap",
+		"openloop", "batching", "durability", "scan", "htap",
 		"recovery", "distributed"}
 	reg := Registry()
 	if len(reg) != len(want) {

@@ -1,6 +1,6 @@
 // Package locktab is the keyed index under every lock table in the repo:
 // record key → that record's request queue. ORTHRUS's CC threads use one
-// per logical partition with no latch at all; the §3.4 shared-table
+// each with no latch at all; the §3.4 shared-table
 // ablation and the conventional lock manager (internal/lock) use one per
 // bucket, under the bucket's latch. All three get the same structure so
 // that what the paper's comparison measures is what it says differs —
@@ -34,9 +34,9 @@ type Key struct {
 }
 
 // Hash mixes k into the value Get takes. The high bits index a table's
-// slots — one ORTHRUS shard only ever sees keys congruent modulo the
-// logical partition count, and stripe locks differ from record locks in
-// bit 63, so the low bits of the key itself would cluster — and the low
+// slots — one ORTHRUS CC thread only ever sees keys congruent modulo the
+// CC thread count, and stripe locks differ from record locks in bit 63,
+// so the low bits of the key itself would cluster — and the low
 // bits, which the final fold makes depend on the high ones, are left for
 // callers to pick a bucket with.
 func (k Key) Hash() uint64 {

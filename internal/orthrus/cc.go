@@ -1,7 +1,6 @@
 package orthrus
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/locktab"
@@ -11,18 +10,17 @@ import (
 
 // localReq is one record-lock request inside a CC thread's table. It is
 // filled in, queued, granted and released by the single CC thread that
-// owns the record's logical partition, so it carries no synchronization
-// whatsoever — the core of the paper's argument that partitioned
-// functionality makes concurrency-control metadata contention-free (§3.1).
-// It lives by value in its wrapper (wrapper.reqs), one slot per declared
-// op, and remembers the entry it queued on, so releasing it is a list
-// unlink rather than a second lookup.
+// owns the record, so it carries no synchronization whatsoever — the core
+// of the paper's argument that partitioned functionality makes
+// concurrency-control metadata contention-free (§3.1). It lives by value
+// in its wrapper (wrapper.reqs), one slot per declared op, and remembers
+// the entry it queued on, so releasing it is a list unlink rather than a
+// second lookup.
 type localReq struct {
 	w       *wrapper
 	mode    txn.Mode
 	granted bool
 	key     lockKey
-	pid     int32 // logical partition, selects the owning shard
 	e       *lentry
 
 	prev, next *localReq
@@ -127,10 +125,10 @@ func (q *lqueue) grantPrefix(out []*localReq) []*localReq {
 	return out
 }
 
-// ccTable abstracts the lock-table layout: private per-partition tables
-// (the ORTHRUS design) or one latched shared table (the §3.4 alternative).
-// Either way every key is operated on by exactly one CC thread at a time,
-// so the grant bookkeeping stays single-owner.
+// ccTable abstracts the lock-table layout: one private table per CC
+// thread (the ORTHRUS design) or one latched shared table (the §3.4
+// alternative). Either way every key is operated on by exactly one CC
+// thread, so the grant bookkeeping stays single-owner.
 type ccTable interface {
 	// insert queues r and reports whether it was granted immediately.
 	insert(r *localReq) bool
@@ -139,19 +137,11 @@ type ccTable interface {
 	release(r *localReq, out []*localReq) []*localReq
 }
 
-// privateTable is one logical partition's lock table: a latch-free
-// locktab.Table owned — via the partition — by exactly one CC thread at a
-// time, which is the single owner that package asks for. It is the unit
-// of migration: the whole structure (slot array, entries and their free
-// list) is handed to the new owner over the control plane, preserving its
-// allocated capacity.
+// privateTable is one CC thread's lock table: a latch-free locktab.Table
+// owned by exactly that thread, which is the single owner that package
+// asks for.
 type privateTable struct {
 	locktab.Table[lqueue]
-}
-
-func newPrivateTable() *privateTable {
-	//orthrus:allow(noalloc) once per logical partition's first lock request; the table then lives (and migrates) forever
-	return &privateTable{}
 }
 
 func (t *privateTable) insert(r *localReq) bool {
@@ -171,7 +161,7 @@ func (t *privateTable) release(r *localReq, out []*localReq) []*localReq {
 // all CC threads operate on. Routing still sends each key to a single CC
 // thread, so correctness is unchanged; what the variant adds back is
 // synchronization and data movement on the table structure itself — each
-// bucket is the same locktab.Table a private shard is, owned by whoever
+// bucket is the same locktab.Table a private table is, owned by whoever
 // holds the bucket's latch.
 type sharedTable struct {
 	buckets []sharedBucket
@@ -224,13 +214,11 @@ func (v sharedView) release(r *localReq, out []*localReq) []*localReq {
 // round-robin, inserting lock requests, forwarding transactions up
 // the chain, granting completed ones, and releasing on commit.
 //
-// Lock state is held as one privateTable per owned logical partition
-// (shards), so ownership of a partition — its lock table, waiter queues
-// and entry pool — can be detached and handed to another CC thread over
-// the control channel during a live migration (controller.go). Shards are
-// only ever touched by their current owner: the migration protocol drains
-// every in-flight chain before a handoff, so a detached shard is
-// guaranteed empty of requests.
+// Lock state is one privateTable that only this thread touches. Every
+// acquire it receives was routed here by the static record → CC map:
+// in-process plans come from execThread.plan, and a wire acquire is
+// checked against the same map before it reaches a ring
+// (netStepper.checkAcquire), so the drain loop looks up no routing.
 //
 // The message plane is batched (Config.BatchSize): each input ring is
 // drained into inbuf and acknowledged with one ring operation per batch,
@@ -240,39 +228,29 @@ func (v sharedView) release(r *localReq, out []*localReq) []*localReq {
 // and consumed in send order — so the FIFO grant order CC threads rely on
 // is preserved.
 type ccThread struct {
-	s  *runState
-	id int
-	// shards[pid] is the lock table for logical partition pid, non-nil
-	// only while this thread owns pid (created lazily on first use).
-	shards []*privateTable
-	shared ccTable // non-nil in SharedTable mode, used for every pid
-	ctrl   chan ccCtrl
+	s     *runState
+	id    int
+	table ccTable // a privateTable, or the shared one in SharedTable mode
 
 	inbuf []message // batched drain buffer
 	// out holds the forwards to CC threads id+1, id+2, …, then the grants
 	// to exec threads 0, 1, … (see advance).
 	out outboxes
 	ops opCounter // forwards and grants sent, ring ops; flushed at retirement
-
-	// Per-pass accumulation of observability counters, flushed to the
-	// runState's per-thread atomics at the end of each drain pass so the
-	// hot path pays local increments, not shared atomic traffic, while
-	// the controller still sees near-live values.
-	nAcq, nFwd, nRel, nGrant uint64
-	passMsgs                 int
-	pidAcc                   []uint64 // per-pid op tally this pass
-	pidTouched               []int    // pids with nonzero pidAcc
+	// stats is this thread's CCStats tally, stored in runState.perCC at
+	// retirement; passMsgs counts the current drain pass for its
+	// QueueHighWater.
+	stats    CCStats
+	passMsgs int
 
 	granted []*localReq // scratch for release-time grants
 }
 
 func newCCThread(s *runState, id int) *ccThread {
 	c := &ccThread{
-		s:      s,
-		id:     id,
-		shards: make([]*privateTable, s.cfg.LogicalPartitions),
-		ctrl:   s.ccCtrl[id],
-		inbuf:  make([]message, s.cfg.BatchSize),
+		s:     s,
+		id:    id,
+		inbuf: make([]message, s.cfg.BatchSize),
 		// Forwards flow strictly from lower to higher CC ids and nobody
 		// waits on anybody, so a full forward ring costs the chain one
 		// step of delay and can never close a cycle. Grant rings, and the
@@ -280,32 +258,20 @@ func newCCThread(s *runState, id int) *ccThread {
 		// in-flight window and a transaction has at most one grant
 		// outstanding anywhere, so grants always fit — but nothing depends
 		// on it: a refused grant waits in its outbox for the next step.
-		out:    append(newOutboxes(s.ccToCC[id][id+1:]), newOutboxes(s.ccToExec[id])...),
-		pidAcc: make([]uint64, s.cfg.LogicalPartitions),
+		out: append(newOutboxes(s.ccToCC[id][id+1:]), newOutboxes(s.ccToExec[id])...),
 	}
 	if s.shared != nil {
-		c.shared = sharedView{s.shared}
+		c.table = sharedView{s.shared}
+	} else {
+		c.table = &privateTable{}
 	}
 	return c
-}
-
-// table returns the lock table for logical partition pid.
-func (c *ccThread) table(pid int32) ccTable {
-	if c.shared != nil {
-		return c.shared
-	}
-	sh := c.shards[pid]
-	if sh == nil {
-		sh = newPrivateTable()
-		c.shards[pid] = sh
-	}
-	return sh
 }
 
 // step is one pass of the CC thread — the latency-critical half of the
 // paper's separation: it must never block, touch I/O, or wait on another
 // logical thread (worker.go); only drain rings, mutate its private lock
-// shards, and publish forwards and grants.
+// table, and publish forwards and grants.
 //
 //orthrus:hotpath
 func (c *ccThread) step() (progress, exit bool) {
@@ -315,22 +281,15 @@ func (c *ccThread) step() (progress, exit bool) {
 	// sees every message this thread will ever receive from them.
 	stop := c.s.ccStop.Load()
 	progress = c.drainAll()
-	// The control plane is rare-path: poll it between drain passes so
-	// shard handoffs interleave with — never interrupt — message
-	// handling.
-	select {
-	case m := <-c.ctrl:
-		c.handleCtrl(m)
-		progress = true
-	default:
-	}
 	if stop && !progress && c.out.empty() {
 		// Nothing arrived after the stop and nothing is left to publish.
 		// Nothing more can come from a peer CC thread either: Close
 		// drained every submission before the stop, so only releases
 		// were still in flight, and a release with no waiter behind it
-		// generates no message.
+		// generates no message. The slot is this thread's alone, and
+		// Close reads it after ccWg.Wait.
 		c.ops.flush(c.s)
+		c.s.perCC[c.id] = c.stats
 		return false, true
 	}
 	return progress, false
@@ -338,7 +297,7 @@ func (c *ccThread) step() (progress, exit bool) {
 
 // drainAll processes every currently available message, publishes what
 // fits of the output (this pass's and any a full ring left over from
-// earlier ones), flushes observability counters, and reports whether it
+// earlier ones), records the pass's depth, and reports whether it
 // consumed or published anything. Output a full ring refused stays in the
 // outboxes for the next step (outbox.flush), so the thread may go idle
 // with buffered output — its worker keeps stepping it — but never retires
@@ -359,9 +318,8 @@ func (c *ccThread) drainAll() bool {
 			progress = true
 		}
 	}
-	if progress {
-		c.flushStats()
-	}
+	c.stats.QueueHighWater = max(c.stats.QueueHighWater, c.passMsgs)
+	c.passMsgs = 0
 	if c.out.flushAll(&c.ops) {
 		progress = true
 	}
@@ -394,51 +352,15 @@ func (c *ccThread) handle(m message, fromExec bool) {
 	switch m.kind {
 	case msgAcquire:
 		if fromExec {
-			c.nAcq++
+			c.stats.Acquires++
 		} else {
-			c.nFwd++
+			c.stats.Forwards++
 		}
 		c.acquire(m.w)
 	case msgRelease:
-		c.nRel++
+		c.stats.Releases++
 		c.releaseTxn(m.w)
 	}
-}
-
-// flushStats publishes this pass's locally accumulated counters to the
-// thread's live-stats slot and per-partition load tallies (what the
-// adaptive controller samples), and records the pass's message count as
-// a queue-backlog high-water mark.
-func (c *ccThread) flushStats() {
-	live := &c.s.ccLive[c.id]
-	if c.nAcq > 0 {
-		live.acquires.Add(c.nAcq)
-		c.nAcq = 0
-	}
-	if c.nFwd > 0 {
-		live.forwards.Add(c.nFwd)
-		c.nFwd = 0
-	}
-	if c.nRel > 0 {
-		live.releases.Add(c.nRel)
-		c.nRel = 0
-	}
-	if c.nGrant > 0 {
-		live.grants.Add(c.nGrant)
-		c.nGrant = 0
-	}
-	if hw := int64(c.passMsgs); hw > live.hiWater.Load() {
-		live.hiWater.Store(hw)
-	}
-	if int64(c.passMsgs) > live.hiWaterRun.Load() {
-		live.hiWaterRun.Store(int64(c.passMsgs))
-	}
-	c.passMsgs = 0
-	for _, pid := range c.pidTouched {
-		c.s.pidLoad[pid].n.Add(c.pidAcc[pid])
-		c.pidAcc[pid] = 0
-	}
-	c.pidTouched = c.pidTouched[:0]
 }
 
 // acquire inserts the wrapper's local lock requests. If all are granted
@@ -450,12 +372,10 @@ func (c *ccThread) acquire(w *wrapper) {
 	pending := 0
 	for i := range ops {
 		op, r := &ops[i], &reqs[i]
-		pid := c.s.pidOf(op.Table, op.Key)
 		r.w = w
 		r.mode = op.Mode
 		r.key = lockKey{Table: op.Table, Key: op.Key}
-		r.pid = int32(pid)
-		if !c.tallyAndInsert(pid, r) {
+		if !c.table.insert(r) {
 			pending++
 		}
 	}
@@ -463,27 +383,6 @@ func (c *ccThread) acquire(w *wrapper) {
 	if pending == 0 {
 		c.advance(w)
 	}
-}
-
-// tallyAndInsert records per-partition load and inserts the request into
-// the partition's shard, asserting this thread owns the partition under
-// the current routing epoch. The assertion cannot misfire during a
-// migration: ownership changes only after every chain planned under
-// older epochs has fully drained, so any acquire that reaches this
-// thread was routed by a table in which it is the owner — and the ring
-// transfer orders the routing-table load here after the publish the
-// sender observed.
-func (c *ccThread) tallyAndInsert(pid int, r *localReq) bool {
-	if c.pidAcc[pid] == 0 {
-		c.pidTouched = append(c.pidTouched, pid)
-	}
-	c.pidAcc[pid]++
-	if c.shared == nil {
-		if own := c.s.rt.Load().owner[pid]; int(own) != c.id {
-			panic(fmt.Sprintf("orthrus: CC thread %d received acquire for partition %d owned by %d", c.id, pid, own))
-		}
-	}
-	return c.table(r.pid).insert(r)
 }
 
 // advance forwards the transaction to the next CC thread in its chain
@@ -497,24 +396,21 @@ func (c *ccThread) advance(w *wrapper) {
 		c.ops.forwards++
 	} else {
 		c.ops.grants++
-		c.nGrant++
+		c.stats.Grants++
 	}
 	c.out[box].push(message{kind: msgAcquire, w: w, id: w.id}, c.s.cfg.BatchSize, &c.ops)
 }
 
 // releaseTxn drops this CC thread's locks for w; newly granted requests
-// may complete other transactions' chains. Processing the wrapper's final
-// release message retires its routing epoch — the signal the migration
-// protocol's drain barrier waits on — and drops this thread's wrapper
-// reference, which on the last holder recycles the wrapper and its
-// transaction (runState.dropRef).
+// may complete other transactions' chains. It then drops this thread's
+// wrapper reference, which on the last holder recycles the wrapper and
+// its transaction (runState.dropRef).
 func (c *ccThread) releaseTxn(w *wrapper) {
 	hop := w.hopOf(c.id)
 	c.granted = c.granted[:0]
 	reqs := w.reqs[hop]
 	for i := range reqs {
-		r := &reqs[i]
-		c.granted = c.table(r.pid).release(r, c.granted)
+		c.granted = c.table.release(&reqs[i], c.granted)
 	}
 	for _, g := range c.granted {
 		g.w.pending--
@@ -522,36 +418,5 @@ func (c *ccThread) releaseTxn(w *wrapper) {
 			c.advance(g.w)
 		}
 	}
-	if w.releasesLeft.Add(-1) == 0 {
-		c.s.epochs.add(w.epoch, -1)
-	}
 	c.s.dropRef(w)
-}
-
-// handleCtrl executes one control-plane request on this thread, so shard
-// structures never have two owners.
-//
-//orthrus:coldpath migration control plane: a shard handoff happens per controller tick at most, and the controller is the only reply reader, so the blocking sends cannot stall the drain loop meaningfully
-func (c *ccThread) handleCtrl(m ccCtrl) {
-	switch m.kind {
-	case ctrlDetach:
-		out := make([]*privateTable, len(m.pids))
-		for i, pid := range m.pids {
-			sh := c.shards[pid]
-			if sh != nil && sh.Len() != 0 {
-				panic(fmt.Sprintf("orthrus: detaching partition %d with %d live lock entries (migration before drain)", pid, sh.Len()))
-			}
-			out[i] = sh
-			c.shards[pid] = nil
-		}
-		m.reply <- out
-	case ctrlInstall:
-		for i, pid := range m.pids {
-			if c.shards[pid] != nil {
-				panic(fmt.Sprintf("orthrus: installing partition %d over a live shard", pid))
-			}
-			c.shards[pid] = m.shards[i]
-		}
-		m.reply <- nil
-	}
 }

@@ -276,10 +276,6 @@ func TestTransportConfigValidationPanics(t *testing.T) {
 			c.Transport = TransportConfig{Kind: "tcp", Role: "exec", Peer: "127.0.0.1:9"}
 			c.Transport.Net.AcceptTimeout = -time.Second
 		}},
-		{"tcp-with-controller", func(c *Config) {
-			c.Transport = TransportConfig{Kind: "tcp", Role: "exec", Peer: "127.0.0.1:9"}
-			c.Controller = ControllerConfig{Enable: true}
-		}},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -331,12 +327,14 @@ func TestDistributedHandshakeRejectsMismatch(t *testing.T) {
 
 // A well-formed frame whose acquire carries out-of-range or inconsistent
 // plan values must be refused by the net stepper, before any CC thread
-// can index through it.
+// can index through it or lock a record it does not own.
 func TestDispatchRejectsMalformedAcquire(t *testing.T) {
+	// Each hop carries one op on the key that routes to its CC thread
+	// (key c under HashPartitioner(3)).
 	hops := func(ccs ...uint16) []wire.Hop {
 		hs := make([]wire.Hop, len(ccs))
 		for i, c := range ccs {
-			hs[i].CC = c
+			hs[i] = wire.Hop{CC: c, Ops: []txn.Op{{Key: uint64(c), Mode: txn.Write}}}
 		}
 		return hs
 	}
@@ -356,6 +354,7 @@ func TestDispatchRejectsMalformedAcquire(t *testing.T) {
 		{"owner-out-of-range", 0, wire.Msg{Owner: 2, Hops: hops(0)}, false},
 		{"owner-not-sender", 0, wire.Msg{Owner: 0, Hops: hops(0)}, false},
 		{"hop-not-addressed-cc", 1, wire.Msg{Owner: 1, Hops: hops(0, 2)}, false},
+		{"op-routed-elsewhere", 0, wire.Msg{Owner: 1, Hops: []wire.Hop{{CC: 0, Ops: []txn.Op{{Key: 1}}}}}, false},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -560,7 +559,11 @@ func TestNetStepsByHand(t *testing.T) {
 }
 
 // A live tcp session is its workers and nothing else: no goroutine per
-// socket direction on either node.
+// socket direction on either node. Goroutines are attributed by their
+// stacks — new since before Start, and created by Start, which launches
+// each worker into (*session).work — not counted by a
+// runtime.NumGoroutine delta, which also sees goroutines of earlier tests
+// retiring.
 func TestTCPSessionStartsOnlyWorkers(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -572,7 +575,7 @@ func TestTCPSessionStartsOnlyWorkers(t *testing.T) {
 		Transport: TransportConfig{Kind: "tcp", Role: "cc", Listener: ln}})
 	execEng := New(Config{DB: execDB, CCThreads: 2, ExecThreads: 2,
 		Transport: TransportConfig{Kind: "tcp", Role: "exec", Peer: ln.Addr().String()}})
-	before := runtime.NumGoroutine()
+	before := goroutines()
 	started, closeCC, ccDone := make(chan struct{}), make(chan struct{}), make(chan struct{})
 	go func() { // the cc node's owner: one goroutine, alive until its Close returns
 		defer close(ccDone)
@@ -583,18 +586,39 @@ func TestTCPSessionStartsOnlyWorkers(t *testing.T) {
 	}()
 	ses := execEng.Start()
 	<-started
-	live := runtime.NumGoroutine() - before - 1
-	stacks := make([]byte, 1<<20)
-	stacks = stacks[:runtime.Stack(stacks, true)]
+	live := goroutines()
 	close(closeCC)
 	ses.Close()
 	<-ccDone
-	if want := ccEng.Messages().Workers + execEng.Messages().Workers; live != want {
-		t.Fatalf("two live tcp nodes run %d goroutines, want their %d workers:\n%s", live, want, stacks)
-	}
-	for _, loop := range []string{"readLoop", "writeLoop"} {
-		if strings.Contains(string(stacks), loop) {
-			t.Fatalf("a live tcp session runs a %s:\n%s", loop, stacks)
+	workers := 0
+	for id, g := range live {
+		switch {
+		case before[id] != "":
+		case strings.Contains(g, "created by repro/internal/orthrus.(*Engine).Start"):
+			workers++
+		case strings.Contains(g, "created by repro/internal/orthrus.TestTCPSessionStartsOnlyWorkers"):
+		case strings.Contains(g, "repro/"):
+			t.Fatalf("a live tcp session runs a goroutine besides its workers:\n%s", g)
+		}
+		for _, loop := range []string{"readLoop", "writeLoop"} {
+			if strings.Contains(g, loop) {
+				t.Fatalf("a live tcp session runs a %s:\n%s", loop, g)
+			}
 		}
 	}
+	if want := ccEng.Messages().Workers + execEng.Messages().Workers; workers != want {
+		t.Fatalf("two live tcp nodes run %d workers, want %d", workers, want)
+	}
+}
+
+// goroutines returns every live goroutine's stack, keyed by goroutine id.
+func goroutines() map[string]string {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	out := make(map[string]string)
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		id, _, _ := strings.Cut(strings.TrimPrefix(g, "goroutine "), " ")
+		out[id] = g
+	}
+	return out
 }

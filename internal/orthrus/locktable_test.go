@@ -149,7 +149,7 @@ func (t *mapTable) putEntry(e *mapEntry) {
 // grows and empties. When the script ends everything left is released,
 // grant by grant, and the table must be empty.
 func runLockScript(t *testing.T, script []byte) {
-	tbl, ref := newPrivateTable(), newMapTable()
+	tbl, ref := &privateTable{}, newMapTable()
 	w := &wrapper{}
 	var (
 		reqs    []*localReq // by id
@@ -167,13 +167,14 @@ func runLockScript(t *testing.T, script []byte) {
 			t.Fatalf("release of %d granted %d requests, reference granted %d", id, len(out), len(refOut))
 		}
 		for j, g := range out {
-			if got, want := int(g.pid), refOut[j].id; got != want {
-				t.Fatalf("release of %d: grant %d went to request %d, reference granted %d", id, j, got, want)
+			gid := slices.Index(reqs, g)
+			if want := refOut[j].id; gid != want {
+				t.Fatalf("release of %d: grant %d went to request %d, reference granted %d", id, j, gid, want)
 			}
 			if !g.granted {
-				t.Fatalf("release of %d returned request %d without granting it", id, g.pid)
+				t.Fatalf("release of %d returned request %d without granting it", id, gid)
 			}
-			granted = append(granted, int(g.pid))
+			granted = append(granted, gid)
 		}
 	}
 	for i := 0; i+1 < len(script); i += 2 {
@@ -191,9 +192,7 @@ func runLockScript(t *testing.T, script []byte) {
 			mode = txn.Write
 		}
 		id := len(reqs)
-		// pid is otherwise unused by the table: it carries the id, so a
-		// grant names its request.
-		reqs = append(reqs, &localReq{w: w, mode: mode, key: key, pid: int32(id)})
+		reqs = append(reqs, &localReq{w: w, mode: mode, key: key})
 		refs = append(refs, &mapReq{id: id, mode: mode, key: key})
 		got, want := tbl.insert(reqs[id]), ref.insert(refs[id])
 		if got != want {
@@ -245,7 +244,7 @@ func FuzzLockTable(f *testing.F) {
 // while deletions shift their key's slot: a queue built on one key must
 // survive hundreds of other keys arriving and leaving.
 func TestLockTableGrowsUnderQueuedRequests(t *testing.T) {
-	tbl := newPrivateTable()
+	tbl := &privateTable{}
 	w := &wrapper{}
 	hot := make([]localReq, 8)
 	for i := range hot {
@@ -285,9 +284,9 @@ func TestLockTableGrowsUnderQueuedRequests(t *testing.T) {
 }
 
 // One transaction's worth of uncontended locks, taken and dropped, touches
-// the allocator only until the shard has seen its high-water mark.
+// the allocator only until the table has seen its high-water mark.
 func TestLockTableSteadyStateAllocatesNothing(t *testing.T) {
-	tbl := newPrivateTable()
+	tbl := &privateTable{}
 	reqs := make([]localReq, 10)
 	for i := range reqs {
 		reqs[i] = localReq{mode: txn.Write, key: lockKey{Key: uint64(i) * 8}}
@@ -315,7 +314,7 @@ func TestLockTableSteadyStateAllocatesNothing(t *testing.T) {
 func BenchmarkLockTable(b *testing.B) {
 	const txnKeys, depth = 10, 32
 	b.Run("table/uncontended", func(b *testing.B) {
-		tbl := newPrivateTable()
+		tbl := &privateTable{}
 		reqs := make([]localReq, txnKeys)
 		var out []*localReq
 		for n := 0; n < b.N; n += txnKeys {
@@ -343,7 +342,7 @@ func BenchmarkLockTable(b *testing.B) {
 		}
 	})
 	b.Run("table/queue32", func(b *testing.B) {
-		tbl := newPrivateTable()
+		tbl := &privateTable{}
 		reqs := make([]localReq, depth)
 		var out []*localReq
 		for i := range reqs {

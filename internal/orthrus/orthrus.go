@@ -5,20 +5,14 @@
 // # Architecture
 //
 // A fixed set of concurrency-control (CC) threads own disjoint slices of
-// the lock space. Routing is two-level: a static hash maps every record
-// to one of P fixed logical partitions (P ≫ CC threads), and an
-// epoch-versioned routing table maps each logical partition to its
-// current owning CC thread (routing.go). Each CC thread keeps one private
-// lock table per owned partition — an open-addressing index with no
-// latches (internal/locktab), because no other thread ever reads or
-// writes it: a lock is one probe of a cache-resident array and a release
-// looks nothing up (cc.go). Ownership of a partition can be handed to
-// another CC thread at runtime (live migration, controller.go), which is
-// what lets concurrency-control capacity be re-provisioned to follow a
-// shifting workload: the paper's Figure 5 observation that the right
-// CC:exec ratio is workload-dependent, made adjustable while the engine
-// serves. A fixed set of execution threads run transaction logic and
-// never touch lock state.
+// the lock space. Routing is one static function, fixed for the engine's
+// life: record → CC thread = Config.Partition(table, key) % CCThreads.
+// Each CC thread keeps one private lock table — an open-addressing index
+// with no latches (internal/locktab), because no other thread ever reads
+// or writes it: a lock is one probe of a cache-resident array and a
+// release looks nothing up (cc.go). A fixed set of execution threads run
+// transaction logic and never touch lock state. The CC:exec split is
+// chosen at start-up, as the paper's Figure 5 sweeps it.
 //
 // The two groups share no data structures; they communicate through
 // single-producer single-consumer rings (internal/spsc), one per ordered
@@ -31,17 +25,14 @@
 //
 // # Lock acquisition
 //
-// An execution thread resolves a transaction's declared access set
-// through the current routing table, sorts the owning CC threads by id,
-// then sends one acquire message to the lowest CC involved. Each CC
-// inserts its local requests, and once all are granted forwards the
-// transaction to the next CC in the chain; the last CC notifies the
-// owning execution thread — Ncc+1 messages instead of 2·Ncc (§3.3,
-// Figure 3). Because every transaction visits CC threads in ascending id
-// order under the routing epoch it was planned in, and ownership changes
-// only after every chain from older epochs has drained (see the
-// migration protocol in controller.go), the waits-for relation cannot
-// form a cycle: deadlock is impossible.
+// An execution thread routes a transaction's declared access set to CC
+// threads, sorts them by id, then sends one acquire message to the
+// lowest CC involved. Each CC inserts its local requests, and once all
+// are granted forwards the transaction to the next CC in the chain; the
+// last CC notifies the owning execution thread — Ncc+1 messages instead
+// of 2·Ncc (§3.3, Figure 3). Because the record → CC map never changes
+// and every transaction visits CC threads in ascending id order, the
+// waits-for relation cannot form a cycle: deadlock is impossible.
 //
 // Execution threads are asynchronous (§3.3): each keeps a window of
 // in-flight transactions and keeps submitting new ones while waiting for
@@ -59,7 +50,7 @@
 // With GOMAXPROCS ≥ CCThreads+ExecThreads every worker hosts one thread:
 // the paper's one-thread-per-core layout. On fewer procs threads are
 // folded, exec i beside CC i, rather than left for the Go scheduler to
-// time-slice. Either way a logical thread has one host, so lock shards
+// time-slice. Either way a logical thread has one host, so lock tables
 // stay single-owner and latch-free (§3.1) and rings single-producer
 // single-consumer; and every interaction between threads is still a ring
 // message, so the §3.3 message counts (MessageStats) are those of the
@@ -70,11 +61,10 @@
 // # Lifecycle
 //
 // The engine implements engine.Runtime: Start launches the workers that
-// run the CC and execution threads (and, when enabled, the adaptive
-// controller) and returns a Session whose Submit feeds transactions from
-// any caller — a benchmark driver or a server front-end — into the
-// execution threads' asynchronous windows. Engine.Run is just the shared
-// closed-loop driver over that session.
+// run the CC and execution threads and returns a Session whose Submit
+// feeds transactions from any caller — a benchmark driver or a server
+// front-end — into the execution threads' asynchronous windows.
+// Engine.Run is just the shared closed-loop driver over that session.
 package orthrus
 
 import (
@@ -104,38 +94,20 @@ const (
 	// step rarely produces more for one destination (the batching
 	// experiment).
 	DefaultBatchSize = 8
-	// DefaultPartitionFactor sizes the logical partition space relative to
-	// the CC thread count: LogicalPartitions defaults to this many
-	// partitions per CC thread, so ownership can move at sub-thread
-	// granularity.
-	DefaultPartitionFactor = 4
 )
 
 // Config configures an ORTHRUS engine.
 type Config struct {
 	DB *storage.DB
 	// CCThreads and ExecThreads partition the machine's threads between
-	// the two roles (Figure 5 explores this trade-off). CCThreads is the
-	// ceiling on concurrency-control provisioning; the adaptive controller
-	// may concentrate ownership on fewer threads (the rest idle).
+	// the two roles (Figure 5 explores this trade-off).
 	CCThreads   int
 	ExecThreads int
-	// Partition is the static level of two-level routing: record →
-	// logical partition. Its result is folded modulo LogicalPartitions.
-	// Defaults to txn.HashPartitioner(LogicalPartitions).
+	// Partition routes a record to its CC thread; its result is folded
+	// modulo CCThreads, so a partitioner with a wider range (e.g. an
+	// Autotune probe of a smaller split) still locks every declared op.
+	// Defaults to txn.HashPartitioner(CCThreads).
 	Partition txn.PartitionFunc
-	// LogicalPartitions is the size P of the fixed logical partition
-	// space. Defaults to DefaultPartitionFactor × CCThreads. With the
-	// default Partition and Routing the composed record → CC mapping is
-	// identical to the historical HashPartitioner(CCThreads).
-	LogicalPartitions int
-	// Routing is the initial logical partition → CC thread assignment
-	// (len LogicalPartitions, entries in [0, CCThreads)). Defaults to
-	// pid mod CCThreads.
-	Routing []int
-	// Controller configures the adaptive controller that samples per-CC
-	// load and migrates partitions at runtime. Zero value = disabled.
-	Controller ControllerConfig
 	// QueueCap is the ring capacity (default 256).
 	QueueCap int
 	// Inflight is each execution thread's asynchronous window (default 8).
@@ -153,9 +125,9 @@ type Config struct {
 	// in send order.
 	BatchSize int
 	// SharedTable switches to the §3.4 alternative: CC threads operate on
-	// a single latched lock table instead of private partitions. Request
-	// routing is unchanged, so the variant isolates the cost of sharing
-	// the concurrency-control data structure itself.
+	// a single latched lock table instead of private per-thread tables.
+	// Request routing is unchanged, so the variant isolates the cost of
+	// sharing the concurrency-control data structure itself.
 	SharedTable bool
 	// DisableForwarding reverts to the naive protocol of §3.3/Figure 2:
 	// the execution thread mediates every CC interaction itself, paying
@@ -186,11 +158,11 @@ type Config struct {
 }
 
 // CCStats is one CC thread's share of the message plane — the per-thread
-// load breakdown the adaptive controller steers by and the batching
-// experiment reports. Acquires, Forwards and Releases count messages this
-// thread handled (received and processed); Grants counts grants it
-// issued. Summed across threads they equal the corresponding MessageStats
-// totals — a conservation check the test suite asserts.
+// load breakdown the batching experiment reports. Acquires, Forwards and
+// Releases count messages this thread handled (received and processed);
+// Grants counts grants it issued. Summed across threads they equal the
+// corresponding MessageStats totals — a conservation check the test
+// suite asserts.
 type CCStats struct {
 	Acquires uint64 // exec → this CC acquire messages handled
 	Forwards uint64 // CC → this CC forwarded acquires handled
@@ -201,9 +173,6 @@ type CCStats struct {
 	// that keeps up drains small batches, a bottleneck thread finds its
 	// rings full.
 	QueueHighWater int
-	// Partitions is the number of logical partitions the thread owned
-	// when the session closed.
-	Partitions int
 }
 
 // Handled returns the messages this CC thread processed.
@@ -291,15 +260,12 @@ type message struct {
 
 // wrapper carries a transaction through the CC chain. Field ownership:
 //
-//   - owner, hops, opsByCC, epoch, t, done: written by the owning exec
-//     thread before submission, read-only afterwards.
+//   - owner, hops, opsByCC, t, done: written by the owning exec thread
+//     before submission, read-only afterwards.
 //   - hopIdx, pending: touched only by the CC thread currently processing
 //     the wrapper (exactly one at any time — the chain is sequential).
 //   - reqs[i]: sized by the planner (addHop), then written and read only
 //     by CC thread hops[i].
-//   - releasesLeft: atomically decremented by each CC thread processing
-//     one of the wrapper's release messages; the thread that takes it to
-//     zero retires the wrapper's routing epoch (see epochGauge).
 //   - refs: one reference per observer — each CC hop, the owning exec
 //     thread, and (when durable) the WAL commit ack. The last decrement
 //     recycles the wrapper and its transaction (runState.dropRef), so
@@ -322,15 +288,13 @@ type wrapper struct {
 	// state). The in-process plane carries it but never reads it.
 	id uint64
 
-	epoch   uint64       // routing epoch the chain was planned under
 	hops    []int        // CC ids, ascending
 	opsByCC [][]txn.Op   // parallel to hops
 	reqs    [][]localReq // parallel to opsByCC: one request slot per op
 
-	hopIdx       int
-	pending      int
-	releasesLeft atomic.Int32
-	refs         atomic.Int32
+	hopIdx  int
+	pending int
+	refs    atomic.Int32
 
 	// wireReleases is the CC node's countdown of release messages still
 	// expected for this wrapper's wire id, private to its net stepper
@@ -385,8 +349,7 @@ func (w *wrapper) hopOf(c int) int {
 // Engine is an ORTHRUS instance.
 type Engine struct {
 	cfg   Config
-	msgs  MessageStats    // populated when a session closes
-	ctrl  ControllerStats // populated when a session closes
+	msgs  MessageStats // populated when a session closes
 	inUse engine.InUseGuard
 	clock engine.CommitClock // stamps versioned commits when Wal is off
 }
@@ -395,15 +358,11 @@ type Engine struct {
 // (every Run closes its session before returning).
 func (e *Engine) Messages() MessageStats { return e.msgs }
 
-// ControllerStats returns the adaptive controller's activity during the
-// last closed session (zero when the controller was disabled).
-func (e *Engine) ControllerStats() ControllerStats { return e.ctrl }
-
 // Validate panics on nonsensical knobs: thread counts must be positive,
 // and fields whose zero value means "use the default" (QueueCap,
-// Inflight, BatchSize, LogicalPartitions, and the controller's knobs)
-// are rejected when negative with a clear panic rather than surfacing as
-// a hang or an index fault deep inside ring or table construction.
+// Inflight, BatchSize) are rejected when negative with a clear panic
+// rather than surfacing as a hang or an index fault deep inside ring
+// construction.
 func (c Config) Validate() {
 	if c.CCThreads <= 0 || c.ExecThreads <= 0 {
 		panic("orthrus: CCThreads and ExecThreads must be positive")
@@ -417,16 +376,9 @@ func (c Config) Validate() {
 	if c.BatchSize < 0 {
 		panic(fmt.Sprintf("orthrus: BatchSize must not be negative (got %d; 0 means default)", c.BatchSize))
 	}
-	if c.LogicalPartitions < 0 {
-		panic(fmt.Sprintf("orthrus: LogicalPartitions must not be negative (got %d; 0 means default)", c.LogicalPartitions))
-	}
-	c.Controller.Validate()
 	c.Snapshot.Validate()
 	c.Checkpoint.Validate()
 	c.Transport.Validate()
-	if c.Transport.remote() && c.Controller.Enable {
-		panic("orthrus: the adaptive controller requires the in-process transport (live migration is node-local)")
-	}
 }
 
 // New validates the configuration and returns an engine.
@@ -441,20 +393,9 @@ func New(cfg Config) *Engine {
 	if cfg.BatchSize == 0 {
 		cfg.BatchSize = DefaultBatchSize
 	}
-	if cfg.LogicalPartitions == 0 {
-		cfg.LogicalPartitions = DefaultPartitionFactor * cfg.CCThreads
-	}
 	if cfg.Partition == nil {
-		cfg.Partition = txn.HashPartitioner(cfg.LogicalPartitions)
+		cfg.Partition = txn.HashPartitioner(cfg.CCThreads)
 	}
-	if cfg.Routing != nil {
-		owner := make([]int32, len(cfg.Routing))
-		for i, o := range cfg.Routing {
-			owner[i] = int32(o)
-		}
-		validateRouting(owner, cfg.LogicalPartitions, cfg.CCThreads)
-	}
-	cfg.Controller = cfg.Controller.withDefaults(cfg.QueueCap)
 	return &Engine{cfg: cfg}
 }
 
@@ -464,40 +405,10 @@ func (e *Engine) Name() string {
 	if e.cfg.SharedTable {
 		base += "-shared"
 	}
-	if e.cfg.Controller.Enable {
-		base += "-elastic"
-	}
 	if e.cfg.Transport.remote() {
 		base += "-tcp/" + e.cfg.Transport.Role
 	}
 	return fmt.Sprintf("%s(%dcc/%dex)", base, e.cfg.CCThreads, e.cfg.ExecThreads)
-}
-
-// ccLiveStats is one CC thread's live observability slot: flushed to by
-// the owning thread once per drain pass, sampled by the controller while
-// the session runs, harvested into CCStats at close. Padded so slots of
-// adjacent threads never false-share.
-type ccLiveStats struct {
-	acquires atomic.Uint64
-	forwards atomic.Uint64
-	releases atomic.Uint64
-	grants   atomic.Uint64
-	// hiWater is the per-pass drained-message high-water mark since the
-	// controller's last sample (the controller resets it each tick);
-	// hiWaterRun is the same mark over the whole session.
-	hiWater    atomic.Int64
-	hiWaterRun atomic.Int64
-	// Pads the six 8-byte atomics above to 128 bytes — two cache lines,
-	// clearing the adjacent-line prefetcher between neighbouring slots.
-	_ [80]byte
-}
-
-// pidCounter is one logical partition's op-load tally. Neighbouring
-// partitions are usually owned by different CC threads, so the counters
-// are padded apart rather than packed into a plain []atomic.Uint64.
-type pidCounter struct {
-	n atomic.Uint64
-	_ [120]byte
 }
 
 // runState is per-Run message-plane state.
@@ -512,18 +423,6 @@ type runState struct {
 	shared   *sharedTable            // non-nil in SharedTable mode
 	ccStop   atomic.Bool
 
-	// Two-level routing: rt is the current epoch's logical-partition →
-	// CC-thread table; epochs tracks in-flight transactions per routing
-	// epoch (the migration drain barrier); ccCtrl carries shard handoffs.
-	rt     atomic.Pointer[routingTable]
-	epochs epochGauge
-	ccCtrl []chan ccCtrl
-
-	// Controller inputs: per-logical-partition op load and per-CC-thread
-	// live counters.
-	pidLoad []pidCounter
-	ccLive  []ccLiveStats
-
 	// wraps pools wrappers and acks pools WAL commit-ack closures; both
 	// are shared across exec and CC threads because any of a wrapper's
 	// observers may be the one dropping the final reference.
@@ -532,18 +431,16 @@ type runState struct {
 
 	// ops is the session's message-plane tally (MessageStats after the
 	// run): every logical thread counts in its own opCounter and adds it
-	// here once, when it retires.
+	// here once, when it retires. perCC[c] is CC thread c's own tally,
+	// stored by that thread alone as it retires.
 	opsMu sync.Mutex
 	ops   opCounter
+	perCC []CCStats
 }
 
-// pidOf resolves the static routing level: record → logical partition.
-// The raw partitioner is folded modulo the logical partition count so a
-// partitioner with a wider range than the engine (e.g. an Autotune probe
-// of a smaller candidate split) can never silently drop an op — every
-// declared lock must be acquired.
-func (s *runState) pidOf(table int, key uint64) int {
-	return s.cfg.Partition(table, key) % s.cfg.LogicalPartitions
+// ccOf routes a record to the CC thread that owns its lock.
+func (s *runState) ccOf(table int, key uint64) int {
+	return s.cfg.Partition(table, key) % s.cfg.CCThreads
 }
 
 // opCounter is a thread-local tally of the messages a logical thread sent
@@ -569,34 +466,19 @@ func (o *opCounter) flush(s *runState) {
 
 func (e *Engine) newRunState() *runState {
 	cfg := e.cfg
-	s := &runState{cfg: cfg}
+	s := &runState{cfg: cfg, perCC: make([]CCStats, cfg.CCThreads)}
 	if cfg.SharedTable {
 		s.shared = newSharedTable(1 << 12)
 	}
-
-	owner := defaultRouting(cfg.LogicalPartitions, cfg.CCThreads)
-	if cfg.Routing != nil {
-		for i, o := range cfg.Routing {
-			owner[i] = int32(o)
-		}
-	}
-	s.rt.Store(&routingTable{epoch: 0, owner: owner})
-	s.ccCtrl = make([]chan ccCtrl, cfg.CCThreads)
-	for i := range s.ccCtrl {
-		s.ccCtrl[i] = make(chan ccCtrl, 2)
-	}
-	s.pidLoad = make([]pidCounter, cfg.LogicalPartitions)
-	s.ccLive = make([]ccLiveStats, cfg.CCThreads)
 	s.wraps.New = func() interface{} { return &wrapper{} }
 	s.acks.New = func() interface{} {
 		a := &commitAck{}
 		a.fire = a.run
 		return a
 	}
-	// The backend builds the queue planes last — but before any thread
-	// exists, since each thread binds its outboxes to them when built:
-	// the tcp transport's handshake ships the routing table stored above,
-	// and its net stepper touches the pools and gauges once stepped.
+	// The backend builds the queue planes after the pools, which the tcp
+	// net stepper touches once stepped, and before any thread exists,
+	// since each thread binds its outboxes to them when built.
 	s.tr = newTransport(cfg)
 	s.tr.install(s)
 	return s
@@ -691,11 +573,6 @@ type session struct {
 	ccWg    sync.WaitGroup
 	workers int
 	start   time.Time
-
-	ctrl *controller // non-nil when Config.Controller.Enable
-	// migrateMu serializes migrations: the controller and any direct
-	// Migrate callers must not overlap quiesce windows.
-	migrateMu sync.Mutex
 }
 
 // newSession claims the engine and builds a session's state — message
@@ -736,10 +613,6 @@ func (e *Engine) Start() engine.Session {
 	for _, slots := range workers {
 		go ses.work(slots)
 	}
-	if e.cfg.Controller.Enable {
-		ses.ctrl = newController(ses, e.cfg.Controller)
-		go ses.ctrl.loop()
-	}
 	return engine.WithCheckpointer(ses, e.cfg.DB, e.cfg.Wal, e.cfg.Checkpoint)
 }
 
@@ -765,18 +638,14 @@ func (ses *session) Drain() {
 	ses.e.cfg.Wal.Drain()
 }
 
-// Close implements engine.Session. It stops the adaptive controller
-// (completing any in-progress migration, so no partition stays quiesced),
-// drains outstanding submissions, retires the execution threads, lets the
-// CC threads take a final pass over straggling releases, and reports the
-// session's metrics. A second Close panics: it would release the engine's
-// in-use guard out from under a newer session.
+// Close implements engine.Session. It drains outstanding submissions,
+// retires the execution threads, lets the CC threads take a final pass
+// over straggling releases, and reports the session's metrics. A second
+// Close panics: it would release the engine's in-use guard out from under
+// a newer session.
 func (ses *session) Close() metrics.Result {
 	if !ses.closed.CompareAndSwap(false, true) {
 		panic("orthrus: " + ses.e.Name() + ": Close on a closed session")
-	}
-	if ses.ctrl != nil {
-		ses.ctrl.stop()
 	}
 	ses.inflight.Wait()
 	ses.e.cfg.Wal.Drain() // log tail: Async acks run ahead of the device
@@ -799,55 +668,18 @@ func (ses *session) Close() metrics.Result {
 		Releases:   ops.releases,
 		EnqueueOps: ops.enq,
 		DequeueOps: ops.deq,
-		PerCC:      ses.perCCStats(),
+		PerCC:      ses.s.perCC,
 		ExecBatch:  slices.Repeat([]int{ses.s.cfg.BatchSize}, ses.s.cfg.ExecThreads),
 		Net:        netStats,
 		Workers:    ses.workers,
-	}
-	if ses.ctrl != nil {
-		ses.e.ctrl = ses.ctrl.stats
-	} else {
-		ses.e.ctrl = ControllerStats{}
 	}
 	ses.e.inUse.Release()
 	return metrics.Result{System: ses.e.Name(), Totals: ses.set.Totals(), Duration: time.Since(ses.start)}
 }
 
-// perCCStats harvests the live per-thread slots into the public
-// breakdown, attributing each logical partition to its final owner.
-func (ses *session) perCCStats() []CCStats {
-	rt := ses.s.rt.Load()
-	owned := make([]int, ses.s.cfg.CCThreads)
-	for _, o := range rt.owner {
-		owned[o]++
-	}
-	out := make([]CCStats, ses.s.cfg.CCThreads)
-	for i := range out {
-		live := &ses.s.ccLive[i]
-		out[i] = CCStats{
-			Acquires:       live.acquires.Load(),
-			Forwards:       live.forwards.Load(),
-			Releases:       live.releases.Load(),
-			Grants:         live.grants.Load(),
-			QueueHighWater: int(live.hiWaterRun.Load()),
-			Partitions:     owned[i],
-		}
-	}
-	return out
-}
-
 // ---------------------------------------------------------------------
 // Execution threads
 // ---------------------------------------------------------------------
-
-// parkedTxn is a submission held back because its plan touched a
-// quiesced (mid-migration) logical partition; it is replayed when the
-// next routing epoch publishes.
-type parkedTxn struct {
-	t     *txn.Txn
-	done  func(bool)
-	start time.Time
-}
 
 type execThread struct {
 	s     *runState
@@ -874,16 +706,10 @@ type execThread struct {
 	stepStart time.Time
 	logicTime time.Duration
 
-	// Two-level routing state: lastEpoch is the newest routing epoch this
-	// thread has observed (an epoch bump replays parked transactions),
-	// pidBuf is per-plan scratch holding each op's logical partition,
-	// countBuf the per-CC op-count scratch for engines wider than plan's
-	// stack array, and parked holds submissions quiesced by an
-	// in-progress migration.
-	lastEpoch uint64
-	pidBuf    []int32
-	countBuf  []int
-	parked    []parkedTxn
+	// Planning scratch: ccBuf holds each op's CC thread, countBuf the
+	// per-CC op counts for engines wider than plan's stack array.
+	ccBuf    []int32
+	countBuf []int
 
 	// Batched message plane: out[c] coalesces the acquires and releases
 	// for CC thread c. scratch is the batched grant-drain buffer; it is
@@ -910,16 +736,15 @@ type execThread struct {
 func newExecThread(ses *session, id int, stats *metrics.ThreadStats) *execThread {
 	cfg := ses.s.cfg
 	x := &execThread{
-		s:         ses.s,
-		ses:       ses,
-		id:        id,
-		stats:     stats,
-		ids:       engine.NewIDSource(id),
-		ctx:       engine.PlannedCtx{DB: cfg.DB, Stats: stats, VSet: ses.snaps.VersionSet()},
-		window:    cfg.Inflight,
-		now:       time.Now,
-		born:      time.Now(),
-		lastEpoch: ses.s.rt.Load().epoch,
+		s:      ses.s,
+		ses:    ses,
+		id:     id,
+		stats:  stats,
+		ids:    engine.NewIDSource(id),
+		ctx:    engine.PlannedCtx{DB: cfg.DB, Stats: stats, VSet: ses.snaps.VersionSet()},
+		window: cfg.Inflight,
+		now:    time.Now,
+		born:   time.Now(),
 		// What a full ring leaves in out[c] needs no back-pressure to stay
 		// small: at most a window of acquires plus the releases of
 		// transactions granted since c last stepped, and every step of c
@@ -940,38 +765,21 @@ func newExecThread(ses *session, id int, stats *metrics.ThreadStats) *execThread
 	return x
 }
 
-// step is one pass of the execution thread: replay what a migration
-// parked, handle grants (run transaction logic, pipeline redo into the
-// WAL's append buffers, release), top up the asynchronous window from the
-// submission queue, and publish what the pass generated — without
-// blocking, without I/O (the group-commit flusher does the writing) and
-// without waiting on any other logical thread, which may be hosted by the
-// same worker (worker.go). A step that finds nothing to do reads no
-// clock.
+// step is one pass of the execution thread: handle grants (run
+// transaction logic, pipeline redo into the WAL's append buffers,
+// release), top up the asynchronous window from the submission queue, and
+// publish what the pass generated — without blocking, without I/O (the
+// group-commit flusher does the writing) and without waiting on any other
+// logical thread, which may be hosted by the same worker (worker.go). A
+// step that finds nothing to do reads no clock.
 //
 //orthrus:hotpath
 func (x *execThread) step() (progress, exit bool) {
-	// A new routing epoch unblocks transactions parked by a migration's
-	// quiesce window: replay them under the new table.
-	if rt := x.s.rt.Load(); rt.epoch != x.lastEpoch {
-		x.lastEpoch = rt.epoch
-		if len(x.parked) > 0 {
-			x.working()
-			held := x.parked
-			x.parked = nil
-			for _, p := range held {
-				x.submit(p.t, p.done, p.start)
-			}
-		}
-	}
-
 	// Drain grants from every CC thread.
 	x.drainGrants()
 
-	// Top up the asynchronous window from the submission queue. Parked
-	// transactions occupy window slots: they are committed work this
-	// thread owes, just not yet admissible.
-	for x.inflight+len(x.parked) < x.window {
+	// Top up the asynchronous window from the submission queue.
+	for x.inflight < x.window {
 		var sub engine.Submission
 		select {
 		case sub = <-x.ses.submit:
@@ -1003,15 +811,13 @@ func (x *execThread) step() (progress, exit bool) {
 		x.stepStart, x.logicTime = time.Time{}, 0
 		return true, false
 	}
-	if x.inflight == 0 && len(x.parked) == 0 && x.ses.execStop.Load() && len(x.ses.submit) == 0 && x.out.empty() {
+	if x.inflight == 0 && x.ses.execStop.Load() && len(x.ses.submit) == 0 && x.out.empty() {
 		// Close drains all submissions before setting execStop, so
 		// nothing can arrive after this check, and every release this
 		// thread owed is in a ring (the outboxes are empty), where the
-		// CC threads' last passes will find it. Parked transactions
-		// cannot be stranded: Close stops the controller first, and every
-		// migration ends by publishing an epoch with no held partitions.
-		// The thread's books close here, with the logical thread — its
-		// worker may go on stepping others.
+		// CC threads' last passes will find it. The thread's books close
+		// here, with the logical thread — its worker may go on stepping
+		// others.
 		x.ops.flush(x.s)
 		x.stats.AddWait(x.now().Sub(x.born) - time.Duration(x.stats.ExecNanos+x.stats.LockNanos))
 		return false, true
@@ -1056,18 +862,10 @@ func (x *execThread) drainGrants() {
 	}
 }
 
-// submit plans the transaction's CC chain under the current routing
-// epoch and sends the first acquire. start is when this execution thread
-// accepted the transaction into its window (preserved across OLLP
-// restarts and migration parking so latency covers the whole retry
-// chain), done its session completion callback.
-//
-// Planning races with epoch publication: the thread registers the
-// wrapper in the epoch gauge and then re-checks that the routing table
-// is still current before sending anything. If a migration published in
-// between, the registration is rolled back and the plan redone — so the
-// migration drain barrier can never miss a chain that goes on to acquire
-// locks under a superseded epoch.
+// submit plans the transaction's CC chain and sends the first acquire.
+// start is when this execution thread accepted the transaction into its
+// window (preserved across OLLP restarts so latency covers the whole
+// retry chain), done its session completion callback.
 func (x *execThread) submit(t *txn.Txn, done func(bool), start time.Time) {
 	if t.ReadOnly && x.ses.snaps != nil {
 		// Snapshot fast path: served inline on this execution thread at
@@ -1095,66 +893,38 @@ func (x *execThread) submit(t *txn.Txn, done func(bool), start time.Time) {
 		return
 	}
 	// Declared ranges decompose into stripe (gap) lock ops here, before
-	// sorting: each stripe routes through the same two-level record →
-	// logical partition → CC thread mapping as a record lock, so a range
-	// becomes per-logical-partition interval requests grouped into the
-	// chain's per-CC batches — phantom protection rides the existing
-	// message plane. Re-materializing on a replayed submission only adds
-	// duplicates SortOps removes.
+	// sorting: each stripe routes to its CC thread like a record lock, so
+	// a range becomes interval requests grouped into the chain's per-CC
+	// batches — phantom protection rides the existing message plane.
+	// Re-materializing on an OLLP restart only adds duplicates SortOps
+	// removes.
 	engine.MaterializeRanges(x.s.cfg.DB, t)
 	t.SortOps()
 	w := x.s.wraps.Get().(*wrapper)
 	w.t, w.owner, w.start, w.done = t, x.id, start, done
 	w.id = t.ID
+	x.plan(w)
 
-	for {
-		rt := x.s.rt.Load()
-		if !x.plan(w, rt) {
-			// A quiesced partition: hold the transaction until the
-			// migration publishes its new epoch. The wrapper was never
-			// published, so this thread is its only holder.
-			x.parked = append(x.parked, parkedTxn{t: t, done: done, start: start})
-			x.s.putWrapper(w)
-			return
-		}
-		if len(w.hops) == 0 {
-			// No declared ops: nothing to lock, run immediately. The only
-			// references are this thread's and, when durable, the ack's.
-			w.refs.Store(1)
-			x.finish(w)
-			return
-		}
-		if x.pend != nil {
-			// Remote CC plane: migrations are impossible (Validate
-			// forbids the controller with tcp), so the routing table is
-			// immutable and the epoch registration dance is unnecessary
-			// — the CC node registers its twin wrapper in its own epoch
-			// gauge. Release processing also happens entirely over
-			// there, so the only local references are this thread's
-			// and, when durable, the ack's. The wire id is fresh per
-			// attempt: an OLLP replan must not alias the previous
-			// generation's in-flight releases on the CC node.
-			w.epoch = rt.epoch
-			w.releasesLeft.Store(0)
-			w.refs.Store(1)
-			w.id = x.ids.Next()
-			x.pend[w.id] = w
-			break
-		}
-		x.s.epochs.add(rt.epoch, 1)
-		if x.s.rt.Load() != rt {
-			// Epoch changed between planning and registration; the drain
-			// barrier may already have passed this slot. Replan.
-			x.s.epochs.add(rt.epoch, -1)
-			w.resetPlan()
-			continue
-		}
-		w.epoch = rt.epoch
-		w.releasesLeft.Store(int32(len(w.hops)))
+	switch {
+	case len(w.hops) == 0:
+		// No declared ops: nothing to lock, run immediately. The only
+		// references are this thread's and, when durable, the ack's.
+		w.refs.Store(1)
+		x.finish(w)
+		return
+	case x.pend != nil:
+		// Remote CC plane: release processing happens entirely on the CC
+		// node, so the only local references are this thread's and, when
+		// durable, the ack's. The wire id is fresh per attempt: an OLLP
+		// replan must not alias the previous generation's in-flight
+		// releases on the CC node.
+		w.refs.Store(1)
+		w.id = x.ids.Next()
+		x.pend[w.id] = w
+	default:
 		// One reference per CC hop (dropped as each processes its
 		// release) plus this thread's, dropped at the end of finish.
 		w.refs.Store(int32(len(w.hops)) + 1)
-		break
 	}
 
 	x.inflight++
@@ -1162,21 +932,16 @@ func (x *execThread) submit(t *txn.Txn, done func(bool), start time.Time) {
 	x.push(w.hops[0], message{kind: msgAcquire, w: w, id: w.id})
 }
 
-// plan groups the transaction's ops by owning CC thread under rt,
-// emitting hops in ascending CC id — the deadlock-avoidance order (§3.2)
-// within the epoch. It returns false (and leaves the wrapper unplanned)
-// when any touched logical partition is quiesced by an in-progress
-// migration. The derived chain is cached on the transaction with the
-// epoch it was computed under (txn.RouteEpoch) — the dynamic level of
-// routing, unlike txn.Partitions, is only valid for that epoch.
-func (x *execThread) plan(w *wrapper, rt *routingTable) bool {
+// plan groups the transaction's ops by owning CC thread, emitting hops in
+// ascending CC id — the deadlock-avoidance order (§3.2).
+func (x *execThread) plan(w *wrapper) {
 	t := w.t
 	ncc := x.s.cfg.CCThreads
-	if cap(x.pidBuf) < len(t.Ops) {
+	if cap(x.ccBuf) < len(t.Ops) {
 		//orthrus:allow(noalloc) per-thread scratch growth: reaches the largest op count seen, then stabilizes
-		x.pidBuf = make([]int32, len(t.Ops))
+		x.ccBuf = make([]int32, len(t.Ops))
 	}
-	pids := x.pidBuf[:len(t.Ops)]
+	ccs := x.ccBuf[:len(t.Ops)]
 	var counts [64]int
 	countSlice := counts[:]
 	if ncc > len(countSlice) {
@@ -1185,12 +950,9 @@ func (x *execThread) plan(w *wrapper, rt *routingTable) bool {
 		countSlice = countSlice[:ncc]
 	}
 	for i, op := range t.Ops {
-		pid := x.s.pidOf(op.Table, op.Key)
-		if rt.blocked(pid) {
-			return false
-		}
-		pids[i] = int32(pid)
-		countSlice[rt.owner[pid]]++
+		c := x.s.ccOf(op.Table, op.Key)
+		ccs[i] = int32(c)
+		countSlice[c]++
 	}
 	for c := 0; c < ncc; c++ {
 		if countSlice[c] == 0 {
@@ -1198,17 +960,12 @@ func (x *execThread) plan(w *wrapper, rt *routingTable) bool {
 		}
 		n := w.addHop(c, countSlice[c])
 		for i, op := range t.Ops {
-			if int(rt.owner[pids[i]]) == c {
+			if int(ccs[i]) == c {
 				w.opsByCC[n] = append(w.opsByCC[n], op)
 			}
 		}
 		countSlice[c] = 0
 	}
-	// Copy, not alias: the wrapper is recycled at the last release while
-	// a pooled transaction may outlive it (e.g. across an OLLP replan).
-	t.Hops = append(t.Hops[:0], w.hops...)
-	t.RouteEpoch = rt.epoch
-	return true
 }
 
 // push queues m for CC thread c.
@@ -1323,9 +1080,7 @@ func (x *execThread) deferCommit(w *wrapper) func() {
 }
 
 // release notifies every CC thread in the chain. Fire-and-forget: release
-// requests are satisfied unconditionally (§3.1). The chain's CC threads
-// retire the wrapper's routing epoch as they process these messages, so
-// a migration cannot proceed while any of them is still in a ring.
+// requests are satisfied unconditionally (§3.1).
 func (x *execThread) release(w *wrapper) {
 	for _, c := range w.hops {
 		x.ops.releases++

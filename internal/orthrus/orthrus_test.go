@@ -252,7 +252,7 @@ func TestBreakdownPopulated(t *testing.T) {
 // Local lock-table unit tests (the latch-free FIFO queue inside CC
 // threads) — exercised directly, without the message plane.
 func TestPrivateTableFIFO(t *testing.T) {
-	tbl := newPrivateTable()
+	tbl := &privateTable{}
 	w := &wrapper{}
 	mk := func(mode txn.Mode, key uint64) *localReq {
 		return &localReq{w: w, mode: mode, key: lockKey{Key: key}}
@@ -448,5 +448,95 @@ func TestWidePartitionerFoldsSafely(t *testing.T) {
 	}
 	if got := sumTable(db, tbl, records); got != records*1000 {
 		t.Fatalf("sum = %d, want %d (ops escaped locking)", got, records*1000)
+	}
+}
+
+// The record → CC map is Partition % CCThreads, and by default exactly
+// HashPartitioner(CCThreads): key % CCThreads.
+func TestDefaultRoutingMatchesLegacyHash(t *testing.T) {
+	db, _ := newDB(8)
+	for _, cc := range []int{1, 2, 3, 5, 8} {
+		s := New(Config{DB: db, CCThreads: cc, ExecThreads: 1}).newRunState()
+		pf := txn.HashPartitioner(cc)
+		for key := uint64(0); key < 4096; key++ {
+			if got, want := s.ccOf(0, key), pf(0, key); got != want {
+				t.Fatalf("cc=%d key=%d routed to %d, HashPartitioner(%d) says %d", cc, key, got, cc, want)
+			}
+		}
+	}
+}
+
+// Per-CC-thread message breakdowns must sum to the send-side totals.
+func TestPerCCStatsConservation(t *testing.T) {
+	underProcs(t, testPerCCStatsConservation)
+}
+
+func testPerCCStatsConservation(t *testing.T, procs int) {
+	const records = 1 << 12
+	db, tbl := newDB(records)
+	eng := New(Config{DB: db, CCThreads: 3, ExecThreads: 3})
+	src := &workload.YCSB{Table: tbl, NumRecords: records, OpsPerTxn: 8, HotRecords: 64, HotOps: 2}
+	if err := src.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if res := eng.Run(src, 150*time.Millisecond); res.Totals.Committed == 0 {
+		t.Fatal("no commits")
+	}
+	m := eng.Messages()
+	if len(m.PerCC) != 3 {
+		t.Fatalf("PerCC has %d entries, want 3", len(m.PerCC))
+	}
+	var acq, fwd, rel, grants uint64
+	hiWaterSeen := false
+	for _, cs := range m.PerCC {
+		acq += cs.Acquires
+		fwd += cs.Forwards
+		rel += cs.Releases
+		grants += cs.Grants
+		if cs.QueueHighWater > 0 {
+			hiWaterSeen = true
+		}
+		if cs.Handled() != cs.Acquires+cs.Forwards+cs.Releases {
+			t.Fatalf("Handled() inconsistent: %+v", cs)
+		}
+	}
+	if acq != m.Acquires || fwd != m.Forwards || rel != m.Releases || grants != m.Grants {
+		t.Fatalf("per-CC sums (acq=%d fwd=%d rel=%d grant=%d) != totals (%d %d %d %d)",
+			acq, fwd, rel, grants, m.Acquires, m.Forwards, m.Releases, m.Grants)
+	}
+	if !hiWaterSeen {
+		t.Fatal("no CC thread recorded a queue high-water mark")
+	}
+	if want := min(6, procs); m.Workers != want {
+		t.Fatalf("Workers = %d, want %d", m.Workers, want)
+	}
+}
+
+// New must reject malformed configuration up front with a clear panic
+// instead of failing deep inside ring or table construction.
+func TestConfigValidationPanics(t *testing.T) {
+	db, _ := newDB(8)
+	base := func() Config { return Config{DB: db, CCThreads: 2, ExecThreads: 2} }
+	cases := []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"no-threads", func(c *Config) { c.CCThreads = 0 }},
+		{"negative-queuecap", func(c *Config) { c.QueueCap = -1 }},
+		{"negative-inflight", func(c *Config) { c.Inflight = -8 }},
+		{"negative-batchsize", func(c *Config) { c.BatchSize = -2 }},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := base()
+			tc.mutate(&cfg)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("New accepted invalid config")
+				}
+			}()
+			New(cfg)
+		})
 	}
 }

@@ -3,7 +3,6 @@ package orthrus
 import (
 	"fmt"
 	"net"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -20,8 +19,9 @@ import (
 // thread, connected by one TCP connection carrying batched frames (see
 // internal/transport and README "Distributed message plane"). Both
 // processes construct the same Config apart from this struct; the
-// handshake verifies they agree on thread counts, logical partitions,
-// the routing table and its epoch before any message flows.
+// handshake verifies they agree on thread counts before any message
+// flows, and the cc node checks every acquire's routing against its own
+// Partition (netStepper.checkAcquire).
 type TransportConfig struct {
 	// Kind is "" or "inproc" for the in-process plane, "tcp" for the
 	// networked plane.
@@ -227,22 +227,12 @@ func (t *tcpTransport) install(s *runState) {
 		}
 	}
 
-	// Handshake: both processes derived their topology and routing
-	// table independently from their own Config; refuse to run unless
-	// they are byte-identical — a mismatched routing table would send
-	// acquires to CC threads that do not own the partition, which
-	// tallyAndInsert would only catch one transaction at a time.
-	rt := s.rt.Load()
+	// Handshake: both processes derived their topology independently from
+	// their own Config; refuse to run unless the thread counts agree.
 	local := wire.Hello{
-		Role:              t.role,
-		CCThreads:         uint16(cfg.CCThreads),
-		ExecThreads:       uint16(cfg.ExecThreads),
-		LogicalPartitions: uint16(cfg.LogicalPartitions),
-		Epoch:             rt.epoch,
-		Routing:           make([]uint16, len(rt.owner)),
-	}
-	for i, o := range rt.owner {
-		local.Routing[i] = uint16(o)
+		Role:        t.role,
+		CCThreads:   uint16(cfg.CCThreads),
+		ExecThreads: uint16(cfg.ExecThreads),
 	}
 	peerHello, err := wire.Exchange(conn, &local, nc.DialTimeout)
 	if err != nil {
@@ -257,16 +247,10 @@ func (t *tcpTransport) install(s *runState) {
 		conn.Close()
 		panic(fmt.Sprintf("orthrus: tcp transport: both nodes claim the %s role", tc.Role))
 	}
-	if peerHello.CCThreads != local.CCThreads || peerHello.ExecThreads != local.ExecThreads ||
-		peerHello.LogicalPartitions != local.LogicalPartitions {
+	if peerHello.CCThreads != local.CCThreads || peerHello.ExecThreads != local.ExecThreads {
 		conn.Close()
-		panic(fmt.Sprintf("orthrus: tcp transport: topology mismatch: local %dcc/%dex/%dp, peer %dcc/%dex/%dp",
-			local.CCThreads, local.ExecThreads, local.LogicalPartitions,
-			peerHello.CCThreads, peerHello.ExecThreads, peerHello.LogicalPartitions))
-	}
-	if peerHello.Epoch != local.Epoch || !slices.Equal(peerHello.Routing, local.Routing) {
-		conn.Close()
-		panic(fmt.Sprintf("orthrus: tcp transport: routing tables differ between nodes (epoch %d here, %d there)", local.Epoch, peerHello.Epoch))
+		panic(fmt.Sprintf("orthrus: tcp transport: topology mismatch: local %dcc/%dex, peer %dcc/%dex",
+			local.CCThreads, local.ExecThreads, peerHello.CCThreads, peerHello.ExecThreads))
 	}
 
 	t.peer = wire.NewPeer(conn, nc)
@@ -504,16 +488,22 @@ func (n *netStepper) dispatch(f *wire.Frame) {
 }
 
 // checkAcquire rejects a well-formed acquire whose plan the CC threads
-// would index-fault on: the codec bounds lengths, not values, and
-// materialize copies owner, hop index and hop plan straight into the
-// wrapper. The frame's queue address is already bounds-checked, and the
-// acquire must agree with it: an exec thread sends only its own
-// transactions, to the CC thread its hop index names, along a plan in
-// ascending CC order (a re-acquire along the plan already registered).
+// would index-fault on or lock in the wrong table: the codec bounds
+// lengths, not values, and materialize copies owner, hop index and hop
+// plan straight into the wrapper. The frame's queue address is already
+// bounds-checked, and the acquire must agree with it: an exec thread
+// sends only its own transactions, to the CC thread its hop index names,
+// along a plan in ascending CC order (a re-acquire along the plan already
+// registered) whose every op this node's Partition routes to its hop's CC
+// thread — the CC threads themselves trust the route.
 func (n *netStepper) checkAcquire(f *wire.Frame, m *wire.Msg) {
 	ok := m.Owner == f.From && int(m.HopIdx) < len(m.Hops) && m.Hops[m.HopIdx].CC == f.To
 	for i := range m.Hops {
-		ok = ok && int(m.Hops[i].CC) < n.s.cfg.CCThreads && (i == 0 || m.Hops[i].CC > m.Hops[i-1].CC)
+		h := &m.Hops[i]
+		ok = ok && int(h.CC) < n.s.cfg.CCThreads && (i == 0 || h.CC > m.Hops[i-1].CC)
+		for j := 0; ok && j < len(h.Ops); j++ {
+			ok = n.s.ccOf(h.Ops[j].Table, h.Ops[j].Key) == int(h.CC)
+		}
 	}
 	if w := n.reg[m.TxnID]; ok && w != nil {
 		ok = int(m.HopIdx) < len(w.hops) && w.hops[m.HopIdx] == int(f.To)
@@ -541,7 +531,6 @@ func (n *netStepper) materialize(m *wire.Msg) *wrapper {
 	w.t, w.done = nil, nil
 	w.id = m.TxnID
 	w.owner = int(m.Owner)
-	w.epoch = m.Epoch
 	w.hopIdx = int(m.HopIdx)
 	w.pending = 0
 	w.resetPlan()
@@ -552,13 +541,10 @@ func (n *netStepper) materialize(m *wire.Msg) *wrapper {
 	}
 	nh := len(w.hops)
 	w.wireReleases = nh
-	w.releasesLeft.Store(int32(nh))
 	// One reference per CC hop and nothing else on this node: the
 	// owning exec thread and any WAL ack hold references to the exec
 	// node's twin wrapper, not this one.
 	w.refs.Store(int32(nh))
-	// Balance releaseTxn's unconditional epoch retirement.
-	s.epochs.add(w.epoch, 1)
 	n.reg[m.TxnID] = w
 	return w
 }
@@ -628,7 +614,6 @@ func (q *netQueue) fill(wm *wire.Msg, m *message) {
 		w := m.w
 		wm.Owner = uint16(w.owner)
 		wm.HopIdx = uint16(w.hopIdx)
-		wm.Epoch = w.epoch
 		for i, c := range w.hops {
 			h := wm.AddHop(uint16(c))
 			h.Ops = append(h.Ops[:0], w.opsByCC[i]...)

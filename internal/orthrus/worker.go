@@ -30,7 +30,7 @@ import (
 // Folding changes who calls step, and nothing else:
 //
 //   - Every logical thread is hosted by exactly one worker, so its lock
-//     shards, pools, outboxes and scratch buffers stay single-owner and
+//     table, pools, outboxes and scratch buffers stay single-owner and
 //     latch-free (§3.1), and every ring keeps one producer and one
 //     consumer — which may now be the same goroutine.
 //   - Every cross-component interaction is still a message on the same

@@ -185,7 +185,7 @@ func TestStepsByHandAndIdleStepReadsNoClock(t *testing.T) {
 	if _, exit := c.step(); !exit {
 		t.Fatal("CC thread did not retire after draining its last release")
 	}
-	if got := ses.s.ccLive[0].releases.Load(); got != 1 {
+	if got := ses.s.perCC[0].Releases; got != 1 {
 		t.Fatalf("CC thread handled %d releases, want 1", got)
 	}
 }

@@ -75,11 +75,9 @@ type Msg struct {
 	// the same transaction) draws a fresh id, so an id never names two
 	// generations of lock state at once.
 	TxnID uint64
-	// Owner, HopIdx, Epoch and Hops are only meaningful for
-	// KindAcquire.
+	// Owner, HopIdx and Hops are only meaningful for KindAcquire.
 	Owner  uint16
 	HopIdx uint16
-	Epoch  uint64
 	Hops   []Hop
 }
 
@@ -98,8 +96,8 @@ const (
 	FrameHeaderSize = 1 + 2 + 2 + 2
 	// msgHeaderSize covers Kind and TxnID, present on every message.
 	msgHeaderSize = 1 + 8
-	// acquireHeaderSize covers Owner, HopIdx, Epoch and the hop count.
-	acquireHeaderSize = 2 + 2 + 8 + 2
+	// acquireHeaderSize covers Owner, HopIdx and the hop count.
+	acquireHeaderSize = 2 + 2 + 2
 	// hopHeaderSize covers Hop.CC and the op count.
 	hopHeaderSize = 2 + 2
 	// opSize is one txn.Op: table (u32), key (u64), mode (u8).
@@ -134,7 +132,7 @@ func (f *Frame) AddMsg() *Msg {
 		f.Msgs = append(f.Msgs, zero)
 	}
 	m := &f.Msgs[n]
-	m.Kind, m.TxnID, m.Owner, m.HopIdx, m.Epoch = 0, 0, 0, 0, 0
+	m.Kind, m.TxnID, m.Owner, m.HopIdx = 0, 0, 0, 0
 	m.Hops = m.Hops[:0]
 	return m
 }
@@ -190,7 +188,6 @@ func AppendFrame(dst []byte, f *Frame) []byte {
 		}
 		dst = binary.LittleEndian.AppendUint16(dst, m.Owner)
 		dst = binary.LittleEndian.AppendUint16(dst, m.HopIdx)
-		dst = binary.LittleEndian.AppendUint64(dst, m.Epoch)
 		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(m.Hops)))
 		for j := range m.Hops {
 			h := &m.Hops[j]
@@ -249,8 +246,7 @@ func DecodeFrame(f *Frame, b []byte) error {
 			}
 			m.Owner = binary.LittleEndian.Uint16(b)
 			m.HopIdx = binary.LittleEndian.Uint16(b[2:])
-			m.Epoch = binary.LittleEndian.Uint64(b[4:])
-			nhops := int(binary.LittleEndian.Uint16(b[12:]))
+			nhops := int(binary.LittleEndian.Uint16(b[4:]))
 			b = b[acquireHeaderSize:]
 			// Cheap length pre-check bounds the work (and the slice
 			// growth below) by the input length before any loop runs.

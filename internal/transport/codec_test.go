@@ -148,14 +148,9 @@ func TestConfigValidatePanics(t *testing.T) {
 	}
 }
 
-// TestHelloRoundTrip pins the handshake codec, including the routing
-// table payload.
+// TestHelloRoundTrip pins the handshake codec.
 func TestHelloRoundTrip(t *testing.T) {
-	h := &Hello{
-		Role: RoleCC, CCThreads: 3, ExecThreads: 5,
-		LogicalPartitions: 12, Epoch: 9,
-		Routing: []uint16{0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2},
-	}
+	h := &Hello{Role: RoleCC, CCThreads: 3, ExecThreads: 5}
 	enc := appendHello(nil, h)
 	var dec Hello
 	if err := decodeHello(enc, &dec); err != nil {

@@ -15,7 +15,7 @@ func fuzzFrame() *Frame {
 	m := f.AddMsg()
 	m.Kind = KindAcquire
 	m.TxnID = 0x0102030405060708
-	m.Owner, m.HopIdx, m.Epoch = 3, 1, 42
+	m.Owner, m.HopIdx = 3, 1
 	h := m.AddHop(0)
 	h.Ops = append(h.Ops, txn.Op{Table: 0, Key: 7, Mode: txn.Read})
 	h.Ops = append(h.Ops, txn.Op{Table: 1, Key: 9, Mode: txn.Write})

@@ -53,7 +53,7 @@ func fillAcquireBatch(f *Frame, n int) {
 		m := f.AddMsg()
 		m.Kind = KindAcquire
 		m.TxnID = uint64(i) + 1
-		m.Owner, m.HopIdx, m.Epoch = 1, 0, 1
+		m.Owner, m.HopIdx = 1, 0
 		h := m.AddHop(0)
 		h.Ops = append(h.Ops, txn.Op{Table: 0, Key: uint64(2 * i), Mode: txn.Write})
 		h.Ops = append(h.Ops, txn.Op{Table: 0, Key: uint64(2*i + 1), Mode: txn.Write})
@@ -131,10 +131,8 @@ func TestPeerExchange(t *testing.T) {
 		h   Hello
 		err error
 	}
-	ccHello := &Hello{Role: RoleCC, CCThreads: 2, ExecThreads: 3, LogicalPartitions: 8,
-		Epoch: 1, Routing: []uint16{0, 1, 0, 1, 0, 1, 0, 1}}
-	exHello := &Hello{Role: RoleExec, CCThreads: 2, ExecThreads: 3, LogicalPartitions: 8,
-		Epoch: 1, Routing: []uint16{0, 1, 0, 1, 0, 1, 0, 1}}
+	ccHello := &Hello{Role: RoleCC, CCThreads: 2, ExecThreads: 3}
+	exHello := &Hello{Role: RoleExec, CCThreads: 2, ExecThreads: 3}
 	ccSide := make(chan res, 1)
 	go func() {
 		conn, err := Accept(ln, time.Second)
@@ -162,8 +160,8 @@ func TestPeerExchange(t *testing.T) {
 	if got.Role != RoleCC || cc.h.Role != RoleExec {
 		t.Fatalf("roles did not cross: exec saw %d, cc saw %d", got.Role, cc.h.Role)
 	}
-	if len(got.Routing) != 8 || got.Routing[1] != 1 {
-		t.Fatalf("routing table did not survive the exchange: %v", got.Routing)
+	if got.CCThreads != 2 || got.ExecThreads != 3 {
+		t.Fatalf("thread counts did not survive the exchange: %+v", got)
 	}
 }
 

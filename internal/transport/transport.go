@@ -374,22 +374,17 @@ const (
 	RoleExec uint8 = 2
 )
 
-// Hello is the handshake each side sends before any data frame. It
-// carries the topology and the epoch-versioned routing table, so both
-// processes provably start from the same cluster metadata: the engine
-// verifies the peer's thread counts, logical-partition count, epoch
-// and owner table match its own before any message crosses the wire.
+// Hello is the handshake each side sends before any data frame: the
+// sender's role and thread counts, which the engine verifies match its
+// own before any message crosses the wire.
 type Hello struct {
 	Role                   uint8
 	CCThreads, ExecThreads uint16
-	LogicalPartitions      uint16
-	Epoch                  uint64
-	Routing                []uint16 // logical partition -> owning CC thread
 }
 
 const (
 	helloMagic   uint32 = 0x4F525448 // "ORTH"
-	helloVersion uint16 = 1
+	helloVersion uint16 = 2
 )
 
 var (
@@ -402,20 +397,13 @@ func appendHello(dst []byte, h *Hello) []byte {
 	dst = binary.LittleEndian.AppendUint16(dst, helloVersion)
 	dst = append(dst, h.Role)
 	dst = binary.LittleEndian.AppendUint16(dst, h.CCThreads)
-	dst = binary.LittleEndian.AppendUint16(dst, h.ExecThreads)
-	dst = binary.LittleEndian.AppendUint16(dst, h.LogicalPartitions)
-	dst = binary.LittleEndian.AppendUint64(dst, h.Epoch)
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(h.Routing)))
-	for _, v := range h.Routing {
-		dst = binary.LittleEndian.AppendUint16(dst, v)
-	}
-	return dst
+	return binary.LittleEndian.AppendUint16(dst, h.ExecThreads)
 }
 
-const helloHeaderSize = 4 + 2 + 1 + 2 + 2 + 2 + 8 + 2
+const helloSize = 4 + 2 + 1 + 2 + 2
 
 func decodeHello(b []byte, h *Hello) error {
-	if len(b) < helloHeaderSize {
+	if len(b) < helloSize {
 		return errTruncated
 	}
 	if binary.LittleEndian.Uint32(b) != helloMagic {
@@ -424,26 +412,18 @@ func decodeHello(b []byte, h *Hello) error {
 	if binary.LittleEndian.Uint16(b[4:]) != helloVersion {
 		return errBadVersion
 	}
+	if len(b) != helloSize {
+		return errTrailing
+	}
 	h.Role = b[6]
 	h.CCThreads = binary.LittleEndian.Uint16(b[7:])
 	h.ExecThreads = binary.LittleEndian.Uint16(b[9:])
-	h.LogicalPartitions = binary.LittleEndian.Uint16(b[11:])
-	h.Epoch = binary.LittleEndian.Uint64(b[13:])
-	n := int(binary.LittleEndian.Uint16(b[21:]))
-	b = b[helloHeaderSize:]
-	if len(b) != n*2 {
-		return errTruncated
-	}
-	h.Routing = h.Routing[:0]
-	for i := 0; i < n; i++ {
-		h.Routing = append(h.Routing, binary.LittleEndian.Uint16(b[2*i:]))
-	}
 	return nil
 }
 
 // Exchange performs the symmetric handshake on a fresh connection:
 // write the local Hello, read the peer's, both under the deadline.
-// Semantic verification (counts, roles, routing equality) is the
+// Semantic verification (counts, roles) is the
 // caller's job — Exchange only moves and frames the bytes.
 func Exchange(conn net.Conn, local *Hello, timeout time.Duration) (Hello, error) {
 	if timeout <= 0 {

@@ -1,14 +1,11 @@
 package txn
 
-// PartitionFunc maps a record to its home partition. ORTHRUS uses it as
-// the *static* level of its two-level routing — record → logical
-// partition, fixed for the lifetime of an engine — while an
-// epoch-versioned routing table resolves logical partition → owning CC
-// thread and may change between epochs (live partition migration).
-// Partitioned-store uses it to place data. Workload generators use the
-// same function so the partition-locality experiments (Figures 5-7,
-// Appendix A single/dual/random configurations) can constrain each
-// transaction's footprint.
+// PartitionFunc maps a record to its home partition. ORTHRUS routes each
+// record's lock to CC thread PartitionFunc % CCThreads, fixed for the
+// lifetime of an engine. Partitioned-store uses it to place data.
+// Workload generators use the same function so the partition-locality
+// experiments (Figures 5-7, Appendix A single/dual/random configurations)
+// can constrain each transaction's footprint.
 type PartitionFunc func(table int, key uint64) int
 
 // HashPartitioner spreads keys round-robin across n partitions
@@ -17,43 +14,12 @@ func HashPartitioner(n int) PartitionFunc {
 	return func(_ int, key uint64) int { return int(key % uint64(n)) }
 }
 
-// RangePartitioner splits the key space [0, span) into n contiguous
-// ranges of equal width, mapping each to one partition. Under range
-// partitioning a spatially concentrated hot set — a sliding window of
-// keys, a Zipfian head — lands on few logical partitions, which is the
-// load shape the elastic routing experiments rebalance (a hash
-// partitioner would smear any contiguous hot set uniformly and leave
-// nothing to migrate). Keys at or beyond span clamp to the last
-// partition.
-func RangePartitioner(n int, span uint64) PartitionFunc {
-	if n < 1 {
-		panic("txn: RangePartitioner needs at least 1 partition")
-	}
-	if span < uint64(n) {
-		panic("txn: RangePartitioner span must be at least the partition count")
-	}
-	width := (span + uint64(n) - 1) / uint64(n)
-	return func(_ int, key uint64) int {
-		p := int(key / width)
-		if p >= n {
-			p = n - 1
-		}
-		return p
-	}
-}
-
 // PartitionSet derives the distinct home partitions of t's declared access
 // set in ascending order, caching the result in t.Partitions. Declared
 // ranges contribute the partition of every key they cover — including
 // keys not yet present — so a Partitioned-store scan serializes against
 // any insert a concurrent transaction could make into the range (its
 // phantom protection is exactly this partition-footprint overlap).
-//
-// The cache is epoch-independent by design: record → logical partition is
-// the static level of two-level routing, so a partition set computed once
-// stays valid across routing epochs. Anything derived from the *dynamic*
-// level (logical partition → CC thread) must instead be revalidated
-// against the routing epoch it was computed under — see Txn.RouteEpoch.
 func (t *Txn) PartitionSet(pf PartitionFunc) []int {
 	// Pooled transactions reset Partitions to a zero-length slice (keeping
 	// the backing array), so emptiness — not nilness — marks a cold cache.

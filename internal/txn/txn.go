@@ -214,16 +214,7 @@ type Txn struct {
 	Free func()
 
 	// engine scratch, reset by engines between runs
-	Pending int32 // ORTHRUS: locks not yet granted at the current CC thread
-	Owner   int   // ORTHRUS: issuing execution thread
-	Hops    []int // ORTHRUS: CC thread visit chain, ascending
-	// RouteEpoch is the routing epoch Hops was derived under. Unlike
-	// Partitions (the static record → logical partition level, valid
-	// forever), a CC-thread chain depends on the epoch-versioned
-	// logical-partition → CC-thread table, so consumers must recompute
-	// Hops whenever the engine's current epoch differs from RouteEpoch.
-	RouteEpoch uint64
-	TS         uint64 // wait-die timestamp
+	TS uint64 // wait-die timestamp
 }
 
 // SortOps sorts the declared access set into the global lock order and
@@ -293,9 +284,5 @@ func (t *Txn) DeclaredRange(table int, lo, hi uint64, mode Mode) bool {
 
 // ResetScratch clears engine scratch fields before a (re)run.
 func (t *Txn) ResetScratch() {
-	t.Pending = 0
-	t.Owner = 0
-	t.Hops = t.Hops[:0]
-	t.RouteEpoch = 0
 	t.TS = 0
 }

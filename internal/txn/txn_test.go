@@ -75,63 +75,10 @@ func TestDeclared(t *testing.T) {
 }
 
 func TestResetScratch(t *testing.T) {
-	tx := &Txn{Pending: 3, Owner: 2, Hops: []int{1, 2}, RouteEpoch: 7, TS: 99}
+	tx := &Txn{TS: 99}
 	tx.ResetScratch()
-	if tx.Pending != 0 || tx.Owner != 0 || len(tx.Hops) != 0 || tx.RouteEpoch != 0 || tx.TS != 0 {
+	if tx.TS != 0 {
 		t.Fatalf("scratch not cleared: %+v", tx)
-	}
-}
-
-func TestRangePartitioner(t *testing.T) {
-	pf := RangePartitioner(4, 100)
-	cases := []struct {
-		key  uint64
-		want int
-	}{
-		{0, 0}, {24, 0}, {25, 1}, {49, 1}, {50, 2}, {75, 3}, {99, 3},
-		{1000, 3}, // out-of-span keys clamp to the last partition
-	}
-	for _, c := range cases {
-		if got := pf(0, c.key); got != c.want {
-			t.Errorf("pf(%d) = %d, want %d", c.key, got, c.want)
-		}
-	}
-	// A contiguous window lands on a contiguous partition prefix — the
-	// property elastic routing rebalances on.
-	for k := uint64(0); k < 25; k++ {
-		if pf(0, k) != 0 {
-			t.Fatalf("key %d escaped the first range", k)
-		}
-	}
-	// Every partition is reachable, and assignment is monotone in the key.
-	last := -1
-	seen := make(map[int]bool)
-	for k := uint64(0); k < 100; k++ {
-		p := pf(0, k)
-		if p < last {
-			t.Fatalf("partition decreased at key %d", k)
-		}
-		last = p
-		seen[p] = true
-	}
-	if len(seen) != 4 {
-		t.Fatalf("only %d of 4 partitions reachable", len(seen))
-	}
-}
-
-func TestRangePartitionerPanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { RangePartitioner(0, 100) },
-		func() { RangePartitioner(8, 4) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
-			}()
-			f()
-		}()
 	}
 }
 

@@ -54,23 +54,14 @@ type YCSB struct {
 	// compare against. Mutually exclusive with ReadOnly; range [0, 100].
 	ReadOnlyPct int
 	// HotRecords is the hot-set size; 0 means uniform (no hot set).
-	// Hot keys are [HotStart, HotStart+HotRecords), cold keys are the
-	// rest of the table.
+	// Hot keys are [0, HotRecords), cold keys are the rest of the table.
 	HotRecords uint64
-	// HotStart offsets the hot window into the key space (default 0:
-	// the paper's hot set at the head of the table). A non-stationary
-	// workload is two YCSB phases differing only in HotStart — under a
-	// range-partitioned key space the hot load physically moves between
-	// logical partitions, which is what the elastic routing experiments
-	// chase.
-	HotStart uint64
 	// HotOps is how many of the transaction's accesses hit the hot set
 	// (paper: 2). Ignored when HotRecords is 0.
 	HotOps int
 	// ZipfTheta, when > 1, draws every key from a Zipfian distribution
 	// with exponent ZipfTheta over [0, NumRecords) — popularity falls
-	// off from key 0, so under a range partitioner the head concentrates
-	// on the first logical partitions. Mutually exclusive with the
+	// off from key 0. Mutually exclusive with the
 	// hot-set model (HotRecords) and partition constraints (Spread).
 	// Values in (0, 1] are rejected: the sampler requires exponent > 1.
 	ZipfTheta float64
@@ -110,10 +101,6 @@ func (c *YCSB) Validate() error {
 	}
 	if c.HotRecords > c.NumRecords {
 		return fmt.Errorf("workload: HotRecords %d > NumRecords %d", c.HotRecords, c.NumRecords)
-	}
-	if c.HotStart+c.HotRecords > c.NumRecords {
-		return fmt.Errorf("workload: hot window [%d,%d) exceeds NumRecords %d",
-			c.HotStart, c.HotStart+c.HotRecords, c.NumRecords)
 	}
 	if c.HotRecords > 0 && c.HotOps > c.OpsPerTxn {
 		return fmt.Errorf("workload: HotOps %d > OpsPerTxn %d", c.HotOps, c.OpsPerTxn)
@@ -292,7 +279,7 @@ func (c *YCSB) Next(_ int, rng *rand.Rand) *txn.Txn {
 		var key uint64
 		var ok bool
 		if i < hotOps {
-			key, ok = c.pickKey(rng, part, c.HotStart, c.HotStart+c.HotRecords, seen)
+			key, ok = c.pickKey(rng, part, 0, c.HotRecords, seen)
 			if !ok {
 				// Partition-constrained hot pick exhausted (tiny hot set
 				// split across many partitions): fall back to this
@@ -354,29 +341,14 @@ func (c *YCSB) scanTxn(rng *rand.Rand) *txn.Txn {
 	return t
 }
 
-// pickCold draws a key outside the hot window [HotStart,
-// HotStart+HotRecords), choosing between the two cold segments flanking
-// it in proportion to their sizes, falling back to the other segment
-// when the first comes up empty.
+// pickCold draws a key outside the hot set [0, HotRecords).
 func (c *YCSB) pickCold(rng *rand.Rand, part int, seen []uint64) (uint64, bool) {
-	hotLo, hotHi := c.HotStart, c.HotStart+c.HotRecords
-	s1, s2 := hotLo, c.NumRecords-hotHi
-	if s1 > 0 && (s2 == 0 || uint64(rng.Int63n(int64(s1+s2))) < s1) {
-		if key, ok := c.pickKey(rng, part, 0, hotLo, seen); ok {
-			return key, true
-		}
-		return c.pickKey(rng, part, hotHi, c.NumRecords, seen)
-	}
-	if key, ok := c.pickKey(rng, part, hotHi, c.NumRecords, seen); ok {
-		return key, true
-	}
-	return c.pickKey(rng, part, 0, hotLo, seen)
+	return c.pickKey(rng, part, c.HotRecords, c.NumRecords, seen)
 }
 
 // zipfOps draws OpsPerTxn distinct keys from the Zipfian distribution
 // (shared sampler with the standalone Zipf source). Popularity decreases
-// from key 0, so the head of the key space is the contention (and, under
-// a range partitioner, partition-load) hot spot.
+// from key 0, so the head of the key space is the contention hot spot.
 func (c *YCSB) zipfOps(rng *rand.Rand, mode txn.Mode) []txn.Op {
 	ops := make([]txn.Op, 0, c.OpsPerTxn)
 	for _, key := range zipfKeys(rng, c.ZipfTheta, c.NumRecords, c.OpsPerTxn) {

@@ -24,7 +24,6 @@ func TestValidate(t *testing.T) {
 		{NumRecords: 100, OpsPerTxn: 10, Spread: 11, Partitions: 16},                       // spread > ops
 		{NumRecords: 100, OpsPerTxn: 10, Spread: 2, Partitions: 4, MultiPartitionPct: 101}, // pct range
 		{NumRecords: 100, OpsPerTxn: 10, Spread: 2, Partitions: 4, MultiPartitionPct: -1},  // pct range
-		{NumRecords: 100, OpsPerTxn: 10, HotRecords: 64, HotStart: 50},                     // hot window past the end
 		{NumRecords: 100, OpsPerTxn: 10, ZipfTheta: 0.9},                                   // zipf exponent must be > 1
 		{NumRecords: 100, OpsPerTxn: 10, ZipfTheta: -1},                                    // zipf exponent must be > 1
 		{NumRecords: 100, OpsPerTxn: 10, ZipfTheta: 1.2, HotRecords: 8},                    // zipf xor hot set
@@ -69,45 +68,6 @@ func TestHotColdSplitAndOrder(t *testing.T) {
 				t.Fatalf("op %d should be cold, key=%d", j, op.Key)
 			}
 		}
-	}
-}
-
-func TestHotStartMovesWindow(t *testing.T) {
-	const start, size = 5000, 64
-	c := &YCSB{NumRecords: 10000, OpsPerTxn: 10, HotRecords: size, HotStart: start, HotOps: 2}
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	rng := newRand()
-	for i := 0; i < 300; i++ {
-		tx := c.Next(0, rng)
-		for j, op := range tx.Ops {
-			inWindow := op.Key >= start && op.Key < start+size
-			if j < 2 && !inWindow {
-				t.Fatalf("hot op %d outside window: key=%d", j, op.Key)
-			}
-			if j >= 2 && inWindow {
-				t.Fatalf("cold op %d landed in hot window: key=%d", j, op.Key)
-			}
-		}
-	}
-	// Cold keys must come from both flanks of the window, roughly in
-	// proportion to their sizes (the flanks are ~equal here).
-	below, above := 0, 0
-	for i := 0; i < 500; i++ {
-		for _, op := range c.Next(0, rng).Ops[2:] {
-			if op.Key < start {
-				below++
-			} else {
-				above++
-			}
-		}
-	}
-	if below == 0 || above == 0 {
-		t.Fatalf("cold picks ignore a flank: below=%d above=%d", below, above)
-	}
-	if ratio := float64(below) / float64(above); ratio < 0.5 || ratio > 2 {
-		t.Fatalf("cold flank proportion off: below=%d above=%d", below, above)
 	}
 }
 

@@ -270,12 +270,6 @@ type PartitionFunc = txn.PartitionFunc
 // HashPartitioner spreads keys round-robin over n partitions.
 func HashPartitioner(n int) PartitionFunc { return txn.HashPartitioner(n) }
 
-// RangePartitioner splits the key space [0, span) into n contiguous
-// equal-width ranges — the static routing level under which spatially
-// concentrated hot sets land on few logical partitions (what elastic
-// CC routing rebalances).
-func RangePartitioner(n int, span uint64) PartitionFunc { return txn.RangePartitioner(n, span) }
-
 // ErrAborted is returned through Ctx when a deadlock handler victimizes
 // the transaction; ErrEstimateMiss when an OLLP access estimate was wrong.
 var (
@@ -346,15 +340,6 @@ type MessageStats = orthrus.MessageStats
 // CCStats is one CC thread's share of the message plane (per-thread load
 // breakdown inside MessageStats.PerCC).
 type CCStats = orthrus.CCStats
-
-// ControllerConfig tunes ORTHRUS's adaptive controller: sampled live
-// partition migration that re-provisions concurrency-control capacity
-// as the workload shifts (OrthrusConfig.Controller).
-type ControllerConfig = orthrus.ControllerConfig
-
-// ControllerStats reports the adaptive controller's activity over a
-// session (Orthrus.ControllerStats).
-type ControllerStats = orthrus.ControllerStats
 
 // NewOrthrus builds an ORTHRUS engine.
 func NewOrthrus(cfg OrthrusConfig) *Orthrus { return orthrus.New(cfg) }
@@ -431,13 +416,6 @@ type Transfer = workload.Transfer
 
 // Zipf draws keys from a Zipfian distribution.
 type Zipf = workload.Zipf
-
-// Phased is a non-stationary source: a schedule of phases, each an inner
-// source served for a wall-clock duration (the last runs open-ended).
-type Phased = workload.Phased
-
-// Phase is one stretch of a Phased schedule.
-type Phase = workload.Phase
 
 // --- TPC-C --------------------------------------------------------------------
 
