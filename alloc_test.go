@@ -41,13 +41,13 @@ func allocSystems(t testing.TB, wal *repro.WAL) []struct {
 		return repro.NewOrthrus(repro.OrthrusConfig{DB: db, CCThreads: 2, ExecThreads: 2, Wal: wal})
 	})
 	build(func(db *repro.DB) repro.System {
-		return repro.NewTwoPL(repro.TwoPLConfig{DB: db, Handler: repro.WaitDie(), Threads: threads, Wal: wal})
+		return repro.NewTwoPL(repro.LockingConfig{DB: db, Handler: repro.WaitDie(), Threads: threads, Wal: wal})
 	})
 	build(func(db *repro.DB) repro.System {
-		return repro.NewDeadlockFree(repro.DeadlockFreeConfig{DB: db, Threads: threads, Wal: wal})
+		return repro.NewDeadlockFree(repro.LockingConfig{DB: db, Threads: threads, Wal: wal})
 	})
 	build(func(db *repro.DB) repro.System {
-		return repro.NewPartitionedStore(repro.PartitionedStoreConfig{DB: db, Partitions: threads, Wal: wal})
+		return repro.NewPartitionedStore(repro.LockingConfig{DB: db, Partitions: threads, Wal: wal})
 	})
 	return out
 }
@@ -165,13 +165,13 @@ func TestSubmitAllocsWithCheckpointerBounded(t *testing.T) {
 			return repro.NewOrthrus(repro.OrthrusConfig{DB: db, CCThreads: 2, ExecThreads: 2, Wal: wal, Checkpoint: ck})
 		})
 		build(func(db *repro.DB, wal *repro.WAL, ck repro.CheckpointConfig) repro.System {
-			return repro.NewTwoPL(repro.TwoPLConfig{DB: db, Handler: repro.WaitDie(), Threads: threads, Wal: wal, Checkpoint: ck})
+			return repro.NewTwoPL(repro.LockingConfig{DB: db, Handler: repro.WaitDie(), Threads: threads, Wal: wal, Checkpoint: ck})
 		})
 		build(func(db *repro.DB, wal *repro.WAL, ck repro.CheckpointConfig) repro.System {
-			return repro.NewDeadlockFree(repro.DeadlockFreeConfig{DB: db, Threads: threads, Wal: wal, Checkpoint: ck})
+			return repro.NewDeadlockFree(repro.LockingConfig{DB: db, Threads: threads, Wal: wal, Checkpoint: ck})
 		})
 		build(func(db *repro.DB, wal *repro.WAL, ck repro.CheckpointConfig) repro.System {
-			return repro.NewPartitionedStore(repro.PartitionedStoreConfig{DB: db, Partitions: threads, Wal: wal, Checkpoint: ck})
+			return repro.NewPartitionedStore(repro.LockingConfig{DB: db, Partitions: threads, Wal: wal, Checkpoint: ck})
 		})
 		for _, e := range systems {
 			t.Run(p.name+"/"+e.rt.Name(), func(t *testing.T) {

@@ -48,7 +48,7 @@ func BenchmarkFig1TwoPLReadOnly(b *testing.B) {
 	for _, threads := range []int{1, 4, 16} {
 		b.Run(benchName("threads", threads), func(b *testing.B) {
 			db, tbl := newBenchDB()
-			eng := NewTwoPL(TwoPLConfig{DB: db, Handler: WaitDie(), Threads: threads})
+			eng := NewTwoPL(LockingConfig{DB: db, Handler: WaitDie(), Threads: threads})
 			src := &YCSB{Table: tbl, NumRecords: benchRecords, OpsPerTxn: 10,
 				ReadOnly: true, HotRecords: 64, HotOps: 2}
 			reportRun(b, eng, src)
@@ -74,9 +74,9 @@ func BenchmarkFig4DeadlockHandlers(b *testing.B) {
 			db, tbl := newBenchDB()
 			var eng Engine
 			if hc.h == nil {
-				eng = NewDeadlockFree(DeadlockFreeConfig{DB: db, Threads: threads})
+				eng = NewDeadlockFree(LockingConfig{DB: db, Threads: threads})
 			} else {
-				eng = NewTwoPL(TwoPLConfig{DB: db, Handler: hc.h(), Threads: threads})
+				eng = NewTwoPL(LockingConfig{DB: db, Handler: hc.h(), Threads: threads})
 			}
 			src := &YCSB{Table: tbl, NumRecords: benchRecords, OpsPerTxn: 10,
 				HotRecords: 64, HotOps: 2}
@@ -114,11 +114,11 @@ func BenchmarkFig6MultiPartition(b *testing.B) {
 					var eng Engine
 					switch sys {
 					case "partstore":
-						eng = NewPartitionedStore(PartitionedStoreConfig{DB: db, Partitions: parts})
+						eng = NewPartitionedStore(LockingConfig{DB: db, Partitions: parts})
 					case "orthrus":
 						eng = NewOrthrus(OrthrusConfig{DB: db, CCThreads: parts, ExecThreads: 8})
 					case "dlfree":
-						eng = NewDeadlockFree(DeadlockFreeConfig{DB: db, Threads: 16})
+						eng = NewDeadlockFree(LockingConfig{DB: db, Threads: 16})
 					}
 					reportRun(b, eng, src)
 				})
@@ -141,11 +141,11 @@ func BenchmarkFig7MultiPartitionPct(b *testing.B) {
 					var eng Engine
 					switch sys {
 					case "partstore":
-						eng = NewPartitionedStore(PartitionedStoreConfig{DB: db, Partitions: parts})
+						eng = NewPartitionedStore(LockingConfig{DB: db, Partitions: parts})
 					case "orthrus":
 						eng = NewOrthrus(OrthrusConfig{DB: db, CCThreads: parts, ExecThreads: 8})
 					case "dlfree":
-						eng = NewDeadlockFree(DeadlockFreeConfig{DB: db, Threads: 16})
+						eng = NewDeadlockFree(LockingConfig{DB: db, Threads: 16})
 					}
 					reportRun(b, eng, src)
 				})
@@ -171,8 +171,8 @@ func tpccBenchEngines(s *TPCCSchema, threads int) map[string]Engine {
 	return map[string]Engine{
 		"orthrus": NewOrthrus(OrthrusConfig{DB: s.DB, CCThreads: cc, ExecThreads: threads - cc,
 			Partition: s.PartitionByWarehouse(cc)}),
-		"dlfree":         NewDeadlockFree(DeadlockFreeConfig{DB: s.DB, Threads: threads}),
-		"2pl-dreadlocks": NewTwoPL(TwoPLConfig{DB: s.DB, Handler: Dreadlocks(threads), Threads: threads}),
+		"dlfree":         NewDeadlockFree(LockingConfig{DB: s.DB, Threads: threads}),
+		"2pl-dreadlocks": NewTwoPL(LockingConfig{DB: s.DB, Handler: Dreadlocks(threads), Threads: threads}),
 	}
 }
 
@@ -265,9 +265,9 @@ func benchYCSBScal(b *testing.B, readOnly bool, hot uint64) {
 			case "orthrus-random":
 				eng = NewOrthrus(OrthrusConfig{DB: db, CCThreads: cc, ExecThreads: ex})
 			case "dlfree":
-				eng = NewDeadlockFree(DeadlockFreeConfig{DB: db, Threads: threads})
+				eng = NewDeadlockFree(LockingConfig{DB: db, Threads: threads})
 			case "2pl-waitdie":
-				eng = NewTwoPL(TwoPLConfig{DB: db, Handler: WaitDie(), Threads: threads})
+				eng = NewTwoPL(LockingConfig{DB: db, Handler: WaitDie(), Threads: threads})
 			}
 			reportRun(b, eng, src)
 		})
@@ -345,9 +345,9 @@ func BenchmarkAblationZipf(b *testing.B) {
 			case "orthrus":
 				eng = NewOrthrus(OrthrusConfig{DB: db, CCThreads: 4, ExecThreads: 12})
 			case "dlfree":
-				eng = NewDeadlockFree(DeadlockFreeConfig{DB: db, Threads: 16})
+				eng = NewDeadlockFree(LockingConfig{DB: db, Threads: 16})
 			case "2pl-waitdie":
-				eng = NewTwoPL(TwoPLConfig{DB: db, Handler: WaitDie(), Threads: 16})
+				eng = NewTwoPL(LockingConfig{DB: db, Handler: WaitDie(), Threads: 16})
 			}
 			reportRun(b, eng, src)
 		})
@@ -386,9 +386,9 @@ func BenchmarkLatency(b *testing.B) {
 			case "orthrus":
 				eng = NewOrthrus(OrthrusConfig{DB: db, CCThreads: 3, ExecThreads: threads - 3})
 			case "dlfree":
-				eng = NewDeadlockFree(DeadlockFreeConfig{DB: db, Threads: threads})
+				eng = NewDeadlockFree(LockingConfig{DB: db, Threads: threads})
 			case "2pl-dreadlocks":
-				eng = NewTwoPL(TwoPLConfig{DB: db, Handler: Dreadlocks(threads), Threads: threads})
+				eng = NewTwoPL(LockingConfig{DB: db, Handler: Dreadlocks(threads), Threads: threads})
 			}
 			src := &YCSB{Table: tbl, NumRecords: benchRecords, OpsPerTxn: 10,
 				HotRecords: 64, HotOps: 2}
@@ -413,13 +413,13 @@ func BenchmarkScanMix(b *testing.B) {
 			return NewOrthrus(OrthrusConfig{DB: db, CCThreads: 2, ExecThreads: 6})
 		}},
 		{"dlfree", func(db *DB) Engine {
-			return NewDeadlockFree(DeadlockFreeConfig{DB: db, Threads: 8})
+			return NewDeadlockFree(LockingConfig{DB: db, Threads: 8})
 		}},
 		{"2pl-waitdie", func(db *DB) Engine {
-			return NewTwoPL(TwoPLConfig{DB: db, Handler: WaitDie(), Threads: 8})
+			return NewTwoPL(LockingConfig{DB: db, Handler: WaitDie(), Threads: 8})
 		}},
 		{"partstore", func(db *DB) Engine {
-			return NewPartitionedStore(PartitionedStoreConfig{DB: db, Partitions: 8})
+			return NewPartitionedStore(LockingConfig{DB: db, Partitions: 8})
 		}},
 	}
 	for _, sys := range systems {
@@ -449,13 +449,13 @@ func BenchmarkReadMostly(b *testing.B) {
 			return NewOrthrus(OrthrusConfig{DB: db, CCThreads: 2, ExecThreads: 6})
 		}},
 		{"dlfree", func(db *DB) Engine {
-			return NewDeadlockFree(DeadlockFreeConfig{DB: db, Threads: 8})
+			return NewDeadlockFree(LockingConfig{DB: db, Threads: 8})
 		}},
 		{"2pl-waitdie", func(db *DB) Engine {
-			return NewTwoPL(TwoPLConfig{DB: db, Handler: WaitDie(), Threads: 8})
+			return NewTwoPL(LockingConfig{DB: db, Handler: WaitDie(), Threads: 8})
 		}},
 		{"partstore", func(db *DB) Engine {
-			return NewPartitionedStore(PartitionedStoreConfig{DB: db, Partitions: 8})
+			return NewPartitionedStore(LockingConfig{DB: db, Partitions: 8})
 		}},
 	}
 	for _, pct := range []int{50, 95} {

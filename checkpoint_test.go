@@ -51,13 +51,13 @@ func checkpointedEngines(t testing.TB) []*checkpointedEngine {
 		return repro.NewOrthrus(repro.OrthrusConfig{DB: db, CCThreads: 2, ExecThreads: 2, Wal: log, Checkpoint: ck})
 	})
 	build("dlfree", func(db *repro.DB, log *repro.WAL, ck repro.CheckpointConfig) repro.System {
-		return repro.NewDeadlockFree(repro.DeadlockFreeConfig{DB: db, Threads: threads, Wal: log, Checkpoint: ck})
+		return repro.NewDeadlockFree(repro.LockingConfig{DB: db, Threads: threads, Wal: log, Checkpoint: ck})
 	})
 	build("twopl", func(db *repro.DB, log *repro.WAL, ck repro.CheckpointConfig) repro.System {
-		return repro.NewTwoPL(repro.TwoPLConfig{DB: db, Handler: repro.WaitDie(), Threads: threads, Wal: log, Checkpoint: ck})
+		return repro.NewTwoPL(repro.LockingConfig{DB: db, Handler: repro.WaitDie(), Threads: threads, Wal: log, Checkpoint: ck})
 	})
 	build("partstore", func(db *repro.DB, log *repro.WAL, ck repro.CheckpointConfig) repro.System {
-		return repro.NewPartitionedStore(repro.PartitionedStoreConfig{DB: db, Partitions: threads, Wal: log, Checkpoint: ck})
+		return repro.NewPartitionedStore(repro.LockingConfig{DB: db, Partitions: threads, Wal: log, Checkpoint: ck})
 	})
 	return out
 }
@@ -424,7 +424,7 @@ func TestCheckpointCoversAllTableClasses(t *testing.T) {
 	dev := repro.NewWALMemSegments(4 << 10)
 	log := repro.NewWAL(dev, repro.WALGroup(16, 100*time.Microsecond))
 	store := repro.NewMemCheckpointStore()
-	eng := repro.NewTwoPL(repro.TwoPLConfig{
+	eng := repro.NewTwoPL(repro.LockingConfig{
 		DB: db, Handler: repro.WaitDie(), Threads: 4, Wal: log,
 		Checkpoint: repro.CheckpointConfig{Store: store, Interval: time.Hour, ChunkRecords: 7},
 	})
@@ -534,7 +534,7 @@ func TestCheckpointStartLSNCoversDurableFrontierLag(t *testing.T) {
 	policy.Interval = time.Hour
 	log := repro.NewWAL(dev, policy)
 	store := repro.NewMemCheckpointStore()
-	eng := repro.NewTwoPL(repro.TwoPLConfig{
+	eng := repro.NewTwoPL(repro.LockingConfig{
 		DB: db, Handler: repro.WaitDie(), Threads: 4, Wal: log,
 		Checkpoint: repro.CheckpointConfig{Store: store, Interval: time.Hour, ChunkRecords: 7},
 	})

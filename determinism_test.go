@@ -86,19 +86,19 @@ func TestSingleThreadDeterminismAcrossEngines(t *testing.T) {
 			return repro.NewOrthrus(repro.OrthrusConfig{DB: db, CCThreads: 1, ExecThreads: 1, Inflight: 1})
 		}},
 		{"dlfree", func(db *repro.DB) repro.Engine {
-			return repro.NewDeadlockFree(repro.DeadlockFreeConfig{DB: db, Threads: 1})
+			return repro.NewDeadlockFree(repro.LockingConfig{DB: db, Threads: 1})
 		}},
 		{"2pl-waitdie", func(db *repro.DB) repro.Engine {
-			return repro.NewTwoPL(repro.TwoPLConfig{DB: db, Handler: repro.WaitDie(), Threads: 1})
+			return repro.NewTwoPL(repro.LockingConfig{DB: db, Handler: repro.WaitDie(), Threads: 1})
 		}},
 		{"2pl-waitfor", func(db *repro.DB) repro.Engine {
-			return repro.NewTwoPL(repro.TwoPLConfig{DB: db, Handler: repro.WaitForGraph(1), Threads: 1})
+			return repro.NewTwoPL(repro.LockingConfig{DB: db, Handler: repro.WaitForGraph(1), Threads: 1})
 		}},
 		{"2pl-dreadlocks", func(db *repro.DB) repro.Engine {
-			return repro.NewTwoPL(repro.TwoPLConfig{DB: db, Handler: repro.Dreadlocks(1), Threads: 1})
+			return repro.NewTwoPL(repro.LockingConfig{DB: db, Handler: repro.Dreadlocks(1), Threads: 1})
 		}},
 		{"partstore", func(db *repro.DB) repro.Engine {
-			return repro.NewPartitionedStore(repro.PartitionedStoreConfig{DB: db, Partitions: 1, Threads: 1})
+			return repro.NewPartitionedStore(repro.LockingConfig{DB: db, Partitions: 1, Threads: 1})
 		}},
 	}
 

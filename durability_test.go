@@ -40,13 +40,13 @@ func durableEngines(t testing.TB, policy repro.SyncPolicy) []struct {
 		return repro.NewOrthrus(repro.OrthrusConfig{DB: db, CCThreads: 2, ExecThreads: 2, Wal: log})
 	})
 	build(func(db *repro.DB, log *repro.WAL) repro.Engine {
-		return repro.NewDeadlockFree(repro.DeadlockFreeConfig{DB: db, Threads: threads, Wal: log})
+		return repro.NewDeadlockFree(repro.LockingConfig{DB: db, Threads: threads, Wal: log})
 	})
 	build(func(db *repro.DB, log *repro.WAL) repro.Engine {
-		return repro.NewTwoPL(repro.TwoPLConfig{DB: db, Handler: repro.WaitDie(), Threads: threads, Wal: log})
+		return repro.NewTwoPL(repro.LockingConfig{DB: db, Handler: repro.WaitDie(), Threads: threads, Wal: log})
 	})
 	build(func(db *repro.DB, log *repro.WAL) repro.Engine {
-		return repro.NewPartitionedStore(repro.PartitionedStoreConfig{DB: db, Partitions: threads, Wal: log})
+		return repro.NewPartitionedStore(repro.LockingConfig{DB: db, Partitions: threads, Wal: log})
 	})
 	return out
 }

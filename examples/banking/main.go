@@ -78,16 +78,16 @@ func main() {
 			return repro.NewOrthrus(repro.OrthrusConfig{DB: db, CCThreads: 2, ExecThreads: threads - 2})
 		}},
 		{"deadlock-free", func(db *repro.DB) repro.Engine {
-			return repro.NewDeadlockFree(repro.DeadlockFreeConfig{DB: db, Threads: threads})
+			return repro.NewDeadlockFree(repro.LockingConfig{DB: db, Threads: threads})
 		}},
 		{"2pl(wait-die)", func(db *repro.DB) repro.Engine {
-			return repro.NewTwoPL(repro.TwoPLConfig{DB: db, Handler: repro.WaitDie(), Threads: threads})
+			return repro.NewTwoPL(repro.LockingConfig{DB: db, Handler: repro.WaitDie(), Threads: threads})
 		}},
 		{"2pl(wait-for)", func(db *repro.DB) repro.Engine {
-			return repro.NewTwoPL(repro.TwoPLConfig{DB: db, Handler: repro.WaitForGraph(threads), Threads: threads})
+			return repro.NewTwoPL(repro.LockingConfig{DB: db, Handler: repro.WaitForGraph(threads), Threads: threads})
 		}},
 		{"partstore", func(db *repro.DB) repro.Engine {
-			return repro.NewPartitionedStore(repro.PartitionedStoreConfig{DB: db, Partitions: threads})
+			return repro.NewPartitionedStore(repro.LockingConfig{DB: db, Partitions: threads})
 		}},
 	}
 

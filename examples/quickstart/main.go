@@ -50,7 +50,7 @@ func main() {
 	// Conventional 2PL with Dreadlocks deadlock detection: each thread
 	// does its own locking against a shared lock table.
 	db2, tbl2 := build()
-	twopl := repro.NewTwoPL(repro.TwoPLConfig{
+	twopl := repro.NewTwoPL(repro.LockingConfig{
 		DB:      db2,
 		Handler: repro.Dreadlocks(threads),
 		Threads: threads,

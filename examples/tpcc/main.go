@@ -41,10 +41,10 @@ func main() {
 			})
 		}},
 		{"deadlock-free", func(s *repro.TPCCSchema) repro.Engine {
-			return repro.NewDeadlockFree(repro.DeadlockFreeConfig{DB: s.DB, Threads: *threads})
+			return repro.NewDeadlockFree(repro.LockingConfig{DB: s.DB, Threads: *threads})
 		}},
 		{"2pl(dreadlocks)", func(s *repro.TPCCSchema) repro.Engine {
-			return repro.NewTwoPL(repro.TwoPLConfig{
+			return repro.NewTwoPL(repro.LockingConfig{
 				DB: s.DB, Handler: repro.Dreadlocks(*threads), Threads: *threads,
 			})
 		}},

@@ -60,21 +60,21 @@ func main() {
 		}},
 		{"deadlock-free", func() (repro.Engine, *repro.YCSB) {
 			db, tbl := newDB()
-			return repro.NewDeadlockFree(repro.DeadlockFreeConfig{DB: db, Threads: *threads}), newSrc(tbl)
+			return repro.NewDeadlockFree(repro.LockingConfig{DB: db, Threads: *threads}), newSrc(tbl)
 		}},
 		{"2pl(wait-die)", func() (repro.Engine, *repro.YCSB) {
 			db, tbl := newDB()
-			return repro.NewTwoPL(repro.TwoPLConfig{DB: db, Handler: repro.WaitDie(), Threads: *threads}), newSrc(tbl)
+			return repro.NewTwoPL(repro.LockingConfig{DB: db, Handler: repro.WaitDie(), Threads: *threads}), newSrc(tbl)
 		}},
 		{"2pl(dreadlocks)", func() (repro.Engine, *repro.YCSB) {
 			db, tbl := newDB()
-			return repro.NewTwoPL(repro.TwoPLConfig{DB: db, Handler: repro.Dreadlocks(*threads), Threads: *threads}), newSrc(tbl)
+			return repro.NewTwoPL(repro.LockingConfig{DB: db, Handler: repro.Dreadlocks(*threads), Threads: *threads}), newSrc(tbl)
 		}},
 		{"partstore", func() (repro.Engine, *repro.YCSB) {
 			db, tbl := newDB()
 			src := newSrc(tbl)
 			src.Partitions, src.Spread, src.MultiPartitionPct = *threads, 1, 100
-			return repro.NewPartitionedStore(repro.PartitionedStoreConfig{DB: db, Partitions: *threads}), src
+			return repro.NewPartitionedStore(repro.LockingConfig{DB: db, Partitions: *threads}), src
 		}},
 	}
 

@@ -2,8 +2,9 @@
 // evaluates for two-phase locking (§4, Figure 4):
 //
 //   - Block: never aborts; safe only under ordered acquisition. Used by
-//     the Deadlock-free engine, so the Figure-4 comparison isolates the
-//     cost of the dynamic handlers exactly as the paper intends.
+//     the locking engine's Deadlock-free footprint, so the Figure-4
+//     comparison isolates the cost of the dynamic handlers exactly as the
+//     paper intends.
 //   - WaitDie: timestamp-based proactive avoidance. An older requester
 //     may wait for a younger holder; a younger requester dies. False
 //     positives abort transactions that were never deadlocked.

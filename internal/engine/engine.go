@@ -1,8 +1,8 @@
-// Package engine defines the interfaces every system implements (ORTHRUS,
-// 2PL with each deadlock handler, Deadlock-free locking, Partitioned-
-// store) plus machinery they share: the Runtime/Session service lifecycle
-// and its generic load drivers, undo logging for in-place writes, and
-// per-thread transaction identities.
+// Package engine defines the interfaces both engines implement (ORTHRUS,
+// and internal/engine/locking for 2PL with each deadlock handler,
+// Deadlock-free locking and Partitioned-store) plus machinery they share:
+// the Runtime/Session service lifecycle and its generic load drivers, undo
+// logging for in-place writes, and per-thread transaction identities.
 //
 // Engines expose two surfaces. Runtime/Session (runtime.go) is the
 // long-lived serving lifecycle: Start the engine's threads once, Submit

@@ -6,10 +6,8 @@ import (
 
 	"repro/internal/deadlock"
 	"repro/internal/engine"
-	"repro/internal/engine/dlfree"
-	"repro/internal/engine/twopl"
+	"repro/internal/engine/locking"
 	"repro/internal/orthrus"
-	"repro/internal/partstore"
 	"repro/internal/storage"
 	"repro/internal/tpcc"
 	"repro/internal/wal"
@@ -131,11 +129,11 @@ func durability(c Config) {
 			case "orthrus":
 				return orthrus.New(orthrus.Config{DB: db, CCThreads: cc, ExecThreads: exec, Wal: log}), src
 			case "dlfree":
-				return dlfree.New(dlfree.Config{DB: db, Threads: threads, Wal: log}), src
+				return locking.New(locking.Config{DB: db, Threads: threads, Wal: log}), src
 			case "2pl-waitdie":
-				return twopl.New(twopl.Config{DB: db, Handler: deadlock.WaitDie{}, Threads: threads, Wal: log}), src
+				return locking.New(locking.Config{DB: db, Handler: deadlock.WaitDie{}, Threads: threads, Wal: log}), src
 			default:
-				return partstore.New(partstore.Config{DB: db, Partitions: threads, Wal: log}), src
+				return locking.New(locking.Config{DB: db, Partitions: threads, Wal: log}), src
 			}
 		})
 
@@ -151,9 +149,9 @@ func durability(c Config) {
 				return orthrus.New(orthrus.Config{DB: s.DB, CCThreads: cc, ExecThreads: exec,
 					Partition: s.PartitionByWarehouse(cc), Wal: log}), src
 			case "dlfree":
-				return dlfree.New(dlfree.Config{DB: s.DB, Threads: threads, Wal: log}), src
+				return locking.New(locking.Config{DB: s.DB, Threads: threads, Wal: log}), src
 			default:
-				return twopl.New(twopl.Config{DB: s.DB, Handler: deadlock.NewDreadlocks(threads), Threads: threads, Wal: log}), src
+				return locking.New(locking.Config{DB: s.DB, Handler: deadlock.NewDreadlocks(threads), Threads: threads, Wal: log}), src
 			}
 		})
 }

@@ -5,12 +5,9 @@ import (
 
 	"repro/internal/deadlock"
 	"repro/internal/engine"
-	"repro/internal/engine/dlfree"
-	"repro/internal/engine/twopl"
+	"repro/internal/engine/locking"
 	"repro/internal/orthrus"
-	"repro/internal/partstore"
 	"repro/internal/tpcc"
-	"repro/internal/txn"
 	"repro/internal/workload"
 )
 
@@ -25,7 +22,7 @@ func fig1(c Config) {
 	t := newTable(c, "threads", []string{"2pl"})
 	for _, n := range threadAxis(c, paperCores) {
 		db, tbl := newYCSBDB(c)
-		eng := twopl.New(twopl.Config{DB: db, Handler: deadlock.WaitDie{}, Threads: n})
+		eng := locking.New(locking.Config{DB: db, Handler: deadlock.WaitDie{}, Threads: n})
 		src := &workload.YCSB{Table: tbl, NumRecords: c.Records, OpsPerTxn: 10,
 			ReadOnly: true, HotRecords: 64, HotOps: 2}
 		t.row(n, []float64{point(c, eng, src).Throughput()})
@@ -47,19 +44,19 @@ func fig4(c Config, threads int) {
 		build := []func() (engine.Engine, *workload.YCSB){
 			func() (engine.Engine, *workload.YCSB) {
 				db, tbl := newYCSBDB(c)
-				return dlfree.New(dlfree.Config{DB: db, Threads: threads}), fig4Src(c, tbl, hot)
+				return locking.New(locking.Config{DB: db, Threads: threads}), fig4Src(c, tbl, hot)
 			},
 			func() (engine.Engine, *workload.YCSB) {
 				db, tbl := newYCSBDB(c)
-				return twopl.New(twopl.Config{DB: db, Handler: deadlock.NewDreadlocks(threads), Threads: threads}), fig4Src(c, tbl, hot)
+				return locking.New(locking.Config{DB: db, Handler: deadlock.NewDreadlocks(threads), Threads: threads}), fig4Src(c, tbl, hot)
 			},
 			func() (engine.Engine, *workload.YCSB) {
 				db, tbl := newYCSBDB(c)
-				return twopl.New(twopl.Config{DB: db, Handler: deadlock.WaitDie{}, Threads: threads}), fig4Src(c, tbl, hot)
+				return locking.New(locking.Config{DB: db, Handler: deadlock.WaitDie{}, Threads: threads}), fig4Src(c, tbl, hot)
 			},
 			func() (engine.Engine, *workload.YCSB) {
 				db, tbl := newYCSBDB(c)
-				return twopl.New(twopl.Config{DB: db, Handler: deadlock.NewWaitForGraph(threads), Threads: threads}), fig4Src(c, tbl, hot)
+				return locking.New(locking.Config{DB: db, Handler: deadlock.NewWaitForGraph(threads), Threads: threads}), fig4Src(c, tbl, hot)
 			},
 		}
 		for _, b := range build {
@@ -142,13 +139,12 @@ func multiPartition(c Config, title, xlabel string, axis []int, shape func(x int
 			var eng engine.Engine
 			switch sys {
 			case "partstore":
-				eng = partstore.New(partstore.Config{DB: db, Partitions: fig6Partitions,
-					Threads: fig6Partitions, Partition: txn.HashPartitioner(fig6Partitions)})
+				eng = locking.New(locking.Config{DB: db, Partitions: fig6Partitions})
 			case "orthrus":
 				eng = orthrus.New(orthrus.Config{DB: db, CCThreads: fig6Partitions,
 					ExecThreads: max(1, total-fig6Partitions)})
 			case "dlfree":
-				eng = dlfree.New(dlfree.Config{DB: db, Threads: total})
+				eng = locking.New(locking.Config{DB: db, Threads: total})
 			}
 			tps = append(tps, point(c, eng, src).Throughput())
 		}
@@ -189,8 +185,8 @@ func tpccEngines(c Config, s *tpcc.Schema, threads int) (names []string, engines
 	engines = []engine.Engine{
 		orthrus.New(orthrus.Config{DB: s.DB, CCThreads: cc, ExecThreads: exec,
 			Partition: s.PartitionByWarehouse(cc)}),
-		dlfree.New(dlfree.Config{DB: s.DB, Threads: threads}),
-		twopl.New(twopl.Config{DB: s.DB, Handler: deadlock.NewDreadlocks(threads), Threads: threads}),
+		locking.New(locking.Config{DB: s.DB, Threads: threads}),
+		locking.New(locking.Config{DB: s.DB, Handler: deadlock.NewDreadlocks(threads), Threads: threads}),
 	}
 	return
 }
@@ -285,9 +281,9 @@ func fig11and12(c Config, readOnly bool, hot uint64, title string) {
 			case "orthrus-random":
 				eng = orthrus.New(orthrus.Config{DB: db, CCThreads: cc, ExecThreads: exec})
 			case "dlfree":
-				eng = dlfree.New(dlfree.Config{DB: db, Threads: n})
+				eng = locking.New(locking.Config{DB: db, Threads: n})
 			case "2pl-waitdie":
-				eng = twopl.New(twopl.Config{DB: db, Handler: deadlock.WaitDie{}, Threads: n})
+				eng = locking.New(locking.Config{DB: db, Handler: deadlock.WaitDie{}, Threads: n})
 			}
 			tps = append(tps, point(c, eng, src).Throughput())
 		}

@@ -6,10 +6,8 @@ import (
 
 	"repro/internal/deadlock"
 	"repro/internal/engine"
-	"repro/internal/engine/dlfree"
-	"repro/internal/engine/twopl"
+	"repro/internal/engine/locking"
 	"repro/internal/orthrus"
-	"repro/internal/partstore"
 	"repro/internal/storage"
 	"repro/internal/txn"
 	"repro/internal/workload"
@@ -98,11 +96,11 @@ func htapExp(c Config) {
 			case "orthrus":
 				eng = orthrus.New(orthrus.Config{DB: db, CCThreads: cc, ExecThreads: exec})
 			case "dlfree":
-				eng = dlfree.New(dlfree.Config{DB: db, Threads: threads})
+				eng = locking.New(locking.Config{DB: db, Threads: threads})
 			case "2pl-waitdie":
-				eng = twopl.New(twopl.Config{DB: db, Handler: deadlock.WaitDie{}, Threads: threads})
+				eng = locking.New(locking.Config{DB: db, Handler: deadlock.WaitDie{}, Threads: threads})
 			default:
-				eng = partstore.New(partstore.Config{DB: db, Partitions: threads})
+				eng = locking.New(locking.Config{DB: db, Partitions: threads})
 			}
 			res := point(c, eng, src)
 			tps = append(tps, res.Throughput())

@@ -7,10 +7,8 @@ import (
 
 	"repro/internal/deadlock"
 	"repro/internal/engine"
-	"repro/internal/engine/dlfree"
-	"repro/internal/engine/twopl"
+	"repro/internal/engine/locking"
 	"repro/internal/orthrus"
-	"repro/internal/partstore"
 	"repro/internal/storage"
 	"repro/internal/wal"
 	"repro/internal/workload"
@@ -51,11 +49,11 @@ func recoveryExp(c Config) {
 		case "orthrus":
 			return orthrus.New(orthrus.Config{DB: db, CCThreads: cc, ExecThreads: exec, Wal: log, Checkpoint: ck}), src
 		case "dlfree":
-			return dlfree.New(dlfree.Config{DB: db, Threads: threads, Wal: log, Checkpoint: ck}), src
+			return locking.New(locking.Config{DB: db, Threads: threads, Wal: log, Checkpoint: ck}), src
 		case "2pl-waitdie":
-			return twopl.New(twopl.Config{DB: db, Handler: deadlock.WaitDie{}, Threads: threads, Wal: log, Checkpoint: ck}), src
+			return locking.New(locking.Config{DB: db, Handler: deadlock.WaitDie{}, Threads: threads, Wal: log, Checkpoint: ck}), src
 		default:
-			return partstore.New(partstore.Config{DB: db, Partitions: threads, Wal: log, Checkpoint: ck}), src
+			return locking.New(locking.Config{DB: db, Partitions: threads, Wal: log, Checkpoint: ck}), src
 		}
 	}
 

@@ -5,10 +5,8 @@ import (
 
 	"repro/internal/deadlock"
 	"repro/internal/engine"
-	"repro/internal/engine/dlfree"
-	"repro/internal/engine/twopl"
+	"repro/internal/engine/locking"
 	"repro/internal/orthrus"
-	"repro/internal/partstore"
 	"repro/internal/workload"
 )
 
@@ -72,11 +70,11 @@ func scanExp(c Config) {
 				case "orthrus":
 					eng = orthrus.New(orthrus.Config{DB: db, CCThreads: cc, ExecThreads: exec})
 				case "dlfree":
-					eng = dlfree.New(dlfree.Config{DB: db, Threads: threads})
+					eng = locking.New(locking.Config{DB: db, Threads: threads})
 				case "2pl-waitdie":
-					eng = twopl.New(twopl.Config{DB: db, Handler: deadlock.WaitDie{}, Threads: threads})
+					eng = locking.New(locking.Config{DB: db, Handler: deadlock.WaitDie{}, Threads: threads})
 				default:
-					eng = partstore.New(partstore.Config{DB: db, Partitions: threads})
+					eng = locking.New(locking.Config{DB: db, Partitions: threads})
 				}
 				res := point(c, eng, src)
 				tps = append(tps, res.Throughput())

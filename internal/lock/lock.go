@@ -1,7 +1,8 @@
-// Package lock implements the shared-memory lock manager used by the
-// conventional baselines (2PL with dynamic deadlock handling, and
-// Deadlock-free ordered locking). It follows the paper's description of
-// its 2PL implementation (§4):
+// Package lock implements the shared-memory record lock manager of the
+// conventional baselines' locking engine (internal/engine/locking), under
+// 2PL with dynamic deadlock handling and under Deadlock-free ordered
+// locking. It follows the paper's description of its 2PL implementation
+// (§4):
 //
 //   - a hash table of lock-request queues keyed by record;
 //   - per-bucket latches ("per-bucket latches instead of a single latch to
@@ -24,7 +25,7 @@
 // handler decides whether it may wait or must die, and supplies the wait
 // mechanics (block on a channel for wait-die/wait-for-graph, spin on
 // digests for Dreadlocks). The Block handler never aborts and is safe only
-// under ordered acquisition (the Deadlock-free engine and ORTHRUS).
+// under ordered acquisition (Deadlock-free locking).
 package lock
 
 import (
@@ -137,12 +138,6 @@ func NewTable(buckets int, h Handler) *Table {
 	}
 	return &Table{buckets: make([]bucket, n), mask: uint64(n - 1), handler: h}
 }
-
-// Handler returns the table's deadlock policy.
-func (t *Table) Handler() Handler { return t.handler }
-
-// Buckets returns the bucket count.
-func (t *Table) Buckets() int { return len(t.buckets) }
 
 // bucketOf returns the bucket req's record hashes to.
 func (t *Table) bucketOf(req *Request) *bucket {

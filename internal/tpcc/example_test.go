@@ -5,7 +5,7 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/engine/dlfree"
+	"repro/internal/engine/locking"
 	"repro/internal/tpcc"
 )
 
@@ -16,7 +16,7 @@ func Example_loadAndRun() {
 	if err != nil {
 		panic(err)
 	}
-	eng := dlfree.New(dlfree.Config{DB: s.DB, Threads: 2})
+	eng := locking.New(locking.Config{DB: s.DB, Threads: 2})
 	res := eng.Run(&tpcc.Mix{S: s}, 50*time.Millisecond)
 	fmt.Println("committed >", res.Totals.Committed > 0)
 	fmt.Println("consistent:", s.CheckConsistency() == nil)

@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/engine/dlfree"
+	"repro/internal/engine/locking"
 	"repro/internal/orthrus"
 	"repro/internal/storage"
 	"repro/internal/txn"
@@ -94,7 +94,7 @@ func TestPaymentOLLPMissOnIndexChange(t *testing.T) {
 // corrupting anything (read-only extensions under churn).
 func TestReadOnlyExtensionsUnderChurn(t *testing.T) {
 	s := testSchema(t, 1)
-	eng := dlfree.New(dlfree.Config{DB: s.DB, Threads: 4})
+	eng := locking.New(locking.Config{DB: s.DB, Threads: 4})
 	src := &Mix{
 		S:              s,
 		NewOrderWeight: 60, PaymentWeight: 0,
@@ -132,7 +132,7 @@ func TestStockRefillInvariant(t *testing.T) {
 // cursors stay consistent.
 func TestDeliveryUnderEngineTraffic(t *testing.T) {
 	s := testSchema(t, 1)
-	eng := dlfree.New(dlfree.Config{DB: s.DB, Threads: 3})
+	eng := locking.New(locking.Config{DB: s.DB, Threads: 3})
 	src := &Mix{S: s, NewOrderWeight: 70, PaymentWeight: 0, DeliveryWeight: 30}
 	res := eng.Run(src, 250*time.Millisecond)
 	if res.Totals.Committed == 0 {

@@ -7,10 +7,8 @@ import (
 
 	"repro/internal/deadlock"
 	"repro/internal/engine"
-	"repro/internal/engine/dlfree"
-	"repro/internal/engine/twopl"
+	"repro/internal/engine/locking"
 	"repro/internal/orthrus"
-	"repro/internal/partstore"
 	"repro/internal/storage"
 	"repro/internal/txn"
 	"repro/internal/workload"
@@ -200,9 +198,9 @@ func TestMixOnAllEngines(t *testing.T) {
 	const threads = 4
 	build := func(s *Schema) []engine.Engine {
 		return []engine.Engine{
-			twopl.New(twopl.Config{DB: s.DB, Handler: deadlock.NewDreadlocks(threads), Threads: threads}),
-			twopl.New(twopl.Config{DB: s.DB, Handler: deadlock.WaitDie{}, Threads: threads}),
-			dlfree.New(dlfree.Config{DB: s.DB, Threads: threads}),
+			locking.New(locking.Config{DB: s.DB, Handler: deadlock.NewDreadlocks(threads), Threads: threads}),
+			locking.New(locking.Config{DB: s.DB, Handler: deadlock.WaitDie{}, Threads: threads}),
+			locking.New(locking.Config{DB: s.DB, Threads: threads}),
 			orthrus.New(orthrus.Config{
 				DB: s.DB, CCThreads: 2, ExecThreads: 2,
 				Partition: s.PartitionByWarehouse(2),
@@ -236,7 +234,7 @@ func TestMixOnAllEngines(t *testing.T) {
 // invariants.
 func TestFullMixWithExtensions(t *testing.T) {
 	s := testSchema(t, 2)
-	eng := dlfree.New(dlfree.Config{DB: s.DB, Threads: 4})
+	eng := locking.New(locking.Config{DB: s.DB, Threads: 4})
 	src := &Mix{
 		S:              s,
 		NewOrderWeight: 45, PaymentWeight: 43,
@@ -378,7 +376,7 @@ var _ workload.Source = (*Mix)(nil)
 // OrderStatus/Delivery/StockLevel through Ctx.Scan.
 func TestFullMixOnTwoPL(t *testing.T) {
 	s := testSchema(t, 2)
-	eng := twopl.New(twopl.Config{DB: s.DB, Handler: deadlock.WaitDie{}, Threads: 4})
+	eng := locking.New(locking.Config{DB: s.DB, Handler: deadlock.WaitDie{}, Threads: 4})
 	src := &Mix{
 		S:              s,
 		NewOrderWeight: 45, PaymentWeight: 43,
@@ -398,7 +396,7 @@ func TestFullMixOnTwoPL(t *testing.T) {
 
 func TestFullMixOnPartstore(t *testing.T) {
 	s := testSchema(t, 2)
-	eng := partstore.New(partstore.Config{
+	eng := locking.New(locking.Config{
 		DB: s.DB, Partitions: 2, Threads: 4,
 		Partition: s.PartitionByWarehouse(2),
 	})

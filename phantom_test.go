@@ -111,13 +111,13 @@ func TestPhantomSafeScansAllEngines(t *testing.T) {
 		build func(db *repro.DB) repro.Runtime
 	}{
 		{"2pl-waitdie", func(db *repro.DB) repro.Runtime {
-			return repro.NewTwoPL(repro.TwoPLConfig{DB: db, Handler: repro.WaitDie(), Threads: 4})
+			return repro.NewTwoPL(repro.LockingConfig{DB: db, Handler: repro.WaitDie(), Threads: 4})
 		}},
 		{"dlfree", func(db *repro.DB) repro.Runtime {
-			return repro.NewDeadlockFree(repro.DeadlockFreeConfig{DB: db, Threads: 4})
+			return repro.NewDeadlockFree(repro.LockingConfig{DB: db, Threads: 4})
 		}},
 		{"partstore", func(db *repro.DB) repro.Runtime {
-			return repro.NewPartitionedStore(repro.PartitionedStoreConfig{DB: db, Partitions: 4})
+			return repro.NewPartitionedStore(repro.LockingConfig{DB: db, Partitions: 4})
 		}},
 		{"orthrus", func(db *repro.DB) repro.Runtime {
 			return repro.NewOrthrus(repro.OrthrusConfig{DB: db, CCThreads: 2, ExecThreads: 2})

@@ -46,12 +46,10 @@ import (
 
 	"repro/internal/deadlock"
 	"repro/internal/engine"
-	"repro/internal/engine/dlfree"
-	"repro/internal/engine/twopl"
+	"repro/internal/engine/locking"
 	"repro/internal/lock"
 	"repro/internal/metrics"
 	"repro/internal/orthrus"
-	"repro/internal/partstore"
 	"repro/internal/storage"
 	"repro/internal/tpcc"
 	"repro/internal/txn"
@@ -177,8 +175,6 @@ func ReplayWALSegments(segments [][]byte, after uint64, workers int, db *DB) WAL
 
 // --- checkpoints and recovery ----------------------------------------------
 
-// --- checkpoints and recovery ----------------------------------------------
-
 // CheckpointStore persists fuzzy checkpoint images; Load returns the
 // newest checkpoint that validates, falling back past a torn or corrupt
 // one to its predecessor.
@@ -279,10 +275,10 @@ var (
 
 // --- engines ----------------------------------------------------------------
 
-// Engine runs workloads for a fixed duration and reports metrics. All six
-// systems (ORTHRUS and its variants, 2PL with each handler, Deadlock-free,
-// Partitioned-store) implement it; Run is the shared closed-loop driver
-// over the Runtime lifecycle.
+// Engine runs workloads for a fixed duration and reports metrics. Both
+// engines implement it — ORTHRUS, and the locking engine behind 2PL with
+// each handler, Deadlock-free and Partitioned-store; Run is the shared
+// closed-loop driver over the Runtime lifecycle.
 type Engine = engine.Engine
 
 // Runtime is the service-style lifecycle every engine implements: Start
@@ -344,32 +340,41 @@ type CCStats = orthrus.CCStats
 // NewOrthrus builds an ORTHRUS engine.
 func NewOrthrus(cfg OrthrusConfig) *Orthrus { return orthrus.New(cfg) }
 
-// TwoPLConfig configures conventional dynamic two-phase locking.
-type TwoPLConfig = twopl.Config
+// LockingConfig configures the conventional baselines, which share one
+// locking engine and differ only in their lock footprint: Handler set is
+// 2PL, Partitions set is Partitioned-store, neither is Deadlock-free
+// locking (see internal/engine/locking).
+type LockingConfig = locking.Config
 
-// TwoPL is the conventional dynamic-2PL engine.
-type TwoPL = twopl.Engine
+// Locking is the conventional locking engine.
+type Locking = locking.Engine
 
-// NewTwoPL builds a 2PL engine with the given deadlock handler.
-func NewTwoPL(cfg TwoPLConfig) *TwoPL { return twopl.New(cfg) }
+// NewTwoPL builds conventional dynamic two-phase locking with
+// cfg.Handler as its deadlock policy.
+func NewTwoPL(cfg LockingConfig) *Locking {
+	if cfg.Handler == nil {
+		panic("repro: NewTwoPL needs a Handler")
+	}
+	return locking.New(cfg)
+}
 
-// DeadlockFreeConfig configures ordered-acquisition locking.
-type DeadlockFreeConfig = dlfree.Config
+// NewDeadlockFree builds Deadlock-free ordered locking; cfg sets neither
+// Handler nor Partitions.
+func NewDeadlockFree(cfg LockingConfig) *Locking {
+	if cfg.Handler != nil || cfg.Partitions != 0 {
+		panic("repro: NewDeadlockFree takes neither a Handler nor Partitions")
+	}
+	return locking.New(cfg)
+}
 
-// DeadlockFree is the ordered-acquisition locking engine.
-type DeadlockFree = dlfree.Engine
-
-// NewDeadlockFree builds the Deadlock-free locking engine.
-func NewDeadlockFree(cfg DeadlockFreeConfig) *DeadlockFree { return dlfree.New(cfg) }
-
-// PartitionedStoreConfig configures the H-Store-style baseline.
-type PartitionedStoreConfig = partstore.Config
-
-// PartitionedStore is the H-Store-style baseline engine.
-type PartitionedStore = partstore.Engine
-
-// NewPartitionedStore builds the Partitioned-store engine.
-func NewPartitionedStore(cfg PartitionedStoreConfig) *PartitionedStore { return partstore.New(cfg) }
+// NewPartitionedStore builds the H-Store-style Partitioned-store over
+// cfg.Partitions partitions.
+func NewPartitionedStore(cfg LockingConfig) *Locking {
+	if cfg.Partitions <= 0 {
+		panic("repro: NewPartitionedStore needs positive Partitions")
+	}
+	return locking.New(cfg)
+}
 
 // Handler is a pluggable 2PL deadlock policy.
 type Handler = lock.Handler

@@ -54,19 +54,19 @@ func allEngines(t testing.TB) []struct {
 		return repro.NewOrthrus(repro.OrthrusConfig{DB: db, CCThreads: 2, ExecThreads: 2})
 	})
 	build(func(db *repro.DB) repro.Engine {
-		return repro.NewDeadlockFree(repro.DeadlockFreeConfig{DB: db, Threads: threads})
+		return repro.NewDeadlockFree(repro.LockingConfig{DB: db, Threads: threads})
 	})
 	build(func(db *repro.DB) repro.Engine {
-		return repro.NewTwoPL(repro.TwoPLConfig{DB: db, Handler: repro.WaitDie(), Threads: threads})
+		return repro.NewTwoPL(repro.LockingConfig{DB: db, Handler: repro.WaitDie(), Threads: threads})
 	})
 	build(func(db *repro.DB) repro.Engine {
-		return repro.NewTwoPL(repro.TwoPLConfig{DB: db, Handler: repro.WaitForGraph(threads), Threads: threads})
+		return repro.NewTwoPL(repro.LockingConfig{DB: db, Handler: repro.WaitForGraph(threads), Threads: threads})
 	})
 	build(func(db *repro.DB) repro.Engine {
-		return repro.NewTwoPL(repro.TwoPLConfig{DB: db, Handler: repro.Dreadlocks(threads), Threads: threads})
+		return repro.NewTwoPL(repro.LockingConfig{DB: db, Handler: repro.Dreadlocks(threads), Threads: threads})
 	})
 	build(func(db *repro.DB) repro.Engine {
-		return repro.NewPartitionedStore(repro.PartitionedStoreConfig{DB: db, Partitions: threads})
+		return repro.NewPartitionedStore(repro.LockingConfig{DB: db, Partitions: threads})
 	})
 	return out
 }

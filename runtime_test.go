@@ -36,13 +36,13 @@ func allRuntimes(t testing.TB) []struct {
 		return repro.NewOrthrus(repro.OrthrusConfig{DB: db, CCThreads: 2, ExecThreads: 2})
 	})
 	build(func(db *repro.DB) repro.System {
-		return repro.NewDeadlockFree(repro.DeadlockFreeConfig{DB: db, Threads: threads})
+		return repro.NewDeadlockFree(repro.LockingConfig{DB: db, Threads: threads})
 	})
 	build(func(db *repro.DB) repro.System {
-		return repro.NewTwoPL(repro.TwoPLConfig{DB: db, Handler: repro.WaitDie(), Threads: threads})
+		return repro.NewTwoPL(repro.LockingConfig{DB: db, Handler: repro.WaitDie(), Threads: threads})
 	})
 	build(func(db *repro.DB) repro.System {
-		return repro.NewPartitionedStore(repro.PartitionedStoreConfig{DB: db, Partitions: threads})
+		return repro.NewPartitionedStore(repro.LockingConfig{DB: db, Partitions: threads})
 	})
 	return out
 }
@@ -265,7 +265,7 @@ func (s yieldingTransfers) Next(_ int, rng *rand.Rand) *repro.Txn {
 // and conservation must hold under the arrival process.
 func TestOpenLoopLatencyUnderAbortsAndRetries(t *testing.T) {
 	db, tbl := newAccountDB(t, 64, 1000)
-	eng := repro.NewTwoPL(repro.TwoPLConfig{DB: db, Handler: repro.WaitDie(), Threads: 4})
+	eng := repro.NewTwoPL(repro.LockingConfig{DB: db, Handler: repro.WaitDie(), Threads: 4})
 	src := yieldingTransfers{tbl: tbl}
 	res := repro.RunOpenLoop(eng, src, 30000, 150*time.Millisecond)
 	if res.Submitted == 0 {

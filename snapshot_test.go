@@ -30,13 +30,13 @@ func snapEngines(snap repro.SnapshotConfig) []struct {
 		build func(db *repro.DB) repro.Runtime
 	}{
 		{"2pl-waitdie", func(db *repro.DB) repro.Runtime {
-			return repro.NewTwoPL(repro.TwoPLConfig{DB: db, Handler: repro.WaitDie(), Threads: 4, Snapshot: snap})
+			return repro.NewTwoPL(repro.LockingConfig{DB: db, Handler: repro.WaitDie(), Threads: 4, Snapshot: snap})
 		}},
 		{"dlfree", func(db *repro.DB) repro.Runtime {
-			return repro.NewDeadlockFree(repro.DeadlockFreeConfig{DB: db, Threads: 4, Snapshot: snap})
+			return repro.NewDeadlockFree(repro.LockingConfig{DB: db, Threads: 4, Snapshot: snap})
 		}},
 		{"partstore", func(db *repro.DB) repro.Runtime {
-			return repro.NewPartitionedStore(repro.PartitionedStoreConfig{DB: db, Partitions: 4, Snapshot: snap})
+			return repro.NewPartitionedStore(repro.LockingConfig{DB: db, Partitions: 4, Snapshot: snap})
 		}},
 		{"orthrus", func(db *repro.DB) repro.Runtime {
 			return repro.NewOrthrus(repro.OrthrusConfig{DB: db, CCThreads: 2, ExecThreads: 2, Snapshot: snap})
@@ -235,7 +235,7 @@ func TestSnapshotReadsSeeOnlyAckedWrites(t *testing.T) {
 	db := repro.NewDB()
 	tbl := db.Create(repro.Layout{Name: "t", NumRecords: 8, RecordSize: 16, Versioned: true})
 	log := repro.NewWAL(repro.NewWALMemSegments(0), repro.WALGroup(1<<20, time.Hour))
-	eng := repro.NewTwoPL(repro.TwoPLConfig{DB: db, Handler: repro.WaitDie(), Threads: 2, Wal: log})
+	eng := repro.NewTwoPL(repro.LockingConfig{DB: db, Handler: repro.WaitDie(), Threads: 2, Wal: log})
 	ses := eng.Start()
 
 	var acked atomic.Int64
@@ -497,7 +497,7 @@ func TestSnapshotPruneEveryValidation(t *testing.T) {
 		start func(db *repro.DB)
 	}{
 		{"2pl", func(db *repro.DB) {
-			repro.NewTwoPL(repro.TwoPLConfig{DB: db, Handler: repro.WaitDie(), Threads: 2,
+			repro.NewTwoPL(repro.LockingConfig{DB: db, Handler: repro.WaitDie(), Threads: 2,
 				Snapshot: repro.SnapshotConfig{PruneEvery: -1}}).Start()
 		}},
 		{"orthrus", func(db *repro.DB) {

@@ -18,16 +18,17 @@ const undoWords = 4 // four-word records, checked word by word
 
 type plannedEngine struct {
 	name  string
+	pkg   string // the package its panics name
 	build func(db *repro.DB) repro.Runtime
 }
 
 func plannedEngines() []plannedEngine {
 	return []plannedEngine{
-		{"orthrus", func(db *repro.DB) repro.Runtime {
+		{"orthrus", "orthrus", func(db *repro.DB) repro.Runtime {
 			return repro.NewOrthrus(repro.OrthrusConfig{DB: db, CCThreads: 2, ExecThreads: 2})
 		}},
-		{"dlfree", func(db *repro.DB) repro.Runtime {
-			return repro.NewDeadlockFree(repro.DeadlockFreeConfig{DB: db, Threads: 2})
+		{"dlfree", "locking", func(db *repro.DB) repro.Runtime {
+			return repro.NewDeadlockFree(repro.LockingConfig{DB: db, Threads: 2})
 		}},
 	}
 }
@@ -151,7 +152,7 @@ func TestEstimateMissWithoutReplanPanics(t *testing.T) {
 			cmd := exec.Command(os.Args[0], "-test.run=^TestEstimateMissWithoutReplanPanics$")
 			cmd.Env = append(os.Environ(), "REPRO_UNDO_CRASH="+e.name)
 			out, err := cmd.CombinedOutput()
-			want := "panic: " + e.name + ": estimate miss without Replan hook"
+			want := "panic: " + e.pkg + ": estimate miss without Replan hook"
 			if err == nil || !strings.Contains(string(out), want) {
 				t.Fatalf("child: err=%v, want a crash with %q; output:\n%s", err, want, out)
 			}
