@@ -3,6 +3,7 @@ package locking
 import (
 	"math/rand"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -54,7 +55,7 @@ func (p preset) build(db *storage.DB) *Engine {
 }
 
 // Name() keys the harness columns and the benchgate SubmitAllocs rows.
-func TestNames(t *testing.T) {
+func TestEngineName(t *testing.T) {
 	db, _ := newDB(8)
 	want := map[string]string{
 		"2pl-waitdie":    "2pl-waitdie(2t)",
@@ -68,9 +69,17 @@ func TestNames(t *testing.T) {
 			t.Errorf("%s: Name = %q, want %q", p.name, got, want[p.name])
 		}
 	}
-	// Partitioned-store defaults to one worker per partition.
-	if got := New(Config{DB: db, Partitions: 3}).Name(); got != "partstore(3p/3t)" {
-		t.Errorf("default threads: Name = %q, want partstore(3p/3t)", got)
+}
+
+// Partitioned-store defaults to one worker per partition.
+func TestDefaultsAndName(t *testing.T) {
+	db, _ := newDB(16)
+	eng := New(Config{DB: db, Partitions: 3})
+	if eng.cfg.Threads != 3 {
+		t.Fatalf("default Threads = %d", eng.cfg.Threads)
+	}
+	if got := eng.Name(); got != "partstore(3p/3t)" {
+		t.Fatalf("Name = %q, want partstore(3p/3t)", got)
 	}
 }
 
@@ -327,6 +336,45 @@ func TestOLLPEstimateMissReplans(t *testing.T) {
 	if got := storage.GetU64(db.Table(tbl).Get(0), 0); got != 0 {
 		t.Fatalf("key0 modified: %d", got)
 	}
+}
+
+func TestSpinlockMutualExclusion(t *testing.T) {
+	var l spinlock
+	var counter int
+	var wg sync.WaitGroup
+	const workers, per = 8, 2000
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				l.lock()
+				counter++
+				l.unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	if counter != workers*per {
+		t.Fatalf("counter = %d, want %d", counter, workers*per)
+	}
+}
+
+func TestSpinlockReportsContendedWait(t *testing.T) {
+	var l spinlock
+	if d := l.lock(); d != 0 {
+		t.Fatalf("uncontended lock waited %v", d)
+	}
+	done := make(chan time.Duration, 1)
+	go func() {
+		done <- l.lock()
+	}()
+	time.Sleep(5 * time.Millisecond)
+	l.unlock()
+	if d := <-done; d < time.Millisecond {
+		t.Fatalf("contended lock reported %v wait", d)
+	}
+	l.unlock()
 }
 
 // A partition lock is the only thing ordering Partitioned-store
