@@ -1,8 +1,8 @@
 // Command orthrus-vet is the repository's invariant checker: a
-// go/vet-style multichecker that runs the seven orthrus analyzers
-// (lockorder, hotpath, noalloc, recycle, atomicfield, configvalidate,
-// panicmsg) over the packages named on the command line and exits
-// nonzero on any diagnostic.
+// go/vet-style multichecker that runs the orthrus analyzers (lockorder;
+// hotpath, which reports the hotpath and noalloc rules from one walk;
+// atomicfield; configvalidate; panicmsg) over the packages named on the
+// command line and exits nonzero on any diagnostic.
 //
 // Usage:
 //
@@ -10,7 +10,7 @@
 //
 // Suppress an individual finding with a justified annotation:
 //
-//	//orthrus:allow(<analyzer>) <reason>
+//	//orthrus:allow(<rule>) <reason>
 //
 // on the offending line, the line above it, or the enclosing function's
 // doc comment. The reason is mandatory — a bare allow is itself a
@@ -26,16 +26,12 @@ import (
 	"repro/internal/analysis/configvalidate"
 	"repro/internal/analysis/hotpath"
 	"repro/internal/analysis/lockorder"
-	"repro/internal/analysis/noalloc"
 	"repro/internal/analysis/panicmsg"
-	"repro/internal/analysis/recycle"
 )
 
 var analyzers = []*analysis.Analyzer{
 	lockorder.Analyzer,
 	hotpath.Analyzer,
-	noalloc.Analyzer,
-	recycle.Analyzer,
 	atomicfield.Analyzer,
 	configvalidate.Analyzer,
 	panicmsg.Analyzer,

@@ -1,7 +1,8 @@
 // Package analysis is the dependency-free core of orthrus-vet, the
 // static-analysis suite that mechanically enforces this repository's
-// concurrency invariants (lock ordering, hot-path purity, atomic-field
-// discipline, config validation, panic attribution).
+// concurrency invariants (lock ordering, hot-path purity and
+// allocation, atomic-field discipline, config validation, panic
+// attribution).
 //
 // It deliberately mirrors the golang.org/x/tools/go/analysis surface —
 // Analyzer, Pass, Diagnostic, an analysistest-style golden harness with
@@ -16,18 +17,20 @@
 //	//orthrus:hotpath
 //	    Marks a function as a hot-path root: it and everything it
 //	    statically calls must stay free of I/O, printing, sleeps and
-//	    blocking channel operations (the hotpath analyzer).
+//	    blocking channel operations (rule hotpath) and of steady-state
+//	    heap allocation (rule noalloc), both checked by one walk in the
+//	    hotpath analyzer.
 //
 //	//orthrus:coldpath <reason>
 //	    Marks a function as an intentional hot-path traversal boundary
-//	    (an idle backoff, a rare control-plane handler). The reason is
-//	    mandatory.
+//	    (an idle backoff, a one-time setup). The reason is mandatory.
 //
-//	//orthrus:allow(<analyzer>) <reason>
-//	    Suppresses that analyzer's diagnostics on the same line, the
-//	    line below, or (in a function's doc comment) the whole function.
-//	    The reason is mandatory: a suppression without one is itself
-//	    reported.
+//	//orthrus:allow(<rule>) <reason>
+//	    Suppresses that rule's diagnostics on the same line, the line
+//	    below, or (in a function's doc comment) the whole function. A
+//	    rule is an analyzer's name, or one of the names an analyzer
+//	    reports under (hotpath, noalloc). The reason is mandatory: a
+//	    suppression without one is itself reported.
 package analysis
 
 import (
@@ -121,20 +124,27 @@ func (p *Pass) Fset() *token.FileSet { return p.Prog.Fset }
 // suppression covers it. A suppression with an empty reason is itself
 // converted into a diagnostic: silent opt-outs are not a thing.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
+	p.ReportRulef(p.Analyzer.Name, pos, format, args...)
+}
+
+// ReportRulef is Reportf for an analyzer that enforces more than one
+// rule: the diagnostic carries rule in place of the analyzer's name,
+// and only //orthrus:allow(rule) suppresses it.
+func (p *Pass) ReportRulef(rule string, pos token.Pos, format string, args ...interface{}) {
 	position := p.Prog.Fset.Position(pos)
-	if a := p.Prog.suppression(p.Analyzer.Name, position); a != nil {
+	if a := p.Prog.suppression(rule, position); a != nil {
 		if a.reason == "" {
 			*p.diags = append(*p.diags, Diagnostic{
 				Pos:      position,
-				Analyzer: p.Analyzer.Name,
-				Message:  fmt.Sprintf("orthrus:allow(%s) requires a reason", p.Analyzer.Name),
+				Analyzer: rule,
+				Message:  fmt.Sprintf("orthrus:allow(%s) requires a reason", rule),
 			})
 		}
 		return
 	}
 	*p.diags = append(*p.diags, Diagnostic{
 		Pos:      position,
-		Analyzer: p.Analyzer.Name,
+		Analyzer: rule,
 		Message:  fmt.Sprintf(format, args...),
 	})
 }

@@ -138,7 +138,7 @@ type Completion struct {
 // transaction's last observer: it fires t.Free afterwards, so the worker
 // must not touch t again — the paths that do cleanup after Finish (lock
 // release loops) must operate on worker-owned state, never on t's slices
-// (see the //orthrus:recycle audit notes at each Defer call site).
+// (see the pool-ownership notes at each Defer call site).
 func (c *Completion) Finish(committed bool) {
 	if committed {
 		c.stats.Latency.Record(time.Since(c.start))
@@ -179,7 +179,7 @@ func init() {
 // pool. The Completion is copied out first so the recycled carrier can be
 // reused by another commit immediately.
 //
-//orthrus:recycle the carrier returns to the pool before the one-shot fire consumes its snapshot copy
+// Pool ownership: the carrier returns to the pool before the one-shot fire consumes its snapshot copy.
 func (d *deferredAck) run() {
 	c := d.c
 	d.c = Completion{}

@@ -473,7 +473,7 @@ func (e *Engine) newRunState() *runState {
 // holder's prior work before the recycle, so a pooled transaction can
 // never alias a live completion.
 //
-//orthrus:recycle the final reference holder frees the txn and wrapper; all other observers have decremented first
+// Pool ownership: the final reference holder frees the txn and wrapper; all other observers have decremented first.
 func (s *runState) dropRef(w *wrapper) {
 	if w.refs.Add(-1) != 0 {
 		return
@@ -487,7 +487,7 @@ func (s *runState) dropRef(w *wrapper) {
 // putWrapper returns a wrapper whose references are all gone (or that
 // was never published to the CC plane) to the pool.
 //
-//orthrus:recycle caller guarantees no thread still holds the wrapper
+// Pool ownership: caller guarantees no thread still holds the wrapper.
 func (s *runState) putWrapper(w *wrapper) {
 	w.t, w.done = nil, nil
 	w.hopIdx, w.pending = 0, 0
@@ -511,7 +511,7 @@ type commitAck struct {
 // transaction cannot be recycled before this, its final observer, is
 // done with w.start and w.done.
 //
-//orthrus:recycle the ack returns to the pool after its one-shot fire; the wrapper reference is dropped after the ack no longer holds it
+// Pool ownership: the ack returns to the pool after its one-shot fire; the wrapper reference is dropped after the ack no longer holds it.
 func (a *commitAck) run() {
 	x, w := a.x, a.w
 	a.x, a.w = nil, nil

@@ -7,6 +7,7 @@ import (
 	"net"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -23,19 +24,18 @@ func newPeerPair(t testing.TB, cfg Config) (a, b *Peer) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	accepted := make(chan net.Conn, 1)
-	go func() {
-		c, err := ln.Accept()
-		if err != nil {
-			panic(err)
-		}
-		accepted <- c
-	}()
+	// The kernel completes a loopback handshake into the listen backlog,
+	// so Dial returns before Accept is called and no helper goroutine
+	// outlives the pair.
 	dialed, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	a = NewPeer(<-accepted, cfg)
+	accepted, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a = NewPeer(accepted, cfg)
 	b = NewPeer(dialed, cfg)
 	t.Cleanup(func() {
 		a.Close()
@@ -60,14 +60,30 @@ func fillAcquireBatch(f *Frame, n int) {
 	}
 }
 
+// goroutines returns every live goroutine's stack, keyed by goroutine
+// id. Ids are never reused, so a goroutine of an earlier test that is
+// still exiting appears in a before snapshot or in none, never as new.
+func goroutines() map[string]string {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	out := make(map[string]string)
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		id, _, _ := strings.Cut(strings.TrimPrefix(g, "goroutine "), " ")
+		out[id] = g
+	}
+	return out
+}
+
 // TestPeerSendRecvAndGoodbye walks a full peer lifecycle: data frames
 // arrive intact and in order, the goodbye barrier fires, counters are
 // exactly symmetric, and the blocking driver starts no goroutine.
 func TestPeerSendRecvAndGoodbye(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := goroutines()
 	a, b := newPeerPair(t, Config{})
-	if n := runtime.NumGoroutine(); n != before {
-		t.Fatalf("two peers started %d goroutines, want 0", n-before)
+	for id, g := range goroutines() {
+		if before[id] == "" {
+			t.Fatalf("two peers started a goroutine, want 0:\n%s", g)
+		}
 	}
 	const frames, batch = 17, 8
 	want := AppendFrame(nil, func() *Frame { f := &Frame{}; fillAcquireBatch(f, batch); return f }())

@@ -167,7 +167,7 @@ func (p *Peer) Get() *Frame {
 // Append encodes f — length prefix, then payload — behind the bytes
 // still unwritten and recycles it. Frames leave in Append order.
 //
-//orthrus:recycle the caller hands over sole ownership of a frame it got from Get; once its bytes are encoded nothing else can reach it
+// Pool ownership: the caller hands over sole ownership of a frame it got from Get; once its bytes are encoded nothing else can reach it.
 func (p *Peer) Append(f *Frame) {
 	if p.wpos > 0 { // a short write left a tail: move it to the front
 		p.wbuf = p.wbuf[:copy(p.wbuf, p.wbuf[p.wpos:])]

@@ -207,7 +207,7 @@ type Txn struct {
 	// pool. The engine calls it exactly once, after the completion
 	// callback and every other observer (WAL commit ack, CC release
 	// processing, metrics recording) is finished with the transaction —
-	// the //orthrus:recycle ownership-transfer convention. After Free
+	// the pool ownership-transfer convention. After Free
 	// returns, the producer may hand the same *Txn to another caller, so
 	// no engine structure may retain it (or alias its slices). Producers
 	// that do not pool leave Free nil and rely on the GC.

@@ -64,7 +64,7 @@ func (t *transferTxn) run(ctx txn.Ctx) error {
 // free implements txn.Txn.Free: the engine has already run the completion
 // callback and every other observer, so the container can be recycled.
 //
-//orthrus:recycle engine calls Free exactly once, after the last observer of the transaction
+// Pool ownership: engine calls Free exactly once, after the last observer of the transaction.
 func (t *transferTxn) free() {
 	t.ID = 0
 	t.Restarts = 0

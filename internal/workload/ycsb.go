@@ -215,7 +215,7 @@ func (t *ycsbTxn) run(ctx txn.Ctx) error {
 // free implements txn.Txn.Free: the engine has already run the completion
 // callback and every other observer, so the container can be recycled.
 //
-//orthrus:recycle engine calls Free exactly once, after the last observer of the transaction
+// Pool ownership: engine calls Free exactly once, after the last observer of the transaction.
 func (t *ycsbTxn) free() {
 	t.ID = 0
 	t.Restarts = 0
