@@ -126,8 +126,9 @@ func (u *UndoLog) Record(rec []byte) {
 		}
 		// A transaction whose images outgrow one arena keeps the full old
 		// buffer alive through imgs until Reset; that transient is the
-		// price of rewinding instead of consuming.
-		//orthrus:allow(noalloc) arena growth: first transaction (or an outsized one) only; the buffer is reused afterwards
+		// price of rewinding instead of consuming. Arena growth: first
+		// transaction (or an outsized one) only; the buffer is reused
+		// afterwards.
 		u.buf = make([]byte, sz)
 		u.off = 0
 	}

@@ -30,12 +30,3 @@ func AtomicGetU64(rec []byte, off int) uint64 {
 func AtomicPutU64(rec []byte, off int, v uint64) {
 	atomic.StoreUint64((*uint64)(unsafe.Pointer(&rec[off])), v)
 }
-
-// AtomicAddU64 adds delta under the caller's logical lock using an atomic
-// load/store pair (not a RMW — exclusivity comes from the lock; atomicity
-// is only needed against unlocked reconnaissance readers).
-func AtomicAddU64(rec []byte, off int, delta uint64) uint64 {
-	v := AtomicGetU64(rec, off) + delta
-	AtomicPutU64(rec, off, v)
-	return v
-}

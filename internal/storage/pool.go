@@ -7,8 +7,7 @@ const poolChunk = 1024
 
 // Pool hands out fixed-size record buffers carved from large arenas so the
 // hot path performs no per-record Go allocations. It mirrors the paper's
-// 2PL baseline discipline of "a pre-allocated thread-local pool of memory":
-// callers that want thread locality keep a Local per thread.
+// 2PL baseline discipline of "a pre-allocated ... pool of memory".
 type Pool struct {
 	size int
 
@@ -24,9 +23,6 @@ func NewPool(size int) *Pool {
 	return &Pool{size: size}
 }
 
-// Size returns the buffer size handed out by the pool.
-func (p *Pool) Size() int { return p.size }
-
 // Get returns a zeroed size-byte buffer.
 func (p *Pool) Get() []byte {
 	p.mu.Lock()
@@ -36,27 +32,5 @@ func (p *Pool) Get() []byte {
 	buf := p.arena[:p.size:p.size]
 	p.arena = p.arena[p.size:]
 	p.mu.Unlock()
-	return buf
-}
-
-// Local is a per-thread view of a Pool that refills in chunks, so
-// steady-state Get calls take no locks at all.
-type Local struct {
-	parent *Pool
-	arena  []byte
-}
-
-// NewLocal returns a thread-local allocator backed by p.
-func (p *Pool) NewLocal() *Local { return &Local{parent: p} }
-
-// Get returns a zeroed buffer without synchronization (after warmup the
-// common case touches only the local arena).
-func (l *Local) Get() []byte {
-	size := l.parent.size
-	if len(l.arena) < size {
-		l.arena = make([]byte, size*poolChunk)
-	}
-	buf := l.arena[:size:size]
-	l.arena = l.arena[size:]
 	return buf
 }

@@ -331,21 +331,20 @@ func (t *GrowTable) RangeVersion(lo, hi uint64) uint64 {
 	return v
 }
 
-// DB is a named collection of tables plus secondary indexes. The table
-// slice is copy-on-write behind an atomic pointer: Table sits on every
-// engine's per-record hot path (ten lookups per YCSB transaction), where
-// even an uncontended RWMutex read-lock is a measurable share of a
-// microsecond-scale transaction.
+// DB is a named collection of tables. The table slice is copy-on-write
+// behind an atomic pointer: Table sits on every engine's per-record hot
+// path (ten lookups per YCSB transaction), where even an uncontended
+// RWMutex read-lock is a measurable share of a microsecond-scale
+// transaction.
 type DB struct {
-	tables  atomic.Pointer[[]Table]
-	mu      sync.Mutex // guards writers and the name/index maps
-	byName  map[string]int
-	indexes map[string]*SecondaryIndex
+	tables atomic.Pointer[[]Table]
+	mu     sync.Mutex // guards writers and the name map
+	byName map[string]int
 }
 
 // NewDB returns an empty database.
 func NewDB() *DB {
-	db := &DB{byName: make(map[string]int), indexes: make(map[string]*SecondaryIndex)}
+	db := &DB{byName: make(map[string]int)}
 	db.tables.Store(&[]Table{})
 	return db
 }
@@ -403,20 +402,6 @@ func (db *DB) TableID(name string) int {
 // NumTables returns the number of registered tables.
 func (db *DB) NumTables() int {
 	return len(*db.tables.Load())
-}
-
-// AddIndex registers a named secondary index.
-func (db *DB) AddIndex(name string, idx *SecondaryIndex) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.indexes[name] = idx
-}
-
-// Index returns a named secondary index, or nil.
-func (db *DB) Index(name string) *SecondaryIndex {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.indexes[name]
 }
 
 // --- fixed-width field helpers -----------------------------------------

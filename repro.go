@@ -59,7 +59,7 @@ import (
 
 // --- storage --------------------------------------------------------------
 
-// DB is an in-memory database: a registry of tables and secondary indexes.
+// DB is an in-memory database: a registry of tables.
 type DB = storage.DB
 
 // Layout describes a table to create.
