@@ -12,7 +12,7 @@
 //     scanning functions; time.Sleep/After/Tick/NewTimer/NewTicker).
 //     Channel sends and receives are flagged except inside a select
 //     with a default clause — the non-blocking shape the WAL wake
-//     channel and the exec-thread submission poll use.
+//     channel uses.
 //   - noalloc: no steady-state heap allocation. Flagged are &T{...}
 //     literals, slice and map literals, the make and new builtins,
 //     appends that do not feed back into the slice they extend

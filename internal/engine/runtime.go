@@ -65,35 +65,6 @@ type Submission struct {
 	Done func(committed bool) // completion callback; may be nil
 }
 
-// Gauge counts in-flight submissions. Add/Done are single atomics so they
-// add no contention to the per-transaction hot path; Wait polls, which is
-// plenty for drain/shutdown precision.
-type Gauge struct {
-	n atomic.Int64
-}
-
-// Add registers d new in-flight items.
-func (g *Gauge) Add(d int) { g.n.Add(int64(d)) }
-
-// Done retires one in-flight item.
-func (g *Gauge) Done() { g.n.Add(-1) }
-
-// Wait blocks until the gauge reaches zero. A negative count means Done
-// was called without a matching Add — Wait would otherwise spin forever
-// past zero, so it panics instead of hanging.
-func (g *Gauge) Wait() {
-	for {
-		n := g.n.Load()
-		if n == 0 {
-			return
-		}
-		if n < 0 {
-			panic("engine: Gauge count went negative (Done without matching Add)")
-		}
-		time.Sleep(50 * time.Microsecond)
-	}
-}
-
 // InUseGuard enforces the documented "one live session per engine at a
 // time" Runtime contract: Start acquires it, Session.Close releases it,
 // and a second concurrent Start panics instead of silently racing two
@@ -124,7 +95,7 @@ func (g *InUseGuard) Release() {
 // pooled carrier, so a deferred acknowledgment survives the worker moving
 // on to the next transaction without a per-commit closure allocation.
 type Completion struct {
-	ses   *WorkerSession
+	in    *Intake
 	stats *metrics.ThreadStats
 	t     *txn.Txn // recycled via t.Free once the completion fires
 	done  func(bool)
@@ -148,7 +119,7 @@ func (c *Completion) Finish(committed bool) {
 	}
 	t := c.t
 	c.t = nil
-	c.ses.inflight.Done()
+	c.in.Done()
 	if t != nil && t.Free != nil {
 		t.Free()
 	}
@@ -203,21 +174,18 @@ func (c *Completion) Defer() func() {
 func (c *Completion) Stats() *metrics.ThreadStats { return c.stats }
 
 // WorkerSession is the shared Session implementation for the synchronous
-// engines (2PL, Deadlock-free, Partitioned-store): n workers poll a
-// lock-free submission queue and run each transaction to completion
-// inline. Engines supply only the per-worker execution closure — the
-// queueing, completion notification, latency accounting and lifecycle
-// are defined once here.
+// engines (2PL, Deadlock-free, Partitioned-store): n workers poll the
+// session's Intake and run each transaction to completion inline. Engines
+// supply only the per-worker execution closure — the queueing, completion
+// notification, latency accounting and lifecycle are defined once here
+// and in the Intake, whose Submit and Drain the session exposes as its
+// own.
 type WorkerSession struct {
-	name     string
-	set      *metrics.Set
-	queue    *mpmc
-	inflight Gauge
-	stop     atomic.Bool
-	wg       sync.WaitGroup
-	start    time.Time
-	guard    *InUseGuard // released on Close; may be nil (tests)
-	wal      *wal.Log    // log tail Drain/Close wait on; may be nil
+	*Intake
+	set   *metrics.Set
+	wg    sync.WaitGroup
+	start time.Time
+	guard *InUseGuard // released on Close; may be nil (tests)
 }
 
 // NewWorkerSession starts n workers. newWorker builds each worker's
@@ -225,22 +193,18 @@ type WorkerSession struct {
 // the closure); the closure runs one submission to completion and must
 // discharge the passed Completion exactly once — inline via Finish, or
 // from a WAL flush via Defer. log, when enabled, is the engine's commit
-// log: Drain and Close wait for its tail so a drained session's
-// acknowledged work is durable. A non-nil guard is acquired now and
-// released on Close, enforcing the one-live-session contract for the
-// owning engine.
+// log (see NewIntake). A non-nil guard is acquired now and released on
+// Close, enforcing the one-live-session contract for the owning engine.
 func NewWorkerSession(name string, workers, queueCap int, guard *InUseGuard, log *wal.Log,
 	newWorker func(thread int, stats *metrics.ThreadStats) func(*txn.Txn, *Completion)) *WorkerSession {
 	if guard != nil {
 		guard.Acquire(name)
 	}
 	s := &WorkerSession{
-		name:  name,
-		set:   metrics.NewSet(workers),
-		queue: newMPMC(queueCap),
-		start: time.Now(),
-		guard: guard,
-		wal:   log,
+		Intake: NewIntake(name, queueCap, log),
+		set:    metrics.NewSet(workers),
+		start:  time.Now(),
+		guard:  guard,
 	}
 	for i := 0; i < workers; i++ {
 		s.wg.Add(1)
@@ -248,14 +212,12 @@ func NewWorkerSession(name string, workers, queueCap int, guard *InUseGuard, log
 			defer s.wg.Done()
 			stats := s.set.Thread(i)
 			exec := newWorker(i, stats)
-			comp := Completion{ses: s, stats: stats}
+			comp := Completion{in: s.Intake, stats: stats}
 			var idle IdleWaiter
 			for {
-				sub, ok := s.queue.tryDequeue()
+				sub, ok := s.Next()
 				if !ok {
-					// Close drains all submissions before setting stop,
-					// so an empty queue after stop is final.
-					if s.stop.Load() {
+					if s.Stopped() {
 						return
 					}
 					idle.Wait()
@@ -270,41 +232,10 @@ func NewWorkerSession(name string, workers, queueCap int, guard *InUseGuard, log
 	return s
 }
 
-// Submit implements Session. It spins politely when the queue is full —
-// backpressure from saturated workers. Submitting to a closed session
-// panics: the worker pool is stopped, so the enqueue (or the drain the
-// submission would need) would otherwise spin forever.
-func (s *WorkerSession) Submit(t *txn.Txn, done func(committed bool)) {
-	if s.stop.Load() {
-		panic("engine: " + s.name + ": Submit on a closed session")
-	}
-	s.inflight.Add(1)
-	sub := Submission{Txn: t, Done: done}
-	var idle IdleWaiter
-	for !s.queue.tryEnqueue(sub) {
-		if s.stop.Load() {
-			panic("engine: " + s.name + ": Submit on a closed session")
-		}
-		idle.Wait()
-	}
-}
-
-// Drain implements Session: all submissions completed and the log tail
-// durable (under Async acknowledgments run ahead of the device, so the
-// extra wait is what makes a clean drain lose nothing).
-func (s *WorkerSession) Drain() {
-	s.inflight.Wait()
-	s.wal.Drain()
-}
-
-// Close implements Session. A second Close panics: it would release the
-// engine's in-use guard out from under a newer session.
+// Close implements Session: the intake drains and stops, the workers
+// retire, and the engine is free for its next session.
 func (s *WorkerSession) Close() metrics.Result {
-	s.inflight.Wait()
-	s.wal.Drain()
-	if !s.stop.CompareAndSwap(false, true) {
-		panic("engine: " + s.name + ": Close on a closed session")
-	}
+	s.Intake.Close()
 	s.wg.Wait()
 	if s.guard != nil {
 		s.guard.Release()

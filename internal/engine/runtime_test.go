@@ -1,116 +1,12 @@
 package engine
 
 import (
-	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/txn"
 )
-
-// The MPMC queue must neither lose nor duplicate submissions under
-// concurrent producers and consumers.
-func TestMPMCConcurrentSum(t *testing.T) {
-	const producers, consumers, perProducer = 4, 3, 5000
-	q := newMPMC(64)
-	var want, got atomic.Int64
-	var wg sync.WaitGroup
-	var remaining atomic.Int64
-	remaining.Store(producers * perProducer)
-
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < perProducer; i++ {
-				v := int64(p*perProducer + i + 1)
-				want.Add(v)
-				sub := Submission{Txn: &txn.Txn{ID: uint64(v)}}
-				var idle IdleWaiter
-				for !q.tryEnqueue(sub) {
-					idle.Wait()
-				}
-			}
-		}(p)
-	}
-	for c := 0; c < consumers; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var idle IdleWaiter
-			for remaining.Load() > 0 {
-				sub, ok := q.tryDequeue()
-				if !ok {
-					idle.Wait()
-					continue
-				}
-				idle.Reset()
-				got.Add(int64(sub.Txn.ID))
-				remaining.Add(-1)
-			}
-		}()
-	}
-	wg.Wait()
-	if got.Load() != want.Load() {
-		t.Fatalf("sum %d, want %d (lost or duplicated submissions)", got.Load(), want.Load())
-	}
-	if _, ok := q.tryDequeue(); ok {
-		t.Fatal("queue should be empty")
-	}
-}
-
-// A single producer/consumer pair must observe FIFO order.
-func TestMPMCFIFO(t *testing.T) {
-	q := newMPMC(8)
-	for i := 1; i <= 8; i++ {
-		if !q.tryEnqueue(Submission{Txn: &txn.Txn{ID: uint64(i)}}) {
-			t.Fatalf("enqueue %d refused", i)
-		}
-	}
-	if q.tryEnqueue(Submission{Txn: &txn.Txn{}}) {
-		t.Fatal("enqueue beyond capacity succeeded")
-	}
-	for i := 1; i <= 8; i++ {
-		sub, ok := q.tryDequeue()
-		if !ok || sub.Txn.ID != uint64(i) {
-			t.Fatalf("dequeue %d: got %v ok=%v", i, sub.Txn, ok)
-		}
-	}
-}
-
-// Regression: a non-positive capacity used to make the power-of-two
-// doubling loop compare against a huge unsigned value and spin forever
-// once n overflowed to zero. newMPMC must clamp instead.
-func TestMPMCNonPositiveCapacity(t *testing.T) {
-	for _, capacity := range []int{0, -1} {
-		q := newMPMC(capacity)
-		if got := len(q.cells); got != 1 {
-			t.Fatalf("newMPMC(%d) capacity = %d, want 1", capacity, got)
-		}
-		if !q.tryEnqueue(Submission{Txn: &txn.Txn{ID: 42}}) {
-			t.Fatalf("newMPMC(%d): enqueue refused on empty queue", capacity)
-		}
-		sub, ok := q.tryDequeue()
-		if !ok || sub.Txn.ID != 42 {
-			t.Fatalf("newMPMC(%d): dequeue = (%v,%v)", capacity, sub.Txn, ok)
-		}
-	}
-}
-
-// A negative gauge means unbalanced Done calls; Wait must fail loudly
-// instead of spinning past zero forever.
-func TestGaugeNegativePanics(t *testing.T) {
-	var g Gauge
-	g.Done()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Wait on a negative gauge did not panic")
-		}
-	}()
-	g.Wait()
-}
 
 // Submit on a closed WorkerSession must panic with a descriptive error
 // instead of spinning forever against the stopped worker pool.
@@ -150,28 +46,6 @@ func TestInUseGuard(t *testing.T) {
 	ws2.Submit(&txn.Txn{}, nil)
 	ws2.Drain()
 	ws2.Close()
-}
-
-func TestGaugeWaitsForZero(t *testing.T) {
-	var g Gauge
-	g.Add(2)
-	done := make(chan struct{})
-	go func() {
-		g.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		t.Fatal("Wait returned with items in flight")
-	case <-time.After(5 * time.Millisecond):
-	}
-	g.Done()
-	g.Done()
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-		t.Fatal("Wait did not return at zero")
-	}
 }
 
 // WorkerSession plumbing: every submission executes exactly once, the

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/storage"
 	wire "repro/internal/transport"
@@ -449,21 +448,17 @@ func TestNetStepsByHand(t *testing.T) {
 	}
 
 	acked := false
-	ex.inflight.Add(1)
-	ex.submit <- engine.Submission{
-		Txn: &txn.Txn{
-			Ops: []txn.Op{{Table: tbl, Key: 3, Mode: txn.Write}},
-			Logic: func(ctx txn.Ctx) error {
-				rec, err := ctx.Write(tbl, 3)
-				if err != nil {
-					return err
-				}
-				storage.PutU64(rec, 0, 42)
-				return nil
-			},
+	ex.Submit(&txn.Txn{
+		Ops: []txn.Op{{Table: tbl, Key: 3, Mode: txn.Write}},
+		Logic: func(ctx txn.Ctx) error {
+			rec, err := ctx.Write(tbl, 3)
+			if err != nil {
+				return err
+			}
+			storage.PutU64(rec, 0, 42)
+			return nil
 		},
-		Done: func(ok bool) { acked = ok },
-	}
+	}, func(ok bool) { acked = ok })
 	must("exec step with a queued submission", x) // plan, frame the acquire
 	must("exec node's net step with a frame queued", xn)
 	arrive("the acquire, at the cc node", cn)
@@ -482,7 +477,7 @@ func TestNetStepsByHand(t *testing.T) {
 	must("CC step with a release in its ring", c)
 
 	// Retirement, in Close's order on both nodes.
-	ex.execStop.Store(true)
+	ex.Intake.Close()
 	if _, exit := x.step(); !exit {
 		t.Fatal("exec thread did not retire")
 	}

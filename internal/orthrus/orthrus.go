@@ -506,10 +506,10 @@ type commitAck struct {
 }
 
 // run fires the completion from the WAL flusher: latency (honestly
-// including the flush stall), the session callback, the in-flight gauge.
-// It holds one of the wrapper's references, dropped last — so the
-// transaction cannot be recycled before this, its final observer, is
-// done with w.start and w.done.
+// including the flush stall), the session callback, the intake's
+// in-flight count. It holds one of the wrapper's references, dropped
+// last — so the transaction cannot be recycled before this, its final
+// observer, is done with w.start and w.done.
 //
 // Pool ownership: the ack returns to the pool after its one-shot fire; the wrapper reference is dropped after the ack no longer holds it.
 func (a *commitAck) run() {
@@ -520,7 +520,7 @@ func (a *commitAck) run() {
 	if w.done != nil {
 		w.done(true)
 	}
-	x.ses.inflight.Done()
+	x.ses.Intake.Done()
 	x.s.dropRef(w)
 }
 
@@ -534,20 +534,17 @@ func (e *Engine) Run(src workload.Source, duration time.Duration) metrics.Result
 // thread so a completed window slot refills without waiting on a client.
 func (e *Engine) Clients() int { return e.cfg.ExecThreads * (e.cfg.Inflight + 1) }
 
-// session is the live engine: CC threads plus execution threads serving a
-// shared submission queue. Execution threads pull submissions to top up
-// their asynchronous windows, so an outside caller's transactions flow
-// into the same CC message plane the closed-loop benchmarks exercise.
+// session is the live engine: CC threads plus execution threads serving
+// the session's Intake, whose Drain the session exposes as its own.
+// Execution threads pull submissions to top up their asynchronous
+// windows, so an outside caller's transactions flow into the same CC
+// message plane the closed-loop benchmarks exercise.
 type session struct {
-	e   *Engine
-	s   *runState
-	set *metrics.Set
-
-	submit   chan engine.Submission
-	inflight engine.Gauge
-	snaps    *engine.Snapshots // MVCC snapshot tracker; nil without versioned tables
-	execStop atomic.Bool
-	closed   atomic.Bool
+	*engine.Intake
+	e     *Engine
+	s     *runState
+	set   *metrics.Set
+	snaps *engine.Snapshots // MVCC snapshot tracker; nil without versioned tables
 	// execWg and ccWg count *logical* threads: a worker releases one as
 	// each thread it hosts retires (worker.go). workers is how many
 	// goroutines Start launched to step them.
@@ -558,15 +555,15 @@ type session struct {
 }
 
 // newSession claims the engine and builds a session's state — message
-// plane, metrics, submission queue — without starting anything.
+// plane, metrics, intake — without starting anything.
 func (e *Engine) newSession() *session {
 	snaps := engine.NewSnapshots(e.cfg.DB, e.cfg.Wal, &e.clock, e.cfg.ExecThreads, e.cfg.Snapshot)
 	e.inUse.Acquire(e.Name())
 	return &session{
+		Intake: engine.NewIntake(e.Name(), e.Clients(), e.cfg.Wal),
 		e:      e,
 		s:      e.newRunState(),
 		set:    metrics.NewSet(e.cfg.ExecThreads),
-		submit: make(chan engine.Submission, e.Clients()),
 		snaps:  snaps,
 		start:  time.Now(),
 	}
@@ -598,26 +595,13 @@ func (e *Engine) Start() engine.Session {
 	return engine.WithCheckpointer(ses, e.cfg.DB, e.cfg.Wal, e.cfg.Checkpoint)
 }
 
-// Submit implements engine.Session. It blocks only when the submission
-// queue is full — backpressure from saturated execution threads.
-// Submitting to a closed session panics: the execution threads are
-// stopped, so the transaction would sit in the queue forever.
+// Submit implements engine.Session through the intake (engine.Intake.Submit),
+// on the node that hosts the execution threads.
 func (ses *session) Submit(t *txn.Txn, done func(committed bool)) {
-	if ses.closed.Load() {
-		panic("orthrus: " + ses.e.Name() + ": Submit on a closed session")
-	}
 	if !ses.s.tr.hostsExec() {
 		panic("orthrus: " + ses.e.Name() + ": Submit on a node with no execution threads (submit to the exec node)")
 	}
-	ses.inflight.Add(1)
-	ses.submit <- engine.Submission{Txn: t, Done: done}
-}
-
-// Drain implements engine.Session: all submissions acknowledged and the
-// log tail durable.
-func (ses *session) Drain() {
-	ses.inflight.Wait()
-	ses.e.cfg.Wal.Drain()
+	ses.Intake.Submit(t, done)
 }
 
 // Close implements engine.Session. It drains outstanding submissions,
@@ -626,12 +610,7 @@ func (ses *session) Drain() {
 // Close panics: it would release the engine's in-use guard out from under
 // a newer session.
 func (ses *session) Close() metrics.Result {
-	if !ses.closed.CompareAndSwap(false, true) {
-		panic("orthrus: " + ses.e.Name() + ": Close on a closed session")
-	}
-	ses.inflight.Wait()
-	ses.e.cfg.Wal.Drain() // log tail: Async acks run ahead of the device
-	ses.execStop.Store(true)
+	ses.Intake.Close()
 	ses.execWg.Wait()
 	// Networked shutdown barrier: the exec node flushes its last frames
 	// and says goodbye; the cc node holds here until that goodbye, so
@@ -749,7 +728,7 @@ func newExecThread(ses *session, id int, stats *metrics.ThreadStats) *execThread
 
 // step is one pass of the execution thread: handle grants (run
 // transaction logic, pipeline redo into the WAL's append buffers,
-// release), top up the asynchronous window from the submission queue, and
+// release), top up the asynchronous window from the intake, and
 // publish what the pass generated — without blocking, without I/O (the
 // group-commit flusher does the writing) and without waiting on any other
 // logical thread, which may be hosted by the same worker (worker.go). A
@@ -760,14 +739,10 @@ func (x *execThread) step() (progress, exit bool) {
 	// Drain grants from every CC thread.
 	x.drainGrants()
 
-	// Top up the asynchronous window from the submission queue.
+	// Top up the asynchronous window from the intake.
 	for x.inflight < x.window {
-		var sub engine.Submission
-		select {
-		case sub = <-x.ses.submit:
-		default:
-		}
-		if sub.Txn == nil {
+		sub, ok := x.ses.Intake.Next()
+		if !ok {
 			break
 		}
 		start := x.now()
@@ -793,8 +768,8 @@ func (x *execThread) step() (progress, exit bool) {
 		x.stepStart, x.logicTime = time.Time{}, 0
 		return true, false
 	}
-	if x.inflight == 0 && x.ses.execStop.Load() && len(x.ses.submit) == 0 && x.out.empty() {
-		// Close drains all submissions before setting execStop, so
+	if x.inflight == 0 && x.ses.Intake.Stopped() && x.out.empty() {
+		// Close drains all submissions before stopping the intake, so
 		// nothing can arrive after this check, and every release this
 		// thread owed is in a ring (the outboxes are empty), where the
 		// CC threads' last passes will find it. The thread's books close
@@ -866,7 +841,7 @@ func (x *execThread) submit(t *txn.Txn, done func(bool), start time.Time) {
 		if done != nil {
 			done(true)
 		}
-		x.ses.inflight.Done()
+		x.ses.Intake.Done()
 		if t.Free != nil {
 			// Last observer done (the snapshot read set copies out of
 			// storage, so nothing retains t): recycle it.
@@ -1000,7 +975,7 @@ func (x *execThread) finish(w *wrapper) {
 			if w.done != nil {
 				w.done(true)
 			}
-			x.ses.inflight.Done()
+			x.ses.Intake.Done()
 		}
 		x.s.dropRef(w)
 		return

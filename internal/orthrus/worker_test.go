@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/storage"
 	"repro/internal/txn"
 	"repro/internal/workload"
@@ -139,8 +138,7 @@ func TestStepsByHandAndIdleStepReadsNoClock(t *testing.T) {
 			return nil
 		},
 	}
-	ses.inflight.Add(1)
-	ses.submit <- engine.Submission{Txn: tx, Done: func(ok bool) { acked = ok }}
+	ses.Submit(tx, func(ok bool) { acked = ok })
 
 	if progress, _ := x.step(); !progress { // admit, plan, publish the acquire
 		t.Fatal("exec step with a queued submission made no progress")
@@ -168,7 +166,7 @@ func TestStepsByHandAndIdleStepReadsNoClock(t *testing.T) {
 	// ring: the exec thread may go (its outbox is empty), the CC thread
 	// must handle it first.
 	idle := reads
-	ses.execStop.Store(true)
+	ses.Intake.Close()
 	if _, exit := x.step(); !exit {
 		t.Fatal("exec thread did not retire: nothing in flight, queue and outboxes empty, stop set")
 	}
@@ -193,7 +191,7 @@ func TestStepsByHandAndIdleStepReadsNoClock(t *testing.T) {
 // A sender never waits for room. With rings of four slots and one logical
 // CC thread that is simply not stepped, an exec thread keeps stepping:
 // what the ring refuses stays in its outbox, in order, and it cannot
-// retire while any of it is there.
+// retire while any of it is there — not even once the intake has stopped.
 func TestFullRingLeavesOutboxForNextStep(t *testing.T) {
 	const txns = 12
 	db, tbl := newDB(64)
@@ -203,14 +201,10 @@ func TestFullRingLeavesOutboxForNextStep(t *testing.T) {
 	commits := 0
 	for i := 0; i < txns; i++ {
 		key := uint64(i)
-		ses.inflight.Add(1)
-		ses.submit <- engine.Submission{
-			Txn: &txn.Txn{
-				Ops:   []txn.Op{{Table: tbl, Key: key, Mode: txn.Write}},
-				Logic: func(ctx txn.Ctx) error { _, err := ctx.Write(tbl, key); return err },
-			},
-			Done: func(bool) { commits++ },
-		}
+		ses.Submit(&txn.Txn{
+			Ops:   []txn.Op{{Table: tbl, Key: key, Mode: txn.Write}},
+			Logic: func(ctx txn.Ctx) error { _, err := ctx.Write(tbl, key); return err },
+		}, func(bool) { commits++ })
 	}
 	x.step()
 	if got := len(x.out[0].buf); got != txns-4 {
@@ -219,11 +213,6 @@ func TestFullRingLeavesOutboxForNextStep(t *testing.T) {
 	if progress, _ := x.step(); progress {
 		t.Fatal("exec step reported progress with a full ring and nothing new")
 	}
-	ses.execStop.Store(true)
-	if _, exit := x.step(); exit {
-		t.Fatal("exec thread retired with acquires still in its outbox")
-	}
-	ses.execStop.Store(false)
 	for steps := 0; commits < txns; steps++ {
 		if steps > 100 {
 			t.Fatalf("%d of %d commits after 100 sweeps", commits, txns)
@@ -231,8 +220,28 @@ func TestFullRingLeavesOutboxForNextStep(t *testing.T) {
 		x.step()
 		c.step()
 	}
-	if m := x.ops.acquires; m != txns {
-		t.Fatalf("%d acquires sent, want %d", m, txns)
+	// Every transaction is acknowledged, so Close stops the intake at
+	// once, while releases the ring refused still sit in the outbox. The
+	// first step refills the ring the CC thread just emptied, the second
+	// finds it full; neither may retire.
+	ses.Intake.Close()
+	for i := 0; i < 2; i++ {
+		if _, exit := x.step(); exit || len(x.out[0].buf) == 0 {
+			t.Fatalf("step %d after Close: exit=%v with %d releases in the outbox, want some left and no retirement",
+				i, exit, len(x.out[0].buf))
+		}
+	}
+	for steps := 0; ; steps++ {
+		if steps > 100 {
+			t.Fatal("exec thread did not retire once its outbox could drain")
+		}
+		c.step()
+		if _, exit := x.step(); exit {
+			break
+		}
+	}
+	if ops := ses.s.ops; ops.acquires != txns || ops.releases != txns { // the retired thread's books
+		t.Fatalf("%d acquires and %d releases sent, want %d of each", ops.acquires, ops.releases, txns)
 	}
 }
 

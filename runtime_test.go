@@ -3,6 +3,7 @@ package repro_test
 import (
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -388,6 +389,27 @@ func TestSubmitAfterClosePanics(t *testing.T) {
 				}
 			}()
 			ses.Submit(src.Next(0, rng), nil)
+		})
+	}
+}
+
+// Submitting a nil transaction panics at the call, naming the engine, on
+// every engine: taken by a worker it would be dropped (ORTHRUS) or
+// dereferenced (the locking engine), and Drain would wait forever. The
+// refused submission leaves nothing in flight, so Close still returns.
+func TestSubmitNilPanics(t *testing.T) {
+	for _, e := range allRuntimes(t) {
+		e := e
+		t.Run(e.rt.Name(), func(t *testing.T) {
+			ses := e.rt.Start()
+			defer ses.Close()
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, e.rt.Name()) {
+					t.Errorf("Submit(nil) recovered %q, want a panic naming %s", msg, e.rt.Name())
+				}
+			}()
+			ses.Submit(nil, nil)
 		})
 	}
 }
