@@ -203,64 +203,95 @@ func TestSubmitAllocsWithCheckpointerBounded(t *testing.T) {
 }
 
 // TestPoolReuseSafety proves the recycling protocol under the race
-// detector: for every submission, the completion callback must fire
-// strictly before Free (the engine's last-observer contract), and a
-// recycled transaction must never reach Free twice for one life. Running
-// many concurrent submitters under -race additionally checks that no
-// engine structure still touches a transaction after handing it back to
-// the pool — any such access races with the next life's generator writes.
+// detector: for every submission, Free must run exactly once, and only
+// after the completion callback (the engine's last-observer contract).
+// Each engine runs with the WAL off and under self-clocked group commit,
+// where the acknowledgment — and the transaction's recycling — moves to
+// the flusher. Running many concurrent submitters under -race
+// additionally checks that no engine structure still touches a
+// transaction after handing it back to the pool — any such access races
+// with the next life's generator writes.
 func TestPoolReuseSafety(t *testing.T) {
-	for _, e := range allocSystems(t, nil) {
-		t.Run(e.rt.Name(), func(t *testing.T) {
-			const submitters, perSubmitter = 4, 300
-			src := &repro.Transfer{Table: e.tbl, NumRecords: 64}
-			ses := e.rt.Start()
+	log := repro.NewWAL(repro.NewWALMemSegments(0), repro.WALGroup(0, 0))
+	defer log.Close()
+	for _, wal := range []*repro.WAL{nil, log} {
+		prefix := ""
+		if wal != nil {
+			prefix = "wal/"
+		}
+		for _, e := range allocSystems(t, wal) {
+			t.Run(prefix+e.rt.Name(), func(t *testing.T) { poolReuseRun(t, e.rt, e.db, e.tbl) })
+		}
+	}
+}
 
-			var completions sync.WaitGroup
-			completions.Add(submitters * perSubmitter)
-			var ordering atomic.Int64 // completion-after-Free violations
-			var wg sync.WaitGroup
-			for s := 0; s < submitters; s++ {
-				wg.Add(1)
-				go func(s int) {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(int64(s)))
-					for i := 0; i < perSubmitter; i++ {
-						tx := src.Next(s, rng)
-						// Interpose on Free to assert the completion
-						// callback observed this life first. The original
-						// (pool-bound) Free is restored before recycling so
-						// the interposer never survives into the next life.
-						var fired atomic.Bool
-						orig := tx.Free
-						tx.Free = func() {
-							if !fired.Load() {
-								ordering.Add(1)
-							}
-							tx.Free = orig
-							if orig != nil {
-								orig()
-							}
-						}
-						ses.Submit(tx, func(bool) {
-							fired.Store(true)
-							completions.Done()
-						})
+func poolReuseRun(t *testing.T, rt repro.System, db *repro.DB, tbl int) {
+	const submitters, perSubmitter = 4, 300
+	src := &repro.Transfer{Table: tbl, NumRecords: 64}
+	ses := rt.Start()
+
+	type life struct {
+		fired atomic.Bool
+		frees atomic.Int32
+	}
+	lives := make([][perSubmitter]life, submitters)
+	var bases sync.Map // container → its pool-bound Free
+	var completions sync.WaitGroup
+	completions.Add(submitters * perSubmitter)
+	var early atomic.Int64 // Free calls before the completion callback
+	var wg sync.WaitGroup
+	for s := 0; s < submitters; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(s)))
+			for i := 0; i < perSubmitter; i++ {
+				tx := src.Next(s, rng)
+				l := &lives[s][i]
+				base, _ := bases.LoadOrStore(tx, tx.Free)
+				free := base.(func())
+				// Interpose on Free to count this life's calls. Only the
+				// first recycles; the interposer stays installed until the
+				// container's next life replaces it, so a stray second
+				// Free — even one arriving after the container was reused
+				// — is counted against some life.
+				tx.Free = func() {
+					if !l.fired.Load() {
+						early.Add(1)
 					}
-				}(s)
+					if l.frees.Add(1) == 1 {
+						free()
+					}
+				}
+				ses.Submit(tx, func(bool) {
+					l.fired.Store(true)
+					completions.Done()
+				})
 			}
-			wg.Wait()
-			ses.Drain()
-			completions.Wait()
-			ses.Close()
+		}(s)
+	}
+	wg.Wait()
+	ses.Drain()
+	completions.Wait()
+	ses.Close()
+	// Hand the pool back its own Free, so later tests see no interposer.
+	bases.Range(func(tx, free any) bool {
+		tx.(*repro.Txn).Free = free.(func())
+		return true
+	})
 
-			if n := ordering.Load(); n != 0 {
-				t.Errorf("%s: %d transactions were freed before their completion callback fired", e.rt.Name(), n)
+	if n := early.Load(); n != 0 {
+		t.Errorf("%s: %d transactions were freed before their completion callback fired", rt.Name(), n)
+	}
+	for s := range lives {
+		for i := range lives[s] {
+			if n := lives[s][i].frees.Load(); n != 1 {
+				t.Errorf("%s: submission %d/%d reached Free %d times, want exactly 1", rt.Name(), s, i, n)
 			}
-			if got := sumBalances(e.db, e.tbl, 64); got != 64*1000 {
-				t.Errorf("%s: sum = %d, want %d (recycled transaction corrupted execution)", e.rt.Name(), got, 64*1000)
-			}
-		})
+		}
+	}
+	if got := sumBalances(db, tbl, 64); got != 64*1000 {
+		t.Errorf("%s: sum = %d, want %d (recycled transaction corrupted execution)", rt.Name(), got, 64*1000)
 	}
 }
 

@@ -248,12 +248,8 @@ func (w *worker) execute(t *txn.Txn, comp *engine.Completion) {
 	stats := comp.Stats()
 	t.ID = w.ids.Next()
 	if t.ReadOnly && w.snaps != nil {
-		// Snapshot fast path: no footprint, no locks, no wait-die
-		// timestamp, no WAL round-trip (reads are durable).
-		start := time.Now()
-		w.snaps.Exec(w.thread, t, &w.sctx, stats)
-		stats.AddExec(time.Since(start))
-		comp.Finish(true)
+		// Snapshot fast path: no footprint, no wait-die timestamp.
+		w.snaps.Exec(w.thread, &w.sctx, comp)
 		return
 	}
 	if fp == firstTouch {

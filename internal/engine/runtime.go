@@ -88,12 +88,16 @@ func (g *InUseGuard) Release() {
 
 // Completion carries one submission's completion duties — commit-latency
 // recording, the session callback, in-flight retirement, recycling the
-// transaction — as a first-class value, so an engine can either discharge
-// them inline at pre-commit (the paper's instant acknowledgment, when
-// durability is off) or defer them behind a WAL group-commit flush. The
-// worker loop reuses one Completion per thread; Defer copies it into a
-// pooled carrier, so a deferred acknowledgment survives the worker moving
-// on to the next transaction without a per-commit closure allocation.
+// transaction — as a first-class value, and every engine discharges its
+// submissions through it: inline at pre-commit (Finish: the paper's
+// instant acknowledgment, when durability is off), inline after a
+// snapshot read (Snapshots.Exec), or behind a WAL group-commit flush
+// (Defer). The completion owns the transaction until one of those fires
+// and recycles it last, so an engine's own structures only ever observe
+// the transaction while the completion is pending. Defer copies the
+// completion into a pooled carrier, so a deferred acknowledgment survives
+// the thread moving on to its next transaction without a per-commit
+// closure allocation.
 type Completion struct {
 	in    *Intake
 	stats *metrics.ThreadStats
@@ -102,18 +106,34 @@ type Completion struct {
 	start time.Time
 }
 
-// Finish discharges the completion: exactly one Finish (or one deferred
-// callback from Defer) must run per submission. When committed, the
-// service latency recorded spans dequeue to this call — including the
-// durability flush stall if the engine deferred past one. Finish is the
-// transaction's last observer: it fires t.Free afterwards, so the worker
+// NewCompletion returns sub's completion: picked up from in at start by
+// the thread whose stats slot is stats.
+func NewCompletion(in *Intake, stats *metrics.ThreadStats, sub Submission, start time.Time) Completion {
+	return Completion{in: in, stats: stats, t: sub.Txn, done: sub.Done, start: start}
+}
+
+// Txn returns the transaction the completion owns: nil once Finish or
+// Defer has taken it.
+func (c *Completion) Txn() *txn.Txn { return c.t }
+
+// Finish discharges the completion inline: exactly one Finish (or one
+// deferred callback from Defer) must run per submission. When committed,
+// the service latency recorded spans pickup to this call. Finish is the
+// transaction's last observer: it fires t.Free afterwards, so the caller
 // must not touch t again — the paths that do cleanup after Finish (lock
-// release loops) must operate on worker-owned state, never on t's slices
-// (see the pool-ownership notes at each Defer call site).
+// release loops) must operate on state they own, never on t's slices.
 func (c *Completion) Finish(committed bool) {
 	if committed {
 		c.stats.Latency.Record(time.Since(c.start))
 	}
+	c.discharge(committed)
+}
+
+// discharge fires the callback, retires the submission from the intake
+// and recycles the transaction.
+//
+// Pool ownership: the transaction is freed after every other completion duty has observed it.
+func (c *Completion) discharge(committed bool) {
 	if c.done != nil {
 		c.done(committed)
 	}
@@ -148,21 +168,25 @@ func init() {
 
 // run fires the deferred completion once and returns the carrier to the
 // pool. The Completion is copied out first so the recycled carrier can be
-// reused by another commit immediately.
+// reused by another commit immediately. Its latency — which includes the
+// flush stall — goes to the AckLatency histogram, which only WAL
+// acknowledgments write: fired from the flusher, this may run while the
+// thread that deferred it records an inline completion into Latency.
 //
 // Pool ownership: the carrier returns to the pool before the one-shot fire consumes its snapshot copy.
 func (d *deferredAck) run() {
 	c := d.c
 	d.c = Completion{}
 	deferredAcks.Put(d)
-	c.Finish(true)
+	c.stats.AckLatency.Record(time.Since(c.start))
+	c.discharge(true)
 }
 
-// Defer returns Finish(true) as a standalone callback for a WAL appender:
-// it snapshots the (worker-reused) Completion so the acknowledgment can
+// Defer returns the commit acknowledgment as a standalone callback for a
+// WAL appender: it snapshots the Completion so the acknowledgment can
 // fire from the flusher goroutine after the record is durable. From this
 // point the flusher owns the completion — and, transitively, the
-// transaction's recycling — so the worker must not touch t afterwards.
+// transaction's recycling — so the caller must not touch t afterwards.
 func (c *Completion) Defer() func() {
 	d := deferredAcks.Get().(*deferredAck)
 	d.c = *c
@@ -191,10 +215,11 @@ type WorkerSession struct {
 // NewWorkerSession starts n workers. newWorker builds each worker's
 // execution closure (per-worker contexts, freelists, id sources live in
 // the closure); the closure runs one submission to completion and must
-// discharge the passed Completion exactly once — inline via Finish, or
-// from a WAL flush via Defer. log, when enabled, is the engine's commit
-// log (see NewIntake). A non-nil guard is acquired now and released on
-// Close, enforcing the one-live-session contract for the owning engine.
+// discharge the passed Completion exactly once — inline via Finish or
+// Snapshots.Exec, or from a WAL flush via Defer. log, when enabled, is
+// the engine's commit log (see NewIntake). A non-nil guard is acquired
+// now and released on Close, enforcing the one-live-session contract for
+// the owning engine.
 func NewWorkerSession(name string, workers, queueCap int, guard *InUseGuard, log *wal.Log,
 	newWorker func(thread int, stats *metrics.ThreadStats) func(*txn.Txn, *Completion)) *WorkerSession {
 	if guard != nil {
@@ -212,7 +237,7 @@ func NewWorkerSession(name string, workers, queueCap int, guard *InUseGuard, log
 			defer s.wg.Done()
 			stats := s.set.Thread(i)
 			exec := newWorker(i, stats)
-			comp := Completion{in: s.Intake, stats: stats}
+			var comp Completion
 			var idle IdleWaiter
 			for {
 				sub, ok := s.Next()
@@ -224,7 +249,7 @@ func NewWorkerSession(name string, workers, queueCap int, guard *InUseGuard, log
 					continue
 				}
 				idle.Reset()
-				comp.t, comp.done, comp.start = sub.Txn, sub.Done, time.Now()
+				comp = NewCompletion(s.Intake, stats, sub, time.Now())
 				exec(sub.Txn, &comp)
 			}
 		}(i)
@@ -248,9 +273,9 @@ var _ Session = (*WorkerSession)(nil)
 // clientWindow is each closed-loop client's pipeline depth. Completions
 // are acknowledged with a single atomic increment and clients replenish
 // whole windows at a time, so the per-transaction cost a client adds to
-// the engine's workers is one channel send and one atomic — no parking,
-// no per-transaction scheduler round-trip (which would dominate on
-// few-core machines).
+// the engine's workers is one intake enqueue and one atomic — no
+// parking, no per-transaction scheduler round-trip (which would dominate
+// on few-core machines).
 const clientWindow = 16
 
 // RunClosedLoop drives rt with self-generated closed-loop load for

@@ -7,9 +7,10 @@ import (
 )
 
 // Histogram is a log₂-bucketed latency histogram: bucket i counts samples
-// in [2^i, 2^(i+1)) nanoseconds. One lives per worker thread (inside
-// ThreadStats), updated without synchronization, and they are merged at
-// aggregation time — the same discipline as the counters.
+// in [2^i, 2^(i+1)) nanoseconds. Each is written by one party — a worker
+// thread (ThreadStats.Latency) or its WAL acknowledgments (AckLatency) —
+// without synchronization, and they are merged at aggregation time: the
+// same discipline as the counters.
 type Histogram struct {
 	buckets [48]uint64 // 2^47ns ≈ 39h: more than any transaction takes
 	count   uint64

@@ -51,8 +51,14 @@ type ThreadStats struct {
 	LogNanos int64
 
 	// Latency records committed-transaction latency: first submission to
-	// commit, retries included.
-	Latency Histogram
+	// commit, retries included. AckLatency holds the same quantity for
+	// commits acknowledged through the WAL, and only those acknowledgments
+	// write it: they fire on the flusher goroutine (or inline, when the
+	// appender has no earlier acknowledgment pending — wal.Appender.Commit),
+	// so, like LogNanos, it is kept apart from what the worker records
+	// inline. Totals merges the two.
+	Latency    Histogram
+	AckLatency Histogram
 
 	// Padded to 128 bytes, not 64: the adjacent-line prefetcher pulls
 	// cache lines in pairs, so neighbouring slots in a Set's slice would
@@ -106,6 +112,7 @@ func (s *Set) Totals() Totals {
 		t.Wait += time.Duration(th.WaitNanos)
 		t.Log += time.Duration(th.LogNanos)
 		t.Latency.Merge(&th.Latency)
+		t.Latency.Merge(&th.AckLatency)
 	}
 	return t
 }

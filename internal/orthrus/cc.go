@@ -335,8 +335,8 @@ func (c *ccThread) advance(w *wrapper) {
 
 // releaseTxn drops this CC thread's locks for w; newly granted requests
 // may complete other transactions' chains. It then drops this thread's
-// wrapper reference, which on the last holder recycles the wrapper and
-// its transaction (runState.dropRef).
+// wrapper reference, which on the last holder recycles the wrapper
+// (runState.dropRef); the transaction is its completion's to recycle.
 func (c *ccThread) releaseTxn(w *wrapper) {
 	hop := w.hopOf(c.id)
 	c.granted = c.granted[:0]

@@ -249,16 +249,22 @@ type message struct {
 
 // wrapper carries a transaction through the CC chain. Field ownership:
 //
-//   - owner, hops, opsByCC, t, done: written by the owning exec thread
-//     before submission, read-only afterwards.
+//   - c: the submission's engine.Completion, which owns the transaction.
+//     Only the owning exec thread uses it: it discharges it inline
+//     (Finish), hands it to the WAL flusher (Defer) or moves it to a
+//     fresh wrapper on an OLLP replan. No CC thread reads it — the plan
+//     travels in opsByCC — and putWrapper clears it.
+//   - owner, hops, opsByCC: written by the owning exec thread before
+//     submission, read-only afterwards.
 //   - hopIdx, pending: touched only by the CC thread currently processing
 //     the wrapper (exactly one at any time — the chain is sequential).
 //   - reqs[i]: sized by the planner (addHop), then written and read only
 //     by CC thread hops[i].
-//   - refs: one reference per observer — each CC hop, the owning exec
-//     thread, and (when durable) the WAL commit ack. The last decrement
-//     recycles the wrapper and its transaction (runState.dropRef), so
-//     neither can be reused while any thread may still touch them.
+//   - refs: one reference per observer of the wrapper — each CC hop and
+//     the owning exec thread. The last decrement recycles the wrapper
+//     (runState.dropRef), so it cannot be reused while any thread may
+//     still touch it. The transaction is not the wrapper's to recycle:
+//     its completion does that.
 //
 // Ring transfer provides the happens-before edges between owners.
 //
@@ -266,10 +272,8 @@ type message struct {
 // their backing arrays across lives, so steady-state planning performs
 // no allocation.
 type wrapper struct {
-	t     *txn.Txn
+	c     engine.Completion // started at window entry; kept across OLLP restarts
 	owner int
-	start time.Time  // window-entry time, for commit-latency measurement
-	done  func(bool) // session completion callback; may be nil
 
 	// id is the transaction's wire identity on the networked transport:
 	// unique per submission attempt (tcp mode draws a fresh id for each
@@ -408,11 +412,10 @@ type runState struct {
 	ccToExec [][]spsc.Queue[message] // [cc][exec]
 	ccStop   atomic.Bool
 
-	// wraps pools wrappers and acks pools WAL commit-ack closures; both
-	// are shared across exec and CC threads because any of a wrapper's
-	// observers may be the one dropping the final reference.
+	// wraps pools wrappers, shared across exec and CC threads because
+	// any of a wrapper's observers may be the one dropping the final
+	// reference.
 	wraps sync.Pool
-	acks  sync.Pool
 
 	// ops is the session's message-plane tally (MessageStats after the
 	// run): every logical thread counts in its own opCounter and adds it
@@ -453,12 +456,7 @@ func (e *Engine) newRunState() *runState {
 	cfg := e.cfg
 	s := &runState{cfg: cfg, perCC: make([]CCStats, cfg.CCThreads)}
 	s.wraps.New = func() interface{} { return &wrapper{} }
-	s.acks.New = func() interface{} {
-		a := &commitAck{}
-		a.fire = a.run
-		return a
-	}
-	// The backend builds the queue planes after the pools, which the tcp
+	// The backend builds the queue planes after the pool, which the tcp
 	// net stepper touches once stepped, and before any thread exists,
 	// since each thread binds its outboxes to them when built.
 	s.tr = newTransport(cfg)
@@ -467,21 +465,15 @@ func (e *Engine) newRunState() *runState {
 }
 
 // dropRef releases one reference to w. The holder that drops the last
-// reference — a CC thread's release processing, the owning exec thread,
-// or the WAL commit ack — recycles the transaction (via its Free hook)
-// and returns the wrapper to the pool. The refs atomic orders every
-// holder's prior work before the recycle, so a pooled transaction can
-// never alias a live completion.
+// reference — a CC thread's release processing or the owning exec
+// thread — returns the wrapper to the pool. The refs atomic orders every
+// holder's prior work before the recycle.
 //
-// Pool ownership: the final reference holder frees the txn and wrapper; all other observers have decremented first.
+// Pool ownership: the final reference holder recycles the wrapper; all other observers have decremented first.
 func (s *runState) dropRef(w *wrapper) {
-	if w.refs.Add(-1) != 0 {
-		return
+	if w.refs.Add(-1) == 0 {
+		s.putWrapper(w)
 	}
-	if t := w.t; t != nil && t.Free != nil {
-		t.Free()
-	}
-	s.putWrapper(w)
 }
 
 // putWrapper returns a wrapper whose references are all gone (or that
@@ -489,39 +481,11 @@ func (s *runState) dropRef(w *wrapper) {
 //
 // Pool ownership: caller guarantees no thread still holds the wrapper.
 func (s *runState) putWrapper(w *wrapper) {
-	w.t, w.done = nil, nil
+	w.c = engine.Completion{}
 	w.hopIdx, w.pending = 0, 0
 	w.id, w.wireReleases = 0, 0
 	w.resetPlan()
 	s.wraps.Put(w)
-}
-
-// commitAck is the pooled durable-commit acknowledgment: it replaces the
-// per-commit closure deferCommit used to allocate. fire is bound once
-// (to run) when the ack is created, so reuse costs nothing.
-type commitAck struct {
-	x    *execThread
-	w    *wrapper
-	fire func()
-}
-
-// run fires the completion from the WAL flusher: latency (honestly
-// including the flush stall), the session callback, the intake's
-// in-flight count. It holds one of the wrapper's references, dropped
-// last — so the transaction cannot be recycled before this, its final
-// observer, is done with w.start and w.done.
-//
-// Pool ownership: the ack returns to the pool after its one-shot fire; the wrapper reference is dropped after the ack no longer holds it.
-func (a *commitAck) run() {
-	x, w := a.x, a.w
-	a.x, a.w = nil, nil
-	x.s.acks.Put(a)
-	x.stats.Latency.Record(time.Since(w.start))
-	if w.done != nil {
-		w.done(true)
-	}
-	x.ses.Intake.Done()
-	x.s.dropRef(w)
 }
 
 // Run implements engine.Engine via the shared closed-loop driver.
@@ -750,7 +714,7 @@ func (x *execThread) step() (progress, exit bool) {
 			x.stepStart = start
 		}
 		sub.Txn.ID = x.ids.Next()
-		x.submit(sub.Txn, sub.Done, start)
+		x.submit(engine.NewCompletion(x.ses.Intake, x.stats, sub, start))
 	}
 	worked := !x.stepStart.IsZero()
 
@@ -819,34 +783,19 @@ func (x *execThread) drainGrants() {
 	}
 }
 
-// submit plans the transaction's CC chain and sends the first acquire.
-// start is when this execution thread accepted the transaction into its
-// window (preserved across OLLP restarts so latency covers the whole
-// retry chain), done its session completion callback.
-func (x *execThread) submit(t *txn.Txn, done func(bool), start time.Time) {
+// submit plans the CC chain of the transaction c owns and sends the
+// first acquire. c started when this execution thread accepted the
+// transaction into its window; an OLLP restart submits the same
+// completion again, so latency covers the whole retry chain.
+func (x *execThread) submit(c engine.Completion) {
+	t := c.Txn()
 	if t.ReadOnly && x.ses.snaps != nil {
-		// Snapshot fast path: served inline on this execution thread at
-		// the commit frontier. No planning, no chain, no CC messages —
-		// the CC plane never learns the transaction existed. The reads
-		// are already durable (the snapshot is the acked frontier), so
-		// the acknowledgment skips the WAL too. A read-only transaction
-		// gets here only from the admission loop, which read the clock
-		// for start on the line before: that reading is when it begins.
-		x.ses.snaps.Exec(x.id, t, &x.sctx, x.stats)
-		s1 := x.now()
-		d := s1.Sub(start)
-		x.stats.AddExec(d)
-		x.logicTime += d
-		x.stats.Latency.Record(d)
-		if done != nil {
-			done(true)
-		}
-		x.ses.Intake.Done()
-		if t.Free != nil {
-			// Last observer done (the snapshot read set copies out of
-			// storage, so nothing retains t): recycle it.
-			t.Free()
-		}
+		// Snapshot fast path, completed inline: no planning, no chain,
+		// no CC messages — the CC plane never learns the transaction
+		// existed. A read-only transaction gets here only from the
+		// admission loop, which read the clock for c's start on the line
+		// before: that reading is when it begins.
+		x.logicTime += x.ses.snaps.Exec(x.id, &x.sctx, &c)
 		return
 	}
 	// Declared ranges decompose into stripe (gap) lock ops here, before
@@ -858,21 +807,20 @@ func (x *execThread) submit(t *txn.Txn, done func(bool), start time.Time) {
 	engine.MaterializeRanges(x.s.cfg.DB, t)
 	t.SortOps()
 	w := x.s.wraps.Get().(*wrapper)
-	w.t, w.owner, w.start, w.done = t, x.id, start, done
-	w.id = t.ID
+	w.c, w.owner, w.id = c, x.id, t.ID
 	x.plan(w)
 
 	switch {
 	case len(w.hops) == 0:
 		// No declared ops: nothing to lock, run immediately. The only
-		// references are this thread's and, when durable, the ack's.
+		// reference is this thread's.
 		w.refs.Store(1)
 		x.finish(w)
 		return
 	case x.pend != nil:
 		// Remote CC plane: release processing happens entirely on the CC
-		// node, so the only local references are this thread's and, when
-		// durable, the ack's. The wire id is fresh per attempt: an OLLP
+		// node, so the only local reference is this thread's. The wire
+		// id is fresh per attempt: an OLLP
 		// replan must not alias the previous generation's in-flight
 		// releases on the CC node.
 		w.refs.Store(1)
@@ -892,7 +840,7 @@ func (x *execThread) submit(t *txn.Txn, done func(bool), start time.Time) {
 // plan groups the transaction's ops by owning CC thread, emitting hops in
 // ascending CC id — the deadlock-avoidance order (§3.2).
 func (x *execThread) plan(w *wrapper) {
-	t := w.t
+	t := w.c.Txn()
 	ncc := x.s.cfg.CCThreads
 	if cap(x.ccBuf) < len(t.Ops) {
 		//orthrus:allow(noalloc) per-thread scratch growth: reaches the largest op count seen, then stabilizes
@@ -935,7 +883,7 @@ func (x *execThread) push(c int, m message) {
 // means the whole chain is held: only the last CC thread of a chain
 // notifies the owner (ccThread.advance).
 func (x *execThread) finish(w *wrapper) {
-	t := w.t
+	t := w.c.Txn()
 	if x.pend != nil {
 		// The chain is complete; the wire id is no longer grantable.
 		delete(x.pend, w.id)
@@ -958,11 +906,10 @@ func (x *execThread) finish(w *wrapper) {
 		// immediately and CC threads never wait on a sync.
 		var ack func()
 		if x.wal != nil {
-			// The ack observes w.start/w.done from the flusher goroutine;
-			// its reference keeps the wrapper (and transaction) alive
-			// until after it fires.
-			w.refs.Add(1)
-			ack = x.deferCommit(w)
+			// Ownership transfer: once the flusher holds the ack it may
+			// fire — and recycle t — any time; the release below reads
+			// only the wrapper, never t.
+			ack = w.c.Defer()
 		}
 		engine.CommitVersions(x.wal, &x.ctx.VSet, x.stats, ack)
 		x.release(w)
@@ -971,11 +918,7 @@ func (x *execThread) finish(w *wrapper) {
 			x.inflight--
 		}
 		if x.wal == nil {
-			x.stats.Latency.Record(x.now().Sub(w.start))
-			if w.done != nil {
-				w.done(true)
-			}
-			x.ses.Intake.Done()
+			w.c.Finish(true)
 		}
 		x.s.dropRef(w)
 		return
@@ -997,29 +940,11 @@ func (x *execThread) finish(w *wrapper) {
 	}
 	t.Replan(t)
 	t.Partitions = t.Partitions[:0] // invalidate the cached partition set
-	done, start := w.done, w.start
-	// The transaction travels to a fresh wrapper; clear t so the final
-	// reference drop recycles only the wrapper. CC release processing
-	// never reads w.t, and dropRef's zero-reader is ordered after this
-	// store by the refs decrement chain.
-	w.t = nil
+	// The completion, and with it the transaction, moves to a fresh
+	// wrapper; this one is recycled by its last reference holder.
+	c := w.c
 	x.s.dropRef(w)
-	x.submit(t, done, start)
-}
-
-// deferCommit returns the durable-commit acknowledgment for w: run by
-// the WAL flusher once the redo record is synced, in LSN order. Latency
-// then honestly includes the flush stall. Latency.Record is safe from
-// the flusher goroutine: while a WAL is on, this thread's histogram is
-// written by the flusher's acks plus the rare read-only inline fast
-// path, which wal.Appender.Commit takes only when every earlier ack of
-// this appender has already fired (see its comment); the gauges are
-// atomics. The ack comes from a pool (commitAck) with its fire func
-// pre-bound, so the steady-state commit path allocates nothing.
-func (x *execThread) deferCommit(w *wrapper) func() {
-	a := x.s.acks.Get().(*commitAck)
-	a.x, a.w = x, w
-	return a.fire
+	x.submit(c)
 }
 
 // release notifies every CC thread in the chain. Fire-and-forget: release

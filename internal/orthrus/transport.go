@@ -521,7 +521,6 @@ func (n *netStepper) checkAcquire(f *wire.Frame, m *wire.Msg) {
 func (n *netStepper) materialize(m *wire.Msg) *wrapper {
 	s := n.s
 	w := s.wraps.Get().(*wrapper)
-	w.t, w.done = nil, nil
 	w.id = m.TxnID
 	w.owner = int(m.Owner)
 	w.pending = 0
@@ -534,8 +533,8 @@ func (n *netStepper) materialize(m *wire.Msg) *wrapper {
 	nh := len(w.hops)
 	w.wireReleases = nh
 	// One reference per CC hop and nothing else on this node: the
-	// owning exec thread and any WAL ack hold references to the exec
-	// node's twin wrapper, not this one.
+	// owning exec thread holds its reference to the exec node's twin
+	// wrapper, not this one.
 	w.refs.Store(int32(nh))
 	n.reg[m.TxnID] = w
 	return w

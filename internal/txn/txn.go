@@ -204,10 +204,11 @@ type Txn struct {
 	// locking fallback.
 	ReadOnly bool
 	// Free, when non-nil, recycles the transaction into its producer's
-	// pool. The engine calls it exactly once, after the completion
-	// callback and every other observer (WAL commit ack, CC release
-	// processing, metrics recording) is finished with the transaction —
-	// the pool ownership-transfer convention. After Free
+	// pool. Every engine calls it exactly once, from the transaction's
+	// engine.Completion, after the latency sample and the completion
+	// callback — inline, or from the WAL flusher for a durable commit —
+	// once no engine structure still reads the transaction: the pool
+	// ownership-transfer convention. After Free
 	// returns, the producer may hand the same *Txn to another caller, so
 	// no engine structure may retain it (or alias its slices). Producers
 	// that do not pool leave Free nil and rely on the GC.

@@ -518,3 +518,50 @@ func TestSnapshotPruneEveryValidation(t *testing.T) {
 		})
 	}
 }
+
+// With a WAL on, a write commit completes on the group-commit flusher
+// while a snapshot read completes inline on its worker. Both must land in
+// the session's latency histogram, one sample per commit — the flusher's
+// completions and the worker's must not share an unsynchronized
+// histogram (-race reports it; without -race samples go missing). One
+// worker thread, so every inline completion races the same thread's
+// flusher-side ones.
+func TestLatencyCountsEveryCommitUnderWAL(t *testing.T) {
+	const records = 256
+	for _, tc := range []struct {
+		name  string
+		build func(db *repro.DB, wal *repro.WAL) repro.System
+	}{
+		{"orthrus", func(db *repro.DB, wal *repro.WAL) repro.System {
+			return repro.NewOrthrus(repro.OrthrusConfig{DB: db, CCThreads: 1, ExecThreads: 1, Wal: wal})
+		}},
+		{"2pl-waitdie", func(db *repro.DB, wal *repro.WAL) repro.System {
+			return repro.NewTwoPL(repro.LockingConfig{DB: db, Handler: repro.WaitDie(), Threads: 1, Wal: wal})
+		}},
+		{"dlfree", func(db *repro.DB, wal *repro.WAL) repro.System {
+			return repro.NewDeadlockFree(repro.LockingConfig{DB: db, Threads: 1, Wal: wal})
+		}},
+		{"partstore", func(db *repro.DB, wal *repro.WAL) repro.System {
+			return repro.NewPartitionedStore(repro.LockingConfig{DB: db, Partitions: 1, Wal: wal})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := repro.NewDB()
+			tbl := db.Create(repro.Layout{Name: "ycsb", NumRecords: records, RecordSize: 16, Versioned: true})
+			wal := repro.NewWAL(repro.NewWALMemSegments(0), repro.WALGroup(0, 0))
+			defer wal.Close()
+			src := &repro.YCSB{Table: tbl, NumRecords: records, OpsPerTxn: 4, ReadOnlyPct: 50}
+			if err := src.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			res := tc.build(db, wal).Run(src, 30*time.Millisecond)
+			tot := res.Totals
+			if tot.SnapTxns == 0 || tot.SnapTxns == tot.Committed {
+				t.Fatalf("%d of %d commits were snapshot reads, want both paths exercised", tot.SnapTxns, tot.Committed)
+			}
+			if got := tot.Latency.Count(); got != tot.Committed {
+				t.Errorf("latency histogram holds %d samples for %d commits", got, tot.Committed)
+			}
+		})
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"os"
 	"os/exec"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro"
@@ -17,18 +18,19 @@ import (
 const undoWords = 4 // four-word records, checked word by word
 
 type plannedEngine struct {
-	name  string
-	pkg   string // the package its panics name
-	build func(db *repro.DB) repro.Runtime
+	name string
+	pkg  string // the package its panics name
+	// build returns the engine, unstarted; a nil wal leaves durability off.
+	build func(db *repro.DB, wal *repro.WAL) repro.Runtime
 }
 
 func plannedEngines() []plannedEngine {
 	return []plannedEngine{
-		{"orthrus", "orthrus", func(db *repro.DB) repro.Runtime {
-			return repro.NewOrthrus(repro.OrthrusConfig{DB: db, CCThreads: 2, ExecThreads: 2})
+		{"orthrus", "orthrus", func(db *repro.DB, wal *repro.WAL) repro.Runtime {
+			return repro.NewOrthrus(repro.OrthrusConfig{DB: db, CCThreads: 2, ExecThreads: 2, Wal: wal})
 		}},
-		{"dlfree", "locking", func(db *repro.DB) repro.Runtime {
-			return repro.NewDeadlockFree(repro.LockingConfig{DB: db, Threads: 2})
+		{"dlfree", "locking", func(db *repro.DB, wal *repro.WAL) repro.Runtime {
+			return repro.NewDeadlockFree(repro.LockingConfig{DB: db, Threads: 2, Wal: wal})
 		}},
 	}
 }
@@ -94,7 +96,7 @@ func TestEstimateMissAfterWritesRollsBackBeforeRetry(t *testing.T) {
 				atReplan = append(atReplan, undoTableWords(db, tbl))
 				withKey9(t)
 			}
-			ses := e.build(db).Start()
+			ses := e.build(db, nil).Start()
 			dones, commits := 0, 0
 			ses.Submit(tx, func(committed bool) {
 				dones++
@@ -131,6 +133,50 @@ func TestEstimateMissAfterWritesRollsBackBeforeRetry(t *testing.T) {
 	}
 }
 
+// Under a WAL the retried commit is acknowledged by the group-commit
+// flusher, after the transaction's completion moved from the missed plan
+// to the fresh one: one callback, committed, once the redo record is on
+// the device, and exactly one Free, after that callback.
+func TestEstimateMissUnderWALCompletesOnce(t *testing.T) {
+	for _, e := range plannedEngines() {
+		t.Run(e.name, func(t *testing.T) {
+			db, tbl := newUndoDB()
+			log := repro.NewWAL(repro.NewWALMemSegments(0), repro.WALGroup(0, 0))
+			defer log.Close()
+			tx, withKey9 := missAfterWrites(tbl)
+			tx.Replan = withKey9
+			var dones, commits, durableAtAck, frees, freedEarly atomic.Int64
+			tx.Free = func() {
+				if dones.Load() == 0 {
+					freedEarly.Add(1)
+				}
+				frees.Add(1)
+			}
+			ses := e.build(db, log).Start()
+			ses.Submit(tx, func(committed bool) {
+				durableAtAck.Store(int64(log.Stats().Records))
+				if committed {
+					commits.Add(1)
+				}
+				dones.Add(1)
+			})
+			ses.Drain()
+			res := ses.Close()
+
+			if dones.Load() != 1 || commits.Load() != 1 || res.Totals.Committed != 1 || res.Totals.Misses != 1 {
+				t.Fatalf("callbacks=%d committed callbacks=%d Committed=%d Misses=%d, want 1 each",
+					dones.Load(), commits.Load(), res.Totals.Committed, res.Totals.Misses)
+			}
+			if n := durableAtAck.Load(); n != 1 {
+				t.Errorf("callback fired with %d redo records on the device, want 1 (acknowledged before durable)", n)
+			}
+			if frees.Load() != 1 || freedEarly.Load() != 0 {
+				t.Errorf("Free ran %d times, %d of them before the callback; want once, after it", frees.Load(), freedEarly.Load())
+			}
+		})
+	}
+}
+
 // Without a Replan hook the same miss is a contract violation: the engine
 // panics (on its own goroutine, so the crash is observed from a child
 // process) with the message it always had.
@@ -140,7 +186,7 @@ func TestEstimateMissWithoutReplanPanics(t *testing.T) {
 			if e.name == which {
 				db, tbl := newUndoDB()
 				tx, _ := missAfterWrites(tbl)
-				ses := e.build(db).Start()
+				ses := e.build(db, nil).Start()
 				ses.Submit(tx, nil)
 				ses.Drain()
 			}
