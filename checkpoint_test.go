@@ -66,6 +66,12 @@ func checkpointedEngines(t testing.TB) []*checkpointedEngine {
 // and waits for every acknowledgment, so the caller knows exactly which
 // transactions are committed when it returns.
 func submitTransfers(ses repro.Session, tbl, n int, seed int64) {
+	startTransfers(ses, tbl, n, seed)()
+}
+
+// startTransfers submits what submitTransfers does and returns the wait
+// for their acknowledgments instead of calling it.
+func startTransfers(ses repro.Session, tbl, n int, seed int64) (wait func()) {
 	rng := rand.New(rand.NewSource(seed))
 	var wg sync.WaitGroup
 	wg.Add(n)
@@ -95,7 +101,7 @@ func submitTransfers(ses repro.Session, tbl, n int, seed int64) {
 		}
 		ses.Submit(tx, func(bool) { wg.Done() })
 	}
-	wg.Wait()
+	return wg.Wait
 }
 
 // requireTableEqual asserts two databases hold byte-identical account tables.
@@ -504,13 +510,14 @@ func TestCheckpointCoversAllTableClasses(t *testing.T) {
 }
 
 // Versioned-table chunks are imaged through snapshot reads at the WAL's
-// DURABLE frontier, which lags assigned LSNs under async/group commit.
-// The checkpointer must force the frontier up to StartLSN before walking:
-// a chunk snapshotted below StartLSN omits durable updates that replay —
+// DURABLE frontier, which lags assigned LSNs under group commit. The
+// checkpointer must force the frontier up to StartLSN before walking: a
+// chunk snapshotted below StartLSN omits durable updates that replay —
 // which starts past StartLSN — never re-applies, silently losing
-// acknowledged transactions. This test pins the lag deterministically: an
-// async policy whose group trigger and fill window are unreachable keeps
-// the durable frontier at 0 until the checkpoint itself forces it.
+// acknowledged transactions. This test pins the lag deterministically: a
+// group policy whose size trigger and fill window are unreachable keeps
+// the durable frontier at 0, with every transfer executed and none yet
+// acknowledged, until the checkpoint itself forces it.
 func TestCheckpointStartLSNCoversDurableFrontierLag(t *testing.T) {
 	build := func() (*repro.DB, int) {
 		db := repro.NewDB()
@@ -529,23 +536,28 @@ func TestCheckpointStartLSNCoversDurableFrontierLag(t *testing.T) {
 	}
 	db, tbl := build()
 	dev := repro.NewWALMemSegments(4 << 10)
-	policy := repro.WALAsync()
-	policy.GroupSize = 1 << 30
-	policy.Interval = time.Hour
-	log := repro.NewWAL(dev, policy)
+	log := repro.NewWAL(dev, repro.WALGroup(1<<30, time.Hour))
 	store := repro.NewMemCheckpointStore()
 	eng := repro.NewTwoPL(repro.LockingConfig{
 		DB: db, Handler: repro.WaitDie(), Threads: 4, Wal: log,
 		Checkpoint: repro.CheckpointConfig{Store: store, Interval: time.Hour, ChunkRecords: 7},
 	})
 	ses := eng.Start()
-	submitTransfers(ses, tbl, 100, 21)
+	acked := startTransfers(ses, tbl, 100, 21)
+	deadline := time.Now().Add(5 * time.Second)
+	for log.LastLSN() < 100 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of 100 transfers executed", log.LastLSN())
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
 	if got, last := log.DurableLSN(), log.LastLSN(); got != 0 || last == 0 {
 		t.Fatalf("durable frontier %d (last assigned %d); the lag this test pins is gone", got, last)
 	}
 	if err := repro.ForceCheckpoint(ses); err != nil {
 		t.Fatal(err)
 	}
+	acked()
 	ses.Drain()
 	ses.Close()
 	if err := log.Close(); err != nil {

@@ -229,39 +229,33 @@ func TestDurableMixedReadWriteWorkload(t *testing.T) {
 
 // Acknowledged-equals-durable, end to end: when the session drains, the
 // whole log is synced and replaying the synced image alone reproduces
-// every acknowledged commit — on every engine and also under Async,
-// where a clean drain (not a crash) is the no-loss guarantee.
+// every acknowledged commit, on every engine.
 func TestDrainMakesAcknowledgedWorkDurable(t *testing.T) {
-	for _, policy := range []repro.SyncPolicy{
-		repro.WALGroup(0, 0),
-		repro.WALAsync(),
-	} {
-		policy := policy
-		t.Run(policy.String(), func(t *testing.T) {
-			for _, e := range durableEngines(t, policy) {
-				e := e
-				t.Run(e.eng.Name(), func(t *testing.T) {
-					src := &repro.Transfer{Table: e.tbl, NumRecords: 64, HotRecords: 8}
-					res := e.eng.Run(src, 50*time.Millisecond)
-					if res.Totals.Committed == 0 {
-						t.Fatal("no commits")
-					}
-					// Engine.Run closes its session, which drains the log
-					// tail; the synced image must already be complete.
-					img := e.dev.CrashSegments()
-					rebuilt, tbl2 := newAccountDB(t, 64, 1000)
-					st := repro.ReplayWALSegments(img, 0, 1, rebuilt)
-					if uint64(st.Applied) != res.Totals.Committed {
-						t.Fatalf("synced image holds %d of %d commits", st.Applied, res.Totals.Committed)
-					}
-					if got := sumBalances(rebuilt, tbl2, 64); got != 64*1000 {
-						t.Fatalf("sum = %d", got)
-					}
-					if err := e.log.Close(); err != nil {
-						t.Fatal(err)
-					}
-				})
-			}
-		})
-	}
+	policy := repro.WALGroup(0, 0)
+	t.Run(policy.String(), func(t *testing.T) {
+		for _, e := range durableEngines(t, policy) {
+			e := e
+			t.Run(e.eng.Name(), func(t *testing.T) {
+				src := &repro.Transfer{Table: e.tbl, NumRecords: 64, HotRecords: 8}
+				res := e.eng.Run(src, 50*time.Millisecond)
+				if res.Totals.Committed == 0 {
+					t.Fatal("no commits")
+				}
+				// Engine.Run closes its session, which drains the log
+				// tail; the synced image must already be complete.
+				img := e.dev.CrashSegments()
+				rebuilt, tbl2 := newAccountDB(t, 64, 1000)
+				st := repro.ReplayWALSegments(img, 0, 1, rebuilt)
+				if uint64(st.Applied) != res.Totals.Committed {
+					t.Fatalf("synced image holds %d of %d commits", st.Applied, res.Totals.Committed)
+				}
+				if got := sumBalances(rebuilt, tbl2, 64); got != 64*1000 {
+					t.Fatalf("sum = %d", got)
+				}
+				if err := e.log.Close(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	})
 }

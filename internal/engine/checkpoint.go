@@ -25,10 +25,10 @@ import (
 //     copying anything the checkpointer forces the WAL's durable
 //     frontier up to StartLSN, so even the snapshot copy path — which
 //     reads at the durable frontier, a frontier that lags assigned LSNs
-//     under group/async commit — observes at least the state as of
-//     StartLSN. Every record copied thereafter reflects at least
-//     everything committed to it by StartLSN, so replaying the log from
-//     StartLSN+1 cannot miss an update the image lacks.
+//     under group commit — observes at least the state as of StartLSN.
+//     Every record copied thereafter reflects at least everything
+//     committed to it by StartLSN, so replaying the log from StartLSN+1
+//     cannot miss an update the image lacks.
 //   - TailLSN is the last assigned LSN when the walk ends. No copied
 //     record can reflect a commit past TailLSN, and the checkpointer
 //     waits for the WAL's durable frontier to reach TailLSN before
@@ -240,9 +240,9 @@ func (cp *Checkpointer) Checkpoint() error {
 	}
 	startLSN := cp.log.LastLSN()
 	// Versioned-table chunks are imaged through snapshot reads at the
-	// WAL's durable frontier, which lags assigned LSNs under group/async
-	// commit. Force the frontier up to startLSN before the walk so every
-	// copy path reflects state at least as new as StartLSN — a chunk
+	// WAL's durable frontier, which lags assigned LSNs under group commit.
+	// Force the frontier up to startLSN before the walk so every copy
+	// path reflects state at least as new as StartLSN — a chunk
 	// snapshotted below StartLSN would omit durable, acknowledged updates
 	// that replay (which starts past StartLSN) never re-applies.
 	cp.log.WaitDurable(startLSN)

@@ -96,10 +96,10 @@ func (in *Intake) Done() { in.inflight.Add(-1) }
 func (in *Intake) Stopped() bool { return in.stop.Load() }
 
 // Drain implements Session.Drain: every submission completed and the log
-// tail durable (under Async, acknowledgments run ahead of the device, so
-// the extra wait is what makes a clean drain lose nothing). It polls,
-// which is plenty for drain/shutdown precision. A negative count means
-// Done without a matching Submit; Drain panics rather than wait forever.
+// tail durable. A write completes only once its record is durable, so the
+// tail wait is a backstop. It polls, which is plenty for drain/shutdown
+// precision. A negative count means Done without a matching Submit; Drain
+// panics rather than wait forever.
 func (in *Intake) Drain() {
 	for n := in.inflight.Load(); n != 0; n = in.inflight.Load() {
 		if n < 0 {

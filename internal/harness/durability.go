@@ -14,15 +14,14 @@ import (
 	"repro/internal/workload"
 )
 
-// durabilityPolicies is the sync-policy axis: the no-WAL baseline, async
-// (background flush, instant acknowledgment), self-clocked group commit
-// (no fill window: a pass's group is what arrived during the previous
-// pass), and two timed fill windows — the trade between commit latency
-// and records per sync that an explicit Interval buys.
+// durabilityPolicies is the sync-policy axis: the no-WAL baseline,
+// self-clocked group commit (no fill window: a pass's group is what
+// arrived during the previous pass), and two timed fill windows — the
+// trade between commit latency and records per sync that an explicit
+// Interval buys.
 func durabilityPolicies() []wal.SyncPolicy {
 	return []wal.SyncPolicy{
 		wal.Off(),
-		wal.Async(),
 		wal.Group(0, 0),
 		wal.Group(64, 200*time.Microsecond),
 		wal.Group(256, time.Millisecond),

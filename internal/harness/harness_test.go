@@ -249,7 +249,7 @@ func TestJSONRowsStateProcsAndWorkers(t *testing.T) {
 // commit with timed fill windows; these labels are the x values of its
 // JSON rows, so the trajectory files stay comparable across PRs.
 func TestDurabilityPolicyAxisLabels(t *testing.T) {
-	want := []string{"off", "async", "group", "group(64,200µs)", "group(256,1ms)"}
+	want := []string{"off", "group", "group(64,200µs)", "group(256,1ms)"}
 	got := durabilityPolicies()
 	if len(got) != len(want) {
 		t.Fatalf("%d policies, want %d", len(got), len(want))

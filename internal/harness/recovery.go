@@ -15,11 +15,11 @@ import (
 )
 
 // recoveryExp: the checkpoint/recovery extension (not a paper figure).
-// Each engine runs the transfer workload against an async segmented WAL
-// under three checkpoint regimes — none, one checkpoint per run, several
-// per run — then "crashes" and recovers from the surviving segments plus
-// the newest checkpoint, once serially and once with partition-parallel
-// replay. Two effects should be visible in the rows: the log tail a
+// Each engine runs the transfer workload against a self-clocked
+// segmented WAL under three checkpoint regimes — none, one checkpoint per
+// run, several per run — then "crashes" and recovers from the surviving
+// segments plus the newest checkpoint, once serially and once with
+// partition-parallel replay. Two effects should be visible in the rows: the log tail a
 // recovery replays is bounded by the checkpoint interval, not by total
 // history (applied records shrink as the interval does, and truncation
 // drops whole segments), and parallel replay beats serial by roughly the
@@ -64,7 +64,7 @@ func recoveryExp(c Config) {
 		for _, iv := range intervals {
 			db, tbl := newYCSBDB(c)
 			dev := wal.NewMemSegments(256 << 10)
-			log := wal.NewLog(dev, wal.Async())
+			log := wal.NewLog(dev, wal.Group(0, 0))
 			var ck engine.CheckpointConfig
 			var store *wal.MemCheckpointStore
 			if iv.d > 0 {

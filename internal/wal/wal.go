@@ -21,20 +21,16 @@
 // LSN (its LSN is assigned after acquiring the conflicting lock, which
 // happens after this release, which happens after this LSN assignment).
 // The flusher goroutine sweeps all appender buffers, writes them to the
-// Device, syncs per policy, and fires completion acknowledgments in LSN
-// order — an acknowledgment never outruns the durability of any earlier
-// LSN, so the set of acknowledged transactions is always a
-// dependency-closed prefix of the commit order.
+// Device, syncs, and fires completion acknowledgments in LSN order — an
+// acknowledgment never outruns the durability of any earlier LSN, so the
+// set of acknowledged transactions is always a dependency-closed prefix
+// of the commit order.
 //
 // # Sync policies
 //
 //   - Off:   the log is inert. Engines skip capture and acknowledge at
 //     pre-commit, exactly the paper's behaviour; the pipeline costs
 //     nothing.
-//   - Async: records are appended and flushed in the background, but
-//     acknowledgment fires at pre-commit. A crash can lose acknowledged
-//     work (PostgreSQL synchronous_commit=off semantics); Drain still
-//     waits for the tail, so a clean shutdown loses nothing.
 //   - Group(k, interval): acknowledgment fires after the record is
 //     synced. With interval zero the flusher is self-clocked: a pass
 //     starts the moment the previous one ends and anything is pending,
@@ -67,17 +63,11 @@ type SyncMode uint8
 // Sync modes; see the package comment.
 const (
 	SyncOff SyncMode = iota
-	SyncAsync
 	SyncGroup
 )
 
 // DefaultGroupSize is the GroupSize a policy left at zero gets.
 const DefaultGroupSize = 64
-
-// asyncInterval paces Async's background flushes when Interval is left
-// zero: nobody waits on them, so a window costs no latency and saves
-// syncs.
-const asyncInterval = 200 * time.Microsecond
 
 // SyncPolicy is a log's durability discipline.
 type SyncPolicy struct {
@@ -86,17 +76,13 @@ type SyncPolicy struct {
 	// (default 64). Unused by a self-clocked Group (Interval zero).
 	GroupSize int
 	// Interval is the fill window: how long the flusher holds a group
-	// open for more commits before it syncs anyway. Zero under Group
-	// means no window at all (self-clocked, see the package comment);
-	// zero under Async means 200µs.
+	// open for more commits before it syncs anyway. Zero means no window
+	// at all (self-clocked, see the package comment).
 	Interval time.Duration
 }
 
 // Off returns the inert policy.
 func Off() SyncPolicy { return SyncPolicy{Mode: SyncOff} }
-
-// Async returns the background-flush policy.
-func Async() SyncPolicy { return SyncPolicy{Mode: SyncAsync} }
 
 // Group returns the group-commit policy: self-clocked when interval is
 // zero, otherwise a fill window of interval that k pending commits end
@@ -112,27 +98,20 @@ func (p SyncPolicy) withDefaults() SyncPolicy {
 	if p.Interval < 0 {
 		p.Interval = 0
 	}
-	if p.Interval == 0 && p.Mode == SyncAsync {
-		p.Interval = asyncInterval
-	}
 	return p
 }
 
-// String implements fmt.Stringer: "off", "async", "group" for the
-// self-clocked policy, "group(64,200µs)" for a windowed one.
+// String implements fmt.Stringer: "off", "group" for the self-clocked
+// policy, "group(64,200µs)" for a windowed one.
 func (p SyncPolicy) String() string {
-	switch p.Mode {
-	case SyncOff:
+	if p.Mode == SyncOff {
 		return "off"
-	case SyncAsync:
-		return "async"
-	default:
-		p = p.withDefaults()
-		if p.Interval == 0 {
-			return "group"
-		}
-		return fmt.Sprintf("group(%d,%v)", p.GroupSize, p.Interval)
 	}
+	p = p.withDefaults()
+	if p.Interval == 0 {
+		return "group"
+	}
+	return fmt.Sprintf("group(%d,%v)", p.GroupSize, p.Interval)
 }
 
 // Stats counts the flusher's work — the MessageStats analogue for the
@@ -190,7 +169,7 @@ type Log struct {
 	policy SyncPolicy
 
 	// nextLSN is the last assigned LSN; durableLSN the acknowledged
-	// frontier (every LSN ≤ durableLSN is synced per policy and acked).
+	// frontier (every LSN ≤ durableLSN is synced and acked).
 	nextLSN    atomic.Uint64
 	durableLSN atomic.Uint64
 
@@ -248,19 +227,11 @@ func NewLog(dev Device, policy SyncPolicy) *Log {
 // nil receiver.
 func (l *Log) Enabled() bool { return l != nil && l.policy.Mode != SyncOff }
 
-// Policy returns the log's sync policy (zero value on a nil receiver).
-func (l *Log) Policy() SyncPolicy {
-	if l == nil {
-		return SyncPolicy{Mode: SyncOff}
-	}
-	return l.policy
-}
-
 // LastLSN returns the highest LSN assigned so far.
 func (l *Log) LastLSN() uint64 { return l.nextLSN.Load() }
 
 // DurableLSN returns the acknowledged frontier: every LSN up to and
-// including it has been written and synced per policy.
+// including it has been written and synced.
 func (l *Log) DurableLSN() uint64 { return l.durableLSN.Load() }
 
 // Stats returns a snapshot of the flusher's counters.
@@ -492,9 +463,6 @@ func (l *Log) flushPass() {
 		a.mu.Unlock()
 	}
 
-	// Async differs from Group in when acknowledgments fire, not in
-	// whether the device is synced: the background sync here is what
-	// makes Drain's log-tail barrier a durability guarantee under both.
 	if wroteBytes > 0 {
 		if err := l.dev.Sync(); err != nil {
 			panic(fmt.Sprintf("wal: device sync failed: %v", err))
@@ -602,13 +570,12 @@ func (a *Appender) Abort() { a.writes = a.writes[:0] }
 
 // Commit seals the current transaction: it assigns the next LSN, encodes
 // the captured after-images into the append buffer, and schedules fn to
-// run once the record is durable (group mode) — in LSN order relative to
-// every other commit: the flusher holds a stolen ack in its reorder
-// window until every lower LSN is durable (see flushPass). Under Async,
-// fn runs inline before Commit returns.
+// run once the record is durable — in LSN order relative to every other
+// commit: the flusher holds a stolen ack in its reorder window until
+// every lower LSN is durable (see flushPass).
 //
 // A transaction with no captured writes (read-only) consumes no LSN, but
-// under Group it may still have observed another transaction's writes
+// it may still have observed another transaction's writes
 // before they were synced (locks release at pre-commit), so it must not
 // be acknowledged ahead of them: its acknowledgment waits for the log
 // tail it observed — the current last assigned LSN — unless that tail is
@@ -657,7 +624,7 @@ func (a *Appender) CommitWith(install func(lsn uint64), fn func()) {
 			panic("wal: CommitWith install hook on a commit with no captured writes")
 		}
 		tail := l.nextLSN.Load()
-		if l.policy.Mode != SyncGroup || (tail <= l.durableLSN.Load() && a.roWaiters.Load() == 0) {
+		if tail <= l.durableLSN.Load() && a.roWaiters.Load() == 0 {
 			if fn != nil {
 				fn()
 			}
@@ -671,22 +638,14 @@ func (a *Appender) CommitWith(install func(lsn uint64), fn func()) {
 		return
 	}
 	now := time.Now()
-	inline := l.policy.Mode == SyncAsync
 	a.mu.Lock()
 	lsn := l.nextLSN.Add(1)
 	a.buf = appendRecord(a.buf, lsn, a.writes)
 	if install != nil {
 		install(lsn)
 	}
-	if inline {
-		a.acks = append(a.acks, ack{lsn: lsn})
-	} else {
-		a.acks = append(a.acks, ack{lsn: lsn, enq: now, fn: fn, stats: a.stats})
-	}
+	a.acks = append(a.acks, ack{lsn: lsn, enq: now, fn: fn, stats: a.stats})
 	a.mu.Unlock()
 	a.writes = a.writes[:0]
-	if inline && fn != nil {
-		fn()
-	}
 	l.enqueued()
 }

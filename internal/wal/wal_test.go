@@ -159,26 +159,6 @@ func TestAcksInLSNOrder(t *testing.T) {
 	}
 }
 
-func TestAsyncAcksInlineAndDrainWaits(t *testing.T) {
-	dev := NewMemSegments(0)
-	l := NewLog(dev, Async())
-	defer l.Close()
-	a := l.NewAppender(nil)
-	fired := false
-	a.Note(0, 1, []byte{9})
-	a.Commit(func() { fired = true })
-	if !fired {
-		t.Fatal("async ack did not fire inline")
-	}
-	l.Drain()
-	if l.DurableLSN() != 1 {
-		t.Fatalf("drain returned with durable LSN %d", l.DurableLSN())
-	}
-	if written, synced := devBytes(dev); synced == 0 || synced != written {
-		t.Fatalf("drain returned before the record was synced to the device: synced=%d len=%d", synced, written)
-	}
-}
-
 // A read-only transaction that may have observed a not-yet-durable
 // write (early lock release) must not be acknowledged ahead of it: its
 // ack waits for the log tail it saw at commit, and fires after the
@@ -495,6 +475,61 @@ func TestReadOnlyInlineWaitsForEarlierReadOnlyWaiter(t *testing.T) {
 
 // --- self-clocked group commit -------------------------------------------
 
+// within fails the test unless ch is closed within d.
+func within(t *testing.T, ch <-chan struct{}, d time.Duration, what string) {
+	t.Helper()
+	select {
+	case <-ch:
+	case <-time.After(d):
+		t.Fatalf("timed out waiting for %s", what)
+	}
+}
+
+// A record sealed while pass 1 sits in the device sync is carried by the
+// pass that follows: the flusher re-reads the pending count when a pass
+// ends. WaitDurable on that record returns after the sync is let go and
+// not before, and Drain and Close return after it. The first commit's
+// own enqueue is what wakes the idle flusher for pass 1; nothing else
+// prods it.
+func TestWaitDurableReturnsForRecordSealedDuringSync(t *testing.T) {
+	dev := &gatedDevice{MemSegments: NewMemSegments(0), entered: make(chan struct{}), gate: make(chan struct{})}
+	l := NewLog(dev, Group(0, 0))
+	a := l.NewAppender(nil)
+	time.Sleep(10 * time.Millisecond) // let the flusher go idle
+
+	a.Note(0, 1, []byte{1})
+	a.Commit(nil) // LSN 1
+	within(t, dev.entered, 5*time.Second, "pass 1 to reach Sync")
+
+	a.Note(0, 2, []byte{2})
+	a.Commit(nil) // LSN 2, sealed after pass 1's sweep
+	returned := make(chan struct{})
+	go func() {
+		l.WaitDurable(2)
+		close(returned)
+	}()
+	select {
+	case <-returned:
+		t.Fatal("WaitDurable(2) returned while pass 1 was still in Sync")
+	case <-time.After(20 * time.Millisecond):
+	}
+
+	close(dev.gate)
+	within(t, returned, 5*time.Second, "WaitDurable(2) after the gate opened")
+	if got := l.DurableLSN(); got != 2 {
+		t.Fatalf("durable LSN %d after WaitDurable(2)", got)
+	}
+	closed := make(chan struct{})
+	go func() {
+		l.Drain()
+		if err := l.Close(); err != nil {
+			t.Error(err)
+		}
+		close(closed)
+	}()
+	within(t, closed, 5*time.Second, "Drain and Close")
+}
+
 // lsnRecorder collects the LSN order in which acks fire. The acks run on
 // the flusher, which has just advanced its frontier to the fired LSN.
 type lsnRecorder struct {
@@ -685,7 +720,7 @@ func TestSerialClientsLoseNoWakeup(t *testing.T) {
 func TestSelfClockedLoneCommitFlushesAtOnce(t *testing.T) {
 	l := NewLog(NewMemSegments(0), Group(1<<20, 0))
 	defer l.Close()
-	if p := l.Policy(); p.Interval != 0 || p.String() != "group" {
+	if p := l.policy; p.Interval != 0 || p.String() != "group" {
 		t.Fatalf("policy %v has a %v fill window; a zero interval must stay zero (it is what arms the timer)", p, p.Interval)
 	}
 	a := l.NewAppender(nil)

@@ -118,8 +118,8 @@ type WALDevice = wal.Device
 // crash simulation (CrashSegments is the image a crash preserves).
 type WALMemSegments = wal.MemSegments
 
-// SyncPolicy is a WAL's durability discipline; build one with WALOff,
-// WALAsync or WALGroup.
+// SyncPolicy is a WAL's durability discipline; build one with WALOff or
+// WALGroup.
 type SyncPolicy = wal.SyncPolicy
 
 // WALStats counts the flusher's work: records vs flush batches is the
@@ -149,10 +149,6 @@ func LoadWALFileSegments(dir string) ([][]byte, error) { return wal.LoadFileSegm
 
 // WALOff disables durability (the paper's instant acknowledgment).
 func WALOff() SyncPolicy { return wal.Off() }
-
-// WALAsync appends and flushes in the background but acknowledges at
-// pre-commit (synchronous_commit=off semantics).
-func WALAsync() SyncPolicy { return wal.Async() }
 
 // WALGroup acknowledges after the redo record is synced. With interval
 // zero — WALGroup(0, 0), the default — group commit is self-clocked: no
