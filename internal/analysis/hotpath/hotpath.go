@@ -28,9 +28,10 @@
 // one-time setup that allocates); the reason is mandatory.
 //
 // Dynamic calls — function values, interface dispatch — are not
-// traversed; hot loops that dispatch through an interface (the SPSC
-// ring behind spsc.Queue) annotate the concrete implementations as
-// roots instead.
+// traversed; a hot loop that dispatches through an interface annotates
+// the concrete implementations as roots instead. The message plane has
+// none: its queues are concrete SPSC rings, so the walk from every CC,
+// exec and net step reaches the ring operations statically.
 package hotpath
 
 import (

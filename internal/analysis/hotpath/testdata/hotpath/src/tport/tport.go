@@ -2,8 +2,8 @@
 // labour: the enqueue path threads run (pool get, batch fill,
 // select-default handoff) must stay hot-path clean, while the socket
 // I/O lives behind //orthrus:coldpath writer/reader goroutines. It pins
-// the shape internal/orthrus's netQueue and internal/transport's Peer
-// rely on to pass the analyzer.
+// that a pooled, select-default hand-off in front of socket I/O passes
+// the analyzer.
 package tport
 
 import (

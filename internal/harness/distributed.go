@@ -75,7 +75,7 @@ func distributed(c Config) {
 		return s
 	}
 
-	// In-process plane, through the same Transport abstraction.
+	// In-process plane: the same rings, every consumer in this process.
 	{
 		db, tbl := newYCSBDB(c)
 		eng := orthrus.New(orthrus.Config{DB: db, CCThreads: cc, ExecThreads: ex})

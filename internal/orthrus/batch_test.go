@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/spsc"
 	"repro/internal/storage"
 	"repro/internal/workload"
 )
@@ -129,7 +128,7 @@ func TestDefaultBatchSizeEverywhere(t *testing.T) {
 		if len(x.scratch) != DefaultBatchSize {
 			t.Fatalf("exec %d drains %d grants at a time, want %d", id, len(x.scratch), DefaultBatchSize)
 		}
-		ring := ses.s.execToCC[id][0].(*spsc.Ring[message])
+		ring := ses.s.execToCC[id][0]
 		for i := 0; i < DefaultBatchSize; i++ {
 			if ring.Len() != 0 {
 				t.Fatalf("exec %d published after %d of %d pushes", id, i, DefaultBatchSize)

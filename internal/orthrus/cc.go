@@ -191,11 +191,12 @@ func newCCThread(s *runState, id int) *ccThread {
 		inbuf: make([]message, s.cfg.BatchSize),
 		// Forwards flow strictly from lower to higher CC ids and nobody
 		// waits on anybody, so a full forward ring costs the chain one
-		// step of delay and can never close a cycle. Grant rings, and the
-		// tcp plane's hand-offs to its net stepper, hold the owner's whole
-		// in-flight window and a transaction has at most one grant
-		// outstanding anywhere, so grants always fit — but nothing depends
-		// on it: a refused grant waits in its outbox for the next step.
+		// step of delay and can never close a cycle. Grant rings hold the
+		// owner's whole in-flight window (on a tcp cc node the net stepper
+		// drains them for the owner) and a transaction has at most one
+		// grant outstanding anywhere, so grants always fit — but nothing
+		// depends on it: a refused grant waits in its outbox for the next
+		// step.
 		out: append(newOutboxes(s.ccToCC[id][id+1:]), newOutboxes(s.ccToExec[id])...),
 	}
 }
@@ -261,7 +262,7 @@ func (c *ccThread) drainAll() bool {
 // drainRing batch-consumes one input ring until it is empty. fromExec
 // distinguishes exec→CC rings (acquires and releases) from CC→CC rings
 // (forwarded acquires) for the per-thread message breakdown.
-func (c *ccThread) drainRing(q spsc.Queue[message], fromExec bool) bool {
+func (c *ccThread) drainRing(q *spsc.Ring[message], fromExec bool) bool {
 	progress := false
 	for {
 		n := q.DequeueBatch(c.inbuf)

@@ -204,10 +204,12 @@ func testPerCCStatsConservationTCP(t *testing.T, procs int) {
 	}
 }
 
-// TestTransportConfigValidationPanics covers the new transport knobs the
-// same way TestConfigValidationPanics covers the engine's.
+// TestTransportConfigValidationPanics covers the transport knobs the
+// same way TestConfigValidationPanics covers the engine's. The wire's own
+// knobs are internal/transport's (TestConfigValidatePanics there).
 func TestTransportConfigValidationPanics(t *testing.T) {
 	db, _ := newDB(8)
+	ln := &stallListener{} // Validate only asks whether one is set
 	base := func() Config { return Config{DB: db, CCThreads: 2, ExecThreads: 2} }
 	cases := []struct {
 		name   string
@@ -217,35 +219,18 @@ func TestTransportConfigValidationPanics(t *testing.T) {
 		{"role-without-tcp", func(c *Config) { c.Transport.Role = "cc" }},
 		{"peer-without-tcp", func(c *Config) { c.Transport.Peer = "127.0.0.1:9" }},
 		{"tcp-unknown-role", func(c *Config) { c.Transport = TransportConfig{Kind: "tcp", Role: "both"} }},
+		{"listener-without-tcp", func(c *Config) { c.Transport.Listener = ln }},
+		{"inproc-spelling", func(c *Config) { c.Transport.Kind = "inproc" }},
 		{"tcp-cc-no-listen", func(c *Config) { c.Transport = TransportConfig{Kind: "tcp", Role: "cc"} }},
 		{"tcp-cc-with-peer", func(c *Config) {
-			c.Transport = TransportConfig{Kind: "tcp", Role: "cc", Listen: "127.0.0.1:0", Peer: "127.0.0.1:9"}
-		}},
-		{"tcp-cc-bad-listen", func(c *Config) {
-			c.Transport = TransportConfig{Kind: "tcp", Role: "cc", Listen: "no-port"}
+			c.Transport = TransportConfig{Kind: "tcp", Role: "cc", Listener: ln, Peer: "127.0.0.1:9"}
 		}},
 		{"tcp-exec-no-peer", func(c *Config) { c.Transport = TransportConfig{Kind: "tcp", Role: "exec"} }},
 		{"tcp-exec-bad-peer", func(c *Config) {
 			c.Transport = TransportConfig{Kind: "tcp", Role: "exec", Peer: "no-port"}
 		}},
 		{"tcp-exec-with-listen", func(c *Config) {
-			c.Transport = TransportConfig{Kind: "tcp", Role: "exec", Peer: "127.0.0.1:9", Listen: "127.0.0.1:0"}
-		}},
-		{"tcp-negative-maxframe", func(c *Config) {
-			c.Transport = TransportConfig{Kind: "tcp", Role: "exec", Peer: "127.0.0.1:9"}
-			c.Transport.Net.MaxFrame = -1
-		}},
-		{"tcp-tiny-maxframe", func(c *Config) {
-			c.Transport = TransportConfig{Kind: "tcp", Role: "exec", Peer: "127.0.0.1:9"}
-			c.Transport.Net.MaxFrame = 16
-		}},
-		{"tcp-negative-dial-timeout", func(c *Config) {
-			c.Transport = TransportConfig{Kind: "tcp", Role: "exec", Peer: "127.0.0.1:9"}
-			c.Transport.Net.DialTimeout = -time.Second
-		}},
-		{"tcp-negative-accept-timeout", func(c *Config) {
-			c.Transport = TransportConfig{Kind: "tcp", Role: "exec", Peer: "127.0.0.1:9"}
-			c.Transport.Net.AcceptTimeout = -time.Second
+			c.Transport = TransportConfig{Kind: "tcp", Role: "exec", Peer: "127.0.0.1:9", Listener: ln}
 		}},
 	}
 	for _, tc := range cases {
@@ -421,7 +406,7 @@ func TestNetStepsByHand(t *testing.T) {
 		Transport: TransportConfig{Kind: "tcp", Role: "exec", Peer: tcp.Addr().String()}})
 	cc := <-ccStarted
 	x, c := newExecThread(ex, 0, ex.set.Thread(0)), newCCThread(cc.s, 0)
-	xn, cn := ex.s.tr.wire(), cc.s.tr.wire()
+	xn, cn := ex.s.tcp.net, cc.s.tcp.net
 	goroutines := runtime.NumGoroutine()
 
 	// must steps th once and insists on progress; arrive steps a net
@@ -459,20 +444,22 @@ func TestNetStepsByHand(t *testing.T) {
 			return nil
 		},
 	}, func(ok bool) { acked = ok })
-	must("exec step with a queued submission", x) // plan, frame the acquire
-	must("exec node's net step with a frame queued", xn)
+	// Thread steps publish into rings; each node's net step drains the
+	// rings whose consumer is on the peer and frames what it took.
+	must("exec step with a queued submission", x) // plan, publish the acquire
+	must("exec node's net step with an acquire published", xn)
 	arrive("the acquire, at the cc node", cn)
-	must("CC step with an acquire in its ring", c) // lock, frame the grant
-	must("cc node's net step with a grant queued", cn)
+	must("CC step with an acquire in its ring", c) // lock, publish the grant
+	must("cc node's net step with a grant published", cn)
 	arrive("the grant, at the exec node", xn)
 	if acked {
 		t.Fatal("acknowledged before the grant was handled")
 	}
-	must("exec step with a grant in its ring", x) // execute, commit, frame the release
+	must("exec step with a grant in its ring", x) // execute, commit, publish the release
 	if !acked || storage.GetU64(execDB.Table(tbl).Get(3), 0) != 42 {
 		t.Fatalf("after the grant: acked=%v record=%d, want true and 42", acked, storage.GetU64(execDB.Table(tbl).Get(3), 0))
 	}
-	must("exec node's net step with a release queued", xn)
+	must("exec node's net step with a release published", xn)
 	arrive("the release, at the cc node", cn)
 	must("CC step with a release in its ring", c)
 
@@ -481,7 +468,7 @@ func TestNetStepsByHand(t *testing.T) {
 	if _, exit := x.step(); !exit {
 		t.Fatal("exec thread did not retire")
 	}
-	ex.s.tr.execDone()
+	ex.s.tcp.execDone()
 	if _, exit := xn.step(); exit { // says goodbye
 		t.Fatal("exec node's net stepper retired before hearing the cc node's goodbye")
 	}
@@ -528,6 +515,105 @@ func TestNetStepsByHand(t *testing.T) {
 	}
 	xn.peer.Close()
 	cn.peer.Close()
+}
+
+// The net stepper frames an outbound ring one drained batch at a time, in
+// ring order, opening a new frame wherever the next message would pass
+// MaxFrame, and stops draining once the bytes the socket has not taken
+// pass MaxFrame: the rest stays in the ring for a later step. Acquires of
+// varied plan sizes — one alone larger than the cap — cross a net.Pipe
+// and are decoded on the far end.
+func TestGatherSplitsAtMaxFrameInOrder(t *testing.T) {
+	const maxFrame, batch, ccs, execs = 256, 4, 3, 2
+	const from, to = 1, 2 // the ring under test: exec 1 → CC 2
+	opsPerAcquire := []int{6, 2, 9, 1, 25, 3, 6, 6, 4, 12, 7, 5, 2, 8, 3, 6}
+	db, _ := newDB(8)
+	e := New(Config{DB: db, CCThreads: ccs, ExecThreads: execs, BatchSize: batch})
+	s := &runState{cfg: e.cfg}
+	s.execToCC = rings(execs, ccs, e.cfg.QueueCap, false)
+	near, far := net.Pipe()
+	n := newNetStepper(s, wire.RoleExec, wire.NewPeer(near, wire.Config{MaxFrame: maxFrame}))
+
+	type frame struct {
+		plane    uint8
+		from, to uint16
+		size     int      // encoded payload bytes
+		ids      []uint64 // in frame order
+		ops      []int    // each acquire's op count
+	}
+	got := make(chan []frame)
+	go func() { // the far end: decode until the near end closes
+		p := wire.NewPeer(far, wire.Config{})
+		var fs []frame
+		var f wire.Frame
+		for p.Recv(&f) == nil {
+			fr := frame{plane: f.Plane, from: f.From, to: f.To, size: len(wire.AppendFrame(nil, &f))}
+			for _, m := range f.Msgs {
+				fr.ids = append(fr.ids, m.TxnID)
+				fr.ops = append(fr.ops, len(m.Hops[0].Ops))
+			}
+			fs = append(fs, fr)
+		}
+		got <- fs
+	}()
+
+	ring := s.execToCC[from][to]
+	for i, k := range opsPerAcquire {
+		w := &wrapper{owner: from}
+		hop := w.addHop(to, k)
+		for j := 0; j < k; j++ {
+			w.opsByCC[hop] = append(w.opsByCC[hop], txn.Op{Key: uint64(j), Mode: txn.Write})
+		}
+		if !ring.TryEnqueue(message{kind: msgAcquire, w: w, id: uint64(i)}) {
+			t.Fatal("ring full")
+		}
+	}
+	total := len(opsPerAcquire)
+
+	// The first batch alone encodes past the cap, so one step frames it
+	// and leaves the rest in the ring.
+	if progress, exit := n.step(); !progress || exit {
+		t.Fatalf("first step: progress=%v exit=%v", progress, exit)
+	}
+	if left, sent := ring.Len(), n.peer.Stats().MessagesSent; left != total-batch || sent != batch {
+		t.Fatalf("first step left %d in the ring and framed %d, want %d and %d", left, sent, total-batch, batch)
+	}
+	for i := 0; ring.Len() > 0 || n.peer.Buffered() > 0; i++ {
+		if i == 1e5 {
+			t.Fatalf("ring (%d) and buffer (%d bytes) not drained", ring.Len(), n.peer.Buffered())
+		}
+		n.step()
+	}
+	n.peer.Close()
+	frames := <-got
+	far.Close()
+
+	var ids []uint64
+	split, oversized := false, false
+	for i, f := range frames {
+		if f.plane != wire.PlaneExecCC || f.from != from || f.to != to {
+			t.Fatalf("frame %d addressed (%d, %d→%d), want the ring's (%d, %d→%d)", i, f.plane, f.from, f.to, wire.PlaneExecCC, from, to)
+		}
+		if f.size > maxFrame && len(f.ids) > 1 {
+			t.Fatalf("frame %d is %d bytes with %d messages, over the %d-byte cap", i, f.size, len(f.ids), maxFrame)
+		}
+		for j, id := range f.ids {
+			if want := opsPerAcquire[id]; f.ops[j] != want {
+				t.Fatalf("acquire %d arrived with %d ops, want %d", id, f.ops[j], want)
+			}
+		}
+		split = split || len(f.ids) < batch
+		oversized = oversized || f.size > maxFrame
+		ids = append(ids, f.ids...)
+	}
+	for i := range ids {
+		if ids[i] != uint64(i) {
+			t.Fatalf("arrival order %v, want ring order 0..%d", ids, total-1)
+		}
+	}
+	if len(ids) != total || !split || !oversized {
+		t.Fatalf("%d of %d messages arrived in %d frames (split=%v, oversized=%v)", len(ids), total, len(frames), split, oversized)
+	}
 }
 
 // A live tcp session is its workers and nothing else: no goroutine per

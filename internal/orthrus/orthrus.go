@@ -23,6 +23,11 @@
 //	CC i   → CC j   : forwarded acquires (only i < j, see below)
 //	CC c   → exec e : grant notifications
 //
+// The ring is the plane's only queue type. On the tcp plane
+// (TransportConfig) a node keeps the same rings; one whose consumer lives
+// on the peer node is drained by the node's net stepper, which frames
+// what it takes for the wire (transport.go).
+//
 // # Lock acquisition
 //
 // An execution thread routes a transaction's declared access set to CC
@@ -45,7 +50,7 @@
 // private state plus a non-blocking step method, and the goroutines that
 // call step are workers — min(hosted logical threads, GOMAXPROCS) of
 // them, each sweeping a fixed, disjoint share of the threads (worker.go).
-// On the tcp transport a node hosts one role's threads and its socket,
+// On the tcp plane a node hosts one role's threads and its socket,
 // which is one more such thread (netStepper, transport.go).
 // With GOMAXPROCS ≥ CCThreads+ExecThreads every worker hosts one thread:
 // the paper's one-thread-per-core layout. On fewer procs threads are
@@ -140,9 +145,9 @@ type Config struct {
 	// checkpointer over the session (requires an enabled Wal); see
 	// engine.CheckpointConfig.
 	Checkpoint engine.CheckpointConfig
-	// Transport selects the message-plane backend: the zero value is
-	// the in-process ring plane; Kind "tcp" splits CC and execution
-	// threads across two OS processes (see TransportConfig).
+	// Transport places the message plane: the zero value keeps every
+	// thread in one process; Kind "tcp" splits CC and execution threads
+	// across two OS processes (see TransportConfig).
 	Transport TransportConfig
 }
 
@@ -403,14 +408,14 @@ func (e *Engine) Name() string {
 
 // runState is per-Run message-plane state.
 type runState struct {
-	cfg Config
-	// tr is the message-plane backend; it populates the three queue
-	// planes below (install) and owns any cross-process machinery.
-	tr       Transport
-	execToCC [][]spsc.Queue[message] // [exec][cc]
-	ccToCC   [][]spsc.Queue[message] // [from][to], used only for from < to
-	ccToExec [][]spsc.Queue[message] // [cc][exec]
-	ccStop   atomic.Bool
+	cfg      Config
+	execToCC [][]*spsc.Ring[message] // [exec][cc]
+	ccToCC   [][]*spsc.Ring[message] // [from][to], used only for from < to; nil on an exec node
+	ccToExec [][]*spsc.Ring[message] // [cc][exec]
+	// tcp is the node's half of the networked plane: its connection and
+	// net stepper. Nil on the in-process plane.
+	tcp    *tcpTransport
+	ccStop atomic.Bool
 
 	// wraps pools wrappers, shared across exec and CC threads because
 	// any of a wrapper's observers may be the one dropping the final
@@ -425,6 +430,11 @@ type runState struct {
 	ops   opCounter
 	perCC []CCStats
 }
+
+// hostsCC and hostsExec report which thread roles run in this process;
+// on the tcp plane the other role's threads live on the peer node.
+func (s *runState) hostsCC() bool   { return s.cfg.Transport.Role != "exec" }
+func (s *runState) hostsExec() bool { return s.cfg.Transport.Role != "cc" }
 
 // ccOf routes a record to the CC thread that owns its lock.
 func (s *runState) ccOf(table int, key uint64) int {
@@ -456,11 +466,16 @@ func (e *Engine) newRunState() *runState {
 	cfg := e.cfg
 	s := &runState{cfg: cfg, perCC: make([]CCStats, cfg.CCThreads)}
 	s.wraps.New = func() interface{} { return &wrapper{} }
-	// The backend builds the queue planes after the pool, which the tcp
-	// net stepper touches once stepped, and before any thread exists,
-	// since each thread binds its outboxes to them when built.
-	s.tr = newTransport(cfg)
-	s.tr.install(s)
+	// The rings exist before any thread, since each thread — the net
+	// stepper included — binds to them when built.
+	s.execToCC = rings(cfg.ExecThreads, cfg.CCThreads, cfg.QueueCap, false)
+	s.ccToExec = rings(cfg.CCThreads, cfg.ExecThreads, grantCap(cfg), false)
+	if s.hostsCC() {
+		s.ccToCC = rings(cfg.CCThreads, cfg.CCThreads, cfg.QueueCap, true)
+	}
+	if cfg.Transport.remote() {
+		s.tcp = newTCPTransport(s)
+	}
 	return s
 }
 
@@ -543,13 +558,13 @@ func (e *Engine) Start() engine.Session {
 	// this node's role is hosted, beside its net stepper; the peer
 	// process hosts the other's.
 	nExec, nCC := 0, 0
-	if ses.s.tr.hostsExec() {
+	if ses.s.hostsExec() {
 		nExec = e.cfg.ExecThreads
 	}
-	if ses.s.tr.hostsCC() {
+	if ses.s.hostsCC() {
 		nCC = e.cfg.CCThreads
 	}
-	workers := layout(nExec, nCC, ses.s.tr.wire() != nil, runtime.GOMAXPROCS(0))
+	workers := layout(nExec, nCC, ses.s.tcp != nil, runtime.GOMAXPROCS(0))
 	ses.workers = len(workers)
 	ses.execWg.Add(nExec)
 	ses.ccWg.Add(nCC)
@@ -562,7 +577,7 @@ func (e *Engine) Start() engine.Session {
 // Submit implements engine.Session through the intake (engine.Intake.Submit),
 // on the node that hosts the execution threads.
 func (ses *session) Submit(t *txn.Txn, done func(committed bool)) {
-	if !ses.s.tr.hostsExec() {
+	if !ses.s.hostsExec() {
 		panic("orthrus: " + ses.e.Name() + ": Submit on a node with no execution threads (submit to the exec node)")
 	}
 	ses.Intake.Submit(t, done)
@@ -579,11 +594,17 @@ func (ses *session) Close() metrics.Result {
 	// Networked shutdown barrier: the exec node flushes its last frames
 	// and says goodbye; the cc node holds here until that goodbye, so
 	// its CC threads' final drain pass below sees every release.
-	ses.s.tr.execDone()
-	ses.s.tr.ccGate()
+	tcp := ses.s.tcp
+	if tcp != nil {
+		tcp.execDone()
+		tcp.ccGate()
+	}
 	ses.s.ccStop.Store(true)
 	ses.ccWg.Wait()
-	netStats := ses.s.tr.shutdown()
+	var netStats NetStats
+	if tcp != nil {
+		netStats = tcp.shutdown()
+	}
 
 	ops := ses.s.ops // every thread has retired and flushed
 	ses.e.msgs = MessageStats{
@@ -680,7 +701,7 @@ func newExecThread(ses *session, id int, stats *metrics.ThreadStats) *execThread
 	if cfg.CCThreads > 64 {
 		x.countBuf = make([]int, cfg.CCThreads)
 	}
-	if !ses.s.tr.hostsCC() {
+	if !ses.s.hostsCC() {
 		x.pend = make(map[uint64]*wrapper, cfg.Inflight*2)
 	}
 	if cfg.Wal.Enabled() {

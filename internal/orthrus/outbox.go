@@ -5,9 +5,11 @@ import "repro/internal/spsc"
 // outbox is one sender's buffer in front of one ring: the messages it has
 // generated for that ring and the ring has not yet taken, in send order.
 // Every sender — exec thread, CC thread, net stepper — keeps one per
-// destination ring, bound when the sender is built.
+// destination ring, bound when the sender is built. The ring is the same
+// concrete type whoever consumes it: a thread on this node, or the net
+// stepper framing it for the peer.
 type outbox struct {
-	q   spsc.Queue[message]
+	q   *spsc.Ring[message]
 	buf []message
 }
 
@@ -52,7 +54,7 @@ func (o *outbox) flush(ops *opCounter) bool {
 type outboxes []outbox
 
 // newOutboxes binds one outbox to each ring.
-func newOutboxes(qs []spsc.Queue[message]) outboxes {
+func newOutboxes(qs []*spsc.Ring[message]) outboxes {
 	out := make(outboxes, len(qs))
 	for i, q := range qs {
 		out[i].q = q

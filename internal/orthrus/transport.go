@@ -10,59 +10,52 @@ import (
 	wire "repro/internal/transport"
 )
 
-// TransportConfig selects the message-plane backend. The zero value is
-// the in-process plane (SPSC ring matrices), behaviourally identical to
-// the engine before the Transport extraction.
+// TransportConfig selects the message plane. The zero value is the
+// in-process plane: every thread in one process, one SPSC ring per
+// ordered thread pair.
 //
 // Kind "tcp" splits the engine across two OS processes: a "cc" node
 // hosting every CC thread and an "exec" node hosting every execution
 // thread, connected by one TCP connection carrying batched frames (see
-// internal/transport and README "Distributed message plane"). Both
+// internal/transport and README "Distributed message plane"). Each node
+// builds the same rings; where a ring's consumer lives on the peer node,
+// the node's net stepper drains it and frames what it takes. Both
 // processes construct the same Config apart from this struct; the
 // handshake verifies they agree on thread counts before any message
 // flows, and the cc node checks every acquire's routing against its own
-// Partition (netStepper.checkAcquire).
+// Partition (netStepper.checkAcquire). The wire runs at
+// internal/transport's defaults: frame cap, dial and accept timeouts.
 type TransportConfig struct {
-	// Kind is "" or "inproc" for the in-process plane, "tcp" for the
-	// networked plane.
+	// Kind is "" for the in-process plane, "tcp" for the networked
+	// plane.
 	Kind string
 	// Role is this process's half of the tcp split: "cc" or "exec".
 	Role string
-	// Listen is the cc node's host:port accept address. Ignored when
-	// Listener is set.
-	Listen string
-	// Listener, when non-nil, is a pre-bound listener the cc node
-	// accepts on (so callers can bind :0 and learn the port first).
+	// Listener is the bound listener the cc node accepts on (so callers
+	// can bind :0 and learn the port first).
 	Listener net.Listener
 	// Peer is the exec node's target: the cc node's address.
 	Peer string
-	// Net are the wire-level knobs (frame cap, dial and accept
-	// timeouts).
-	Net wire.Config
 }
 
 // remote reports whether the plane crosses a process boundary.
 func (c TransportConfig) remote() bool { return c.Kind == "tcp" }
 
 // Validate panics on malformed transport configuration: unknown kinds
-// or roles, a role without its required endpoint, endpoints that do not
-// parse as host:port, or tcp-role fields set on the in-process plane.
+// or roles, a role without its required endpoint, a peer address that
+// does not parse as host:port, or tcp-role fields set on the in-process
+// plane.
 func (c TransportConfig) Validate() {
 	switch c.Kind {
-	case "", "inproc":
-		if c.Role != "" || c.Listen != "" || c.Listener != nil || c.Peer != "" {
-			panic("orthrus: Transport.Role/Listen/Listener/Peer require Transport.Kind \"tcp\"")
+	case "":
+		if c.Role != "" || c.Listener != nil || c.Peer != "" {
+			panic("orthrus: Transport.Role/Listener/Peer require Transport.Kind \"tcp\"")
 		}
 	case "tcp":
 		switch c.Role {
 		case "cc":
-			if c.Listen == "" && c.Listener == nil {
-				panic("orthrus: Transport.Role \"cc\" requires Listen or Listener")
-			}
-			if c.Listen != "" {
-				if _, _, err := net.SplitHostPort(c.Listen); err != nil {
-					panic(fmt.Sprintf("orthrus: Transport.Listen %q is not host:port: %v", c.Listen, err))
-				}
+			if c.Listener == nil {
+				panic("orthrus: Transport.Role \"cc\" requires Listener")
 			}
 			if c.Peer != "" {
 				panic("orthrus: Transport.Peer is the exec role's knob; the cc role listens")
@@ -74,85 +67,27 @@ func (c TransportConfig) Validate() {
 			if _, _, err := net.SplitHostPort(c.Peer); err != nil {
 				panic(fmt.Sprintf("orthrus: Transport.Peer %q is not host:port: %v", c.Peer, err))
 			}
-			if c.Listen != "" || c.Listener != nil {
-				panic("orthrus: Transport.Listen/Listener are the cc role's knobs; the exec role dials")
+			if c.Listener != nil {
+				panic("orthrus: Transport.Listener is the cc role's knob; the exec role dials")
 			}
 		default:
 			panic(fmt.Sprintf("orthrus: Transport.Role %q unknown (want \"cc\" or \"exec\" with Kind \"tcp\")", c.Role))
 		}
 	default:
-		panic(fmt.Sprintf("orthrus: Transport.Kind %q unknown (want \"inproc\" or \"tcp\")", c.Kind))
+		panic(fmt.Sprintf("orthrus: Transport.Kind %q unknown (want \"\" or \"tcp\")", c.Kind))
 	}
-	c.Net.Validate()
 }
 
 // NetStats counts the session's wire traffic (zero on the in-process
 // plane), as its net stepper's Peer counted it.
 type NetStats = wire.Stats
 
-// Transport is the pluggable message-plane backend behind the three
-// queue planes (exec→CC acquires/releases, CC→CC forwards, CC→exec
-// grants). install populates runState's queue matrices; the lifecycle
-// hooks are called from session.Close in this order, mirroring the
-// drain protocol:
-//
-//	execDone()  after the execution threads exit (exec side flushed)
-//	ccGate()    before CC threads are told to stop (inbound flushed)
-//	shutdown()  after the CC threads exit (plane torn down)
-//
-// The in-process backend implements all three as no-ops; the tcp
-// backend maps them onto its net stepper's goodbye barrier.
-type Transport interface {
-	name() string
-	// hostsCC / hostsExec report which thread roles run in this
-	// process; the other role's threads live on the peer node.
-	hostsCC() bool
-	hostsExec() bool
-	install(s *runState)
-	// wire is the node's socket as one more logical thread for a worker
-	// to host (worker.go); nil on the in-process plane.
-	wire() *netStepper
-	execDone()
-	ccGate()
-	shutdown() NetStats
-}
-
-// newTransport selects the backend for a validated Config.
-func newTransport(cfg Config) Transport {
-	tc := cfg.Transport
-	if !tc.remote() {
-		return inprocTransport{}
-	}
-	role := wire.RoleExec
-	if tc.Role == "cc" {
-		role = wire.RoleCC
-	}
-	return &tcpTransport{cfg: cfg, role: role}
-}
-
-// --- in-process backend ---------------------------------------------------
-
-// inprocTransport is the historical message plane: full SPSC ring
-// matrices for all three planes, every thread in one process.
-type inprocTransport struct{}
-
-func (inprocTransport) name() string    { return "inproc" }
-func (inprocTransport) hostsCC() bool   { return true }
-func (inprocTransport) hostsExec() bool { return true }
-
-func (inprocTransport) install(s *runState) {
-	cfg := s.cfg
-	s.execToCC = rings(cfg.ExecThreads, cfg.CCThreads, cfg.QueueCap, false)
-	s.ccToCC = rings(cfg.CCThreads, cfg.CCThreads, cfg.QueueCap, true)
-	s.ccToExec = rings(cfg.CCThreads, cfg.ExecThreads, grantCap(cfg), false)
-}
-
 // rings builds a from×to matrix of rings, without the diagonal when a
 // thread never sends to itself.
-func rings(from, to, capacity int, skipSelf bool) [][]spsc.Queue[message] {
-	m := make([][]spsc.Queue[message], from)
+func rings(from, to, capacity int, skipSelf bool) [][]*spsc.Ring[message] {
+	m := make([][]*spsc.Ring[message], from)
 	for i := range m {
-		m[i] = make([]spsc.Queue[message], to)
+		m[i] = make([]*spsc.Ring[message], to)
 		for j := range m[i] {
 			if !skipSelf || i != j {
 				m[i][j] = spsc.New[message](capacity)
@@ -162,17 +97,9 @@ func rings(from, to, capacity int, skipSelf bool) [][]spsc.Queue[message] {
 	return m
 }
 
-// grantCap sizes whatever carries grants to hold the whole in-flight
-// window, so a grant never waits a step in its CC thread's outbox for
-// room.
+// grantCap sizes the grant rings to hold the whole in-flight window, so a
+// grant never waits a step in its CC thread's outbox for room.
 func grantCap(cfg Config) int { return max(cfg.QueueCap, cfg.Inflight) }
-
-func (inprocTransport) wire() *netStepper  { return nil }
-func (inprocTransport) execDone()          {}
-func (inprocTransport) ccGate()            {}
-func (inprocTransport) shutdown() NetStats { return NetStats{} }
-
-// --- tcp backend ----------------------------------------------------------
 
 // tcpTransport is one node's half of the networked message plane. The
 // two-node split keeps every CC thread on one process and every exec
@@ -181,47 +108,37 @@ func (inprocTransport) shutdown() NetStats { return NetStats{} }
 // node-local: the ascending-CC-id forwarding chains that carry the
 // paper's deadlock-freedom argument never leave the CC node, and the
 // wire adds no new cycle to the acyclic forwarding graph (see README).
-// The socket itself is one more logical thread, the netStepper.
+// The socket itself is one more logical thread, the netStepper, and the
+// Peer's only user.
+//
+// session.Close calls its hooks in this order, mirroring the drain
+// protocol:
+//
+//	execDone()  after the execution threads exit (exec side flushed)
+//	ccGate()    before CC threads are told to stop (inbound flushed)
+//	shutdown()  after the CC threads exit (plane torn down)
 type tcpTransport struct {
-	cfg  Config
-	role uint8
-
-	peer  *wire.Peer
-	ln    net.Listener
-	ownLn bool
-	net   *netStepper
+	net *netStepper
 }
 
-func (t *tcpTransport) name() string      { return "tcp/" + t.cfg.Transport.Role }
-func (t *tcpTransport) hostsCC() bool     { return t.role == wire.RoleCC }
-func (t *tcpTransport) hostsExec() bool   { return t.role == wire.RoleExec }
-func (t *tcpTransport) wire() *netStepper { return t.net }
-
-func (t *tcpTransport) install(s *runState) {
+// newTCPTransport connects this node to its peer — the cc node accepts,
+// the exec node dials with retry (the two processes may start in either
+// order) — checks the handshake, and builds the net stepper over s's
+// rings, which must already exist.
+func newTCPTransport(s *runState) *tcpTransport {
 	cfg := s.cfg
 	tc := cfg.Transport
-	nc := tc.Net.WithDefaults()
-
-	// Establish the connection: the cc node accepts, the exec node
-	// dials with retry (the two processes may start in either order).
+	role := wire.RoleExec
 	var conn net.Conn
 	var err error
-	if t.role == wire.RoleCC {
-		ln := tc.Listener
-		if ln == nil {
-			ln, err = net.Listen("tcp", tc.Listen)
-			if err != nil {
-				panic(fmt.Sprintf("orthrus: tcp transport: listen %s: %v", tc.Listen, err))
-			}
-			t.ownLn = true
-		}
-		t.ln = ln
-		conn, err = wire.Accept(ln, nc.AcceptTimeout)
+	if s.hostsCC() {
+		role = wire.RoleCC
+		conn, err = wire.Accept(tc.Listener, wire.DefaultAcceptTimeout)
 		if err != nil {
 			panic(fmt.Sprintf("orthrus: tcp transport: accept: %v", err))
 		}
 	} else {
-		conn, err = wire.Dial(tc.Peer, nc.DialTimeout)
+		conn, err = wire.Dial(tc.Peer, wire.DefaultDialTimeout)
 		if err != nil {
 			panic(fmt.Sprintf("orthrus: tcp transport: %v", err))
 		}
@@ -230,17 +147,17 @@ func (t *tcpTransport) install(s *runState) {
 	// Handshake: both processes derived their topology independently from
 	// their own Config; refuse to run unless the thread counts agree.
 	local := wire.Hello{
-		Role:        t.role,
+		Role:        role,
 		CCThreads:   uint16(cfg.CCThreads),
 		ExecThreads: uint16(cfg.ExecThreads),
 	}
-	peerHello, err := wire.Exchange(conn, &local, nc.DialTimeout)
+	peerHello, err := wire.Exchange(conn, &local, wire.DefaultDialTimeout)
 	if err != nil {
 		conn.Close()
 		panic(fmt.Sprintf("orthrus: tcp transport: handshake: %v", err))
 	}
 	wantRole := wire.RoleCC
-	if t.role == wire.RoleCC {
+	if role == wire.RoleCC {
 		wantRole = wire.RoleExec
 	}
 	if peerHello.Role != wantRole {
@@ -253,26 +170,14 @@ func (t *tcpTransport) install(s *runState) {
 			local.CCThreads, local.ExecThreads, peerHello.CCThreads, peerHello.ExecThreads))
 	}
 
-	t.peer = wire.NewPeer(conn, nc)
-	t.net = newNetStepper(s, t.role, t.peer)
-
-	// Queue planes: real rings where this node consumes — the net stepper
-	// is the single producer of every wire-fed one — and netQueues where
-	// the consumer is remote, each as deep as the ring it stands in for.
-	// Forwards stay node-local.
-	cc := t.role == wire.RoleCC
-	s.execToCC = t.net.plane(wire.PlaneExecCC, cfg.ExecThreads, cfg.CCThreads, cc, cfg.QueueCap)
-	s.ccToExec = t.net.plane(wire.PlaneCCExec, cfg.CCThreads, cfg.ExecThreads, !cc, grantCap(cfg))
-	if cc {
-		s.ccToCC = rings(cfg.CCThreads, cfg.CCThreads, cfg.QueueCap, true)
-	}
+	return &tcpTransport{net: newNetStepper(s, role, wire.NewPeer(conn, wire.Config{}))}
 }
 
-// execDone: the exec node's threads have retired, so every frame this
-// node will ever send is in a netQueue; the net stepper says goodbye once
-// it has drained them.
+// execDone: the exec node's threads have retired, so every message this
+// node will ever send is in a ring; the net stepper says goodbye once it
+// has framed them all.
 func (t *tcpTransport) execDone() {
-	if t.role == wire.RoleExec {
+	if t.net.role == wire.RoleExec {
 		t.net.closing.Store(true)
 	}
 }
@@ -281,7 +186,7 @@ func (t *tcpTransport) execDone() {
 // decoded and every message before it republished into the local rings,
 // so the CC threads' final drain pass observes every release.
 func (t *tcpTransport) ccGate() {
-	if t.role == wire.RoleCC {
+	if t.net.role == wire.RoleCC {
 		<-t.net.heard
 	}
 }
@@ -293,11 +198,8 @@ func (t *tcpTransport) ccGate() {
 func (t *tcpTransport) shutdown() NetStats {
 	t.net.closing.Store(true)
 	t.net.retired.Wait()
-	t.peer.Close()
-	if t.ownLn {
-		t.ln.Close()
-	}
-	return t.peer.Stats()
+	t.net.peer.Close()
+	return t.net.peer.Stats()
 }
 
 // netStepper is the node's socket as a logical thread: a worker steps it
@@ -305,33 +207,45 @@ func (t *tcpTransport) shutdown() NetStats {
 // never waits. Inbound, one non-blocking read, decoded in place and
 // republished into the local rings the frames address; what a full ring
 // refuses stays in that ring's outbox (in) for the next step, like every
-// other sender's. Outbound, whatever the node's netQueues hold is
-// encoded and offered to the socket in one non-blocking write; what the
-// socket does not take stays in the Peer's buffer.
+// other sender's. Outbound, it is the single consumer of every ring whose
+// consumer lives on the peer node: it drains them, frames what it took
+// and offers the frames to the socket in one non-blocking write; what the
+// socket does not take stays in the Peer's buffer. Producer threads only
+// publish into those rings, as they would in-process, and never touch the
+// Peer.
+//
+// Framing reads messages after their producers have moved on. An
+// acquire's plan is read from its wrapper, which stays alive until that
+// acquire's grant returns — and the grant cannot return before the
+// acquire is framed. Grants and releases are framed from the id the
+// message carries, never through its wrapper, so their wrappers may
+// already be recycled.
 //
 // Liveness. A step reads whatever the state of its write side, so two
 // nodes with full socket buffers still empty each other's. And what it
 // reads finds room without anyone waiting: the cc node's wire-fed rings
 // are drained unconditionally by every CC step; the exec node's, like the
-// cc→net hand-offs, hold a whole in-flight window of grants, and a
+// cc node's grant rings, hold a whole in-flight window of grants, and a
 // transaction has at most one grant outstanding anywhere. So a full
 // socket buffer only ever parks bytes in the Peer's buffer (bounded:
-// gather stops past MaxFrame), frames in the netQueues behind it, and
-// messages in their senders' outboxes behind those.
+// gather stops past MaxFrame), messages in the outbound rings behind it,
+// and messages in their senders' outboxes behind those.
 //
 // Shutdown is stepper state. Close's sequence sets closing once every
-// local thread feeding the netQueues has retired; the stepper drains them
-// and appends its goodbye. It closes heard once the peer's goodbye is
-// decoded and its outboxes (in) are empty, and retires — goodbye written, the
-// peer's heard, nothing buffered — whereupon its worker releases retired.
+// local thread feeding the outbound rings has retired; the stepper drains
+// them and appends its goodbye. It closes heard once the peer's goodbye
+// is decoded and its outboxes (in) are empty, and retires — goodbye
+// written, the peer's heard, nothing buffered — whereupon its worker
+// releases retired.
 type netStepper struct {
 	s    *runState
 	role uint8
 	peer *wire.Peer
 
-	in    outboxes    // to the wire-fed local rings, indexed [from*consumers+to]
-	out   []*netQueue // outbound hand-offs
-	frame wire.Frame  // the decode target, reused
+	in    outboxes   // to the wire-fed local rings, indexed [from*consumers+to]
+	out   []wireRing // the rings whose consumer is on the peer node
+	batch []message  // the outbound drain buffer, BatchSize long
+	frame wire.Frame // the decode target, reused
 	ops   opCounter
 
 	// reg maps live wire transaction ids to this CC node's materialized
@@ -345,35 +259,34 @@ type netStepper struct {
 	retired  sync.WaitGroup
 }
 
+// wireRing is one ring whose consumer is on the peer node, with the
+// queue address its frames carry.
+type wireRing struct {
+	ring     *spsc.Ring[message]
+	plane    uint8
+	from, to uint16
+}
+
+// newNetStepper binds a stepper to the two wire-crossing planes of s: it
+// feeds the one this node consumes (in [from][to] order, the order
+// dispatch indexes n.in by) and frames the one it produces.
 func newNetStepper(s *runState, role uint8, peer *wire.Peer) *netStepper {
-	n := &netStepper{s: s, role: role, peer: peer, heard: make(chan struct{})}
+	n := &netStepper{s: s, role: role, peer: peer, batch: make([]message, s.cfg.BatchSize), heard: make(chan struct{})}
+	in, out, plane := s.ccToExec, s.execToCC, wire.PlaneExecCC
 	if role == wire.RoleCC {
+		in, out, plane = s.execToCC, s.ccToExec, wire.PlaneCCExec
 		n.reg = make(map[uint64]*wrapper, s.cfg.ExecThreads*s.cfg.Inflight*2)
+	}
+	for _, row := range in {
+		n.in = append(n.in, newOutboxes(row)...)
+	}
+	for i, row := range out {
+		for j, r := range row {
+			n.out = append(n.out, wireRing{ring: r, plane: plane, from: uint16(i), to: uint16(j)})
+		}
 	}
 	n.retired.Add(1)
 	return n
-}
-
-// plane builds one wire-crossing from×to queue matrix: rings the stepper
-// feeds where this node consumes (in [from][to] order, the order dispatch
-// indexes n.in by), netQueues it drains where it produces.
-func (n *netStepper) plane(plane uint8, from, to int, consumes bool, capacity int) [][]spsc.Queue[message] {
-	m := make([][]spsc.Queue[message], from)
-	for i := range m {
-		m[i] = make([]spsc.Queue[message], to)
-		for j := range m[i] {
-			if consumes {
-				q := spsc.New[message](capacity)
-				n.in = append(n.in, outbox{q: q})
-				m[i][j] = q
-				continue
-			}
-			q := &netQueue{peer: n.peer, ring: spsc.New[*wire.Frame](capacity), plane: plane, from: uint16(i), to: uint16(j)}
-			n.out = append(n.out, q)
-			m[i][j] = q
-		}
-	}
-	return m
 }
 
 // step is one pass over the socket: read and dispatch, republish, gather
@@ -400,8 +313,8 @@ func (n *netStepper) step() (progress, exit bool) {
 	}
 
 	// Read the flag before the gather: once set every producer has
-	// retired, so a gather that then leaves the netQueues empty has seen
-	// all they will ever hold.
+	// retired, so a gather that then leaves the outbound rings empty has
+	// seen all they will ever hold.
 	closing := n.closing.Load()
 	moved, drained := n.gather()
 	if closing && drained && !n.saidBye {
@@ -423,24 +336,85 @@ func lost(err error) {
 	}
 }
 
-// gather encodes the frames the netQueues hold behind whatever the socket
-// has not yet taken, stopping once that passes MaxFrame, and reports
-// whether it moved any and whether it left the queues empty.
+// gather drains the outbound rings and frames what it takes behind
+// whatever the socket has not yet taken, one drained batch at a time,
+// stopping once that passes MaxFrame: the rest stays in the rings for the
+// next step. It reports whether it moved anything and whether it left the
+// rings empty.
 func (n *netStepper) gather() (moved, drained bool) {
-	for _, q := range n.out {
+	for i := range n.out {
+		o := &n.out[i]
 		for {
 			if n.peer.Buffered() >= n.peer.MaxFrame() {
 				return moved, false
 			}
-			f, ok := q.ring.TryDequeue()
-			if !ok {
+			k := o.ring.DequeueBatch(n.batch)
+			if k == 0 {
 				break
 			}
-			n.peer.Append(f)
+			n.encode(o, n.batch[:k])
 			moved = true
+			if k < len(n.batch) {
+				break
+			}
 		}
 	}
 	return moved, true
+}
+
+// encode appends one drained batch to the Peer as one frame for o's
+// queue, in ring order, opening another wherever the next message would
+// pass MaxFrame: a frame stays within the cap unless it carries a single
+// message.
+//
+//orthrus:hotpath
+func (n *netStepper) encode(o *wireRing, ms []message) {
+	f := n.open(o)
+	size := wire.FrameHeaderSize
+	for i := 0; i < len(ms); {
+		m := f.AddMsg()
+		o.fill(m, &ms[i])
+		sz := m.EncodedSize()
+		if len(f.Msgs) > 1 && size+sz > n.peer.MaxFrame() {
+			f.Msgs = f.Msgs[:len(f.Msgs)-1] // ms[i] opens the next frame
+			n.peer.Append(f)
+			f, size = n.open(o), wire.FrameHeaderSize
+			continue
+		}
+		size += sz
+		i++
+	}
+	n.peer.Append(f)
+}
+
+// open returns an empty pooled frame addressed to o's queue.
+func (n *netStepper) open(o *wireRing) *wire.Frame {
+	f := n.peer.Get()
+	f.Plane, f.From, f.To = o.plane, o.from, o.to
+	return f
+}
+
+// fill copies one ring message into its wire form: a grant or a release
+// is its id alone; an acquire also carries its owner and plan, read from
+// its wrapper (see netStepper).
+//
+//orthrus:hotpath
+func (o *wireRing) fill(wm *wire.Msg, m *message) {
+	wm.TxnID = m.id
+	switch {
+	case o.plane == wire.PlaneCCExec:
+		wm.Kind = wire.KindGrant
+	case m.kind == msgRelease:
+		wm.Kind = wire.KindRelease
+	default:
+		wm.Kind = wire.KindAcquire
+		w := m.w
+		wm.Owner = uint16(w.owner)
+		for i, c := range w.hops {
+			h := wm.AddHop(uint16(c))
+			h.Ops = append(h.Ops[:0], w.opsByCC[i]...)
+		}
+	}
 }
 
 // dispatch queues one decoded data frame's messages for the local ring it
@@ -539,80 +513,3 @@ func (n *netStepper) materialize(m *wire.Msg) *wrapper {
 	n.reg[m.TxnID] = w
 	return w
 }
-
-// netQueue adapts one remote (plane, from, to) queue slot to the
-// spsc.Queue interface: the producing thread's outbox flush becomes
-// one wire frame, handed to the net stepper over a ring of its own — the
-// producing thread is its one producer, the stepper its one consumer.
-// Send-only: the consuming side of a wire queue is a real ring on the
-// peer node.
-//
-// Message payloads are copied into the frame at enqueue time, so a
-// wrapper recycled immediately after (releases carry only the wire id)
-// can never be read by the stepper.
-type netQueue struct {
-	peer     *wire.Peer // the frame pool and the MaxFrame cap
-	ring     *spsc.Ring[*wire.Frame]
-	plane    uint8
-	from, to uint16
-}
-
-// TryEnqueueBatch coalesces vs into one frame (bounded by the MaxFrame
-// soft cap) and hands it to the net stepper, returning how many messages
-// it consumed: 0, consuming nothing, when the hand-off is full —
-// outbox.flush then leaves the messages in the sender's outbox for its
-// next step, the same backpressure a full ring applies.
-//
-//orthrus:hotpath
-func (q *netQueue) TryEnqueueBatch(vs []message) int {
-	if len(vs) == 0 || q.ring.Len() == q.ring.Cap() {
-		return 0
-	}
-	f := q.peer.Get()
-	f.Plane, f.From, f.To = q.plane, q.from, q.to
-	max := q.peer.MaxFrame()
-	size := wire.FrameHeaderSize
-	n := 0
-	for i := range vs {
-		m := f.AddMsg()
-		q.fill(m, &vs[i])
-		sz := m.EncodedSize()
-		if n > 0 && size+sz > max {
-			f.Msgs = f.Msgs[:n] // roll the overflow message back
-			break
-		}
-		size += sz
-		n++
-	}
-	q.ring.TryEnqueue(f) // has room: only this thread adds to the ring
-	return n
-}
-
-// fill copies one in-process message into its wire form. Acquires
-// snapshot the wrapper's plan here, on the owning thread, so the frame
-// is self-contained no matter when the net stepper encodes it.
-//
-//orthrus:hotpath
-func (q *netQueue) fill(wm *wire.Msg, m *message) {
-	wm.TxnID = m.id
-	switch {
-	case q.plane == wire.PlaneCCExec:
-		wm.Kind = wire.KindGrant
-	case m.kind == msgRelease:
-		wm.Kind = wire.KindRelease
-	default:
-		wm.Kind = wire.KindAcquire
-		w := m.w
-		wm.Owner = uint16(w.owner)
-		for i, c := range w.hops {
-			h := wm.AddHop(uint16(c))
-			h.Ops = append(h.Ops[:0], w.opsByCC[i]...)
-		}
-	}
-}
-
-func (q *netQueue) DequeueBatch([]message) int {
-	panic("orthrus: netQueue is send-only (the peer node's net stepper feeds its local rings)")
-}
-
-var _ spsc.Queue[message] = (*netQueue)(nil)

@@ -10,12 +10,14 @@
 // the "standard latch-free circular buffer" the paper cites [31], and it is
 // the reason ORTHRUS's message passing does not re-introduce the very
 // synchronization overhead it is designed to remove.
+//
+// The ring offers non-blocking operations only — try one element, or a
+// batch under one index store — and no close: ORTHRUS's logical threads
+// may share a goroutine, so none of them may wait on a ring, and a session
+// ends by its own protocol, not by closing its rings.
 package spsc
 
-import (
-	"runtime"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // cacheLinePad separates hot fields written by different goroutines so the
 // producer's tail and the consumer's head do not share a cache line. 128
@@ -25,21 +27,21 @@ type cacheLinePad struct{ _ [128]byte }
 
 // Ring is a bounded SPSC queue of T. The zero value is not usable; call New.
 //
-// TryEnqueue/TryDequeue never block. Enqueue/Dequeue spin politely
-// (runtime.Gosched per iteration) so the package is safe at GOMAXPROCS=1.
+// Every operation is non-blocking: a full ring refuses an enqueue and an
+// empty ring yields nothing; the caller decides what to do instead (an
+// ORTHRUS thread keeps the refused tail in an outbox for its next step).
 //
 // The field layout groups by writer, not by role: each side's index and
 // its private peer-cache share a line (one goroutine owns both, so that
 // sharing is free), and the two groups are padded apart so neither side's
-// stores invalidate the other's line. Cold fields — written at
-// construction or at Close — live on their own shared read-mostly line.
+// stores invalidate the other's line. The cold fields, written once at
+// construction, live on their own shared read-mostly line.
 // BenchmarkRingPingPong in this package measures the layout against an
 // unpadded control.
 type Ring[T any] struct {
-	// Cold line: buf/mask are written once in New; closed rarely.
-	buf    []T
-	mask   uint64
-	closed atomic.Bool
+	// Cold line: buf/mask are written once in New.
+	buf  []T
+	mask uint64
 
 	_ cacheLinePad
 	// Producer line. cachedHead is the producer's last observed head,
@@ -91,20 +93,6 @@ func (r *Ring[T]) TryEnqueue(v T) bool {
 	}
 	r.buf[tail&r.mask] = v
 	r.tail.Store(tail + 1) // release: publishes buf write
-	return true
-}
-
-// Enqueue appends v, spinning politely while the ring is full.
-// It returns false only if the ring was closed while waiting.
-//
-//orthrus:hotpath
-func (r *Ring[T]) Enqueue(v T) bool {
-	for !r.TryEnqueue(v) {
-		if r.closed.Load() {
-			return false
-		}
-		runtime.Gosched()
-	}
 	return true
 }
 
@@ -194,44 +182,3 @@ func (r *Ring[T]) DequeueBatch(buf []T) int {
 	r.head.Store(head + n) // release: frees all n slots
 	return int(n)
 }
-
-// Dequeue removes the oldest element, spinning politely while the ring is
-// empty. It returns ok=false only if the ring was closed and drained.
-//
-//orthrus:hotpath
-func (r *Ring[T]) Dequeue() (v T, ok bool) {
-	for {
-		if v, ok = r.TryDequeue(); ok {
-			return v, true
-		}
-		if r.closed.Load() {
-			// Re-check after observing close: the producer may have
-			// enqueued between our failed TryDequeue and the close.
-			if v, ok = r.TryDequeue(); ok {
-				return v, true
-			}
-			return v, false
-		}
-		runtime.Gosched()
-	}
-}
-
-// Close marks the ring closed. Blocked Enqueue callers return false;
-// Dequeue callers drain remaining elements, then return false.
-func (r *Ring[T]) Close() { r.closed.Store(true) }
-
-// Closed reports whether Close has been called.
-func (r *Ring[T]) Closed() bool { return r.closed.Load() }
-
-// Queue is what the ORTHRUS message plane holds per thread pair — the two
-// batched operations its threads move messages with: the SPSC ring
-// in-process, or the networked plane's send-only adapter
-// (internal/orthrus's netQueue, which turns each TryEnqueueBatch pass into
-// one wire frame; its DequeueBatch panics because the consuming half
-// lives in the peer process).
-type Queue[T any] interface {
-	TryEnqueueBatch([]T) int
-	DequeueBatch([]T) int
-}
-
-var _ Queue[int] = (*Ring[int])(nil)

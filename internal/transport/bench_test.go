@@ -2,6 +2,7 @@ package transport
 
 import (
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/spsc"
@@ -19,6 +20,7 @@ func BenchmarkTransportRoundTrip(b *testing.B) {
 	b.Run("inproc", func(b *testing.B) {
 		there := spsc.New[Msg](64)
 		back := spsc.New[Msg](64)
+		var stop atomic.Bool
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
@@ -28,7 +30,7 @@ func BenchmarkTransportRoundTrip(b *testing.B) {
 				for n < batch {
 					got := there.DequeueBatch(buf[n:])
 					if got == 0 {
-						if there.Closed() && there.Len() == 0 {
+						if stop.Load() && there.Len() == 0 {
 							return
 						}
 						runtime.Gosched()
@@ -63,7 +65,7 @@ func BenchmarkTransportRoundTrip(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		there.Close()
+		stop.Store(true)
 		<-done
 	})
 

@@ -1,21 +1,23 @@
 // Package transport carries the ORTHRUS message plane over a network
 // connection. The in-process plane moves `message` values through SPSC
 // rings; this package moves the same traffic between OS processes as
-// length-prefixed binary frames, one frame per outbox flush, so the
-// batching discipline (and the FIFO order each ring
-// guarantees) survives the wire: a frame's messages are delivered in
-// order, and frames on one connection are delivered in send order.
+// length-prefixed binary frames, one frame per batch drained from a ring
+// (split at the MaxFrame cap), so the batching discipline (and the FIFO
+// order each ring guarantees) survives the wire: a frame's messages are
+// delivered in order, and frames on one connection are delivered in send
+// order.
 //
 // The codec is deliberately dumb — fixed-width little-endian fields, no
 // varints, no compression — because exec and CC threads never touch it:
-// they only build []Msg batches (capacity-reusing, allocation free) and
-// hand whole frames to the Peer's owner, the single place bytes are
-// produced and decoded. A Peer never waits and starts no goroutine: its
-// core is one non-blocking read into a reusable buffer, frames decoded in
-// place, and one non-blocking write of everything appended since the
-// last. The engine's net stepper drives that core once per step; Send and
-// Recv are a blocking driver over the same buffers for everyone else. See
-// README "Distributed message plane".
+// they publish into rings as they would in-process, and the engine's net
+// stepper, a session's only Peer user, drains the rings bound for the
+// peer node and builds the frames (capacity-reusing, allocation free) —
+// the single place bytes are produced and decoded. A Peer never waits and
+// starts no goroutine: its core is one non-blocking read into a reusable
+// buffer, frames decoded in place, and one non-blocking write of
+// everything appended since the last. The net stepper drives that core
+// once per step; Send and Recv are a blocking driver over the same
+// buffers for everyone else. See README "Distributed message plane".
 package transport
 
 import (
@@ -83,7 +85,8 @@ type Msg struct {
 }
 
 // Frame is one wire frame: a batch of messages for a single
-// (plane, from, to) queue, i.e. one outbox flush.
+// (plane, from, to) queue, i.e. one batch drained from that queue's ring
+// (or the part of it that fits the MaxFrame cap).
 type Frame struct {
 	Plane    uint8
 	From, To uint16

@@ -192,7 +192,8 @@ func (p *Peer) AppendGoodbye() {
 
 // Buffered is how many encoded bytes the socket has not yet taken. An
 // owner stops appending once it passes MaxFrame, which bounds the buffer
-// at MaxFrame plus one frame.
+// at MaxFrame plus the owner's last append (the engine's net stepper
+// appends one drained batch at a time).
 func (p *Peer) Buffered() int { return len(p.wbuf) - p.wpos }
 
 // Flush offers every unwritten byte to the socket in one write and
