@@ -135,8 +135,8 @@ func TestSubmitAllocsWALBounded(t *testing.T) {
 	}
 }
 
-// TestSubmitAllocsWithCheckpointerBounded: a live fuzzy checkpointer —
-// walking the table, sealing pages, committing manifests and truncating
+// TestSubmitAllocsWithCheckpointerBounded: a live checkpointer —
+// compacting the log, sealing pages, committing manifests and truncating
 // segments every few milliseconds while the measurement runs — must not
 // add allocations to the Submit→ack hot path beyond the WAL bound. The
 // checkpointer's own cold-path allocations (page copies into the store,

@@ -42,7 +42,7 @@ func checkpointedEngines(t testing.TB) []*checkpointedEngine {
 		dev := repro.NewWALMemSegments(4 << 10)
 		log := repro.NewWAL(dev, repro.WALGroup(16, 100*time.Microsecond))
 		store := repro.NewMemCheckpointStore()
-		ck := repro.CheckpointConfig{Store: store, Interval: time.Hour, ChunkRecords: 7}
+		ck := repro.CheckpointConfig{Store: store, Interval: time.Hour}
 		out = append(out, &checkpointedEngine{
 			name: name, sys: f(db, log, ck), db: db, tbl: tbl, dev: dev, log: log, store: store,
 		})
@@ -114,11 +114,9 @@ func requireTableEqual(t *testing.T, label string, want *repro.DB, wtbl int, got
 	}
 }
 
-// runCheckpointedPhases drives three 200-transfer phases with a fuzzy
-// checkpoint forced after phases 1 and 2 (the checkpointer walks the table
-// while later submissions are in flight on phase boundaries is not required —
-// forcing between phases keeps the LSN bounds deterministic for assertions),
-// then closes the session and log, returning the checkpointer's stats.
+// runCheckpointedPhases drives three 200-transfer phases with a
+// checkpoint forced after phases 1 and 2, then closes the session and
+// log, returning the checkpointer's stats.
 func runCheckpointedPhases(t *testing.T, e *checkpointedEngine) repro.CheckpointStats {
 	t.Helper()
 	ses := e.sys.Start()
@@ -187,8 +185,8 @@ func TestCheckpointRecoveryParallelMatchesSerialOnAllEngines(t *testing.T) {
 					t.Fatalf("%s recovery saw a torn log", r.label)
 				}
 				// The checkpoint bounds the replay tail: only the phase-3
-				// transfers (plus any records the second walk raced past)
-				// replay, never the full 600-transaction history.
+				// transfers (plus the phase-2 records no sealed segment
+				// held yet) replay, never the full 600-transaction history.
 				if r.st.Replay.Applied >= 600 {
 					t.Fatalf("%s recovery replayed %d records; checkpoint did not bound the tail", r.label, r.st.Replay.Applied)
 				}
@@ -407,11 +405,10 @@ func TestFileCheckpointAndSegmentsRoundTrip(t *testing.T) {
 	requireTableEqual(t, "file-roundtrip", db, tbl, db2, tbl2)
 }
 
-// The checkpointer must handle every table class: versioned fixed tables
-// (snapshot copy-out), plain fixed tables, ordered grow tables (key
-// enumeration), and unordered grow tables (latched copy-out). Build one
-// database with all four, run inserts and updates, checkpoint fuzzily,
-// and verify recovery reproduces every table byte for byte.
+// The checkpointer must handle every table class: versioned fixed
+// tables, plain fixed tables, ordered grow tables and unordered grow
+// tables. Build one database with all four, run inserts and updates,
+// checkpoint, and verify recovery reproduces every table byte for byte.
 func TestCheckpointCoversAllTableClasses(t *testing.T) {
 	build := func() (*repro.DB, [4]int) {
 		db := repro.NewDB()
@@ -432,7 +429,7 @@ func TestCheckpointCoversAllTableClasses(t *testing.T) {
 	store := repro.NewMemCheckpointStore()
 	eng := repro.NewTwoPL(repro.LockingConfig{
 		DB: db, Handler: repro.WaitDie(), Threads: 4, Wal: log,
-		Checkpoint: repro.CheckpointConfig{Store: store, Interval: time.Hour, ChunkRecords: 7},
+		Checkpoint: repro.CheckpointConfig{Store: store, Interval: time.Hour},
 	})
 	ses := eng.Start()
 
@@ -509,75 +506,103 @@ func TestCheckpointCoversAllTableClasses(t *testing.T) {
 	}
 }
 
-// Versioned-table chunks are imaged through snapshot reads at the WAL's
-// DURABLE frontier, which lags assigned LSNs under group commit. The
-// checkpointer must force the frontier up to StartLSN before walking: a
-// chunk snapshotted below StartLSN omits durable updates that replay —
-// which starts past StartLSN — never re-applies, silently losing
-// acknowledged transactions. This test pins the lag deterministically: a
-// group policy whose size trigger and fill window are unreachable keeps
-// the durable frontier at 0, with every transfer executed and none yet
-// acknowledged, until the checkpoint itself forces it.
-func TestCheckpointStartLSNCoversDurableFrontierLag(t *testing.T) {
-	build := func() (*repro.DB, int) {
-		db := repro.NewDB()
-		tbl := db.Create(repro.Layout{Name: "accounts", NumRecords: 64, RecordSize: 64, Versioned: true})
-		// Populate through Insert — the load path — so each row's base
-		// version holds the loaded image and snapshot reads of keys no
-		// transfer ever touches resolve to it, not to the zero image.
-		rec := make([]byte, 64)
-		repro.PutI64(rec, 0, 1000)
-		for k := uint64(0); k < 64; k++ {
-			if err := db.Table(tbl).Insert(k, rec); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return db, tbl
-	}
-	db, tbl := build()
+// A checkpointer starts from the store's newest image, never from LSN 0:
+// an earlier session over the same log may have truncated the segments
+// below it. Session 1 checkpoints twice, so its second checkpoint
+// truncates; session 2, a new engine over the same database, log and
+// store, runs more transfers and checkpoints once. Recovery must use that
+// last image and reach the live state.
+func TestCheckpointContinuesAcrossSessions(t *testing.T) {
+	db, tbl := newAccountDB(t, 64, 1000)
 	dev := repro.NewWALMemSegments(4 << 10)
-	log := repro.NewWAL(dev, repro.WALGroup(1<<30, time.Hour))
+	log := repro.NewWAL(dev, repro.WALGroup(0, 0))
 	store := repro.NewMemCheckpointStore()
-	eng := repro.NewTwoPL(repro.LockingConfig{
-		DB: db, Handler: repro.WaitDie(), Threads: 4, Wal: log,
-		Checkpoint: repro.CheckpointConfig{Store: store, Interval: time.Hour, ChunkRecords: 7},
-	})
-	ses := eng.Start()
-	acked := startTransfers(ses, tbl, 100, 21)
-	deadline := time.Now().Add(5 * time.Second)
-	for log.LastLSN() < 100 {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d of 100 transfers executed", log.LastLSN())
-		}
-		time.Sleep(50 * time.Microsecond)
+	newEngine := func() repro.System {
+		return repro.NewOrthrus(repro.OrthrusConfig{DB: db, CCThreads: 2, ExecThreads: 2, Wal: log,
+			Checkpoint: repro.CheckpointConfig{Store: store, Interval: time.Hour}})
 	}
-	if got, last := log.DurableLSN(), log.LastLSN(); got != 0 || last == 0 {
-		t.Fatalf("durable frontier %d (last assigned %d); the lag this test pins is gone", got, last)
-	}
+
+	ses := newEngine().Start()
+	submitTransfers(ses, tbl, 300, 31)
 	if err := repro.ForceCheckpoint(ses); err != nil {
 		t.Fatal(err)
 	}
-	acked()
+	submitTransfers(ses, tbl, 300, 32)
+	if err := repro.ForceCheckpoint(ses); err != nil {
+		t.Fatal(err)
+	}
+	ses.Drain()
+	ses.Close()
+	if dev.Truncated() == 0 {
+		t.Fatal("session 1 truncated no segments")
+	}
+	first := store.Manifests()
+
+	ses = newEngine().Start()
+	submitTransfers(ses, tbl, 300, 33)
+	if err := repro.ForceCheckpoint(ses); err != nil {
+		t.Fatal(err)
+	}
 	ses.Drain()
 	ses.Close()
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	manifests := store.Manifests()
-	if len(manifests) != 1 {
-		t.Fatalf("retained %d manifests, want 1", len(manifests))
+	last := store.Manifests()
+	if got, prev := last[len(last)-1].StartLSN, first[len(first)-1].StartLSN; got <= prev {
+		t.Fatalf("session 2's image is at LSN %d, not past session 1's %d", got, prev)
 	}
-	db2, tbl2 := build()
-	st, err := repro.RecoverWAL(store, dev.CrashSegments(), db2, 4)
+
+	db2, tbl2 := newAccountDB(t, 64, 1000)
+	st, err := repro.RecoverWAL(store, dev.CrashSegments(), db2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.UsedCheckpoint {
-		t.Fatal("recovery ignored the checkpoint")
+	if !st.UsedCheckpoint || st.StartLSN != last[len(last)-1].StartLSN {
+		t.Fatalf("recovery used checkpoint %t at LSN %d, want the newest image at %d",
+			st.UsedCheckpoint, st.StartLSN, last[len(last)-1].StartLSN)
+	}
+	if st.Replay.Torn {
+		t.Fatal("recovery saw a torn log")
 	}
 	if got := sumBalances(db2, tbl2, 64); got != 64*1000 {
 		t.Fatalf("recovered sum = %d, want %d", got, 64*1000)
 	}
-	requireTableEqual(t, "frontier-lag", db, tbl, db2, tbl2)
+	requireTableEqual(t, "across-sessions", db, tbl, db2, tbl2)
+}
+
+// The ticker's checkpoints compact sealed segments while the flusher is
+// still writing, sealing and rotating the log under live transfers; under
+// -race this is the hand-off between the two goroutines. Recovery from
+// the newest image must still reach the live state.
+func TestCheckpointConcurrentWithCommitsRecovers(t *testing.T) {
+	db, tbl := newAccountDB(t, 64, 1000)
+	dev := repro.NewWALMemSegments(2 << 10)
+	log := repro.NewWAL(dev, repro.WALGroup(0, 0))
+	store := repro.NewMemCheckpointStore()
+	eng := repro.NewOrthrus(repro.OrthrusConfig{DB: db, CCThreads: 2, ExecThreads: 2, Wal: log,
+		Checkpoint: repro.CheckpointConfig{Store: store, Interval: time.Millisecond}})
+	ses := eng.Start()
+	ck := ses.(repro.CheckpointedSession)
+	for round := int64(0); ck.CheckpointStats().Checkpoints < 3 || round < 4; round++ {
+		submitTransfers(ses, tbl, 200, 40+round)
+	}
+	ses.Drain()
+	stats := ck.CheckpointStats()
+	ses.Close()
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if stats.Failed != 0 || stats.TruncatedSegments == 0 {
+		t.Fatalf("checkpointer stats %+v: want no failures and some truncation", stats)
+	}
+	db2, tbl2 := newAccountDB(t, 64, 1000)
+	st, err := repro.RecoverWAL(store, dev.CrashSegments(), db2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.UsedCheckpoint || st.Replay.Torn {
+		t.Fatalf("recovery %+v: want the checkpoint and an untorn tail", st)
+	}
+	requireTableEqual(t, "concurrent", db, tbl, db2, tbl2)
 }

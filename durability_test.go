@@ -121,7 +121,7 @@ func TestCrashRecoveryCommittedPrefixOnAllEngines(t *testing.T) {
 			}
 			for _, cut := range cuts {
 				rebuilt, tbl2 := newAccountDB(t, 64, 1000)
-				st := repro.ReplayWALSegments(tornAt(segs, cut), 0, 1, rebuilt)
+				st := repro.ReplayWALSegments(tornAt(segs, cut), 0, rebuilt)
 				if got := sumBalances(rebuilt, tbl2, 64); got != 64*1000 {
 					t.Fatalf("cut %d/%d: conservation broken: sum = %d (replay %+v)",
 						cut, size, got, st)
@@ -188,7 +188,7 @@ func TestMidRunCrashKeepsAcknowledgedTransactions(t *testing.T) {
 	}
 
 	rebuilt, tbl2 := newAccountDB(t, 64, 0)
-	st := repro.ReplayWALSegments(img, 0, 1, rebuilt)
+	st := repro.ReplayWALSegments(img, 0, rebuilt)
 	if got := sumBalances(rebuilt, tbl2, 64); got < ackedBefore {
 		t.Fatalf("replayed %d transactions, but %d were acknowledged before the crash (replay %+v)",
 			got, ackedBefore, st)
@@ -245,7 +245,7 @@ func TestDrainMakesAcknowledgedWorkDurable(t *testing.T) {
 				// tail; the synced image must already be complete.
 				img := e.dev.CrashSegments()
 				rebuilt, tbl2 := newAccountDB(t, 64, 1000)
-				st := repro.ReplayWALSegments(img, 0, 1, rebuilt)
+				st := repro.ReplayWALSegments(img, 0, rebuilt)
 				if uint64(st.Applied) != res.Totals.Committed {
 					t.Fatalf("synced image holds %d of %d commits", st.Applied, res.Totals.Committed)
 				}

@@ -82,8 +82,8 @@ type Config struct {
 	// versioned tables: ReadOnly transactions then take no locks and read
 	// at the commit frontier.
 	Snapshot engine.SnapshotConfig
-	// Checkpoint, when its Store is set, runs a background fuzzy
-	// checkpointer over the session (requires an enabled Wal); see
+	// Checkpoint, when its Store is set, runs a background checkpointer
+	// that compacts the Wal into images (requires an enabled Wal); see
 	// engine.CheckpointConfig.
 	Checkpoint engine.CheckpointConfig
 }

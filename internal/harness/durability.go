@@ -83,7 +83,7 @@ func durability(c Config) {
 				}
 				if first && dev != nil && rebuild != nil {
 					t0 := time.Now()
-					wal.Replay(dev.CrashSegments(), 0, 1, rebuild())
+					wal.Replay(dev.CrashSegments(), 0, rebuild())
 					recoveryMs = float64(time.Since(t0).Microseconds()) / 1000
 				}
 			}

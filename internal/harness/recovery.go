@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/deadlock"
@@ -18,21 +17,17 @@ import (
 // Each engine runs the transfer workload against a self-clocked
 // segmented WAL under three checkpoint regimes — none, one checkpoint per
 // run, several per run — then "crashes" and recovers from the surviving
-// segments plus the newest checkpoint, once serially and once with
-// partition-parallel replay. Two effects should be visible in the rows: the log tail a
+// segments plus the newest checkpoint. The rows show that the log tail a
 // recovery replays is bounded by the checkpoint interval, not by total
-// history (applied records shrink as the interval does, and truncation
-// drops whole segments), and parallel replay beats serial by roughly the
-// worker count on a multi-core machine once the tail is large enough to
-// amortize the scan fan-out.
+// history: applied records shrink as the interval does, and truncation
+// drops whole segments.
 func recoveryExp(c Config) {
-	header(c, "Recovery: restart time vs checkpoint interval, parallel vs serial replay")
+	header(c, "Recovery: restart time vs checkpoint interval")
 	threads := 8
 	if threads > c.MaxThreads {
 		threads = c.MaxThreads
 	}
 	cc, exec := ccSplit(threads)
-	workers := runtime.GOMAXPROCS(0)
 
 	intervals := []struct {
 		name string
@@ -57,9 +52,9 @@ func recoveryExp(c Config) {
 		}
 	}
 
-	fmt.Fprintf(c.Out, "\ntransfer workload (%d threads, %d replay workers):\n", threads, workers)
-	fmt.Fprintf(c.Out, "%-12s %-8s %10s %9s %9s %9s %10s %11s %8s\n",
-		"engine", "ckpt", "commits", "segments", "restored", "applied", "serial_ms", "parallel_ms", "speedup")
+	fmt.Fprintf(c.Out, "\ntransfer workload (%d threads):\n", threads)
+	fmt.Fprintf(c.Out, "%-12s %-8s %10s %9s %9s %9s %10s\n",
+		"engine", "ckpt", "commits", "segments", "restored", "applied", "recover_ms")
 	for _, sys := range names {
 		for _, iv := range intervals {
 			db, tbl := newYCSBDB(c)
@@ -84,27 +79,16 @@ func recoveryExp(c Config) {
 				cs = store
 			}
 
-			runRecovery := func(w int) (wal.RecoverStats, float64) {
-				fresh, _ := newYCSBDB(c)
-				t0 := time.Now()
-				st, err := wal.Recover(cs, segs, fresh, w)
-				if err != nil {
-					panic(err)
-				}
-				return st, float64(time.Since(t0).Microseconds()) / 1000
+			fresh, _ := newYCSBDB(c)
+			t0 := time.Now()
+			st, err := wal.Recover(cs, segs, fresh, 1)
+			if err != nil {
+				panic(err)
 			}
-			stSerial, serialMs := runRecovery(1)
-			stPar, parMs := runRecovery(workers)
-			if stSerial.Replay.Applied != stPar.Replay.Applied ||
-				stSerial.Replay.AppliedLSN != stPar.Replay.AppliedLSN {
-				panic(fmt.Sprintf("harness: parallel recovery diverged from serial: %+v vs %+v",
-					stPar.Replay, stSerial.Replay))
-			}
-			speedup := serialMs / max(parMs, 0.001)
+			ms := float64(time.Since(t0).Microseconds()) / 1000
 
-			fmt.Fprintf(c.Out, "%-12s %-8s %10d %9d %9d %9d %10.1f %11.1f %7.1fx\n",
-				sys, iv.name, res.Totals.Committed, len(segs),
-				stSerial.RecordsRestored, stSerial.Replay.Applied, serialMs, parMs, speedup)
+			fmt.Fprintf(c.Out, "%-12s %-8s %10d %9d %9d %9d %10.1f\n",
+				sys, iv.name, res.Totals.Committed, len(segs), st.RecordsRestored, st.Replay.Applied, ms)
 			c.JSONRow(map[string]interface{}{
 				"workload": "transfer", "x_label": "interval", "x": iv.name,
 				"series": map[string]interface{}{
@@ -112,14 +96,12 @@ func recoveryExp(c Config) {
 					"commits":          res.Totals.Committed,
 					"segments":         len(segs),
 					"truncated":        dev.Truncated(),
-					"used_checkpoint":  stSerial.UsedCheckpoint,
-					"records_restored": stSerial.RecordsRestored,
-					"tail_scanned":     stSerial.Replay.Scanned,
-					"tail_skipped":     stSerial.Replay.Skipped,
-					"tail_applied":     stSerial.Replay.Applied,
-					"serial_ms":        serialMs,
-					"parallel_ms":      parMs,
-					"speedup":          speedup,
+					"used_checkpoint":  st.UsedCheckpoint,
+					"records_restored": st.RecordsRestored,
+					"tail_scanned":     st.Replay.Scanned,
+					"tail_skipped":     st.Replay.Skipped,
+					"tail_applied":     st.Replay.Applied,
+					"recover_ms":       ms,
 				},
 			})
 		}

@@ -141,8 +141,8 @@ type Config struct {
 	// the purest form of the paper's separation argument (the CC plane
 	// never hears about read-only traffic at all).
 	Snapshot engine.SnapshotConfig
-	// Checkpoint, when its Store is set, runs a background fuzzy
-	// checkpointer over the session (requires an enabled Wal); see
+	// Checkpoint, when its Store is set, runs a background checkpointer
+	// that compacts the Wal into images (requires an enabled Wal); see
 	// engine.CheckpointConfig.
 	Checkpoint engine.CheckpointConfig
 	// Transport places the message plane: the zero value keeps every

@@ -1,23 +1,11 @@
 package storage
 
-import (
-	"fmt"
-	"sort"
-)
-
-// Checkpoint and recovery support: validation of replayable writes and
-// the two latched walks the fuzzy checkpointer needs over growable
-// tables. The checkpointer reads updatable tables through engine
-// transactions (record locks or snapshots make the bytes consistent);
-// the helpers here cover what the engine path cannot — enumerating a
-// hash table's key population, and copying out insert-only tables whose
-// records are immutable once published under the shard latch.
+import "fmt"
 
 // CheckInsert reports whether Insert(key, value) would fail on t,
-// without mutating anything. Parallel replay uses it to pick the exact
-// applicable log prefix serially before fanning the writes out to
-// workers — a record that would fail mid-apply must instead end the
-// prefix, exactly as it ends a serial replay.
+// without mutating anything. Log replay and checkpoint compaction use it
+// to end the applicable log prefix before a record whose writes cannot
+// all land, so a record is never half applied.
 func CheckInsert(t Table, key uint64, value []byte) error {
 	switch tt := t.(type) {
 	case *GrowTable:
@@ -43,51 +31,4 @@ func checkFixedInsert(t *FixedTable, key uint64) error {
 		return fmt.Errorf("storage: key %d out of range for table %s (n=%d)", key, t.name, t.n)
 	}
 	return nil
-}
-
-// AppendKeys appends every present key to buf (shard by shard, each
-// under its own latch) and returns the extended slice, sorted. The
-// result is a point-in-time enumeration: keys inserted while the walk
-// is in flight may or may not appear — for a fuzzy checkpoint that is
-// exactly right, since a late insert carries an LSN past the
-// checkpoint's StartLSN and lands in the replayed log tail instead.
-func (t *GrowTable) AppendKeys(buf []uint64) []uint64 {
-	base := len(buf)
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		if t.ordered {
-			buf = append(buf, s.keys...)
-		} else {
-			for k := range s.m {
-				buf = append(buf, k)
-			}
-		}
-		s.mu.Unlock()
-	}
-	tail := buf[base:]
-	sort.Slice(tail, func(i, j int) bool { return tail[i] < tail[j] })
-	return buf
-}
-
-// CopyOut invokes fn for every present record, shard by shard, holding
-// each shard's latch across its records. fn must copy rec before
-// returning and must not block or re-enter the table.
-//
-// The latch makes this sound only for insert-only tables (HISTORY): an
-// insert publishes its fully-written pool buffer under the shard latch,
-// so the walk never sees a partial record — but in-place updates to
-// existing records are guarded by engine record locks, not shard
-// latches, so an updatable table walked this way could yield torn
-// bytes. The checkpointer reads updatable tables through engine
-// transactions instead.
-func (t *GrowTable) CopyOut(fn func(key uint64, rec []byte)) {
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		for k, v := range s.m {
-			fn(k, v)
-		}
-		s.mu.Unlock()
-	}
 }

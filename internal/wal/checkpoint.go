@@ -9,27 +9,21 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+
+	"repro/internal/storage"
 )
 
 // Checkpoint image format.
 //
 // A checkpoint is a set of CRC'd pages — each page a run of (key, value)
-// records for one table — plus a manifest committed atomically last. The
-// manifest carries the two LSNs that make a fuzzy image usable:
-//
-//   - StartLSN: the last assigned LSN when the walk began. The
-//     checkpointer forces the durable frontier up to StartLSN before
-//     copying anything, so every record in the image — including chunks
-//     read through the snapshot path, which snapshots at the durable
-//     frontier — reflects a committed state at some LSN ≥ the state as
-//     of StartLSN, and replaying the log tail from StartLSN+1 cannot
-//     miss an update the image lacks.
-//   - TailLSN: the last assigned LSN when the walk ended. Every record in
-//     the image reflects a committed state at some LSN ≤ TailLSN, and the
-//     checkpointer waits for the durable frontier to reach TailLSN before
-//     committing the manifest — so every LSN the image may already
-//     include is on the device, and replaying it again over the image is
-//     the idempotent re-application of a full after-image.
+// records for one table — plus a manifest committed atomically last.
+// Compact builds the image from the log alone: from the previous image at
+// LSN P, it keeps the last write of every (table, key) over the sealed
+// segments' contiguous LSN prefix P+1..L. Every redo record holds whole
+// after-images, so the result is exact as of L, and the manifest records
+// L as both StartLSN and TailLSN. Recovery replays above StartLSN, so a
+// store whose images have StartLSN below TailLSN, as earlier versions of
+// this package wrote, still loads and recovers.
 //
 // The manifest also records, per table, the page count, record count and
 // a CRC folded over the pages' CRCs, so a checkpoint whose pages were
@@ -69,7 +63,7 @@ type TableImage struct {
 }
 
 // Manifest describes one committed checkpoint; see the package-section
-// comment above for the StartLSN/TailLSN contract.
+// comment above for StartLSN and TailLSN.
 type Manifest struct {
 	StartLSN uint64
 	TailLSN  uint64
@@ -97,9 +91,8 @@ type CheckpointWriter interface {
 // folds match) — falling back past a torn or corrupt newest checkpoint to
 // the previous one — or (nil, nil) when no valid checkpoint exists.
 // Stores retain the two newest committed checkpoints so that truncating
-// the log against the previous checkpoint's StartLSN (see the truncation
-// rule in engine.Checkpointer) never strands recovery without a usable
-// image.
+// the log below the previous checkpoint's LSN (see the truncation rule in
+// engine.Checkpointer) never strands recovery without a usable image.
 type CheckpointStore interface {
 	Begin() (CheckpointWriter, error)
 	Load() (*Checkpoint, error)
@@ -107,6 +100,221 @@ type CheckpointStore interface {
 
 // checkpointsRetained is the store retention count; see CheckpointStore.
 const checkpointsRetained = 2
+
+// pageRecords is how many records Compact puts on one page.
+const pageRecords = 256
+
+// Image is a checkpoint image held between compactions: for every
+// (table, key) the log wrote at or below LSN, the bytes of its last
+// write. Load fills an Image from a store and Compact advances it; the
+// zero value is not loaded.
+type Image struct {
+	db     *storage.DB
+	lsn    uint64
+	gen    uint32 // compactions so far; Load's rows carry 1
+	tables []imageTable
+	scan   logScan
+	page   PageBuilder
+}
+
+// imageTable is one table's slice of an Image. A fixed table's rows sit
+// in one arena indexed by key, allocated at the table's first write, and
+// gens[k] says which compaction last wrote row k (0: none yet). A
+// growable table's rows sit in a map.
+type imageTable struct {
+	n, size uint64 // fixed tables' row count and row size; size 0 marks a growable table
+	rows    []byte
+	gens    []uint32
+	grow    map[uint64]*growRow
+}
+
+type growRow struct {
+	gen uint32
+	val []byte
+}
+
+// claim marks key as written by compaction gen and reports whether it
+// was not yet. Compact claims a prefix's writes newest first and sets a
+// key's row only on its first claim, so the write that lands is the
+// key's last. Engines log whole rows (Appender.Note takes the live
+// record, and collapses a transaction's repeated writes of one key), so
+// the last write is the row.
+func (t *imageTable) claim(key uint64, gen uint32) bool {
+	if t.size == 0 {
+		r := t.grow[key]
+		if r == nil {
+			r = &growRow{}
+			t.grow[key] = r
+		} else if r.gen == gen {
+			return false
+		}
+		r.gen = gen
+		return true
+	}
+	if t.gens == nil {
+		t.rows, t.gens = make([]byte, t.n*t.size), make([]uint32, t.n)
+	}
+	if t.gens[key] == gen {
+		return false
+	}
+	t.gens[key] = gen
+	return true
+}
+
+// set makes val key's row; key must be claimed.
+func (t *imageTable) set(key uint64, val []byte) {
+	if t.size == 0 {
+		r := t.grow[key]
+		r.val = append(r.val[:0], val...)
+		return
+	}
+	copy(t.row(key), val)
+}
+
+// row returns a fixed table's row for key.
+func (t *imageTable) row(key uint64) []byte { return t.rows[key*t.size : (key+1)*t.size] }
+
+// addTables extends the image to every table the database holds: tables
+// can be created while a session runs.
+func (img *Image) addTables() {
+	for i := len(img.tables); i < img.db.NumTables(); i++ {
+		var t imageTable
+		tbl := img.db.Table(i)
+		if _, grow := tbl.(*storage.GrowTable); grow {
+			t.grow = make(map[uint64]*growRow)
+		} else {
+			t.n, t.size = tbl.Len(), uint64(tbl.RecordSize())
+		}
+		img.tables = append(img.tables, t)
+	}
+}
+
+// Loaded reports whether Load has filled the image.
+func (img *Image) Loaded() bool { return img.db != nil }
+
+// LSN reports the LSN the image is exact as of.
+func (img *Image) LSN() uint64 { return img.lsn }
+
+// Load sets img to store's newest valid image over db's tables, at its
+// manifest's StartLSN, or to the empty image at LSN 0 when the store has
+// none. A session's first checkpoint must start here, not from LSN 0: an
+// earlier session may have truncated the log below the stored image.
+func (img *Image) Load(store CheckpointStore, db *storage.DB) error {
+	ck, err := store.Load()
+	if err != nil {
+		return err
+	}
+	next := Image{db: db, gen: 1}
+	next.addTables()
+	if ck != nil {
+		for _, p := range ck.Pages {
+			table, _, _, ok := verifyPage(p)
+			if !ok || table >= len(next.tables) {
+				return fmt.Errorf("wal: checkpoint page for unknown table %d", table)
+			}
+			t := &next.tables[table]
+			if _, _, err := DecodePage(p, func(key uint64, val []byte) error {
+				if err := storage.CheckInsert(db.Table(table), key, val); err != nil {
+					return err
+				}
+				if t.claim(key, next.gen) {
+					t.set(key, val)
+				}
+				return nil
+			}); err != nil {
+				return err
+			}
+		}
+		next.lsn = ck.Manifest.StartLSN
+	}
+	*img = next
+	return nil
+}
+
+// Compact advances a loaded image over segs, the log's sealed segments
+// (Log.Sealed), and writes it to w as pages: one table after another,
+// pageRecords records a page. It returns the manifest to commit and the
+// page bytes written.
+//
+// The records folded in are exactly those Replay would apply over the
+// image (logScan.prefix): LSNs at or below the image's are skipped, then
+// the contiguous LSNs above it up to L, ending at the first gap or at a
+// write that fails storage.CheckInsert. The new image is exact as of L,
+// so restoring it and replaying the log above L rebuilds what replaying
+// the whole log does. The records are folded in newest first, so each
+// key is copied once however often the log rewrote it. Decoding reuses
+// the image's buffers: a compaction allocates only for a table's first
+// write, for growable keys the image has not held before, and for the
+// manifest.
+func Compact(img *Image, segs [][]byte, w CheckpointWriter) (Manifest, uint64, error) {
+	img.scan.scan(segs, img.db)
+	img.addTables() // after the scan, which checked writes against the tables it saw
+	apply, _ := img.scan.prefix(img.lsn)
+	img.gen++
+	for i := len(apply) - 1; i >= 0; i-- {
+		r := apply[i]
+		for _, ref := range img.scan.writes[r.lo:r.hi] {
+			if t := &img.tables[ref.table]; t.claim(ref.key, img.gen) {
+				t.set(ref.key, img.scan.val(r, ref))
+			}
+		}
+	}
+	if len(apply) > 0 {
+		img.lsn = apply[len(apply)-1].lsn
+	}
+	img.scan.segs = nil // the segments belong to the device again
+
+	m := Manifest{StartLSN: img.lsn, TailLSN: img.lsn, Tables: make([]TableImage, len(img.tables))}
+	var bytes uint64
+	for tid := range img.tables {
+		ti := &m.Tables[tid]
+		ti.Table = tid
+		img.page.Reset(tid)
+		add := func(key uint64, val []byte) error {
+			img.page.Add(key, val)
+			if img.page.Count() < pageRecords {
+				return nil
+			}
+			return img.seal(w, ti, &bytes)
+		}
+		t := &img.tables[tid]
+		for k, gen := range t.gens {
+			if gen != 0 {
+				if err := add(uint64(k), t.row(uint64(k))); err != nil {
+					return m, bytes, err
+				}
+			}
+		}
+		for k, r := range t.grow {
+			if err := add(k, r.val); err != nil {
+				return m, bytes, err
+			}
+		}
+		if err := img.seal(w, ti, &bytes); err != nil {
+			return m, bytes, err
+		}
+	}
+	return m, bytes, nil
+}
+
+// seal writes the page under construction, if it holds any record, folds
+// it into ti and starts the next page of the same table.
+func (img *Image) seal(w CheckpointWriter, ti *TableImage, bytes *uint64) error {
+	n := img.page.Count()
+	if n == 0 {
+		return nil
+	}
+	page := img.page.Seal()
+	if err := w.Page(page); err != nil {
+		return err
+	}
+	ti.Pages++
+	ti.Records += uint64(n)
+	ti.CRC = FoldPageCRC(ti.CRC, page)
+	*bytes += uint64(len(page))
+	img.page.Reset(ti.Table)
+	return nil
+}
 
 // PageBuilder accumulates records for one table into a page. The zero
 // value is unusable; call Reset first. The builder reuses one internal
@@ -627,10 +835,12 @@ func (w *dirCkWriter) Commit(m *Manifest) error {
 	return nil
 }
 
-// Abort implements CheckpointWriter.
+// Abort implements CheckpointWriter: it removes whatever Commit had not
+// yet published, so a failed checkpoint leaves no file behind.
 func (w *dirCkWriter) Abort() {
 	w.pages.Close()
 	os.Remove(filepath.Join(w.store.dir, ckName(w.seq, "pages")))
+	os.Remove(filepath.Join(w.store.dir, ckName(w.seq, "manifest.tmp")))
 }
 
 var (

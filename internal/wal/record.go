@@ -67,58 +67,53 @@ func appendRecord(buf []byte, lsn uint64, writes []redoWrite) []byte {
 	return buf
 }
 
-// decoded is one validated record scanned out of a log image.
-type decoded struct {
-	lsn    uint64
-	writes []redoWrite // val aliases the scanned data
-}
-
-// decodeRecord validates and decodes the record at the head of data,
-// returning the record and the bytes it consumed. ok is false when the
-// head is not a complete, checksum-valid record — the torn-tail (or
-// torn-middle) signal that stops a replay scan.
-func decodeRecord(data []byte) (rec decoded, n int, ok bool) {
+// decodeRecord validates the record at the head of data and returns its
+// LSN, its payload (nextWrite walks it) and the bytes it consumed. ok is
+// false when the head is not a complete, checksum-valid record whose
+// payload parses into exactly its counted writes — the torn-tail (or
+// torn-middle) signal that stops a replay scan. It allocates nothing.
+func decodeRecord(data []byte) (lsn uint64, payload []byte, n int, ok bool) {
 	if len(data) < recHeader {
-		return decoded{}, 0, false
+		return 0, nil, 0, false
 	}
 	if binary.LittleEndian.Uint16(data[0:2]) != recMagic {
-		return decoded{}, 0, false
+		return 0, nil, 0, false
 	}
 	nw := int(binary.LittleEndian.Uint16(data[2:4]))
-	payload := int(binary.LittleEndian.Uint32(data[4:8]))
-	if payload < 0 || len(data) < recHeader+payload {
-		return decoded{}, 0, false
-	}
-	if nw*16 > payload {
-		// Each write needs at least its 16-byte entry header; reject
-		// before allocating the write slice an impossible count asks for.
-		return decoded{}, 0, false
+	size := int(binary.LittleEndian.Uint32(data[4:8]))
+	if size < 0 || len(data) < recHeader+size || nw*16 > size {
+		return 0, nil, 0, false
 	}
 	crc := crc32.Checksum(data[2:16], crcTable)
-	crc = crc32.Update(crc, crcTable, data[recHeader:recHeader+payload])
+	crc = crc32.Update(crc, crcTable, data[recHeader:recHeader+size])
 	if crc != binary.LittleEndian.Uint32(data[16:20]) {
-		return decoded{}, 0, false
+		return 0, nil, 0, false
 	}
-	rec.lsn = binary.LittleEndian.Uint64(data[8:16])
-	rec.writes = make([]redoWrite, 0, nw)
-	p := data[recHeader : recHeader+payload]
+	payload = data[recHeader : recHeader+size : recHeader+size]
+	p := payload
 	for i := 0; i < nw; i++ {
 		if len(p) < 16 {
-			return decoded{}, 0, false
+			return 0, nil, 0, false
 		}
 		vlen := int(binary.LittleEndian.Uint32(p[12:16]))
 		if len(p) < 16+vlen {
-			return decoded{}, 0, false
+			return 0, nil, 0, false
 		}
-		rec.writes = append(rec.writes, redoWrite{
-			table: int32(binary.LittleEndian.Uint32(p[0:4])),
-			key:   binary.LittleEndian.Uint64(p[4:12]),
-			val:   p[16 : 16+vlen : 16+vlen],
-		})
 		p = p[16+vlen:]
 	}
 	if len(p) != 0 {
-		return decoded{}, 0, false
+		return 0, nil, 0, false
 	}
-	return rec, recHeader + payload, true
+	return binary.LittleEndian.Uint64(data[8:16]), payload, recHeader + size, true
+}
+
+// nextWrite decodes the first write of a payload decodeRecord validated
+// and returns the rest. val aliases the payload.
+func nextWrite(p []byte) (redoWrite, []byte) {
+	vlen := int(binary.LittleEndian.Uint32(p[12:16]))
+	return redoWrite{
+		table: int32(binary.LittleEndian.Uint32(p[0:4])),
+		key:   binary.LittleEndian.Uint64(p[4:12]),
+		val:   p[16 : 16+vlen : 16+vlen],
+	}, p[16+vlen:]
 }

@@ -1,10 +1,9 @@
 package wal
 
 import (
+	"cmp"
 	"fmt"
-	"runtime"
-	"sort"
-	"sync"
+	"slices"
 
 	"repro/internal/storage"
 )
@@ -25,186 +24,136 @@ type ReplayStats struct {
 	Torn bool
 }
 
+// logRec is one valid record of a scanned log image: its LSN, where it
+// starts, segs[seg][off:], its writes, writes[lo:hi] of the scan, and
+// whether db can land them all.
+type logRec struct {
+	lsn         uint64
+	off, lo, hi int
+	seg         int
+	landable    bool
+}
+
+// writeRef is one write of a scanned record: its table, its key, and
+// where its value starts within the record and how long it is.
+type writeRef struct {
+	key       uint64
+	table     int32
+	off, vlen uint32
+}
+
+// logScan is a log image's valid records sorted by LSN, and their
+// writes. It holds keys and positions, not values, so a pass over the
+// writes reads the log's bytes only for the values it uses, and a scan
+// reused across calls allocates only when the image is larger than any
+// before it: 24 bytes a write.
+type logScan struct {
+	segs   [][]byte
+	recs   []logRec
+	writes []writeRef
+	torn   bool
+}
+
+// scan indexes every segment, each up to its first record that is
+// incomplete or fails its checksum, checks each record's writes against
+// db while its bytes are in cache, and sorts the records by LSN. The sort
+// is stable, so equal LSNs keep segment order.
+func (s *logScan) scan(segs [][]byte, db *storage.DB) {
+	s.segs, s.recs, s.writes, s.torn = segs, s.recs[:0], s.writes[:0], false
+	for i, data := range segs {
+		for off := 0; off < len(data); {
+			lsn, p, n, ok := decodeRecord(data[off:])
+			if !ok {
+				s.torn = true
+				break
+			}
+			r := logRec{lsn: lsn, off: off, lo: len(s.writes), seg: i, landable: true}
+			for len(p) > 0 {
+				val := n - len(p) + 16 // the payload is the record's last bytes
+				var w redoWrite
+				w, p = nextWrite(p)
+				s.writes = append(s.writes, writeRef{key: w.key, table: w.table, off: uint32(val), vlen: uint32(len(w.val))})
+				t := int(w.table)
+				r.landable = r.landable && t >= 0 && t < db.NumTables() && storage.CheckInsert(db.Table(t), w.key, w.val) == nil
+			}
+			r.hi = len(s.writes)
+			s.recs = append(s.recs, r)
+			off += n
+		}
+	}
+	slices.SortStableFunc(s.recs, func(a, b logRec) int { return cmp.Compare(a.lsn, b.lsn) })
+}
+
+// val returns the value of write w of record r. A pass over the writes
+// takes everything else from the scan, so only values touch the log
+// again, at addresses known without reading it.
+func (s *logScan) val(r logRec, w writeRef) []byte {
+	at := r.off + int(w.off)
+	return s.segs[r.seg][at : at+int(w.vlen) : at+int(w.vlen)]
+}
+
+// prefix selects the records that replay over an image at LSN after:
+// records at or below after are skipped, then the contiguous LSNs from
+// after+1 apply, ending at the first gap or at the first record with a
+// write db cannot land (wrong schema, or corruption the CRC missed).
+// Replay and Compact both select through here, so an image compacted to
+// LSN L and a replay that reaches L hold the same records.
+func (s *logScan) prefix(after uint64) ([]logRec, ReplayStats) {
+	st := ReplayStats{Scanned: len(s.recs), Torn: s.torn}
+	for st.Skipped < len(s.recs) && s.recs[st.Skipped].lsn <= after {
+		st.Skipped++
+	}
+	i, next := st.Skipped, after+1
+	for ; i < len(s.recs) && s.recs[i].lsn == next; i, next = i+1, next+1 {
+		if !s.recs[i].landable {
+			st.Torn = true
+			break
+		}
+	}
+	apply := s.recs[st.Skipped:i]
+	st.Applied = len(apply)
+	if len(apply) > 0 {
+		st.AppliedLSN = apply[len(apply)-1].lsn
+	}
+	return apply, st
+}
+
 // Replay rebuilds committed state from a log image onto db, which must
 // hold the same initial (pre-run) contents the logged run started from
 // (or, with after > 0, the checkpoint image covering every LSN ≤ after).
 // The image is the log's segments in order — CrashSegments or
 // LoadFileSegments; an unrotated log is simply one segment.
 //
-// The image may be torn anywhere: each segment's scan (in parallel when
-// workers > 1) stops at the first record that is incomplete or fails its
-// checksum and marks the stats Torn. Segment rotation happens only at
-// sync boundaries, so each segment is a self-contained stream of whole
-// records. Because the flusher writes appender buffers in steal order,
-// not LSN order, a torn image can also hold an LSN with a missing
-// predecessor; those records were never acknowledged (acknowledgment is
-// in LSN order), so Replay applies only the longest contiguous LSN
-// prefix starting at after+1. The result equals the state produced by
-// running exactly that prefix of the commit order — a dependency-closed
-// set, since any transaction a record depends on has a smaller LSN — and
-// it contains every transaction the log's owner acknowledged under the
-// Group policy. A log continued across engine restarts replays
+// The image may be torn anywhere: each segment's scan stops at the first
+// record that is incomplete or fails its checksum and marks the stats
+// Torn. Segment rotation happens only at sync boundaries, so each segment
+// is a self-contained stream of whole records. Because the flusher
+// writes appender buffers in steal order, not LSN order, a torn image can
+// also hold an LSN with a missing predecessor; those records were never
+// acknowledged (acknowledgment is in LSN order), so Replay applies only
+// the longest contiguous LSN prefix starting at after+1. The result
+// equals the state produced by running exactly that prefix of the commit
+// order — a dependency-closed set, since any transaction a record depends
+// on has a smaller LSN — and it contains every transaction the log's
+// owner acknowledged. A log continued across engine restarts replays
 // identically because LSNs keep ascending across sessions.
 //
 // Records with LSN ≤ after can appear in surviving segments even after
-// truncation (the flusher writes in steal order, so a late segment can
-// carry early LSNs); skipping them — rather than re-applying — matters
-// only for economy, since every log record is a full after-image that
-// the image-covered prefix already reflects, but it keeps AppliedLSN an
-// exact continuation: AppliedLSN == after + Applied whenever anything
-// applies.
-//
-// With workers > 1, the applied writes are partitioned by (table, key)
-// hash across workers — per-key application order is preserved, and
-// since redo records are full after-images with no cross-key reads, the
-// final state is byte-identical to the serial replay. A merge barrier
-// joins the workers before returning. Which records to apply (the
-// contiguous, validated prefix) is decided serially before any write
-// lands, so parallel and serial replay always pick the same prefix.
-func Replay(segs [][]byte, after uint64, workers int, db *storage.DB) ReplayStats {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var st ReplayStats
-
-	// Scan: each segment independently, stopping that segment at its
-	// first malformed record. Results are merged in segment order so the
-	// merged sequence is deterministic regardless of worker count.
-	scanned := make([][]decoded, len(segs))
-	torn := make([]bool, len(segs))
-	scanOne := func(i int) {
-		data := segs[i]
-		var recs []decoded
-		for len(data) > 0 {
-			rec, n, ok := decodeRecord(data)
-			if !ok {
-				torn[i] = true
-				break
-			}
-			recs = append(recs, rec)
-			data = data[n:]
-		}
-		scanned[i] = recs
-	}
-	if workers > 1 && len(segs) > 1 {
-		var wg sync.WaitGroup
-		next := make(chan int, len(segs))
-		for i := range segs {
-			next <- i
-		}
-		close(next)
-		n := workers
-		if n > len(segs) {
-			n = len(segs)
-		}
-		for w := 0; w < n; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					scanOne(i)
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		for i := range segs {
-			scanOne(i)
-		}
-	}
-
-	var recs []decoded
-	for i := range scanned {
-		recs = append(recs, scanned[i]...)
-		st.Torn = st.Torn || torn[i]
-	}
-	st.Scanned = len(recs)
-	sort.SliceStable(recs, func(i, j int) bool { return recs[i].lsn < recs[j].lsn })
-
-	// Select and validate the applicable prefix serially: contiguous
-	// LSNs from after+1, every write landable. A record that cannot be
-	// applied (wrong schema, corruption that survived the CRC) ends the
-	// prefix exactly where the serial replay would have stopped.
-	next := after + 1
-	apply := recs[:0]
-	for _, rec := range recs {
-		if rec.lsn <= after {
-			st.Skipped++
-			continue
-		}
-		if rec.lsn != next {
-			break
-		}
-		bad := false
-		for _, w := range rec.writes {
-			t := int(w.table)
-			if t < 0 || t >= db.NumTables() || storage.CheckInsert(db.Table(t), w.key, w.val) != nil {
-				bad = true
-				break
+// truncation (a late segment can carry early LSNs); they are skipped
+// rather than re-applied, which keeps AppliedLSN an exact continuation:
+// AppliedLSN == after + Applied whenever anything applies.
+func Replay(segs [][]byte, after uint64, db *storage.DB) ReplayStats {
+	var s logScan
+	s.scan(segs, db)
+	apply, st := s.prefix(after)
+	for _, r := range apply {
+		for _, w := range s.writes[r.lo:r.hi] {
+			if err := db.Table(int(w.table)).Insert(w.key, s.val(r, w)); err != nil {
+				panic(fmt.Sprintf("wal: replay insert failed after validation: %v", err))
 			}
 		}
-		if bad {
-			st.Torn = true
-			break
-		}
-		apply = append(apply, rec)
-		next++
 	}
-	if len(apply) == 0 {
-		return st
-	}
-	st.Applied = len(apply)
-	st.AppliedLSN = apply[len(apply)-1].lsn
-
-	if workers <= 1 {
-		for _, rec := range apply {
-			applyRecord(db, rec)
-		}
-		return st
-	}
-
-	// Partition writes by (table, key) hash, iterating records in LSN
-	// order so each partition sees its keys' writes in LSN order.
-	buckets := make([][]redoWrite, workers)
-	for _, rec := range apply {
-		for _, w := range rec.writes {
-			b := int(writeHash(w.table, w.key) % uint64(workers))
-			buckets[b] = append(buckets[b], w)
-		}
-	}
-	var wg sync.WaitGroup
-	for _, bucket := range buckets {
-		if len(bucket) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(bucket []redoWrite) {
-			defer wg.Done()
-			for _, w := range bucket {
-				if err := db.Table(int(w.table)).Insert(w.key, w.val); err != nil {
-					// CheckInsert validated this exact write above.
-					panic(fmt.Sprintf("wal: replay insert failed after validation: %v", err))
-				}
-			}
-		}(bucket)
-	}
-	wg.Wait()
 	return st
-}
-
-// applyRecord lands one validated record's writes.
-func applyRecord(db *storage.DB, rec decoded) {
-	for _, w := range rec.writes {
-		if err := db.Table(int(w.table)).Insert(w.key, w.val); err != nil {
-			panic(fmt.Sprintf("wal: replay insert failed after validation: %v", err))
-		}
-	}
-}
-
-// writeHash mixes (table, key) into the partition hash. The same mix
-// storage.GrowTable uses for shard selection, salted with the table.
-func writeHash(table int32, key uint64) uint64 {
-	return (key ^ (uint64(uint32(table)) * 0xA24BAED4963EE407)) * 0x9E3779B97F4A7C15
 }
 
 // RecoverStats reports one recovery: what the checkpoint restored and
@@ -225,18 +174,17 @@ type RecoverStats struct {
 
 // Recover rebuilds committed state onto db: load the newest valid
 // checkpoint from store (nil store, or a store with no valid
-// checkpoint, means none), restore its pages in parallel, then replay
-// the committed prefix of the log tail above the checkpoint's StartLSN
-// with Replay. db must hold the same initial (pre-run) contents
-// the logged run started from — checkpoint pages and redo records both
-// overwrite, so restoring onto the base schema is idempotent.
+// checkpoint, means none), restore its pages, then replay the committed
+// prefix of the log tail above the checkpoint's StartLSN with Replay.
+// db must hold the same initial (pre-run) contents the logged run
+// started from — checkpoint pages and redo records both overwrite, so
+// restoring onto the base schema is idempotent.
 //
-// Restoring pages in parallel is safe because a checkpoint image holds
-// each (table, key) at most once: pages never conflict on a record.
+// Recovery is serial and workers is ignored: on the recovery experiment's
+// longest tails (no checkpoint, 2 vCPUs) parallel scan, restore and
+// replay beat serial in 3 of 24 rows, so the fan-outs were removed. The
+// parameter stays so existing callers keep compiling.
 func Recover(store CheckpointStore, segs [][]byte, db *storage.DB, workers int) (RecoverStats, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	var st RecoverStats
 	if store != nil {
 		ck, err := store.Load()
@@ -248,32 +196,16 @@ func Recover(store CheckpointStore, segs [][]byte, db *storage.DB, workers int) 
 			st.StartLSN = ck.Manifest.StartLSN
 			st.TailLSN = ck.Manifest.TailLSN
 			st.PagesRestored = len(ck.Pages)
-			counts := make([]int, len(ck.Pages))
-			errs := make([]error, len(ck.Pages))
-			var wg sync.WaitGroup
-			n := workers
-			if n > len(ck.Pages) {
-				n = len(ck.Pages)
-			}
-			for w := 0; w < n; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for i := w; i < len(ck.Pages); i += n {
-						counts[i], errs[i] = restorePage(db, ck.Pages[i])
-					}
-				}(w)
-			}
-			wg.Wait()
-			for i := range errs {
-				if errs[i] != nil {
-					return st, errs[i]
+			for _, p := range ck.Pages {
+				n, err := restorePage(db, p)
+				if err != nil {
+					return st, err
 				}
-				st.RecordsRestored += counts[i]
+				st.RecordsRestored += n
 			}
 		}
 	}
-	st.Replay = Replay(segs, st.StartLSN, workers, db)
+	st.Replay = Replay(segs, st.StartLSN, db)
 	return st, nil
 }
 

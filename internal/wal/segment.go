@@ -36,15 +36,19 @@ const DefaultSegmentBytes = 1 << 20
 // appends to the active segment; Sync makes every byte written so far
 // durable; Mark follows each synced flush pass with the highest LSN it
 // wrote and is the only rotation point; Truncate drops every sealed
-// segment whose MaxLSN is at or below belowLSN and reports how many. The
-// in-tree implementations are MemSegments (tests, benchmarks, crash
-// simulation) and FileSegments (a directory of fsync'd files).
+// segment whose MaxLSN is at or below belowLSN and reports how many;
+// Sealed appends to dst the contents of every sealed segment whose MaxLSN
+// is above aboveLSN, in segment order — the input of checkpoint
+// compaction. The in-tree implementations are MemSegments (tests,
+// benchmarks, crash simulation) and FileSegments (a directory of fsync'd
+// files).
 type Device interface {
 	Write(p []byte) (int, error)
 	Sync() error
 	Close() error
 	Mark(maxLSN uint64)
 	Truncate(belowLSN uint64) int
+	Sealed(dst [][]byte, aboveLSN uint64) ([][]byte, error)
 }
 
 // SegmentInfo describes one live segment of a MemSegments device.
@@ -145,7 +149,8 @@ func (d *MemSegments) Mark(maxLSN uint64) {
 }
 
 // Truncate implements Device. Dropped segments are reset and parked for
-// reuse; nothing else references their buffers (CrashSegments copies).
+// reuse; CrashSegments copies, and Sealed's caller is done with them (see
+// Sealed).
 func (d *MemSegments) Truncate(belowLSN uint64) int {
 	d.mu.Lock()
 	kept := d.segs[:0]
@@ -164,6 +169,22 @@ func (d *MemSegments) Truncate(belowLSN uint64) int {
 	d.truncated += dropped
 	d.mu.Unlock()
 	return dropped
+}
+
+// Sealed implements Device. It hands out the sealed buffers themselves,
+// without copying: nothing writes a sealed segment, and only Truncate
+// recycles one into Mark's next rotation. The one caller, the
+// checkpointer, reads them in Compact and truncates only after Compact
+// returns, on the same goroutine.
+func (d *MemSegments) Sealed(dst [][]byte, aboveLSN uint64) ([][]byte, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for _, s := range d.segs {
+		if s.sealed && s.maxLSN > aboveLSN {
+			dst = append(dst, s.buf)
+		}
+	}
+	return dst, nil
 }
 
 // CrashSegments returns the per-segment images a crash is guaranteed to
@@ -351,6 +372,23 @@ func (d *FileSegments) Truncate(belowLSN uint64) int {
 		}
 	}
 	return dropped
+}
+
+// Sealed implements Device: it reads the sealed files this process
+// wrote.
+func (d *FileSegments) Sealed(dst [][]byte, aboveLSN uint64) ([][]byte, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for _, s := range d.sealed {
+		if s.maxLSN > aboveLSN {
+			data, err := os.ReadFile(s.path)
+			if err != nil {
+				return dst, err
+			}
+			dst = append(dst, data)
+		}
+	}
+	return dst, nil
 }
 
 // syncDir fsyncs a directory, making the file creations, renames and

@@ -59,7 +59,7 @@ func TestMemSegmentsRotateAtSyncBoundaries(t *testing.T) {
 	total := 0
 	for i, seg := range dev.CrashSegments() {
 		for len(seg) > 0 {
-			_, n, ok := decodeRecord(seg)
+			_, _, n, ok := decodeRecord(seg)
 			if !ok {
 				t.Fatalf("segment %d holds a torn record", i)
 			}
@@ -72,7 +72,7 @@ func TestMemSegmentsRotateAtSyncBoundaries(t *testing.T) {
 	}
 	// And replay across the segments must rebuild all 64 commits.
 	db := segDB(8)
-	st := Replay(dev.CrashSegments(), 0, 2, db)
+	st := Replay(dev.CrashSegments(), 0, db)
 	if st.Applied != 64 || st.AppliedLSN != 64 || st.Torn {
 		t.Fatalf("replay: %+v", st)
 	}
@@ -108,7 +108,7 @@ func TestMemSegmentsTruncateOnlyWhollyBelow(t *testing.T) {
 	}
 	// The surviving segments still replay LSNs 5..7 after a checkpoint at 4.
 	db := segDB(8)
-	st := Replay(dev.CrashSegments(), 4, 1, db)
+	st := Replay(dev.CrashSegments(), 4, db)
 	if st.Applied != 3 || st.AppliedLSN != 7 {
 		t.Fatalf("replay after truncation: %+v", st)
 	}
@@ -125,25 +125,23 @@ func TestReplaySkipsBelowCheckpoint(t *testing.T) {
 	segC := append(rec(3, 3), rec(6, 6)...)
 	segs := [][]byte{segA, segB, segC}
 
-	for _, workers := range []int{1, 3} {
-		db := segDB(8)
-		st := Replay(segs, 3, workers, db)
-		if st.Scanned != 6 || st.Skipped != 3 || st.Applied != 3 {
-			t.Fatalf("workers=%d: %+v", workers, st)
+	db := segDB(8)
+	st := Replay(segs, 3, db)
+	if st.Scanned != 6 || st.Skipped != 3 || st.Applied != 3 {
+		t.Fatalf("%+v", st)
+	}
+	if st.AppliedLSN != 3+uint64(st.Applied) {
+		t.Fatalf("frontier %d does not continue from checkpoint", st.AppliedLSN)
+	}
+	// Keys 1..3 (LSN ≤ 3) must stay untouched; keys 4..6 replayed.
+	for k := uint64(1); k <= 3; k++ {
+		if got := storage.GetI64(db.Table(0).Get(k), 0); got != 0 {
+			t.Fatalf("key %d replayed below the checkpoint (val %d)", k, got)
 		}
-		if st.AppliedLSN != 3+uint64(st.Applied) {
-			t.Fatalf("workers=%d: frontier %d does not continue from checkpoint", workers, st.AppliedLSN)
-		}
-		// Keys 1..3 (LSN ≤ 3) must stay untouched; keys 4..6 replayed.
-		for k := uint64(1); k <= 3; k++ {
-			if got := storage.GetI64(db.Table(0).Get(k), 0); got != 0 {
-				t.Fatalf("workers=%d: key %d replayed below the checkpoint (val %d)", workers, k, got)
-			}
-		}
-		for k := uint64(4); k <= 6; k++ {
-			if got := storage.GetI64(db.Table(0).Get(k), 0); got != int64(k) {
-				t.Fatalf("workers=%d: key %d = %d, want %d", workers, k, got, k)
-			}
+	}
+	for k := uint64(4); k <= 6; k++ {
+		if got := storage.GetI64(db.Table(0).Get(k), 0); got != int64(k) {
+			t.Fatalf("key %d = %d, want %d", k, got, k)
 		}
 	}
 }
@@ -153,45 +151,12 @@ func TestReplaySkipsBelowCheckpoint(t *testing.T) {
 func TestReplayStopsAtGap(t *testing.T) {
 	segs := [][]byte{append(rec(4, 4), rec(6, 6)...)} // 5 missing
 	db := segDB(8)
-	st := Replay(segs, 3, 4, db)
+	st := Replay(segs, 3, db)
 	if st.Applied != 1 || st.AppliedLSN != 4 {
 		t.Fatalf("%+v", st)
 	}
 	if got := storage.GetI64(db.Table(0).Get(6), 0); got != 0 {
 		t.Fatal("record beyond the LSN gap was applied")
-	}
-}
-
-// Parallel replay must produce byte-identical state to serial replay on a
-// log with heavy per-key rewrite traffic (per-key order is the invariant
-// the (table,key)-hash partitioning must preserve).
-func TestReplayParallelMatchesSerial(t *testing.T) {
-	var segs [][]byte
-	var seg []byte
-	lsn := uint64(0)
-	for i := 0; i < 400; i++ {
-		lsn++
-		seg = append(seg, rec(lsn, lsn%16)...) // 16 keys, each rewritten ~25×
-		if len(seg) > 512 {
-			segs = append(segs, seg)
-			seg = nil
-		}
-	}
-	segs = append(segs, seg)
-
-	serial, par := segDB(16), segDB(16)
-	stS := Replay(segs, 0, 1, serial)
-	stP := Replay(segs, 0, 8, par)
-	if stS != stP {
-		t.Fatalf("stats diverge: serial %+v parallel %+v", stS, stP)
-	}
-	if stS.Applied != 400 {
-		t.Fatalf("applied %d, want 400", stS.Applied)
-	}
-	for k := uint64(0); k < 16; k++ {
-		if !bytes.Equal(serial.Table(0).Get(k), par.Table(0).Get(k)) {
-			t.Fatalf("key %d differs between serial and parallel replay", k)
-		}
 	}
 }
 
@@ -234,7 +199,7 @@ func TestFileSegmentsRoundTripAndTruncate(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := segDB(8)
-	st := Replay(segs, 4, 2, db)
+	st := Replay(segs, 4, db)
 	if st.Applied != 2 || st.AppliedLSN != 6 {
 		t.Fatalf("replay from reloaded files: %+v", st)
 	}
@@ -260,7 +225,7 @@ func TestFileSegmentsRoundTripAndTruncate(t *testing.T) {
 		t.Fatal(err)
 	}
 	db2 := segDB(8)
-	st2 := Replay(segs2, 4, 2, db2)
+	st2 := Replay(segs2, 4, db2)
 	if st2.Applied != 3 || st2.AppliedLSN != 7 {
 		t.Fatalf("replay after reopen: %+v", st2)
 	}
@@ -453,7 +418,7 @@ func TestMemSegmentsOversizedPass(t *testing.T) {
 	if infos := d.Segments(); len(infos) != 2 || infos[0].Bytes != len(pass) || !infos[0].Sealed {
 		t.Fatalf("after one oversized pass: %+v", infos)
 	}
-	st := Replay(d.CrashSegments(), 0, 2, segDB(8))
+	st := Replay(d.CrashSegments(), 0, segDB(8))
 	if st.Applied != int(n) || st.AppliedLSN != n || st.Torn {
 		t.Fatalf("replay of the oversized pass: %+v, want %d records", st, n)
 	}

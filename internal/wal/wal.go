@@ -274,11 +274,8 @@ func (l *Log) Drain() {
 }
 
 // WaitDurable blocks until the durable frontier reaches lsn, forcing
-// flusher passes rather than waiting out group-fill windows. The fuzzy
-// checkpointer sits on this barrier before committing a manifest: every
-// record the checkpoint image may depend on must be on the device before
-// the manifest authorizes truncating the log below it. No-op when the
-// log is disabled or lsn is already durable.
+// flusher passes rather than waiting out group-fill windows. Drain sits
+// on it. No-op when the log is disabled or lsn is already durable.
 //
 // The wait is on the flusher's per-pass broadcast, not a timer. The
 // frontier check and the cond wait share durMu with the broadcast, so a
@@ -328,6 +325,13 @@ func (l *Log) Truncate(belowLSN uint64) int {
 		return 0
 	}
 	return l.dev.Truncate(belowLSN)
+}
+
+// Sealed appends the contents of the device's sealed segments whose
+// MaxLSN is above aboveLSN to dst; see Device.Sealed. The log must be
+// enabled.
+func (l *Log) Sealed(dst [][]byte, aboveLSN uint64) ([][]byte, error) {
+	return l.dev.Sealed(dst, aboveLSN)
 }
 
 // Close drains the log, stops the flusher and closes the device. Safe on

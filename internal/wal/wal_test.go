@@ -42,17 +42,25 @@ func TestRecordRoundTrip(t *testing.T) {
 		{table: 1, key: 0, val: nil},
 	}
 	buf := appendRecord(nil, 42, writes)
-	rec, n, ok := decodeRecord(buf)
+	lsn, p, n, ok := decodeRecord(buf)
 	if !ok || n != len(buf) {
 		t.Fatalf("decode failed: ok=%v n=%d len=%d", ok, n, len(buf))
 	}
-	if rec.lsn != 42 || len(rec.writes) != len(writes) {
-		t.Fatalf("lsn=%d writes=%d", rec.lsn, len(rec.writes))
+	if lsn != 42 {
+		t.Fatalf("lsn=%d", lsn)
 	}
-	for i, w := range rec.writes {
+	for i := range writes {
+		if len(p) == 0 {
+			t.Fatalf("payload ends after %d of %d writes", i, len(writes))
+		}
+		var w redoWrite
+		w, p = nextWrite(p)
 		if w.table != writes[i].table || w.key != writes[i].key || !bytes.Equal(w.val, writes[i].val) {
 			t.Fatalf("write %d mismatch: %+v vs %+v", i, w, writes[i])
 		}
+	}
+	if len(p) != 0 {
+		t.Fatalf("%d payload bytes after the last write", len(p))
 	}
 }
 
@@ -61,7 +69,7 @@ func TestRecordRoundTrip(t *testing.T) {
 func TestRecordTornAtEveryByte(t *testing.T) {
 	buf := appendRecord(nil, 9, []redoWrite{{table: 2, key: 5, val: []byte("payload")}})
 	for cut := 0; cut < len(buf); cut++ {
-		if _, _, ok := decodeRecord(buf[:cut]); ok {
+		if _, _, _, ok := decodeRecord(buf[:cut]); ok {
 			t.Fatalf("truncation at %d/%d decoded successfully", cut, len(buf))
 		}
 	}
@@ -70,8 +78,8 @@ func TestRecordTornAtEveryByte(t *testing.T) {
 	for i := 0; i < len(buf); i++ {
 		mut := append([]byte(nil), buf...)
 		mut[i] ^= 0xFF
-		if rec, _, ok := decodeRecord(mut); ok {
-			t.Fatalf("corruption at byte %d decoded: %+v", i, rec)
+		if lsn, _, _, ok := decodeRecord(mut); ok {
+			t.Fatalf("corruption at byte %d decoded (lsn %d)", i, lsn)
 		}
 	}
 }
@@ -340,7 +348,7 @@ func TestReplayAppliesContiguousPrefix(t *testing.T) {
 	img := appendRecord(nil, 2, []redoWrite{{table: int32(tbl), key: 1, val: val(2)}})
 	img = appendRecord(img, 1, []redoWrite{{table: int32(tbl), key: 0, val: val(1)}})
 	img = appendRecord(img, 4, []redoWrite{{table: int32(tbl), key: 2, val: val(4)}})
-	st := Replay([][]byte{img}, 0, 1, db)
+	st := Replay([][]byte{img}, 0, db)
 	if st.Scanned != 3 || st.Applied != 2 || st.AppliedLSN != 2 || st.Torn {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -361,7 +369,7 @@ func TestReplayTornTail(t *testing.T) {
 	img = appendRecord(img, 2, []redoWrite{{table: 0, key: 1, val: []byte{2, 0, 0, 0, 0, 0, 0, 0}}})
 	for cut := 0; cut <= len(img); cut++ {
 		db, _ := replayDB(t, 4)
-		st := Replay([][]byte{img[:cut]}, 0, 1, db)
+		st := Replay([][]byte{img[:cut]}, 0, db)
 		wantApplied := 0
 		if cut >= whole {
 			wantApplied = 1
@@ -396,7 +404,7 @@ func TestReplayFromDeviceImage(t *testing.T) {
 		t.Fatal(err)
 	}
 	rebuilt, tbl2 := replayDB(t, 64)
-	st := Replay(dev.CrashSegments(), 0, 1, rebuilt)
+	st := Replay(dev.CrashSegments(), 0, rebuilt)
 	if st.Applied != 64 || st.Torn {
 		t.Fatalf("stats = %+v", st)
 	}

@@ -111,7 +111,7 @@ type WAL = wal.Log
 
 // WALDevice is the append-only byte sink a WAL writes to, rotated
 // across segments so the log can be truncated below a durable
-// checkpoint; see README.md "Checkpointing and parallel recovery".
+// checkpoint; see README.md "Checkpointing and recovery".
 type WALDevice = wal.Device
 
 // WALMemSegments is the in-memory device used by tests, benchmarks and
@@ -163,21 +163,21 @@ func WALGroup(k int, interval time.Duration) SyncPolicy { return wal.Group(k, in
 // run's initial contents (or, with after > 0, a checkpoint image
 // covering every LSN ≤ after): it applies the longest contiguous LSN
 // prefix above after — exactly the set of transactions whose
-// acknowledgment could have fired before the crash — with workers
-// goroutines applying disjoint (table, key) partitions.
-func ReplayWALSegments(segments [][]byte, after uint64, workers int, db *DB) WALReplayStats {
-	return wal.Replay(segments, after, workers, db)
+// acknowledgment could have fired before the crash.
+func ReplayWALSegments(segments [][]byte, after uint64, db *DB) WALReplayStats {
+	return wal.Replay(segments, after, db)
 }
 
 // --- checkpoints and recovery ----------------------------------------------
 
-// CheckpointStore persists fuzzy checkpoint images; Load returns the
+// CheckpointStore persists checkpoint images; Load returns the
 // newest checkpoint that validates, falling back past a torn or corrupt
 // one to its predecessor.
 type CheckpointStore = wal.CheckpointStore
 
-// CheckpointManifest is a committed checkpoint's metadata: the StartLSN/
-// TailLSN window of the fuzzy walk and the per-table page CRC folds.
+// CheckpointManifest is a committed checkpoint's metadata: the LSN the
+// image is exact as of (StartLSN = TailLSN) and the per-table page CRC
+// folds.
 type CheckpointManifest = wal.Manifest
 
 // NewMemCheckpointStore returns an in-memory checkpoint store (tests,
@@ -190,7 +190,7 @@ func OpenDirCheckpointStore(dir string) (*wal.DirCheckpointStore, error) {
 	return wal.OpenDirCheckpointStore(dir)
 }
 
-// CheckpointConfig configures the background fuzzy checkpointer every
+// CheckpointConfig configures the background checkpointer every
 // engine config embeds (field Checkpoint); a nil Store disables it.
 type CheckpointConfig = engine.CheckpointConfig
 
@@ -212,8 +212,7 @@ type RecoverStats = wal.RecoverStats
 
 // RecoverWAL rebuilds committed state onto db from the newest valid
 // checkpoint in store (nil means none) plus the committed prefix of the
-// segmented log tail, using up to workers goroutines (<=0 means
-// GOMAXPROCS) for both the page restore and the partitioned replay.
+// segmented log tail. Recovery is serial; workers is ignored.
 func RecoverWAL(store CheckpointStore, segments [][]byte, db *DB, workers int) (RecoverStats, error) {
 	return wal.Recover(store, segments, db, workers)
 }
