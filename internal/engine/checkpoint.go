@@ -133,13 +133,17 @@ func (cp *Checkpointer) loop() {
 }
 
 // Stop halts the ticker and waits for any in-flight checkpoint to
-// finish. Subsequent Checkpoint calls return ErrCheckpointerStopped.
+// finish. Subsequent Checkpoint calls return ErrCheckpointerStopped. A
+// stopped checkpointer never compacts again, so it lets go of its image
+// (a copy of every row the log wrote) and its segment list: a closed
+// session must not pin them.
 func (cp *Checkpointer) Stop() {
 	cp.stopOnce.Do(func() {
 		close(cp.stopc)
 		<-cp.donec
 		cp.mu.Lock()
 		cp.stopped = true
+		cp.img, cp.segs = wal.Image{}, nil
 		cp.mu.Unlock()
 	})
 }

@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/storage"
+	"repro/internal/txn"
 	"repro/internal/wal"
 )
 
@@ -90,5 +92,42 @@ func TestFailedCheckpointAbortsAndTruncatesNothing(t *testing.T) {
 	}
 	if dev.Truncated() == truncated {
 		t.Fatal("the next committed checkpoint truncated nothing; the failure had nothing to withhold")
+	}
+}
+
+// Closing a checkpointed session drops the checkpointer's compaction
+// state: the image, a copy of every row the log wrote, and the segment
+// list would otherwise stay reachable from the closed session.
+func TestCloseDropsCompactionState(t *testing.T) {
+	db := storage.NewDB()
+	tbl := db.Create(storage.Layout{Name: "t", NumRecords: 8, RecordSize: 8})
+	log := wal.NewLog(wal.NewMemSegments(256), wal.Group(0, 0))
+	defer log.Close()
+	ses := WithCheckpointer(NewWorkerSession("test", 1, 4, nil, log,
+		func(int, *metrics.ThreadStats) func(*txn.Txn, *Completion) {
+			return func(_ *txn.Txn, c *Completion) { c.Finish(true) }
+		}), db, log, CheckpointConfig{Store: wal.NewMemCheckpointStore(), Interval: time.Hour})
+	app := log.NewAppender(nil)
+	for i := 0; i < 64; i++ {
+		key := uint64(i % 8)
+		rec := db.Table(tbl).Get(key)
+		storage.PutI64(rec, 0, storage.GetI64(rec, 0)+1)
+		app.Note(tbl, key, rec)
+		app.Commit(nil)
+	}
+	log.Drain()
+	if err := ForceCheckpoint(ses); err != nil {
+		t.Fatal(err)
+	}
+	cp := ses.(*checkpointedSession).cp
+	if !cp.img.Loaded() || cp.segs == nil {
+		t.Fatalf("after a checkpoint: image loaded %v, segment list nil %v; the test checks nothing", cp.img.Loaded(), cp.segs == nil)
+	}
+	ses.Close()
+	if cp.img.Loaded() {
+		t.Error("the closed session's checkpointer still holds its image")
+	}
+	if cp.segs != nil {
+		t.Error("the closed session's checkpointer still holds its segment list")
 	}
 }

@@ -262,6 +262,13 @@ func (w *worker) execute(t *txn.Txn, comp *engine.Completion) {
 		w.Begin(t)
 		w.waited, w.locked = 0, 0
 		start := w.lockFootprint(t)
+		if fp != firstTouch {
+			// An ordered footprint is held in full before the logic runs,
+			// so its records can be fetched ahead (engine.PlannedCtx.Fetch).
+			// Two-phase locking learns its footprint only as the logic
+			// touches it — the paper's point — so it has nothing to fetch.
+			w.Fetch()
+		}
 		err := t.Logic(w.ctx)
 		if err == nil {
 			// Seal the redo record — and install versioned after-images —

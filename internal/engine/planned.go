@@ -40,6 +40,7 @@ type PlannedCtx struct {
 	// (CommitVersions). The zero value suits a database that has none.
 	VSet VersionSet
 	undo bool // this attempt can roll back: T.Replan != nil, set by Begin
+	sink byte // what Fetch loaded, kept so the loads stay
 }
 
 // Begin attaches the context to a transaction attempt.
@@ -51,6 +52,33 @@ func (c *PlannedCtx) Begin(t *txn.Txn) {
 	if c.Wal != nil {
 		c.Wal.Abort() // drop any capture a panicked/failed attempt left
 	}
+}
+
+// Fetch loads every declared record — its first and last byte — back
+// to back, before Logic runs, so that the records' cache misses overlap
+// instead of being paid one op at a time inside Logic: the declared
+// access set (paper §3.2) doubles as a fetch list, as Calvin's does. It
+// reads records without a lock of its own, so it may run only once the
+// whole footprint is held and no other transaction can write them: after
+// ORTHRUS's grant, after the locking engine's ordered acquisition. It
+// covers fixed tables and a versioned table's in-place rows, and skips
+// growable tables, whose Get takes a shard mutex; stripe keys are out of
+// every fixed table's range, so Get returns nil for them.
+func (c *PlannedCtx) Fetch() {
+	sink := c.sink
+	for _, op := range c.T.Ops {
+		var rec []byte
+		switch t := c.DB.Table(op.Table).(type) {
+		case *storage.FixedTable:
+			rec = t.Get(op.Key)
+		case *storage.VersionedTable:
+			rec = t.Get(op.Key)
+		}
+		if rec != nil {
+			sink ^= rec[0] ^ rec[len(rec)-1]
+		}
+	}
+	c.sink = sink
 }
 
 // Read implements txn.Ctx.

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/storage"
+	"repro/internal/txn"
 	"repro/internal/wal"
 )
 
@@ -275,6 +276,7 @@ func (s *Snapshots) Exec(worker int, ctx *SnapshotCtx, c *Completion) time.Durat
 	ctx.snaps, ctx.stats, ctx.snap = s, stats, snap
 	stats.SnapTxns++
 	stats.SnapStaleLSN += s.tail() - snap
+	ctx.fetch(c.t.Ops) // after Begin: registration is what keeps the nodes from being recycled
 	err := c.t.Logic(ctx)
 	s.End(worker)
 	if err != nil {
@@ -295,6 +297,47 @@ type SnapshotCtx struct {
 	snaps *Snapshots
 	stats *metrics.ThreadStats
 	snap  uint64
+	sink  byte // what fetch loaded, kept so the loads stay
+}
+
+// fetchChunk is how many declared reads fetch resolves at a time.
+const fetchChunk = 16
+
+// fetch is the resolution pass: it resolves the transaction's declared
+// reads at the snapshot before Logic runs, so that Logic's own walks hit
+// the cache. A snapshot read is three dependent misses — the chain head,
+// the version node, its data — and taken one op at a time they are paid
+// in series. Here each chunk of ops goes through three passes, one miss
+// level per pass: load every chain head, walk each chain to its version,
+// touch each version's data. The misses within a pass are independent,
+// so they overlap. It counts nothing (Read does), and skips what Read
+// would refuse — an unversioned table, an out-of-range key — leaving
+// Read to report it.
+func (c *SnapshotCtx) fetch(ops []txn.Op) {
+	var vs [fetchChunk]*storage.Version
+	sink := c.sink
+	for len(ops) > 0 {
+		n := min(len(ops), fetchChunk)
+		for i, op := range ops[:n] {
+			vs[i] = nil
+			if op.Table < len(c.snaps.byID) {
+				if vt := c.snaps.byID[op.Table]; vt != nil && op.Key < vt.Len() {
+					vs[i] = vt.Head(op.Key)
+				}
+			}
+		}
+		for i, v := range vs[:n] {
+			vs[i], _ = v.At(c.snap)
+		}
+		for _, v := range vs[:n] {
+			if v != nil {
+				d := v.Data()
+				sink ^= d[0] ^ d[len(d)-1]
+			}
+		}
+		ops = ops[n:]
+	}
+	c.sink = sink
 }
 
 func (c *SnapshotCtx) table(table int) *storage.VersionedTable {

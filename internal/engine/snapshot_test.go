@@ -2,9 +2,11 @@ package engine
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/storage"
+	"repro/internal/txn"
 )
 
 // snapFixture is a one-record versioned table, its tracker (no WAL: the
@@ -107,5 +109,77 @@ func TestWatermarkAdvancesWithoutReaders(t *testing.T) {
 	}
 	if f.stats.Installed != 1000 {
 		t.Fatalf("Installed = %d", f.stats.Installed)
+	}
+}
+
+// The resolution pass Snapshots.Exec runs before Logic walks every
+// declared read's chain, but only Read counts: a read-only transaction of
+// n reads books n records and exactly the hops ReadVersion reports, over
+// chains of different lengths and across more than one fetch chunk.
+func TestSnapshotFetchCountsNothing(t *testing.T) {
+	const keys, n = 8, 2*fetchChunk + 3
+	db := storage.NewDB()
+	tbl := db.Create(storage.Layout{Name: "t", NumRecords: keys, RecordSize: 16, Versioned: true})
+	vt := db.Table(tbl).(*storage.VersionedTable)
+	s := NewSnapshots(db, nil, new(CommitClock), 1, SnapshotConfig{PruneEvery: 1 << 30})
+	vs := s.VersionSet()
+	var stats metrics.ThreadStats
+	commit := func(key uint64) {
+		storage.AddU64(vt.Get(key), 0, 1)
+		vs.Note(tbl, key)
+		CommitVersions(nil, &vs, &stats, nil)
+	}
+	for k := uint64(0); k < keys; k++ {
+		commit(k)
+	}
+	// A stamp reserved and never published holds the frontier, so key k's
+	// k later commits stand between its head and the snapshot.
+	s.clock.Reserve()
+	for k := uint64(0); k < keys; k++ {
+		for i := uint64(0); i < k; i++ {
+			commit(k)
+		}
+	}
+
+	snap := s.frontier()
+	tx := &txn.Txn{ReadOnly: true}
+	var wantHops uint64
+	for i := 0; i < n; i++ {
+		key := uint64(i % keys)
+		tx.Ops = append(tx.Ops, txn.Op{Table: tbl, Key: key, Mode: txn.Read})
+		_, hops := vt.ReadVersion(key, snap)
+		wantHops += uint64(hops)
+	}
+	if wantHops <= n {
+		t.Fatalf("every read is one hop (%d over %d reads); the chains test nothing", wantHops, n)
+	}
+	tx.Logic = func(ctx txn.Ctx) error {
+		for _, op := range tx.Ops {
+			rec, err := ctx.Read(op.Table, op.Key)
+			if err != nil {
+				return err
+			}
+			if got := storage.GetU64(rec, 0); got != 1 {
+				t.Errorf("key %d read commit %d at the held snapshot, want 1", op.Key, got)
+			}
+		}
+		return nil
+	}
+
+	stats = metrics.ThreadStats{}
+	in := NewIntake("test", 1, nil)
+	in.Submit(tx, nil)
+	sub, _ := in.Next()
+	c := NewCompletion(in, &stats, sub, time.Now())
+	var ctx SnapshotCtx
+	s.Exec(0, &ctx, &c)
+	if stats.SnapTxns != 1 || stats.Committed != 1 {
+		t.Fatalf("SnapTxns = %d, Committed = %d; want 1 and 1", stats.SnapTxns, stats.Committed)
+	}
+	if stats.SnapRecords != n {
+		t.Errorf("SnapRecords = %d, want %d", stats.SnapRecords, n)
+	}
+	if stats.SnapHops != wantHops {
+		t.Errorf("SnapHops = %d, want %d (ReadVersion's sum)", stats.SnapHops, wantHops)
 	}
 }

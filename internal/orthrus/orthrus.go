@@ -911,6 +911,7 @@ func (x *execThread) finish(w *wrapper) {
 	}
 	start := x.now()
 	x.ctx.Begin(t)
+	x.ctx.Fetch() // the grant means the footprint is held
 	err := t.Logic(&x.ctx)
 	d := x.now().Sub(start)
 	x.stats.AddExec(d)

@@ -19,6 +19,24 @@ type Version struct {
 // LSN returns the commit LSN this version was installed with.
 func (v *Version) LSN() uint64 { return v.lsn }
 
+// Data returns the version's committed image.
+func (v *Version) Data() []byte { return v.data }
+
+// At walks the chain starting at v to the first version with LSN ≤ snap
+// and returns it with the number of nodes visited; nil when the chain
+// holds none. This is the one chain walk: ReadVersion and the engines'
+// snapshot resolution pass both go through it.
+func (v *Version) At(snap uint64) (*Version, int) {
+	hops := 0
+	for ; v != nil; v = v.next.Load() {
+		hops++
+		if v.lsn <= snap {
+			break
+		}
+	}
+	return v, hops
+}
+
 // VersionFree is one worker's free list of version nodes: InstallVersion
 // pushes what its prune cuts and pops the node for the next version, so a
 // worker that installs in steady state allocates nothing. Single-owner —
@@ -208,6 +226,11 @@ func (t *VersionedTable) ChainLen(key uint64) int {
 	return n
 }
 
+// Head returns key's chain head, its newest installed version; key must
+// be in range. Walking on from it with At is safe while the caller's
+// snapshot is registered (see InstallVersion).
+func (t *VersionedTable) Head(key uint64) *Version { return t.chains[key].Load() }
+
 // ReadVersion resolves key to the newest committed image with
 // LSN ≤ snap, plus the number of chain nodes traversed. The returned
 // slice is version memory that stays untouched while the caller's
@@ -218,12 +241,8 @@ func (t *VersionedTable) ReadVersion(key, snap uint64) ([]byte, int) {
 	if key >= t.Len() {
 		return nil, 0
 	}
-	hops := 0
-	for cur := t.chains[key].Load(); cur != nil; cur = cur.next.Load() {
-		hops++
-		if cur.lsn <= snap {
-			return cur.data, hops
-		}
+	if v, hops := t.Head(key).At(snap); v != nil {
+		return v.data, hops
 	}
 	panic(fmt.Sprintf("storage: table %s key %d has no version ≤ snapshot %d (watermark %d pruned an active snapshot's history)",
 		t.Name(), key, snap, t.watermark.Load()))

@@ -547,22 +547,36 @@ func SplitPages(data []byte) ([][]byte, error) {
 type memCheckpoint struct {
 	manifest []byte
 	pages    [][]byte
+	// loaned is set once Load has handed the pages out, uncopied: they
+	// may be read at any time after that, so this image's buffers are
+	// never recycled.
+	loaned bool
 }
 
 // MemCheckpointStore is an in-memory CheckpointStore for tests and
 // experiments. Its crash-simulation helpers mutate the newest checkpoint
 // the way a torn or corrupted commit would.
+//
+// Pages are recycled: the page buffers of an image that Commit prunes
+// become the next writer's, and Page copies into them, so a store whose
+// images keep their size allocates no page memory in steady state. An
+// image Load returned is never recycled.
 type MemCheckpointStore struct {
 	mu        sync.Mutex
 	committed []*memCheckpoint // oldest → newest, at most checkpointsRetained
+	spare     [][]byte         // a pruned image's pages, for the next writer
 }
 
 // NewMemCheckpointStore returns an empty in-memory store.
 func NewMemCheckpointStore() *MemCheckpointStore { return &MemCheckpointStore{} }
 
-// Begin implements CheckpointStore.
+// Begin implements CheckpointStore. The writer takes the spare pages.
 func (s *MemCheckpointStore) Begin() (CheckpointWriter, error) {
-	return &memCkWriter{store: s}, nil
+	s.mu.Lock()
+	spare := s.spare
+	s.spare = nil
+	s.mu.Unlock()
+	return &memCkWriter{store: s, pages: spare[:0]}, nil
 }
 
 // Load implements CheckpointStore.
@@ -578,6 +592,7 @@ func (s *MemCheckpointStore) Load() (*Checkpoint, error) {
 		if validateCheckpoint(m, ck.pages) != nil {
 			continue
 		}
+		ck.loaned = true
 		return &Checkpoint{Manifest: *m, Pages: ck.pages}, nil
 	}
 	return nil, nil
@@ -642,12 +657,20 @@ func (s *MemCheckpointStore) CorruptNewestPage() {
 // memCkWriter accumulates one checkpoint for a MemCheckpointStore.
 type memCkWriter struct {
 	store *MemCheckpointStore
+	// pages is the checkpoint so far. It starts empty on the spare
+	// pages' array, so the buffer past its end, while there is one, is a
+	// pruned image's page nobody else holds.
 	pages [][]byte
 }
 
-// Page implements CheckpointWriter, copying p.
+// Page implements CheckpointWriter, copying p into a spare page buffer
+// when one is left and large enough.
 func (w *memCkWriter) Page(p []byte) error {
-	w.pages = append(w.pages, append([]byte(nil), p...))
+	var buf []byte
+	if n := len(w.pages); n < cap(w.pages) {
+		buf = w.pages[:n+1][n]
+	}
+	w.pages = append(w.pages, append(buf[:0], p...))
 	return nil
 }
 
@@ -656,8 +679,12 @@ func (w *memCkWriter) Commit(m *Manifest) error {
 	s := w.store
 	s.mu.Lock()
 	s.committed = append(s.committed, &memCheckpoint{manifest: EncodeManifest(m), pages: w.pages})
-	if len(s.committed) > checkpointsRetained {
-		s.committed = s.committed[len(s.committed)-checkpointsRetained:]
+	if n := len(s.committed) - checkpointsRetained; n > 0 {
+		if pruned := s.committed[n-1]; !pruned.loaned {
+			s.spare = pruned.pages
+		}
+		clear(s.committed[:n])
+		s.committed = s.committed[n:]
 	}
 	s.mu.Unlock()
 	w.pages = nil

@@ -250,3 +250,54 @@ func TestOpenDirCheckpointStoreRejectsUnparseableNames(t *testing.T) {
 		t.Fatal("OpenDirCheckpointStore accepted an unparseable manifest name")
 	}
 }
+
+// A MemCheckpointStore copies each checkpoint's pages into the buffers of
+// the image its last Commit pruned: once two checkpoints have warmed it
+// up, a Begin → Page×n → Commit cycle allocates the writer, the encoded
+// manifest and its record, and no page. An image Load handed out is
+// never recycled: its pages keep their bytes however many checkpoints
+// follow.
+func TestMemCheckpointStoreRecyclesPages(t *testing.T) {
+	const n = 32
+	pages := make([][]byte, n)
+	var m *Manifest
+	build := func(salt byte) {
+		m = &Manifest{StartLSN: 1, TailLSN: 1, Tables: []TableImage{{Table: 0, Pages: n, Records: 4 * n}}}
+		for i := range pages {
+			pages[i] = buildPage(t, 0, 4, salt+byte(i))
+			m.Tables[0].CRC = FoldPageCRC(m.Tables[0].CRC, pages[i])
+		}
+	}
+	build(0)
+	s := NewMemCheckpointStore()
+	cycle := func() {
+		w, _ := s.Begin()
+		for _, p := range pages {
+			w.Page(p)
+		}
+		w.Commit(m)
+	}
+	cycle()
+	cycle()
+	if allocs := testing.AllocsPerRun(20, cycle); allocs > 3 {
+		t.Errorf("%.0f allocations per checkpoint of %d pages, want ≤ 3: the pages were not recycled", allocs, n)
+	}
+
+	ck, err := s.Load()
+	if err != nil || ck == nil {
+		t.Fatalf("load: %v err=%v", ck, err)
+	}
+	held := make([][]byte, n)
+	for i, p := range ck.Pages {
+		held[i] = append([]byte(nil), p...)
+	}
+	build(0x80)
+	for i := 0; i < 4; i++ {
+		cycle()
+	}
+	for i, p := range ck.Pages {
+		if !bytes.Equal(p, held[i]) {
+			t.Fatalf("page %d of an image Load returned was overwritten by a later checkpoint", i)
+		}
+	}
+}
