@@ -3,7 +3,6 @@ package repro_test
 import (
 	"bytes"
 	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -22,7 +21,6 @@ type checkpointedEngine struct {
 	log   *repro.WAL
 	store interface {
 		repro.CheckpointStore
-		Count() int
 		Manifests() []repro.CheckpointManifest
 		DropNewest()
 		CorruptNewestManifest()
@@ -31,15 +29,18 @@ type checkpointedEngine struct {
 }
 
 // checkpointedEngines builds every system over a fresh 64-account database
-// with a small-segment WAL (so rotation and truncation actually happen) and
-// a checkpointer configured for manual ForceCheckpoint control.
+// and a checkpointer configured for manual ForceCheckpoint control. The
+// WAL device rotates at 1 byte, below one record, so every flush pass
+// that writes seals its own segment: which segments a checkpoint can
+// truncate then follows from which acknowledgments the test waited for,
+// not from how the flusher happened to group records into passes.
 func checkpointedEngines(t testing.TB) []*checkpointedEngine {
 	t.Helper()
 	const threads = 4
 	var out []*checkpointedEngine
 	build := func(name string, f func(db *repro.DB, log *repro.WAL, ck repro.CheckpointConfig) repro.System) {
 		db, tbl := newAccountDB(t, 64, 1000)
-		dev := repro.NewWALMemSegments(4 << 10)
+		dev := repro.NewWALMemSegments(1)
 		log := repro.NewWAL(dev, repro.WALGroup(16, 100*time.Microsecond))
 		store := repro.NewMemCheckpointStore()
 		ck := repro.CheckpointConfig{Store: store, Interval: time.Hour}
@@ -114,15 +115,39 @@ func requireTableEqual(t *testing.T, label string, want *repro.DB, wtbl int, got
 	}
 }
 
+// checkpointedRun is what runCheckpointedPhases observed.
+type checkpointedRun struct {
+	stats    repro.CheckpointStats // at the end
+	first    repro.CheckpointStats // just after the first checkpoint
+	lastLSN1 uint64                // the log's last LSN once phase 1 was acknowledged
+	// The device's non-empty segments just after the first checkpoint:
+	// how many, how many of them sealed, and their highest MaxLSN.
+	segs1, sealed1 int
+	maxLSN1        uint64
+}
+
 // runCheckpointedPhases drives three 200-transfer phases with a
 // checkpoint forced after phases 1 and 2, then closes the session and
-// log, returning the checkpointer's stats.
-func runCheckpointedPhases(t *testing.T, e *checkpointedEngine) repro.CheckpointStats {
+// log.
+func runCheckpointedPhases(t *testing.T, e *checkpointedEngine) checkpointedRun {
 	t.Helper()
+	var run checkpointedRun
 	ses := e.sys.Start()
+	cs := ses.(repro.CheckpointedSession)
 	submitTransfers(ses, e.tbl, 200, 1)
+	run.lastLSN1 = e.log.LastLSN()
 	if err := repro.ForceCheckpoint(ses); err != nil {
 		t.Fatalf("first checkpoint: %v", err)
+	}
+	run.first = cs.CheckpointStats()
+	for _, in := range e.dev.Segments() {
+		if in.Bytes > 0 {
+			run.segs1++
+			if in.Sealed {
+				run.sealed1++
+			}
+			run.maxLSN1 = max(run.maxLSN1, in.MaxLSN)
+		}
 	}
 	submitTransfers(ses, e.tbl, 200, 2)
 	if err := repro.ForceCheckpoint(ses); err != nil {
@@ -130,7 +155,7 @@ func runCheckpointedPhases(t *testing.T, e *checkpointedEngine) repro.Checkpoint
 	}
 	submitTransfers(ses, e.tbl, 200, 3)
 	ses.Drain()
-	stats := ses.(repro.CheckpointedSession).CheckpointStats()
+	run.stats = cs.CheckpointStats()
 	ses.Close()
 	if err := e.log.Close(); err != nil {
 		t.Fatal(err)
@@ -138,69 +163,74 @@ func runCheckpointedPhases(t *testing.T, e *checkpointedEngine) repro.Checkpoint
 	if got := sumBalances(e.db, e.tbl, 64); got != 64*1000 {
 		t.Fatalf("live sum = %d, want %d", got, 64*1000)
 	}
-	return stats
+	return run
 }
 
-// Parallel and serial recovery must produce byte-identical state equal to
-// the live database, on every engine; recovery must actually use the
-// checkpoint, and the second checkpoint must have truncated log segments
-// below the first checkpoint's start.
-func TestCheckpointRecoveryParallelMatchesSerialOnAllEngines(t *testing.T) {
+// Recovery from the checkpoints rebuilds the live state byte for byte on
+// every engine, starts at the newest image and replays only the log above
+// it; the first image is exact as of the log's last LSN after phase 1,
+// and the second checkpoint truncates every segment that image covers.
+//
+// The truncation count holds by construction, not by flush timing. The
+// device rotates at 1 byte, so each flush pass that writes seals its own
+// segment in Mark, right after its Sync; an acknowledgment fires only
+// after its pass's Sync and Mark; and submitTransfers waits for every
+// acknowledgment. So when the first checkpoint is forced, every LSN up to
+// log.LastLSN() lies in a sealed segment, no higher LSN exists, and the
+// active segment is empty: the image is exact as of LastLSN, and every
+// non-empty segment holds only LSNs at or below it. Phase 2's passes hold
+// only higher LSNs, so the second checkpoint, which truncates below the
+// first image, drops exactly the segments present after the first.
+func TestCheckpointBoundsRecoveryOnAllEngines(t *testing.T) {
 	for _, e := range checkpointedEngines(t) {
 		e := e
 		t.Run(e.name, func(t *testing.T) {
-			stats := runCheckpointedPhases(t, e)
-			if stats.Checkpoints != 2 {
-				t.Fatalf("checkpoints = %d, want 2", stats.Checkpoints)
+			run := runCheckpointedPhases(t, e)
+			if run.stats.Checkpoints != 2 {
+				t.Fatalf("checkpoints = %d, want 2", run.stats.Checkpoints)
 			}
-			if stats.TruncatedSegments == 0 {
-				t.Fatal("second checkpoint truncated no segments")
+			image1 := run.first.LastStartLSN
+			if image1 != run.lastLSN1 {
+				t.Fatalf("first image at LSN %d, want the log's last LSN after phase 1, %d", image1, run.lastLSN1)
 			}
-			if e.dev.Truncated() == 0 {
-				t.Fatal("device reports no truncated segments")
+			if run.first.TruncatedSegments != 0 {
+				t.Fatalf("first checkpoint truncated %d segments; no image precedes it", run.first.TruncatedSegments)
 			}
-			segs := e.dev.CrashSegments()
+			if run.segs1 == 0 || run.sealed1 != run.segs1 || run.maxLSN1 > image1 {
+				t.Fatalf("after the first checkpoint %d of %d non-empty segments are sealed, highest MaxLSN %d; want at least one, all sealed at or below LSN %d",
+					run.sealed1, run.segs1, run.maxLSN1, image1)
+			}
+			if got := run.stats.TruncatedSegments - run.first.TruncatedSegments; got != uint64(run.segs1) {
+				t.Fatalf("second checkpoint truncated %d segments, want the %d at or below the first image", got, run.segs1)
+			}
+			if got := e.dev.Truncated(); got != run.segs1 {
+				t.Fatalf("device reports %d truncated segments, want %d", got, run.segs1)
+			}
 
-			dbSerial, tblSerial := newAccountDB(t, 64, 1000)
-			stSerial, err := repro.RecoverWAL(e.store, segs, dbSerial, 1)
+			db, tbl := newAccountDB(t, 64, 1000)
+			st, err := repro.RecoverWAL(e.store, e.dev.CrashSegments(), db)
 			if err != nil {
-				t.Fatalf("serial recovery: %v", err)
+				t.Fatalf("recovery: %v", err)
 			}
-			dbPar, tblPar := newAccountDB(t, 64, 1000)
-			stPar, err := repro.RecoverWAL(e.store, segs, dbPar, runtime.GOMAXPROCS(0))
-			if err != nil {
-				t.Fatalf("parallel recovery: %v", err)
+			if !st.UsedCheckpoint || st.StartLSN != run.stats.LastStartLSN {
+				t.Fatalf("recovery used checkpoint %t at LSN %d, want the newest image at %d",
+					st.UsedCheckpoint, st.StartLSN, run.stats.LastStartLSN)
 			}
-
-			for _, r := range []struct {
-				label string
-				st    repro.RecoverStats
-				db    *repro.DB
-				tbl   int
-			}{{"serial", stSerial, dbSerial, tblSerial}, {"parallel", stPar, dbPar, tblPar}} {
-				if !r.st.UsedCheckpoint {
-					t.Fatalf("%s recovery ignored the checkpoint", r.label)
-				}
-				if r.st.Replay.Torn {
-					t.Fatalf("%s recovery saw a torn log", r.label)
-				}
-				// The checkpoint bounds the replay tail: only the phase-3
-				// transfers (plus the phase-2 records no sealed segment
-				// held yet) replay, never the full 600-transaction history.
-				if r.st.Replay.Applied >= 600 {
-					t.Fatalf("%s recovery replayed %d records; checkpoint did not bound the tail", r.label, r.st.Replay.Applied)
-				}
-				if got := sumBalances(r.db, r.tbl, 64); got != 64*1000 {
-					t.Fatalf("%s recovered sum = %d, want %d", r.label, got, 64*1000)
-				}
-				requireTableEqual(t, r.label, e.db, e.tbl, r.db, r.tbl)
+			if st.Replay.Torn {
+				t.Fatal("recovery saw a torn log")
 			}
-			if stSerial.Replay.Applied != stPar.Replay.Applied ||
-				stSerial.Replay.AppliedLSN != stPar.Replay.AppliedLSN {
-				t.Fatalf("serial applied (%d, lsn %d) != parallel applied (%d, lsn %d)",
-					stSerial.Replay.Applied, stSerial.Replay.AppliedLSN,
-					stPar.Replay.Applied, stPar.Replay.AppliedLSN)
+			// The checkpoint bounds the replay tail: only the phase-3
+			// transfers replay, never the full 600-transaction history.
+			if st.Replay.Applied >= 600 {
+				t.Fatalf("recovery replayed %d records; checkpoint did not bound the tail", st.Replay.Applied)
 			}
+			if st.Replay.AppliedLSN != e.log.LastLSN() {
+				t.Fatalf("recovery replayed through LSN %d, want the log's last, %d", st.Replay.AppliedLSN, e.log.LastLSN())
+			}
+			if got := sumBalances(db, tbl, 64); got != 64*1000 {
+				t.Fatalf("recovered sum = %d, want %d", got, 64*1000)
+			}
+			requireTableEqual(t, "recovered", e.db, e.tbl, db, tbl)
 		})
 	}
 }
@@ -227,7 +257,7 @@ func TestTornCheckpointFallsBackToPreviousCheckpoint(t *testing.T) {
 			segs := e.dev.CrashSegments()
 
 			dbIntact, tblIntact := newAccountDB(t, 64, 1000)
-			stIntact, err := repro.RecoverWAL(e.store, segs, dbIntact, 2)
+			stIntact, err := repro.RecoverWAL(e.store, segs, dbIntact)
 			if err != nil {
 				t.Fatalf("intact recovery: %v", err)
 			}
@@ -238,7 +268,7 @@ func TestTornCheckpointFallsBackToPreviousCheckpoint(t *testing.T) {
 
 			c.corrupt(e)
 			dbFall, tblFall := newAccountDB(t, 64, 1000)
-			stFall, err := repro.RecoverWAL(e.store, segs, dbFall, 2)
+			stFall, err := repro.RecoverWAL(e.store, segs, dbFall)
 			if err != nil {
 				t.Fatalf("fallback recovery: %v", err)
 			}
@@ -325,31 +355,31 @@ func TestCrashMidTruncationStillRecovers(t *testing.T) {
 		t.Fatalf("no truncatable segments below LSN %d; test needs a longer phase 1", cut)
 	}
 
-	for _, workers := range []int{1, 4} {
-		db, tbl := newAccountDB(t, 64, 1000)
-		st, err := repro.RecoverWAL(e.store, kept, db, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !st.UsedCheckpoint {
-			t.Fatalf("workers=%d: recovery ignored the checkpoint", workers)
-		}
-		if st.Replay.Torn {
-			t.Fatalf("workers=%d: recovery saw a torn log", workers)
-		}
-		if got := sumBalances(db, tbl, 64); got != 64*1000 {
-			t.Fatalf("workers=%d: sum = %d, want %d", workers, got, 64*1000)
-		}
-		requireTableEqual(t, "mid-truncation", e.db, e.tbl, db, tbl)
+	db, tbl := newAccountDB(t, 64, 1000)
+	st, err := repro.RecoverWAL(e.store, kept, db)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if !st.UsedCheckpoint {
+		t.Fatal("recovery ignored the checkpoint")
+	}
+	if st.Replay.Torn {
+		t.Fatal("recovery saw a torn log")
+	}
+	if got := sumBalances(db, tbl, 64); got != 64*1000 {
+		t.Fatalf("sum = %d, want %d", got, 64*1000)
+	}
+	requireTableEqual(t, "mid-truncation", e.db, e.tbl, db, tbl)
 }
 
 // Checkpointing through the on-disk store and segmented file device must
 // survive a process "restart": load segments and checkpoint from disk into
-// a fresh database and reach the live state.
+// a fresh database and reach the live state. The device rotates at 1
+// byte, as checkpointedEngines' does, so the second checkpoint truncates
+// phase 1's files whatever the flush timing.
 func TestFileCheckpointAndSegmentsRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	dev, err := repro.OpenWALFileSegments(dir+"/wal", 4<<10)
+	dev, err := repro.OpenWALFileSegments(dir+"/wal", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +422,7 @@ func TestFileCheckpointAndSegmentsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	db2, tbl2 := newAccountDB(t, 64, 1000)
-	st, err := repro.RecoverWAL(store2, segs, db2, 4)
+	st, err := repro.RecoverWAL(store2, segs, db2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,7 +508,7 @@ func TestCheckpointCoversAllTableClasses(t *testing.T) {
 	}
 
 	db2, ids2 := build()
-	st, err := repro.RecoverWAL(store, dev.CrashSegments(), db2, 4)
+	st, err := repro.RecoverWAL(store, dev.CrashSegments(), db2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,10 +541,12 @@ func TestCheckpointCoversAllTableClasses(t *testing.T) {
 // below it. Session 1 checkpoints twice, so its second checkpoint
 // truncates; session 2, a new engine over the same database, log and
 // store, runs more transfers and checkpoints once. Recovery must use that
-// last image and reach the live state.
+// last image and reach the live state. The device rotates at 1 byte, as
+// checkpointedEngines' does, so session 1's truncation does not depend
+// on flush timing.
 func TestCheckpointContinuesAcrossSessions(t *testing.T) {
 	db, tbl := newAccountDB(t, 64, 1000)
-	dev := repro.NewWALMemSegments(4 << 10)
+	dev := repro.NewWALMemSegments(1)
 	log := repro.NewWAL(dev, repro.WALGroup(0, 0))
 	store := repro.NewMemCheckpointStore()
 	newEngine := func() repro.System {
@@ -554,7 +586,7 @@ func TestCheckpointContinuesAcrossSessions(t *testing.T) {
 	}
 
 	db2, tbl2 := newAccountDB(t, 64, 1000)
-	st, err := repro.RecoverWAL(store, dev.CrashSegments(), db2, 1)
+	st, err := repro.RecoverWAL(store, dev.CrashSegments(), db2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -597,7 +629,7 @@ func TestCheckpointConcurrentWithCommitsRecovers(t *testing.T) {
 		t.Fatalf("checkpointer stats %+v: want no failures and some truncation", stats)
 	}
 	db2, tbl2 := newAccountDB(t, 64, 1000)
-	st, err := repro.RecoverWAL(store, dev.CrashSegments(), db2, 1)
+	st, err := repro.RecoverWAL(store, dev.CrashSegments(), db2)
 	if err != nil {
 		t.Fatal(err)
 	}

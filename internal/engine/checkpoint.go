@@ -21,10 +21,8 @@ import (
 // takes no lock, submits no transaction and waits on no frontier; it
 // reads bytes the flusher has synced and will not touch again.
 //
-// The image lives in memory between checkpoints. A session's first
-// checkpoint loads it from the store's newest valid image — an earlier
-// session may have truncated the log below it — or starts from the empty
-// image at LSN 0 when the store has none.
+// The image lives in memory between checkpoints; a session's first
+// checkpoint loads it from the store (wal.Image.Load).
 //
 // Truncation rule: the store retains the two newest committed images,
 // and after committing image N the log is truncated below image N−1's
@@ -62,10 +60,9 @@ type CheckpointStats struct {
 	Pages             uint64 // pages written
 	Records           uint64 // records imaged
 	Bytes             uint64 // page bytes written
-	ChunkRetries      uint64 // always 0: no checkpoint runs a transaction
+	ChunkRetries      uint64 // always 0; kept for bench/run.go until ROADMAP item 1(b)
 	TruncatedSegments uint64 // log segments dropped by the truncation rule
 	LastStartLSN      uint64 // newest committed manifest's StartLSN
-	LastTailLSN       uint64 // newest committed manifest's TailLSN (= StartLSN)
 }
 
 // Checkpointer compacts the log into checkpoint images, either on a
@@ -150,7 +147,6 @@ func (cp *Checkpointer) Stop() {
 
 // Stats snapshots the checkpointer's counters.
 func (cp *Checkpointer) Stats() CheckpointStats {
-	last := cp.stLastLSN.Load()
 	return CheckpointStats{
 		Checkpoints:       cp.stCheckpoints.Load(),
 		Failed:            cp.stFailed.Load(),
@@ -158,8 +154,7 @@ func (cp *Checkpointer) Stats() CheckpointStats {
 		Records:           cp.stRecords.Load(),
 		Bytes:             cp.stBytes.Load(),
 		TruncatedSegments: cp.stTruncated.Load(),
-		LastStartLSN:      last,
-		LastTailLSN:       last,
+		LastStartLSN:      cp.stLastLSN.Load(),
 	}
 }
 

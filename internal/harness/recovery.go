@@ -81,7 +81,7 @@ func recoveryExp(c Config) {
 
 			fresh, _ := newYCSBDB(c)
 			t0 := time.Now()
-			st, err := wal.Recover(cs, segs, fresh, 1)
+			st, err := wal.Recover(cs, segs, fresh)
 			if err != nil {
 				panic(err)
 			}

@@ -20,10 +20,8 @@ import (
 // Compact builds the image from the log alone: from the previous image at
 // LSN P, it keeps the last write of every (table, key) over the sealed
 // segments' contiguous LSN prefix P+1..L. Every redo record holds whole
-// after-images, so the result is exact as of L, and the manifest records
-// L as both StartLSN and TailLSN. Recovery replays above StartLSN, so a
-// store whose images have StartLSN below TailLSN, as earlier versions of
-// this package wrote, still loads and recovers.
+// after-images, so the result is exact as of L, the one LSN the manifest
+// records (StartLSN), and recovery replays the log above it.
 //
 // The manifest also records, per table, the page count, record count and
 // a CRC folded over the pages' CRCs, so a checkpoint whose pages were
@@ -44,13 +42,20 @@ const (
 	pageHeader = 20
 )
 
-// manifestMagic/manifestVersion head the manifest encoding.
+// manifestMagic/manifestVersion head the manifest encoding. Version 1
+// carried a second LSN, always equal to StartLSN since compaction.
 const (
 	manifestMagic   = 0x4F434B50 // "OCKP"
-	manifestVersion = 1
-	manifestHeader  = 28 // magic + version + startLSN + tailLSN + nTables
+	manifestVersion = 2
+	manifestHeader  = 20 // magic + version + startLSN + nTables
 	tableImageSize  = 20 // table + pages + records + crc
 )
+
+// ErrManifestVersion is returned by a store's Load for a manifest,
+// intact by its CRC, in an encoding this package does not read. Load does
+// not fall back past it as past a torn one: the log may already be
+// truncated below its image.
+var ErrManifestVersion = errors.New("wal: unknown checkpoint manifest version")
 
 // TableImage is one table's slice of a checkpoint: how many pages and
 // records the image holds for it, and a CRC folded over those pages'
@@ -62,11 +67,10 @@ type TableImage struct {
 	CRC     uint32
 }
 
-// Manifest describes one committed checkpoint; see the package-section
-// comment above for StartLSN and TailLSN.
+// Manifest describes one committed checkpoint: StartLSN is the LSN the
+// image is exact as of, and Tables its per-table page summaries.
 type Manifest struct {
 	StartLSN uint64
-	TailLSN  uint64
 	Tables   []TableImage
 }
 
@@ -89,10 +93,11 @@ type CheckpointWriter interface {
 // CheckpointStore persists checkpoints. Load returns the newest
 // checkpoint that validates (manifest decodes, page CRCs match, per-table
 // folds match) — falling back past a torn or corrupt newest checkpoint to
-// the previous one — or (nil, nil) when no valid checkpoint exists.
-// Stores retain the two newest committed checkpoints so that truncating
-// the log below the previous checkpoint's LSN (see the truncation rule in
-// engine.Checkpointer) never strands recovery without a usable image.
+// the previous one, but not past ErrManifestVersion — or (nil, nil) when
+// no valid checkpoint exists. Stores retain the two newest committed
+// checkpoints so that truncating the log below the previous checkpoint's
+// LSN (see the truncation rule in engine.Checkpointer) never strands
+// recovery without a usable image.
 type CheckpointStore interface {
 	Begin() (CheckpointWriter, error)
 	Load() (*Checkpoint, error)
@@ -114,7 +119,7 @@ type Image struct {
 	gen    uint32 // compactions so far; Load's rows carry 1
 	tables []imageTable
 	scan   logScan
-	page   PageBuilder
+	page   pageBuilder
 }
 
 // imageTable is one table's slice of an Image. A fixed table's rows sit
@@ -207,23 +212,16 @@ func (img *Image) Load(store CheckpointStore, db *storage.DB) error {
 	next := Image{db: db, gen: 1}
 	next.addTables()
 	if ck != nil {
-		for _, p := range ck.Pages {
-			table, _, _, ok := verifyPage(p)
-			if !ok || table >= len(next.tables) {
-				return fmt.Errorf("wal: checkpoint page for unknown table %d", table)
-			}
-			t := &next.tables[table]
-			if _, _, err := DecodePage(p, func(key uint64, val []byte) error {
-				if err := storage.CheckInsert(db.Table(table), key, val); err != nil {
-					return err
-				}
-				if t.claim(key, next.gen) {
-					t.set(key, val)
-				}
-				return nil
-			}); err != nil {
+		if err := ck.Records(db, func(table int, key uint64, val []byte) error {
+			if err := storage.CheckInsert(db.Table(table), key, val); err != nil {
 				return err
 			}
+			if t := &next.tables[table]; t.claim(key, next.gen) {
+				t.set(key, val)
+			}
+			return nil
+		}); err != nil {
+			return err
 		}
 		next.lsn = ck.Manifest.StartLSN
 	}
@@ -237,15 +235,13 @@ func (img *Image) Load(store CheckpointStore, db *storage.DB) error {
 // page bytes written.
 //
 // The records folded in are exactly those Replay would apply over the
-// image (logScan.prefix): LSNs at or below the image's are skipped, then
-// the contiguous LSNs above it up to L, ending at the first gap or at a
-// write that fails storage.CheckInsert. The new image is exact as of L,
-// so restoring it and replaying the log above L rebuilds what replaying
-// the whole log does. The records are folded in newest first, so each
-// key is copied once however often the log rewrote it. Decoding reuses
-// the image's buffers: a compaction allocates only for a table's first
-// write, for growable keys the image has not held before, and for the
-// manifest.
+// image (logScan.prefix), the contiguous LSNs above it up to some L. The
+// new image is exact as of L, so restoring it and replaying the log above
+// L rebuilds what replaying the whole log does. The records are folded in
+// newest first, so each key is copied once however often the log rewrote
+// it. Decoding reuses the image's buffers: a compaction allocates only
+// for a table's first write, for growable keys the image has not held
+// before, and for the manifest.
 func Compact(img *Image, segs [][]byte, w CheckpointWriter) (Manifest, uint64, error) {
 	img.scan.scan(segs, img.db)
 	img.addTables() // after the scan, which checked writes against the tables it saw
@@ -264,15 +260,15 @@ func Compact(img *Image, segs [][]byte, w CheckpointWriter) (Manifest, uint64, e
 	}
 	img.scan.segs = nil // the segments belong to the device again
 
-	m := Manifest{StartLSN: img.lsn, TailLSN: img.lsn, Tables: make([]TableImage, len(img.tables))}
+	m := Manifest{StartLSN: img.lsn, Tables: make([]TableImage, len(img.tables))}
 	var bytes uint64
 	for tid := range img.tables {
 		ti := &m.Tables[tid]
 		ti.Table = tid
-		img.page.Reset(tid)
+		img.page.reset(tid)
 		add := func(key uint64, val []byte) error {
-			img.page.Add(key, val)
-			if img.page.Count() < pageRecords {
+			img.page.add(key, val)
+			if img.page.count < pageRecords {
 				return nil
 			}
 			return img.seal(w, ti, &bytes)
@@ -300,41 +296,41 @@ func Compact(img *Image, segs [][]byte, w CheckpointWriter) (Manifest, uint64, e
 // seal writes the page under construction, if it holds any record, folds
 // it into ti and starts the next page of the same table.
 func (img *Image) seal(w CheckpointWriter, ti *TableImage, bytes *uint64) error {
-	n := img.page.Count()
+	n := img.page.count
 	if n == 0 {
 		return nil
 	}
-	page := img.page.Seal()
+	page := img.page.seal()
 	if err := w.Page(page); err != nil {
 		return err
 	}
 	ti.Pages++
 	ti.Records += uint64(n)
-	ti.CRC = FoldPageCRC(ti.CRC, page)
+	ti.CRC = foldPageCRC(ti.CRC, page)
 	*bytes += uint64(len(page))
-	img.page.Reset(ti.Table)
+	img.page.reset(ti.Table)
 	return nil
 }
 
-// PageBuilder accumulates records for one table into a page. The zero
-// value is unusable; call Reset first. The builder reuses one internal
-// buffer across pages, so the slice returned by Seal is valid only until
-// the next Reset — stores copy it.
-type PageBuilder struct {
+// pageBuilder accumulates records for one table into a page. The zero
+// value is unusable; call reset first. The builder reuses one buffer
+// across pages, so the slice seal returns is valid only until the next
+// reset — stores copy it.
+type pageBuilder struct {
 	buf   []byte
 	table int
-	count int
+	count int // records on the page so far
 }
 
-// Reset starts a fresh page for table, discarding any unsealed content.
-func (b *PageBuilder) Reset(table int) {
+// reset starts a fresh page for table, discarding any unsealed content.
+func (b *pageBuilder) reset(table int) {
 	b.buf = append(b.buf[:0], make([]byte, pageHeader)...)
 	b.table = table
 	b.count = 0
 }
 
-// Add appends one record to the page, copying val.
-func (b *PageBuilder) Add(key uint64, val []byte) {
+// add appends one record to the page, copying val.
+func (b *pageBuilder) add(key uint64, val []byte) {
 	var entry [12]byte
 	binary.LittleEndian.PutUint64(entry[0:8], key)
 	binary.LittleEndian.PutUint32(entry[8:12], uint32(len(val)))
@@ -343,12 +339,9 @@ func (b *PageBuilder) Add(key uint64, val []byte) {
 	b.count++
 }
 
-// Count reports how many records the current page holds.
-func (b *PageBuilder) Count() int { return b.count }
-
-// Seal fills in the header and CRC and returns the encoded page. The
+// seal fills in the header and CRC and returns the encoded page. The
 // returned slice aliases the builder's buffer.
-func (b *PageBuilder) Seal() []byte {
+func (b *pageBuilder) seal() []byte {
 	h := b.buf
 	payload := len(b.buf) - pageHeader
 	binary.LittleEndian.PutUint16(h[0:2], pageMagic)
@@ -362,77 +355,80 @@ func (b *PageBuilder) Seal() []byte {
 	return b.buf
 }
 
-// FoldPageCRC folds a sealed page's CRC into a per-table running fold —
+// foldPageCRC folds a sealed page's CRC into a per-table running fold —
 // the value Manifest.Tables[i].CRC records. Folding the page CRCs in
 // order (rather than summing them) makes the fold sensitive to page
 // reordering as well as corruption.
-func FoldPageCRC(fold uint32, page []byte) uint32 {
+func foldPageCRC(fold uint32, page []byte) uint32 {
 	return crc32.Update(fold, crcTable, page[16:20])
 }
 
 // verifyPage checks a page's structure and CRC without decoding entries.
 // It never panics on arbitrary input.
-func verifyPage(p []byte) (table int, count int, crc uint32, ok bool) {
-	if len(p) < pageHeader {
-		return 0, 0, 0, false
-	}
-	if binary.LittleEndian.Uint16(p[0:2]) != pageMagic {
-		return 0, 0, 0, false
+func verifyPage(p []byte) (table int, count int, ok bool) {
+	if len(p) < pageHeader || binary.LittleEndian.Uint16(p[0:2]) != pageMagic {
+		return 0, 0, false
 	}
 	payload := int(binary.LittleEndian.Uint32(p[12:16]))
 	if payload < 0 || len(p) != pageHeader+payload {
-		return 0, 0, 0, false
+		return 0, 0, false
 	}
 	count = int(binary.LittleEndian.Uint32(p[8:12]))
 	if count*12 > payload {
-		return 0, 0, 0, false
+		return 0, 0, false
 	}
-	crc = crc32.Checksum(p[2:16], crcTable)
+	crc := crc32.Checksum(p[2:16], crcTable)
 	crc = crc32.Update(crc, crcTable, p[pageHeader:])
 	if crc != binary.LittleEndian.Uint32(p[16:20]) {
-		return 0, 0, 0, false
+		return 0, 0, false
 	}
-	return int(binary.LittleEndian.Uint32(p[4:8])), count, crc, true
+	return int(binary.LittleEndian.Uint32(p[4:8])), count, true
 }
 
-// DecodePage validates a page and calls fn for each record. val aliases
-// the page buffer. It never panics on arbitrary input.
-func DecodePage(p []byte, fn func(key uint64, val []byte) error) (table int, count int, err error) {
-	table, count, _, ok := verifyPage(p)
-	if !ok {
-		return 0, 0, errors.New("wal: invalid checkpoint page")
-	}
-	data := p[pageHeader:]
-	for i := 0; i < count; i++ {
-		if len(data) < 12 {
-			return 0, 0, errors.New("wal: truncated checkpoint page entry")
+// Records calls fn for every record of ck's pages, in page order, and
+// stops at fn's first error. Each page is decoded once, and a page for a
+// table db does not hold fails before any of its records reach fn. val
+// aliases the page. It never panics on arbitrary pages.
+func (ck *Checkpoint) Records(db *storage.DB, fn func(table int, key uint64, val []byte) error) error {
+	for _, p := range ck.Pages {
+		table, count, ok := verifyPage(p)
+		if !ok {
+			return errors.New("wal: invalid checkpoint page")
 		}
-		key := binary.LittleEndian.Uint64(data[0:8])
-		vlen := int(binary.LittleEndian.Uint32(data[8:12]))
-		if vlen < 0 || len(data) < 12+vlen {
-			return 0, 0, errors.New("wal: truncated checkpoint page value")
+		if table >= db.NumTables() {
+			return fmt.Errorf("wal: checkpoint page for unknown table %d", table)
 		}
-		if err := fn(key, data[12:12+vlen:12+vlen]); err != nil {
-			return 0, 0, err
+		data := p[pageHeader:]
+		for i := 0; i < count; i++ {
+			if len(data) < 12 {
+				return errors.New("wal: truncated checkpoint page entry")
+			}
+			key := binary.LittleEndian.Uint64(data[0:8])
+			vlen := int(binary.LittleEndian.Uint32(data[8:12]))
+			if vlen < 0 || len(data) < 12+vlen {
+				return errors.New("wal: truncated checkpoint page value")
+			}
+			if err := fn(table, key, data[12:12+vlen:12+vlen]); err != nil {
+				return err
+			}
+			data = data[12+vlen:]
 		}
-		data = data[12+vlen:]
+		if len(data) != 0 {
+			return errors.New("wal: trailing bytes in checkpoint page")
+		}
 	}
-	if len(data) != 0 {
-		return 0, 0, errors.New("wal: trailing bytes in checkpoint page")
-	}
-	return table, count, nil
+	return nil
 }
 
-// EncodeManifest serializes m. Layout: magic u32, version u32, startLSN
-// u64, tailLSN u64, nTables u32, nTables × TableImage, crc u32 over all
-// preceding bytes.
-func EncodeManifest(m *Manifest) []byte {
+// encodeManifest serializes m. Layout: magic u32, version u32, startLSN
+// u64, nTables u32, nTables × TableImage, crc u32 over all preceding
+// bytes.
+func encodeManifest(m *Manifest) []byte {
 	buf := make([]byte, manifestHeader+len(m.Tables)*tableImageSize+4)
 	binary.LittleEndian.PutUint32(buf[0:4], manifestMagic)
 	binary.LittleEndian.PutUint32(buf[4:8], manifestVersion)
 	binary.LittleEndian.PutUint64(buf[8:16], m.StartLSN)
-	binary.LittleEndian.PutUint64(buf[16:24], m.TailLSN)
-	binary.LittleEndian.PutUint32(buf[24:28], uint32(len(m.Tables)))
+	binary.LittleEndian.PutUint32(buf[16:20], uint32(len(m.Tables)))
 	p := buf[manifestHeader:]
 	for _, t := range m.Tables {
 		binary.LittleEndian.PutUint32(p[0:4], uint32(t.Table))
@@ -446,30 +442,33 @@ func EncodeManifest(m *Manifest) []byte {
 	return buf
 }
 
-// DecodeManifest parses and validates a manifest encoding. It never
+// decodeManifest parses and validates a manifest encoding. It never
 // panics on arbitrary input; any structural or checksum mismatch returns
-// an error.
-func DecodeManifest(data []byte) (*Manifest, error) {
-	if len(data) < manifestHeader+4 {
+// an error. It checks the checksum before the version, so that only an
+// intact manifest returns ErrManifestVersion.
+func decodeManifest(data []byte) (*Manifest, error) {
+	if len(data) < 12 { // magic + version + crc
 		return nil, errors.New("wal: manifest too short")
 	}
 	if binary.LittleEndian.Uint32(data[0:4]) != manifestMagic {
 		return nil, errors.New("wal: bad manifest magic")
 	}
-	if binary.LittleEndian.Uint32(data[4:8]) != manifestVersion {
-		return nil, errors.New("wal: unknown manifest version")
-	}
-	n := int(binary.LittleEndian.Uint32(data[24:28]))
-	if n < 0 || len(data) != manifestHeader+n*tableImageSize+4 {
-		return nil, errors.New("wal: manifest length mismatch")
-	}
 	crc := crc32.Checksum(data[:len(data)-4], crcTable)
 	if crc != binary.LittleEndian.Uint32(data[len(data)-4:]) {
 		return nil, errors.New("wal: manifest checksum mismatch")
 	}
+	if v := binary.LittleEndian.Uint32(data[4:8]); v != manifestVersion {
+		return nil, fmt.Errorf("%w %d", ErrManifestVersion, v)
+	}
+	if len(data) < manifestHeader+4 {
+		return nil, errors.New("wal: manifest too short")
+	}
+	n := int(binary.LittleEndian.Uint32(data[16:20]))
+	if n < 0 || len(data) != manifestHeader+n*tableImageSize+4 {
+		return nil, errors.New("wal: manifest length mismatch")
+	}
 	m := &Manifest{
 		StartLSN: binary.LittleEndian.Uint64(data[8:16]),
-		TailLSN:  binary.LittleEndian.Uint64(data[16:24]),
 		Tables:   make([]TableImage, 0, n),
 	}
 	p := data[manifestHeader:]
@@ -498,14 +497,14 @@ func validateCheckpoint(m *Manifest, pages [][]byte) error {
 				return errors.New("wal: checkpoint missing pages")
 			}
 			p := pages[idx]
-			table, count, _, ok := verifyPage(p)
+			table, count, ok := verifyPage(p)
 			if !ok {
 				return errors.New("wal: corrupt checkpoint page")
 			}
 			if table != t.Table {
 				return errors.New("wal: checkpoint page table mismatch")
 			}
-			fold = FoldPageCRC(fold, p)
+			fold = foldPageCRC(fold, p)
 			records += uint64(count)
 			idx++
 		}
@@ -522,10 +521,23 @@ func validateCheckpoint(m *Manifest, pages [][]byte) error {
 	return nil
 }
 
-// SplitPages re-splits a concatenation of sealed pages (the on-disk
+// openCheckpoint decodes and validates one stored checkpoint: nil for a
+// torn or corrupt one, which Load falls back past.
+func openCheckpoint(manifest []byte, pages [][]byte) (*Checkpoint, error) {
+	m, err := decodeManifest(manifest)
+	if errors.Is(err, ErrManifestVersion) {
+		return nil, err
+	}
+	if err != nil || validateCheckpoint(m, pages) != nil {
+		return nil, nil
+	}
+	return &Checkpoint{Manifest: *m, Pages: pages}, nil
+}
+
+// splitPages re-splits a concatenation of sealed pages (the on-disk
 // layout of DirCheckpointStore's pages file) into individual pages. It
 // never panics on arbitrary input.
-func SplitPages(data []byte) ([][]byte, error) {
+func splitPages(data []byte) ([][]byte, error) {
 	var pages [][]byte
 	for len(data) > 0 {
 		if len(data) < pageHeader {
@@ -584,25 +596,14 @@ func (s *MemCheckpointStore) Load() (*Checkpoint, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i := len(s.committed) - 1; i >= 0; i-- {
-		ck := s.committed[i]
-		m, err := DecodeManifest(ck.manifest)
-		if err != nil {
-			continue
+		mc := s.committed[i]
+		ck, err := openCheckpoint(mc.manifest, mc.pages)
+		mc.loaned = mc.loaned || ck != nil
+		if ck != nil || err != nil {
+			return ck, err
 		}
-		if validateCheckpoint(m, ck.pages) != nil {
-			continue
-		}
-		ck.loaned = true
-		return &Checkpoint{Manifest: *m, Pages: ck.pages}, nil
 	}
 	return nil, nil
-}
-
-// Count reports how many committed checkpoints the store retains.
-func (s *MemCheckpointStore) Count() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.committed)
 }
 
 // Manifests decodes the retained manifests, oldest → newest, skipping
@@ -612,7 +613,7 @@ func (s *MemCheckpointStore) Manifests() []Manifest {
 	defer s.mu.Unlock()
 	out := make([]Manifest, 0, len(s.committed))
 	for _, ck := range s.committed {
-		if m, err := DecodeManifest(ck.manifest); err == nil {
+		if m, err := decodeManifest(ck.manifest); err == nil {
 			out = append(out, *m)
 		}
 	}
@@ -678,7 +679,7 @@ func (w *memCkWriter) Page(p []byte) error {
 func (w *memCkWriter) Commit(m *Manifest) error {
 	s := w.store
 	s.mu.Lock()
-	s.committed = append(s.committed, &memCheckpoint{manifest: EncodeManifest(m), pages: w.pages})
+	s.committed = append(s.committed, &memCheckpoint{manifest: encodeManifest(m), pages: w.pages})
 	if n := len(s.committed) - checkpointsRetained; n > 0 {
 		if pruned := s.committed[n-1]; !pruned.loaned {
 			s.spare = pruned.pages
@@ -731,9 +732,7 @@ func OpenDirCheckpointStore(dir string) (*DirCheckpointStore, error) {
 		if _, err := fmt.Sscanf(base, "ck-%d.manifest", &n); err != nil {
 			return nil, fmt.Errorf("wal: unparseable checkpoint manifest name %q", base)
 		}
-		if n+1 > seq {
-			seq = n + 1
-		}
+		seq = max(seq, n+1)
 	}
 	return &DirCheckpointStore{dir: dir, seq: seq}, nil
 }
@@ -759,26 +758,16 @@ func (s *DirCheckpointStore) Load() (*Checkpoint, error) {
 	}
 	sort.Strings(manifests)
 	for i := len(manifests) - 1; i >= 0; i-- {
-		manData, err := os.ReadFile(manifests[i])
-		if err != nil {
+		// A checkpoint whose files do not read is skipped like a torn one.
+		manData, errM := os.ReadFile(manifests[i])
+		pageData, errP := os.ReadFile(pagesPathFor(manifests[i]))
+		pages, errS := splitPages(pageData)
+		if errM != nil || errP != nil || errS != nil {
 			continue
 		}
-		m, err := DecodeManifest(manData)
-		if err != nil {
-			continue
+		if ck, err := openCheckpoint(manData, pages); ck != nil || err != nil {
+			return ck, err
 		}
-		pageData, err := os.ReadFile(pagesPathFor(manifests[i]))
-		if err != nil {
-			continue
-		}
-		pages, err := SplitPages(pageData)
-		if err != nil {
-			continue
-		}
-		if validateCheckpoint(m, pages) != nil {
-			continue
-		}
-		return &Checkpoint{Manifest: *m, Pages: pages}, nil
 	}
 	return nil, nil
 }
@@ -818,15 +807,14 @@ func (w *dirCkWriter) Commit(m *Manifest) error {
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(EncodeManifest(m)); err != nil {
-		f.Close()
-		return err
+	_, err = f.Write(encodeManifest(m))
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
+	if err != nil {
 		return err
 	}
 	if err := os.Rename(tmp, filepath.Join(dir, ckName(w.seq, "manifest"))); err != nil {
@@ -848,18 +836,15 @@ func (w *dirCkWriter) Commit(m *Manifest) error {
 		return err
 	}
 	sort.Strings(manifests)
-	pruned := false
-	for i := 0; i < len(manifests)-checkpointsRetained; i++ {
-		os.Remove(manifests[i])
-		os.Remove(pagesPathFor(manifests[i]))
-		pruned = true
+	n := len(manifests) - checkpointsRetained
+	if n <= 0 {
+		return nil
 	}
-	if pruned {
-		if err := syncDir(dir); err != nil {
-			return err
-		}
+	for _, name := range manifests[:n] {
+		os.Remove(name)
+		os.Remove(pagesPathFor(name))
 	}
-	return nil
+	return syncDir(dir)
 }
 
 // Abort implements CheckpointWriter: it removes whatever Commit had not

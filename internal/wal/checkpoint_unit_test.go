@@ -2,21 +2,27 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/storage"
 )
 
 // buildPage seals one page holding count records for table.
 func buildPage(t *testing.T, table, count int, salt byte) []byte {
 	t.Helper()
-	var b PageBuilder
-	b.Reset(table)
+	var b pageBuilder
+	b.reset(table)
 	for i := 0; i < count; i++ {
 		val := bytes.Repeat([]byte{salt + byte(i)}, 8)
-		b.Add(uint64(i), val)
+		b.add(uint64(i), val)
 	}
-	page := append([]byte(nil), b.Seal()...)
+	page := append([]byte(nil), b.seal()...)
 	if page == nil {
 		t.Fatal("Seal returned nil for a non-empty page")
 	}
@@ -25,20 +31,37 @@ func buildPage(t *testing.T, table, count int, salt byte) []byte {
 
 func TestPageRoundTrip(t *testing.T) {
 	page := buildPage(t, 3, 5, 0x10)
-	table, count, crc, ok := verifyPage(page)
-	if !ok || table != 3 || count != 5 || crc == 0 {
-		t.Fatalf("verify: table=%d count=%d crc=%d ok=%v", table, count, crc, ok)
+	table, count, ok := verifyPage(page)
+	if !ok || table != 3 || count != 5 {
+		t.Fatalf("verify: table=%d count=%d ok=%v", table, count, ok)
 	}
+	db := storage.NewDB()
+	for i := 0; i < 3; i++ {
+		db.Create(storage.Layout{Name: fmt.Sprint(i), NumRecords: 8, RecordSize: 8})
+	}
+	ck := &Checkpoint{Pages: [][]byte{page}}
+	// A page for a table the database does not hold fails before any of
+	// its records is handed out.
+	if err := ck.Records(db, func(int, uint64, []byte) error {
+		t.Fatal("record of an out-of-range page reached fn")
+		return nil
+	}); err == nil {
+		t.Fatal("page for table 3 decoded against 3 tables")
+	}
+	db.Create(storage.Layout{Name: "3", NumRecords: 8, RecordSize: 8})
 	var keys []uint64
-	_, n, err := DecodePage(page, func(key uint64, val []byte) error {
+	err := ck.Records(db, func(table int, key uint64, val []byte) error {
+		if table != 3 {
+			t.Fatalf("key %d: table %d, want 3", key, table)
+		}
 		keys = append(keys, key)
 		if want := bytes.Repeat([]byte{0x10 + byte(key)}, 8); !bytes.Equal(val, want) {
 			t.Fatalf("key %d: val %x, want %x", key, val, want)
 		}
 		return nil
 	})
-	if err != nil || n != 5 || len(keys) != 5 {
-		t.Fatalf("decode: n=%d err=%v keys=%v", n, err, keys)
+	if err != nil || len(keys) != 5 {
+		t.Fatalf("decode: err=%v keys=%v", err, keys)
 	}
 }
 
@@ -50,42 +73,123 @@ func TestPageCorruptionDetectedAtEveryByte(t *testing.T) {
 	for i := range page {
 		mut := append([]byte(nil), page...)
 		mut[i] ^= 0xFF
-		if _, _, _, ok := verifyPage(mut); ok {
+		if _, _, ok := verifyPage(mut); ok {
 			t.Fatalf("corruption at byte %d verified", i)
 		}
 	}
 	for cut := 0; cut < len(page); cut++ {
-		if _, _, _, ok := verifyPage(page[:cut]); ok {
+		if _, _, ok := verifyPage(page[:cut]); ok {
 			t.Fatalf("truncation at %d verified", cut)
 		}
 	}
 }
 
 func TestManifestRoundTripAndCorruption(t *testing.T) {
-	m := &Manifest{StartLSN: 42, TailLSN: 99, Tables: []TableImage{
+	m := &Manifest{StartLSN: 42, Tables: []TableImage{
 		{Table: 0, Pages: 2, Records: 11, CRC: 0xDEAD},
 		{Table: 3, Pages: 1, Records: 7, CRC: 0xBEEF},
 	}}
-	enc := EncodeManifest(m)
-	dec, err := DecodeManifest(enc)
+	enc := encodeManifest(m)
+	dec, err := decodeManifest(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.StartLSN != 42 || dec.TailLSN != 99 || len(dec.Tables) != 2 ||
+	if dec.StartLSN != 42 || len(dec.Tables) != 2 ||
 		dec.Tables[1] != m.Tables[1] {
 		t.Fatalf("roundtrip mismatch: %+v", dec)
 	}
 	for i := range enc {
 		mut := append([]byte(nil), enc...)
 		mut[i] ^= 0xFF
-		if _, err := DecodeManifest(mut); err == nil {
+		if _, err := decodeManifest(mut); err == nil {
 			t.Fatalf("corruption at byte %d decoded", i)
 		}
 	}
 	for cut := 0; cut < len(enc); cut++ {
-		if _, err := DecodeManifest(enc[:cut]); err == nil {
+		if _, err := decodeManifest(enc[:cut]); err == nil {
 			t.Fatalf("truncation at %d decoded", cut)
 		}
+	}
+}
+
+// encodeManifestAs re-encodes m under another version number, with extra
+// after StartLSN (version 1's second LSN word) and a CRC that holds: an
+// intact manifest in an encoding decodeManifest does not read.
+func encodeManifestAs(m *Manifest, version uint32, extra []byte) []byte {
+	enc := encodeManifest(m)
+	out := binary.LittleEndian.AppendUint32(append([]byte(nil), enc[:4]...), version)
+	out = append(append(append(out, enc[8:16]...), extra...), enc[16:len(enc)-4]...)
+	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, crcTable))
+}
+
+// encodeManifestV1 is the version-1 encoding of m, whose second LSN word
+// compaction always wrote equal to StartLSN.
+func encodeManifestV1(m *Manifest) []byte {
+	return encodeManifestAs(m, 1, binary.LittleEndian.AppendUint64(nil, m.StartLSN))
+}
+
+// An intact manifest in another encoding — version 1, or any version
+// this package does not know — is not a torn file: both stores' Load,
+// Image.Load and Recover fail with ErrManifestVersion instead of falling
+// back past it. Falling back could reach an image, or LSN 0, below which
+// the log is already truncated, and recover the base state without error.
+func TestManifestOfAnotherVersionFailsLoad(t *testing.T) {
+	page := buildPage(t, 0, 4, 0x07)
+	m := &Manifest{StartLSN: 30, Tables: []TableImage{{Table: 0, Pages: 1, Records: 4, CRC: foldPageCRC(0, page)}}}
+	versions := []struct {
+		name string
+		enc  []byte
+	}{
+		{"v1", encodeManifestV1(m)},
+		{"v0", encodeManifestAs(m, 0, nil)},
+		{"v3", encodeManifestAs(m, 3, nil)},
+	}
+	db := storage.NewDB()
+	db.Create(storage.Layout{Name: "t", NumRecords: 8, RecordSize: 8})
+	for _, v := range versions {
+		t.Run(v.name, func(t *testing.T) {
+			if _, err := decodeManifest(v.enc); !errors.Is(err, ErrManifestVersion) {
+				t.Fatalf("decode: err=%v, want ErrManifestVersion", err)
+			}
+
+			mem := NewMemCheckpointStore()
+			commitCheckpoint(t, mem, 20, 0x02) // a valid older image to fall back to
+			mem.committed = append(mem.committed, &memCheckpoint{manifest: v.enc, pages: [][]byte{page}})
+
+			dir := t.TempDir()
+			disk, err := OpenDirCheckpointStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			commitCheckpoint(t, disk, 20, 0x02)
+			if err := os.WriteFile(filepath.Join(dir, ckName(1, "pages")), page, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, ckName(1, "manifest")), v.enc, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			for _, s := range []CheckpointStore{mem, disk} {
+				if ck, err := s.Load(); !errors.Is(err, ErrManifestVersion) || ck != nil {
+					t.Fatalf("%T.Load: ck=%+v err=%v, want ErrManifestVersion", s, ck, err)
+				}
+				var img Image
+				if err := img.Load(s, db); !errors.Is(err, ErrManifestVersion) {
+					t.Fatalf("Image.Load over %T: err=%v, want ErrManifestVersion", s, err)
+				}
+				if st, err := Recover(s, nil, db); !errors.Is(err, ErrManifestVersion) || st.UsedCheckpoint {
+					t.Fatalf("Recover over %T: %+v err=%v, want ErrManifestVersion", s, st, err)
+				}
+			}
+
+			// The same bytes torn are skipped like any torn manifest.
+			torn := append([]byte(nil), v.enc...)
+			torn[len(torn)/2] ^= 0xFF
+			mem.committed[len(mem.committed)-1].manifest = torn
+			if ck, err := mem.Load(); err != nil || ck == nil || ck.Manifest.StartLSN != 20 {
+				t.Fatalf("torn manifest: ck=%+v err=%v, want the image at 20", ck, err)
+			}
+		})
 	}
 }
 
@@ -94,15 +198,15 @@ func TestManifestRoundTripAndCorruption(t *testing.T) {
 func TestFoldPageCRCDetectsReordering(t *testing.T) {
 	a := buildPage(t, 0, 2, 0x30)
 	b := buildPage(t, 0, 2, 0x40)
-	ab := FoldPageCRC(FoldPageCRC(0, a), b)
-	ba := FoldPageCRC(FoldPageCRC(0, b), a)
+	ab := foldPageCRC(foldPageCRC(0, a), b)
+	ba := foldPageCRC(foldPageCRC(0, b), a)
 	if ab == ba {
 		t.Fatal("fold CRC is order-insensitive")
 	}
 }
 
 // commitCheckpoint writes one single-page checkpoint through the store.
-func commitCheckpoint(t *testing.T, s CheckpointStore, start, tail uint64, salt byte) {
+func commitCheckpoint(t *testing.T, s CheckpointStore, start uint64, salt byte) {
 	t.Helper()
 	w, err := s.Begin()
 	if err != nil {
@@ -112,8 +216,8 @@ func commitCheckpoint(t *testing.T, s CheckpointStore, start, tail uint64, salt 
 	if err := w.Page(page); err != nil {
 		t.Fatal(err)
 	}
-	m := &Manifest{StartLSN: start, TailLSN: tail, Tables: []TableImage{
-		{Table: 0, Pages: 1, Records: 4, CRC: FoldPageCRC(0, page)},
+	m := &Manifest{StartLSN: start, Tables: []TableImage{
+		{Table: 0, Pages: 1, Records: 4, CRC: foldPageCRC(0, page)},
 	}}
 	if err := w.Commit(m); err != nil {
 		t.Fatal(err)
@@ -125,11 +229,11 @@ func TestMemCheckpointStoreRetainsTwoAndFallsBack(t *testing.T) {
 	if ck, err := s.Load(); err != nil || ck != nil {
 		t.Fatalf("empty store: ck=%v err=%v", ck, err)
 	}
-	commitCheckpoint(t, s, 10, 12, 0x01)
-	commitCheckpoint(t, s, 20, 22, 0x02)
-	commitCheckpoint(t, s, 30, 33, 0x03)
-	if s.Count() != 2 {
-		t.Fatalf("retained %d, want 2", s.Count())
+	commitCheckpoint(t, s, 10, 0x01)
+	commitCheckpoint(t, s, 20, 0x02)
+	commitCheckpoint(t, s, 30, 0x03)
+	if n := len(s.Manifests()); n != 2 {
+		t.Fatalf("retained %d, want 2", n)
 	}
 	ck, err := s.Load()
 	if err != nil || ck == nil || ck.Manifest.StartLSN != 30 {
@@ -160,9 +264,9 @@ func TestDirCheckpointStoreRetainsTwoAndFallsBack(t *testing.T) {
 	if ck, err := s.Load(); err != nil || ck != nil {
 		t.Fatalf("empty store: ck=%v err=%v", ck, err)
 	}
-	commitCheckpoint(t, s, 10, 12, 0x01)
-	commitCheckpoint(t, s, 20, 22, 0x02)
-	commitCheckpoint(t, s, 30, 33, 0x03)
+	commitCheckpoint(t, s, 10, 0x01)
+	commitCheckpoint(t, s, 20, 0x02)
+	commitCheckpoint(t, s, 30, 0x03)
 	manifests, _ := filepath.Glob(filepath.Join(dir, "ck-*.manifest"))
 	if len(manifests) != 2 {
 		t.Fatalf("%d manifest files on disk, want 2", len(manifests))
@@ -214,8 +318,8 @@ func TestDirCheckpointStoreRetainsTwoAndFallsBack(t *testing.T) {
 // count, or extra pages — must fail validation as a unit.
 func TestValidateCheckpointRejectsMismatchedPages(t *testing.T) {
 	page := buildPage(t, 0, 4, 0x05)
-	good := &Manifest{StartLSN: 1, TailLSN: 2, Tables: []TableImage{
-		{Table: 0, Pages: 1, Records: 4, CRC: FoldPageCRC(0, page)},
+	good := &Manifest{StartLSN: 1, Tables: []TableImage{
+		{Table: 0, Pages: 1, Records: 4, CRC: foldPageCRC(0, page)},
 	}}
 	if err := validateCheckpoint(good, [][]byte{page}); err != nil {
 		t.Fatalf("valid checkpoint rejected: %v", err)
@@ -262,10 +366,10 @@ func TestMemCheckpointStoreRecyclesPages(t *testing.T) {
 	pages := make([][]byte, n)
 	var m *Manifest
 	build := func(salt byte) {
-		m = &Manifest{StartLSN: 1, TailLSN: 1, Tables: []TableImage{{Table: 0, Pages: n, Records: 4 * n}}}
+		m = &Manifest{StartLSN: 1, Tables: []TableImage{{Table: 0, Pages: n, Records: 4 * n}}}
 		for i := range pages {
 			pages[i] = buildPage(t, 0, 4, salt+byte(i))
-			m.Tables[0].CRC = FoldPageCRC(m.Tables[0].CRC, pages[i])
+			m.Tables[0].CRC = foldPageCRC(m.Tables[0].CRC, pages[i])
 		}
 	}
 	build(0)

@@ -120,13 +120,13 @@ func TestCompactMatchesReplay(t *testing.T) {
 				compact(c.segs[:c.prior])
 			}
 			m := compact(c.segs)
-			if m.StartLSN != m.TailLSN {
-				t.Fatalf("image StartLSN %d != TailLSN %d", m.StartLSN, m.TailLSN)
-			}
-
 			got := compactDB()
-			if _, err := Recover(store, nil, got, 1); err != nil {
+			rec, err := Recover(store, nil, got)
+			if err != nil {
 				t.Fatal(err)
+			}
+			if !rec.UsedCheckpoint || rec.StartLSN != m.StartLSN {
+				t.Fatalf("recovery used checkpoint %t at LSN %d, want the image at %d", rec.UsedCheckpoint, rec.StartLSN, m.StartLSN)
 			}
 			want := compactDB()
 			st := Replay(c.segs, 0, want)

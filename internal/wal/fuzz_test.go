@@ -37,10 +37,11 @@ func FuzzWALReplay(f *testing.F) {
 	flipped := append([]byte(nil), img...)
 	flipped[len(flipped)/2] ^= 0x40
 	f.Add(flipped)
-	// Valid manifest bytes, so mutations explore the manifest decoder too.
-	f.Add(EncodeManifest(&Manifest{StartLSN: 3, TailLSN: 5, Tables: []TableImage{
-		{Table: 0, Pages: 1, Records: 2, CRC: 7},
-	}}))
+	// Valid manifest bytes, in this version's encoding and in version 1's,
+	// so mutations explore the manifest decoder too.
+	m := &Manifest{StartLSN: 3, Tables: []TableImage{{Table: 0, Pages: 1, Records: 2, CRC: 7}}}
+	f.Add(encodeManifest(m))
+	f.Add(encodeManifestV1(m))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		db := storage.NewDB()
@@ -91,11 +92,11 @@ func FuzzWALReplay(f *testing.F) {
 
 		// Manifest decoding on arbitrary bytes: never panics, and success
 		// implies a structurally consistent result.
-		if m, err := DecodeManifest(data); err == nil {
+		if m, err := decodeManifest(data); err == nil {
 			if m == nil {
-				t.Fatal("DecodeManifest returned nil manifest without error")
+				t.Fatal("decodeManifest returned nil manifest without error")
 			}
-			if reenc := EncodeManifest(m); !bytes.Equal(reenc, data) {
+			if reenc := encodeManifest(m); !bytes.Equal(reenc, data) {
 				t.Fatal("decoded manifest does not re-encode to its input")
 			}
 		}

@@ -162,11 +162,9 @@ type RecoverStats struct {
 	// UsedCheckpoint reports that a valid checkpoint was loaded; when
 	// false, recovery was a full log replay from LSN 1.
 	UsedCheckpoint bool
-	// StartLSN/TailLSN echo the loaded manifest (0 when none).
+	// StartLSN echoes the loaded manifest (0 when none).
 	StartLSN uint64
-	TailLSN  uint64
-	// PagesRestored/RecordsRestored count the checkpoint image.
-	PagesRestored   int
+	// RecordsRestored counts the checkpoint image's records.
 	RecordsRestored int
 	// Replay is the log-tail replay on top of the image.
 	Replay ReplayStats
@@ -174,17 +172,15 @@ type RecoverStats struct {
 
 // Recover rebuilds committed state onto db: load the newest valid
 // checkpoint from store (nil store, or a store with no valid
-// checkpoint, means none), restore its pages, then replay the committed
-// prefix of the log tail above the checkpoint's StartLSN with Replay.
-// db must hold the same initial (pre-run) contents the logged run
-// started from — checkpoint pages and redo records both overwrite, so
-// restoring onto the base schema is idempotent.
+// checkpoint, means none), restore its records, then replay the
+// committed prefix of the log tail above the checkpoint's StartLSN with
+// Replay. db must hold the same initial (pre-run) contents the logged
+// run started from — checkpoint records and redo records both
+// overwrite, so restoring onto the base schema is idempotent. The
+// store's Load error, ErrManifestVersion among them, ends recovery.
 //
-// Recovery is serial and workers is ignored: on the recovery experiment's
-// longest tails (no checkpoint, 2 vCPUs) parallel scan, restore and
-// replay beat serial in 3 of 24 rows, so the fan-outs were removed. The
-// parameter stays so existing callers keep compiling.
-func Recover(store CheckpointStore, segs [][]byte, db *storage.DB, workers int) (RecoverStats, error) {
+// The ignored trailing argument stays only for bench/verify.go's call, until ROADMAP item 1(b).
+func Recover(store CheckpointStore, segs [][]byte, db *storage.DB, _ ...int) (RecoverStats, error) {
 	var st RecoverStats
 	if store != nil {
 		ck, err := store.Load()
@@ -192,32 +188,15 @@ func Recover(store CheckpointStore, segs [][]byte, db *storage.DB, workers int) 
 			return st, err
 		}
 		if ck != nil {
-			st.UsedCheckpoint = true
-			st.StartLSN = ck.Manifest.StartLSN
-			st.TailLSN = ck.Manifest.TailLSN
-			st.PagesRestored = len(ck.Pages)
-			for _, p := range ck.Pages {
-				n, err := restorePage(db, p)
-				if err != nil {
-					return st, err
-				}
-				st.RecordsRestored += n
+			st.UsedCheckpoint, st.StartLSN = true, ck.Manifest.StartLSN
+			if err := ck.Records(db, func(table int, key uint64, val []byte) error {
+				st.RecordsRestored++
+				return db.Table(table).Insert(key, val)
+			}); err != nil {
+				return st, err
 			}
 		}
 	}
 	st.Replay = Replay(segs, st.StartLSN, db)
 	return st, nil
-}
-
-// restorePage lands one checkpoint page's records onto db.
-func restorePage(db *storage.DB, p []byte) (int, error) {
-	table, _, _, ok := verifyPage(p)
-	if !ok || table < 0 || table >= db.NumTables() {
-		return 0, fmt.Errorf("wal: checkpoint page for unknown table %d", table)
-	}
-	t := db.Table(table)
-	_, count, err := DecodePage(p, func(key uint64, val []byte) error {
-		return t.Insert(key, val)
-	})
-	return count, err
 }

@@ -176,8 +176,7 @@ func ReplayWALSegments(segments [][]byte, after uint64, db *DB) WALReplayStats {
 type CheckpointStore = wal.CheckpointStore
 
 // CheckpointManifest is a committed checkpoint's metadata: the LSN the
-// image is exact as of (StartLSN = TailLSN) and the per-table page CRC
-// folds.
+// image is exact as of (StartLSN) and the per-table page CRC folds.
 type CheckpointManifest = wal.Manifest
 
 // NewMemCheckpointStore returns an in-memory checkpoint store (tests,
@@ -212,9 +211,9 @@ type RecoverStats = wal.RecoverStats
 
 // RecoverWAL rebuilds committed state onto db from the newest valid
 // checkpoint in store (nil means none) plus the committed prefix of the
-// segmented log tail. Recovery is serial; workers is ignored.
-func RecoverWAL(store CheckpointStore, segments [][]byte, db *DB, workers int) (RecoverStats, error) {
-	return wal.Recover(store, segments, db, workers)
+// segmented log tail above it.
+func RecoverWAL(store CheckpointStore, segments [][]byte, db *DB) (RecoverStats, error) {
+	return wal.Recover(store, segments, db)
 }
 
 // --- transactions -----------------------------------------------------------
