@@ -306,7 +306,9 @@ func (prog *Program) Run(analyzers []*Analyzer) ([]Diagnostic, error) {
 
 // Callee resolves the static callee of call within pkg: a *types.Func
 // for direct function and method calls, nil for function values,
-// interface dispatch, type conversions and builtins.
+// interface dispatch, type conversions and builtins. A method of an
+// instantiated generic type resolves to its generic declaration (Origin),
+// which is the one that has a body.
 func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
 	var id *ast.Ident
 	switch fun := ast.Unparen(call.Fun).(type) {
@@ -317,7 +319,7 @@ func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
 			// Method call: only concrete (non-interface) receivers have
 			// a statically known body.
 			if f, ok := sel.Obj().(*types.Func); ok && !types.IsInterface(sel.Recv()) {
-				return f
+				return f.Origin()
 			}
 			return nil
 		}

@@ -70,3 +70,16 @@ func allowedSite(r *ring) {
 func notHot() []item {
 	return append([]item{}, item{})
 }
+
+// box is generic: a call through an instantiation resolves to the generic
+// declaration, so the walk reaches its body.
+type box[T any] struct{ items []*T }
+
+func (b *box[T]) grow() {
+	b.items = make([]*T, 8) // want `make allocates`
+}
+
+//orthrus:hotpath
+func viaGeneric(b *box[item]) {
+	b.grow()
+}

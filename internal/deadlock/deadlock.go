@@ -236,7 +236,7 @@ func (d *Dreadlocks) Wait(t *lock.Table, req *lock.Request) bool {
 	var blockers []int
 	for {
 		if req.Granted() {
-			req.DrainToken()
+			req.AwaitToken()
 			d.clearDigest(me)
 			return true
 		}

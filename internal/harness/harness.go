@@ -140,7 +140,7 @@ func Registry() []Experiment {
 		{"durability", "Extension", "throughput/latency vs WAL sync policy: self-clocked group commit vs timed fill windows", durability},
 		{"scan", "Extension", "phantom-safe range-scan throughput/p99 vs scan fraction and length", scanExp},
 		{"htap", "Extension", "MVCC snapshot scans vs locking scans under a contended write mix", htapExp},
-		{"recovery", "Extension", "recovery time vs checkpoint interval; parallel vs serial replay", recoveryExp},
+		{"recovery", "Extension", "recovery time vs checkpoint interval", recoveryExp},
 		{"distributed", "Extension", "two-node CC/exec split over loopback TCP vs the in-process message plane", distributed},
 	}
 }

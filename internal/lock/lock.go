@@ -7,19 +7,19 @@
 //   - a hash table of lock-request queues keyed by record;
 //   - per-bucket latches ("per-bucket latches instead of a single latch to
 //     protect the entire table"). A bucket's records sit in a
-//     locktab.Table — the very index an ORTHRUS CC thread keeps per
-//     partition, single-owner there by partitioning and here by the latch
-//     — so a comparison between the engines prices the latch and the
-//     shared cache lines, not two differently tuned hash tables;
+//     locktab.Table of locktab.Queues — the very index and queue an
+//     ORTHRUS CC thread keeps per partition, single-owner there by
+//     partitioning and here by the latch — so a comparison between the
+//     engines prices the latch and the shared cache lines, not two
+//     differently tuned hash tables or grant loops;
 //   - no intention locks — only fine-grained record locks in shared (S) or
 //     exclusive (X) mode;
 //   - request structures recycled through per-thread freelists so the hot
 //     path never calls the memory allocator.
 //
-// Requests queue FIFO per record. A request is granted when every request
-// ahead of it is compatible; on release the longest compatible prefix is
-// granted. Strict FIFO means readers do not overtake waiting writers, so
-// writers cannot starve.
+// Requests queue and are granted by locktab's grant rule (stated in that
+// package's doc). A grant is returned by the queue under the bucket latch
+// and signalled to its waiter after the latch is dropped (see signal).
 //
 // Deadlock policy is delegated to a Handler: when a request conflicts, the
 // handler decides whether it may wait or must die, and supplies the wait
@@ -37,12 +37,6 @@ import (
 	"repro/internal/txn"
 )
 
-// Request state values.
-const (
-	stateWaiting int32 = iota
-	stateGranted
-)
-
 // Request is one transaction's request for one record lock. Requests are
 // owned by the requesting thread and recycled via Freelist.
 type Request struct {
@@ -53,27 +47,29 @@ type Request struct {
 	Key    uint64
 	Mode   txn.Mode
 
-	state atomic.Int32
-	ready chan struct{} // capacity 1; a token is sent on grant
+	granted atomic.Bool   // stored by signal, before the token is sent
+	ready   chan struct{} // capacity 1; a token is sent on grant
 
-	// Queue membership, guarded by the bucket latch: the entry the request
-	// is queued on (nil when it is not queued) and its intrusive links.
-	e          *entry
-	prev, next *Request
+	// The request's place in its record's queue (link.Owner is the
+	// request itself) and the entry it is queued on are guarded by the
+	// bucket latch. Its bucket and scratch are the owner's: scratch holds
+	// the requests one of its calls found ahead of it or granted.
+	link    locktab.Link[Request]
+	e       *entry
+	b       *bucket
+	scratch []*Request
 }
 
 // Granted reports whether the request has been granted.
-func (r *Request) Granted() bool { return r.state.Load() == stateGranted }
+func (r *Request) Granted() bool { return r.granted.Load() }
 
 // Ready exposes the grant channel for handlers that need to select on it
 // alongside timers (wait-for graph's periodic recheck).
 func (r *Request) Ready() <-chan struct{} { return r.ready }
 
-// AwaitToken blocks until the grant token arrives.
+// AwaitToken blocks until the grant token arrives; it is sent after the
+// request is granted, on the granter's way out of the latch.
 func (r *Request) AwaitToken() { <-r.ready }
-
-// DrainToken consumes a grant token that is known to have been sent.
-func (r *Request) DrainToken() { <-r.ready }
 
 // Decision is a Handler's verdict on a conflicting request.
 type Decision int
@@ -104,21 +100,14 @@ type Handler interface {
 	OnAborted(req *Request)
 }
 
-// queue is one record's request queue.
-type queue struct {
-	head, tail *Request
-	waiters    int // requests not yet granted
-	writers    int // write requests, granted or not
-}
-
-type entry = locktab.Entry[queue]
+type entry = locktab.Entry[locktab.Queue[Request]]
 
 // bucket is one latch and the records that hash to it: the same
 // single-owner locktab.Table an ORTHRUS CC thread keeps per partition,
 // here owned by whoever holds mu.
 type bucket struct {
 	mu  sync.Mutex
-	tab locktab.Table[queue]
+	tab locktab.Table[locktab.Queue[Request]]
 	_   [8]byte // pads the bucket to one cache line
 }
 
@@ -139,21 +128,16 @@ func NewTable(buckets int, h Handler) *Table {
 	return &Table{buckets: make([]bucket, n), mask: uint64(n - 1), handler: h}
 }
 
-// bucketOf returns the bucket req's record hashes to.
-func (t *Table) bucketOf(req *Request) *bucket {
-	return &t.buckets[locktab.Key{Table: req.Table, Key: req.Key}.Hash()&t.mask]
-}
-
 // Acquire requests the (table,key) lock in mode for req's transaction.
 // It blocks according to the handler's policy and returns the time spent
 // waiting (for the execute/lock/wait breakdown) and txn.ErrAborted if the
 // policy chose this transaction as a victim.
 //
-// The fields TxnID, TS, Thread and Mode of req must be set; Table/Key are
-// filled in here.
+// The fields TxnID, TS and Thread of req must be set; Table, Key and Mode
+// are filled in here.
 func (t *Table) Acquire(req *Request, table int, key uint64, mode txn.Mode) (waited time.Duration, err error) {
 	req.Table, req.Key, req.Mode = table, key, mode
-	req.state.Store(stateWaiting)
+	req.link.Owner, req.link.Mode = req, mode
 
 	k := locktab.Key{Table: table, Key: key}
 	h := k.Hash()
@@ -161,24 +145,22 @@ func (t *Table) Acquire(req *Request, table int, key uint64, mode txn.Mode) (wai
 	b.mu.Lock()
 	e := b.tab.Get(k, h)
 
-	conflict := e.Q.conflictsAhead(req.Mode, nil)
-	if conflict == nil {
-		req.state.Store(stateGranted)
-		push(e, req)
-		b.mu.Unlock()
+	if !e.Q.Grantable(mode) {
+		req.scratch = e.Q.Conflicts(nil, mode, req.scratch[:0])
+		if t.handler.OnConflict(req, req.scratch) == Die {
+			b.vacate(e)
+			b.mu.Unlock()
+			t.handler.OnAborted(req)
+			return 0, txn.ErrAborted
+		}
+	}
+	req.b, req.e = b, e
+	granted := e.Q.Push(&req.link)
+	req.granted.Store(granted)
+	b.mu.Unlock()
+	if granted {
 		return 0, nil
 	}
-
-	if t.handler.OnConflict(req, conflict) == Die {
-		b.vacate(e)
-		b.mu.Unlock()
-		t.handler.OnAborted(req)
-		return 0, txn.ErrAborted
-	}
-
-	push(e, req)
-	e.Q.waiters++
-	b.mu.Unlock()
 
 	start := time.Now()
 	ok := t.handler.Wait(t, req)
@@ -199,158 +181,77 @@ func (t *Table) Acquire(req *Request, table int, key uint64, mode txn.Mode) (wai
 // Release drops req's lock and grants newly compatible requests.
 // req must have been granted.
 func (t *Table) Release(req *Request) {
-	b := t.bucketOf(req)
+	b := req.b
 	b.mu.Lock()
-	e := req.e
-	remove(e, req)
-	e.Q.grantPrefix()
-	b.vacate(e)
+	b.remove(req)
 	b.mu.Unlock()
+	signal(req.scratch)
 }
 
 // cancel removes a waiting request. It returns false when the request was
 // granted before the latch was taken (the caller then owns a granted lock
-// and a pending token).
+// and drains the token its granter sends once out of the latch).
 func (t *Table) cancel(req *Request) bool {
-	b := t.bucketOf(req)
+	b := req.b
 	b.mu.Lock()
-	if req.Granted() {
+	if req.link.Granted {
 		b.mu.Unlock()
-		req.DrainToken()
+		req.AwaitToken()
 		return false
 	}
-	e := req.e
-	remove(e, req)
-	e.Q.waiters--
 	// Removing a waiter can unblock requests queued behind it.
-	e.Q.grantPrefix()
-	b.vacate(e)
+	b.remove(req)
 	b.mu.Unlock()
+	signal(req.scratch)
 	return true
+}
+
+// signal hands each request a grant the queue returned to the latch
+// holder, once the latch is dropped: it stores the atomic, then sends the
+// token. Under the latch (cancel, Blockers) "granted" is the queue's plain
+// bit, set by Remove, so a request found granted there has its token
+// on the way and its owner waits for it. Outside the latch (Dreadlocks'
+// Granted poll) it is the atomic, stored before the send, so the same
+// holds. After the send the owner may run on and recycle the request, so
+// nothing touches it afterwards.
+func signal(grants []*Request) {
+	for _, g := range grants {
+		g.granted.Store(true)
+		g.ready <- struct{}{}
+	}
 }
 
 // Blockers returns the thread ids of requests ahead of req that conflict
 // with it, and whether req is still waiting. Dreadlocks polls this.
+// req must be queued (its Acquire has called the handler's Wait).
 func (t *Table) Blockers(req *Request, out []int) (blockers []int, waiting bool) {
-	if req.Granted() {
-		return out[:0], false
-	}
-	b := t.bucketOf(req)
-	b.mu.Lock()
-	if req.Granted() {
-		b.mu.Unlock()
+	req.b.mu.Lock()
+	defer req.b.mu.Unlock()
+	if req.link.Granted {
 		return out[:0], false
 	}
 	out = out[:0]
-	e := req.e
-	if e == nil {
-		// The request is not enqueued (caller raced with its own
-		// Acquire); report "still waiting, no known blockers".
-		b.mu.Unlock()
-		return out, true
+	req.scratch = req.e.Q.Conflicts(&req.link, req.Mode, req.scratch[:0])
+	for _, r := range req.scratch {
+		out = append(out, r.Thread) // under the latch: r may be recycled once it leaves
 	}
-	for cur := e.Q.head; cur != nil && cur != req; cur = cur.next {
-		if cur.Mode.Conflicts(req.Mode) {
-			out = append(out, cur.Thread)
-		}
-	}
-	b.mu.Unlock()
 	return out, true
 }
 
-// --- entry operations (bucket latch held) -------------------------------
+// remove unlinks req from its queue, leaves the requests its leaving
+// grants in req.scratch for the caller to signal once the latch is
+// dropped, and drops the record from the bucket if its queue emptied.
+// The bucket latch is held.
+func (b *bucket) remove(req *Request) {
+	e := req.e
+	req.scratch = e.Q.Remove(&req.link, req.scratch[:0])
+	b.vacate(e)
+}
 
 // vacate drops e's record from the bucket once its queue has emptied.
 func (b *bucket) vacate(e *entry) {
-	if e.Q.head == nil {
+	if e.Q.Empty() {
 		b.tab.Delete(e)
-	}
-}
-
-// conflictsAhead returns the requests that conflict with a new request of
-// the given mode under strict FIFO (nil when none, meaning immediate
-// grant). Appends into scratch to avoid allocation when provided.
-func (q *queue) conflictsAhead(mode txn.Mode, scratch []*Request) []*Request {
-	// A write conflicts with anything and a read with any write, so the
-	// common verdict — nothing ahead conflicts — needs no walk.
-	if q.head == nil || mode == txn.Read && q.writers == 0 {
-		return nil
-	}
-	out := scratch[:0]
-	for cur := q.head; cur != nil; cur = cur.next {
-		// Any waiting request ahead blocks a conflicting newcomer; strict
-		// FIFO additionally blocks a newcomer behind any waiter it
-		// conflicts with even if current holders are compatible.
-		if cur.Mode.Conflicts(mode) {
-			out = append(out, cur)
-		}
-	}
-	return out
-}
-
-// push and remove take the entry, not the queue: the request keeps it, so
-// Release and cancel look nothing up.
-func push(e *entry, r *Request) {
-	q := &e.Q
-	r.e, r.prev, r.next = e, q.tail, nil
-	if q.tail != nil {
-		q.tail.next = r
-	} else {
-		q.head = r
-	}
-	q.tail = r
-	if r.Mode == txn.Write {
-		q.writers++
-	}
-}
-
-func remove(e *entry, r *Request) {
-	q := &e.Q
-	if r.prev != nil {
-		r.prev.next = r.next
-	} else {
-		q.head = r.next
-	}
-	if r.next != nil {
-		r.next.prev = r.prev
-	} else {
-		q.tail = r.prev
-	}
-	r.e, r.prev, r.next = nil, nil, nil
-	if r.Mode == txn.Write {
-		q.writers--
-	}
-}
-
-// grantPrefix grants the longest compatible prefix of waiting requests.
-func (q *queue) grantPrefix() {
-	if q.waiters == 0 {
-		return
-	}
-	var grantedWrite, grantedRead bool
-	for cur := q.head; cur != nil; cur = cur.next {
-		if cur.Granted() {
-			if cur.Mode == txn.Write {
-				grantedWrite = true
-			} else {
-				grantedRead = true
-			}
-			continue
-		}
-		if cur.Mode == txn.Write {
-			if grantedWrite || grantedRead {
-				return
-			}
-			grantedWrite = true
-		} else {
-			if grantedWrite {
-				return
-			}
-			grantedRead = true
-		}
-		cur.state.Store(stateGranted)
-		q.waiters--
-		cur.ready <- struct{}{}
 	}
 }
 
@@ -375,7 +276,4 @@ func (f *Freelist) Get(txnID, ts uint64, thread int) *Request {
 }
 
 // Put recycles a request whose lock has been released or cancelled.
-func (f *Freelist) Put(r *Request) {
-	r.prev, r.next = nil, nil
-	f.free = append(f.free, r)
-}
+func (f *Freelist) Put(r *Request) { f.free = append(f.free, r) }

@@ -380,3 +380,161 @@ func TestAcquireReportsWaitTime(t *testing.T) {
 	}
 	tbl.Release(w)
 }
+
+// handOffHandler's Wait releases the lock its waiter queued behind and
+// then parks for the token, so a conflict→wait→grant cycle runs on one
+// goroutine.
+type handOffHandler struct{ holder *Request }
+
+func (*handOffHandler) Name() string                             { return "hand-off" }
+func (*handOffHandler) OnConflict(*Request, []*Request) Decision { return Wait }
+func (h *handOffHandler) Wait(tbl *Table, r *Request) bool {
+	tbl.Release(h.holder)
+	r.AwaitToken()
+	return true
+}
+func (*handOffHandler) OnGranted(*Request) {}
+func (*handOffHandler) OnAborted(*Request) {}
+
+// The conflict path runs under the bucket latch: collecting the requests
+// ahead for the handler, and the grants a release returns, reuse the
+// request's scratch, so neither a conflict that dies nor one that waits
+// and is granted allocates once the requests have been used.
+func TestConflictPathAllocatesNothing(t *testing.T) {
+	t.Run("die", func(t *testing.T) {
+		tbl := NewTable(16, dieHandler{})
+		var f Freelist
+		holder, r := newReq(&f, 1, 0), newReq(&f, 2, 1)
+		if _, err := tbl.Acquire(holder, 0, 7, txn.Write); err != nil {
+			t.Fatal(err)
+		}
+		cycle := func() {
+			if _, err := tbl.Acquire(r, 0, 7, txn.Write); !errors.Is(err, txn.ErrAborted) {
+				t.Fatalf("err = %v, want ErrAborted", err)
+			}
+		}
+		cycle()
+		if n := testing.AllocsPerRun(100, cycle); n != 0 {
+			t.Fatalf("%v allocations per conflict→die, want 0", n)
+		}
+	})
+	t.Run("wait", func(t *testing.T) {
+		h := &handOffHandler{}
+		tbl := NewTable(16, h)
+		var f Freelist
+		holder, r := newReq(&f, 1, 0), newReq(&f, 2, 1)
+		h.holder = holder
+		cycle := func() {
+			if _, err := tbl.Acquire(holder, 0, 7, txn.Write); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tbl.Acquire(r, 0, 7, txn.Write); err != nil || !r.Granted() {
+				t.Fatalf("waiter: err = %v, granted = %v", err, r.Granted())
+			}
+			tbl.Release(r)
+		}
+		cycle()
+		if n := testing.AllocsPerRun(100, cycle); n != 0 {
+			t.Fatalf("%v allocations per conflict→wait→grant, want 0", n)
+		}
+	})
+}
+
+// abortHandler parks thread 1's waiter until the test lets it go and then
+// asks for its abort, as the wait-for graph and Dreadlocks do; every
+// other waiter parks for its token. Each waiter announces itself on queued
+// once it is in the queue.
+type abortHandler struct {
+	queued chan struct{}
+	abort  chan struct{}
+}
+
+func (*abortHandler) Name() string                             { return "abort" }
+func (*abortHandler) OnConflict(*Request, []*Request) Decision { return Wait }
+func (h *abortHandler) Wait(_ *Table, r *Request) bool {
+	h.queued <- struct{}{}
+	if r.Thread == 1 {
+		<-h.abort
+		return false
+	}
+	r.AwaitToken()
+	return true
+}
+func (*abortHandler) OnGranted(*Request) {}
+func (*abortHandler) OnAborted(*Request) {}
+
+// A release races the cancel of the waiter it would grant. The grant is
+// signalled after the bucket latch is dropped, so the waiter's cancel can
+// find it granted (the queue's bit) before its token is sent. Either the
+// grant wins — the waiter holds the lock, having drained exactly one
+// token, and the writer behind it still waits — or the cancel wins — the
+// waiter holds nothing, no token reaches it, and the holder's release
+// grants the writer behind it. One iteration in three orders the two each
+// way, so both outcomes are checked on every run; the third races them.
+// Run under -race with a high -count.
+func TestReleaseRacesCancel(t *testing.T) {
+	h := &abortHandler{queued: make(chan struct{}), abort: make(chan struct{})}
+	tbl := NewTable(16, h)
+	var f0, f1, f2 Freelist
+	var won [2]int // grant won, cancel won
+	for i := 0; i < 200; i++ {
+		holder, waiter, behind := f0.Get(1, 1, 0), f1.Get(2, 2, 1), f2.Get(3, 3, 2)
+		if _, err := tbl.Acquire(holder, 0, 7, txn.Write); err != nil {
+			t.Fatal(err)
+		}
+		waited, behindDone := make(chan error, 1), make(chan error, 1)
+		go func() { _, err := tbl.Acquire(waiter, 0, 7, txn.Write); waited <- err }()
+		<-h.queued
+		go func() { _, err := tbl.Acquire(behind, 0, 7, txn.Write); behindDone <- err }()
+		<-h.queued
+		var err error
+		switch i % 3 {
+		case 0: // grant first
+			tbl.Release(holder)
+			h.abort <- struct{}{}
+			err = <-waited
+		case 1: // cancel first
+			h.abort <- struct{}{}
+			err = <-waited
+			tbl.Release(holder)
+		case 2:
+			go func() { h.abort <- struct{}{} }()
+			tbl.Release(holder)
+			err = <-waited
+		}
+		switch {
+		case err == nil:
+			won[0]++
+			if !waiter.Granted() || len(waiter.ready) != 0 {
+				t.Fatalf("iteration %d: waiter holds the lock with granted=%v and %d tokens left", i, waiter.Granted(), len(waiter.ready))
+			}
+			if behind.Granted() {
+				t.Fatalf("iteration %d: writer behind a granted writer was granted", i)
+			}
+			tbl.Release(waiter)
+		case errors.Is(err, txn.ErrAborted):
+			won[1]++
+		default:
+			t.Fatal(err)
+		}
+		if err := <-behindDone; err != nil || !behind.Granted() {
+			t.Fatalf("iteration %d: writer behind: err = %v, granted = %v", i, err, behind.Granted())
+		}
+		if err != nil && (waiter.Granted() || len(waiter.ready) != 0) {
+			t.Fatalf("iteration %d: cancelled waiter has granted=%v and %d tokens", i, waiter.Granted(), len(waiter.ready))
+		}
+		tbl.Release(behind)
+		f0.Put(holder)
+		f1.Put(waiter)
+		f2.Put(behind)
+		for b := range tbl.buckets {
+			if n := tbl.buckets[b].tab.Len(); n != 0 {
+				t.Fatalf("iteration %d: bucket %d keeps %d keys", i, b, n)
+			}
+		}
+	}
+	if won[0] == 0 || won[1] == 0 {
+		t.Fatalf("grant won %d times, cancel won %d: an ordering went untested", won[0], won[1])
+	}
+	t.Logf("grant won %d, cancel won %d", won[0], won[1])
+}

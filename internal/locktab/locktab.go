@@ -1,20 +1,30 @@
-// Package locktab is the keyed index under every lock table in the repo:
-// record key → that record's request queue. ORTHRUS's CC threads use one
-// each with no latch at all; the conventional lock manager (internal/lock)
-// uses one per bucket, under the bucket's latch. Both get the same
-// structure so that what the paper's comparison measures is what it says
-// differs — latches and shared cache lines — and not how well one side's
-// hash table was tuned.
+// Package locktab is every lock table in the repo: an index from record
+// key to that record's request Queue, and the queue's grant rule. ORTHRUS's
+// CC threads use one table each with no latch at all; the conventional
+// lock manager (internal/lock) uses one per bucket, under the bucket's
+// latch. Both get the same structure so that what the paper's comparison
+// measures is what it says differs — latches and shared cache lines — and
+// not how well one side's hash table was tuned or how its queue grants.
 //
-// A Table has a single owner: whoever holds it (a CC thread, or the holder
-// of a latch) is the only one reading or writing it, so nothing in here
-// synchronizes. That is what lets a lock be one probe: open addressing
-// with linear probing over a power-of-two array whose slots carry the hash
-// and the key, so a probe compares them without following the entry
-// pointer; the caller hashes the key once (Key.Hash) and both the bucket
-// choice and the slot index come from that one value; and a request keeps
-// the *Entry it queued on, so releasing it looks nothing up — Delete finds
-// the slot again by pointer from the entry's stored hash.
+// The grant rule. A record's requests queue strictly FIFO, in shared (Read)
+// or exclusive (Write) mode. A request is granted when every request ahead
+// of it, granted or waiting, is compatible with it, so readers never
+// overtake a waiting writer and writers cannot starve. When a request
+// leaves, the longest compatible prefix of the queue is granted, and the
+// grants are returned to the caller rather than acted on: what a grant
+// does — advance a transaction's chain on a CC thread, wake a blocked
+// worker once the latch is dropped — is the caller's business.
+//
+// A Table and its queues have a single owner: whoever holds it (a CC
+// thread, or the holder of a latch) is the only one reading or writing
+// it, so nothing in here synchronizes. That is what lets a lock be one
+// probe: open addressing with linear probing over a power-of-two array
+// whose slots carry the hash and the key, so a probe compares them without
+// following the entry pointer; the caller hashes the key once (Key.Hash)
+// and both the bucket choice and the slot index come from that one value;
+// and a request keeps the *Entry it queued on, so releasing it looks
+// nothing up — Delete finds the slot again by pointer from the entry's
+// stored hash.
 //
 // Deletion shifts the rest of the probe cluster back (no tombstones), the
 // array doubles when half full and never shrinks, and entries are recycled
@@ -133,6 +143,8 @@ func (t *Table[Q]) Delete(e *Entry[Q]) {
 // newEntry pops the free list, which holds every entry the table ever
 // made that is not live — so the total is the population's high-water
 // mark.
+//
+//orthrus:coldpath allocates only while the free list is empty, i.e. while the population reaches a new high-water mark
 func (t *Table[Q]) newEntry() *Entry[Q] {
 	e := t.free
 	if e == nil {
@@ -145,6 +157,8 @@ func (t *Table[Q]) newEntry() *Entry[Q] {
 // resize moves the table into an array of n slots (a power of two; the
 // first one is minSlots). Slots carry their hash, so nothing is rehashed
 // and no entry is touched.
+//
+//orthrus:coldpath runs only when the population reaches a new high-water mark; the array never shrinks
 func (t *Table[Q]) resize(size int) {
 	size = max(size, minSlots)
 	old := t.slots

@@ -3,141 +3,43 @@ package orthrus
 import (
 	"repro/internal/locktab"
 	"repro/internal/spsc"
-	"repro/internal/txn"
 )
 
-// localReq is one record-lock request inside a CC thread's table. It is
-// filled in, queued, granted and released by the single CC thread that
-// owns the record, so it carries no synchronization whatsoever — the core
-// of the paper's argument that partitioned functionality makes
+// localReq is one record-lock request inside a CC thread's table: a link
+// in its record's locktab.Queue (the grant rule is stated there), whose
+// Owner is the transaction's wrapper, so a grant hands back the wrapper to
+// advance. It is filled in, queued, granted and released by the single CC
+// thread that owns the record, so it carries no synchronization whatsoever
+// — the core of the paper's argument that partitioned functionality makes
 // concurrency-control metadata contention-free (§3.1). It lives by value
 // in its wrapper (wrapper.reqs), one slot per declared op, and remembers
 // the entry it queued on, so releasing it is a list unlink rather than a
 // second lookup.
 type localReq struct {
-	w       *wrapper
-	mode    txn.Mode
-	granted bool
-	key     lockKey
-	e       *lentry
-
-	prev, next *localReq
+	locktab.Link[wrapper]
+	key lockKey
+	e   *locktab.Entry[locktab.Queue[wrapper]]
 }
 
 type lockKey = locktab.Key
-
-// lqueue is one record's FIFO request queue.
-type lqueue struct {
-	head, tail *localReq
-	waiters    int // requests not yet granted
-	writers    int // write requests, granted or not
-}
-
-type lentry = locktab.Entry[lqueue]
-
-func (q *lqueue) push(r *localReq) {
-	r.prev, r.next = q.tail, nil
-	if q.tail != nil {
-		q.tail.next = r
-	} else {
-		q.head = r
-	}
-	q.tail = r
-	if r.mode == txn.Write {
-		q.writers++
-	}
-}
-
-func (q *lqueue) remove(r *localReq) {
-	if r.prev != nil {
-		r.prev.next = r.next
-	} else {
-		q.head = r.next
-	}
-	if r.next != nil {
-		r.next.prev = r.prev
-	} else {
-		q.tail = r.prev
-	}
-	r.prev, r.next = nil, nil
-	if r.mode == txn.Write {
-		q.writers--
-	}
-}
-
-// enqueue appends r and reports whether it is granted immediately. Strict
-// FIFO: any conflicting request ahead — granted or waiting — blocks it,
-// so a write is compatible only with an empty queue and a read only with
-// a writer-free one.
-func (q *lqueue) enqueue(r *localReq) bool {
-	if r.mode == txn.Write {
-		r.granted = q.head == nil
-	} else {
-		r.granted = q.writers == 0
-	}
-	q.push(r)
-	if !r.granted {
-		q.waiters++
-	}
-	return r.granted
-}
-
-// dequeue unlinks a granted r, appends the requests this grants to out,
-// and reports whether the queue is now empty.
-func (q *lqueue) dequeue(r *localReq, out []*localReq) ([]*localReq, bool) {
-	q.remove(r)
-	return q.grantPrefix(out), q.head == nil
-}
-
-// grantPrefix grants the longest compatible prefix of waiting requests,
-// appending newly granted requests to out.
-func (q *lqueue) grantPrefix(out []*localReq) []*localReq {
-	if q.waiters == 0 {
-		return out
-	}
-	var grantedWrite, grantedRead bool
-	for cur := q.head; cur != nil; cur = cur.next {
-		if cur.granted {
-			if cur.mode == txn.Write {
-				grantedWrite = true
-			} else {
-				grantedRead = true
-			}
-			continue
-		}
-		if cur.mode == txn.Write {
-			if grantedWrite || grantedRead {
-				return out
-			}
-			grantedWrite = true
-		} else {
-			if grantedWrite {
-				return out
-			}
-			grantedRead = true
-		}
-		cur.granted = true
-		q.waiters--
-		out = append(out, cur)
-	}
-	return out
-}
 
 // privateTable is one CC thread's lock table: a latch-free locktab.Table
 // owned by exactly that thread, which is the single owner that package
 // asks for.
 type privateTable struct {
-	locktab.Table[lqueue]
+	locktab.Table[locktab.Queue[wrapper]]
 }
 
+// insert queues r and reports whether it is granted at once.
 func (t *privateTable) insert(r *localReq) bool {
 	r.e = t.Get(r.key, r.key.Hash())
-	return r.e.Q.enqueue(r)
+	return r.e.Q.Push(&r.Link)
 }
 
-func (t *privateTable) release(r *localReq, out []*localReq) []*localReq {
-	out, empty := r.e.Q.dequeue(r, out)
-	if empty {
+// release unlinks r and appends the wrappers its leaving grants to out.
+func (t *privateTable) release(r *localReq, out []*wrapper) []*wrapper {
+	out = r.e.Q.Remove(&r.Link, out)
+	if r.e.Q.Empty() {
 		t.Delete(r.e)
 	}
 	return out
@@ -181,7 +83,7 @@ type ccThread struct {
 	stats    CCStats
 	passMsgs int
 
-	granted []*localReq // scratch for release-time grants
+	granted []*wrapper // scratch for release-time grants
 }
 
 func newCCThread(s *runState, id int) *ccThread {
@@ -305,8 +207,7 @@ func (c *ccThread) acquire(w *wrapper) {
 	pending := 0
 	for i := range ops {
 		op, r := &ops[i], &reqs[i]
-		r.w = w
-		r.mode = op.Mode
+		r.Owner, r.Mode = w, op.Mode
 		r.key = lockKey{Table: op.Table, Key: op.Key}
 		if !c.table.insert(r) {
 			pending++
@@ -346,9 +247,9 @@ func (c *ccThread) releaseTxn(w *wrapper) {
 		c.granted = c.table.release(&reqs[i], c.granted)
 	}
 	for _, g := range c.granted {
-		g.w.pending--
-		if g.w.pending == 0 {
-			c.advance(g.w)
+		g.pending--
+		if g.pending == 0 {
+			c.advance(g)
 		}
 	}
 	c.s.dropRef(w)

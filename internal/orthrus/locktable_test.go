@@ -141,6 +141,14 @@ func (t *mapTable) putEntry(e *mapEntry) {
 	}
 }
 
+// newLocalReq returns a request of mode on key owned by w, as
+// ccThread.acquire fills one in.
+func newLocalReq(w *wrapper, mode txn.Mode, key lockKey) *localReq {
+	r := &localReq{key: key}
+	r.Owner, r.Mode = w, mode
+	return r
+}
+
 // runLockScript drives the table and the reference through one script and
 // fails on the first difference. Each step is two bytes: the first picks
 // the action (three in eight release the oldest-but-n granted request, the
@@ -150,12 +158,12 @@ func (t *mapTable) putEntry(e *mapEntry) {
 // grant by grant, and the table must be empty.
 func runLockScript(t *testing.T, script []byte) {
 	tbl, ref := &privateTable{}, newMapTable()
-	w := &wrapper{}
 	var (
-		reqs    []*localReq // by id
+		reqs    []*localReq // by id, each with its own wrapper as owner
+		owners  []*wrapper
 		refs    []*mapReq
 		granted []int // ids holding a lock, oldest grant first
-		out     []*localReq
+		out     []*wrapper
 		refOut  []*mapReq
 	)
 	release := func(i int) {
@@ -167,11 +175,11 @@ func runLockScript(t *testing.T, script []byte) {
 			t.Fatalf("release of %d granted %d requests, reference granted %d", id, len(out), len(refOut))
 		}
 		for j, g := range out {
-			gid := slices.Index(reqs, g)
+			gid := slices.Index(owners, g)
 			if want := refOut[j].id; gid != want {
 				t.Fatalf("release of %d: grant %d went to request %d, reference granted %d", id, j, gid, want)
 			}
-			if !g.granted {
+			if !reqs[gid].Granted {
 				t.Fatalf("release of %d returned request %d without granting it", id, gid)
 			}
 			granted = append(granted, gid)
@@ -192,7 +200,8 @@ func runLockScript(t *testing.T, script []byte) {
 			mode = txn.Write
 		}
 		id := len(reqs)
-		reqs = append(reqs, &localReq{w: w, mode: mode, key: key})
+		owners = append(owners, &wrapper{})
+		reqs = append(reqs, newLocalReq(owners[id], mode, key))
 		refs = append(refs, &mapReq{id: id, mode: mode, key: key})
 		got, want := tbl.insert(reqs[id]), ref.insert(refs[id])
 		if got != want {
@@ -212,7 +221,7 @@ func runLockScript(t *testing.T, script []byte) {
 		t.Fatalf("%d live keys after the last release (reference %d)", tbl.Len(), len(ref.entries))
 	}
 	for id, r := range reqs {
-		if !r.granted || !refs[id].granted {
+		if !r.Granted || !refs[id].granted {
 			t.Fatalf("request %d was never granted (reference: %v)", id, refs[id].granted)
 		}
 	}
@@ -245,22 +254,21 @@ func FuzzLockTable(f *testing.F) {
 // survive hundreds of other keys arriving and leaving.
 func TestLockTableGrowsUnderQueuedRequests(t *testing.T) {
 	tbl := &privateTable{}
-	w := &wrapper{}
 	hot := make([]localReq, 8)
 	for i := range hot {
-		hot[i] = localReq{w: w, mode: txn.Write, key: lockKey{Key: 5}}
+		hot[i] = *newLocalReq(&wrapper{}, txn.Write, lockKey{Key: 5})
 		if got := tbl.insert(&hot[i]); got != (i == 0) {
 			t.Fatalf("writer %d on the hot key: granted=%v", i, got)
 		}
 	}
 	crowd := make([]localReq, 500)
 	for i := range crowd {
-		crowd[i] = localReq{w: w, mode: txn.Read, key: lockKey{Key: uint64(i+1) * 8}}
+		crowd[i] = *newLocalReq(nil, txn.Read, lockKey{Key: uint64(i+1) * 8})
 		if !tbl.insert(&crowd[i]) {
 			t.Fatalf("uncontended read %d refused", i)
 		}
 	}
-	var out []*localReq
+	var out []*wrapper
 	for i := range hot {
 		if i%2 == 1 {
 			// Shrink the crowd between hot releases, so the hot key's
@@ -271,7 +279,7 @@ func TestLockTableGrowsUnderQueuedRequests(t *testing.T) {
 		}
 		out = tbl.release(&hot[i], out[:0])
 		if i+1 < len(hot) {
-			if len(out) != 1 || out[0] != &hot[i+1] {
+			if len(out) != 1 || out[0] != hot[i+1].Owner {
 				t.Fatalf("release of writer %d granted %v, want writer %d", i, out, i+1)
 			}
 		} else if len(out) != 0 {
@@ -289,9 +297,9 @@ func TestLockTableSteadyStateAllocatesNothing(t *testing.T) {
 	tbl := &privateTable{}
 	reqs := make([]localReq, 10)
 	for i := range reqs {
-		reqs[i] = localReq{mode: txn.Write, key: lockKey{Key: uint64(i) * 8}}
+		reqs[i] = *newLocalReq(nil, txn.Write, lockKey{Key: uint64(i) * 8})
 	}
-	var out []*localReq
+	var out []*wrapper
 	cycle := func() {
 		for i := range reqs {
 			tbl.insert(&reqs[i])
@@ -316,10 +324,10 @@ func BenchmarkLockTable(b *testing.B) {
 	b.Run("table/uncontended", func(b *testing.B) {
 		tbl := &privateTable{}
 		reqs := make([]localReq, txnKeys)
-		var out []*localReq
+		var out []*wrapper
 		for n := 0; n < b.N; n += txnKeys {
 			for i := range reqs {
-				reqs[i].mode, reqs[i].key = txn.Write, lockKey{Key: uint64(n+i) * 8}
+				reqs[i].Mode, reqs[i].key = txn.Write, lockKey{Key: uint64(n+i) * 8}
 				tbl.insert(&reqs[i])
 			}
 			for i := range reqs {
@@ -344,9 +352,9 @@ func BenchmarkLockTable(b *testing.B) {
 	b.Run("table/queue32", func(b *testing.B) {
 		tbl := &privateTable{}
 		reqs := make([]localReq, depth)
-		var out []*localReq
+		var out []*wrapper
 		for i := range reqs {
-			reqs[i].mode, reqs[i].key = txn.Write, lockKey{Key: 5}
+			reqs[i].Mode, reqs[i].key = txn.Write, lockKey{Key: 5}
 			tbl.insert(&reqs[i])
 		}
 		b.ResetTimer()

@@ -251,9 +251,8 @@ func TestBreakdownPopulated(t *testing.T) {
 // threads) — exercised directly, without the message plane.
 func TestPrivateTableFIFO(t *testing.T) {
 	tbl := &privateTable{}
-	w := &wrapper{}
 	mk := func(mode txn.Mode, key uint64) *localReq {
-		return &localReq{w: w, mode: mode, key: lockKey{Key: key}}
+		return newLocalReq(&wrapper{}, mode, lockKey{Key: key})
 	}
 
 	r1 := mk(txn.Read, 1)
@@ -271,17 +270,17 @@ func TestPrivateTableFIFO(t *testing.T) {
 		t.Fatal("read overtook waiting writer (FIFO violation)")
 	}
 
-	var out []*localReq
+	var out []*wrapper
 	out = tbl.release(r1, out)
 	if len(out) != 0 {
 		t.Fatal("premature grant")
 	}
 	out = tbl.release(r2, out)
-	if len(out) != 1 || out[0] != w1 {
+	if len(out) != 1 || out[0] != w1.Owner {
 		t.Fatalf("expected writer grant, got %v", out)
 	}
 	out = tbl.release(w1, out[:0])
-	if len(out) != 1 || out[0] != r3 {
+	if len(out) != 1 || out[0] != r3.Owner {
 		t.Fatalf("expected reader grant, got %v", out)
 	}
 	out = tbl.release(r3, out[:0])
