@@ -26,7 +26,16 @@ func allocSystems(t testing.TB, wal *repro.WAL) []struct {
 	tbl int
 } {
 	t.Helper()
-	const n, threads = 64, 2
+	return allocLineup(wal, func() (*repro.DB, int) { return newAccountDB(t, 64, 1000) })
+}
+
+// allocLineup builds the four-engine lineup, each over its own newDB.
+func allocLineup(wal *repro.WAL, newDB func() (*repro.DB, int)) []struct {
+	rt  repro.System
+	db  *repro.DB
+	tbl int
+} {
+	const threads = 2
 	type entry = struct {
 		rt  repro.System
 		db  *repro.DB
@@ -34,7 +43,7 @@ func allocSystems(t testing.TB, wal *repro.WAL) []struct {
 	}
 	var out []entry
 	build := func(f func(db *repro.DB) repro.System) {
-		db, tbl := newAccountDB(t, n, 1000)
+		db, tbl := newDB()
 		out = append(out, entry{f(db), db, tbl})
 	}
 	build(func(db *repro.DB) repro.System {
@@ -87,6 +96,36 @@ func TestSubmitAllocsZero(t *testing.T) {
 			ses.Close()
 			if allocs != 0 {
 				t.Errorf("%s: %.1f allocs per Submit→ack, want 0", e.rt.Name(), allocs)
+			}
+		})
+	}
+}
+
+// TestReadOnlySubmitAllocsZero: a read-only transaction on a versioned
+// table takes every engine's snapshot path — ORTHRUS's grouped admission,
+// the locking presets' group of one — and its Submit→ack allocates
+// nothing in steady state.
+func TestReadOnlySubmitAllocsZero(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race mode: sync.Pool drops Puts by design, allocation counts are not meaningful")
+	}
+	const n = 64
+	newDB := func() (*repro.DB, int) {
+		db := repro.NewDB()
+		return db, db.Create(repro.Layout{Name: "versioned", NumRecords: n, RecordSize: 64, Versioned: true})
+	}
+	for _, e := range allocLineup(nil, newDB) {
+		t.Run(e.rt.Name(), func(t *testing.T) {
+			ses := e.rt.Start()
+			src := &repro.YCSB{Table: e.tbl, NumRecords: n, OpsPerTxn: 10, ReadOnlyPct: 100}
+			allocs := measureSubmitAllocs(ses, src)
+			ses.Drain()
+			res := ses.Close()
+			if snap := res.Totals.SnapTxns; snap == 0 {
+				t.Fatalf("%s: no snapshot transactions ran; the pin tests the locking path", e.rt.Name())
+			}
+			if allocs != 0 {
+				t.Errorf("%s: %.1f allocs per read-only Submit→ack, want 0", e.rt.Name(), allocs)
 			}
 		})
 	}

@@ -85,6 +85,10 @@ func (WaitDie) OnAborted(*lock.Request) {}
 // wait-for graph").
 type WaitForGraph struct {
 	parts []wfgPartition
+	// walks[t] is thread t's cycleFrom scratch. Only t walks from its own
+	// partition (OnConflict and Wait run on the requesting thread), so it
+	// needs no latch, and a walk allocates nothing once it has grown.
+	walks []wfgWalk
 	// recheck is how often a parked waiter re-runs detection to catch
 	// cycles missed by concurrent edge insertion races.
 	recheck time.Duration
@@ -97,9 +101,14 @@ type wfgPartition struct {
 	_   [40]byte // pad
 }
 
+type wfgWalk struct {
+	stack, visited []uint64
+	_              [16]byte // pad to a cache line
+}
+
 // NewWaitForGraph returns a graph for nthreads worker threads.
 func NewWaitForGraph(nthreads int) *WaitForGraph {
-	return &WaitForGraph{parts: make([]wfgPartition, nthreads), recheck: time.Millisecond}
+	return &WaitForGraph{parts: make([]wfgPartition, nthreads), walks: make([]wfgWalk, nthreads), recheck: time.Millisecond}
 }
 
 // Name implements lock.Handler.
@@ -131,17 +140,19 @@ func (g *WaitForGraph) OnConflict(req *lock.Request, ahead []*lock.Request) lock
 // parked waiter's periodic recheck) or report a stale one (a false
 // positive abort, which is safe).
 func (g *WaitForGraph) cycleFrom(start uint64, startThread int) bool {
-	var stack []uint64
-	var visited []uint64
+	w := &g.walks[startThread]
+	visited := w.visited[:0]
 	p := &g.parts[startThread]
 	p.mu.Lock()
-	stack = append(stack, p.out...)
+	stack := append(w.stack[:0], p.out...)
 	p.mu.Unlock()
+	found := false
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		if id == start {
-			return true
+			found = true
+			break
 		}
 		if containsU64(visited, id) {
 			continue
@@ -157,7 +168,8 @@ func (g *WaitForGraph) cycleFrom(start uint64, startThread int) bool {
 			q.mu.Unlock()
 		}
 	}
-	return false
+	w.stack, w.visited = stack, visited // keep what the walk grew
+	return found
 }
 
 func containsU64(s []uint64, v uint64) bool {
@@ -207,6 +219,13 @@ func (g *WaitForGraph) OnAborted(req *lock.Request) { g.clear(req.Thread) }
 type Dreadlocks struct {
 	words   int
 	digests []atomic.Uint64 // thread t owns digests[t*words : (t+1)*words]
+	waits   []dlWait        // thread t's Wait scratch; only t touches it
+}
+
+type dlWait struct {
+	union    []uint64 // words long
+	blockers []int
+	_        [16]byte // pad to a cache line
 }
 
 // NewDreadlocks returns a digest table for nthreads worker threads.
@@ -215,7 +234,11 @@ func NewDreadlocks(nthreads int) *Dreadlocks {
 	if words == 0 {
 		words = 1
 	}
-	return &Dreadlocks{words: words, digests: make([]atomic.Uint64, nthreads*words)}
+	d := &Dreadlocks{words: words, digests: make([]atomic.Uint64, nthreads*words), waits: make([]dlWait, nthreads)}
+	for i := range d.waits {
+		d.waits[i].union = make([]uint64, words)
+	}
+	return d
 }
 
 // Name implements lock.Handler.
@@ -232,16 +255,16 @@ func (d *Dreadlocks) OnConflict(*lock.Request, []*lock.Request) lock.Decision {
 func (d *Dreadlocks) Wait(t *lock.Table, req *lock.Request) bool {
 	me := req.Thread
 	myWord, myBit := me/64, uint64(1)<<(me%64)
-	union := make([]uint64, d.words)
-	var blockers []int
+	scratch := &d.waits[me]
+	union := scratch.union
 	for {
 		if req.Granted() {
 			req.AwaitToken()
 			d.clearDigest(me)
 			return true
 		}
-		var waiting bool
-		blockers, waiting = t.Blockers(req, blockers)
+		blockers, waiting := t.Blockers(req, scratch.blockers)
+		scratch.blockers = blockers
 		if !waiting {
 			// Granted between the check above and Blockers' latch.
 			req.AwaitToken()

@@ -303,3 +303,52 @@ func TestWaitDieNoFalseAbortWithoutConflict(t *testing.T) {
 		f.Put(r)
 	}
 }
+
+// Detection on the conflict path allocates nothing once a thread's
+// scratch has grown: the wait-for graph's cycle walk, which OnConflict
+// runs under the bucket latch, whether or not it closes a cycle, and a
+// Dreadlocks wait that finds itself in a blocker's digest.
+func TestDetectionAllocatesNothing(t *testing.T) {
+	t.Run("waitfor", func(t *testing.T) {
+		g := NewWaitForGraph(3)
+		t1 := &lock.Request{TxnID: 1, Thread: 0}
+		t2 := &lock.Request{TxnID: 2, Thread: 1}
+		t3 := &lock.Request{TxnID: 3, Thread: 2}
+		if g.OnConflict(t1, []*lock.Request{t2}) != lock.Wait {
+			t.Fatal("1 waiting for 2 closed a cycle")
+		}
+		cycle := []*lock.Request{t1, t3} // 2 → 1 → 2, past the dead end 3
+		if n := testing.AllocsPerRun(100, func() {
+			if g.OnConflict(t2, cycle) != lock.Die {
+				t.Fatal("2 waiting for 1 and 3 did not close the cycle through 1")
+			}
+		}); n != 0 {
+			t.Errorf("a conflict that closes a cycle allocates %.1f, want 0", n)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			if g.OnConflict(t3, []*lock.Request{t1}) != lock.Wait {
+				t.Fatal("3 waiting for 1 closed a cycle")
+			}
+		}); n != 0 {
+			t.Errorf("a conflict that closes no cycle allocates %.1f, want 0", n)
+		}
+	})
+	t.Run("dreadlocks", func(t *testing.T) {
+		d := NewDreadlocks(2)
+		tbl := lock.NewTable(16, d)
+		var f lock.Freelist
+		holder := f.Get(1, 1, 0)
+		if _, err := tbl.Acquire(holder, 0, 7, txn.Write); err != nil {
+			t.Fatal(err)
+		}
+		d.digests[0].Store(1 << 1) // the holder's thread waits, transitively, on thread 1
+		waiter := f.Get(2, 2, 1)
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := tbl.Acquire(waiter, 0, 7, txn.Write); !errors.Is(err, txn.ErrAborted) {
+				t.Fatalf("waiter in its blocker's digest: err = %v, want ErrAborted", err)
+			}
+		}); n != 0 {
+			t.Errorf("a Dreadlocks wait allocates %.1f, want 0", n)
+		}
+	})
+}

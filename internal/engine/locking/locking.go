@@ -248,8 +248,11 @@ func (w *worker) execute(t *txn.Txn, comp *engine.Completion) {
 	stats := comp.Stats()
 	t.ID = w.ids.Next()
 	if t.ReadOnly && w.snaps != nil {
-		// Snapshot fast path: no footprint, no wait-die timestamp.
-		w.snaps.Exec(w.thread, &w.sctx, comp)
+		// Snapshot fast path: no footprint, no wait-die timestamp. A
+		// worker takes one submission at a time, so its group is one:
+		// the copy in it is what Exec discharges.
+		group := [1]engine.Completion{*comp}
+		w.snaps.Exec(w.thread, &w.sctx, group[:])
 		return
 	}
 	if fp == firstTouch {

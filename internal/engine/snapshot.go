@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/storage"
-	"repro/internal/txn"
 	"repro/internal/wal"
 )
 
@@ -262,31 +261,43 @@ func (s *Snapshots) prune() {
 	}
 }
 
-// Exec is every engine's snapshot fast path: it runs c's ReadOnly
-// transaction inline on worker's thread at a stable snapshot — no locks,
-// no CC messages, no WAL round trip (the snapshot is the acknowledged
-// frontier, so its reads are already durable) — and completes it. One
-// clock reading ends both its execution time and its latency, each
-// measured from c's pickup; Exec charges the first to the thread and
-// returns it. Snapshot reads cannot conflict, so a Logic error is a bug
-// in the transaction body, not an abort — it panics.
-func (s *Snapshots) Exec(worker int, ctx *SnapshotCtx, c *Completion) time.Duration {
-	stats := c.stats
+// Exec is every engine's snapshot fast path: it runs a group of ReadOnly
+// transactions, picked up one after another by worker's thread, inline at
+// one stable snapshot — no locks, no CC messages, no WAL round trip (the
+// snapshot is the acknowledged frontier, so its reads are already
+// durable) — and completes them. The group shares one registration and
+// one resolution pass (fetch) over every member's declared reads, so the
+// misses of consecutive transactions overlap instead of being paid back
+// to back; then each member's logic runs, in order. One clock reading
+// ends the group: each member's latency runs from its own pickup to it,
+// and the thread's execution time from the first member's pickup, which
+// Exec charges to the thread and returns. A group of one is a single
+// transaction's path. Snapshot reads cannot conflict, so a Logic error is
+// a bug in the transaction body, not an abort — it panics.
+func (s *Snapshots) Exec(worker int, ctx *SnapshotCtx, group []Completion) time.Duration {
+	stats := group[0].stats
 	snap := s.Begin(worker)
 	ctx.snaps, ctx.stats, ctx.snap = s, stats, snap
-	stats.SnapTxns++
-	stats.SnapStaleLSN += s.tail() - snap
-	ctx.fetch(c.t.Ops) // after Begin: registration is what keeps the nodes from being recycled
-	err := c.t.Logic(ctx)
-	s.End(worker)
-	if err != nil {
-		panic(fmt.Sprintf("engine: read-only snapshot transaction failed: %v", err))
+	n := uint64(len(group))
+	stats.SnapTxns += n
+	stats.SnapStaleLSN += n * (s.tail() - snap)
+	ctx.fetch(group) // after Begin: registration is what keeps the nodes from being recycled
+	for i := range group {
+		if err := group[i].t.Logic(ctx); err != nil {
+			s.End(worker)
+			panic(fmt.Sprintf("engine: read-only snapshot transaction failed: %v", err))
+		}
 	}
-	stats.Committed++
-	d := time.Since(c.start)
+	s.End(worker)
+	first := group[0].start
+	d := time.Since(first) // the end reading, as an offset from first
+	for i := range group {
+		c := &group[i]
+		stats.Committed++
+		stats.Latency.Record(d - c.start.Sub(first))
+		c.discharge(true)
+	}
 	stats.AddExec(d)
-	stats.Latency.Record(d)
-	c.discharge(true)
 	return d
 }
 
@@ -301,41 +312,50 @@ type SnapshotCtx struct {
 }
 
 // fetchChunk is how many declared reads fetch resolves at a time.
-const fetchChunk = 16
+const fetchChunk = 64
 
-// fetch is the resolution pass: it resolves the transaction's declared
-// reads at the snapshot before Logic runs, so that Logic's own walks hit
-// the cache. A snapshot read is three dependent misses — the chain head,
-// the version node, its data — and taken one op at a time they are paid
-// in series. Here each chunk of ops goes through three passes, one miss
-// level per pass: load every chain head, walk each chain to its version,
-// touch each version's data. The misses within a pass are independent,
-// so they overlap. It counts nothing (Read does), and skips what Read
-// would refuse — an unversioned table, an out-of-range key — leaving
-// Read to report it.
-func (c *SnapshotCtx) fetch(ops []txn.Op) {
+// fetch is the resolution pass: it resolves the group's declared reads at
+// the snapshot before any Logic runs, so that Logic's own walks hit the
+// cache. A snapshot read is three dependent misses — the chain head, the
+// version node, its data — and taken one op at a time they are paid in
+// series. Here the reads of the whole group, in order, go through three
+// passes a chunk at a time, one miss level per pass: load every chain
+// head, walk each chain to its version, touch each version's data. The
+// misses within a pass are independent, so they overlap, across
+// transactions as well as within one. It counts nothing (Read does), and
+// skips what Read would refuse — an unversioned table, an out-of-range
+// key — leaving Read to report it.
+func (c *SnapshotCtx) fetch(group []Completion) {
 	var vs [fetchChunk]*storage.Version
-	sink := c.sink
-	for len(ops) > 0 {
-		n := min(len(ops), fetchChunk)
-		for i, op := range ops[:n] {
-			vs[i] = nil
+	n := 0
+	for i := range group {
+		for _, op := range group[i].t.Ops {
+			vs[n] = nil
 			if op.Table < len(c.snaps.byID) {
 				if vt := c.snaps.byID[op.Table]; vt != nil && op.Key < vt.Len() {
-					vs[i] = vt.Head(op.Key)
+					vs[n] = vt.Head(op.Key)
 				}
 			}
-		}
-		for i, v := range vs[:n] {
-			vs[i], _ = v.At(c.snap)
-		}
-		for _, v := range vs[:n] {
-			if v != nil {
-				d := v.Data()
-				sink ^= d[0] ^ d[len(d)-1]
+			if n++; n == fetchChunk {
+				c.resolve(vs[:])
+				n = 0
 			}
 		}
-		ops = ops[n:]
+	}
+	c.resolve(vs[:n])
+}
+
+// resolve runs fetch's last two passes over one chunk of chain heads.
+func (c *SnapshotCtx) resolve(vs []*storage.Version) {
+	for i, v := range vs {
+		vs[i], _ = v.At(c.snap)
+	}
+	sink := c.sink
+	for _, v := range vs {
+		if v != nil {
+			d := v.Data()
+			sink ^= d[0] ^ d[len(d)-1]
+		}
 	}
 	c.sink = sink
 }

@@ -113,11 +113,13 @@ func TestWatermarkAdvancesWithoutReaders(t *testing.T) {
 }
 
 // The resolution pass Snapshots.Exec runs before Logic walks every
-// declared read's chain, but only Read counts: a read-only transaction of
-// n reads books n records and exactly the hops ReadVersion reports, over
-// chains of different lengths and across more than one fetch chunk.
+// declared read's chain, but only Read counts. A group of read-only
+// transactions whose reads span more than one fetch chunk, over chains of
+// different lengths, registers one snapshot, books one snapshot
+// transaction per member, and exactly the records and hops ReadVersion
+// reports; every member is acknowledged once and retired from the intake.
 func TestSnapshotFetchCountsNothing(t *testing.T) {
-	const keys, n = 8, 2*fetchChunk + 3
+	const keys, group, reads = 8, 6, fetchChunk/4 + 1 // 6×17 reads: a chunk and a remainder
 	db := storage.NewDB()
 	tbl := db.Create(storage.Layout{Name: "t", NumRecords: keys, RecordSize: 16, Versioned: true})
 	vt := db.Table(tbl).(*storage.VersionedTable)
@@ -142,44 +144,70 @@ func TestSnapshotFetchCountsNothing(t *testing.T) {
 	}
 
 	snap := s.frontier()
-	tx := &txn.Txn{ReadOnly: true}
 	var wantHops uint64
-	for i := 0; i < n; i++ {
-		key := uint64(i % keys)
-		tx.Ops = append(tx.Ops, txn.Op{Table: tbl, Key: key, Mode: txn.Read})
-		_, hops := vt.ReadVersion(key, snap)
-		wantHops += uint64(hops)
+	in := NewIntake("test", group, nil)
+	var acks [group]int
+	for g := 0; g < group; g++ {
+		tx := &txn.Txn{ReadOnly: true}
+		for i := 0; i < reads; i++ {
+			key := uint64(g*reads+i) % keys
+			tx.Ops = append(tx.Ops, txn.Op{Table: tbl, Key: key, Mode: txn.Read})
+			_, hops := vt.ReadVersion(key, snap)
+			wantHops += uint64(hops)
+		}
+		tx.Logic = func(ctx txn.Ctx) error {
+			for _, op := range tx.Ops {
+				rec, err := ctx.Read(op.Table, op.Key)
+				if err != nil {
+					return err
+				}
+				if got := storage.GetU64(rec, 0); got != 1 {
+					t.Errorf("key %d read commit %d at the held snapshot, want 1", op.Key, got)
+				}
+			}
+			return nil
+		}
+		in.Submit(tx, func(committed bool) {
+			if !committed {
+				t.Errorf("member %d acknowledged uncommitted", g)
+			}
+			acks[g]++
+		})
 	}
+	const n = group * reads
 	if wantHops <= n {
 		t.Fatalf("every read is one hop (%d over %d reads); the chains test nothing", wantHops, n)
 	}
-	tx.Logic = func(ctx txn.Ctx) error {
-		for _, op := range tx.Ops {
-			rec, err := ctx.Read(op.Table, op.Key)
-			if err != nil {
-				return err
-			}
-			if got := storage.GetU64(rec, 0); got != 1 {
-				t.Errorf("key %d read commit %d at the held snapshot, want 1", op.Key, got)
-			}
-		}
-		return nil
-	}
 
 	stats = metrics.ThreadStats{}
-	in := NewIntake("test", 1, nil)
-	in.Submit(tx, nil)
-	sub, _ := in.Next()
-	c := NewCompletion(in, &stats, sub, time.Now())
+	members := make([]Completion, group)
+	for g := range members {
+		sub, _ := in.Next()
+		members[g] = NewCompletion(in, &stats, sub, time.Now())
+	}
 	var ctx SnapshotCtx
-	s.Exec(0, &ctx, &c)
-	if stats.SnapTxns != 1 || stats.Committed != 1 {
-		t.Fatalf("SnapTxns = %d, Committed = %d; want 1 and 1", stats.SnapTxns, stats.Committed)
+	s.Exec(0, &ctx, members)
+	if got := s.slots[0].begins; got != 1 {
+		t.Errorf("the group registered %d snapshots, want 1", got)
+	}
+	if got := s.slots[0].v.Load(); got != snapIdle {
+		t.Errorf("worker's snapshot slot holds %d after the group, want idle", got)
+	}
+	if stats.SnapTxns != group || stats.Committed != group {
+		t.Fatalf("SnapTxns = %d, Committed = %d; want %d and %d", stats.SnapTxns, stats.Committed, group, group)
 	}
 	if stats.SnapRecords != n {
 		t.Errorf("SnapRecords = %d, want %d", stats.SnapRecords, n)
 	}
 	if stats.SnapHops != wantHops {
 		t.Errorf("SnapHops = %d, want %d (ReadVersion's sum)", stats.SnapHops, wantHops)
+	}
+	for g, a := range acks {
+		if a != 1 {
+			t.Errorf("member %d acknowledged %d times, want 1", g, a)
+		}
+	}
+	if got := in.inflight.Load(); got != 0 {
+		t.Errorf("intake in-flight count = %d after the group, want 0", got)
 	}
 }

@@ -101,6 +101,86 @@ func TestLayoutTable(t *testing.T) {
 // started, for tests that step logical threads by hand.
 func newTestSession(cfg Config) *session { return New(cfg).newSession() }
 
+// One exec step runs every read-only submission it admits before it
+// returns, grouped: with RO, RO, RW, RO and then more read-only
+// submissions than a group holds in the intake, the step acknowledges
+// every read-only transaction in pickup order, in two groups (the
+// read-write one joins neither and is submitted at once, before the first
+// group runs), and publishes the read-write transaction's acquire, which
+// the CC thread then grants.
+func TestStepRunsReadOnlyGroupsWithinTheStep(t *testing.T) {
+	db := storage.NewDB()
+	tbl := db.Create(storage.Layout{Name: "v", NumRecords: 8, RecordSize: 64, Versioned: true})
+	ses := newTestSession(Config{DB: db, CCThreads: 1, ExecThreads: 1})
+	x := newExecThread(ses, 0, ses.set.Thread(0))
+	c := newCCThread(ses.s, 0)
+
+	type run struct{ id, group, inflight int }
+	var runs []run
+	var acked []int
+	ro := func(id int) {
+		key := uint64(id % 8)
+		tx := &txn.Txn{ReadOnly: true, Ops: []txn.Op{{Table: tbl, Key: key, Mode: txn.Read}}}
+		tx.Logic = func(ctx txn.Ctx) error {
+			runs = append(runs, run{id, x.grouped, x.inflight})
+			_, err := ctx.Read(tbl, key)
+			return err
+		}
+		ses.Submit(tx, func(ok bool) {
+			if !ok {
+				t.Errorf("read-only %d acknowledged uncommitted", id)
+			}
+			acked = append(acked, id)
+		})
+	}
+	rwAcked := false
+	rw := &txn.Txn{
+		Ops: []txn.Op{{Table: tbl, Key: 3, Mode: txn.Write}},
+		Logic: func(ctx txn.Ctx) error {
+			rec, err := ctx.Write(tbl, 3)
+			if err == nil {
+				storage.PutU64(rec, 0, 42)
+			}
+			return err
+		},
+	}
+	const nRO = 3 + snapGroup + 3
+	ro(0)
+	ro(1)
+	ses.Submit(rw, func(ok bool) { rwAcked = ok })
+	for id := 2; id < nRO; id++ {
+		ro(id)
+	}
+
+	if progress, _ := x.step(); !progress {
+		t.Fatal("exec step with queued submissions made no progress")
+	}
+	if len(acked) != nRO {
+		t.Fatalf("one step acknowledged %d of %d read-only transactions", len(acked), nRO)
+	}
+	for i, r := range runs {
+		want := run{id: i, group: snapGroup, inflight: 1}
+		if i >= snapGroup {
+			want.group = nRO - snapGroup
+		}
+		if r != want || acked[i] != i {
+			t.Fatalf("read-only run %d = %+v acked %d, want %+v acked %d", i, r, acked[i], want, i)
+		}
+	}
+	if st := ses.set.Thread(0); st.SnapTxns != nRO {
+		t.Fatalf("SnapTxns = %d, want %d", st.SnapTxns, nRO)
+	}
+	if rwAcked {
+		t.Fatal("read-write transaction acknowledged before its grant")
+	}
+	if progress, _ := c.step(); !progress { // the step published the acquire
+		t.Fatal("CC step found no acquire: the exec step did not publish it")
+	}
+	if progress, _ := x.step(); !progress || !rwAcked {
+		t.Fatalf("exec step with a grant in its ring: progress=%v acked=%v", progress, rwAcked)
+	}
+}
+
 // The whole commit path — admit, acquire, grant, execute, release, retire
 // — runs as plain method calls on one goroutine: the fold at its
 // smallest. Along the way: a step that finds nothing reads no clock

@@ -78,6 +78,9 @@ type Manifest struct {
 type Checkpoint struct {
 	Manifest Manifest
 	Pages    [][]byte
+	// verified marks pages whose CRCs openCheckpoint has checked, so
+	// Records does not hash them a second time.
+	verified bool
 }
 
 // CheckpointWriter receives one checkpoint's pages and then either
@@ -366,6 +369,20 @@ func foldPageCRC(fold uint32, page []byte) uint32 {
 // verifyPage checks a page's structure and CRC without decoding entries.
 // It never panics on arbitrary input.
 func verifyPage(p []byte) (table int, count int, ok bool) {
+	if table, count, ok = pageShape(p); !ok {
+		return 0, 0, false
+	}
+	crc := crc32.Checksum(p[2:16], crcTable)
+	crc = crc32.Update(crc, crcTable, p[pageHeader:])
+	if crc != binary.LittleEndian.Uint32(p[16:20]) {
+		return 0, 0, false
+	}
+	return table, count, true
+}
+
+// pageShape checks a page's structure — magic, length, entry count —
+// and returns its header fields. It never panics on arbitrary input.
+func pageShape(p []byte) (table int, count int, ok bool) {
 	if len(p) < pageHeader || binary.LittleEndian.Uint16(p[0:2]) != pageMagic {
 		return 0, 0, false
 	}
@@ -377,21 +394,22 @@ func verifyPage(p []byte) (table int, count int, ok bool) {
 	if count*12 > payload {
 		return 0, 0, false
 	}
-	crc := crc32.Checksum(p[2:16], crcTable)
-	crc = crc32.Update(crc, crcTable, p[pageHeader:])
-	if crc != binary.LittleEndian.Uint32(p[16:20]) {
-		return 0, 0, false
-	}
 	return int(binary.LittleEndian.Uint32(p[4:8])), count, true
 }
 
 // Records calls fn for every record of ck's pages, in page order, and
 // stops at fn's first error. Each page is decoded once, and a page for a
 // table db does not hold fails before any of its records reach fn. val
-// aliases the page. It never panics on arbitrary pages.
+// aliases the page. It never panics on arbitrary pages. A checkpoint
+// that openCheckpoint loaded has had its CRCs checked there, so only its
+// structure is checked again here; any other is verified in full.
 func (ck *Checkpoint) Records(db *storage.DB, fn func(table int, key uint64, val []byte) error) error {
+	check := verifyPage
+	if ck.verified {
+		check = pageShape
+	}
 	for _, p := range ck.Pages {
-		table, count, ok := verifyPage(p)
+		table, count, ok := check(p)
 		if !ok {
 			return errors.New("wal: invalid checkpoint page")
 		}
@@ -531,7 +549,7 @@ func openCheckpoint(manifest []byte, pages [][]byte) (*Checkpoint, error) {
 	if err != nil || validateCheckpoint(m, pages) != nil {
 		return nil, nil
 	}
-	return &Checkpoint{Manifest: *m, Pages: pages}, nil
+	return &Checkpoint{Manifest: *m, Pages: pages, verified: true}, nil
 }
 
 // splitPages re-splits a concatenation of sealed pages (the on-disk
@@ -650,7 +668,9 @@ func (s *MemCheckpointStore) CorruptNewestPage() {
 		ck := s.committed[n-1]
 		p := append([]byte(nil), ck.pages[0]...)
 		p[len(p)/2] ^= 0xFF
-		ck.pages[0] = p
+		// A fresh page list: a Checkpoint loaded earlier shares the old
+		// one and, verified when it was loaded, must keep its pages.
+		ck.pages = append([][]byte{p}, ck.pages[1:]...)
 	}
 	s.mu.Unlock()
 }

@@ -65,6 +65,39 @@ func TestPageRoundTrip(t *testing.T) {
 	}
 }
 
+// A page is hashed once per load: a checkpoint openCheckpoint returns is
+// marked verified and decodes without a second CRC pass, while a
+// hand-built one is verified in full, so a page whose structure is intact
+// but whose payload is corrupt is still rejected.
+func TestRecordsVerifiesUnopenedCheckpoints(t *testing.T) {
+	page := buildPage(t, 0, 4, 0x30)
+	db := storage.NewDB()
+	db.Create(storage.Layout{Name: "0", NumRecords: 8, RecordSize: 8})
+	count := func(ck *Checkpoint) (int, error) {
+		n := 0
+		err := ck.Records(db, func(int, uint64, []byte) error { n++; return nil })
+		return n, err
+	}
+
+	corrupt := append([]byte(nil), page...)
+	corrupt[len(corrupt)-1] ^= 0xFF
+	if _, _, ok := pageShape(corrupt); !ok {
+		t.Fatal("a flipped payload byte broke the page's structure; the case tests nothing")
+	}
+	if n, err := count(&Checkpoint{Pages: [][]byte{corrupt}}); err == nil {
+		t.Fatalf("hand-built checkpoint with a corrupt page decoded %d records", n)
+	}
+
+	m := &Manifest{StartLSN: 1, Tables: []TableImage{{Table: 0, Pages: 1, Records: 4, CRC: foldPageCRC(0, page)}}}
+	ck, err := openCheckpoint(encodeManifest(m), [][]byte{page})
+	if err != nil || ck == nil || !ck.verified {
+		t.Fatalf("openCheckpoint = %+v, %v; want a verified checkpoint", ck, err)
+	}
+	if n, err := count(ck); err != nil || n != 4 {
+		t.Fatalf("opened checkpoint decoded %d records, err %v; want 4", n, err)
+	}
+}
+
 // Any single-byte corruption of a page must fail verification — the CRC
 // covers the header fields and the payload; the magic and the CRC field
 // itself are checked structurally.
