@@ -9,7 +9,9 @@
 //   - hotpath: no file or network I/O, fmt/log printing, sleeps, or
 //     blocking channel operations. Calls are checked against a forbidden
 //     list (all of os, net, log, bufio and syscall; fmt's printing and
-//     scanning functions; time.Sleep/After/Tick/NewTimer/NewTicker).
+//     scanning functions; time.Sleep/After/Tick/NewTimer/NewTicker; and
+//     time.Now, which reads the wall clock as well as the monotonic one —
+//     metrics.Now is the one-read stamp).
 //     Channel sends and receives are flagged except inside a select
 //     with a default clause — the non-blocking shape the WAL wake
 //     channel uses.
@@ -71,7 +73,13 @@ var forbiddenPkgs = map[string]string{
 // otherwise allowed packages.
 var forbiddenFuncs = map[string][]string{
 	"fmt":  {"Print", "Println", "Printf", "Fprint", "Fprintln", "Fprintf", "Scan", "Sscan", "Fscan"},
-	"time": {"Sleep", "After", "Tick", "NewTimer", "NewTicker"},
+	"time": {"Sleep", "After", "Tick", "NewTimer", "NewTicker", "Now"},
+}
+
+// forbiddenHints name the replacement for a forbidden function that has
+// one, keyed by package.function.
+var forbiddenHints = map[string]string{
+	"time.Now": "reads the wall and the monotonic clock; metrics.Now reads the monotonic one",
 }
 
 func run(pass *analysis.Pass) error {
@@ -255,7 +263,11 @@ func (w *walker) call(b *body, call *ast.CallExpr) {
 	}
 	for _, prefix := range forbiddenFuncs[path] {
 		if strings.HasPrefix(fn.Name(), prefix) {
-			w.flag(b, ruleHotpath, call.Pos(), fmt.Sprintf("calls %s.%s", path, fn.Name()))
+			what := fmt.Sprintf("calls %s.%s", path, fn.Name())
+			if hint, ok := forbiddenHints[path+"."+fn.Name()]; ok {
+				what += " (" + hint + ")"
+			}
+			w.flag(b, ruleHotpath, call.Pos(), what)
 			return
 		}
 	}

@@ -34,6 +34,16 @@ func loop(ch chan int, done chan struct{}) {
 	}()
 }
 
+// stamp reads the clock on a hot path: time.Now is flagged with its
+// replacement, while time.Since on an earlier stamp — one monotonic read
+// — is not.
+//
+//orthrus:hotpath
+func stamp(start time.Time) time.Duration {
+	_ = time.Now() // want `calls time.Now \(reads the wall and the monotonic clock; metrics.Now reads the monotonic one\) on the hot path`
+	return time.Since(start)
+}
+
 // helper is reached transitively from loop.
 func helper() {
 	os.ReadFile("x") // want `calls os.ReadFile \(file I/O\) on the hot path`

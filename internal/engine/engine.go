@@ -85,18 +85,15 @@ func (s *IDSource) Next() uint64 {
 	return s.next
 }
 
-// tsEpoch anchors wait-die timestamps so the nanosecond count fits in 54
-// bits (decades of uptime); shifting a raw UnixNano by 10 would overflow
-// uint64 and scramble the age order wait-die depends on.
-var tsEpoch = time.Now()
-
 // Timestamp returns a wait-die timestamp: monotonic nanoseconds since
 // process start with the thread id in the low bits — the software
 // analogue of the paper's core-local timestamp counters (cheap,
 // contention-free, totally ordered, roughly arrival-ordered across
-// threads).
+// threads). Counting from the metrics clock's epoch keeps the nanosecond
+// count within 54 bits (decades of uptime); shifting a raw UnixNano by 10
+// would overflow uint64 and scramble the age order wait-die depends on.
 func Timestamp(thread int) uint64 {
-	return uint64(time.Since(tsEpoch))<<10 | uint64(thread&0x3FF)
+	return uint64(metrics.Elapsed())<<10 | uint64(thread&0x3FF)
 }
 
 // UndoLog captures before-images of records mutated in place so an aborted

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/txn"
 	"repro/internal/wal"
 )
@@ -190,7 +191,7 @@ const (
 //orthrus:coldpath idle backoff: reached only when a poll made no progress, and the sleep is the whole point — an idle session must not pin a core
 func (w *IdleWaiter) Wait() {
 	if w.idleSince.IsZero() {
-		w.idleSince = time.Now()
+		w.idleSince = metrics.Now()
 		runtime.Gosched()
 		return
 	}

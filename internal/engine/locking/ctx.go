@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/lock"
+	"repro/internal/metrics"
 	"repro/internal/txn"
 )
 
@@ -33,7 +34,7 @@ func (w *worker) acquire(table int, key uint64, mode txn.Mode) ([]byte, error) {
 		}
 		return w.DB.Table(table).Get(key), nil
 	}
-	start := time.Now()
+	start := metrics.Now()
 	r := w.request()
 	waited, err := w.eng.table.Acquire(r, table, key, mode)
 	w.waited += waited

@@ -147,7 +147,7 @@ func (l *spinlock) lock() time.Duration {
 	if l.v.CompareAndSwap(0, 1) {
 		return 0
 	}
-	start := time.Now()
+	start := metrics.Now()
 	for {
 		runtime.Gosched()
 		if l.v.CompareAndSwap(0, 1) {
@@ -343,7 +343,7 @@ func (w *worker) lockFootprint(t *txn.Txn) (start time.Time) {
 		// the duration the scan's locks are held.
 		engine.MaterializeRanges(w.DB, t)
 		t.SortOps()
-		start = time.Now()
+		start = metrics.Now()
 		for _, op := range t.Ops {
 			waited, err := w.eng.table.Acquire(w.request(), op.Table, op.Key, op.Mode)
 			if err != nil {
@@ -358,13 +358,13 @@ func (w *worker) lockFootprint(t *txn.Txn) (start time.Time) {
 		// unconditionally; Scan checks ranges against it.
 		w.parts = append(w.parts[:0], t.PartitionSet(w.eng.cfg.Partition)...)
 		sort.Ints(w.parts)
-		start = time.Now()
+		start = metrics.Now()
 		for _, p := range w.parts {
 			w.waited += w.eng.spins[p].lock()
 		}
 		w.Stats.PartLocks += uint64(len(w.parts))
 	default:
-		return time.Now()
+		return metrics.Now()
 	}
 	w.locked = time.Since(start) - w.waited
 	return start
@@ -381,7 +381,7 @@ func (w *worker) request() *lock.Request {
 // release drops every held lock in reverse acquisition order, books the
 // time as lock-manager work, and returns the clock reading it ended at.
 func (w *worker) release() time.Time {
-	start := time.Now()
+	start := metrics.Now()
 	for i := len(w.held) - 1; i >= 0; i-- {
 		w.eng.table.Release(w.held[i])
 		w.fl.Put(w.held[i])
@@ -391,7 +391,7 @@ func (w *worker) release() time.Time {
 		w.eng.spins[w.parts[i]].unlock()
 	}
 	w.parts = w.parts[:0]
-	end := time.Now()
+	end := metrics.Now()
 	w.locked += end.Sub(start)
 	return end
 }

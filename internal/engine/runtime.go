@@ -249,7 +249,7 @@ func NewWorkerSession(name string, workers, queueCap int, guard *InUseGuard, log
 					continue
 				}
 				idle.Reset()
-				comp = NewCompletion(s.Intake, stats, sub, time.Now())
+				comp = NewCompletion(s.Intake, stats, sub, metrics.Now())
 				exec(sub.Txn, &comp)
 			}
 		}(i)

@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"repro/internal/locktab"
+	"repro/internal/metrics"
 	"repro/internal/txn"
 )
 
@@ -162,7 +163,7 @@ func (t *Table) Acquire(req *Request, table int, key uint64, mode txn.Mode) (wai
 		return 0, nil
 	}
 
-	start := time.Now()
+	start := metrics.Now()
 	ok := t.handler.Wait(t, req)
 	waited = time.Since(start)
 	if ok {

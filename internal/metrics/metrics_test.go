@@ -96,3 +96,22 @@ func TestPerThreadIsolation(t *testing.T) {
 		t.Fatalf("Exec = %d", tot.Exec)
 	}
 }
+
+// Now carries a monotonic reading, so stamps subtract monotonically with
+// each other and with time.Since, and it stays beside time.Now.
+func TestNowIsMonotonic(t *testing.T) {
+	a := Now()
+	if !strings.Contains(a.String(), " m=") {
+		t.Fatalf("Now() = %v has no monotonic reading", a)
+	}
+	b := Now()
+	if d := b.Sub(a); d < 0 {
+		t.Fatalf("Now went backwards by %v", -d)
+	}
+	if d := time.Since(a); d < b.Sub(a) {
+		t.Fatalf("time.Since(a) = %v, shorter than a later stamp's %v", d, b.Sub(a))
+	}
+	if d := time.Now().Sub(Now()); d > time.Second || d < -time.Second {
+		t.Fatalf("Now is %v from time.Now", d)
+	}
+}

@@ -660,7 +660,10 @@ type execThread struct {
 	// as born→retire minus the other two. A step reads the clock (now)
 	// only once it has found work: stepStart is that first reading, zero
 	// while the step is still empty, and logicTime the logic time within
-	// the step. now is time.Now outside tests.
+	// the step. A commit adds three readings — pickup, logic start, logic
+	// end — and pickup doubles as its step's first. now is metrics.Now
+	// outside tests: one monotonic clock read per stamp, where time.Now
+	// would also read the wall clock.
 	now       func() time.Time
 	born      time.Time
 	stepStart time.Time
@@ -703,8 +706,8 @@ func newExecThread(ses *session, id int, stats *metrics.ThreadStats) *execThread
 		ids:    engine.NewIDSource(id),
 		ctx:    engine.PlannedCtx{DB: cfg.DB, Stats: stats, VSet: ses.snaps.VersionSet()},
 		window: cfg.Inflight,
-		now:    time.Now,
-		born:   time.Now(),
+		now:    metrics.Now,
+		born:   metrics.Now(),
 		// What a full ring leaves in out[c] needs no back-pressure to stay
 		// small: at most a window of acquires plus the releases of
 		// transactions granted since c last stepped, and every step of c

@@ -400,18 +400,39 @@ func TestWidePartitionerFoldsSafely(t *testing.T) {
 	}
 }
 
-// The record → CC map is Partition % CCThreads, and by default exactly
-// HashPartitioner(CCThreads): key % CCThreads.
-func TestDefaultRoutingMatchesLegacyHash(t *testing.T) {
+// The record → CC map is Partition % CCThreads: by default exactly
+// HashPartitioner(CCThreads), and for a partitioner with a wider range its
+// result folded into [0, CCThreads).
+func TestRoutingIsPartitionModuloCCThreads(t *testing.T) {
 	db, _ := newDB(8)
-	for _, cc := range []int{1, 2, 3, 5, 8} {
-		s := New(Config{DB: db, CCThreads: cc, ExecThreads: 1}).newRunState()
-		pf := txn.HashPartitioner(cc)
-		for key := uint64(0); key < 4096; key++ {
-			if got, want := s.ccOf(0, key), pf(0, key); got != want {
-				t.Fatalf("cc=%d key=%d routed to %d, HashPartitioner(%d) says %d", cc, key, got, cc, want)
+	for _, tc := range []struct {
+		name string
+		pf   func(cc int) txn.PartitionFunc // nil: the Config default
+	}{
+		{"default", nil},
+		{"wider", func(cc int) txn.PartitionFunc { return txn.HashPartitioner(3*cc + 1) }},
+		{"by table", func(int) txn.PartitionFunc {
+			return func(table int, key uint64) int { return table*7 + int(key%5) }
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, cc := range []int{1, 2, 3, 5, 8} {
+				cfg := Config{DB: db, CCThreads: cc, ExecThreads: 1}
+				pf := txn.HashPartitioner(cc)
+				if tc.pf != nil {
+					pf = tc.pf(cc)
+					cfg.Partition = pf
+				}
+				s := New(cfg).newRunState()
+				for table := 0; table < 3; table++ {
+					for key := uint64(0); key < 4096; key++ {
+						if got, want := s.ccOf(table, key), pf(table, key)%cc; got != want {
+							t.Fatalf("cc=%d t%d/%d routed to %d, Partition %% CCThreads = %d", cc, table, key, got, want)
+						}
+					}
+				}
 			}
-		}
+		})
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/storage"
 	"repro/internal/txn"
 	"repro/internal/workload"
@@ -184,15 +185,17 @@ func TestStepRunsReadOnlyGroupsWithinTheStep(t *testing.T) {
 // The whole commit path — admit, acquire, grant, execute, release, retire
 // — runs as plain method calls on one goroutine: the fold at its
 // smallest. Along the way: a step that finds nothing reads no clock
-// (counted, not timed), a step that finds work reads it, and each logical
-// thread retires only once its inputs and outboxes are empty.
+// (counted, not timed), one commit reads it exactly as designed — pickup,
+// logic start and logic end, plus one opening and one closing reading per
+// productive step, where pickup doubles as the opening one — and each
+// logical thread retires only once its inputs and outboxes are empty.
 func TestStepsByHandAndIdleStepReadsNoClock(t *testing.T) {
 	db, tbl := newDB(8)
 	ses := newTestSession(Config{DB: db, CCThreads: 1, ExecThreads: 1})
 	x := newExecThread(ses, 0, ses.set.Thread(0))
 	c := newCCThread(ses.s, 0)
 	reads := 0
-	x.now = func() time.Time { reads++; return time.Now() }
+	x.now = func() time.Time { reads++; return metrics.Now() }
 
 	for i := 0; i < 1000; i++ {
 		if progress, exit := x.step(); progress || exit {
@@ -223,8 +226,8 @@ func TestStepsByHandAndIdleStepReadsNoClock(t *testing.T) {
 	if progress, _ := x.step(); !progress { // admit, plan, publish the acquire
 		t.Fatal("exec step with a queued submission made no progress")
 	}
-	if reads == 0 {
-		t.Fatal("a productive exec step read no clock: lock time is unaccounted")
+	if reads != 2 {
+		t.Fatalf("admitting step read the clock %d times, want 2 (pickup, which opens the step; the step's close)", reads)
 	}
 	if progress, _ := c.step(); !progress { // lock, grant
 		t.Fatal("CC step with an acquire in its ring made no progress")
@@ -237,6 +240,9 @@ func TestStepsByHandAndIdleStepReadsNoClock(t *testing.T) {
 	}
 	if !acked {
 		t.Fatal("transaction not acknowledged after its grant was handled")
+	}
+	if reads != 2+4 {
+		t.Fatalf("granted step read the clock %d times, want 4 (the step's open, logic start, logic end, the step's close)", reads-2)
 	}
 	if got := storage.GetU64(db.Table(tbl).Get(3), 0); got != 42 {
 		t.Fatalf("record = %d, want 42", got)

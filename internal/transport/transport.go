@@ -211,6 +211,7 @@ func (p *Peer) flush(wait bool) (bool, error) {
 		n, err = p.raw.write(p.wbuf[p.wpos:], wait)
 	} else {
 		if !wait {
+			//orthrus:allow(hotpath) a connection with no descriptor takes an absolute deadline; the tcp plane's sockets take the raw branch
 			p.conn.SetWriteDeadline(time.Now().Add(plainPoll))
 		}
 		if n, err = p.conn.Write(p.wbuf[p.wpos:]); errors.Is(err, os.ErrDeadlineExceeded) {
@@ -244,6 +245,7 @@ func (p *Peer) fill(wait bool) (int, error) {
 		n, err = p.raw.read(p.rbuf[p.rend:], wait)
 	} else {
 		if !wait {
+			//orthrus:allow(hotpath) a connection with no descriptor takes an absolute deadline; the tcp plane's sockets take the raw branch
 			p.conn.SetReadDeadline(time.Now().Add(plainPoll))
 		}
 		if n, err = p.conn.Read(p.rbuf[p.rend:]); errors.Is(err, os.ErrDeadlineExceeded) {

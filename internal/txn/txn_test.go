@@ -1,6 +1,8 @@
 package txn
 
 import (
+	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -127,6 +129,63 @@ func TestSortOpsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// For sets of 0–40 ops — either side of pdqsort's insertion-sort cut-off
+// of 12 — SortOps must agree with slices.SortFunc followed by a
+// strongest-mode merge of duplicates. Keys repeat often, across three
+// tables, and include stripe keys (bit 63 set) beside record keys.
+func TestSortOpsMatchesReferenceAcrossCutoff(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	keys := []uint64{0, 1, 2, 7, 1 << 40, StripeKey(0), StripeKey(7), StripeKey(1 << 40), ^uint64(0)}
+	for n := 0; n <= 40; n++ {
+		for trial := 0; trial < 50; trial++ {
+			ops := make([]Op, n)
+			for i := range ops {
+				ops[i] = Op{Table: rng.Intn(3), Key: keys[rng.Intn(len(keys))], Mode: Mode(rng.Intn(2))}
+			}
+			sorted := slices.Clone(ops)
+			slices.SortFunc(sorted, func(a, b Op) int {
+				if a.Less(b) {
+					return -1
+				}
+				if b.Less(a) {
+					return 1
+				}
+				return 0
+			})
+			var want []Op
+			for _, op := range sorted {
+				if k := len(want) - 1; k >= 0 && want[k].Table == op.Table && want[k].Key == op.Key {
+					want[k].Mode = max(want[k].Mode, op.Mode)
+					continue
+				}
+				want = append(want, op)
+			}
+			tx := &Txn{Ops: slices.Clone(ops)}
+			tx.SortOps()
+			if !slices.Equal(tx.Ops, want) {
+				t.Fatalf("%d ops %v: SortOps = %v, want %v", n, ops, tx.Ops, want)
+			}
+		}
+	}
+}
+
+// SortOps allocates nothing, below and above pdqsort's insertion cut-off.
+func TestSortOpsAllocatesNothing(t *testing.T) {
+	for _, n := range []int{12, 40} {
+		src := make([]Op, n)
+		for i := range src {
+			src[i] = Op{Table: i % 3, Key: uint64(n - i), Mode: Mode(i % 2)}
+		}
+		tx := &Txn{Ops: make([]Op, 0, n)}
+		if allocs := testing.AllocsPerRun(100, func() {
+			tx.Ops = append(tx.Ops[:0], src...)
+			tx.SortOps()
+		}); allocs != 0 {
+			t.Fatalf("SortOps of %d ops allocates %.1f times per call, want 0", n, allocs)
+		}
 	}
 }
 

@@ -489,7 +489,7 @@ func (l *Log) flushPass() {
 		l.pending.Add(-int64(stolen))
 	}
 
-	now := time.Now()
+	now := metrics.Now()
 	for {
 		k := &l.win[(l.frontier+1)&uint64(len(l.win)-1)]
 		if k.lsn != l.frontier+1 {
@@ -636,12 +636,12 @@ func (a *Appender) CommitWith(install func(lsn uint64), fn func()) {
 		}
 		a.roWaiters.Add(1)
 		a.mu.Lock()
-		a.waiters = append(a.waiters, ack{lsn: tail, enq: time.Now(), fn: fn, stats: a.stats})
+		a.waiters = append(a.waiters, ack{lsn: tail, enq: metrics.Now(), fn: fn, stats: a.stats})
 		a.mu.Unlock()
 		l.enqueued()
 		return
 	}
-	now := time.Now()
+	now := metrics.Now()
 	a.mu.Lock()
 	lsn := l.nextLSN.Add(1)
 	a.buf = appendRecord(a.buf, lsn, a.writes)
