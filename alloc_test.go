@@ -82,7 +82,8 @@ func measureSubmitAllocs(ses repro.Session, src repro.Source) float64 {
 }
 
 // TestSubmitAllocsZero: with durability off, the Submit→ack hot path of
-// every engine is allocation-free in steady state.
+// every engine is allocation-free in steady state, both for transfers and
+// for the pooled 10-op hot/cold YCSB transaction the benchmark runs.
 func TestSubmitAllocsZero(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race mode: sync.Pool drops Puts by design, allocation counts are not meaningful")
@@ -90,13 +91,16 @@ func TestSubmitAllocsZero(t *testing.T) {
 	for _, e := range allocSystems(t, nil) {
 		t.Run(e.rt.Name(), func(t *testing.T) {
 			ses := e.rt.Start()
-			src := &repro.Transfer{Table: e.tbl, NumRecords: 64}
-			allocs := measureSubmitAllocs(ses, src)
+			for _, src := range []repro.Source{
+				&repro.Transfer{Table: e.tbl, NumRecords: 64},
+				&repro.YCSB{Table: e.tbl, NumRecords: 64, OpsPerTxn: 10, HotRecords: 8, HotOps: 2},
+			} {
+				if allocs := measureSubmitAllocs(ses, src); allocs != 0 {
+					t.Errorf("%s: %T: %.1f allocs per Submit→ack, want 0", e.rt.Name(), src, allocs)
+				}
+			}
 			ses.Drain()
 			ses.Close()
-			if allocs != 0 {
-				t.Errorf("%s: %.1f allocs per Submit→ack, want 0", e.rt.Name(), allocs)
-			}
 		})
 	}
 }

@@ -333,27 +333,6 @@ func BenchmarkAblationBatchSizeTransfer(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationZipf runs the skew extension: Zipfian access instead of
-// the paper's hot/cold mix.
-func BenchmarkAblationZipf(b *testing.B) {
-	for _, sys := range []string{"orthrus", "dlfree", "2pl-waitdie"} {
-		b.Run(sys, func(b *testing.B) {
-			db, tbl := newBenchDB()
-			src := &Zipf{Table: tbl, NumRecords: benchRecords, OpsPerTxn: 10, Theta: 1.2}
-			var eng Engine
-			switch sys {
-			case "orthrus":
-				eng = NewOrthrus(OrthrusConfig{DB: db, CCThreads: 4, ExecThreads: 12})
-			case "dlfree":
-				eng = NewDeadlockFree(LockingConfig{DB: db, Threads: 16})
-			case "2pl-waitdie":
-				eng = NewTwoPL(LockingConfig{DB: db, Handler: WaitDie(), Threads: 16})
-			}
-			reportRun(b, eng, src)
-		})
-	}
-}
-
 func benchName(k string, v int) string { return k + "=" + itoa(v) }
 
 func benchName2(k1 string, v1 int, k2 string, v2 int) string {

@@ -2,6 +2,7 @@ package locking
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -210,22 +211,47 @@ func TestMaxRetriesBoundsWork(t *testing.T) {
 	_ = res // termination is the assertion
 }
 
-// The YCSB standard mixes run on 2PL with shared and exclusive ops
-// interleaved.
+// Per-op read shares of 50, 95 and 100 % (the YCSB A, B and C mixes) run
+// on 2PL with shared and exclusive ops interleaved inside one transaction.
 func TestStandardMixes(t *testing.T) {
 	const threads, records = 4, 4096
-	for _, src := range []*workload.Mixed{
-		workload.YCSBA(0, records), workload.YCSBB(0, records), workload.YCSBC(0, records),
-	} {
+	for _, readPct := range []int{50, 95, 100} {
 		db, tbl := newDB(records)
-		src.Table = tbl
-		if err := src.Validate(); err != nil {
-			t.Fatal(err)
-		}
+		src := srcFunc(func() *txn.Txn {
+			tx := &txn.Txn{}
+			for len(tx.Ops) < 10 {
+				key := uint64(rand.Int63n(records)) // global rand: Next runs on every worker
+				if slices.ContainsFunc(tx.Ops, func(op txn.Op) bool { return op.Key == key }) {
+					continue
+				}
+				mode := txn.Write
+				if rand.Intn(100) < readPct {
+					mode = txn.Read
+				}
+				tx.Ops = append(tx.Ops, txn.Op{Table: tbl, Key: key, Mode: mode})
+			}
+			tx.Logic = func(ctx txn.Ctx) error {
+				for _, op := range tx.Ops {
+					if op.Mode == txn.Read {
+						if _, err := ctx.Read(op.Table, op.Key); err != nil {
+							return err
+						}
+						continue
+					}
+					rec, err := ctx.Write(op.Table, op.Key)
+					if err != nil {
+						return err
+					}
+					storage.PutU64(rec, 0, storage.GetU64(rec, 0)+1)
+				}
+				return nil
+			}
+			return tx
+		})
 		eng := New(Config{DB: db, Handler: deadlock.WaitDie{}, Threads: threads})
 		res := eng.Run(src, 100*time.Millisecond)
 		if res.Totals.Committed == 0 {
-			t.Fatalf("ReadPct=%d: no commits", src.ReadPct)
+			t.Fatalf("read share %d%%: no commits", readPct)
 		}
 	}
 }

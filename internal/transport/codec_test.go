@@ -3,7 +3,6 @@ package transport
 import (
 	"bytes"
 	"testing"
-	"time"
 
 	"repro/internal/txn"
 )
@@ -142,8 +141,6 @@ func TestConfigValidatePanics(t *testing.T) {
 		{"negative-maxframe", Config{MaxFrame: -1}},
 		{"tiny-maxframe", Config{MaxFrame: minMaxFrame - 1}},
 		{"huge-maxframe", Config{MaxFrame: maxWirePayload + 1}},
-		{"negative-dial-timeout", Config{DialTimeout: -time.Second}},
-		{"negative-accept-timeout", Config{AcceptTimeout: -time.Second}},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -160,8 +157,7 @@ func TestConfigValidatePanics(t *testing.T) {
 	Config{}.Validate()
 	d := Config{}.WithDefaults()
 	d.Validate()
-	if d.MaxFrame != DefaultMaxFrame ||
-		d.DialTimeout != DefaultDialTimeout || d.AcceptTimeout != DefaultAcceptTimeout {
+	if d.MaxFrame != DefaultMaxFrame {
 		t.Fatalf("WithDefaults left a zero field: %+v", d)
 	}
 }

@@ -19,16 +19,9 @@ type Config struct {
 	// it stops taking frames until the socket has. 0 means
 	// DefaultMaxFrame.
 	MaxFrame int
-	// DialTimeout bounds connection establishment (the dialer retries
-	// until it expires, absorbing the peer's startup race) and the
-	// handshake exchange. 0 means DefaultDialTimeout.
-	DialTimeout time.Duration
-	// AcceptTimeout bounds how long the listening node waits for its
-	// peer to connect. 0 means DefaultAcceptTimeout.
-	AcceptTimeout time.Duration
 }
 
-// Defaults for Config's zero fields.
+// Default for Config's zero MaxFrame.
 const (
 	DefaultMaxFrame = 64 << 10
 	// minMaxFrame keeps a configured cap large enough for any
@@ -36,6 +29,8 @@ const (
 	minMaxFrame = 64
 )
 
+// Timeouts that Dial and Exchange (DefaultDialTimeout) and Accept
+// (DefaultAcceptTimeout) use when passed a non-positive one.
 const (
 	DefaultDialTimeout   = 5 * time.Second
 	DefaultAcceptTimeout = 30 * time.Second
@@ -54,24 +49,12 @@ func (c Config) Validate() {
 	if c.MaxFrame > maxWirePayload {
 		panic(fmt.Sprintf("transport: MaxFrame %d exceeds the wire cap %d", c.MaxFrame, maxWirePayload))
 	}
-	if c.DialTimeout < 0 {
-		panic(fmt.Sprintf("transport: DialTimeout %v is negative", c.DialTimeout))
-	}
-	if c.AcceptTimeout < 0 {
-		panic(fmt.Sprintf("transport: AcceptTimeout %v is negative", c.AcceptTimeout))
-	}
 }
 
 // WithDefaults returns c with zero fields filled.
 func (c Config) WithDefaults() Config {
 	if c.MaxFrame == 0 {
 		c.MaxFrame = DefaultMaxFrame
-	}
-	if c.DialTimeout == 0 {
-		c.DialTimeout = DefaultDialTimeout
-	}
-	if c.AcceptTimeout == 0 {
-		c.AcceptTimeout = DefaultAcceptTimeout
 	}
 	return c
 }

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 
@@ -94,76 +93,4 @@ func (c *Transfer) Next(_ int, rng *rand.Rand) *txn.Txn {
 	t.ops[1] = txn.Op{Table: c.Table, Key: b, Mode: txn.Write}
 	t.Ops = t.ops[:2]
 	return &t.Txn
-}
-
-// Zipf draws keys from a Zipfian distribution, the standard YCSB skew
-// model. It is an extension beyond the paper's hot/cold mix, used by the
-// skew ablation bench.
-type Zipf struct {
-	Table      int
-	NumRecords uint64
-	OpsPerTxn  int
-	ReadOnly   bool
-	Theta      float64 // zipf exponent s > 1
-}
-
-// Next implements Source.
-func (c *Zipf) Next(_ int, rng *rand.Rand) *txn.Txn {
-	if c.Theta <= 1 {
-		panic("workload: Zipf Theta must exceed 1")
-	}
-	mode := txn.Write
-	if c.ReadOnly {
-		mode = txn.Read
-	}
-	ops := make([]txn.Op, 0, c.OpsPerTxn)
-	for _, key := range zipfKeys(rng, c.Theta, c.NumRecords, c.OpsPerTxn) {
-		ops = append(ops, txn.Op{Table: c.Table, Key: key, Mode: mode})
-	}
-	t := &txn.Txn{Ops: ops}
-	t.Logic = func(ctx txn.Ctx) error {
-		var sink uint64
-		for _, op := range t.Ops {
-			if op.Mode == txn.Read {
-				rec, err := ctx.Read(op.Table, op.Key)
-				if err != nil {
-					return err
-				}
-				sink += getU64(rec)
-			} else {
-				rec, err := ctx.Write(op.Table, op.Key)
-				if err != nil {
-					return err
-				}
-				putU64(rec, getU64(rec)+1)
-			}
-		}
-		if sink == ^uint64(0) {
-			return fmt.Errorf("workload: impossible checksum")
-		}
-		return nil
-	}
-	return t
-}
-
-// zipfKeys draws k distinct keys from a Zipfian distribution with
-// exponent theta over [0, n). The fat head makes within-transaction
-// collisions common: resample a few times, then nudge linearly into the
-// neighborhood so the caller always gets distinct keys. Shared by the
-// standalone Zipf source and YCSB's ZipfTheta mode so the two stay
-// sampling-identical.
-func zipfKeys(rng *rand.Rand, theta float64, n uint64, k int) []uint64 {
-	z := rand.NewZipf(rng, theta, 1, n-1)
-	keys := make([]uint64, 0, k)
-	for len(keys) < k {
-		key := z.Uint64()
-		for try := 0; try < 8 && contains(keys, key); try++ {
-			key = z.Uint64()
-		}
-		for contains(keys, key) {
-			key = (key + 1) % n
-		}
-		keys = append(keys, key)
-	}
-	return keys
 }

@@ -59,12 +59,6 @@ type YCSB struct {
 	// HotOps is how many of the transaction's accesses hit the hot set
 	// (paper: 2). Ignored when HotRecords is 0.
 	HotOps int
-	// ZipfTheta, when > 1, draws every key from a Zipfian distribution
-	// with exponent ZipfTheta over [0, NumRecords) — popularity falls
-	// off from key 0. Mutually exclusive with the
-	// hot-set model (HotRecords) and partition constraints (Spread).
-	// Values in (0, 1] are rejected: the sampler requires exponent > 1.
-	ZipfTheta float64
 	// Partitions is the engine's partition count (CC threads for ORTHRUS,
 	// physical partitions for Partitioned-store). Required when Spread>0.
 	Partitions int
@@ -75,15 +69,12 @@ type YCSB struct {
 	// transactions span Spread partitions; the rest are single-partition
 	// (Figure 7). 100 means every transaction spans Spread partitions.
 	MultiPartitionPct int
-	// WorkPerOp adds a busy loop of this many iterations per record access
-	// to model record-processing cost beyond the raw memory touch.
-	WorkPerOp int
 	// ScanPct makes this percentage of transactions range scans (the
 	// YCSB-E shape): each scan reads a contiguous key interval through
 	// Ctx.Scan, with the interval declared as a RangeOp plus per-record
 	// Read ops so planned engines lock it up front. The remaining
 	// transactions keep the point-access shape above. Scans are
-	// incompatible with Spread and ZipfTheta.
+	// incompatible with Spread.
 	ScanPct int
 	// MaxScanLen bounds scan lengths: each scan draws its length
 	// uniformly from [1, MaxScanLen] (the YCSB-E uniform scan-length
@@ -105,17 +96,6 @@ func (c *YCSB) Validate() error {
 	if c.HotRecords > 0 && c.HotOps > c.OpsPerTxn {
 		return fmt.Errorf("workload: HotOps %d > OpsPerTxn %d", c.HotOps, c.OpsPerTxn)
 	}
-	if c.ZipfTheta != 0 {
-		if c.ZipfTheta <= 1 {
-			return fmt.Errorf("workload: ZipfTheta %v must be > 1 (or 0 to disable)", c.ZipfTheta)
-		}
-		if c.HotRecords > 0 {
-			return fmt.Errorf("workload: ZipfTheta and HotRecords are mutually exclusive")
-		}
-		if c.Spread > 0 {
-			return fmt.Errorf("workload: ZipfTheta does not support partition constraints (Spread)")
-		}
-	}
 	if c.ReadOnlyPct < 0 || c.ReadOnlyPct > 100 {
 		return fmt.Errorf("workload: ReadOnlyPct %d out of range [0, 100]", c.ReadOnlyPct)
 	}
@@ -131,9 +111,6 @@ func (c *YCSB) Validate() error {
 		}
 		if c.Spread > 0 {
 			return fmt.Errorf("workload: ScanPct does not support partition constraints (Spread)")
-		}
-		if c.ZipfTheta != 0 {
-			return fmt.Errorf("workload: ScanPct and ZipfTheta are mutually exclusive")
 		}
 	} else if c.MaxScanLen != 0 {
 		return fmt.Errorf("workload: MaxScanLen %d set without ScanPct", c.MaxScanLen)
@@ -156,15 +133,13 @@ func (c *YCSB) Validate() error {
 }
 
 // ycsbTxn is the pooled carrier for one point-access YCSB transaction:
-// the Txn, the op/seen-key/partition scratch the generator fills, and the
-// generator pointer the logic needs all live in one recycled allocation.
-// Logic and Free are method values bound once at pool creation, so a
-// steady-state Next performs zero allocations. Scan and Zipf transactions
-// are not pooled (their shapes vary and their rates are low); they keep
-// the allocating path with Free nil.
+// the Txn and the op/seen-key/partition scratch the generator fills live
+// in one recycled allocation. Logic and Free are method values bound once
+// at pool creation, so a steady-state Next performs zero allocations.
+// Scan transactions are not pooled (their shapes vary and their rates are
+// low); they keep the allocating path with Free nil.
 type ycsbTxn struct {
 	txn.Txn
-	src  *YCSB
 	ops  []txn.Op // backing array for Ops, capacity kept across lives
 	seen []uint64 // distinct-key scratch
 }
@@ -183,10 +158,10 @@ func init() {
 	}
 }
 
-// run is the RMW/read body, identical to YCSB.logic but reading its
-// parameters from the container instead of a per-transaction closure.
+// run is the point-access body: reads checksum the first word of the
+// record; RMWs additionally increment a counter in the record, so every
+// committed RMW is observable (used by the serializability tests).
 func (t *ycsbTxn) run(ctx txn.Ctx) error {
-	work := t.src.WorkPerOp
 	var sink uint64
 	for _, op := range t.Ops {
 		if op.Mode == txn.Read {
@@ -201,9 +176,6 @@ func (t *ycsbTxn) run(ctx txn.Ctx) error {
 				return err
 			}
 			putU64(rec, getU64(rec)+1)
-		}
-		for i := 0; i < work; i++ {
-			sink += uint64(i)
 		}
 	}
 	if sink == ^uint64(0) { // defeat dead-code elimination
@@ -243,19 +215,12 @@ func (c *YCSB) Next(_ int, rng *rand.Rand) *txn.Txn {
 		mode = txn.Read
 	}
 
-	if c.ZipfTheta > 1 {
-		t := &txn.Txn{Ops: c.zipfOps(rng, mode), ReadOnly: snapshot}
-		t.Logic = c.logic(t)
-		return t
-	}
-
 	spread := c.Spread
 	if spread >= 2 && c.MultiPartitionPct < 100 && rng.Intn(100) >= c.MultiPartitionPct {
 		spread = 1
 	}
 
 	t := ycsbPool.Get().(*ycsbTxn)
-	t.src = c
 	t.ReadOnly = snapshot
 
 	var parts []int
@@ -320,14 +285,10 @@ func (c *YCSB) scanTxn(rng *rand.Rand) *txn.Txn {
 		Ops:    ops,
 		Ranges: []txn.RangeOp{{Table: c.Table, Lo: lo, Hi: hi, Mode: txn.Read}},
 	}
-	work := c.WorkPerOp
 	t.Logic = func(ctx txn.Ctx) error {
 		var sink uint64
 		err := ctx.Scan(c.Table, lo, hi, func(_ uint64, rec []byte) error {
 			sink += getU64(rec)
-			for i := 0; i < work; i++ {
-				sink += uint64(i)
-			}
 			return nil
 		})
 		if err != nil {
@@ -344,17 +305,6 @@ func (c *YCSB) scanTxn(rng *rand.Rand) *txn.Txn {
 // pickCold draws a key outside the hot set [0, HotRecords).
 func (c *YCSB) pickCold(rng *rand.Rand, part int, seen []uint64) (uint64, bool) {
 	return c.pickKey(rng, part, c.HotRecords, c.NumRecords, seen)
-}
-
-// zipfOps draws OpsPerTxn distinct keys from the Zipfian distribution
-// (shared sampler with the standalone Zipf source). Popularity decreases
-// from key 0, so the head of the key space is the contention hot spot.
-func (c *YCSB) zipfOps(rng *rand.Rand, mode txn.Mode) []txn.Op {
-	ops := make([]txn.Op, 0, c.OpsPerTxn)
-	for _, key := range zipfKeys(rng, c.ZipfTheta, c.NumRecords, c.OpsPerTxn) {
-		ops = append(ops, txn.Op{Table: c.Table, Key: key, Mode: mode})
-	}
-	return ops
 }
 
 // pickKey draws a key from [lo,hi) not already in seen; when part >= 0 the
@@ -429,38 +379,6 @@ func pickDistinctInts(buf []int, rng *rand.Rand, k, n int) []int {
 		}
 	}
 	return out
-}
-
-// logic returns the transaction body: reads checksum the first word of the
-// record; RMWs additionally increment a counter in the record, so every
-// committed RMW is observable (used by the serializability tests).
-func (c *YCSB) logic(t *txn.Txn) txn.Logic {
-	work := c.WorkPerOp
-	return func(ctx txn.Ctx) error {
-		var sink uint64
-		for _, op := range t.Ops {
-			if op.Mode == txn.Read {
-				rec, err := ctx.Read(op.Table, op.Key)
-				if err != nil {
-					return err
-				}
-				sink += getU64(rec)
-			} else {
-				rec, err := ctx.Write(op.Table, op.Key)
-				if err != nil {
-					return err
-				}
-				putU64(rec, getU64(rec)+1)
-			}
-			for i := 0; i < work; i++ {
-				sink += uint64(i)
-			}
-		}
-		if sink == ^uint64(0) { // defeat dead-code elimination
-			return fmt.Errorf("workload: impossible checksum")
-		}
-		return nil
-	}
 }
 
 func getU64(b []byte) uint64 {

@@ -24,10 +24,6 @@ func TestValidate(t *testing.T) {
 		{NumRecords: 100, OpsPerTxn: 10, Spread: 11, Partitions: 16},                       // spread > ops
 		{NumRecords: 100, OpsPerTxn: 10, Spread: 2, Partitions: 4, MultiPartitionPct: 101}, // pct range
 		{NumRecords: 100, OpsPerTxn: 10, Spread: 2, Partitions: 4, MultiPartitionPct: -1},  // pct range
-		{NumRecords: 100, OpsPerTxn: 10, ZipfTheta: 0.9},                                   // zipf exponent must be > 1
-		{NumRecords: 100, OpsPerTxn: 10, ZipfTheta: -1},                                    // zipf exponent must be > 1
-		{NumRecords: 100, OpsPerTxn: 10, ZipfTheta: 1.2, HotRecords: 8},                    // zipf xor hot set
-		{NumRecords: 100, OpsPerTxn: 10, ZipfTheta: 1.2, Spread: 2, Partitions: 4},         // zipf xor spread
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -68,41 +64,6 @@ func TestHotColdSplitAndOrder(t *testing.T) {
 				t.Fatalf("op %d should be cold, key=%d", j, op.Key)
 			}
 		}
-	}
-}
-
-func TestYCSBZipfSkewAndDistinctness(t *testing.T) {
-	c := &YCSB{NumRecords: 100000, OpsPerTxn: 10, ZipfTheta: 1.3}
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	rng := newRand()
-	head, tail := 0, 0
-	for i := 0; i < 500; i++ {
-		tx := c.Next(0, rng)
-		if len(tx.Ops) != 10 {
-			t.Fatalf("ops = %d", len(tx.Ops))
-		}
-		seen := map[uint64]bool{}
-		for _, op := range tx.Ops {
-			if seen[op.Key] {
-				t.Fatalf("duplicate zipf key %d", op.Key)
-			}
-			seen[op.Key] = true
-			if op.Key >= c.NumRecords {
-				t.Fatalf("key %d out of range", op.Key)
-			}
-			if op.Key < c.NumRecords/100 {
-				head++
-			} else {
-				tail++
-			}
-		}
-	}
-	// Zipf(1.3) concentrates far more than 1% of draws on the first 1%
-	// of the key space; uniform would put ~50 of 5000 there.
-	if head < tail {
-		t.Fatalf("no zipf skew: head=%d tail=%d", head, tail)
 	}
 }
 
@@ -214,7 +175,7 @@ func TestHotFallbackWhenHotSetTooSmall(t *testing.T) {
 }
 
 func TestLogicRunsAgainstCtx(t *testing.T) {
-	c := &YCSB{NumRecords: 100, OpsPerTxn: 4, HotRecords: 8, HotOps: 2, WorkPerOp: 3}
+	c := &YCSB{NumRecords: 100, OpsPerTxn: 4, HotRecords: 8, HotOps: 2}
 	rng := newRand()
 	tx := c.Next(0, rng)
 	ctx := &fakeCtx{store: map[uint64][]byte{}}
@@ -228,6 +189,14 @@ func TestLogicRunsAgainstCtx(t *testing.T) {
 		if getU64(ctx.store[op.Key]) != 1 {
 			t.Fatalf("key %d not incremented", op.Key)
 		}
+	}
+	ro := &YCSB{NumRecords: 100, OpsPerTxn: 4, ReadOnly: true}
+	ctx = &fakeCtx{store: map[uint64][]byte{}}
+	if err := ro.Next(0, rng).Logic(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if ctx.reads != 4 || ctx.writes != 0 {
+		t.Fatalf("read-only body: reads=%d writes=%d", ctx.reads, ctx.writes)
 	}
 }
 
@@ -296,24 +265,6 @@ func TestTransferConservesSumUnderFakeCtx(t *testing.T) {
 	}
 }
 
-func TestZipfDistinctKeys(t *testing.T) {
-	c := &Zipf{NumRecords: 1000, OpsPerTxn: 10, Theta: 1.3}
-	rng := newRand()
-	for i := 0; i < 100; i++ {
-		tx := c.Next(0, rng)
-		if len(tx.Ops) != 10 {
-			t.Fatalf("ops = %d", len(tx.Ops))
-		}
-		seen := map[uint64]bool{}
-		for _, op := range tx.Ops {
-			if seen[op.Key] {
-				t.Fatal("duplicate zipf key")
-			}
-			seen[op.Key] = true
-		}
-	}
-}
-
 func TestPartitionSetDerivation(t *testing.T) {
 	pf := txn.HashPartitioner(4)
 	tx := &txn.Txn{Ops: []txn.Op{{Key: 0}, {Key: 5}, {Key: 4}, {Key: 2}}}
@@ -340,7 +291,6 @@ func TestScanKnobValidation(t *testing.T) {
 		{NumRecords: 1000, OpsPerTxn: 10, ScanPct: 50, MaxScanLen: -3},   // negative
 		{NumRecords: 1000, OpsPerTxn: 10, MaxScanLen: 10},                // MaxScanLen without ScanPct
 		{NumRecords: 1000, OpsPerTxn: 10, ScanPct: 50, MaxScanLen: 10, Spread: 2, Partitions: 4},
-		{NumRecords: 1000, OpsPerTxn: 10, ScanPct: 50, MaxScanLen: 10, ZipfTheta: 1.5},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -396,7 +346,7 @@ func TestScanFractionRoughlyHonored(t *testing.T) {
 }
 
 func TestScanLogicSumsRange(t *testing.T) {
-	c := &YCSB{NumRecords: 100, OpsPerTxn: 4, ScanPct: 100, MaxScanLen: 8, WorkPerOp: 2}
+	c := &YCSB{NumRecords: 100, OpsPerTxn: 4, ScanPct: 100, MaxScanLen: 8}
 	rng := newRand()
 	tx := c.Next(0, rng)
 	ctx := &fakeCtx{store: map[uint64][]byte{}}

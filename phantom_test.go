@@ -33,10 +33,9 @@ const (
 // phantomInsertTxn inserts the pair (2i, 2i+1) holding +v / -v, declaring
 // the two keys as a Write range so planned engines fence the insert with
 // stripe locks and Partitioned-store folds it into the partition set. A
-// busy loop between the two inserts models per-record processing cost
-// (like workload.YCSB.WorkPerOp) — it widens the half-inserted window so
-// an unprotected scan reliably lands inside it, while the protected path
-// must stay atomic regardless.
+// busy loop between the two inserts models per-record processing cost —
+// it widens the half-inserted window so an unprotected scan reliably
+// lands inside it, while the protected path must stay atomic regardless.
 func phantomInsertTxn(tbl int, i int) *repro.Txn {
 	k, v := uint64(2*i), int64(i+1)
 	t := &repro.Txn{Ranges: []repro.RangeOp{{Table: tbl, Lo: k, Hi: k + 2, Mode: repro.Write}}}

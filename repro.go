@@ -396,9 +396,6 @@ type YCSB = workload.YCSB
 // testing.
 type Transfer = workload.Transfer
 
-// Zipf draws keys from a Zipfian distribution.
-type Zipf = workload.Zipf
-
 // --- TPC-C --------------------------------------------------------------------
 
 // TPCCConfig sizes a TPC-C database.
@@ -413,14 +410,3 @@ type TPCCMix = tpcc.Mix
 
 // LoadTPCC builds and populates a TPC-C database.
 func LoadTPCC(cfg TPCCConfig) (*TPCCSchema, error) { return tpcc.Load(cfg) }
-
-// Mixed generates per-operation read/update mixes (the standard YCSB
-// A/B/C shapes); see the preset constructors below.
-type Mixed = workload.Mixed
-
-// YCSB preset mixes: A (50% reads), B (95% reads), C (read-only).
-var (
-	YCSBMixA = workload.YCSBA
-	YCSBMixB = workload.YCSBB
-	YCSBMixC = workload.YCSBC
-)
