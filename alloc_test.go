@@ -9,6 +9,9 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/engine"
+	"repro/internal/wal"
+	"repro/internal/workload"
 )
 
 // Hot-path allocation regression tests: a steady-state transfer
@@ -20,43 +23,43 @@ import (
 // fresh plan slice, an unpooled wrapper) fails them immediately.
 
 // allocSystems builds the four-engine lineup over a tiny account table.
-func allocSystems(t testing.TB, wal *repro.WAL) []struct {
-	rt  repro.System
+func allocSystems(t testing.TB, wl *wal.Log) []struct {
+	rt  repro.Engine
 	db  *repro.DB
 	tbl int
 } {
 	t.Helper()
-	return allocLineup(wal, func() (*repro.DB, int) { return newAccountDB(t, 64, 1000) })
+	return allocLineup(wl, func() (*repro.DB, int) { return newAccountDB(t, 64, 1000) })
 }
 
 // allocLineup builds the four-engine lineup, each over its own newDB.
-func allocLineup(wal *repro.WAL, newDB func() (*repro.DB, int)) []struct {
-	rt  repro.System
+func allocLineup(wl *wal.Log, newDB func() (*repro.DB, int)) []struct {
+	rt  repro.Engine
 	db  *repro.DB
 	tbl int
 } {
 	const threads = 2
 	type entry = struct {
-		rt  repro.System
+		rt  repro.Engine
 		db  *repro.DB
 		tbl int
 	}
 	var out []entry
-	build := func(f func(db *repro.DB) repro.System) {
+	build := func(f func(db *repro.DB) repro.Engine) {
 		db, tbl := newDB()
 		out = append(out, entry{f(db), db, tbl})
 	}
-	build(func(db *repro.DB) repro.System {
-		return repro.NewOrthrus(repro.OrthrusConfig{DB: db, CCThreads: 2, ExecThreads: 2, Wal: wal})
+	build(func(db *repro.DB) repro.Engine {
+		return repro.NewOrthrus(repro.OrthrusConfig{DB: db, CCThreads: 2, ExecThreads: 2, Wal: wl})
 	})
-	build(func(db *repro.DB) repro.System {
-		return repro.NewTwoPL(repro.LockingConfig{DB: db, Handler: repro.WaitDie(), Threads: threads, Wal: wal})
+	build(func(db *repro.DB) repro.Engine {
+		return repro.NewTwoPL(repro.LockingConfig{DB: db, Handler: repro.WaitDie(), Threads: threads, Wal: wl})
 	})
-	build(func(db *repro.DB) repro.System {
-		return repro.NewDeadlockFree(repro.LockingConfig{DB: db, Threads: threads, Wal: wal})
+	build(func(db *repro.DB) repro.Engine {
+		return repro.NewDeadlockFree(repro.LockingConfig{DB: db, Threads: threads, Wal: wl})
 	})
-	build(func(db *repro.DB) repro.System {
-		return repro.NewPartitionedStore(repro.LockingConfig{DB: db, Partitions: threads, Wal: wal})
+	build(func(db *repro.DB) repro.Engine {
+		return repro.NewPartitionedStore(repro.LockingConfig{DB: db, Partitions: threads, Wal: wl})
 	})
 	return out
 }
@@ -66,7 +69,7 @@ func allocLineup(wal *repro.WAL, newDB func() (*repro.DB, int)) []struct {
 // warmup loop lets every pool, scratch slice and lock-table entry reach
 // its high-water mark first; the explicit GC empties sync.Pool victim
 // caches so a collection during measurement cannot manufacture refills.
-func measureSubmitAllocs(ses repro.Session, src repro.Source) float64 {
+func measureSubmitAllocs(ses engine.Session, src workload.Source) float64 {
 	rng := rand.New(rand.NewSource(1))
 	ch := make(chan struct{}, 1)
 	done := func(bool) { ch <- struct{}{} }
@@ -91,8 +94,8 @@ func TestSubmitAllocsZero(t *testing.T) {
 	for _, e := range allocSystems(t, nil) {
 		t.Run(e.rt.Name(), func(t *testing.T) {
 			ses := e.rt.Start()
-			for _, src := range []repro.Source{
-				&repro.Transfer{Table: e.tbl, NumRecords: 64},
+			for _, src := range []workload.Source{
+				&workload.Transfer{Table: e.tbl, NumRecords: 64},
 				&repro.YCSB{Table: e.tbl, NumRecords: 64, OpsPerTxn: 10, HotRecords: 8, HotOps: 2},
 			} {
 				if allocs := measureSubmitAllocs(ses, src); allocs != 0 {
@@ -147,11 +150,11 @@ func TestReadOnlySubmitAllocsZero(t *testing.T) {
 // measured.
 var walAllocPolicies = []struct {
 	name   string
-	policy repro.SyncPolicy
+	policy wal.SyncPolicy
 	bound  float64
 }{
-	{"self-clocked", repro.WALGroup(0, 0), 0},
-	{"window", repro.WALGroup(4, time.Millisecond), 16},
+	{"self-clocked", wal.Group(0, 0), 0},
+	{"window", wal.Group(4, time.Millisecond), 16},
 }
 
 // TestSubmitAllocsWALBounded: group-commit durability may allocate, but
@@ -163,10 +166,10 @@ func TestSubmitAllocsWALBounded(t *testing.T) {
 		t.Skip("race mode: sync.Pool drops Puts by design, allocation counts are not meaningful")
 	}
 	for _, p := range walAllocPolicies {
-		for _, e := range allocSystems(t, repro.NewWAL(repro.NewWALMemSegments(0), p.policy)) {
+		for _, e := range allocSystems(t, wal.NewLog(wal.NewMemSegments(0), p.policy)) {
 			t.Run(p.name+"/"+e.rt.Name(), func(t *testing.T) {
 				ses := e.rt.Start()
-				src := &repro.Transfer{Table: e.tbl, NumRecords: 64}
+				src := &workload.Transfer{Table: e.tbl, NumRecords: 64}
 				allocs := measureSubmitAllocs(ses, src)
 				ses.Drain()
 				ses.Close()
@@ -192,39 +195,39 @@ func TestSubmitAllocsWithCheckpointerBounded(t *testing.T) {
 	}
 	const n, threads = 64, 2
 	type entry struct {
-		rt  repro.System
+		rt  repro.Engine
 		db  *repro.DB
 		tbl int
 	}
 	for _, p := range walAllocPolicies {
 		var systems []entry
-		build := func(f func(db *repro.DB, wal *repro.WAL, ck repro.CheckpointConfig) repro.System) {
+		build := func(f func(db *repro.DB, wl *wal.Log, ck engine.CheckpointConfig) repro.Engine) {
 			db, tbl := newAccountDB(t, n, 1000)
-			wal := repro.NewWAL(repro.NewWALMemSegments(64<<10), p.policy)
-			ck := repro.CheckpointConfig{Store: repro.NewMemCheckpointStore(), Interval: 5 * time.Millisecond}
-			systems = append(systems, entry{f(db, wal, ck), db, tbl})
+			wl := wal.NewLog(wal.NewMemSegments(64<<10), p.policy)
+			ck := engine.CheckpointConfig{Store: wal.NewMemCheckpointStore(), Interval: 5 * time.Millisecond}
+			systems = append(systems, entry{f(db, wl, ck), db, tbl})
 		}
-		build(func(db *repro.DB, wal *repro.WAL, ck repro.CheckpointConfig) repro.System {
-			return repro.NewOrthrus(repro.OrthrusConfig{DB: db, CCThreads: 2, ExecThreads: 2, Wal: wal, Checkpoint: ck})
+		build(func(db *repro.DB, wl *wal.Log, ck engine.CheckpointConfig) repro.Engine {
+			return repro.NewOrthrus(repro.OrthrusConfig{DB: db, CCThreads: 2, ExecThreads: 2, Wal: wl, Checkpoint: ck})
 		})
-		build(func(db *repro.DB, wal *repro.WAL, ck repro.CheckpointConfig) repro.System {
-			return repro.NewTwoPL(repro.LockingConfig{DB: db, Handler: repro.WaitDie(), Threads: threads, Wal: wal, Checkpoint: ck})
+		build(func(db *repro.DB, wl *wal.Log, ck engine.CheckpointConfig) repro.Engine {
+			return repro.NewTwoPL(repro.LockingConfig{DB: db, Handler: repro.WaitDie(), Threads: threads, Wal: wl, Checkpoint: ck})
 		})
-		build(func(db *repro.DB, wal *repro.WAL, ck repro.CheckpointConfig) repro.System {
-			return repro.NewDeadlockFree(repro.LockingConfig{DB: db, Threads: threads, Wal: wal, Checkpoint: ck})
+		build(func(db *repro.DB, wl *wal.Log, ck engine.CheckpointConfig) repro.Engine {
+			return repro.NewDeadlockFree(repro.LockingConfig{DB: db, Threads: threads, Wal: wl, Checkpoint: ck})
 		})
-		build(func(db *repro.DB, wal *repro.WAL, ck repro.CheckpointConfig) repro.System {
-			return repro.NewPartitionedStore(repro.LockingConfig{DB: db, Partitions: threads, Wal: wal, Checkpoint: ck})
+		build(func(db *repro.DB, wl *wal.Log, ck engine.CheckpointConfig) repro.Engine {
+			return repro.NewPartitionedStore(repro.LockingConfig{DB: db, Partitions: threads, Wal: wl, Checkpoint: ck})
 		})
 		for _, e := range systems {
 			t.Run(p.name+"/"+e.rt.Name(), func(t *testing.T) {
 				ses := e.rt.Start()
-				src := &repro.Transfer{Table: e.tbl, NumRecords: 64}
+				src := &workload.Transfer{Table: e.tbl, NumRecords: 64}
 				// Measure until a measurement spans a checkpoint: how many
 				// 5 ms intervals 700 round trips cover is the machine's
 				// business (under GOMAXPROCS=1 the fastest engines finish
 				// inside one), so wait for the event, not the clock.
-				ck := ses.(repro.CheckpointedSession)
+				ck := ses.(engine.CheckpointedSession)
 				var allocs float64
 				ran := false
 				for attempt := 0; attempt < 100 && !ran; attempt++ {
@@ -255,22 +258,22 @@ func TestSubmitAllocsWithCheckpointerBounded(t *testing.T) {
 // transaction after handing it back to the pool — any such access races
 // with the next life's generator writes.
 func TestPoolReuseSafety(t *testing.T) {
-	log := repro.NewWAL(repro.NewWALMemSegments(0), repro.WALGroup(0, 0))
+	log := wal.NewLog(wal.NewMemSegments(0), wal.Group(0, 0))
 	defer log.Close()
-	for _, wal := range []*repro.WAL{nil, log} {
+	for _, wl := range []*wal.Log{nil, log} {
 		prefix := ""
-		if wal != nil {
+		if wl != nil {
 			prefix = "wal/"
 		}
-		for _, e := range allocSystems(t, wal) {
+		for _, e := range allocSystems(t, wl) {
 			t.Run(prefix+e.rt.Name(), func(t *testing.T) { poolReuseRun(t, e.rt, e.db, e.tbl) })
 		}
 	}
 }
 
-func poolReuseRun(t *testing.T, rt repro.System, db *repro.DB, tbl int) {
+func poolReuseRun(t *testing.T, rt repro.Engine, db *repro.DB, tbl int) {
 	const submitters, perSubmitter = 4, 300
-	src := &repro.Transfer{Table: tbl, NumRecords: 64}
+	src := &workload.Transfer{Table: tbl, NumRecords: 64}
 	ses := rt.Start()
 
 	type life struct {
@@ -347,7 +350,7 @@ func BenchmarkSubmitAllocs(b *testing.B) {
 		b.Run(e.rt.Name(), func(b *testing.B) {
 			ses := e.rt.Start()
 			defer ses.Close()
-			src := &repro.Transfer{Table: e.tbl, NumRecords: 64}
+			src := &workload.Transfer{Table: e.tbl, NumRecords: 64}
 			rng := rand.New(rand.NewSource(1))
 			ch := make(chan struct{}, 1)
 			done := func(bool) { ch <- struct{}{} }

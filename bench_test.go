@@ -3,6 +3,9 @@ package repro
 import (
 	"testing"
 	"time"
+
+	"repro/internal/lock"
+	"repro/internal/workload"
 )
 
 // Whole-system throughput benchmarks, one per paper figure. Each benchmark
@@ -34,9 +37,9 @@ func newBenchDB() (*DB, int) {
 	return db, tbl
 }
 
-func reportRun(b *testing.B, eng Engine, src Source) {
+func reportRun(b *testing.B, eng Engine, src workload.Source) {
 	b.Helper()
-	res := eng.Run(src, benchDuration(b))
+	res := RunClosedLoop(eng, src, benchDuration(b))
 	b.ReportMetric(res.Throughput(), "txns/sec")
 	b.ReportMetric(res.Totals.AbortRate()*100, "abort%")
 }
@@ -62,12 +65,12 @@ func BenchmarkFig4DeadlockHandlers(b *testing.B) {
 	const threads = 16
 	handlers := []struct {
 		name string
-		h    func() Handler
+		h    func() lock.Handler
 	}{
 		{"deadlock-free", nil},
-		{"waitdie", func() Handler { return WaitDie() }},
-		{"waitfor", func() Handler { return WaitForGraph(threads) }},
-		{"dreadlocks", func() Handler { return Dreadlocks(threads) }},
+		{"waitdie", func() lock.Handler { return WaitDie() }},
+		{"waitfor", func() lock.Handler { return WaitForGraph(threads) }},
+		{"dreadlocks", func() lock.Handler { return Dreadlocks(threads) }},
 	}
 	for _, hc := range handlers {
 		b.Run(hc.name, func(b *testing.B) {
@@ -222,7 +225,7 @@ func BenchmarkFig10Breakdown(b *testing.B) {
 				b.Run(sys, func(b *testing.B) {
 					s := newBenchTPCC(b, cfg.w)
 					eng := tpccBenchEngines(s, threads)[sys]
-					res := eng.Run(&TPCCMix{S: s}, benchDuration(b))
+					res := RunClosedLoop(eng, &TPCCMix{S: s}, benchDuration(b))
 					e, l, w, _ := res.Totals.Breakdown()
 					b.ReportMetric(res.Throughput(), "txns/sec")
 					b.ReportMetric(e, "exec%")
@@ -327,7 +330,7 @@ func BenchmarkAblationBatchSizeTransfer(b *testing.B) {
 		b.Run(benchName("batch", bs), func(b *testing.B) {
 			db, tbl := newBenchDB()
 			eng := NewOrthrus(OrthrusConfig{DB: db, CCThreads: 4, ExecThreads: 8, BatchSize: bs})
-			src := &Transfer{Table: tbl, NumRecords: benchRecords}
+			src := &workload.Transfer{Table: tbl, NumRecords: benchRecords}
 			reportRun(b, eng, src)
 		})
 	}
@@ -371,7 +374,7 @@ func BenchmarkLatency(b *testing.B) {
 			}
 			src := &YCSB{Table: tbl, NumRecords: benchRecords, OpsPerTxn: 10,
 				HotRecords: 64, HotOps: 2}
-			res := eng.Run(src, benchDuration(b))
+			res := RunClosedLoop(eng, src, benchDuration(b))
 			b.ReportMetric(res.Throughput(), "txns/sec")
 			b.ReportMetric(float64(res.Totals.Latency.Percentile(50).Microseconds()), "p50-µs")
 			b.ReportMetric(float64(res.Totals.Latency.Percentile(99).Microseconds()), "p99-µs")

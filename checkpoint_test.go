@@ -8,20 +8,22 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/engine"
+	"repro/internal/wal"
 )
 
 // checkpointedEngine bundles one engine built over a segmented WAL and an
 // in-memory checkpoint store, ready for crash-recovery tests.
 type checkpointedEngine struct {
 	name  string
-	sys   repro.System
+	sys   repro.Engine
 	db    *repro.DB
 	tbl   int
-	dev   *repro.WALMemSegments
-	log   *repro.WAL
+	dev   *wal.MemSegments
+	log   *wal.Log
 	store interface {
-		repro.CheckpointStore
-		Manifests() []repro.CheckpointManifest
+		wal.CheckpointStore
+		Manifests() []wal.Manifest
 		DropNewest()
 		CorruptNewestManifest()
 		CorruptNewestPage()
@@ -38,26 +40,26 @@ func checkpointedEngines(t testing.TB) []*checkpointedEngine {
 	t.Helper()
 	const threads = 4
 	var out []*checkpointedEngine
-	build := func(name string, f func(db *repro.DB, log *repro.WAL, ck repro.CheckpointConfig) repro.System) {
+	build := func(name string, f func(db *repro.DB, log *wal.Log, ck engine.CheckpointConfig) repro.Engine) {
 		db, tbl := newAccountDB(t, 64, 1000)
-		dev := repro.NewWALMemSegments(1)
-		log := repro.NewWAL(dev, repro.WALGroup(16, 100*time.Microsecond))
-		store := repro.NewMemCheckpointStore()
-		ck := repro.CheckpointConfig{Store: store, Interval: time.Hour}
+		dev := wal.NewMemSegments(1)
+		log := wal.NewLog(dev, wal.Group(16, 100*time.Microsecond))
+		store := wal.NewMemCheckpointStore()
+		ck := engine.CheckpointConfig{Store: store, Interval: time.Hour}
 		out = append(out, &checkpointedEngine{
 			name: name, sys: f(db, log, ck), db: db, tbl: tbl, dev: dev, log: log, store: store,
 		})
 	}
-	build("orthrus", func(db *repro.DB, log *repro.WAL, ck repro.CheckpointConfig) repro.System {
+	build("orthrus", func(db *repro.DB, log *wal.Log, ck engine.CheckpointConfig) repro.Engine {
 		return repro.NewOrthrus(repro.OrthrusConfig{DB: db, CCThreads: 2, ExecThreads: 2, Wal: log, Checkpoint: ck})
 	})
-	build("dlfree", func(db *repro.DB, log *repro.WAL, ck repro.CheckpointConfig) repro.System {
+	build("dlfree", func(db *repro.DB, log *wal.Log, ck engine.CheckpointConfig) repro.Engine {
 		return repro.NewDeadlockFree(repro.LockingConfig{DB: db, Threads: threads, Wal: log, Checkpoint: ck})
 	})
-	build("twopl", func(db *repro.DB, log *repro.WAL, ck repro.CheckpointConfig) repro.System {
+	build("twopl", func(db *repro.DB, log *wal.Log, ck engine.CheckpointConfig) repro.Engine {
 		return repro.NewTwoPL(repro.LockingConfig{DB: db, Handler: repro.WaitDie(), Threads: threads, Wal: log, Checkpoint: ck})
 	})
-	build("partstore", func(db *repro.DB, log *repro.WAL, ck repro.CheckpointConfig) repro.System {
+	build("partstore", func(db *repro.DB, log *wal.Log, ck engine.CheckpointConfig) repro.Engine {
 		return repro.NewPartitionedStore(repro.LockingConfig{DB: db, Partitions: threads, Wal: log, Checkpoint: ck})
 	})
 	return out
@@ -66,13 +68,13 @@ func checkpointedEngines(t testing.TB) []*checkpointedEngine {
 // submitTransfers pushes n random two-account transfers through the session
 // and waits for every acknowledgment, so the caller knows exactly which
 // transactions are committed when it returns.
-func submitTransfers(ses repro.Session, tbl, n int, seed int64) {
+func submitTransfers(ses engine.Session, tbl, n int, seed int64) {
 	startTransfers(ses, tbl, n, seed)()
 }
 
 // startTransfers submits what submitTransfers does and returns the wait
 // for their acknowledgments instead of calling it.
-func startTransfers(ses repro.Session, tbl, n int, seed int64) (wait func()) {
+func startTransfers(ses engine.Session, tbl, n int, seed int64) (wait func()) {
 	rng := rand.New(rand.NewSource(seed))
 	var wg sync.WaitGroup
 	wg.Add(n)
@@ -117,9 +119,9 @@ func requireTableEqual(t *testing.T, label string, want *repro.DB, wtbl int, got
 
 // checkpointedRun is what runCheckpointedPhases observed.
 type checkpointedRun struct {
-	stats    repro.CheckpointStats // at the end
-	first    repro.CheckpointStats // just after the first checkpoint
-	lastLSN1 uint64                // the log's last LSN once phase 1 was acknowledged
+	stats    engine.CheckpointStats // at the end
+	first    engine.CheckpointStats // just after the first checkpoint
+	lastLSN1 uint64                 // the log's last LSN once phase 1 was acknowledged
 	// The device's non-empty segments just after the first checkpoint:
 	// how many, how many of them sealed, and their highest MaxLSN.
 	segs1, sealed1 int
@@ -133,10 +135,10 @@ func runCheckpointedPhases(t *testing.T, e *checkpointedEngine) checkpointedRun 
 	t.Helper()
 	var run checkpointedRun
 	ses := e.sys.Start()
-	cs := ses.(repro.CheckpointedSession)
+	cs := ses.(engine.CheckpointedSession)
 	submitTransfers(ses, e.tbl, 200, 1)
 	run.lastLSN1 = e.log.LastLSN()
-	if err := repro.ForceCheckpoint(ses); err != nil {
+	if err := engine.ForceCheckpoint(ses); err != nil {
 		t.Fatalf("first checkpoint: %v", err)
 	}
 	run.first = cs.CheckpointStats()
@@ -150,7 +152,7 @@ func runCheckpointedPhases(t *testing.T, e *checkpointedEngine) checkpointedRun 
 		}
 	}
 	submitTransfers(ses, e.tbl, 200, 2)
-	if err := repro.ForceCheckpoint(ses); err != nil {
+	if err := engine.ForceCheckpoint(ses); err != nil {
 		t.Fatalf("second checkpoint: %v", err)
 	}
 	submitTransfers(ses, e.tbl, 200, 3)
@@ -208,7 +210,7 @@ func TestCheckpointBoundsRecoveryOnAllEngines(t *testing.T) {
 			}
 
 			db, tbl := newAccountDB(t, 64, 1000)
-			st, err := repro.RecoverWAL(e.store, e.dev.CrashSegments(), db)
+			st, err := wal.Recover(e.store, e.dev.CrashSegments(), db)
 			if err != nil {
 				t.Fatalf("recovery: %v", err)
 			}
@@ -257,7 +259,7 @@ func TestTornCheckpointFallsBackToPreviousCheckpoint(t *testing.T) {
 			segs := e.dev.CrashSegments()
 
 			dbIntact, tblIntact := newAccountDB(t, 64, 1000)
-			stIntact, err := repro.RecoverWAL(e.store, segs, dbIntact)
+			stIntact, err := wal.Recover(e.store, segs, dbIntact)
 			if err != nil {
 				t.Fatalf("intact recovery: %v", err)
 			}
@@ -268,7 +270,7 @@ func TestTornCheckpointFallsBackToPreviousCheckpoint(t *testing.T) {
 
 			c.corrupt(e)
 			dbFall, tblFall := newAccountDB(t, 64, 1000)
-			stFall, err := repro.RecoverWAL(e.store, segs, dbFall)
+			stFall, err := wal.Recover(e.store, segs, dbFall)
 			if err != nil {
 				t.Fatalf("fallback recovery: %v", err)
 			}
@@ -303,7 +305,7 @@ func TestCrashMidTruncationStillRecovers(t *testing.T) {
 	submitTransfers(ses, e.tbl, 300, 7)
 	// One checkpoint only: truncation fires on the NEXT checkpoint, so the
 	// full log survives and the test can delete eligible segments itself.
-	if err := repro.ForceCheckpoint(ses); err != nil {
+	if err := engine.ForceCheckpoint(ses); err != nil {
 		t.Fatal(err)
 	}
 	submitTransfers(ses, e.tbl, 300, 8)
@@ -356,7 +358,7 @@ func TestCrashMidTruncationStillRecovers(t *testing.T) {
 	}
 
 	db, tbl := newAccountDB(t, 64, 1000)
-	st, err := repro.RecoverWAL(e.store, kept, db)
+	st, err := wal.Recover(e.store, kept, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,32 +381,32 @@ func TestCrashMidTruncationStillRecovers(t *testing.T) {
 // phase 1's files whatever the flush timing.
 func TestFileCheckpointAndSegmentsRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	dev, err := repro.OpenWALFileSegments(dir+"/wal", 1)
+	dev, err := wal.OpenFileSegments(dir+"/wal", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	log := repro.NewWAL(dev, repro.WALGroup(16, 100*time.Microsecond))
-	store, err := repro.OpenDirCheckpointStore(dir + "/ck")
+	log := wal.NewLog(dev, wal.Group(16, 100*time.Microsecond))
+	store, err := wal.OpenDirCheckpointStore(dir + "/ck")
 	if err != nil {
 		t.Fatal(err)
 	}
 	db, tbl := newAccountDB(t, 64, 1000)
 	eng := repro.NewOrthrus(repro.OrthrusConfig{
 		DB: db, CCThreads: 2, ExecThreads: 2, Wal: log,
-		Checkpoint: repro.CheckpointConfig{Store: store, Interval: time.Hour},
+		Checkpoint: engine.CheckpointConfig{Store: store, Interval: time.Hour},
 	})
 	ses := eng.Start()
 	submitTransfers(ses, tbl, 200, 11)
-	if err := repro.ForceCheckpoint(ses); err != nil {
+	if err := engine.ForceCheckpoint(ses); err != nil {
 		t.Fatal(err)
 	}
 	submitTransfers(ses, tbl, 200, 12)
-	if err := repro.ForceCheckpoint(ses); err != nil {
+	if err := engine.ForceCheckpoint(ses); err != nil {
 		t.Fatal(err)
 	}
 	submitTransfers(ses, tbl, 200, 13)
 	ses.Drain()
-	stats := ses.(repro.CheckpointedSession).CheckpointStats()
+	stats := ses.(engine.CheckpointedSession).CheckpointStats()
 	ses.Close()
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
@@ -413,16 +415,16 @@ func TestFileCheckpointAndSegmentsRoundTrip(t *testing.T) {
 		t.Fatal("no segment files truncated")
 	}
 
-	segs, err := repro.LoadWALFileSegments(dir + "/wal")
+	segs, err := wal.LoadFileSegments(dir + "/wal")
 	if err != nil {
 		t.Fatal(err)
 	}
-	store2, err := repro.OpenDirCheckpointStore(dir + "/ck")
+	store2, err := wal.OpenDirCheckpointStore(dir + "/ck")
 	if err != nil {
 		t.Fatal(err)
 	}
 	db2, tbl2 := newAccountDB(t, 64, 1000)
-	st, err := repro.RecoverWAL(store2, segs, db2)
+	st, err := wal.Recover(store2, segs, db2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,12 +456,12 @@ func TestCheckpointCoversAllTableClasses(t *testing.T) {
 		return db, ids
 	}
 	db, ids := build()
-	dev := repro.NewWALMemSegments(4 << 10)
-	log := repro.NewWAL(dev, repro.WALGroup(16, 100*time.Microsecond))
-	store := repro.NewMemCheckpointStore()
+	dev := wal.NewMemSegments(4 << 10)
+	log := wal.NewLog(dev, wal.Group(16, 100*time.Microsecond))
+	store := wal.NewMemCheckpointStore()
 	eng := repro.NewTwoPL(repro.LockingConfig{
 		DB: db, Handler: repro.WaitDie(), Threads: 4, Wal: log,
-		Checkpoint: repro.CheckpointConfig{Store: store, Interval: time.Hour},
+		Checkpoint: engine.CheckpointConfig{Store: store, Interval: time.Hour},
 	})
 	ses := eng.Start()
 
@@ -497,7 +499,7 @@ func TestCheckpointCoversAllTableClasses(t *testing.T) {
 		wg.Wait()
 	}
 	phase(0)
-	if err := repro.ForceCheckpoint(ses); err != nil {
+	if err := engine.ForceCheckpoint(ses); err != nil {
 		t.Fatal(err)
 	}
 	phase(1)
@@ -508,7 +510,7 @@ func TestCheckpointCoversAllTableClasses(t *testing.T) {
 	}
 
 	db2, ids2 := build()
-	st, err := repro.RecoverWAL(store, dev.CrashSegments(), db2)
+	st, err := wal.Recover(store, dev.CrashSegments(), db2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -546,21 +548,21 @@ func TestCheckpointCoversAllTableClasses(t *testing.T) {
 // on flush timing.
 func TestCheckpointContinuesAcrossSessions(t *testing.T) {
 	db, tbl := newAccountDB(t, 64, 1000)
-	dev := repro.NewWALMemSegments(1)
-	log := repro.NewWAL(dev, repro.WALGroup(0, 0))
-	store := repro.NewMemCheckpointStore()
-	newEngine := func() repro.System {
+	dev := wal.NewMemSegments(1)
+	log := wal.NewLog(dev, wal.Group(0, 0))
+	store := wal.NewMemCheckpointStore()
+	newEngine := func() repro.Engine {
 		return repro.NewOrthrus(repro.OrthrusConfig{DB: db, CCThreads: 2, ExecThreads: 2, Wal: log,
-			Checkpoint: repro.CheckpointConfig{Store: store, Interval: time.Hour}})
+			Checkpoint: engine.CheckpointConfig{Store: store, Interval: time.Hour}})
 	}
 
 	ses := newEngine().Start()
 	submitTransfers(ses, tbl, 300, 31)
-	if err := repro.ForceCheckpoint(ses); err != nil {
+	if err := engine.ForceCheckpoint(ses); err != nil {
 		t.Fatal(err)
 	}
 	submitTransfers(ses, tbl, 300, 32)
-	if err := repro.ForceCheckpoint(ses); err != nil {
+	if err := engine.ForceCheckpoint(ses); err != nil {
 		t.Fatal(err)
 	}
 	ses.Drain()
@@ -572,7 +574,7 @@ func TestCheckpointContinuesAcrossSessions(t *testing.T) {
 
 	ses = newEngine().Start()
 	submitTransfers(ses, tbl, 300, 33)
-	if err := repro.ForceCheckpoint(ses); err != nil {
+	if err := engine.ForceCheckpoint(ses); err != nil {
 		t.Fatal(err)
 	}
 	ses.Drain()
@@ -586,7 +588,7 @@ func TestCheckpointContinuesAcrossSessions(t *testing.T) {
 	}
 
 	db2, tbl2 := newAccountDB(t, 64, 1000)
-	st, err := repro.RecoverWAL(store, dev.CrashSegments(), db2)
+	st, err := wal.Recover(store, dev.CrashSegments(), db2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -609,13 +611,13 @@ func TestCheckpointContinuesAcrossSessions(t *testing.T) {
 // the newest image must still reach the live state.
 func TestCheckpointConcurrentWithCommitsRecovers(t *testing.T) {
 	db, tbl := newAccountDB(t, 64, 1000)
-	dev := repro.NewWALMemSegments(2 << 10)
-	log := repro.NewWAL(dev, repro.WALGroup(0, 0))
-	store := repro.NewMemCheckpointStore()
+	dev := wal.NewMemSegments(2 << 10)
+	log := wal.NewLog(dev, wal.Group(0, 0))
+	store := wal.NewMemCheckpointStore()
 	eng := repro.NewOrthrus(repro.OrthrusConfig{DB: db, CCThreads: 2, ExecThreads: 2, Wal: log,
-		Checkpoint: repro.CheckpointConfig{Store: store, Interval: time.Millisecond}})
+		Checkpoint: engine.CheckpointConfig{Store: store, Interval: time.Millisecond}})
 	ses := eng.Start()
-	ck := ses.(repro.CheckpointedSession)
+	ck := ses.(engine.CheckpointedSession)
 	for round := int64(0); ck.CheckpointStats().Checkpoints < 3 || round < 4; round++ {
 		submitTransfers(ses, tbl, 200, 40+round)
 	}
@@ -629,7 +631,7 @@ func TestCheckpointConcurrentWithCommitsRecovers(t *testing.T) {
 		t.Fatalf("checkpointer stats %+v: want no failures and some truncation", stats)
 	}
 	db2, tbl2 := newAccountDB(t, 64, 1000)
-	st, err := repro.RecoverWAL(store, dev.CrashSegments(), db2)
+	st, err := wal.Recover(store, dev.CrashSegments(), db2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,6 +43,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/harness"
 	"repro/internal/orthrus"
 	"repro/internal/storage"
@@ -230,7 +231,7 @@ func runTCPNode(listen, peers string, cc, ex int, duration time.Duration, record
 	eng := orthrus.New(orthrus.Config{DB: db, CCThreads: cc, ExecThreads: ex,
 		Transport: orthrus.TransportConfig{Kind: "tcp", Role: "exec", Peer: peers}})
 	src := &workload.Transfer{Table: tbl, NumRecords: records}
-	res := eng.Run(src, duration)
+	res := engine.RunClosedLoop(eng, src, duration)
 	var sum uint64
 	for k := uint64(0); k < records; k++ {
 		sum += storage.GetU64(db.Table(tbl).Get(k), 0)

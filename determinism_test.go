@@ -110,7 +110,7 @@ func TestSingleThreadDeterminismAcrossEngines(t *testing.T) {
 			repro.PutI64(db.Table(tbl).Get(k), 0, 1000)
 		}
 		src := &boundedSource{script: buildScript(tbl, scripted), stopAt: scripted}
-		res := b.build(db).Run(src, 120*time.Millisecond)
+		res := repro.RunClosedLoop(b.build(db), src, 120*time.Millisecond)
 		if res.Totals.Committed < scripted {
 			t.Fatalf("%s: committed %d < %d scripted txns", b.name, res.Totals.Committed, scripted)
 		}

@@ -8,17 +8,19 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/wal"
+	"repro/internal/workload"
 )
 
 // durableEngines builds every system with a group-commit WAL attached,
 // each over a fresh 64-account database, returning the engine, its
 // database/table, and the in-memory log device holding its redo log.
-func durableEngines(t testing.TB, policy repro.SyncPolicy) []struct {
+func durableEngines(t testing.TB, policy wal.SyncPolicy) []struct {
 	eng repro.Engine
 	db  *repro.DB
 	tbl int
-	dev *repro.WALMemSegments
-	log *repro.WAL
+	dev *wal.MemSegments
+	log *wal.Log
 } {
 	t.Helper()
 	const n, threads = 64, 4
@@ -26,26 +28,26 @@ func durableEngines(t testing.TB, policy repro.SyncPolicy) []struct {
 		eng repro.Engine
 		db  *repro.DB
 		tbl int
-		dev *repro.WALMemSegments
-		log *repro.WAL
+		dev *wal.MemSegments
+		log *wal.Log
 	}
 	var out []entry
-	build := func(f func(db *repro.DB, log *repro.WAL) repro.Engine) {
+	build := func(f func(db *repro.DB, log *wal.Log) repro.Engine) {
 		db, tbl := newAccountDB(t, n, 1000)
-		dev := repro.NewWALMemSegments(0)
-		log := repro.NewWAL(dev, policy)
+		dev := wal.NewMemSegments(0)
+		log := wal.NewLog(dev, policy)
 		out = append(out, entry{f(db, log), db, tbl, dev, log})
 	}
-	build(func(db *repro.DB, log *repro.WAL) repro.Engine {
+	build(func(db *repro.DB, log *wal.Log) repro.Engine {
 		return repro.NewOrthrus(repro.OrthrusConfig{DB: db, CCThreads: 2, ExecThreads: 2, Wal: log})
 	})
-	build(func(db *repro.DB, log *repro.WAL) repro.Engine {
+	build(func(db *repro.DB, log *wal.Log) repro.Engine {
 		return repro.NewDeadlockFree(repro.LockingConfig{DB: db, Threads: threads, Wal: log})
 	})
-	build(func(db *repro.DB, log *repro.WAL) repro.Engine {
+	build(func(db *repro.DB, log *wal.Log) repro.Engine {
 		return repro.NewTwoPL(repro.LockingConfig{DB: db, Handler: repro.WaitDie(), Threads: threads, Wal: log})
 	})
-	build(func(db *repro.DB, log *repro.WAL) repro.Engine {
+	build(func(db *repro.DB, log *wal.Log) repro.Engine {
 		return repro.NewPartitionedStore(repro.LockingConfig{DB: db, Partitions: threads, Wal: log})
 	})
 	return out
@@ -53,7 +55,7 @@ func durableEngines(t testing.TB, policy repro.SyncPolicy) []struct {
 
 // unsyncedBytes reports how many written bytes of dev a crash could
 // still lose: bytes written minus the synced prefix of every segment.
-func unsyncedBytes(dev *repro.WALMemSegments) int {
+func unsyncedBytes(dev *wal.MemSegments) int {
 	n := 0
 	for _, s := range dev.Segments() {
 		n += s.Bytes
@@ -90,11 +92,11 @@ func tornAt(segs [][]byte, cut int) [][]byte {
 // reproduce the live database byte for byte, so no acknowledged
 // transaction is lost.
 func TestCrashRecoveryCommittedPrefixOnAllEngines(t *testing.T) {
-	for _, e := range durableEngines(t, repro.WALGroup(32, 100*time.Microsecond)) {
+	for _, e := range durableEngines(t, wal.Group(32, 100*time.Microsecond)) {
 		e := e
 		t.Run(e.eng.Name(), func(t *testing.T) {
-			src := &repro.Transfer{Table: e.tbl, NumRecords: 64}
-			res := e.eng.Run(src, 100*time.Millisecond)
+			src := &workload.Transfer{Table: e.tbl, NumRecords: 64}
+			res := repro.RunClosedLoop(e.eng, src, 100*time.Millisecond)
 			if res.Totals.Committed == 0 {
 				t.Fatal("no commits")
 			}
@@ -121,7 +123,7 @@ func TestCrashRecoveryCommittedPrefixOnAllEngines(t *testing.T) {
 			}
 			for _, cut := range cuts {
 				rebuilt, tbl2 := newAccountDB(t, 64, 1000)
-				st := repro.ReplayWALSegments(tornAt(segs, cut), 0, rebuilt)
+				st := wal.Replay(tornAt(segs, cut), 0, rebuilt)
 				if got := sumBalances(rebuilt, tbl2, 64); got != 64*1000 {
 					t.Fatalf("cut %d/%d: conservation broken: sum = %d (replay %+v)",
 						cut, size, got, st)
@@ -149,8 +151,8 @@ func TestCrashRecoveryCommittedPrefixOnAllEngines(t *testing.T) {
 // counter sum counts the applied transactions exactly.
 func TestMidRunCrashKeepsAcknowledgedTransactions(t *testing.T) {
 	db, tbl := newAccountDB(t, 64, 0)
-	dev := repro.NewWALMemSegments(0)
-	log := repro.NewWAL(dev, repro.WALGroup(16, 100*time.Microsecond))
+	dev := wal.NewMemSegments(0)
+	log := wal.NewLog(dev, wal.Group(16, 100*time.Microsecond))
 	eng := repro.NewOrthrus(repro.OrthrusConfig{DB: db, CCThreads: 2, ExecThreads: 2, Wal: log})
 
 	ses := eng.Start()
@@ -188,7 +190,7 @@ func TestMidRunCrashKeepsAcknowledgedTransactions(t *testing.T) {
 	}
 
 	rebuilt, tbl2 := newAccountDB(t, 64, 0)
-	st := repro.ReplayWALSegments(img, 0, rebuilt)
+	st := wal.Replay(img, 0, rebuilt)
 	if got := sumBalances(rebuilt, tbl2, 64); got < ackedBefore {
 		t.Fatalf("replayed %d transactions, but %d were acknowledged before the crash (replay %+v)",
 			got, ackedBefore, st)
@@ -203,7 +205,7 @@ func TestMidRunCrashKeepsAcknowledgedTransactions(t *testing.T) {
 // flusher — the -race CI job runs this to pin down that the two paths
 // never write the same worker's latency histogram concurrently.
 func TestDurableMixedReadWriteWorkload(t *testing.T) {
-	for _, e := range durableEngines(t, repro.WALGroup(16, 100*time.Microsecond)) {
+	for _, e := range durableEngines(t, wal.Group(16, 100*time.Microsecond)) {
 		e := e
 		t.Run(e.eng.Name(), func(t *testing.T) {
 			// 60% of transactions are read-only and take the
@@ -211,7 +213,7 @@ func TestDurableMixedReadWriteWorkload(t *testing.T) {
 			// flusher. The table is unversioned, so the read-only ones
 			// run on the locking path.
 			src := &repro.YCSB{Table: e.tbl, NumRecords: 64, OpsPerTxn: 10, ReadOnlyPct: 60}
-			res := e.eng.Run(src, 60*time.Millisecond)
+			res := repro.RunClosedLoop(e.eng, src, 60*time.Millisecond)
 			if res.Totals.Committed == 0 {
 				t.Fatal("no commits")
 			}
@@ -232,21 +234,21 @@ func TestDurableMixedReadWriteWorkload(t *testing.T) {
 // whole log is synced and replaying the synced image alone reproduces
 // every acknowledged commit, on every engine.
 func TestDrainMakesAcknowledgedWorkDurable(t *testing.T) {
-	policy := repro.WALGroup(0, 0)
+	policy := wal.Group(0, 0)
 	t.Run(policy.String(), func(t *testing.T) {
 		for _, e := range durableEngines(t, policy) {
 			e := e
 			t.Run(e.eng.Name(), func(t *testing.T) {
-				src := &repro.Transfer{Table: e.tbl, NumRecords: 64, HotRecords: 8}
-				res := e.eng.Run(src, 50*time.Millisecond)
+				src := &workload.Transfer{Table: e.tbl, NumRecords: 64, HotRecords: 8}
+				res := repro.RunClosedLoop(e.eng, src, 50*time.Millisecond)
 				if res.Totals.Committed == 0 {
 					t.Fatal("no commits")
 				}
-				// Engine.Run closes its session, which drains the log
+				// RunClosedLoop closes its session, which drains the log
 				// tail; the synced image must already be complete.
 				img := e.dev.CrashSegments()
 				rebuilt, tbl2 := newAccountDB(t, 64, 1000)
-				st := repro.ReplayWALSegments(img, 0, rebuilt)
+				st := wal.Replay(img, 0, rebuilt)
 				if uint64(st.Applied) != res.Totals.Committed {
 					t.Fatalf("synced image holds %d of %d commits", st.Applied, res.Totals.Committed)
 				}

@@ -98,7 +98,7 @@ func main() {
 			repro.PutI64(db.Table(tbl).Get(k), 0, initialBalance)
 		}
 
-		res := b.build(db).Run(&transferSource{table: tbl}, time.Second)
+		res := repro.RunClosedLoop(b.build(db), &transferSource{table: tbl}, time.Second)
 
 		var total int64
 		for k := uint64(0); k < accounts; k++ {

@@ -60,7 +60,7 @@ func main() {
 		eng repro.Engine
 		tbl int
 	}{{orthrus, tbl1}, {twopl, tbl2}} {
-		res := run.eng.Run(src(run.tbl), 2*time.Second)
+		res := repro.RunClosedLoop(run.eng, src(run.tbl), 2*time.Second)
 		fmt.Println(res)
 		if i == 0 {
 			fmt.Println()

@@ -1,5 +1,5 @@
 // Server: run an engine as a long-lived service instead of a benchmark
-// loop. The Runtime/Session lifecycle decouples the engine's threads from
+// loop. The Engine/Session lifecycle decouples the engine's threads from
 // load generation: Start the engine once, then any caller — here, a pool
 // of simulated client connections, in production an RPC front-end —
 // Submits transactions and is notified per transaction as it commits.
@@ -98,7 +98,7 @@ func main() {
 
 	// --- Phase 2: open-loop latency under offered load ------------------
 	// Calibrate capacity closed-loop, then offer fixed Poisson rates.
-	capacity := eng.Run(newSrc(), *duration).Throughput()
+	capacity := repro.RunClosedLoop(eng, newSrc(), *duration).Throughput()
 	fmt.Printf("phase 2: open loop (closed-loop capacity %.0f txns/s)\n", capacity)
 	fmt.Printf("  %-12s %12s %12s %12s %12s %12s\n", "offered_pct", "rate", "achieved", "p50", "p99", "max_lag")
 	for _, pct := range []int{25, 50, 75, 90} {

@@ -70,7 +70,7 @@ func main() {
 			src.NewOrderWeight, src.PaymentWeight = 45, 43
 			src.OrderStatusWeight, src.DeliveryWeight, src.StockLevelWeight = 4, 4, 4
 		}
-		res := e.build(s).Run(src, *duration)
+		res := repro.RunClosedLoop(e.build(s), src, *duration)
 		fmt.Printf("%-16s %s\n", e.name, res)
 
 		// Audit: W_YTD must equal the sum of district YTDs, and every

@@ -89,7 +89,7 @@ func main() {
 		if err := src.Validate(); err != nil {
 			panic(err)
 		}
-		res := eng.Run(src, *duration)
+		res := repro.RunClosedLoop(eng, src, *duration)
 		fmt.Printf("%-18s %s\n", e.name, res)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/workload"
 )
 
 // The planned engines load a transaction's declared records before its
@@ -22,21 +23,21 @@ func TestFetchRunsUnderHeldFootprint(t *testing.T) {
 	if testing.Short() {
 		txns = 10000
 	}
-	for _, b := range []func(db *repro.DB) repro.System{
-		func(db *repro.DB) repro.System {
+	for _, b := range []func(db *repro.DB) repro.Engine{
+		func(db *repro.DB) repro.Engine {
 			return repro.NewOrthrus(repro.OrthrusConfig{DB: db, CCThreads: 2, ExecThreads: 2})
 		},
-		func(db *repro.DB) repro.System {
+		func(db *repro.DB) repro.Engine {
 			return repro.NewDeadlockFree(repro.LockingConfig{DB: db, Threads: 4})
 		},
-		func(db *repro.DB) repro.System {
+		func(db *repro.DB) repro.Engine {
 			return repro.NewPartitionedStore(repro.LockingConfig{DB: db, Partitions: 4})
 		},
 	} {
 		db, tbl := newAccountDB(t, n, 1000)
 		sys := b(db)
 		t.Run(sys.Name(), func(t *testing.T) {
-			src := &repro.Transfer{Table: tbl, NumRecords: n, HotRecords: hot}
+			src := &workload.Transfer{Table: tbl, NumRecords: n, HotRecords: hot}
 			rng := rand.New(rand.NewSource(1))
 			ses := sys.Start()
 			for i := 0; i < txns; i++ {

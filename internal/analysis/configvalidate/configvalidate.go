@@ -9,7 +9,7 @@
 //
 // "Referenced" is literal: the field must appear as a selector on the
 // receiver in Validate's body. A knob for which every value is legal
-// still gets a line — `_ = c.MaxRetries` with a comment — so the method
+// still gets a line — `_ = c.Records` with a comment — so the method
 // records that the knob was considered, which is the invariant. If the
 // receiver escapes Validate (passed whole to a helper), the analyzer
 // assumes the helper checks everything and stays quiet.

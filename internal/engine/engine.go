@@ -1,17 +1,16 @@
-// Package engine defines the interfaces both engines implement (ORTHRUS,
+// Package engine defines the interface both engines implement (ORTHRUS,
 // and internal/engine/locking for 2PL with each deadlock handler,
 // Deadlock-free locking and Partitioned-store) plus machinery they share:
-// the Runtime/Session service lifecycle and its generic load drivers, undo
+// the Engine/Session service lifecycle and its generic load drivers, undo
 // logging for in-place writes, and per-thread transaction identities.
 //
-// Engines expose two surfaces. Runtime/Session (runtime.go) is the
-// long-lived serving lifecycle: Start the engine's threads once, Submit
-// transactions from any caller, observe per-transaction completion, Drain
-// and Close. Engine is the legacy one-shot benchmarking surface; its
-// Run(src, duration) is implemented exactly once, by the shared
-// closed-loop driver RunClosedLoop over Runtime. RunOpenLoop is the
-// second driver: Poisson arrivals at a fixed rate, measuring commit
-// latency under offered — not self-regulated — load.
+// An Engine has one lifecycle (runtime.go): Start its threads once,
+// Submit transactions from any caller, observe per-transaction
+// completion, Drain and Close. Two drivers load it: RunClosedLoop keeps a
+// fixed number of transactions outstanding for a duration (the paper's
+// throughput runs), and RunOpenLoop offers Poisson arrivals at a fixed
+// rate, measuring commit latency under offered — not self-regulated —
+// load.
 //
 // Every engine runs the same workload Sources against the same storage.DB,
 // so measured differences come from concurrency control alone — the
@@ -27,24 +26,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/storage"
 	"repro/internal/txn"
-	"repro/internal/workload"
 )
-
-// Engine runs a workload for a fixed duration with its configured thread
-// counts and reports throughput and time-breakdown metrics.
-type Engine interface {
-	// Name identifies the system in harness output.
-	Name() string
-	// Run drives src closed-loop for roughly the given duration.
-	Run(src workload.Source, duration time.Duration) metrics.Result
-}
-
-// System is the full surface every engine in the repository implements:
-// the one-shot benchmark contract plus the service lifecycle.
-type System interface {
-	Engine
-	Runtime
-}
 
 // RunWorkers starts n workers, lets them run for duration, then signals
 // stop and waits for them to drain. It returns the measured elapsed time

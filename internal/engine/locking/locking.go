@@ -48,7 +48,6 @@ import (
 	"repro/internal/storage"
 	"repro/internal/txn"
 	"repro/internal/wal"
-	"repro/internal/workload"
 )
 
 // buckets is the lock-table bucket count.
@@ -63,10 +62,6 @@ type Config struct {
 	Threads int
 	// Handler selects two-phase locking with this deadlock policy.
 	Handler lock.Handler
-	// MaxRetries bounds a 2PL transaction's retries; <=0 means retry
-	// until commit (the paper's behaviour — throughput counts commits
-	// only).
-	MaxRetries int
 	// Partitions selects the Partitioned-store footprint over this many
 	// partitions (paper: one per worker).
 	Partitions int
@@ -108,9 +103,6 @@ func (c Config) Validate() {
 	}
 	if c.Handler != nil && c.Partitions > 0 {
 		panic("locking: Handler and Partitions select different footprints; set one")
-	}
-	if c.MaxRetries != 0 && c.Handler == nil {
-		panic("locking: MaxRetries bounds 2PL retries and needs a Handler")
 	}
 	if c.Partition != nil && c.Partitions == 0 {
 		panic("locking: Partition needs Partitions")
@@ -192,12 +184,7 @@ func (e *Engine) Name() string {
 	return fmt.Sprintf("dlfree(%dt)", e.cfg.Threads)
 }
 
-// Run implements engine.Engine via the shared closed-loop driver.
-func (e *Engine) Run(src workload.Source, duration time.Duration) metrics.Result {
-	return engine.RunClosedLoop(e, src, duration)
-}
-
-// Start implements engine.Runtime.
+// Start implements engine.Engine.
 func (e *Engine) Start() engine.Session {
 	snaps := engine.NewSnapshots(e.cfg.DB, e.cfg.Wal, &e.clock, e.cfg.Threads, e.cfg.Snapshot)
 	ses := engine.NewWorkerSession(e.Name(), e.cfg.Threads, e.Clients(), &e.inUse, e.cfg.Wal,
@@ -216,7 +203,7 @@ func (e *Engine) Start() engine.Session {
 	return engine.WithCheckpointer(ses, e.cfg.DB, e.cfg.Wal, e.cfg.Checkpoint)
 }
 
-// Clients implements engine.Runtime: two submitters per worker keep the
+// Clients implements engine.Engine: two submitters per worker keep the
 // queue stocked while each worker runs a transaction.
 func (e *Engine) Clients() int { return 2 * e.cfg.Threads }
 
@@ -240,9 +227,9 @@ type worker struct {
 	locked time.Duration   // lock-manager work time this attempt
 }
 
-// execute runs one transaction to commit (or until MaxRetries gives up),
-// discharging comp exactly once — inline at pre-commit without a WAL,
-// from the group-commit flusher with one.
+// execute runs one transaction to commit, retrying every abort, and
+// discharges comp exactly once — inline at pre-commit without a WAL, from
+// the group-commit flusher with one.
 func (w *worker) execute(t *txn.Txn, comp *engine.Completion) {
 	fp := w.eng.fp
 	stats := comp.Stats()
@@ -259,7 +246,7 @@ func (w *worker) execute(t *txn.Txn, comp *engine.Completion) {
 		// Fixed across retries, so old transactions eventually win.
 		t.TS = engine.Timestamp(w.thread)
 	}
-	for retries := 0; ; {
+	for {
 		// Chained timestamps: each phase boundary is read once (clock
 		// reads are a measurable share of a one-microsecond transaction).
 		w.Begin(t)
@@ -305,11 +292,6 @@ func (w *worker) execute(t *txn.Txn, comp *engine.Completion) {
 		stats.Aborted++
 		switch {
 		case fp == firstTouch && errors.Is(err, txn.ErrAborted):
-			retries++
-			if w.eng.cfg.MaxRetries > 0 && retries >= w.eng.cfg.MaxRetries {
-				comp.Finish(false)
-				return
-			}
 			// Yield before retrying so the conflicting holder can finish;
 			// retry storms otherwise starve holders when logical threads
 			// outnumber hardware threads.
@@ -396,4 +378,4 @@ func (w *worker) release() time.Time {
 	return end
 }
 
-var _ engine.System = (*Engine)(nil)
+var _ engine.Engine = (*Engine)(nil)

@@ -88,12 +88,10 @@ func TestDefaultsAndName(t *testing.T) {
 func TestValidateRejectsMixedFootprints(t *testing.T) {
 	db, _ := newDB(8)
 	for name, cfg := range map[string]Config{
-		"no threads":            {DB: db},
-		"handler and parts":     {DB: db, Handler: deadlock.WaitDie{}, Partitions: 2},
-		"retries without 2PL":   {DB: db, Threads: 2, MaxRetries: 1},
-		"partition func alone":  {DB: db, Threads: 2, Partition: txn.HashPartitioner(2)},
-		"negative partitions":   {DB: db, Threads: 2, Partitions: -1},
-		"retries on partitions": {DB: db, Partitions: 2, MaxRetries: 1},
+		"no threads":           {DB: db},
+		"handler and parts":    {DB: db, Handler: deadlock.WaitDie{}, Partitions: 2},
+		"partition func alone": {DB: db, Threads: 2, Partition: txn.HashPartitioner(2)},
+		"negative partitions":  {DB: db, Threads: 2, Partitions: -1},
 	} {
 		func() {
 			defer func() {
@@ -118,7 +116,7 @@ func TestTransferConservation(t *testing.T) {
 				storage.PutU64(db.Table(tbl).Get(k), 0, 1000)
 			}
 			eng := p.build(db)
-			res := eng.Run(&workload.Transfer{Table: tbl, NumRecords: records}, 150*time.Millisecond)
+			res := engine.RunClosedLoop(eng, &workload.Transfer{Table: tbl, NumRecords: records}, 150*time.Millisecond)
 			if res.Totals.Committed == 0 {
 				t.Fatal("no commits")
 			}
@@ -150,7 +148,7 @@ func TestRMWIncrementsAccounted(t *testing.T) {
 				t.Fatal(err)
 			}
 			eng := p.build(db)
-			res := eng.Run(src, 150*time.Millisecond)
+			res := engine.RunClosedLoop(eng, src, 150*time.Millisecond)
 			if res.Totals.Committed == 0 {
 				t.Fatal("no commits")
 			}
@@ -173,7 +171,7 @@ func TestTimeBreakdownAccounted(t *testing.T) {
 		t.Run(p.name, func(t *testing.T) {
 			db, tbl := newDB(64)
 			src := &workload.YCSB{Table: tbl, NumRecords: 64, OpsPerTxn: 4, HotRecords: 8, HotOps: 2}
-			tot := p.build(db).Run(src, 100*time.Millisecond).Totals
+			tot := engine.RunClosedLoop(p.build(db), src, 100*time.Millisecond).Totals
 			if tot.Exec <= 0 || tot.Lock <= 0 {
 				t.Fatalf("breakdown missing components: %+v", tot)
 			}
@@ -192,23 +190,13 @@ func TestReadOnlyNeverAborts(t *testing.T) {
 	db, tbl := newDB(1024)
 	eng := New(Config{DB: db, Handler: deadlock.WaitDie{}, Threads: 4})
 	src := &workload.YCSB{Table: tbl, NumRecords: 1024, OpsPerTxn: 10, ReadOnly: true, HotRecords: 16, HotOps: 2}
-	res := eng.Run(src, 100*time.Millisecond)
+	res := engine.RunClosedLoop(eng, src, 100*time.Millisecond)
 	if res.Totals.Committed == 0 {
 		t.Fatal("no commits")
 	}
 	if res.Totals.Aborted != 0 {
 		t.Fatalf("read-only workload aborted %d txns", res.Totals.Aborted)
 	}
-}
-
-func TestMaxRetriesBoundsWork(t *testing.T) {
-	// With MaxRetries=1 a permanently-conflicting workload still returns.
-	const threads, records = 4, 2
-	db, tbl := newDB(records)
-	eng := New(Config{DB: db, Handler: deadlock.WaitDie{}, Threads: threads, MaxRetries: 1})
-	src := &workload.Transfer{Table: tbl, NumRecords: records}
-	res := eng.Run(src, 50*time.Millisecond)
-	_ = res // termination is the assertion
 }
 
 // Per-op read shares of 50, 95 and 100 % (the YCSB A, B and C mixes) run
@@ -249,7 +237,7 @@ func TestStandardMixes(t *testing.T) {
 			return tx
 		})
 		eng := New(Config{DB: db, Handler: deadlock.WaitDie{}, Threads: threads})
-		res := eng.Run(src, 100*time.Millisecond)
+		res := engine.RunClosedLoop(eng, src, 100*time.Millisecond)
 		if res.Totals.Committed == 0 {
 			t.Fatalf("read share %d%%: no commits", readPct)
 		}
@@ -295,29 +283,38 @@ func TestHeldLockReuseAndUpgradeGuard(t *testing.T) {
 	w.release()
 }
 
-// Undo restores exactly the pre-transaction image after a mid-logic abort.
+// Undo restores exactly the pre-transaction image after a mid-logic
+// abort: the first attempt writes 999 and is victimized, and its retry
+// must read the original 77 before it commits.
 func TestAbortRollsBackPartialWrites(t *testing.T) {
 	db, tbl := newDB(8)
 	storage.PutU64(db.Table(tbl).Get(2), 0, 77)
-	eng := New(Config{DB: db, Handler: deadlock.WaitDie{}, Threads: 1, MaxRetries: 1})
-	src := srcFunc(func() *txn.Txn {
-		tx := &txn.Txn{}
-		tx.Logic = func(ctx txn.Ctx) error {
-			rec, err := ctx.Write(tbl, 2)
-			if err != nil {
-				return err
-			}
+	eng := New(Config{DB: db, Handler: deadlock.WaitDie{}, Threads: 1})
+	var seen []uint64 // the value each attempt read; one worker, so no race
+	tx := &txn.Txn{}
+	tx.Logic = func(ctx txn.Ctx) error {
+		rec, err := ctx.Write(tbl, 2)
+		if err != nil {
+			return err
+		}
+		seen = append(seen, storage.GetU64(rec, 0))
+		if len(seen) == 1 {
 			storage.PutU64(rec, 0, 999)
 			return txn.ErrAborted // simulate a handler victimization mid-logic
 		}
-		return tx
-	})
-	res := eng.Run(src, 30*time.Millisecond)
-	if res.Totals.Aborted == 0 {
-		t.Fatal("no aborts recorded")
+		return nil
+	}
+	ses := eng.Start()
+	ses.Submit(tx, nil)
+	res := ses.Close()
+	if res.Totals.Aborted != 1 || res.Totals.Committed != 1 {
+		t.Fatalf("aborted %d, committed %d; want 1 and 1", res.Totals.Aborted, res.Totals.Committed)
+	}
+	if len(seen) != 2 || seen[1] != 77 {
+		t.Fatalf("attempts read %v, want [77 77]: the abort did not roll back 999", seen)
 	}
 	if got := storage.GetU64(db.Table(tbl).Get(2), 0); got != 77 {
-		t.Fatalf("record = %d after aborts, want 77", got)
+		t.Fatalf("record = %d after commit, want 77", got)
 	}
 }
 
@@ -348,7 +345,7 @@ func (s *estimateMissSource) Next(int, *rand.Rand) *txn.Txn {
 func TestOLLPEstimateMissReplans(t *testing.T) {
 	db, tbl := newDB(4)
 	s := &estimateMissSource{table: tbl}
-	res := New(Config{DB: db, Threads: 1}).Run(s, 30*time.Millisecond)
+	res := engine.RunClosedLoop(New(Config{DB: db, Threads: 1}), s, 30*time.Millisecond)
 	if res.Totals.Committed == 0 {
 		t.Fatal("no commits")
 	}
@@ -428,7 +425,7 @@ func TestPartitionLocksExclude(t *testing.T) {
 		}
 		return tx
 	})
-	tot := eng.Run(src, 50*time.Millisecond).Totals
+	tot := engine.RunClosedLoop(eng, src, 50*time.Millisecond).Totals
 	if overlapped.Load() {
 		t.Fatal("two transactions ran inside partition 0 at once")
 	}
@@ -456,7 +453,7 @@ func TestPartitionLocksPerTxnEqualSpread(t *testing.T) {
 		if err := src.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		tot := eng.Run(src, 30*time.Millisecond).Totals
+		tot := engine.RunClosedLoop(eng, src, 30*time.Millisecond).Totals
 		if tot.Committed == 0 {
 			t.Fatalf("spread %d: no commits", spread)
 		}
@@ -498,7 +495,7 @@ func TestPartitionSetOrderingUsed(t *testing.T) {
 		}
 		return t
 	})
-	res := eng.Run(src, 100*time.Millisecond)
+	res := engine.RunClosedLoop(eng, src, 100*time.Millisecond)
 	if res.Totals.Committed == 0 {
 		t.Fatal("no commits")
 	}

@@ -13,12 +13,11 @@ import (
 	"repro/internal/workload"
 )
 
-// Runtime is the service-style lifecycle every system implements: the
+// Engine is the service-style lifecycle every system implements: the
 // engine's threads are started once and then serve transactions submitted
-// by outside callers, instead of self-generating closed-loop load. The
-// benchmark drivers below (RunClosedLoop, RunOpenLoop) are ordinary
-// Runtime clients; a network server would be another.
-type Runtime interface {
+// by outside callers. The load drivers (RunClosedLoop, RunOpenLoop) are
+// ordinary clients; a network server would be another.
+type Engine interface {
 	// Name identifies the system in harness output.
 	Name() string
 	// Start launches the engine's threads and returns a live Session.
@@ -30,31 +29,29 @@ type Runtime interface {
 	Clients() int
 }
 
-// Session accepts transactions for a started Runtime.
+// Session accepts transactions for a started Engine.
 //
 // Submissions are executed to completion — an engine retries aborted
-// transactions until they commit (or, for 2PL with MaxRetries, gives up) —
-// and the completion callback fires exactly once per submission. Submit
-// may block for backpressure when the engine's input queue is full. No
-// Submit may be issued concurrently with or after Close.
+// transactions until they commit — and the completion callback fires
+// exactly once per submission. Submit may block for backpressure when the
+// engine's input queue is full. No Submit may be issued concurrently with
+// or after Close.
 //
 // The latency histogram in the session's Result records service latency:
 // from the moment an engine worker picks the transaction up to its
-// commit, retries included — the same quantity the engines measured
-// before the Runtime split, so cross-engine comparisons are unaffected
+// commit, retries included — so cross-engine comparisons are unaffected
 // by driver-side queueing. Callers who want request latency (queueing
 // included) measure at the completion callback, as RunOpenLoop does.
 type Session interface {
 	// Submit hands t to the engine. done, if non-nil, is invoked exactly
-	// once from an engine worker thread when t completes; committed
-	// reports whether it committed (false only for engines that can give
-	// up, e.g. 2PL past MaxRetries). The callback must be cheap and must
-	// not block, or it will stall the worker.
+	// once from an engine worker thread when t completes; committed is
+	// always true, since every engine retries until commit. The callback
+	// must be cheap and must not block, or it will stall the worker.
 	Submit(t *txn.Txn, done func(committed bool))
 	// Drain blocks until every submitted transaction has completed.
 	Drain()
 	// Close drains, stops the engine's threads, and returns the session's
-	// aggregated metrics. The session is dead afterwards; the Runtime may
+	// aggregated metrics. The session is dead afterwards; the Engine may
 	// be started again. Submit or Close on a closed session panics.
 	Close() metrics.Result
 }
@@ -66,7 +63,7 @@ type Submission struct {
 }
 
 // InUseGuard enforces the documented "one live session per engine at a
-// time" Runtime contract: Start acquires it, Session.Close releases it,
+// time" Engine contract: Start acquires it, Session.Close releases it,
 // and a second concurrent Start panics instead of silently racing two
 // sessions on the engine's threads and metrics. Sequential
 // Start→Close→Start reuse is explicitly supported.
@@ -278,15 +275,14 @@ var _ Session = (*WorkerSession)(nil)
 // on few-core machines).
 const clientWindow = 16
 
-// RunClosedLoop drives rt with self-generated closed-loop load for
-// roughly the given duration, keeping exactly rt.Clients() transactions
+// RunClosedLoop drives e with self-generated closed-loop load for
+// roughly the given duration, keeping exactly e.Clients() transactions
 // outstanding across a pool of pipelined submitter goroutines (the last
 // client takes the remainder window, so the engine's declared saturation
-// point is honored, not rounded up). This is the single implementation
-// behind every engine's Engine.Run.
-func RunClosedLoop(rt Runtime, src workload.Source, duration time.Duration) metrics.Result {
-	ses := rt.Start()
-	outstanding := rt.Clients()
+// point is honored, not rounded up).
+func RunClosedLoop(e Engine, src workload.Source, duration time.Duration) metrics.Result {
+	ses := e.Start()
+	outstanding := e.Clients()
 	clients := (outstanding + clientWindow - 1) / clientWindow
 	RunWorkers(clients, duration, func(client int, stop *atomic.Bool) {
 		window := clientWindow
@@ -355,10 +351,8 @@ type OpenLoopResult struct {
 	// Submitted counts transactions offered (all complete before the
 	// result is returned).
 	Submitted uint64
-	// Latency is scheduled-arrival-to-commit latency over committed
-	// transactions only — submissions an engine gave up on (2PL past
-	// MaxRetries) complete without contributing a sample, so
-	// Latency.Count() can be below Submitted.
+	// Latency is scheduled-arrival-to-commit latency, one sample per
+	// submission.
 	Latency metrics.Histogram
 	// MaxLag is the largest distance the generator itself fell behind
 	// its arrival timeline (engine backpressure or generation cost). A
@@ -370,7 +364,7 @@ type OpenLoopResult struct {
 // AchievedRate returns completed transactions per second of wall time.
 func (r OpenLoopResult) AchievedRate() float64 { return r.Result.Throughput() }
 
-// RunOpenLoop drives rt with Poisson arrivals at rate transactions per
+// RunOpenLoop drives e with Poisson arrivals at rate transactions per
 // second for roughly the given duration and reports commit-latency
 // percentiles. Arrivals are generated on a single timeline goroutine:
 // each transaction is generated ahead of its arrival (during the
@@ -381,11 +375,11 @@ func (r OpenLoopResult) AchievedRate() float64 { return r.Result.Throughput() }
 // charged to latency. MaxLag reports how far the generator itself
 // trailed the timeline — the honesty check on single-goroutine
 // generation at high rates.
-func RunOpenLoop(rt Runtime, src workload.Source, rate float64, duration time.Duration) OpenLoopResult {
+func RunOpenLoop(e Engine, src workload.Source, rate float64, duration time.Duration) OpenLoopResult {
 	if rate <= 0 {
 		panic("engine: open-loop rate must be positive")
 	}
-	ses := rt.Start()
+	ses := e.Start()
 	// Completion callbacks run on engine worker threads inside the
 	// measured commit path, so recording is sharded across independently
 	// locked histograms (assigned round-robin at submit time) instead of
@@ -417,10 +411,7 @@ func RunOpenLoop(rt Runtime, src workload.Source, rate float64, duration time.Du
 		sched := next
 		shard := &shards[submitted%uint64(len(shards))]
 		submitted++
-		ses.Submit(t, func(committed bool) {
-			if !committed {
-				return
-			}
+		ses.Submit(t, func(bool) {
 			d := time.Since(sched)
 			shard.mu.Lock()
 			shard.h.Record(d)

@@ -367,7 +367,7 @@ func batching(c Config) {
 	}
 }
 
-// openloop: the serving-latency experiment enabled by the Runtime/Session
+// openloop: the serving-latency experiment enabled by the Engine/Session
 // lifecycle (not a paper figure): the paper's high-contention YCSB
 // hot/cold workload offered to ORTHRUS at fixed Poisson arrival rates —
 // a calibration fraction of the measured closed-loop capacity — with
@@ -388,7 +388,7 @@ func openloop(c Config) {
 
 	// Calibrate: measure closed-loop capacity, then offer fractions of it.
 	eng, src := newEng()
-	capacity := eng.Run(src, c.Duration).Throughput()
+	capacity := engine.RunClosedLoop(eng, src, c.Duration).Throughput()
 	fmt.Fprintf(c.Out, "closed-loop capacity %.0f txns/s (%d threads)\n", capacity, threads)
 	if capacity < 100 {
 		fmt.Fprintln(c.Out, "capacity too low to offer open-loop load")

@@ -239,7 +239,7 @@ func threadAxis(c Config, paper []int) []int {
 // point runs one engine on one workload for the configured duration and
 // returns the result.
 func point(c Config, eng engine.Engine, src workload.Source) metrics.Result {
-	res := eng.Run(src, c.Duration)
+	res := engine.RunClosedLoop(eng, src, c.Duration)
 	c.noteWorkers(eng)
 	return res
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/storage"
 	"repro/internal/workload"
 )
@@ -60,7 +61,7 @@ func TestBatchPreservesMessageCounts(t *testing.T) {
 		db, tbl := newDB(1 << 12)
 		eng := New(Config{DB: db, CCThreads: ncc, ExecThreads: 2, BatchSize: batch})
 		src := &fixedSpreadSource{table: tbl, k: ncc, cc: ncc, n: 1 << 12}
-		res := eng.Run(src, 80*time.Millisecond)
+		res := engine.RunClosedLoop(eng, src, 80*time.Millisecond)
 		if res.Totals.Committed == 0 {
 			t.Fatalf("BatchSize=%d: no commits", batch)
 		}
@@ -91,7 +92,7 @@ func TestBatchingReducesRingOps(t *testing.T) {
 	if err := src.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	res := eng.Run(src, 200*time.Millisecond)
+	res := engine.RunClosedLoop(eng, src, 200*time.Millisecond)
 	if res.Totals.Committed == 0 {
 		t.Fatal("no commits")
 	}
@@ -148,7 +149,7 @@ func TestDefaultBatchSizeEverywhere(t *testing.T) {
 	db, tbl := newDB(1 << 10)
 	eng := New(Config{DB: db, CCThreads: ncc, ExecThreads: nexec})
 	src := &workload.YCSB{Table: tbl, NumRecords: 1 << 10, OpsPerTxn: 10, HotRecords: 64, HotOps: 2}
-	if res := eng.Run(src, 100*time.Millisecond); res.Totals.Committed == 0 {
+	if res := engine.RunClosedLoop(eng, src, 100*time.Millisecond); res.Totals.Committed == 0 {
 		t.Fatal("no commits")
 	}
 	if got := eng.Messages().ExecBatch; !slices.Equal(got, []int{DefaultBatchSize, DefaultBatchSize}) {
@@ -181,7 +182,7 @@ func TestBatchSizeSweepConservation(t *testing.T) {
 				cfg.DB = db
 				eng := New(cfg)
 				src := &workload.Transfer{Table: tbl, NumRecords: records}
-				res := eng.Run(src, 120*time.Millisecond)
+				res := engine.RunClosedLoop(eng, src, 120*time.Millisecond)
 				if res.Totals.Committed == 0 {
 					t.Fatal("no commits")
 				}

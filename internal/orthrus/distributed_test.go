@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/storage"
 	wire "repro/internal/transport"
@@ -36,7 +37,7 @@ func runTCPPair(t *testing.T, ccCfg, execCfg Config, src workload.Source, d time
 		ses := ccEng.Start()
 		ses.Close() // blocks on the goodbye barrier until the exec node drains
 	}()
-	res := execEng.Run(src, d)
+	res := engine.RunClosedLoop(execEng, src, d)
 	select {
 	case <-ccDone:
 	case <-time.After(30 * time.Second):
@@ -113,7 +114,7 @@ func testPerCCStatsConservationTCP(t *testing.T, procs int) {
 		defer close(ccDone)
 		ccEng.Start().Close()
 	}()
-	if res := execEng.Run(src, 150*time.Millisecond); res.Totals.Committed == 0 {
+	if res := engine.RunClosedLoop(execEng, src, 150*time.Millisecond); res.Totals.Committed == 0 {
 		t.Fatal("no commits")
 	}
 	<-ccDone

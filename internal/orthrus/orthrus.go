@@ -65,11 +65,10 @@
 //
 // # Lifecycle
 //
-// The engine implements engine.Runtime: Start launches the workers that
+// The engine implements engine.Engine: Start launches the workers that
 // run the CC and execution threads and returns a Session whose Submit
 // feeds transactions from any caller — a benchmark driver or a server
 // front-end — into the execution threads' asynchronous windows.
-// Engine.Run is just the shared closed-loop driver over that session.
 package orthrus
 
 import (
@@ -86,7 +85,6 @@ import (
 	"repro/internal/storage"
 	"repro/internal/txn"
 	"repro/internal/wal"
-	"repro/internal/workload"
 )
 
 // Defaults.
@@ -180,7 +178,7 @@ type CCStats struct {
 // Handled returns the messages this CC thread processed.
 func (s CCStats) Handled() uint64 { return s.Acquires + s.Forwards + s.Releases }
 
-// MessageStats counts message-plane traffic for one Run (the quantity
+// MessageStats counts message-plane traffic for one session (the quantity
 // §3.3 optimizes: forwarding reduces per-acquisition messages from 2·Ncc
 // to Ncc+1).
 type MessageStats struct {
@@ -361,7 +359,7 @@ type Engine struct {
 }
 
 // Messages returns the message-plane traffic of the last closed session
-// (every Run closes its session before returning).
+// (every RunClosedLoop closes its session before returning).
 func (e *Engine) Messages() MessageStats { return e.msgs }
 
 // Validate panics on nonsensical knobs: thread counts must be positive,
@@ -414,7 +412,7 @@ func (e *Engine) Name() string {
 	return fmt.Sprintf("%s(%dcc/%dex)", base, e.cfg.CCThreads, e.cfg.ExecThreads)
 }
 
-// runState is per-Run message-plane state.
+// runState is per-session message-plane state.
 type runState struct {
 	cfg      Config
 	execToCC [][]*spsc.Ring[message] // [exec][cc]
@@ -511,12 +509,7 @@ func (s *runState) putWrapper(w *wrapper) {
 	s.wraps.Put(w)
 }
 
-// Run implements engine.Engine via the shared closed-loop driver.
-func (e *Engine) Run(src workload.Source, duration time.Duration) metrics.Result {
-	return engine.RunClosedLoop(e, src, duration)
-}
-
-// Clients implements engine.Runtime: enough submitters to fill every
+// Clients implements engine.Engine: enough submitters to fill every
 // execution thread's asynchronous window, plus one queued transaction per
 // thread so a completed window slot refills without waiting on a client.
 func (e *Engine) Clients() int { return e.cfg.ExecThreads * (e.cfg.Inflight + 1) }
@@ -556,10 +549,10 @@ func (e *Engine) newSession() *session {
 	}
 }
 
-// Start implements engine.Runtime. A second Start while a previous
+// Start implements engine.Engine. A second Start while a previous
 // session is still open panics (engine.InUseGuard): two live sessions
 // would race on the engine's message statistics. Sequential
-// Start→Close→Start reuse is supported — every Run does it.
+// Start→Close→Start reuse is supported — every closed-loop run does it.
 func (e *Engine) Start() engine.Session {
 	ses := e.newSession()
 	// Logical threads onto workers (worker.go). On the tcp transport only
@@ -1015,6 +1008,6 @@ func (x *execThread) release(w *wrapper) {
 }
 
 var (
-	_ engine.System  = (*Engine)(nil)
+	_ engine.Engine  = (*Engine)(nil)
 	_ engine.Session = (*session)(nil)
 )

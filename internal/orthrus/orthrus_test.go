@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/storage"
 	"repro/internal/txn"
 	"repro/internal/workload"
@@ -55,7 +56,7 @@ func TestTransferConservation(t *testing.T) {
 	}
 	eng := New(Config{DB: db, CCThreads: 2, ExecThreads: 3})
 	src := &workload.Transfer{Table: tbl, NumRecords: records}
-	res := eng.Run(src, 150*time.Millisecond)
+	res := engine.RunClosedLoop(eng, src, 150*time.Millisecond)
 	if res.Totals.Committed == 0 {
 		t.Fatal("no commits")
 	}
@@ -87,7 +88,7 @@ func TestMultiPartitionRMWAccounted(t *testing.T) {
 			if err := src.Validate(); err != nil {
 				t.Fatal(err)
 			}
-			res := eng.Run(src, 150*time.Millisecond)
+			res := engine.RunClosedLoop(eng, src, 150*time.Millisecond)
 			if res.Totals.Committed == 0 {
 				t.Fatal("no commits")
 			}
@@ -112,7 +113,7 @@ func TestSinglePartitionLocality(t *testing.T) {
 	if err := src.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	res := eng.Run(src, 100*time.Millisecond)
+	res := engine.RunClosedLoop(eng, src, 100*time.Millisecond)
 	if res.Totals.Committed == 0 {
 		t.Fatal("no commits")
 	}
@@ -127,7 +128,7 @@ func TestReadOnlyNoAborts(t *testing.T) {
 	db, tbl := newDB(1024)
 	eng := New(Config{DB: db, CCThreads: 2, ExecThreads: 4})
 	src := &workload.YCSB{Table: tbl, NumRecords: 1024, OpsPerTxn: 10, ReadOnly: true, HotRecords: 64, HotOps: 2}
-	res := eng.Run(src, 100*time.Millisecond)
+	res := engine.RunClosedLoop(eng, src, 100*time.Millisecond)
 	if res.Totals.Committed == 0 || res.Totals.Aborted != 0 {
 		t.Fatalf("committed=%d aborted=%d", res.Totals.Committed, res.Totals.Aborted)
 	}
@@ -161,7 +162,7 @@ func TestOLLPEstimateMissRestarts(t *testing.T) {
 	db, tbl := newDB(4)
 	eng := New(Config{DB: db, CCThreads: 2, ExecThreads: 2})
 	src := &missSource{table: tbl}
-	res := eng.Run(src, 50*time.Millisecond)
+	res := engine.RunClosedLoop(eng, src, 50*time.Millisecond)
 	if res.Totals.Committed == 0 {
 		t.Fatal("no commits")
 	}
@@ -224,7 +225,7 @@ func TestMinimalConfiguration(t *testing.T) {
 	db, tbl := newDB(32)
 	eng := New(Config{DB: db, CCThreads: 1, ExecThreads: 1, Inflight: 1, QueueCap: 1})
 	src := &workload.YCSB{Table: tbl, NumRecords: 32, OpsPerTxn: 4}
-	res := eng.Run(src, 50*time.Millisecond)
+	res := engine.RunClosedLoop(eng, src, 50*time.Millisecond)
 	if res.Totals.Committed == 0 {
 		t.Fatal("no commits")
 	}
@@ -240,7 +241,7 @@ func TestBreakdownPopulated(t *testing.T) {
 	db, tbl := newDB(64)
 	eng := New(Config{DB: db, CCThreads: 1, ExecThreads: 3})
 	src := &workload.YCSB{Table: tbl, NumRecords: 64, OpsPerTxn: 8, HotRecords: 4, HotOps: 2}
-	res := eng.Run(src, 100*time.Millisecond)
+	res := engine.RunClosedLoop(eng, src, 100*time.Millisecond)
 	tot := res.Totals
 	if tot.Exec <= 0 || tot.Lock <= 0 {
 		t.Fatalf("breakdown missing: %+v", tot)
@@ -309,7 +310,7 @@ func TestStressMixedSpread(t *testing.T) {
 	if err := src.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	res := eng.Run(src, 400*time.Millisecond)
+	res := engine.RunClosedLoop(eng, src, 400*time.Millisecond)
 	if res.Totals.Committed == 0 {
 		t.Fatal("no commits")
 	}
@@ -359,7 +360,7 @@ func TestMessageCountNccPlusOne(t *testing.T) {
 		db, tbl := newDB(1 << 12)
 		eng := New(Config{DB: db, CCThreads: ncc, ExecThreads: 2})
 		src := &fixedSpreadSource{table: tbl, k: ncc, cc: ncc, n: 1 << 12}
-		res := eng.Run(src, 80*time.Millisecond)
+		res := engine.RunClosedLoop(eng, src, 80*time.Millisecond)
 		if res.Totals.Committed == 0 {
 			t.Fatal("no commits")
 		}
@@ -391,7 +392,7 @@ func TestWidePartitionerFoldsSafely(t *testing.T) {
 	// 8-way partitioner on a 2-CC engine.
 	eng := New(Config{DB: db, CCThreads: 2, ExecThreads: 3, Partition: txn.HashPartitioner(8)})
 	src := &workload.Transfer{Table: tbl, NumRecords: records}
-	res := eng.Run(src, 120*time.Millisecond)
+	res := engine.RunClosedLoop(eng, src, 120*time.Millisecond)
 	if res.Totals.Committed == 0 {
 		t.Fatal("no commits")
 	}
@@ -449,7 +450,7 @@ func testPerCCStatsConservation(t *testing.T, procs int) {
 	if err := src.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if res := eng.Run(src, 150*time.Millisecond); res.Totals.Committed == 0 {
+	if res := engine.RunClosedLoop(eng, src, 150*time.Millisecond); res.Totals.Committed == 0 {
 		t.Fatal("no commits")
 	}
 	m := eng.Messages()

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/storage"
 	"repro/internal/txn"
@@ -342,7 +343,7 @@ func TestBreakdownSumsToThreadTime(t *testing.T) {
 		if err := src.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		res := eng.Run(src, 300*time.Millisecond)
+		res := engine.RunClosedLoop(eng, src, 300*time.Millisecond)
 		tot := res.Totals
 		if tot.Committed == 0 || tot.Exec <= 0 || tot.Lock <= 0 || tot.Wait <= 0 {
 			t.Fatalf("commits=%d exec=%v lock=%v wait=%v, want all positive", tot.Committed, tot.Exec, tot.Lock, tot.Wait)

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/engine/locking"
 	"repro/internal/tpcc"
 )
@@ -17,7 +18,7 @@ func Example_loadAndRun() {
 		panic(err)
 	}
 	eng := locking.New(locking.Config{DB: s.DB, Threads: 2})
-	res := eng.Run(&tpcc.Mix{S: s}, 50*time.Millisecond)
+	res := engine.RunClosedLoop(eng, &tpcc.Mix{S: s}, 50*time.Millisecond)
 	fmt.Println("committed >", res.Totals.Committed > 0)
 	fmt.Println("consistent:", s.CheckConsistency() == nil)
 	// Output:

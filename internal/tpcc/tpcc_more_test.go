@@ -100,7 +100,7 @@ func TestReadOnlyExtensionsUnderChurn(t *testing.T) {
 		NewOrderWeight: 60, PaymentWeight: 0,
 		OrderStatusWeight: 20, StockLevelWeight: 20,
 	}
-	res := eng.Run(src, 200*time.Millisecond)
+	res := engine.RunClosedLoop(eng, src, 200*time.Millisecond)
 	if res.Totals.Committed == 0 {
 		t.Fatal("no commits")
 	}
@@ -117,7 +117,7 @@ func TestStockRefillInvariant(t *testing.T) {
 		DB: s.DB, CCThreads: 1, ExecThreads: 3, Partition: s.PartitionByWarehouse(1),
 	})
 	src := &Mix{S: s, NewOrderWeight: 100, PaymentWeight: 0}
-	if res := eng.Run(src, 200*time.Millisecond); res.Totals.Committed == 0 {
+	if res := engine.RunClosedLoop(eng, src, 200*time.Millisecond); res.Totals.Committed == 0 {
 		t.Fatal("no commits")
 	}
 	for i := 0; i < s.Items; i++ {
@@ -134,7 +134,7 @@ func TestDeliveryUnderEngineTraffic(t *testing.T) {
 	s := testSchema(t, 1)
 	eng := locking.New(locking.Config{DB: s.DB, Threads: 3})
 	src := &Mix{S: s, NewOrderWeight: 70, PaymentWeight: 0, DeliveryWeight: 30}
-	res := eng.Run(src, 250*time.Millisecond)
+	res := engine.RunClosedLoop(eng, src, 250*time.Millisecond)
 	if res.Totals.Committed == 0 {
 		t.Fatal("no commits")
 	}

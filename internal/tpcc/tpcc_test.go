@@ -213,7 +213,7 @@ func TestMixOnAllEngines(t *testing.T) {
 		eng := build(s)[i]
 		t.Run(eng.Name(), func(t *testing.T) {
 			src := &Mix{S: s}
-			res := eng.Run(src, 200*time.Millisecond)
+			res := engine.RunClosedLoop(eng, src, 200*time.Millisecond)
 			if res.Totals.Committed == 0 {
 				t.Fatal("no commits")
 			}
@@ -240,7 +240,7 @@ func TestFullMixWithExtensions(t *testing.T) {
 		NewOrderWeight: 45, PaymentWeight: 43,
 		OrderStatusWeight: 4, DeliveryWeight: 4, StockLevelWeight: 4,
 	}
-	res := eng.Run(src, 300*time.Millisecond)
+	res := engine.RunClosedLoop(eng, src, 300*time.Millisecond)
 	if res.Totals.Committed == 0 {
 		t.Fatal("no commits")
 	}
@@ -260,7 +260,7 @@ func TestFullMixOnOrthrus(t *testing.T) {
 		NewOrderWeight: 45, PaymentWeight: 43,
 		OrderStatusWeight: 4, DeliveryWeight: 4, StockLevelWeight: 4,
 	}
-	res := eng.Run(src, 300*time.Millisecond)
+	res := engine.RunClosedLoop(eng, src, 300*time.Millisecond)
 	if res.Totals.Committed == 0 {
 		t.Fatal("no commits")
 	}
@@ -382,7 +382,7 @@ func TestFullMixOnTwoPL(t *testing.T) {
 		NewOrderWeight: 45, PaymentWeight: 43,
 		OrderStatusWeight: 4, DeliveryWeight: 4, StockLevelWeight: 4,
 	}
-	res := eng.Run(src, 300*time.Millisecond)
+	res := engine.RunClosedLoop(eng, src, 300*time.Millisecond)
 	if res.Totals.Committed == 0 {
 		t.Fatal("no commits")
 	}
@@ -405,7 +405,7 @@ func TestFullMixOnPartstore(t *testing.T) {
 		NewOrderWeight: 45, PaymentWeight: 43,
 		OrderStatusWeight: 4, DeliveryWeight: 4, StockLevelWeight: 4,
 	}
-	res := eng.Run(src, 300*time.Millisecond)
+	res := engine.RunClosedLoop(eng, src, 300*time.Millisecond)
 	if res.Totals.Committed == 0 {
 		t.Fatal("no commits")
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/txn"
 )
 
 // Phantom regression: concurrent inserts during range scans, on all four
@@ -38,7 +39,7 @@ const (
 // lands inside it, while the protected path must stay atomic regardless.
 func phantomInsertTxn(tbl int, i int) *repro.Txn {
 	k, v := uint64(2*i), int64(i+1)
-	t := &repro.Txn{Ranges: []repro.RangeOp{{Table: tbl, Lo: k, Hi: k + 2, Mode: repro.Write}}}
+	t := &repro.Txn{Ranges: []txn.RangeOp{{Table: tbl, Lo: k, Hi: k + 2, Mode: repro.Write}}}
 	t.Logic = func(ctx repro.Ctx) error {
 		var buf [16]byte
 		repro.PutI64(buf[:], 0, v)
@@ -73,7 +74,7 @@ func phantomScanTxn(db *repro.DB, tbl int, violations *atomic.Int64) *repro.Txn 
 			v := tab.RangeVersion(0, phantomSpan)
 			n := len(t.Ops)
 			tab.Scan(0, phantomSpan, func(key uint64, _ []byte) bool {
-				t.Ops = append(t.Ops, repro.Op{Table: tbl, Key: key, Mode: repro.Read})
+				t.Ops = append(t.Ops, repro.Op{Table: tbl, Key: key, Mode: txn.Read})
 				return true
 			})
 			if tab.RangeVersion(0, phantomSpan) == v {
@@ -81,7 +82,7 @@ func phantomScanTxn(db *repro.DB, tbl int, violations *atomic.Int64) *repro.Txn 
 			}
 			t.Ops = t.Ops[:n] // inserts raced the enumeration; redo
 		}
-		t.Ranges = append(t.Ranges, repro.RangeOp{Table: tbl, Lo: 0, Hi: phantomSpan, Mode: repro.Read})
+		t.Ranges = append(t.Ranges, txn.RangeOp{Table: tbl, Lo: 0, Hi: phantomSpan, Mode: txn.Read})
 	}
 	plan(t)
 	t.Replan = plan
@@ -107,18 +108,18 @@ func phantomScanTxn(db *repro.DB, tbl int, violations *atomic.Int64) *repro.Txn 
 func TestPhantomSafeScansAllEngines(t *testing.T) {
 	cases := []struct {
 		name  string
-		build func(db *repro.DB) repro.Runtime
+		build func(db *repro.DB) repro.Engine
 	}{
-		{"2pl-waitdie", func(db *repro.DB) repro.Runtime {
+		{"2pl-waitdie", func(db *repro.DB) repro.Engine {
 			return repro.NewTwoPL(repro.LockingConfig{DB: db, Handler: repro.WaitDie(), Threads: 4})
 		}},
-		{"dlfree", func(db *repro.DB) repro.Runtime {
+		{"dlfree", func(db *repro.DB) repro.Engine {
 			return repro.NewDeadlockFree(repro.LockingConfig{DB: db, Threads: 4})
 		}},
-		{"partstore", func(db *repro.DB) repro.Runtime {
+		{"partstore", func(db *repro.DB) repro.Engine {
 			return repro.NewPartitionedStore(repro.LockingConfig{DB: db, Partitions: 4})
 		}},
-		{"orthrus", func(db *repro.DB) repro.Runtime {
+		{"orthrus", func(db *repro.DB) repro.Engine {
 			return repro.NewOrthrus(repro.OrthrusConfig{DB: db, CCThreads: 2, ExecThreads: 2})
 		}},
 	}

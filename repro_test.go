@@ -8,10 +8,14 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/storage"
+	"repro/internal/txn"
+	"repro/internal/workload"
 )
 
-// These tests exercise the library exclusively through the public facade,
-// the same surface the examples use.
+// These tests exercise the library through the public facade where it
+// has the name, the same surface the examples use, and through the
+// internal packages for everything the examples do not need.
 
 func newAccountDB(t testing.TB, n uint64, balance int64) (*repro.DB, int) {
 	t.Helper()
@@ -77,8 +81,8 @@ func TestPublicAPIConservationOnAllEngines(t *testing.T) {
 	for _, e := range allEngines(t) {
 		e := e
 		t.Run(e.eng.Name(), func(t *testing.T) {
-			src := &repro.Transfer{Table: e.tbl, NumRecords: 64}
-			res := e.eng.Run(src, 100*time.Millisecond)
+			src := &workload.Transfer{Table: e.tbl, NumRecords: 64}
+			res := repro.RunClosedLoop(e.eng, src, 100*time.Millisecond)
 			if res.Totals.Committed == 0 {
 				t.Fatal("no commits")
 			}
@@ -94,7 +98,7 @@ func TestPublicAPILatencyReporting(t *testing.T) {
 	db, tbl := newAccountDB(t, 1024, 0)
 	eng := repro.NewOrthrus(repro.OrthrusConfig{DB: db, CCThreads: 2, ExecThreads: 2})
 	src := &repro.YCSB{Table: tbl, NumRecords: 1024, OpsPerTxn: 4}
-	res := eng.Run(src, 60*time.Millisecond)
+	res := repro.RunClosedLoop(eng, src, 60*time.Millisecond)
 	lat := &res.Totals.Latency
 	if lat.Count() != res.Totals.Committed {
 		t.Fatalf("latency samples %d != commits %d", lat.Count(), res.Totals.Committed)
@@ -123,7 +127,7 @@ func TestPublicAPICustomTxn(t *testing.T) {
 				}
 				return tx
 			})
-			res := e.eng.Run(src, 60*time.Millisecond)
+			res := repro.RunClosedLoop(e.eng, src, 60*time.Millisecond)
 			if res.Totals.Committed == 0 {
 				t.Fatal("no commits")
 			}
@@ -144,10 +148,10 @@ func (f customSource) Next(_ int, rng *rand.Rand) *repro.Txn { return f(rng) }
 
 // The error sentinels are visible and distinguishable.
 func TestPublicAPIErrors(t *testing.T) {
-	if errors.Is(repro.ErrAborted, repro.ErrEstimateMiss) {
+	if errors.Is(txn.ErrAborted, txn.ErrEstimateMiss) {
 		t.Fatal("sentinels alias")
 	}
-	if repro.ErrAborted.Error() == "" || repro.ErrEstimateMiss.Error() == "" {
+	if txn.ErrAborted.Error() == "" || txn.ErrEstimateMiss.Error() == "" {
 		t.Fatal("empty error strings")
 	}
 }
@@ -161,7 +165,7 @@ func TestPublicAPITPCC(t *testing.T) {
 	eng := repro.NewOrthrus(repro.OrthrusConfig{
 		DB: s.DB, CCThreads: 2, ExecThreads: 2, Partition: s.PartitionByWarehouse(2),
 	})
-	res := eng.Run(&repro.TPCCMix{S: s}, 100*time.Millisecond)
+	res := repro.RunClosedLoop(eng, &repro.TPCCMix{S: s}, 100*time.Millisecond)
 	if res.Totals.Committed == 0 {
 		t.Fatal("no commits")
 	}
@@ -172,19 +176,19 @@ func TestPublicAPITPCC(t *testing.T) {
 
 // Mode constants and helpers round-trip as documented.
 func TestPublicAPIHelpers(t *testing.T) {
-	if repro.Read.Conflicts(repro.Read) || !repro.Read.Conflicts(repro.Write) {
+	if txn.Read.Conflicts(txn.Read) || !txn.Read.Conflicts(repro.Write) {
 		t.Fatal("mode conflict matrix wrong")
 	}
 	rec := make([]byte, 16)
-	repro.PutU64(rec, 0, 7)
-	repro.AddU64(rec, 0, 2)
-	if repro.GetU64(rec, 0) != 9 {
+	storage.PutU64(rec, 0, 7)
+	storage.AddU64(rec, 0, 2)
+	if storage.GetU64(rec, 0) != 9 {
 		t.Fatal("u64 helpers broken")
 	}
-	if repro.HashPartitioner(4)(0, 6) != 2 {
+	if txn.HashPartitioner(4)(0, 6) != 2 {
 		t.Fatal("HashPartitioner broken")
 	}
-	ix := repro.NewSecondaryIndex()
+	ix := storage.NewSecondaryIndex()
 	ix.Add(1, 10)
 	if pk, _, ok := ix.Middle(1); !ok || pk != 10 {
 		t.Fatal("secondary index broken")
@@ -198,7 +202,7 @@ func Example() {
 	tbl := db.Create(repro.Layout{Name: "accounts", NumRecords: 1 << 12, RecordSize: 100})
 	eng := repro.NewOrthrus(repro.OrthrusConfig{DB: db, CCThreads: 1, ExecThreads: 1})
 	src := &repro.YCSB{Table: tbl, NumRecords: 1 << 12, OpsPerTxn: 10, HotRecords: 64, HotOps: 2}
-	res := eng.Run(src, 20*time.Millisecond)
+	res := repro.RunClosedLoop(eng, src, 20*time.Millisecond)
 	fmt.Println(res.Totals.Committed > 0)
 	// Output: true
 }

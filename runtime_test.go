@@ -9,55 +9,27 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/engine"
+	"repro/internal/metrics"
+	"repro/internal/storage"
+	"repro/internal/wal"
+	"repro/internal/workload"
 )
 
-// Runtime/Session lifecycle tests: the service surface must provide the
-// same isolation guarantees as the closed-loop benchmark surface, because
-// it is the same engine — Run is only a driver over Start/Submit/Close.
-
-// allRuntimes mirrors allEngines but exposes the Runtime surface.
-func allRuntimes(t testing.TB) []struct {
-	rt  repro.System
-	db  *repro.DB
-	tbl int
-} {
-	t.Helper()
-	const n, threads = 64, 4
-	type entry = struct {
-		rt  repro.System
-		db  *repro.DB
-		tbl int
-	}
-	var out []entry
-	build := func(f func(db *repro.DB) repro.System) {
-		db, tbl := newAccountDB(t, n, 1000)
-		out = append(out, entry{f(db), db, tbl})
-	}
-	build(func(db *repro.DB) repro.System {
-		return repro.NewOrthrus(repro.OrthrusConfig{DB: db, CCThreads: 2, ExecThreads: 2})
-	})
-	build(func(db *repro.DB) repro.System {
-		return repro.NewDeadlockFree(repro.LockingConfig{DB: db, Threads: threads})
-	})
-	build(func(db *repro.DB) repro.System {
-		return repro.NewTwoPL(repro.LockingConfig{DB: db, Handler: repro.WaitDie(), Threads: threads})
-	})
-	build(func(db *repro.DB) repro.System {
-		return repro.NewPartitionedStore(repro.LockingConfig{DB: db, Partitions: threads})
-	})
-	return out
-}
+// Session lifecycle tests: direct submission must provide the same
+// isolation guarantees as the closed-loop driver, because it is the same
+// engine — RunClosedLoop is only a client of Start/Submit/Close.
 
 // Direct session use: concurrent submitters, per-transaction completion,
 // Drain, Close. Balances must be conserved and every submission must
 // complete exactly once.
 func TestSessionSubmitDrainClose(t *testing.T) {
-	for _, e := range allRuntimes(t) {
+	for _, e := range allEngines(t) {
 		e := e
-		t.Run(e.rt.Name(), func(t *testing.T) {
+		t.Run(e.eng.Name(), func(t *testing.T) {
 			const submitters, perSubmitter = 4, 200
-			src := &repro.Transfer{Table: e.tbl, NumRecords: 64}
-			ses := e.rt.Start()
+			src := &workload.Transfer{Table: e.tbl, NumRecords: 64}
+			ses := e.eng.Start()
 
 			var wg sync.WaitGroup
 			var completions sync.WaitGroup
@@ -90,18 +62,18 @@ func TestSessionSubmitDrainClose(t *testing.T) {
 	}
 }
 
-// Driver equivalence: the shared closed-loop driver over Runtime must
-// preserve exactly the guarantees the old in-engine loops provided —
-// commits counted once, balances conserved — and Engine.Run must be the
-// same code path as RunClosedLoop.
+// Driver equivalence: the shared closed-loop driver must preserve exactly
+// the guarantees the old in-engine loops provided — commits counted once,
+// balances conserved — and a second run on the same engine instance
+// (Start after Close) must report the same way.
 func TestClosedLoopDriverEquivalence(t *testing.T) {
-	for _, e := range allRuntimes(t) {
+	for _, e := range allEngines(t) {
 		e := e
-		t.Run(e.rt.Name(), func(t *testing.T) {
-			src := &repro.Transfer{Table: e.tbl, NumRecords: 64}
+		t.Run(e.eng.Name(), func(t *testing.T) {
+			src := &workload.Transfer{Table: e.tbl, NumRecords: 64}
 
-			// Via the generic driver over the Runtime surface.
-			res := repro.RunClosedLoop(e.rt, src, 60*time.Millisecond)
+			// A first session on a fresh engine.
+			res := repro.RunClosedLoop(e.eng, src, 60*time.Millisecond)
 			if res.Totals.Committed == 0 {
 				t.Fatal("driver produced no commits")
 			}
@@ -109,17 +81,17 @@ func TestClosedLoopDriverEquivalence(t *testing.T) {
 				t.Fatalf("sum after driver = %d, want %d", got, 64*1000)
 			}
 
-			// Via Engine.Run on the same engine instance: same invariants,
-			// same reporting shape (it is the same driver).
-			res2 := e.rt.Run(src, 60*time.Millisecond)
+			// A second session on the same engine instance: same
+			// invariants, same reporting shape.
+			res2 := repro.RunClosedLoop(e.eng, src, 60*time.Millisecond)
 			if res2.Totals.Committed == 0 {
-				t.Fatal("Run produced no commits")
+				t.Fatal("second run produced no commits")
 			}
 			if res2.System != res.System {
 				t.Fatalf("system name mismatch: %q vs %q", res2.System, res.System)
 			}
 			if got := sumBalances(e.db, e.tbl, 64); got != 64*1000 {
-				t.Fatalf("sum after Run = %d, want %d", got, 64*1000)
+				t.Fatalf("sum after second run = %d, want %d", got, 64*1000)
 			}
 			if res2.Totals.Latency.Count() != res2.Totals.Committed {
 				t.Fatalf("latency samples %d != commits %d", res2.Totals.Latency.Count(), res2.Totals.Committed)
@@ -134,7 +106,7 @@ func TestClosedLoopDriverEquivalence(t *testing.T) {
 func TestOpenLoopDriver(t *testing.T) {
 	db, tbl := newAccountDB(t, 64, 1000)
 	eng := repro.NewOrthrus(repro.OrthrusConfig{DB: db, CCThreads: 2, ExecThreads: 2})
-	src := &repro.Transfer{Table: tbl, NumRecords: 64}
+	src := &workload.Transfer{Table: tbl, NumRecords: 64}
 
 	res := repro.RunOpenLoop(eng, src, 2000, 150*time.Millisecond)
 	if res.Submitted == 0 {
@@ -159,12 +131,12 @@ func TestOpenLoopDriver(t *testing.T) {
 	}
 }
 
-// delayRuntime is a stub engine whose transactions "commit" a fixed delay
+// delayEngine is a stub engine whose transactions "commit" a fixed delay
 // after submission — a deterministic model of an abort/retry chain (or any
 // other in-engine stall). It lets the open-loop latency contract be
 // asserted numerically: latency is measured from scheduled arrival to the
 // *final* commit, so the whole delay must appear in every sample.
-type delayRuntime struct {
+type delayEngine struct {
 	delay   time.Duration
 	mu      sync.Mutex
 	pending sync.WaitGroup
@@ -174,14 +146,14 @@ type delayRuntime struct {
 	started time.Time
 }
 
-func (d *delayRuntime) Name() string { return "delay-stub" }
-func (d *delayRuntime) Clients() int { return 8 }
-func (d *delayRuntime) Start() repro.Session {
+func (d *delayEngine) Name() string { return "delay-stub" }
+func (d *delayEngine) Clients() int { return 8 }
+func (d *delayEngine) Start() engine.Session {
 	d.started = time.Now()
 	return d
 }
 
-func (d *delayRuntime) Submit(t *repro.Txn, done func(bool)) {
+func (d *delayEngine) Submit(t *repro.Txn, done func(bool)) {
 	d.pending.Add(1)
 	start := time.Now()
 	time.AfterFunc(d.delay, func() {
@@ -196,13 +168,13 @@ func (d *delayRuntime) Submit(t *repro.Txn, done func(bool)) {
 	})
 }
 
-func (d *delayRuntime) Drain() { d.pending.Wait() }
-func (d *delayRuntime) Close() repro.Result {
+func (d *delayEngine) Drain() { d.pending.Wait() }
+func (d *delayEngine) Close() metrics.Result {
 	d.pending.Wait()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return repro.Result{System: d.Name(),
-		Totals:   repro.Totals{Committed: d.commits, Latency: d.latency},
+	return metrics.Result{System: d.Name(),
+		Totals:   metrics.Totals{Committed: d.commits, Latency: d.latency},
 		Duration: time.Since(d.started)}
 }
 
@@ -211,8 +183,8 @@ func (d *delayRuntime) Close() repro.Result {
 // delay in every percentile, and the sample count must equal submissions.
 func TestOpenLoopLatencySpansRetryDelay(t *testing.T) {
 	const delay = 5 * time.Millisecond
-	rt := &delayRuntime{delay: delay}
-	res := repro.RunOpenLoop(rt, &repro.Transfer{NumRecords: 64}, 500, 100*time.Millisecond)
+	eng := &delayEngine{delay: delay}
+	res := repro.RunOpenLoop(eng, &workload.Transfer{NumRecords: 64}, 500, 100*time.Millisecond)
 	if res.Submitted == 0 {
 		t.Fatal("no arrivals")
 	}
@@ -293,10 +265,10 @@ func TestOpenLoopLatencyUnderAbortsAndRetries(t *testing.T) {
 func TestOpenLoopLatencyIncludesFlushWait(t *testing.T) {
 	const interval = 4 * time.Millisecond
 	db, tbl := newAccountDB(t, 1024, 1000)
-	log := repro.NewWAL(repro.NewWALMemSegments(0), repro.WALGroup(1<<20, interval))
+	log := wal.NewLog(wal.NewMemSegments(0), wal.Group(1<<20, interval))
 	defer log.Close()
 	eng := repro.NewOrthrus(repro.OrthrusConfig{DB: db, CCThreads: 2, ExecThreads: 2, Wal: log})
-	src := &repro.Transfer{Table: tbl, NumRecords: 1024}
+	src := &workload.Transfer{Table: tbl, NumRecords: 1024}
 	res := repro.RunOpenLoop(eng, src, 1000, 120*time.Millisecond)
 	if res.Submitted == 0 {
 		t.Fatal("no arrivals")
@@ -319,23 +291,23 @@ func TestOpenLoopLatencyIncludesFlushWait(t *testing.T) {
 
 // One live session per engine at a time: a second concurrent Start must
 // panic loudly (it would race on engine-level state), while sequential
-// Start→Close→Start reuse — what every Run call does — must work on all
-// four systems.
+// Start→Close→Start reuse — what every RunClosedLoop call does — must work
+// on every system.
 func TestRuntimeSingleSessionContract(t *testing.T) {
-	for _, e := range allRuntimes(t) {
+	for _, e := range allEngines(t) {
 		e := e
-		t.Run(e.rt.Name(), func(t *testing.T) {
-			src := &repro.Transfer{Table: e.tbl, NumRecords: 64}
+		t.Run(e.eng.Name(), func(t *testing.T) {
+			src := &workload.Transfer{Table: e.tbl, NumRecords: 64}
 			rng := rand.New(rand.NewSource(1))
 
-			ses := e.rt.Start()
+			ses := e.eng.Start()
 			func() {
 				defer func() {
 					if recover() == nil {
 						t.Error("second concurrent Start did not panic")
 					}
 				}()
-				e.rt.Start()
+				e.eng.Start()
 			}()
 
 			// Sequential restart: close the live session, start another,
@@ -344,7 +316,7 @@ func TestRuntimeSingleSessionContract(t *testing.T) {
 			ses.Drain()
 			ses.Close()
 
-			ses2 := e.rt.Start()
+			ses2 := e.eng.Start()
 			for i := 0; i < 50; i++ {
 				ses2.Submit(src.Next(0, rng), nil)
 			}
@@ -374,12 +346,12 @@ func TestRuntimeSingleSessionContract(t *testing.T) {
 // Submit on a closed session must panic instead of hanging against
 // stopped engine threads.
 func TestSubmitAfterClosePanics(t *testing.T) {
-	for _, e := range allRuntimes(t) {
+	for _, e := range allEngines(t) {
 		e := e
-		t.Run(e.rt.Name(), func(t *testing.T) {
-			src := &repro.Transfer{Table: e.tbl, NumRecords: 64}
+		t.Run(e.eng.Name(), func(t *testing.T) {
+			src := &workload.Transfer{Table: e.tbl, NumRecords: 64}
 			rng := rand.New(rand.NewSource(1))
-			ses := e.rt.Start()
+			ses := e.eng.Start()
 			ses.Submit(src.Next(0, rng), nil)
 			ses.Drain()
 			ses.Close()
@@ -398,15 +370,15 @@ func TestSubmitAfterClosePanics(t *testing.T) {
 // dereferenced (the locking engine), and Drain would wait forever. The
 // refused submission leaves nothing in flight, so Close still returns.
 func TestSubmitNilPanics(t *testing.T) {
-	for _, e := range allRuntimes(t) {
+	for _, e := range allEngines(t) {
 		e := e
-		t.Run(e.rt.Name(), func(t *testing.T) {
-			ses := e.rt.Start()
+		t.Run(e.eng.Name(), func(t *testing.T) {
+			ses := e.eng.Start()
 			defer ses.Close()
 			defer func() {
 				msg, _ := recover().(string)
-				if !strings.Contains(msg, e.rt.Name()) {
-					t.Errorf("Submit(nil) recovered %q, want a panic naming %s", msg, e.rt.Name())
+				if !strings.Contains(msg, e.eng.Name()) {
+					t.Errorf("Submit(nil) recovered %q, want a panic naming %s", msg, e.eng.Name())
 				}
 			}()
 			ses.Submit(nil, nil)
@@ -436,7 +408,7 @@ func (s *fixedSpread) Next(_ int, rng *rand.Rand) *repro.Txn {
 			if err != nil {
 				return err
 			}
-			repro.AddU64(rec, 0, 1)
+			storage.AddU64(rec, 0, 1)
 		}
 		return nil
 	}
@@ -454,7 +426,7 @@ func TestMessagePlaneAblation(t *testing.T) {
 		tbl := db.Create(repro.Layout{Name: "t", NumRecords: 1 << 12, RecordSize: 64})
 		eng := repro.NewOrthrus(repro.OrthrusConfig{DB: db, CCThreads: ncc, ExecThreads: 2})
 		src := &fixedSpread{table: tbl, k: ncc, n: 1 << 12}
-		res := eng.Run(src, 80*time.Millisecond)
+		res := repro.RunClosedLoop(eng, src, 80*time.Millisecond)
 		if res.Totals.Committed == 0 {
 			t.Fatal("no commits")
 		}

@@ -7,6 +7,10 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/engine"
+	"repro/internal/storage"
+	"repro/internal/txn"
+	"repro/internal/wal"
 )
 
 // MVCC snapshot-read regressions: sum-conserving read-only snapshots
@@ -21,24 +25,24 @@ const (
 
 // snapEngines builds the four systems over one database, each with the
 // given snapshot tracker configuration.
-func snapEngines(snap repro.SnapshotConfig) []struct {
+func snapEngines(snap engine.SnapshotConfig) []struct {
 	name  string
-	build func(db *repro.DB) repro.Runtime
+	build func(db *repro.DB) repro.Engine
 } {
 	return []struct {
 		name  string
-		build func(db *repro.DB) repro.Runtime
+		build func(db *repro.DB) repro.Engine
 	}{
-		{"2pl-waitdie", func(db *repro.DB) repro.Runtime {
+		{"2pl-waitdie", func(db *repro.DB) repro.Engine {
 			return repro.NewTwoPL(repro.LockingConfig{DB: db, Handler: repro.WaitDie(), Threads: 4, Snapshot: snap})
 		}},
-		{"dlfree", func(db *repro.DB) repro.Runtime {
+		{"dlfree", func(db *repro.DB) repro.Engine {
 			return repro.NewDeadlockFree(repro.LockingConfig{DB: db, Threads: 4, Snapshot: snap})
 		}},
-		{"partstore", func(db *repro.DB) repro.Runtime {
+		{"partstore", func(db *repro.DB) repro.Engine {
 			return repro.NewPartitionedStore(repro.LockingConfig{DB: db, Partitions: 4, Snapshot: snap})
 		}},
-		{"orthrus", func(db *repro.DB) repro.Runtime {
+		{"orthrus", func(db *repro.DB) repro.Engine {
 			return repro.NewOrthrus(repro.OrthrusConfig{DB: db, CCThreads: 2, ExecThreads: 2, Snapshot: snap})
 		}},
 	}
@@ -65,8 +69,8 @@ func snapTransferTxn(tbl int, i int) *repro.Txn {
 		if err != nil {
 			return err
 		}
-		repro.AddU64(src, 0, ^uint64(0)) // -1
-		repro.AddU64(dst, 0, 1)
+		storage.AddU64(src, 0, ^uint64(0)) // -1
+		storage.AddU64(dst, 0, 1)
 		return nil
 	}
 	return t
@@ -77,13 +81,13 @@ func snapTransferTxn(tbl int, i int) *repro.Txn {
 // half-applied or unacknowledged transfer would break sum == 0.
 func snapScanTxn(tbl int, violations *atomic.Int64) *repro.Txn {
 	t := &repro.Txn{
-		Ranges:   []repro.RangeOp{{Table: tbl, Lo: 0, Hi: snapSpan, Mode: repro.Read}},
+		Ranges:   []txn.RangeOp{{Table: tbl, Lo: 0, Hi: snapSpan, Mode: txn.Read}},
 		ReadOnly: true,
 	}
 	t.Logic = func(ctx repro.Ctx) error {
 		var sum uint64
 		if err := ctx.Scan(tbl, 0, snapSpan, func(_ uint64, rec []byte) error {
-			sum += repro.GetU64(rec, 0)
+			sum += storage.GetU64(rec, 0)
 			return nil
 		}); err != nil {
 			return err
@@ -100,10 +104,10 @@ func snapScanTxn(tbl int, violations *atomic.Int64) *repro.Txn {
 // version pruning and snapshot registration are exercised alongside the
 // insert path they must not disturb.
 func snapInsertTxn(tbl int, k uint64) *repro.Txn {
-	t := &repro.Txn{Ranges: []repro.RangeOp{{Table: tbl, Lo: k, Hi: k + 1, Mode: repro.Write}}}
+	t := &repro.Txn{Ranges: []txn.RangeOp{{Table: tbl, Lo: k, Hi: k + 1, Mode: repro.Write}}}
 	t.Logic = func(ctx repro.Ctx) error {
 		var buf [16]byte
-		repro.PutU64(buf[:], 0, k)
+		storage.PutU64(buf[:], 0, k)
 		return ctx.Insert(tbl, k, buf[:])
 	}
 	return t
@@ -119,7 +123,7 @@ func TestSnapshotConservationAllEngines(t *testing.T) {
 	)
 	// The watermark is recomputed at every begin and every commit, so
 	// pruning actually runs under this short load.
-	for _, tc := range snapEngines(repro.SnapshotConfig{PruneEvery: 1}) {
+	for _, tc := range snapEngines(engine.SnapshotConfig{PruneEvery: 1}) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			db := repro.NewDB()
@@ -177,7 +181,7 @@ func TestSnapshotConservationAllEngines(t *testing.T) {
 			// Quiesced: the live arena must conserve the sum too.
 			var sum uint64
 			db.Table(acct).Scan(0, snapSpan, func(_ uint64, rec []byte) bool {
-				sum += repro.GetU64(rec, 0)
+				sum += storage.GetU64(rec, 0)
 				return true
 			})
 			if sum != 0 {
@@ -194,7 +198,7 @@ func TestSnapshotConservationAllEngines(t *testing.T) {
 // versioned table must route the read-only fraction through snapshots
 // (SnapTxns) on every engine, and snapshot transactions never abort.
 func TestSnapshotStatsOnRun(t *testing.T) {
-	for _, tc := range snapEngines(repro.SnapshotConfig{}) {
+	for _, tc := range snapEngines(engine.SnapshotConfig{}) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			db := repro.NewDB()
@@ -210,7 +214,7 @@ func TestSnapshotStatsOnRun(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s does not implement Engine", tc.name)
 			}
-			res := eng.Run(src, 30*time.Millisecond)
+			res := repro.RunClosedLoop(eng, src, 30*time.Millisecond)
 			if res.Totals.Committed == 0 {
 				t.Fatal("nothing committed")
 			}
@@ -234,7 +238,7 @@ func TestSnapshotStatsOnRun(t *testing.T) {
 func TestSnapshotReadsSeeOnlyAckedWrites(t *testing.T) {
 	db := repro.NewDB()
 	tbl := db.Create(repro.Layout{Name: "t", NumRecords: 8, RecordSize: 16, Versioned: true})
-	log := repro.NewWAL(repro.NewWALMemSegments(0), repro.WALGroup(1<<20, time.Hour))
+	log := wal.NewLog(wal.NewMemSegments(0), wal.Group(1<<20, time.Hour))
 	eng := repro.NewTwoPL(repro.LockingConfig{DB: db, Handler: repro.WaitDie(), Threads: 2, Wal: log})
 	ses := eng.Start()
 
@@ -245,7 +249,7 @@ func TestSnapshotReadsSeeOnlyAckedWrites(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		repro.PutU64(rec, 0, 7)
+		storage.PutU64(rec, 0, 7)
 		return nil
 	}
 	ses.Submit(wtx, func(bool) { acked.Add(1) })
@@ -264,7 +268,7 @@ func TestSnapshotReadsSeeOnlyAckedWrites(t *testing.T) {
 		var got uint64
 		done := make(chan struct{})
 		rtx := &repro.Txn{
-			Ops:      []repro.Op{{Table: tbl, Key: 0, Mode: repro.Read}},
+			Ops:      []repro.Op{{Table: tbl, Key: 0, Mode: txn.Read}},
 			ReadOnly: true,
 		}
 		rtx.Logic = func(ctx repro.Ctx) error {
@@ -272,7 +276,7 @@ func TestSnapshotReadsSeeOnlyAckedWrites(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			got = repro.GetU64(rec, 0)
+			got = storage.GetU64(rec, 0)
 			return nil
 		}
 		ses.Submit(rtx, func(bool) { close(done) })
@@ -316,7 +320,7 @@ func TestWriteOnlySessionBoundsChains(t *testing.T) {
 		// all of them on one key is the worst case.
 		bound = 4*every*2 + 16
 	)
-	for _, tc := range snapEngines(repro.SnapshotConfig{PruneEvery: every}) {
+	for _, tc := range snapEngines(engine.SnapshotConfig{PruneEvery: every}) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			db := repro.NewDB()
@@ -343,7 +347,7 @@ func TestWriteOnlySessionBoundsChains(t *testing.T) {
 								if err != nil {
 									return err
 								}
-								repro.AddU64(rec, 0, 1)
+								storage.AddU64(rec, 0, 1)
 							}
 							return nil
 						}
@@ -389,15 +393,15 @@ func TestSnapshotImagesNeverTorn(t *testing.T) {
 		perWriter, perReader = 400, 400
 	}
 	uniform := func(rec []byte) (uint64, bool) {
-		v := repro.GetU64(rec, 0)
+		v := storage.GetU64(rec, 0)
 		for w := 1; w < words; w++ {
-			if repro.GetU64(rec, w*8) != v {
+			if storage.GetU64(rec, w*8) != v {
 				return v, false
 			}
 		}
 		return v, true
 	}
-	for _, tc := range snapEngines(repro.SnapshotConfig{PruneEvery: 1}) {
+	for _, tc := range snapEngines(engine.SnapshotConfig{PruneEvery: 1}) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			db := repro.NewDB()
@@ -418,9 +422,9 @@ func TestSnapshotImagesNeverTorn(t *testing.T) {
 							if err != nil {
 								return err
 							}
-							v := repro.GetU64(rec, 0) + 1
+							v := storage.GetU64(rec, 0) + 1
 							for w := 0; w < words; w++ {
-								repro.PutU64(rec, w*8, v)
+								storage.PutU64(rec, w*8, v)
 							}
 							return nil
 						}
@@ -435,7 +439,7 @@ func TestSnapshotImagesNeverTorn(t *testing.T) {
 					for i := 0; i < perReader; i++ {
 						tx := &repro.Txn{ReadOnly: true}
 						for k := uint64(0); k < hot; k++ {
-							tx.Ops = append(tx.Ops, repro.Op{Table: tbl, Key: k, Mode: repro.Read})
+							tx.Ops = append(tx.Ops, repro.Op{Table: tbl, Key: k, Mode: txn.Read})
 						}
 						tx.Logic = func(ctx repro.Ctx) error {
 							var recs [hot][]byte
@@ -498,11 +502,11 @@ func TestSnapshotPruneEveryValidation(t *testing.T) {
 	}{
 		{"2pl", func(db *repro.DB) {
 			repro.NewTwoPL(repro.LockingConfig{DB: db, Handler: repro.WaitDie(), Threads: 2,
-				Snapshot: repro.SnapshotConfig{PruneEvery: -1}}).Start()
+				Snapshot: engine.SnapshotConfig{PruneEvery: -1}}).Start()
 		}},
 		{"orthrus", func(db *repro.DB) {
 			repro.NewOrthrus(repro.OrthrusConfig{DB: db, CCThreads: 1, ExecThreads: 1,
-				Snapshot: repro.SnapshotConfig{PruneEvery: -1}}).Start()
+				Snapshot: engine.SnapshotConfig{PruneEvery: -1}}).Start()
 		}},
 	} {
 		tc := tc
@@ -530,31 +534,31 @@ func TestLatencyCountsEveryCommitUnderWAL(t *testing.T) {
 	const records = 256
 	for _, tc := range []struct {
 		name  string
-		build func(db *repro.DB, wal *repro.WAL) repro.System
+		build func(db *repro.DB, wl *wal.Log) repro.Engine
 	}{
-		{"orthrus", func(db *repro.DB, wal *repro.WAL) repro.System {
-			return repro.NewOrthrus(repro.OrthrusConfig{DB: db, CCThreads: 1, ExecThreads: 1, Wal: wal})
+		{"orthrus", func(db *repro.DB, wl *wal.Log) repro.Engine {
+			return repro.NewOrthrus(repro.OrthrusConfig{DB: db, CCThreads: 1, ExecThreads: 1, Wal: wl})
 		}},
-		{"2pl-waitdie", func(db *repro.DB, wal *repro.WAL) repro.System {
-			return repro.NewTwoPL(repro.LockingConfig{DB: db, Handler: repro.WaitDie(), Threads: 1, Wal: wal})
+		{"2pl-waitdie", func(db *repro.DB, wl *wal.Log) repro.Engine {
+			return repro.NewTwoPL(repro.LockingConfig{DB: db, Handler: repro.WaitDie(), Threads: 1, Wal: wl})
 		}},
-		{"dlfree", func(db *repro.DB, wal *repro.WAL) repro.System {
-			return repro.NewDeadlockFree(repro.LockingConfig{DB: db, Threads: 1, Wal: wal})
+		{"dlfree", func(db *repro.DB, wl *wal.Log) repro.Engine {
+			return repro.NewDeadlockFree(repro.LockingConfig{DB: db, Threads: 1, Wal: wl})
 		}},
-		{"partstore", func(db *repro.DB, wal *repro.WAL) repro.System {
-			return repro.NewPartitionedStore(repro.LockingConfig{DB: db, Partitions: 1, Wal: wal})
+		{"partstore", func(db *repro.DB, wl *wal.Log) repro.Engine {
+			return repro.NewPartitionedStore(repro.LockingConfig{DB: db, Partitions: 1, Wal: wl})
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			db := repro.NewDB()
 			tbl := db.Create(repro.Layout{Name: "ycsb", NumRecords: records, RecordSize: 16, Versioned: true})
-			wal := repro.NewWAL(repro.NewWALMemSegments(0), repro.WALGroup(0, 0))
-			defer wal.Close()
+			wl := wal.NewLog(wal.NewMemSegments(0), wal.Group(0, 0))
+			defer wl.Close()
 			src := &repro.YCSB{Table: tbl, NumRecords: records, OpsPerTxn: 4, ReadOnlyPct: 50}
 			if err := src.Validate(); err != nil {
 				t.Fatal(err)
 			}
-			res := tc.build(db, wal).Run(src, 30*time.Millisecond)
+			res := repro.RunClosedLoop(tc.build(db, wl), src, 30*time.Millisecond)
 			tot := res.Totals
 			if tot.SnapTxns == 0 || tot.SnapTxns == tot.Committed {
 				t.Fatalf("%d of %d commits were snapshot reads, want both paths exercised", tot.SnapTxns, tot.Committed)

@@ -8,6 +8,9 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/storage"
+	"repro/internal/txn"
+	"repro/internal/wal"
 )
 
 // The planned engines keep a before-image only when a rollback can read
@@ -20,17 +23,17 @@ const undoWords = 4 // four-word records, checked word by word
 type plannedEngine struct {
 	name string
 	pkg  string // the package its panics name
-	// build returns the engine, unstarted; a nil wal leaves durability off.
-	build func(db *repro.DB, wal *repro.WAL) repro.Runtime
+	// build returns the engine, unstarted; a nil log leaves durability off.
+	build func(db *repro.DB, wl *wal.Log) repro.Engine
 }
 
 func plannedEngines() []plannedEngine {
 	return []plannedEngine{
-		{"orthrus", "orthrus", func(db *repro.DB, wal *repro.WAL) repro.Runtime {
-			return repro.NewOrthrus(repro.OrthrusConfig{DB: db, CCThreads: 2, ExecThreads: 2, Wal: wal})
+		{"orthrus", "orthrus", func(db *repro.DB, wl *wal.Log) repro.Engine {
+			return repro.NewOrthrus(repro.OrthrusConfig{DB: db, CCThreads: 2, ExecThreads: 2, Wal: wl})
 		}},
-		{"dlfree", "locking", func(db *repro.DB, wal *repro.WAL) repro.Runtime {
-			return repro.NewDeadlockFree(repro.LockingConfig{DB: db, Threads: 2, Wal: wal})
+		{"dlfree", "locking", func(db *repro.DB, wl *wal.Log) repro.Engine {
+			return repro.NewDeadlockFree(repro.LockingConfig{DB: db, Threads: 2, Wal: wl})
 		}},
 	}
 }
@@ -42,7 +45,7 @@ func newUndoDB() (*repro.DB, int) {
 	tbl := db.Create(repro.Layout{Name: "t", NumRecords: 16, RecordSize: 8 * undoWords})
 	for k := uint64(0); k < 16; k++ {
 		for w := 0; w < undoWords; w++ {
-			repro.PutU64(db.Table(tbl).Get(k), 8*w, k<<8|uint64(w))
+			storage.PutU64(db.Table(tbl).Get(k), 8*w, k<<8|uint64(w))
 		}
 	}
 	return db, tbl
@@ -51,7 +54,7 @@ func newUndoDB() (*repro.DB, int) {
 func undoTableWords(db *repro.DB, tbl int) (out [16][undoWords]uint64) {
 	for k := range out {
 		for w := range out[k] {
-			out[k][w] = repro.GetU64(db.Table(tbl).Get(uint64(k)), 8*w)
+			out[k][w] = storage.GetU64(db.Table(tbl).Get(uint64(k)), 8*w)
 		}
 	}
 	return out
@@ -72,14 +75,14 @@ func missAfterWrites(tbl int) (tx *repro.Txn, withKey9 func(*repro.Txn)) {
 				return err
 			}
 			for w := 0; w < undoWords; w++ {
-				repro.PutU64(rec, 8*w, 0xC0DE0000|k<<8|uint64(w))
+				storage.PutU64(rec, 8*w, 0xC0DE0000|k<<8|uint64(w))
 			}
 		}
 		_, err := ctx.Read(tbl, 9)
 		return err
 	}
 	return tx, func(t *repro.Txn) {
-		t.Ops = append(t.Ops, repro.Op{Table: tbl, Key: 9, Mode: repro.Read})
+		t.Ops = append(t.Ops, repro.Op{Table: tbl, Key: 9, Mode: txn.Read})
 	}
 }
 
@@ -141,7 +144,7 @@ func TestEstimateMissUnderWALCompletesOnce(t *testing.T) {
 	for _, e := range plannedEngines() {
 		t.Run(e.name, func(t *testing.T) {
 			db, tbl := newUndoDB()
-			log := repro.NewWAL(repro.NewWALMemSegments(0), repro.WALGroup(0, 0))
+			log := wal.NewLog(wal.NewMemSegments(0), wal.Group(0, 0))
 			defer log.Close()
 			tx, withKey9 := missAfterWrites(tbl)
 			tx.Replan = withKey9
