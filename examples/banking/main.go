@@ -12,6 +12,7 @@ package main
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"time"
 
 	"repro"
@@ -91,6 +92,7 @@ func main() {
 		}},
 	}
 
+	violated := false
 	for _, b := range builders {
 		db := repro.NewDB()
 		tbl := db.Create(repro.Layout{Name: "accounts", NumRecords: accounts, RecordSize: 64})
@@ -107,8 +109,12 @@ func main() {
 		verdict := "CONSERVED"
 		if total != accounts*initialBalance {
 			verdict = fmt.Sprintf("VIOLATED (total=%d)", total)
+			violated = true
 		}
 		fmt.Printf("%-14s %10.0f txns/s  aborts=%-7d balance %s\n",
 			b.name, res.Throughput(), res.Totals.Aborted, verdict)
+	}
+	if violated {
+		os.Exit(1)
 	}
 }

@@ -9,6 +9,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 	"time"
 
 	"repro"
@@ -58,6 +59,7 @@ func main() {
 	}
 	fmt.Println()
 
+	violated := false
 	for _, e := range lineup {
 		s, err := repro.LoadTPCC(repro.TPCCConfig{
 			Warehouses: *warehouses, Items: 1000, CustomersPerDistrict: 100,
@@ -77,9 +79,13 @@ func main() {
 		// order id allocated by a committed NewOrder must exist.
 		if err := s.CheckConsistency(); err != nil {
 			fmt.Printf("  CONSISTENCY VIOLATION: %v\n", err)
+			violated = true
 		} else {
 			fmt.Printf("  consistent: %d orders placed, $%d.%02d payment volume\n",
 				s.OrdersPlaced(), s.TotalPayments()/100, s.TotalPayments()%100)
 		}
+	}
+	if violated {
+		os.Exit(1)
 	}
 }

@@ -105,7 +105,7 @@ func TestCloseDropsCompactionState(t *testing.T) {
 	defer log.Close()
 	ses := WithCheckpointer(NewWorkerSession("test", 1, 4, nil, log,
 		func(int, *metrics.ThreadStats) func(*txn.Txn, *Completion) {
-			return func(_ *txn.Txn, c *Completion) { c.Finish(true) }
+			return func(_ *txn.Txn, c *Completion) { c.Finish() }
 		}), db, log, CheckpointConfig{Store: wal.NewMemCheckpointStore(), Interval: time.Hour})
 	app := log.NewAppender(nil)
 	for i := 0; i < 64; i++ {

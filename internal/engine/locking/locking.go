@@ -285,7 +285,7 @@ func (w *worker) execute(t *txn.Txn, comp *engine.Completion) {
 		if err == nil {
 			stats.Committed++
 			if w.Wal == nil {
-				comp.Finish(true)
+				comp.Finish()
 			}
 			return
 		}

@@ -114,25 +114,25 @@ func NewCompletion(in *Intake, stats *metrics.ThreadStats, sub Submission, start
 func (c *Completion) Txn() *txn.Txn { return c.t }
 
 // Finish discharges the completion inline: exactly one Finish (or one
-// deferred callback from Defer) must run per submission. When committed,
-// the service latency recorded spans pickup to this call. Finish is the
+// deferred callback from Defer) must run per submission, once the
+// transaction has committed. The service latency recorded spans pickup to
+// this call. Finish is the
 // transaction's last observer: it fires t.Free afterwards, so the caller
 // must not touch t again — the paths that do cleanup after Finish (lock
 // release loops) must operate on state they own, never on t's slices.
-func (c *Completion) Finish(committed bool) {
-	if committed {
-		c.stats.Latency.Record(time.Since(c.start))
-	}
-	c.discharge(committed)
+func (c *Completion) Finish() {
+	c.stats.Latency.Record(time.Since(c.start))
+	c.discharge()
 }
 
-// discharge fires the callback, retires the submission from the intake
-// and recycles the transaction.
+// discharge fires the callback (committed: every engine retries until
+// commit), retires the submission from the intake and recycles the
+// transaction.
 //
 // Pool ownership: the transaction is freed after every other completion duty has observed it.
-func (c *Completion) discharge(committed bool) {
+func (c *Completion) discharge() {
 	if c.done != nil {
-		c.done(committed)
+		c.done(true)
 	}
 	t := c.t
 	c.t = nil
@@ -176,7 +176,7 @@ func (d *deferredAck) run() {
 	d.c = Completion{}
 	deferredAcks.Put(d)
 	c.stats.AckLatency.Record(time.Since(c.start))
-	c.discharge(true)
+	c.discharge()
 }
 
 // Defer returns the commit acknowledgment as a standalone callback for a

@@ -12,7 +12,7 @@ import (
 // instead of spinning forever against the stopped worker pool.
 func TestWorkerSessionSubmitAfterClosePanics(t *testing.T) {
 	ws := NewWorkerSession("test", 1, 4, nil, nil, func(int, *metrics.ThreadStats) func(*txn.Txn, *Completion) {
-		return func(_ *txn.Txn, c *Completion) { c.Finish(true) }
+		return func(_ *txn.Txn, c *Completion) { c.Finish() }
 	})
 	ws.Close()
 	defer func() {
@@ -28,7 +28,7 @@ func TestWorkerSessionSubmitAfterClosePanics(t *testing.T) {
 func TestInUseGuard(t *testing.T) {
 	newWS := func(g *InUseGuard) *WorkerSession {
 		return NewWorkerSession("test", 1, 4, g, nil, func(int, *metrics.ThreadStats) func(*txn.Txn, *Completion) {
-			return func(_ *txn.Txn, c *Completion) { c.Finish(true) }
+			return func(_ *txn.Txn, c *Completion) { c.Finish() }
 		})
 	}
 	var g InUseGuard
@@ -49,33 +49,25 @@ func TestInUseGuard(t *testing.T) {
 }
 
 // WorkerSession plumbing: every submission executes exactly once, the
-// completion callback fires, commit latency is recorded only for commits,
-// and Close aggregates across workers.
+// completion callback fires reporting a commit, commit latency is recorded
+// for each, and Close aggregates across workers.
 func TestWorkerSessionLifecycle(t *testing.T) {
 	var executed atomic.Int64
 	ws := NewWorkerSession("test", 3, 16, nil, nil, func(thread int, stats *metrics.ThreadStats) func(*txn.Txn, *Completion) {
 		return func(tx *txn.Txn, c *Completion) {
 			executed.Add(1)
-			if tx.ID == 7 { // marker: "gave up", must not record latency
-				c.Finish(false)
-				return
-			}
 			stats.Committed++
-			c.Finish(true)
+			c.Finish()
 		}
 	})
 
-	var callbacks, gaveUp atomic.Int64
+	var callbacks, committed atomic.Int64
 	const n = 200
 	for i := 0; i < n; i++ {
-		tx := &txn.Txn{}
-		if i == 0 {
-			tx.ID = 7
-		}
-		ws.Submit(tx, func(committed bool) {
+		ws.Submit(&txn.Txn{}, func(ok bool) {
 			callbacks.Add(1)
-			if !committed {
-				gaveUp.Add(1)
+			if ok {
+				committed.Add(1)
 			}
 		})
 	}
@@ -86,16 +78,15 @@ func TestWorkerSessionLifecycle(t *testing.T) {
 	if got := callbacks.Load(); got != n {
 		t.Fatalf("callbacks %d, want %d", got, n)
 	}
-	if got := gaveUp.Load(); got != 1 {
-		t.Fatalf("committed=false callbacks %d, want 1", got)
+	if got := committed.Load(); got != n {
+		t.Fatalf("committed=true callbacks %d, want %d", got, n)
 	}
 	res := ws.Close()
-	if res.Totals.Committed != n-1 {
-		t.Fatalf("committed %d, want %d", res.Totals.Committed, n-1)
+	if res.Totals.Committed != n {
+		t.Fatalf("committed %d, want %d", res.Totals.Committed, n)
 	}
-	if res.Totals.Latency.Count() != n-1 {
-		t.Fatalf("latency samples %d, want %d (abandoned txn must not record)",
-			res.Totals.Latency.Count(), n-1)
+	if res.Totals.Latency.Count() != n {
+		t.Fatalf("latency samples %d, want %d", res.Totals.Latency.Count(), n)
 	}
 	if res.System != "test" || res.Duration <= 0 {
 		t.Fatalf("bad result envelope: %+v", res)

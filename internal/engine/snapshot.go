@@ -295,7 +295,7 @@ func (s *Snapshots) Exec(worker int, ctx *SnapshotCtx, group []Completion) time.
 		c := &group[i]
 		stats.Committed++
 		stats.Latency.Record(d - c.start.Sub(first))
-		c.discharge(true)
+		c.discharge()
 	}
 	stats.AddExec(d)
 	return d

@@ -232,7 +232,7 @@ func (c *ccThread) advance(w *wrapper) {
 		c.ops.grants++
 		c.stats.Grants++
 	}
-	c.out[box].push(message{kind: msgAcquire, w: w, id: w.id}, c.s.cfg.BatchSize, &c.ops)
+	c.out[box].push(message{kind: msgAcquire, w: w}, c.s.cfg.BatchSize, &c.ops)
 }
 
 // releaseTxn drops this CC thread's locks for w; newly granted requests

@@ -355,6 +355,90 @@ func TestDispatchRejectsMalformedAcquire(t *testing.T) {
 	}
 }
 
+// A grant or a release names its transaction by wire id alone, and the
+// net stepper resolves the id to a wrapper in dispatch. On the exec node a
+// grant must name an acquire this node framed and has not yet seen
+// granted, and come to its owner from its chain's last CC thread; on the
+// cc node a release must name a wrapper still awaiting releases. Anything
+// else panics there, before an exec or CC thread could act on it, and
+// leaves the registry as it was.
+func TestDispatchResolvesWireIDs(t *testing.T) {
+	cases := []struct {
+		name     string
+		role     uint8
+		id       uint64
+		from, to uint16
+		twice    bool // dispatch the frame once before the one under test
+		ok       bool
+	}{
+		{"grant", wire.RoleExec, 7, 2, 1, false, true},
+		{"grant-unknown-id", wire.RoleExec, 8, 2, 1, false, false},
+		{"grant-to-another-exec-thread", wire.RoleExec, 7, 2, 0, false, false},
+		{"grant-from-a-middle-hop", wire.RoleExec, 7, 0, 1, false, false},
+		{"grant-twice", wire.RoleExec, 7, 2, 1, true, false},
+		{"release", wire.RoleCC, 7, 1, 0, false, true},
+		{"release-unknown-id", wire.RoleCC, 8, 1, 0, false, false},
+		{"release-past-the-last", wire.RoleCC, 7, 1, 0, true, false},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			db, _ := newDB(8)
+			e := New(Config{DB: db, CCThreads: 3, ExecThreads: 2})
+			// A net stepper with no socket behind it: dispatch touches
+			// only the outboxes to its rings and the registry.
+			s := &runState{cfg: e.cfg}
+			s.wraps.New = func() interface{} { return &wrapper{} }
+			n := newNetStepper(s, tc.role, nil)
+			n.in = make(outboxes, 2*3)
+			f := &wire.Frame{From: tc.from, To: tc.to, Msgs: []wire.Msg{{TxnID: tc.id}}}
+			var w *wrapper
+			kind, want, tos := msgRelease, "orthrus: tcp transport: release for unknown wire transaction", 3
+			if tc.role == wire.RoleExec {
+				// Exec thread 1's acquire, framed, for a chain of CC 0 then CC 2.
+				w = &wrapper{owner: 1, id: 7, hops: []int{0, 2}}
+				n.reg[7] = w
+				f.Plane, f.Msgs[0].Kind = wire.PlaneCCExec, wire.KindGrant
+				kind, want, tos = msgAcquire, "orthrus: tcp transport: grant for wire transaction", 2
+			} else {
+				// Exec thread 1's acquire of one record on CC 0.
+				n.dispatch(&wire.Frame{Plane: wire.PlaneExecCC, From: 1, Msgs: []wire.Msg{{Kind: wire.KindAcquire, TxnID: 7, Owner: 1,
+					Hops: []wire.Hop{{Ops: []txn.Op{{Key: 0, Mode: txn.Write}}}}}}})
+				w = n.reg[7]
+				f.Plane, f.Msgs[0].Kind = wire.PlaneExecCC, wire.KindRelease
+			}
+			if tc.twice {
+				n.dispatch(f)
+			}
+			in := &n.in[int(tc.from)*tos+int(tc.to)]
+			registered, queued := len(n.reg), len(in.buf)
+			defer func() {
+				p := recover()
+				if tc.ok {
+					if p != nil {
+						t.Fatalf("dispatch refused a valid %s: %v", tc.name, p)
+					}
+					if got := in.buf[queued:]; len(got) != 1 || got[0].kind != kind || got[0].w != w {
+						t.Fatalf("%s not queued for its ring as its wrapper: %+v", tc.name, got)
+					}
+					if n.reg[7] != nil {
+						t.Fatalf("the id outlived its %s", tc.name)
+					}
+					return
+				}
+				msg, _ := p.(string)
+				if !strings.HasPrefix(msg, want) {
+					t.Fatalf("dispatch did not reject the %s: recovered %v", tc.name, p)
+				}
+				if len(n.reg) != registered || len(in.buf) != queued {
+					t.Fatal("a rejected message changed the registry or reached a ring")
+				}
+			}()
+			n.dispatch(f)
+		})
+	}
+}
+
 // stallListener accepts loopback connections stripped of their descriptor
 // — the Peer over one polls through deadlines, the path of a platform
 // without raw socket I/O — whose Write can be told to take nothing, as a
@@ -382,51 +466,84 @@ func (c *stallConn) Write(b []byte) (int, error) {
 	return c.Conn.Write(b)
 }
 
-// One transaction crosses the wire and comes back as plain method calls
-// on one goroutine — exec step, net step, (loopback), net step, CC step
-// and back — then both nodes retire in Close's order. No goroutine is
-// started along the way: the socket is a stepper like the threads. The
-// exec node polls its descriptor; the cc node's connection has none and
-// polls through deadlines. A net stepper whose socket takes nothing
-// reports no progress and does not retire with bytes buffered.
-func TestNetStepsByHand(t *testing.T) {
+// handPair is a tcp pair of one CC thread and one execution thread,
+// built without workers so a test can step both nodes by hand on one
+// goroutine. The exec node polls its descriptor; the cc node's
+// connection (ln.conn) has none and polls through deadlines.
+type handPair struct {
+	ln     *stallListener
+	ex, cc *session
+	x      *execThread
+	c      *ccThread
+	xn, cn *netStepper
+	execDB *storage.DB
+	tbl    int
+}
+
+func newHandPair(t *testing.T) *handPair {
+	t.Helper()
 	tcp, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln := &stallListener{Listener: tcp}
-	defer ln.Close()
+	p := &handPair{ln: &stallListener{Listener: tcp}}
+	t.Cleanup(func() { p.ln.Close() })
 	ccDB, _ := newDB(8)
-	execDB, tbl := newDB(8)
+	p.execDB, p.tbl = newDB(8)
 	ccStarted := make(chan *session)
 	go func() { // the handshake needs both ends at once
 		ccStarted <- newTestSession(Config{DB: ccDB, CCThreads: 1, ExecThreads: 1,
-			Transport: TransportConfig{Kind: "tcp", Role: "cc", Listener: ln}})
+			Transport: TransportConfig{Kind: "tcp", Role: "cc", Listener: p.ln}})
 	}()
-	ex := newTestSession(Config{DB: execDB, CCThreads: 1, ExecThreads: 1,
+	p.ex = newTestSession(Config{DB: p.execDB, CCThreads: 1, ExecThreads: 1,
 		Transport: TransportConfig{Kind: "tcp", Role: "exec", Peer: tcp.Addr().String()}})
-	cc := <-ccStarted
-	x, c := newExecThread(ex, 0, ex.set.Thread(0)), newCCThread(cc.s, 0)
-	xn, cn := ex.s.tcp.net, cc.s.tcp.net
-	goroutines := runtime.NumGoroutine()
+	p.cc = <-ccStarted
+	p.x, p.c = newExecThread(p.ex, 0, p.ex.set.Thread(0)), newCCThread(p.cc.s, 0)
+	p.xn, p.cn = p.ex.s.net, p.cc.s.net
+	return p
+}
 
-	// must steps th once and insists on progress; arrive steps a net
-	// stepper until the bytes its peer just wrote have crossed loopback.
-	must := func(what string, th stepper) {
-		t.Helper()
-		if progress, exit := th.step(); !progress || exit {
-			t.Fatalf("%s: progress=%v exit=%v, want progress and no exit", what, progress, exit)
+// must steps th once and insists on progress.
+func must(t *testing.T, what string, th stepper) {
+	t.Helper()
+	if progress, exit := th.step(); !progress || exit {
+		t.Fatalf("%s: progress=%v exit=%v, want progress and no exit", what, progress, exit)
+	}
+}
+
+// arrive steps a net stepper until the bytes its peer just wrote have
+// crossed loopback.
+func arrive(t *testing.T, what string, th stepper) {
+	t.Helper()
+	for i := 0; i < 1e6; i++ {
+		if progress, _ := th.step(); progress {
+			return
 		}
 	}
-	arrive := func(what string, th stepper) {
-		t.Helper()
-		for i := 0; i < 1e6; i++ {
-			if progress, _ := th.step(); progress {
-				return
-			}
+	t.Fatalf("%s: nothing arrived in a million steps", what)
+}
+
+// retire steps th until it retires.
+func retire(t *testing.T, what string, th stepper) {
+	t.Helper()
+	for i := 0; i < 1e6; i++ {
+		if _, exit := th.step(); exit {
+			return
 		}
-		t.Fatalf("%s: nothing arrived in a million steps", what)
 	}
+	t.Fatalf("%s did not retire in a million steps", what)
+}
+
+// One transaction crosses the wire and comes back as plain method calls
+// on one goroutine — exec step, net step, (loopback), net step, CC step
+// and back — then both nodes retire in Close's order. No goroutine is
+// started along the way: the socket is a stepper like the threads. A net
+// stepper whose socket takes nothing reports no progress and does not
+// retire with bytes buffered.
+func TestNetStepsByHand(t *testing.T) {
+	p := newHandPair(t)
+	ln, ex, cc, x, c, xn, cn, execDB, tbl := p.ln, p.ex, p.cc, p.x, p.c, p.xn, p.cn, p.execDB, p.tbl
+	goroutines := runtime.NumGoroutine()
 	for _, th := range []stepper{x, xn, cn, c} {
 		if progress, exit := th.step(); progress || exit {
 			t.Fatalf("idle step of %T: progress=%v exit=%v", th, progress, exit)
@@ -447,35 +564,35 @@ func TestNetStepsByHand(t *testing.T) {
 	}, func(ok bool) { acked = ok })
 	// Thread steps publish into rings; each node's net step drains the
 	// rings whose consumer is on the peer and frames what it took.
-	must("exec step with a queued submission", x) // plan, publish the acquire
-	must("exec node's net step with an acquire published", xn)
-	arrive("the acquire, at the cc node", cn)
-	must("CC step with an acquire in its ring", c) // lock, publish the grant
-	must("cc node's net step with a grant published", cn)
-	arrive("the grant, at the exec node", xn)
+	must(t, "exec step with a queued submission", x) // plan, publish the acquire
+	must(t, "exec node's net step with an acquire published", xn)
+	arrive(t, "the acquire, at the cc node", cn)
+	must(t, "CC step with an acquire in its ring", c) // lock, publish the grant
+	must(t, "cc node's net step with a grant published", cn)
+	arrive(t, "the grant, at the exec node", xn)
 	if acked {
 		t.Fatal("acknowledged before the grant was handled")
 	}
-	must("exec step with a grant in its ring", x) // execute, commit, publish the release
+	must(t, "exec step with a grant in its ring", x) // execute, commit, publish the release
 	if !acked || storage.GetU64(execDB.Table(tbl).Get(3), 0) != 42 {
 		t.Fatalf("after the grant: acked=%v record=%d, want true and 42", acked, storage.GetU64(execDB.Table(tbl).Get(3), 0))
 	}
-	must("exec node's net step with a release published", xn)
-	arrive("the release, at the cc node", cn)
-	must("CC step with a release in its ring", c)
+	must(t, "exec node's net step with a release published", xn)
+	arrive(t, "the release, at the cc node", cn)
+	must(t, "CC step with a release in its ring", c)
 
 	// Retirement, in Close's order on both nodes.
 	ex.Intake.Close()
 	if _, exit := x.step(); !exit {
 		t.Fatal("exec thread did not retire")
 	}
-	ex.s.tcp.execDone()
+	ex.s.net.execRetired()
 	if _, exit := xn.step(); exit { // says goodbye
 		t.Fatal("exec node's net stepper retired before hearing the cc node's goodbye")
 	}
-	arrive("the exec node's goodbye, at the cc node", cn)
+	arrive(t, "the exec node's goodbye, at the cc node", cn)
 	select {
-	case <-cn.heard: // what ccGate waits for
+	case <-cn.heard: // what execRetired waits for on the cc node
 	default:
 		t.Fatal("cc node decoded the goodbye with empty outboxes and did not say so")
 	}
@@ -495,14 +612,7 @@ func TestNetStepsByHand(t *testing.T) {
 	if _, exit := cn.step(); !exit || cn.peer.Buffered() != 0 {
 		t.Fatalf("cc node's net stepper did not retire once its goodbye was written (buffered=%d)", cn.peer.Buffered())
 	}
-	for i := 0; ; i++ {
-		if _, exit := xn.step(); exit {
-			break
-		}
-		if i == 1e6 {
-			t.Fatal("exec node's net stepper did not retire after the cc node's goodbye")
-		}
-	}
+	retire(t, "exec node's net stepper, after the cc node's goodbye,", xn)
 	if n := runtime.NumGoroutine(); n > goroutines { // fewer: the handshake helper above may exit late
 		t.Fatalf("%d goroutines after stepping by hand, %d before", n, goroutines)
 	}
@@ -518,16 +628,108 @@ func TestNetStepsByHand(t *testing.T) {
 	cn.peer.Close()
 }
 
+// An OLLP estimate miss crosses the wire: the first attempt's grant
+// comes back, its logic touches a key it did not declare, and the retry
+// goes out under a fresh wire id, framed behind the first attempt's
+// release on the same ring. Each node's stepper resolves both ids, and
+// both registries are empty once the pair has retired in Close's order.
+func TestTCPReplanByHand(t *testing.T) {
+	p := newHandPair(t)
+	x, c, xn, cn, tbl := p.x, p.c, p.xn, p.cn, p.tbl
+	onlyID := func(what string, reg map[uint64]*wrapper) uint64 {
+		t.Helper()
+		if len(reg) != 1 {
+			t.Fatalf("%s: %d registered wire ids, want 1", what, len(reg))
+		}
+		for id := range reg {
+			return id
+		}
+		return 0
+	}
+	acked := false
+	p.ex.Submit(&txn.Txn{
+		Ops: []txn.Op{{Table: tbl, Key: 3, Mode: txn.Write}},
+		Logic: func(ctx txn.Ctx) error {
+			for _, k := range []uint64{3, 5} {
+				rec, err := ctx.Write(tbl, k)
+				if err != nil {
+					return err // key 5 misses on the first plan
+				}
+				storage.PutU64(rec, 0, 40+k)
+			}
+			return nil
+		},
+		Replan: func(t *txn.Txn) { t.Ops = append(t.Ops, txn.Op{Table: tbl, Key: 5, Mode: txn.Write}) },
+	}, func(ok bool) { acked = ok })
+
+	must(t, "exec step with a queued submission", x)
+	must(t, "exec node's net step with the first acquire published", xn)
+	first := onlyID("after framing the first acquire", xn.reg)
+	arrive(t, "the first acquire, at the cc node", cn)
+	must(t, "CC step granting the first attempt", c)
+	must(t, "cc node's net step with the first grant published", cn)
+	arrive(t, "the first grant, at the exec node", xn)
+	if len(xn.reg) != 0 {
+		t.Fatal("the exec node's stepper kept a granted id")
+	}
+	must(t, "exec step that misses, releases and re-plans", x)
+	if got := p.ex.set.Thread(0).Misses; got != 1 || acked {
+		t.Fatalf("after the miss: Misses=%d acked=%v, want 1 and false", got, acked)
+	}
+	must(t, "exec node's net step with the release and the retry published", xn)
+	if retry := onlyID("after framing the retry", xn.reg); retry == first {
+		t.Fatalf("the retry reused wire id %d", first)
+	}
+	arrive(t, "the release and the retry, at the cc node", cn)
+	must(t, "CC step releasing the first attempt and granting the retry", c)
+	must(t, "cc node's net step with the retry's grant published", cn)
+	arrive(t, "the retry's grant, at the exec node", xn)
+	must(t, "exec step committing the retry", x)
+	must(t, "exec node's net step with the retry's release published", xn)
+	arrive(t, "the retry's release, at the cc node", cn)
+	must(t, "CC step releasing the retry", c)
+
+	// Close's order, by hand, on both nodes.
+	p.ex.Intake.Close()
+	retire(t, "exec thread", x)
+	xn.execRetired()
+	xn.step() // says goodbye
+	arrive(t, "the exec node's goodbye, at the cc node", cn)
+	p.cc.s.ccStop.Store(true)
+	retire(t, "CC thread", c)
+	cn.closing.Store(true)
+	retire(t, "cc node's net stepper", cn)
+	retire(t, "exec node's net stepper", xn)
+	xn.peer.Close()
+	cn.peer.Close()
+
+	if len(xn.reg) != 0 || len(cn.reg) != 0 {
+		t.Fatalf("registries after Close: exec node %d ids, cc node %d, want none", len(xn.reg), len(cn.reg))
+	}
+	if got := p.ex.set.Thread(0).Misses; got != 1 || !acked {
+		t.Fatalf("Misses=%d acked=%v, want 1 and true", got, acked)
+	}
+	for _, k := range []uint64{3, 5} {
+		if got := storage.GetU64(p.execDB.Table(tbl).Get(k), 0); got != 40+k {
+			t.Fatalf("record %d = %d, want the retry's %d", k, got, 40+k)
+		}
+	}
+}
+
 // The net stepper frames an outbound ring one drained batch at a time, in
 // ring order, opening a new frame wherever the next message would pass
 // MaxFrame, and stops draining once the bytes the socket has not taken
 // pass MaxFrame: the rest stays in the ring for a later step. Acquires of
-// varied plan sizes — one alone larger than the cap — cross a net.Pipe
-// and are decoded on the far end.
+// varied plan sizes — one alone larger than the cap — and releases cross
+// a net.Pipe and are decoded on the far end. Each message is settled once
+// however often it is filled: every acquire is registered for its grant,
+// and every release drops exactly the one reference its remote hop held,
+// including a release that opens a frame in the middle of a batch.
 func TestGatherSplitsAtMaxFrameInOrder(t *testing.T) {
 	const maxFrame, batch, ccs, execs = 256, 4, 3, 2
 	const from, to = 1, 2 // the ring under test: exec 1 → CC 2
-	opsPerAcquire := []int{6, 2, 9, 1, 25, 3, 6, 6, 4, 12, 7, 5, 2, 8, 3, 6}
+	// Each acquire's op count, in ring order; 0 is a release.
+	opsPerAcquire := []int{6, 2, 9, 1, 25, 3, 6, 6, 14, 2, 0, 0, 4, 12, 7, 5, 0, 8, 3, 6}
 	db, _ := newDB(8)
 	e := New(Config{DB: db, CCThreads: ccs, ExecThreads: execs, BatchSize: batch})
 	s := &runState{cfg: e.cfg}
@@ -551,7 +753,11 @@ func TestGatherSplitsAtMaxFrameInOrder(t *testing.T) {
 			fr := frame{plane: f.Plane, from: f.From, to: f.To, size: len(wire.AppendFrame(nil, &f))}
 			for _, m := range f.Msgs {
 				fr.ids = append(fr.ids, m.TxnID)
-				fr.ops = append(fr.ops, len(m.Hops[0].Ops))
+				if m.Kind == wire.KindRelease {
+					fr.ops = append(fr.ops, 0)
+				} else {
+					fr.ops = append(fr.ops, len(m.Hops[0].Ops))
+				}
 			}
 			fs = append(fs, fr)
 		}
@@ -559,13 +765,21 @@ func TestGatherSplitsAtMaxFrameInOrder(t *testing.T) {
 	}()
 
 	ring := s.execToCC[from][to]
+	ws := make([]*wrapper, len(opsPerAcquire))
 	for i, k := range opsPerAcquire {
-		w := &wrapper{owner: from}
-		hop := w.addHop(to, k)
-		for j := 0; j < k; j++ {
-			w.opsByCC[hop] = append(w.opsByCC[hop], txn.Op{Key: uint64(j), Mode: txn.Write})
+		w := &wrapper{owner: from, id: uint64(i)}
+		ws[i] = w
+		m := message{kind: msgRelease, w: w}
+		if k == 0 {
+			w.refs.Store(2) // the remote hop's and the exec thread's
+		} else {
+			m.kind = msgAcquire
+			ops := w.addHop(to, k)
+			for j := range ops {
+				ops[j] = txn.Op{Key: uint64(j), Mode: txn.Write}
+			}
 		}
-		if !ring.TryEnqueue(message{kind: msgAcquire, w: w, id: uint64(i)}) {
+		if !ring.TryEnqueue(m) {
 			t.Fatal("ring full")
 		}
 	}
@@ -590,7 +804,7 @@ func TestGatherSplitsAtMaxFrameInOrder(t *testing.T) {
 	far.Close()
 
 	var ids []uint64
-	split, oversized := false, false
+	split, oversized, releaseOpens := false, false, false
 	for i, f := range frames {
 		if f.plane != wire.PlaneExecCC || f.from != from || f.to != to {
 			t.Fatalf("frame %d addressed (%d, %d→%d), want the ring's (%d, %d→%d)", i, f.plane, f.from, f.to, wire.PlaneExecCC, from, to)
@@ -605,7 +819,17 @@ func TestGatherSplitsAtMaxFrameInOrder(t *testing.T) {
 		}
 		split = split || len(f.ids) < batch
 		oversized = oversized || f.size > maxFrame
+		releaseOpens = releaseOpens || (f.ids[0]%batch != 0 && opsPerAcquire[f.ids[0]] == 0)
 		ids = append(ids, f.ids...)
+	}
+	for i, w := range ws {
+		acquire := opsPerAcquire[i] > 0
+		if acquire && n.reg[w.id] != w || !acquire && w.refs.Load() != 1 {
+			t.Fatalf("message %d settled wrongly: registered %v, %d references left", i, n.reg[w.id] == w, w.refs.Load())
+		}
+	}
+	if !releaseOpens {
+		t.Fatal("no release opened a frame in the middle of a batch")
 	}
 	for i := range ids {
 		if ids[i] != uint64(i) {

@@ -18,10 +18,10 @@ import (
 // the constant sits in the middle of the flat part.
 const snapGroup = 8
 
-// ---------------------------------------------------------------------
-// Execution threads
-// ---------------------------------------------------------------------
-
+// execThread is a logical execution thread. It is the same code on both
+// planes: it sends acquires and releases into its rings to the CC threads
+// and takes grants from theirs, and whoever consumes or feeds those rings
+// — a CC thread or the node's net stepper — is not its concern.
 type execThread struct {
 	s     *runState
 	ses   *session
@@ -56,10 +56,10 @@ type execThread struct {
 	stepStart time.Time
 	logicTime time.Duration
 
-	// Planning scratch: ccBuf holds each op's CC thread, countBuf the
-	// per-CC op counts for engines wider than plan's stack array.
-	ccBuf    []int32
-	countBuf []int
+	// Planning scratch: ccBuf holds each op's CC thread, counts the op
+	// count per CC thread (all zero between plans).
+	ccBuf  []int32
+	counts []int
 
 	// Batched message plane: out[c] coalesces the acquires and releases
 	// for CC thread c. scratch is the batched grant-drain buffer; it is
@@ -69,12 +69,6 @@ type execThread struct {
 	out     outboxes
 	scratch []message
 	ops     opCounter
-
-	// pend maps in-flight wire ids to their wrappers — non-nil only
-	// when the CC threads live in another process (tcp transport), so
-	// grants arrive as bare ids this thread must resolve. Private to
-	// this thread: entries are added in submit and removed in finish.
-	pend map[uint64]*wrapper
 
 	// wal is this thread's redo append buffer (nil when durability is
 	// off). Commits pipeline into it at pre-commit and the window slot
@@ -101,12 +95,7 @@ func newExecThread(ses *session, id int, stats *metrics.ThreadStats) *execThread
 		// empties the ring.
 		out:     newOutboxes(ses.s.execToCC[id]),
 		scratch: make([]message, cfg.BatchSize),
-	}
-	if cfg.CCThreads > 64 {
-		x.countBuf = make([]int, cfg.CCThreads)
-	}
-	if !ses.s.hostsCC() {
-		x.pend = make(map[uint64]*wrapper, cfg.Inflight*2)
+		counts:  make([]int, cfg.CCThreads),
 	}
 	if cfg.Wal.Enabled() {
 		x.wal = cfg.Wal.NewAppender(stats)
@@ -202,15 +191,7 @@ func (x *execThread) drainGrants() {
 			x.working()
 			x.ops.deq++
 			for i := 0; i < n; i++ {
-				w := x.scratch[i].w
-				if w == nil {
-					// Remote grant: the CC node sent only the wire id.
-					w = x.pend[x.scratch[i].id]
-					if w == nil {
-						panic("orthrus: grant for unknown wire transaction id")
-					}
-				}
-				x.finish(w)
+				x.finish(x.scratch[i].w)
 			}
 			if n < len(x.scratch) {
 				break
@@ -249,11 +230,12 @@ func (x *execThread) submit(c engine.Completion) {
 	engine.MaterializeRanges(x.s.cfg.DB, t)
 	t.SortOps()
 	w := x.s.wraps.Get().(*wrapper)
-	w.c, w.owner, w.id = c, x.id, t.ID
+	// The id is fresh per attempt: an OLLP replan must not alias the
+	// previous generation's releases still in flight.
+	w.c, w.owner, w.id = c, x.id, x.ids.Next()
 	x.plan(w)
 
-	switch {
-	case len(w.hops) == 0:
+	if len(w.hops) == 0 {
 		// No declared ops: nothing to lock, run immediately. The only
 		// reference is this thread's. The open group runs first, so that
 		// the group's execution time does not span this logic too.
@@ -261,59 +243,41 @@ func (x *execThread) submit(c engine.Completion) {
 		w.refs.Store(1)
 		x.finish(w)
 		return
-	case x.pend != nil:
-		// Remote CC plane: release processing happens entirely on the CC
-		// node, so the only local reference is this thread's. The wire
-		// id is fresh per attempt: an OLLP
-		// replan must not alias the previous generation's in-flight
-		// releases on the CC node.
-		w.refs.Store(1)
-		w.id = x.ids.Next()
-		x.pend[w.id] = w
-	default:
-		// One reference per CC hop (dropped as each processes its
-		// release) plus this thread's, dropped at the end of finish.
-		w.refs.Store(int32(len(w.hops)) + 1)
 	}
-
+	// One reference per CC hop, dropped as the hop takes its release,
+	// plus this thread's, dropped at the end of finish.
+	w.refs.Store(int32(len(w.hops)) + 1)
 	x.inflight++
 	x.ops.acquires++
-	x.push(w.hops[0], message{kind: msgAcquire, w: w, id: w.id})
+	x.push(w.hops[0], message{kind: msgAcquire, w: w})
 }
 
 // plan groups the transaction's ops by owning CC thread, emitting hops in
 // ascending CC id — the deadlock-avoidance order (§3.2).
 func (x *execThread) plan(w *wrapper) {
 	t := w.c.Txn()
-	ncc := x.s.cfg.CCThreads
 	if cap(x.ccBuf) < len(t.Ops) {
 		//orthrus:allow(noalloc) per-thread scratch growth: reaches the largest op count seen, then stabilizes
 		x.ccBuf = make([]int32, len(t.Ops))
 	}
-	ccs := x.ccBuf[:len(t.Ops)]
-	var counts [64]int
-	countSlice := counts[:]
-	if ncc > len(countSlice) {
-		countSlice = x.countBuf // preallocated for engines wider than 64 CC
-	} else {
-		countSlice = countSlice[:ncc]
-	}
+	ccs, counts := x.ccBuf[:len(t.Ops)], x.counts
 	for i, op := range t.Ops {
 		c := x.s.ccOf(op.Table, op.Key)
 		ccs[i] = int32(c)
-		countSlice[c]++
+		counts[c]++
 	}
-	for c := 0; c < ncc; c++ {
-		if countSlice[c] == 0 {
+	for c, k := range counts {
+		if k == 0 {
 			continue
 		}
-		n := w.addHop(c, countSlice[c])
+		ops, j := w.addHop(c, k), 0
 		for i, op := range t.Ops {
 			if int(ccs[i]) == c {
-				w.opsByCC[n] = append(w.opsByCC[n], op)
+				ops[j] = op
+				j++
 			}
 		}
-		countSlice[c] = 0
+		counts[c] = 0
 	}
 }
 
@@ -328,10 +292,6 @@ func (x *execThread) push(c int, m message) {
 // notifies the owner (ccThread.advance).
 func (x *execThread) finish(w *wrapper) {
 	t := w.c.Txn()
-	if x.pend != nil {
-		// The chain is complete; the wire id is no longer grantable.
-		delete(x.pend, w.id)
-	}
 	start := x.now()
 	x.ctx.Begin(t)
 	x.ctx.Fetch() // the grant means the footprint is held
@@ -363,7 +323,7 @@ func (x *execThread) finish(w *wrapper) {
 			x.inflight--
 		}
 		if x.wal == nil {
-			w.c.Finish(true)
+			w.c.Finish()
 		}
 		x.s.dropRef(w)
 		return
@@ -397,6 +357,6 @@ func (x *execThread) finish(w *wrapper) {
 func (x *execThread) release(w *wrapper) {
 	for _, c := range w.hops {
 		x.ops.releases++
-		x.push(c, message{kind: msgRelease, w: w, id: w.id})
+		x.push(c, message{kind: msgRelease, w: w})
 	}
 }

@@ -15,16 +15,13 @@ const (
 )
 
 // message is the unit exchanged on rings. Forwarded acquires and grants
-// reuse msgAcquire: the receiver's role disambiguates. id mirrors
-// wrapper.id at push time so the networked transport can serialize a
-// release after its wrapper was recycled (releases cross the wire as
-// the id alone) and deliver a grant whose wrapper lives in another
-// process (w is then nil and the owning exec thread resolves the id);
-// the in-process plane ignores it.
+// reuse msgAcquire: the receiver's role disambiguates. Every message names
+// its transaction by wrapper, whoever consumes the ring: on the tcp plane
+// the net stepper frames it from the wrapper and resolves what it decodes
+// back to one (transport.go).
 type message struct {
 	kind uint8
 	w    *wrapper
-	id   uint64
 }
 
 // wrapper carries a transaction through the CC chain. Field ownership:
@@ -34,16 +31,17 @@ type message struct {
 //     (Finish), hands it to the WAL flusher (Defer) or moves it to a
 //     fresh wrapper on an OLLP replan. No CC thread reads it — the plan
 //     travels in opsByCC — and putWrapper clears it.
-//   - owner, hops, opsByCC: written by the owning exec thread before
+//   - id, owner, hops, opsByCC: written by the owning exec thread before
 //     submission, read-only afterwards.
 //   - hopIdx, pending: touched only by the CC thread currently processing
 //     the wrapper (exactly one at any time — the chain is sequential).
 //   - reqs[i]: sized by the planner (addHop), then written and read only
 //     by CC thread hops[i].
 //   - refs: one reference per observer of the wrapper — each CC hop and
-//     the owning exec thread. The last decrement recycles the wrapper
-//     (runState.dropRef), so it cannot be reused while any thread may
-//     still touch it. The transaction is not the wrapper's to recycle:
+//     the owning exec thread; on a tcp exec node the net stepper holds
+//     the remote hops' references. The last decrement recycles the
+//     wrapper (runState.dropRef), so it cannot be reused while any thread
+//     may still touch it. The transaction is not the wrapper's to recycle:
 //     its completion does that.
 //
 // Ring transfer provides the happens-before edges between owners.
@@ -56,9 +54,9 @@ type wrapper struct {
 	owner int
 
 	// id is the transaction's wire identity on the networked transport:
-	// unique per submission attempt (tcp mode draws a fresh id for each
-	// OLLP replan, so one id never names two generations of lock
-	// state). The in-process plane carries it but never reads it.
+	// unique per submission attempt (an OLLP replan draws a fresh one
+	// too, so one id never names two generations of lock state). The
+	// in-process plane carries it but never reads it.
 	id uint64
 
 	hops    []int        // CC ids, ascending
@@ -84,14 +82,13 @@ func (w *wrapper) resetPlan() {
 	w.reqs = w.reqs[:0]
 }
 
-// addHop appends CC thread cc to the chain and returns the hop's index,
-// its op buffer emptied for the caller to fill with the hop's nOps ops.
-// The hop's request slots are sized here, before the chain is published:
-// a CC thread links them into lock queues by address, so they must not
-// move once the first is inserted. Inner buffers a previous life (or plan
-// attempt) left are reused; a wrapper allocates only while it has never
-// been this wide.
-func (w *wrapper) addHop(cc, nOps int) int {
+// addHop appends CC thread cc to the chain and returns the hop's op
+// slots, nOps long, for the caller to fill. The hop's request slots are
+// sized here too, before the chain is published: a CC thread links them
+// into lock queues by address, so they must not move once the first is
+// inserted. Inner buffers a previous life (or plan attempt) left are
+// reused; a wrapper allocates only while it has never been this wide.
+func (w *wrapper) addHop(cc, nOps int) []txn.Op {
 	n := len(w.hops)
 	w.hops = append(w.hops, cc)
 	if n < cap(w.opsByCC) {
@@ -104,9 +101,9 @@ func (w *wrapper) addHop(cc, nOps int) int {
 	} else {
 		w.reqs = append(w.reqs, nil)
 	}
-	w.opsByCC[n] = w.opsByCC[n][:0]
+	w.opsByCC[n] = slices.Grow(w.opsByCC[n][:0], nOps)[:nOps]
 	w.reqs[n] = slices.Grow(w.reqs[n][:0], nOps)[:nOps]
-	return n
+	return w.opsByCC[n]
 }
 
 // hopOf returns the index of CC thread c in the wrapper's chain.

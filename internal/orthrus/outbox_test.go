@@ -13,6 +13,9 @@ func smallBox() (outbox, *spsc.Ring[message]) {
 	return outbox{q: r}, r
 }
 
+// msg is a message naming its transaction by wire id alone.
+func msg(id uint64) message { return message{w: &wrapper{id: id}} }
+
 // drain empties r and returns the ids it held, oldest first.
 func drain(r *spsc.Ring[message]) []uint64 {
 	var ids []uint64
@@ -21,7 +24,7 @@ func drain(r *spsc.Ring[message]) []uint64 {
 		if !ok {
 			return ids
 		}
-		ids = append(ids, m.id)
+		ids = append(ids, m.w.id)
 	}
 }
 
@@ -30,11 +33,11 @@ func drain(r *spsc.Ring[message]) []uint64 {
 func TestOutboxPublishesAtBatch(t *testing.T) {
 	o, r := smallBox()
 	var ops opCounter
-	o.push(message{id: 1}, 2, &ops)
+	o.push(msg(1), 2, &ops)
 	if r.Len() != 0 || len(o.buf) != 1 || ops.enq != 0 {
 		t.Fatalf("below the batch: ring %d, buffered %d, enq %d; want 0, 1, 0", r.Len(), len(o.buf), ops.enq)
 	}
-	o.push(message{id: 2}, 2, &ops)
+	o.push(msg(2), 2, &ops)
 	if r.Len() != 2 || len(o.buf) != 0 || ops.enq != 1 {
 		t.Fatalf("at the batch: ring %d, buffered %d, enq %d; want 2, 0, 1", r.Len(), len(o.buf), ops.enq)
 	}
@@ -50,12 +53,12 @@ func TestOutboxFullRingKeepsTailInOrder(t *testing.T) {
 	o, r := smallBox()
 	var ops opCounter
 	for id := uint64(1); id <= 3; id++ {
-		o.push(message{id: id}, 8, &ops)
+		o.push(msg(id), 8, &ops)
 	}
 	if !o.flush(&ops) || r.Len() != 2 || !slices.Equal(idsOf(o.buf), []uint64{3}) {
 		t.Fatalf("first flush: ring %d, tail %v; want 2 and [3]", r.Len(), idsOf(o.buf))
 	}
-	o.push(message{id: 4}, 8, &ops)
+	o.push(msg(4), 8, &ops)
 	if o.flush(&ops) {
 		t.Fatal("flush into a full ring reported progress")
 	}
@@ -77,7 +80,7 @@ func TestOutboxFullRingKeepsTailInOrder(t *testing.T) {
 func idsOf(ms []message) []uint64 {
 	out := make([]uint64, len(ms))
 	for i, m := range ms {
-		out[i] = m.id
+		out[i] = m.w.id
 	}
 	return out
 }
@@ -93,7 +96,7 @@ func TestOutboxesFlushAllAndEmpty(t *testing.T) {
 		t.Fatal("empty outboxes: flushAll reported progress or empty is false")
 	}
 	for id := uint64(1); id <= 3; id++ {
-		out[0].push(message{id: id}, 8, &ops)
+		out[0].push(msg(id), 8, &ops)
 	}
 	if !out.flushAll(&ops) || out.empty() {
 		t.Fatal("first flushAll: want progress and a tail left behind")
@@ -115,9 +118,10 @@ func TestOutboxSteadyStateAllocsNothing(t *testing.T) {
 	o, r := smallBox()
 	var ops opCounter
 	buf := make([]message, 2)
+	var ws [3]wrapper
 	step := func() {
-		for id := uint64(0); id < 3; id++ {
-			o.push(message{id: id}, 2, &ops)
+		for i := range ws {
+			o.push(message{w: &ws[i]}, 2, &ops)
 		}
 		o.flush(&ops)
 		for r.DequeueBatch(buf) > 0 {

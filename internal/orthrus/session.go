@@ -19,9 +19,9 @@ type runState struct {
 	execToCC [][]*spsc.Ring[message] // [exec][cc]
 	ccToCC   [][]*spsc.Ring[message] // [from][to], used only for from < to; nil on an exec node
 	ccToExec [][]*spsc.Ring[message] // [cc][exec]
-	// tcp is the node's half of the networked plane: its connection and
-	// net stepper. Nil on the in-process plane.
-	tcp    *tcpTransport
+	// net is the node's half of the networked plane, its socket as a
+	// logical thread. Nil on the in-process plane.
+	net    *netStepper
 	ccStop atomic.Bool
 
 	// wraps pools wrappers, shared across exec and CC threads because
@@ -60,14 +60,34 @@ func (e *Engine) newRunState() *runState {
 		s.ccToCC = rings(cfg.CCThreads, cfg.CCThreads, cfg.QueueCap, true)
 	}
 	if cfg.Transport.remote() {
-		s.tcp = newTCPTransport(s)
+		s.net = connect(s)
 	}
 	return s
 }
 
+// rings builds a from×to matrix of rings, without the diagonal when a
+// thread never sends to itself.
+func rings(from, to, capacity int, skipSelf bool) [][]*spsc.Ring[message] {
+	m := make([][]*spsc.Ring[message], from)
+	for i := range m {
+		m[i] = make([]*spsc.Ring[message], to)
+		for j := range m[i] {
+			if !skipSelf || i != j {
+				m[i][j] = spsc.New[message](capacity)
+			}
+		}
+	}
+	return m
+}
+
+// grantCap sizes the grant rings to hold the whole in-flight window, so a
+// grant never waits a step in its CC thread's outbox for room.
+func grantCap(cfg Config) int { return max(cfg.QueueCap, cfg.Inflight) }
+
 // dropRef releases one reference to w. The holder that drops the last
-// reference — a CC thread's release processing or the owning exec
-// thread — returns the wrapper to the pool. The refs atomic orders every
+// reference — a CC thread's release processing (on a tcp exec node, the
+// net stepper framing a release) or the owning exec thread — returns the
+// wrapper to the pool. The refs atomic orders every
 // holder's prior work before the recycle.
 //
 // Pool ownership: the final reference holder recycles the wrapper; all other observers have decremented first.
@@ -140,7 +160,7 @@ func (e *Engine) Start() engine.Session {
 	if ses.s.hostsCC() {
 		nCC = e.cfg.CCThreads
 	}
-	workers := layout(nExec, nCC, ses.s.tcp != nil, runtime.GOMAXPROCS(0))
+	workers := layout(nExec, nCC, ses.s.net != nil, runtime.GOMAXPROCS(0))
 	ses.workers = len(workers)
 	ses.execWg.Add(nExec)
 	ses.ccWg.Add(nCC)
@@ -170,16 +190,15 @@ func (ses *session) Close() metrics.Result {
 	// Networked shutdown barrier: the exec node flushes its last frames
 	// and says goodbye; the cc node holds here until that goodbye, so
 	// its CC threads' final drain pass below sees every release.
-	tcp := ses.s.tcp
-	if tcp != nil {
-		tcp.execDone()
-		tcp.ccGate()
+	n := ses.s.net
+	if n != nil {
+		n.execRetired()
 	}
 	ses.s.ccStop.Store(true)
 	ses.ccWg.Wait()
 	var netStats NetStats
-	if tcp != nil {
-		netStats = tcp.shutdown()
+	if n != nil {
+		netStats = n.shutdown()
 	}
 
 	ops := ses.s.ops // every thread has retired and flushed

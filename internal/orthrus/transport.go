@@ -82,50 +82,11 @@ func (c TransportConfig) Validate() {
 // plane), as its net stepper's Peer counted it.
 type NetStats = wire.Stats
 
-// rings builds a from×to matrix of rings, without the diagonal when a
-// thread never sends to itself.
-func rings(from, to, capacity int, skipSelf bool) [][]*spsc.Ring[message] {
-	m := make([][]*spsc.Ring[message], from)
-	for i := range m {
-		m[i] = make([]*spsc.Ring[message], to)
-		for j := range m[i] {
-			if !skipSelf || i != j {
-				m[i][j] = spsc.New[message](capacity)
-			}
-		}
-	}
-	return m
-}
-
-// grantCap sizes the grant rings to hold the whole in-flight window, so a
-// grant never waits a step in its CC thread's outbox for room.
-func grantCap(cfg Config) int { return max(cfg.QueueCap, cfg.Inflight) }
-
-// tcpTransport is one node's half of the networked message plane. The
-// two-node split keeps every CC thread on one process and every exec
-// thread on the other, so exactly two planes cross the wire — exec→CC
-// (acquires, releases) and CC→exec (grants) — while CC→CC forwards stay
-// node-local: the ascending-CC-id forwarding chains that carry the
-// paper's deadlock-freedom argument never leave the CC node, and the
-// wire adds no new cycle to the acyclic forwarding graph (see README).
-// The socket itself is one more logical thread, the netStepper, and the
-// Peer's only user.
-//
-// session.Close calls its hooks in this order, mirroring the drain
-// protocol:
-//
-//	execDone()  after the execution threads exit (exec side flushed)
-//	ccGate()    before CC threads are told to stop (inbound flushed)
-//	shutdown()  after the CC threads exit (plane torn down)
-type tcpTransport struct {
-	net *netStepper
-}
-
-// newTCPTransport connects this node to its peer — the cc node accepts,
-// the exec node dials with retry (the two processes may start in either
-// order) — checks the handshake, and builds the net stepper over s's
-// rings, which must already exist.
-func newTCPTransport(s *runState) *tcpTransport {
+// connect connects this node to its peer — the cc node accepts, the exec
+// node dials with retry (the two processes may start in either order) —
+// checks the handshake, and builds the net stepper over s's rings, which
+// must already exist.
+func connect(s *runState) *netStepper {
 	cfg := s.cfg
 	tc := cfg.Transport
 	role := wire.RoleExec
@@ -170,39 +131,18 @@ func newTCPTransport(s *runState) *tcpTransport {
 			local.CCThreads, local.ExecThreads, peerHello.CCThreads, peerHello.ExecThreads))
 	}
 
-	return &tcpTransport{net: newNetStepper(s, role, wire.NewPeer(conn, wire.Config{}))}
+	return newNetStepper(s, role, wire.NewPeer(conn, wire.Config{}))
 }
 
-// execDone: the exec node's threads have retired, so every message this
-// node will ever send is in a ring; the net stepper says goodbye once it
-// has framed them all.
-func (t *tcpTransport) execDone() {
-	if t.net.role == wire.RoleExec {
-		t.net.closing.Store(true)
-	}
-}
-
-// ccGate holds the cc node's shutdown until the exec node's goodbye is
-// decoded and every message before it republished into the local rings,
-// so the CC threads' final drain pass observes every release.
-func (t *tcpTransport) ccGate() {
-	if t.net.role == wire.RoleCC {
-		<-t.net.heard
-	}
-}
-
-// shutdown waits for the net stepper to retire — its goodbye written
-// behind this node's last frame (on the cc node the CC threads have
-// retired by now), the peer's goodbye heard, nothing buffered either way
-// — and tears the connection down.
-func (t *tcpTransport) shutdown() NetStats {
-	t.net.closing.Store(true)
-	t.net.retired.Wait()
-	t.net.peer.Close()
-	return t.net.peer.Stats()
-}
-
-// netStepper is the node's socket as a logical thread: a worker steps it
+// netStepper is one node's half of the networked message plane. The
+// two-node split keeps every CC thread on one process and every exec
+// thread on the other, so exactly two planes cross the wire — exec→CC
+// (acquires, releases) and CC→exec (grants) — while CC→CC forwards stay
+// node-local: the ascending-CC-id forwarding chains that carry the
+// paper's deadlock-freedom argument never leave the CC node, and the
+// wire adds no new cycle to the acyclic forwarding graph (see README).
+//
+// It is the node's socket as a logical thread: a worker steps it
 // like an execThread or a ccThread (worker.go), and like theirs its step
 // never waits. Inbound, one non-blocking read, decoded in place and
 // republished into the local rings the frames address; what a full ring
@@ -214,12 +154,15 @@ func (t *tcpTransport) shutdown() NetStats {
 // publish into those rings, as they would in-process, and never touch the
 // Peer.
 //
-// Framing reads messages after their producers have moved on. An
-// acquire's plan is read from its wrapper, which stays alive until that
-// acquire's grant returns — and the grant cannot return before the
-// acquire is framed. Grants and releases are framed from the id the
-// message carries, never through its wrapper, so their wrappers may
-// already be recycled.
+// It stands in for the peer's threads: the one place that knows the
+// other role is remote. It frames every message from its wrapper, alive
+// when framed, and keeps reg, the wire id → wrapper map. On the exec node
+// it registers each acquire as it frames it, resolves its grant through
+// reg (dispatch), and holds the remote hops' wrapper references, dropping
+// one per release it frames, as a CC thread does in-process. On the cc
+// node each acquire becomes a registered wrapper (materialize) whose
+// references the CC threads hold; its grant is framed before any release
+// for it can exist.
 //
 // Liveness. A step reads whatever the state of its write side, so two
 // nodes with full socket buffers still empty each other's. And what it
@@ -231,12 +174,12 @@ func (t *tcpTransport) shutdown() NetStats {
 // gather stops past MaxFrame), messages in the outbound rings behind it,
 // and messages in their senders' outboxes behind those.
 //
-// Shutdown is stepper state. Close's sequence sets closing once every
-// local thread feeding the outbound rings has retired; the stepper drains
-// them and appends its goodbye. It closes heard once the peer's goodbye
-// is decoded and its outboxes (in) are empty, and retires — goodbye
-// written, the peer's heard, nothing buffered — whereupon its worker
-// releases retired.
+// Shutdown is stepper state. Close sets closing (execRetired, shutdown)
+// once every local thread feeding the outbound rings has retired; the
+// stepper drains them and appends its goodbye. It closes heard once the
+// peer's goodbye is decoded and its outboxes (in) are empty, and retires
+// — goodbye written, the peer's heard, nothing buffered — whereupon its
+// worker releases retired.
 type netStepper struct {
 	s    *runState
 	role uint8
@@ -248,8 +191,9 @@ type netStepper struct {
 	frame wire.Frame // the decode target, reused
 	ops   opCounter
 
-	// reg maps live wire transaction ids to this CC node's materialized
-	// wrappers; each entry dies with its last release (wireReleases).
+	// reg maps live wire transaction ids to wrappers: on the exec node
+	// each framed acquire's until its grant is dispatched, on the cc node
+	// each materialized one's until its last release (wireReleases).
 	reg map[uint64]*wrapper
 
 	closing  atomic.Bool
@@ -271,11 +215,11 @@ type wireRing struct {
 // feeds the one this node consumes (in [from][to] order, the order
 // dispatch indexes n.in by) and frames the one it produces.
 func newNetStepper(s *runState, role uint8, peer *wire.Peer) *netStepper {
-	n := &netStepper{s: s, role: role, peer: peer, batch: make([]message, s.cfg.BatchSize), heard: make(chan struct{})}
+	n := &netStepper{s: s, role: role, peer: peer, batch: make([]message, s.cfg.BatchSize), heard: make(chan struct{}),
+		reg: make(map[uint64]*wrapper, s.cfg.ExecThreads*s.cfg.Inflight*2)}
 	in, out, plane := s.ccToExec, s.execToCC, wire.PlaneExecCC
 	if role == wire.RoleCC {
 		in, out, plane = s.execToCC, s.ccToExec, wire.PlaneCCExec
-		n.reg = make(map[uint64]*wrapper, s.cfg.ExecThreads*s.cfg.Inflight*2)
 	}
 	for _, row := range in {
 		n.in = append(n.in, newOutboxes(row)...)
@@ -287,6 +231,31 @@ func newNetStepper(s *runState, role uint8, peer *wire.Peer) *netStepper {
 	}
 	n.retired.Add(1)
 	return n
+}
+
+// execRetired is Close's barrier once the execution threads retire. On
+// the exec node every message it will ever send is now in a ring, and the
+// stepper says goodbye once it has framed them all. The cc node holds
+// here until the exec node's goodbye is decoded and every message before
+// it republished into the local rings, so the CC threads' final drain
+// pass observes every release.
+func (n *netStepper) execRetired() {
+	if n.role == wire.RoleExec {
+		n.closing.Store(true)
+	} else {
+		<-n.heard
+	}
+}
+
+// shutdown waits for the stepper to retire — its goodbye written behind
+// this node's last frame (on the cc node the CC threads have retired by
+// now), the peer's goodbye heard, nothing buffered either way — and tears
+// the connection down.
+func (n *netStepper) shutdown() NetStats {
+	n.closing.Store(true)
+	n.retired.Wait()
+	n.peer.Close()
+	return n.peer.Stats()
 }
 
 // step is one pass over the socket: read and dispatch, republish, gather
@@ -365,7 +334,8 @@ func (n *netStepper) gather() (moved, drained bool) {
 // encode appends one drained batch to the Peer as one frame for o's
 // queue, in ring order, opening another wherever the next message would
 // pass MaxFrame: a frame stays within the cap unless it carries a single
-// message.
+// message. A message is settled (framed) once it has its place, since one
+// that opens the next frame is filled twice.
 //
 //orthrus:hotpath
 func (n *netStepper) encode(o *wireRing, ms []message) {
@@ -382,9 +352,26 @@ func (n *netStepper) encode(o *wireRing, ms []message) {
 			continue
 		}
 		size += sz
+		n.framed(&ms[i])
 		i++
 	}
 	n.peer.Append(f)
+}
+
+// framed settles one framed message on the exec node, where the stepper
+// stands in for the remote CC threads: an acquire's id is registered for
+// its grant, and a release drops the reference its remote hop held, the
+// wrapper's last read on this node for that hop.
+//
+//orthrus:hotpath
+func (n *netStepper) framed(m *message) {
+	switch {
+	case n.role != wire.RoleExec:
+	case m.kind == msgRelease:
+		n.s.dropRef(m.w)
+	default:
+		n.reg[m.w.id] = m.w
+	}
 }
 
 // open returns an empty pooled frame addressed to o's queue.
@@ -395,12 +382,12 @@ func (n *netStepper) open(o *wireRing) *wire.Frame {
 }
 
 // fill copies one ring message into its wire form: a grant or a release
-// is its id alone; an acquire also carries its owner and plan, read from
-// its wrapper (see netStepper).
+// is its wrapper's id alone; an acquire also carries its owner and plan.
 //
 //orthrus:hotpath
 func (o *wireRing) fill(wm *wire.Msg, m *message) {
-	wm.TxnID = m.id
+	w := m.w
+	wm.TxnID = w.id
 	switch {
 	case o.plane == wire.PlaneCCExec:
 		wm.Kind = wire.KindGrant
@@ -408,7 +395,6 @@ func (o *wireRing) fill(wm *wire.Msg, m *message) {
 		wm.Kind = wire.KindRelease
 	default:
 		wm.Kind = wire.KindAcquire
-		w := m.w
 		wm.Owner = uint16(w.owner)
 		for i, c := range w.hops {
 			h := wm.AddHop(uint16(c))
@@ -417,9 +403,13 @@ func (o *wireRing) fill(wm *wire.Msg, m *message) {
 	}
 }
 
-// dispatch queues one decoded data frame's messages for the local ring it
-// addresses, behind anything that ring has not yet taken. A cc node takes
-// exec→cc frames (acquires, releases), an exec node cc→exec ones (grants).
+// dispatch resolves one decoded data frame's messages to wrappers and
+// queues them for the local ring the frame addresses, behind anything that
+// ring has not yet taken. A cc node takes exec→cc frames (acquires,
+// releases), an exec node cc→exec ones (grants). A grant must name an
+// acquire this node framed, still ungranted, of the exec thread the frame
+// addresses, from the last CC thread of its chain: the exec threads
+// trust it as they trust a ring from a local CC thread.
 func (n *netStepper) dispatch(f *wire.Frame) {
 	cc := n.role == wire.RoleCC
 	froms, tos := n.s.cfg.ExecThreads, n.s.cfg.CCThreads
@@ -437,12 +427,15 @@ func (n *netStepper) dispatch(f *wire.Frame) {
 		m := &f.Msgs[i]
 		switch {
 		case !cc && m.Kind == wire.KindGrant:
-			// The wrapper lives on the owning exec thread; it resolves
-			// the id through its pending map (drainGrants).
-			in.buf = append(in.buf, message{kind: msgAcquire, w: nil, id: m.TxnID})
+			w := n.reg[m.TxnID]
+			if w == nil || w.owner != int(f.To) || w.hops[len(w.hops)-1] != int(f.From) {
+				panic(fmt.Sprintf("orthrus: tcp transport: grant for wire transaction %d on queue %d->%d matches no acquire in flight there", m.TxnID, f.From, f.To))
+			}
+			delete(n.reg, m.TxnID) // one grant per acquire
+			in.buf = append(in.buf, message{kind: msgAcquire, w: w})
 		case cc && m.Kind == wire.KindAcquire:
 			n.checkAcquire(f, m)
-			in.buf = append(in.buf, message{kind: msgAcquire, w: n.materialize(m), id: m.TxnID})
+			in.buf = append(in.buf, message{kind: msgAcquire, w: n.materialize(m)})
 		case cc && m.Kind == wire.KindRelease:
 			w := n.reg[m.TxnID]
 			if w == nil {
@@ -454,7 +447,7 @@ func (n *netStepper) dispatch(f *wire.Frame) {
 				// is recycled by the CC threads' refcount as usual.
 				delete(n.reg, m.TxnID)
 			}
-			in.buf = append(in.buf, message{kind: msgRelease, w: w, id: m.TxnID})
+			in.buf = append(in.buf, message{kind: msgRelease, w: w})
 		default:
 			panic(fmt.Sprintf("orthrus: tcp transport: unexpected message kind %d on plane %d", m.Kind, f.Plane))
 		}
@@ -490,7 +483,7 @@ func (n *netStepper) checkAcquire(f *wire.Frame, m *wire.Msg) {
 // wrapper is the same pooled structure the in-process plane uses — the
 // CC threads cannot tell the transaction's owner is in another process —
 // and, pooled with hopIdx 0, enters its chain at the first hop. Wire ids
-// are unique per submission attempt (OLLP replans draw a fresh id), and
+// are unique per submission attempt (every attempt draws a fresh id), and
 // checkAcquire refused any id still registered, so each wrapper is fresh.
 func (n *netStepper) materialize(m *wire.Msg) *wrapper {
 	s := n.s
@@ -501,8 +494,7 @@ func (n *netStepper) materialize(m *wire.Msg) *wrapper {
 	w.resetPlan()
 	for i := range m.Hops {
 		h := &m.Hops[i]
-		hop := w.addHop(int(h.CC), len(h.Ops))
-		w.opsByCC[hop] = append(w.opsByCC[hop], h.Ops...)
+		copy(w.addHop(int(h.CC), len(h.Ops)), h.Ops)
 	}
 	nh := len(w.hops)
 	w.wireReleases = nh

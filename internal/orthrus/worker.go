@@ -110,7 +110,7 @@ func (ses *session) host(slots []slot) []hosted {
 	for i, sl := range slots {
 		switch {
 		case sl.net:
-			n := ses.s.tcp.net
+			n := ses.s.net
 			threads[i] = hosted{n, &n.retired}
 		case sl.cc:
 			threads[i] = hosted{newCCThread(ses.s, sl.id), &ses.ccWg}
