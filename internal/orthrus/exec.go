@@ -27,7 +27,7 @@ type execThread struct {
 	ses   *session
 	id    int
 	stats *metrics.ThreadStats
-	ids   *engine.IDSource
+	ids   engine.IDSource // by value: a heap block could share a line with another thread's
 	ctx   engine.PlannedCtx
 	sctx  engine.SnapshotCtx
 
@@ -84,7 +84,7 @@ func newExecThread(ses *session, id int, stats *metrics.ThreadStats) *execThread
 		ses:    ses,
 		id:     id,
 		stats:  stats,
-		ids:    engine.NewIDSource(id),
+		ids:    *engine.NewIDSource(id),
 		ctx:    engine.PlannedCtx{DB: cfg.DB, Stats: stats, VSet: ses.snaps.VersionSet()},
 		window: cfg.Inflight,
 		now:    metrics.Now,
@@ -95,7 +95,10 @@ func newExecThread(ses *session, id int, stats *metrics.ThreadStats) *execThread
 		// empties the ring.
 		out:     newOutboxes(ses.s.execToCC[id]),
 		scratch: make([]message, cfg.BatchSize),
-		counts:  make([]int, cfg.CCThreads),
+		// counts is written on every plan: whole 128-byte blocks (its
+		// size class then aligns it to 128) keep the other threads'
+		// allocations off the cache-line pair it occupies.
+		counts: make([]int, cfg.CCThreads, (cfg.CCThreads+15)&^15),
 	}
 	if cfg.Wal.Enabled() {
 		x.wal = cfg.Wal.NewAppender(stats)
